@@ -120,11 +120,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _print_report(r: ErrorReport, grid: int, as_csv: bool) -> None:
-    if as_csv:
-        print(CSV_HEADER)
-        print(_csv_row(r))
-        return
+def _print_report(r: ErrorReport, grid: int) -> None:
     print(f"family       {r.family}")
     print(f"interval     {r.interval}")
     print(f"kind         {r.bound_kind.value}")
@@ -169,7 +165,7 @@ def cmd_certify(args) -> int:
         for i, r in enumerate(reports):
             if i:
                 print()
-            _print_report(r, args.grid, as_csv=False)
+            _print_report(r, args.grid)
     return 0 if all(r.satisfied for r in reports) else 1
 
 

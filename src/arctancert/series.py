@@ -64,6 +64,12 @@ def cheb_coefficients(n: int, ratio=None) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
+def _default_coefficients(n: int, prec: int) -> tuple:
+    # prec 0 keys the float flavor, otherwise mpf at mp.prec == prec
+    return tuple(cheb_coefficients(n, _match_ratio(mp.mpf(0) if prec else 0.0)))
+
+
 def _clenshaw_odd(coeffs, x):
     # Clenshaw over degree 2n+1 with zero even coefficients; a_0 = 0.
     b1 = x * 0
@@ -83,7 +89,7 @@ def cheb_arctan(n: int, x):
     require_finite(x)
     if abs(x) > 1:
         raise ValueError(f"|x| must be <= 1, got {x!r}")
-    return _clenshaw_odd(cheb_coefficients(n, _match_ratio(x)), x)
+    return _clenshaw_odd(_default_coefficients(n, mp.prec if isinstance(x, mp.mpf) else 0), x)
 
 
 def cheb_arctan_scaled(n: int, m, x):

@@ -2,9 +2,12 @@
 
 The oracle never calls a library arctangent. It halves its argument through
 the identity arctan x = 2*arctan(x/(1+sqrt(1+x^2))) until the remainder drops
-below a threshold, sums the Maclaurin series there, and doubles back; pi is
-taken from the exact-rational Machin series and cross-checked against the
-reduction path once per working precision.
+below a threshold, sums the Maclaurin series there, and doubles back. These
+steps run in integer fixed point with guard bits beyond the working
+precision, and the result is rounded once, so it lies within one unit in the
+last place at working precision. pi is taken from the exact-rational Machin
+series and cross-checked against the reduction path once per working
+precision.
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested interval (a tan-mapped grid when the interval
@@ -25,6 +28,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .core import LiftedApproximant, lift_interval_map
 from .series import machin_pi
@@ -34,6 +38,7 @@ _INVPHI = (math.sqrt(5) - 1) / 2
 
 DEFAULT_GRID = 4097
 DEFAULT_REFINE_TOL = 1e-12
+_GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 
 
 class BoundKind(Enum):
@@ -75,27 +80,44 @@ def default_config() -> OracleConfig:
     return OracleConfig(working_digits=report + 20, report_digits=report)
 
 
-def _atan_core(y, threshold):
-    # arctan of y >= 0 at the active precision: halve, Maclaurin, double back.
-    if y == 0:
+def _shift(v: int, s: int) -> int:
+    return v << s if s >= 0 else v >> -s
+
+
+def _atan_core(x, threshold):
+    # arctan of x >= 0 at the active precision: halve, Maclaurin, double back,
+    # all on integers scaled by 2^wp, then round once. The reduced y stays
+    # above threshold/4, so wp keeps _GUARD_BITS beyond mp.prec relative to it.
+    if isinstance(x, float):
+        man, den = x.as_integer_ratio()  # exact, and cheaper than building an mpf
+        exp = 1 - den.bit_length()
+    else:
+        _, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
+    if not man:
         return mp.mpf(0)
+    t_frac, t_exp = math.frexp(threshold)
+    wp = mp.prec + _GUARD_BITS + 3 - t_exp
+    one = 1 << wp
     halvings = 0
-    while y > threshold:
-        y = y / (1 + mp.sqrt(1 + y * y))
-        halvings += 1
-    y2 = y * y
-    tiny = y * mp.mpf(10) ** (-(mp.dps + 5))
-    acc = mp.mpf(0)
-    p = y
-    j = 0
-    while True:
-        term = p / (2 * j + 1)
-        acc = acc + term if j % 2 == 0 else acc - term
-        p *= y2
+    if x >= 2:
+        # first halving as 1/(r + sqrt(1+r^2)) with r = 1/x, so x never squares
+        r = (1 << (wp - exp)) // man if wp >= exp else 0
+        man, exp, halvings = (one << wp) // (r + math.isqrt((one << wp) + r * r)), -wp, 1
+    if x > threshold:
+        y = _shift(man, exp + wp)
+        t = int(t_frac * 2**53) << (wp + t_exp - 53)
+        while y > t:
+            y = (y << wp) // (one + math.isqrt((one << wp) + y * y))
+            halvings += 1
+        man, exp = y, -wp
+    # sum (-1)^j y^(2j)/(2j+1) relative to y, so tiny x keeps full relative accuracy
+    y2 = _shift(man * man, 2 * exp + wp)
+    s, p, j = 0, one, 0
+    while p:
+        s += p // (2 * j + 1) if j % 2 == 0 else -(p // (2 * j + 1))
+        p = (p * y2) >> wp
         j += 1
-        if p < tiny:
-            break
-    return mp.ldexp(acc, halvings)
+    return mp.make_mpf(from_man_exp(man * s, exp - wp + halvings, mp.prec, round_nearest))
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +135,7 @@ def _pi_internal(working_digits: int):
 @lru_cache(maxsize=262144)
 def _oracle_cached(x, working_digits, threshold):
     with mp.workdps(working_digits):
-        return _atan_core(mp.mpf(x), threshold)
+        return _atan_core(x, threshold)
 
 
 def oracle_arctan(x, cfg: Optional[OracleConfig] = None):

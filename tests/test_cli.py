@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -184,6 +185,22 @@ def test_table_defaults_to_claim_domains(capsys):
     assert by_family["cf"][2] == "0:1"
     assert by_family["cf-lifted"][2] == "0:inf"
     assert by_family["cf"][6] == by_family["cf-lifted"][6] == "true"
+
+
+STANDARD_TABLE = (
+    "sf,t2,t4,master:1..6,lagrange,t5,cheb:0..8,cheb-lifted:1..8,"
+    "cf:1..8,cf-lifted:1..8,w:0..6,w-lifted:0..6"
+)
+
+
+def test_standard_table_csv_unchanged_at_grid_65(monkeypatch, capsys):
+    # the 58-row table's CSV must stay byte-identical across changes
+    monkeypatch.delenv("ARCTAN_CERT_DIGITS", raising=False)
+    code, out, _ = run(capsys, "table", "--families", STANDARD_TABLE, "--grid", "65")
+    assert code == 0
+    assert len(out.splitlines()) == 59
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "5184cafddaa191266164da64c30ef477c0d90159b31482aabacb99ac300ffc6a"
 
 
 def test_table_usage_errors(tmp_path, capsys):

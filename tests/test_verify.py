@@ -10,6 +10,7 @@ from arctancert.verify import (
     BoundKind,
     Interval,
     OracleConfig,
+    _oracle_cached,
     _sample_points,
     certify_bound,
     default_config,
@@ -63,6 +64,42 @@ def test_oracle_against_library_atan(cfg):
             got = oracle_arctan(x, cfg)
             ref = mp.atan(mp.mpf(x))
             assert abs(got - ref) / ref < mp.mpf(10) ** -30
+
+
+def _ulps_off(got, x, working_digits):
+    # distance to mpmath's arctangent at 40 more digits, in ulps at working precision
+    with mp.workdps(working_digits):
+        prec = mp.prec
+    with mp.workdps(working_digits + 40):
+        ref = mp.atan(x)
+        return abs(got - ref) / mp.ldexp(1, mp.frexp(ref)[1] - prec)
+
+
+# 2^-10, 1 and 2 each come with their float neighbours
+_EDGE_POINTS = [5e-324, 2.0**-1074 * 3, 1e-300, 1e154, 1.7e308] + [
+    math.nextafter(v, toward) for v in (2.0**-10, 1.0, 2.0) for toward in (0.0, v, math.inf)
+]
+
+
+@pytest.mark.parametrize("threshold", [2.0**-10, 0.3])
+@pytest.mark.parametrize("digits", [40, 50, 120])
+def test_oracle_within_one_ulp(digits, threshold):
+    cfg = OracleConfig(working_digits=digits, report_digits=30, reduction_threshold=threshold)
+    with mp.workdps(digits + 30):
+        wide = mp.sqrt(2) / 3  # more bits than the working precision carries
+    for x in [*_EDGE_POINTS, wide]:
+        assert _ulps_off(oracle_arctan(x, cfg), x, digits) <= 1, x
+
+
+def test_oracle_cold_and_warm_agree():
+    cfg = OracleConfig(working_digits=50, report_digits=30, reduction_threshold=0.3)
+    x = 0.7071067811865476
+    before = _oracle_cached.cache_info()
+    cold = oracle_arctan(x, cfg)
+    warm = oracle_arctan(x, cfg)
+    after = _oracle_cached.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert cold == warm
 
 
 def test_oracle_domain():
