@@ -11,9 +11,7 @@ from .core import (
     BoundPair,
     LiftedApproximant,
     lagrange_p,
-    lift,
     lift_interval_map,
-    nested_radical_L,
     nested_radical_seq,
     shafer_fink_bounds,
     theorem2_bounds,
@@ -32,21 +30,15 @@ from .master import (
     pn_coefficients,
 )
 from .series import (
-    arctan_recip_series,
     blend_w,
-    blend_w_lifted,
     cf_arctan,
-    cf_lifted,
     cheb_arctan,
     cheb_arctan_scaled,
     cheb_coefficients,
-    cheb_lifted,
-    chebyshev_T,
     machin_pi,
     machin_pi_fraction,
     taylor1_s,
     taylor1_t,
-    taylor1_t_from_s,
 )
 from .verify import (
     BoundKind,
@@ -73,17 +65,12 @@ __all__ = [
     "MasterParams",
     "OracleConfig",
     "a_n",
-    "arctan_recip_series",
     "blend_w",
-    "blend_w_lifted",
     "certify_bound",
     "cf_arctan",
-    "cf_lifted",
     "cheb_arctan",
     "cheb_arctan_scaled",
     "cheb_coefficients",
-    "cheb_lifted",
-    "chebyshev_T",
     "claimed_sup_bound",
     "default_config",
     "denominator_product",
@@ -91,14 +78,12 @@ __all__ = [
     "family_info",
     "gn_eval",
     "lagrange_p",
-    "lift",
     "lift_interval_map",
     "list_rows",
     "machin_pi",
     "machin_pi_fraction",
     "master_bounds",
     "master_params",
-    "nested_radical_L",
     "nested_radical_seq",
     "norm_transfer_check",
     "oracle_arctan",
@@ -108,7 +93,6 @@ __all__ = [
     "sup_error",
     "taylor1_s",
     "taylor1_t",
-    "taylor1_t_from_s",
     "theorem2_bounds",
     "theorem4_upper",
     "theorem5_approx",

@@ -17,7 +17,7 @@ import sys
 
 from mpmath import mp
 
-from .families import Approximant, FAMILIES, bound_pair, claimed_sup_bound, family_info, list_rows, table_entry
+from .families import Approximant, FAMILIES, claimed_sup_bound, family_info, list_rows, table_entry
 from .series import machin_pi
 from .verify import (
     BoundKind,
@@ -32,6 +32,9 @@ from .verify import (
 )
 
 CSV_HEADER = "family,n,interval,sup_error,arg_max,claimed_bound,satisfied"
+
+# the bound directions a family of each kind is checked for
+_SIDES = {BoundKind.TWO_SIDED: ("lower", "upper"), BoundKind.UPPER: ("upper",)}
 
 
 def _sci(v: float) -> str:
@@ -70,14 +73,6 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _require_n(ident: str, n):
-    info = family_info(ident)
-    if info.needs_n and n is None:
-        raise ValueError(f"family {ident!r} requires --n")
-    if not info.needs_n and n is not None:
-        raise ValueError(f"family {ident!r} does not take --n")
-
-
 def cmd_list(args) -> int:
     for row in list_rows():
         print(row)
@@ -87,23 +82,16 @@ def cmd_list(args) -> int:
 def cmd_eval(args) -> int:
     ident = args.family
     info = family_info(ident)
-    _require_n(ident, args.n)
-    params = _parse_params(args.param)
+    two_sided = info.kind is BoundKind.TWO_SIDED
+    m = _parse_params(args.param).get("m")
     cfg = default_config()
     x = args.x
 
     rows = []  # (side, value, target oracle)
-    if info.kind is BoundKind.TWO_SIDED:
-        pair = bound_pair(ident, args.n, x)
-        ref = float(_signed_oracle(x, cfg))
-        rows.append(("lower", pair.lower, ref))
-        rows.append(("upper", pair.upper, ref))
-    else:
-        approx = Approximant(ident, n=args.n, m=params.get("m"))
-        value = approx(x)
+    for side in _SIDES.get(info.kind, (None,)):
+        approx = Approximant(ident, n=args.n, m=m, side=side if two_sided else None)
         ref = float(_signed_oracle(approx.oracle_target(x), cfg))
-        side = "upper" if info.kind is BoundKind.UPPER else ""
-        rows.append((side, value, ref))
+        rows.append((side or "", approx(x), ref))
 
     if args.format == "csv":
         print("family,n,x,side,value,oracle,signed_error")
@@ -136,23 +124,15 @@ def _print_report(r: ErrorReport, grid: int) -> None:
 def cmd_certify(args) -> int:
     ident = args.family
     info = family_info(ident)
-    _require_n(ident, args.n)
+    two_sided = info.kind is BoundKind.TWO_SIDED
     interval = _parse_interval(args.interval)
     cfg = default_config()
 
     reports = []
-    if args.kind is not None:
-        kind = BoundKind(args.kind)
-        side = args.kind if info.kind is BoundKind.TWO_SIDED else None
-        approx = Approximant(ident, n=args.n, side=side)
-        reports.append(certify_bound(approx, kind, interval, args.grid, cfg=cfg))
-    elif info.kind is BoundKind.TWO_SIDED:
-        for side in ("lower", "upper"):
-            approx = Approximant(ident, n=args.n, side=side)
-            reports.append(certify_bound(approx, BoundKind(side), interval, args.grid, cfg=cfg))
-    elif info.kind is BoundKind.UPPER:
-        reports.append(certify_bound(Approximant(ident, n=args.n), BoundKind.UPPER, interval, args.grid, cfg=cfg))
-    else:
+    for side in (args.kind,) if args.kind else _SIDES.get(info.kind, ()):
+        approx = Approximant(ident, n=args.n, side=side if two_sided else None)
+        reports.append(certify_bound(approx, BoundKind(side), interval, args.grid, cfg=cfg))
+    if not reports:
         approx = Approximant(ident, n=args.n)
         claim = claimed_sup_bound(ident, args.n)
         reports.append(sup_error(approx, interval, args.grid, cfg=cfg, claimed_bound=claim))

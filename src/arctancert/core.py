@@ -70,11 +70,6 @@ def nested_radical_seq(j: int, x) -> list:
     return out
 
 
-def nested_radical_L(j: int, x):
-    """L_j(x); see nested_radical_seq."""
-    return nested_radical_seq(j, x)[-1]
-
-
 def theorem2_bounds(x) -> BoundPair:
     """Order-2 two-sided bound: pi*(3+8*sqrt2)*f(x) < arctan x < 45*f(x).
 
@@ -123,17 +118,6 @@ def theorem5_approx(x):
     return pi * x * ((4 + r2) * s1 - r2 * x) / (8 * s1 * s1)
 
 
-def lift(f: Callable, x):
-    """One bisection lift: 2*f(x/(1+sqrt(1+x^2))).
-
-    Turns an approximant valid on [0,1] into one valid on all of R+; the
-    reduced argument always lies in [0,1), and lower/upper bound direction
-    is preserved.
-    """
-    require_nonnegative(x)
-    return 2 * f(reduce_arg(x))
-
-
 def lift_interval_map(t):
     """Outer endpoint 2t/(1-t^2) whose lifted error matches twice the inner error on (0,t)."""
     require_finite(t, "t")
@@ -147,18 +131,22 @@ class LiftedApproximant:
     """An approximant on [0,1] lifted to R+ by repeated argument halving.
 
     Each application contributes one halving: value(x) = 2*inner(u) with
-    u = x/(1+sqrt(1+x^2)) per lift.
+    u = x/(1+sqrt(1+x^2)) per lift. This is the library's one lifting
+    operator: it turns an approximant valid on [0,1] into one valid on all
+    of R+, preserving lower/upper bound direction.
     """
 
     inner: Callable
     lifts: int = 1
 
     def __post_init__(self):
-        if self.lifts < 0:
-            raise ValueError("lifts must be >= 0")
+        if not isinstance(self.lifts, int) or self.lifts < 0:
+            raise ValueError(f"lifts must be an integer >= 0, got {self.lifts!r}")
 
     def __call__(self, x):
         require_nonnegative(x)
-        for _ in range(self.lifts):
+        k = self.lifts
+        while k:  # cheaper per call than iterating a range
             x = reduce_arg(x)
+            k -= 1
         return (1 << self.lifts) * self.inner(x)

@@ -8,19 +8,27 @@ mpf values like the underlying kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import KW_ONLY, dataclass, field
+from functools import partial
+from typing import Callable, Optional
 
 from . import core, master, series
 from .verify import BoundKind
 
 _SQRT2 = math.sqrt(2)
 
-_PAIR_FAMILIES = ("sf", "t2", "master")
-
 
 @dataclass(frozen=True)
 class FamilyInfo:
+    """One registry row.
+
+    kernel takes (n, x) when needs_n, else (x); a two-sided family's kernel
+    returns a BoundPair. claim maps n to the claimed uniform error bound. A
+    lifted family is its kernel, valid on [0,1], lifted once to R+. A
+    two-sided family's pair_order is its order in the master family, where
+    that order is fixed.
+    """
+
     ident: str
     reference: str
     bound_text: str
@@ -29,25 +37,47 @@ class FamilyInfo:
     needs_n: bool
     n_min: int = 0
     claim_interval: str = "0:inf"  # where the claimed bound applies
+    _: KW_ONLY
+    kernel: Optional[Callable] = None
+    claim: Optional[Callable] = None
+    lifted: bool = False
+    pair_order: Optional[int] = None
 
+
+_APPROX, _TWO, _UP = BoundKind.APPROXIMATION, BoundKind.TWO_SIDED, BoundKind.UPPER
 
 FAMILIES: dict[str, FamilyInfo] = {
     info.ident: info
     for info in (
-        FamilyInfo("sf", "Theorem 1", "3x/d < arctan x < πx/d, d = 1+2√(1+x²)", "[0,∞)", BoundKind.TWO_SIDED, False),
-        FamilyInfo("t2", "Theorem 2", "π(3+8√2)f < arctan x < 45f", "[0,∞)", BoundKind.TWO_SIDED, False),
-        FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", BoundKind.UPPER, False),
-        FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", BoundKind.TWO_SIDED, True, 1),
-        FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", BoundKind.APPROXIMATION, False, 0, "0:1"),
-        FamilyInfo("t5", "Theorem 5", "sup < 1/115", "[0,∞)", BoundKind.APPROXIMATION, False),
-        FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", BoundKind.APPROXIMATION, True, 0, "0:1"),
-        FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", BoundKind.APPROXIMATION, True, 1),
-        FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", BoundKind.APPROXIMATION, True, 1, "0:1"),
-        FamilyInfo("cf-lifted", "continued fraction, lifted", "4^-n", "[0,∞)", BoundKind.APPROXIMATION, True, 1),
-        FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", BoundKind.APPROXIMATION, True, 0, "0:1"),
-        FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", BoundKind.APPROXIMATION, True, 0, "0:1"),
-        FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", BoundKind.APPROXIMATION, True, 0, "0:1"),
-        FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", BoundKind.APPROXIMATION, True, 0),
+        FamilyInfo("sf", "Theorem 1", "3x/d < arctan x < πx/d, d = 1+2√(1+x²)", "[0,∞)", _TWO, False,
+                   kernel=core.shafer_fink_bounds, pair_order=1),
+        FamilyInfo("t2", "Theorem 2", "π(3+8√2)f < arctan x < 45f", "[0,∞)", _TWO, False,
+                   kernel=core.theorem2_bounds, pair_order=2),
+        FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", _UP, False,
+                   kernel=core.theorem4_upper),
+        FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
+                   kernel=master.master_bounds),
+        FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
+                   kernel=core.lagrange_p, claim=lambda n: 1 / 230),
+        FamilyInfo("t5", "Theorem 5", "sup < 1/115", "[0,∞)", _APPROX, False,
+                   kernel=core.theorem5_approx, claim=lambda n: 1 / 115),
+        FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
+                   kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3)),
+        FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
+                   kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True),
+        FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
+                   kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n),
+        FamilyInfo("cf-lifted", "continued fraction, lifted", "4^-n", "[0,∞)", _APPROX, True, 1,
+                   kernel=series.cf_arctan, claim=lambda n: 4.0**-n, lifted=True),
+        # the pointwise envelopes of s and t peak at 4^-n
+        FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
+                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n),
+        FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
+                   kernel=series.taylor1_t, claim=lambda n: 4.0**-n),
+        FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
+                   kernel=series.blend_w, claim=lambda n: 20.0**-n),
+        FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
+                   kernel=series.blend_w, claim=lambda n: 2 * 20.0**-n, lifted=True),
     )
 }
 
@@ -61,25 +91,8 @@ def family_info(ident: str) -> FamilyInfo:
 
 def claimed_sup_bound(ident: str, n: Optional[int]) -> Optional[float]:
     """The family's claimed uniform error bound, when it has one."""
-    if ident == "lagrange":
-        return 1 / 230
-    if ident == "t5":
-        return 1 / 115
-    if ident == "cheb":
-        return (1 + _SQRT2) ** -(2 * n + 3)
-    if ident == "cheb-lifted":
-        return (3 + 2 * _SQRT2) ** -n
-    if ident == "cf":
-        return 0.5 * 4.0**-n
-    if ident == "cf-lifted":
-        return 4.0**-n
-    if ident in ("s", "t"):
-        return 4.0**-n  # pointwise envelope peaks at 4^-n
-    if ident == "w":
-        return 20.0**-n
-    if ident == "w-lifted":
-        return 2 * 20.0**-n
-    return None
+    claim = family_info(ident).claim
+    return None if claim is None else claim(n)
 
 
 @dataclass(frozen=True)
@@ -87,13 +100,15 @@ class Approximant:
     """Descriptor of one family instance, callable at either precision.
 
     Pair families (sf, t2, master) need a side; cheb accepts an optional
-    scale m, in which case it approximates arctan(m*x).
+    scale m, in which case it approximates arctan(m*x). The evaluator
+    (kernel, order, scale and lift) is bound once, at construction.
     """
 
     family: str
     n: Optional[int] = None
     m: Optional[float] = None
     side: Optional[str] = None
+    _eval: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         info = family_info(self.family)
@@ -104,16 +119,22 @@ class Approximant:
                 raise ValueError(f"family {self.family!r} needs integer n >= {info.n_min}")
         elif self.n is not None:
             raise ValueError(f"family {self.family!r} does not take n")
-        if self.family in _PAIR_FAMILIES:
+        if info.kind is BoundKind.TWO_SIDED:
             if self.side not in ("lower", "upper"):
                 raise ValueError(f"family {self.family!r} needs side 'lower' or 'upper'")
         elif self.side is not None:
             raise ValueError(f"family {self.family!r} does not take a side")
+        fn = info.kernel if self.n is None else partial(info.kernel, self.n)
         if self.m is not None:
             if self.family != "cheb":
                 raise ValueError("parameter m only applies to family 'cheb'")
-            if not self.m > 0:
-                raise ValueError(f"m must be > 0, got {self.m!r}")
+            if not 0 < self.m < math.inf:
+                raise ValueError(f"m must be finite and > 0, got {self.m!r}")
+            if self.m != 1:
+                fn = partial(series.cheb_arctan_scaled, self.n, self.m)
+        if info.lifted:
+            fn = core.LiftedApproximant(fn)
+        object.__setattr__(self, "_eval", fn)
 
     @property
     def label(self) -> str:
@@ -130,53 +151,11 @@ class Approximant:
         return self.m * x if self.m is not None else x
 
     def __call__(self, x):
-        fam = self.family
-        if fam == "sf":
-            return getattr(core.shafer_fink_bounds(x), self.side)
-        if fam == "t2":
-            return getattr(core.theorem2_bounds(x), self.side)
-        if fam == "master":
-            return getattr(master.master_bounds(self.n, x), self.side)
-        if fam == "t4":
-            return core.theorem4_upper(x)
-        if fam == "lagrange":
-            return core.lagrange_p(x)
-        if fam == "t5":
-            return core.theorem5_approx(x)
-        if fam == "cheb":
-            if self.m is not None and self.m != 1:
-                return series.cheb_arctan_scaled(self.n, self.m, x)
-            return series.cheb_arctan(self.n, x)
-        if fam == "cheb-lifted":
-            return series.cheb_lifted(self.n, x)
-        if fam == "cf":
-            return series.cf_arctan(self.n, x)
-        if fam == "cf-lifted":
-            return series.cf_lifted(self.n, x)
-        if fam == "s":
-            return series.taylor1_s(self.n, x)
-        if fam == "t":
-            return series.taylor1_t(self.n, x)
-        if fam == "w":
-            return series.blend_w(self.n, x)
-        if fam == "w-lifted":
-            return series.blend_w_lifted(self.n, x)
-        raise AssertionError(f"unhandled family {fam!r}")
-
-
-def bound_pair(ident: str, n: Optional[int], x):
-    """Evaluate a two-sided family as a (lower, upper) pair."""
-    if ident == "sf":
-        return core.shafer_fink_bounds(x)
-    if ident == "t2":
-        return core.theorem2_bounds(x)
-    if ident == "master":
-        return master.master_bounds(n, x)
-    raise ValueError(f"family {ident!r} is not two-sided")
-
-
-def _pair_order(ident: str, n: Optional[int]) -> int:
-    return {"sf": 1, "t2": 2}.get(ident, n or 1)
+        # the side is picked here, not by a wrapper, so a raising kernel's
+        # traceback carries no extra frame
+        if self.side is None:
+            return self._eval(x)
+        return getattr(self._eval(x), self.side)
 
 
 def table_entry(ident: str, n: Optional[int]):
@@ -189,11 +168,9 @@ def table_entry(ident: str, n: Optional[int]):
     one-sided upper bound carries no uniform claim.
     """
     info = family_info(ident)
-    if info.kind is BoundKind.APPROXIMATION:
-        return Approximant(ident, n=n), claimed_sup_bound(ident, n), BoundKind.APPROXIMATION
-    if info.kind is BoundKind.UPPER:
-        return Approximant(ident, n=n), None, BoundKind.UPPER
-    order = _pair_order(ident, n)
+    if info.kind is not BoundKind.TWO_SIDED:
+        return Approximant(ident, n=n), claimed_sup_bound(ident, n), info.kind
+    order = info.pair_order or n
     params = master.master_params(order)
     side = "upper" if order % 2 else "lower"  # the g-constant side
     claim = float(params.k_high - params.k_low) * (math.pi / 2) / float(params.k_low)

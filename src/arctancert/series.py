@@ -1,9 +1,10 @@
 """Series-based arctangent approximants.
 
-Four families: truncated Chebyshev expansions (plain, argument-scaled, and
-lifted to R+), convergents of the Gauss continued fraction, the quartic-ratio
-series around x = 1 (s_n, its reflection t_n, and their blend w_n), and the
-exact-rational Machin evaluation of pi built from the same series.
+Four families: truncated Chebyshev expansions (plain and argument-scaled),
+convergents of the Gauss continued fraction, the quartic-ratio series around
+x = 1 (s_n, its reflection t_n, and their blend w_n), and the exact-rational
+Machin evaluation of pi built from the same series row. Their lifts to R+ are
+``core.LiftedApproximant`` applied to these kernels.
 """
 
 from __future__ import annotations
@@ -13,30 +14,12 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .numerics import (
-    pi_like,
-    reduce_arg,
-    require_finite,
-    require_nonnegative,
-    require_unit,
-    sqrt2_like,
-)
+from .numerics import pi_like, reduce_arg, require_finite, require_unit, sqrt2_like
 
 
-def chebyshev_T(k: int, x):
-    """T_k(x) by the three-term recurrence T_{k+1} = 2x*T_k - T_{k-1}."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    require_finite(x)
-    if abs(x) > 1:
-        raise ValueError(f"|x| must be <= 1, got {x!r}")
-    prev = x * 0 + 1.0
-    if k == 0:
-        return prev
-    cur = x
-    for _ in range(k - 1):
-        prev, cur = cur, 2 * x * cur - prev
-    return cur
+def _check_trunc(n):
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"truncation index n must be an integer >= 0, got {n!r}")
 
 
 def _match_ratio(x):
@@ -51,8 +34,7 @@ def cheb_coefficients(n: int, ratio=None) -> list:
     coefficients of arctan on [-1,1]; magnitudes decrease strictly and
     signs alternate.
     """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check_trunc(n)
     r = _match_ratio(0.0) if ratio is None else ratio
     r2 = r * r
     out = []
@@ -64,9 +46,10 @@ def cheb_coefficients(n: int, ratio=None) -> list:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _default_coefficients(n: int, prec: int) -> tuple:
-    # prec 0 keys the float flavor, otherwise mpf at mp.prec == prec
+    # prec 0 keys the float flavor, otherwise mpf at mp.prec == prec; typed,
+    # so that n = 2.0 misses the entry for 2 and reaches the order check
     return tuple(cheb_coefficients(n, _match_ratio(mp.mpf(0) if prec else 0.0)))
 
 
@@ -100,18 +83,10 @@ def cheb_arctan_scaled(n: int, m, x):
     require_finite(x)
     if abs(x) >= 1:
         raise ValueError(f"|x| must be < 1, got {x!r}")
+    require_finite(m, "m")
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m!r}")
     return _clenshaw_odd(cheb_coefficients(n, reduce_arg(m + x * 0)), x)
-
-
-def cheb_lifted(n: int, x):
-    """Lifted truncation 2*cheb_arctan(n, x/(1+sqrt(1+x^2))).
-
-    Within (3+2*sqrt2)^-n of arctan over all of R+.
-    """
-    require_nonnegative(x)
-    return 2 * cheb_arctan(n, reduce_arg(x))
 
 
 def cf_arctan(n: int, x):
@@ -131,15 +106,20 @@ def cf_arctan(n: int, x):
     return x / d
 
 
-def cf_lifted(n: int, x):
-    """Lifted convergent 2*cf_arctan(n, x/(1+sqrt(1+x^2))); error <= 4^-n on R+."""
-    require_nonnegative(x)
-    return 2 * cf_arctan(n, reduce_arg(x))
+def _quartic_rows(n: int, g):
+    """Rows j = 0..n of sum_j q^j * (g/(4j+1) + 2g^2/(4j+2) + 2g^3/(4j+3)), q = -4g^4.
 
-
-def _check_trunc(n):
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"truncation index n must be >= 0, got {n!r}")
+    Generic over the number type of g: float, mpf or Fraction.
+    """
+    g2 = g * g
+    g3 = g2 * g
+    q = -4 * g2 * g2
+    acc = g * 0
+    qj = acc + 1
+    for j in range(n + 1):
+        acc += qj * (g / (4 * j + 1) + 2 * g2 / (4 * j + 2) + 2 * g3 / (4 * j + 3))
+        qj *= q
+    return acc
 
 
 def taylor1_s(n: int, u):
@@ -147,49 +127,25 @@ def taylor1_s(n: int, u):
 
     s_n(u) = sum_{j<=n} q^j * (g/(4j+1) + 2g^2/(4j+2) + 2g^3/(4j+3)) with
     g = u/(u+1) and q = -4g^4. Pointwise error at most (sqrt2*u/(u+1))^(4n);
-    an upper bound of arctan for even n, a lower bound for odd n.
+    an upper bound of arctan for even n, a lower bound for odd n. At u = 1/t
+    it is the depth-n series for arctan(1/t), t >= 1.
     """
     _check_trunc(n)
     require_unit(u, "u")
-    g = u / (u + 1)
-    g2 = g * g
-    g3 = g2 * g
-    q = -4 * g2 * g2
-    acc = u * 0
-    qj = u * 0 + 1.0
-    for j in range(n + 1):
-        acc += qj * (g / (4 * j + 1) + 2 * g2 / (4 * j + 2) + 2 * g3 / (4 * j + 3))
-        qj *= q
-    return acc
+    return _quartic_rows(n, u / (u + 1))
 
 
 def taylor1_t(n: int, u):
     """Reflected partial sum t_n(u) = pi/4 - s_n((1-u)/(1+u)), in expanded form.
 
-    Evaluated directly as pi/4 minus the (1-u)-power series; agrees with the
-    composed form to rounding. t_n(1) = pi/4 exactly; pointwise error at most
-    ((1-u)/sqrt2)^(4n). Bound direction is opposite to s_n's: a lower bound
-    for even n, an upper bound for odd n.
+    Evaluated directly as pi/4 minus the series row at g = (1-u)/2; agrees
+    with the composed form to rounding. t_n(1) = pi/4 exactly; pointwise
+    error at most ((1-u)/sqrt2)^(4n). Bound direction is opposite to s_n's:
+    a lower bound for even n, an upper bound for odd n.
     """
     _check_trunc(n)
     require_unit(u, "u")
-    om = 1 - u
-    om2 = om * om
-    om3 = om2 * om
-    q = -om2 * om2 / 4
-    acc = u * 0
-    qj = u * 0 + 1.0
-    for j in range(n + 1):
-        acc += qj * (om / (2 * (4 * j + 1)) + om2 / (2 * (4 * j + 2)) + om3 / (4 * (4 * j + 3)))
-        qj *= q
-    return pi_like(u) / 4 - acc
-
-
-def taylor1_t_from_s(n: int, u):
-    """The composed form pi/4 - s_n((1-u)/(1+u)); regression anchor for taylor1_t."""
-    _check_trunc(n)
-    require_unit(u, "u")
-    return pi_like(u) / 4 - taylor1_s(n, (1 - u) / (1 + u))
+    return pi_like(u) / 4 - _quartic_rows(n, (1 - u) / 2)
 
 
 def blend_w(n: int, u):
@@ -206,61 +162,19 @@ def blend_w(n: int, u):
     return (wu * taylor1_t(n, u) + wv * taylor1_s(n, u)) / (wu + wv)
 
 
-def blend_w_lifted(n: int, x):
-    """Lifted blend 2*blend_w(n, x/(1+sqrt(1+x^2))); error <= 2*20^-n on R+."""
-    require_nonnegative(x)
-    return 2 * blend_w(n, reduce_arg(x))
-
-
-def arctan_recip_series(t, n: int):
-    """Depth-n partial sum for arctan(1/t), t >= 1; term ratio -4/(t+1)^4."""
-    _check_trunc(n)
-    require_finite(t, "t")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t!r}")
-    g = 1 / (t + 1)
-    g2 = g * g
-    g3 = g2 * g
-    q = -4 * g2 * g2
-    acc = g * 0
-    qj = g * 0 + 1.0
-    for j in range(n + 1):
-        acc += qj * (g / (4 * j + 1) + 2 * g2 / (4 * j + 2) + 2 * g3 / (4 * j + 3))
-        qj *= q
-    return acc
-
-
 @lru_cache(maxsize=None)
 def machin_pi_fraction(terms: int) -> Fraction:
     """Exact rational truncation of the two-series Machin evaluation of pi.
 
     pi = 16*arctan(1/5) - 4*arctan(1/239) with both arctangents expanded by
-    the quartic-ratio series; row j of the dominant series carries a factor
-    (-1/324)^j, the other (-1/829440000)^j. Keeping the accumulation in
-    rational arithmetic leaves rounding out of the digit comparisons.
+    the quartic-ratio series, at g = 1/6 and g = 1/240; row j of the dominant
+    series carries a factor (-1/324)^j, the other (-1/829440000)^j. Keeping
+    the accumulation in rational arithmetic leaves rounding out of the digit
+    comparisons.
     """
     if not isinstance(terms, int) or terms < 1:
         raise ValueError(f"terms must be a positive integer, got {terms!r}")
-    acc = Fraction(0)
-    p1 = Fraction(1)
-    p2 = Fraction(1)
-    q1 = Fraction(-1, 324)
-    q2 = Fraction(-1, 829440000)
-    for j in range(terms):
-        row1 = (
-            Fraction(1, 3 * (4 * j + 1))
-            + Fraction(1, 9 * (4 * j + 2))
-            + Fraction(1, 54 * (4 * j + 3))
-        )
-        row2 = (
-            Fraction(1, 60 * (4 * j + 1))
-            + Fraction(1, 7200 * (4 * j + 2))
-            + Fraction(1, 1728000 * (4 * j + 3))
-        )
-        acc += 8 * p1 * row1 - p2 * row2
-        p1 *= q1
-        p2 *= q2
-    return acc
+    return 16 * _quartic_rows(terms - 1, Fraction(1, 6)) - 4 * _quartic_rows(terms - 1, Fraction(1, 240))
 
 
 def machin_pi(terms: int, dps: int = 50):

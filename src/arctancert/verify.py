@@ -141,17 +141,17 @@ def _oracle_cached(x, working_digits, threshold):
 def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
     """Reference arctan(x), accurate to cfg.report_digits significant digits.
 
-    Accepts non-negative floats or mpf values; +inf returns pi/2.
+    Accepts non-negative floats, ints or mpf values; +inf returns pi/2.
     """
     cfg = cfg or default_config()
     if isinstance(x, mp.mpf):
-        if mp.isnan(x):
-            raise ValueError("x must not be NaN")
-        infinite = mp.isinf(x)
+        nan, infinite = mp.isnan(x), mp.isinf(x)
+    elif isinstance(x, int):  # never NaN or inf, and may lie beyond the float range
+        nan = infinite = False
     else:
-        if math.isnan(x):
-            raise ValueError("x must not be NaN")
-        infinite = math.isinf(x)
+        nan, infinite = math.isnan(x), math.isinf(x)
+    if nan:
+        raise ValueError("x must not be NaN")
     if infinite:
         if x < 0:
             raise ValueError("x must be non-negative")
@@ -260,6 +260,11 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
     return out
 
 
+def _signed_errors(f: Callable, pts, cfg: OracleConfig) -> list:
+    # f - arctan at each grid point; run inside mp.workdps(cfg.working_digits)
+    return [f(mp.mpf(p)) - oracle_arctan(p, cfg) for p in pts]
+
+
 def _abs_err_fn(f: Callable, cfg: OracleConfig) -> Callable:
     def g(x: float):
         return abs(f(mp.mpf(x)) - oracle_arctan(x, cfg))
@@ -325,7 +330,7 @@ def sup_error(
     pts = _sample_points(interval, grid_points)
     g = _abs_err_fn(f, cfg)
     with mp.workdps(cfg.working_digits):
-        errs = [g(p) for p in pts]
+        errs = [abs(e) for e in _signed_errors(f, pts, cfg)]
         best_i = max(range(len(pts)), key=errs.__getitem__)
         best_x, best_e = pts[best_i], errs[best_i]
         for i in _top_local_maxima(errs):
@@ -374,24 +379,16 @@ def certify_bound(
     cfg = cfg or default_config()
     pts = _sample_points(interval, grid_points)
     with mp.workdps(cfg.working_digits):
-        min_gap = None
-        arg_min = pts[0]
-        sup_e = mp.mpf(0)
-        arg_sup = pts[0]
-        for p in pts:
-            err = f(mp.mpf(p)) - oracle_arctan(p, cfg)
-            margin = -err if kind is BoundKind.LOWER else err
-            if min_gap is None or margin < min_gap:
-                min_gap, arg_min = margin, p
-            if abs(err) > sup_e:
-                sup_e, arg_sup = abs(err), p
+        errs = _signed_errors(f, pts, cfg)
+        min_gap = -max(errs) if kind is BoundKind.LOWER else min(errs)
+        i_sup = max(range(len(pts)), key=lambda i: abs(errs[i]))
         tol = mp.mpf(10) ** (5 - cfg.report_digits)
         satisfied = bool(min_gap >= -tol)
     return ErrorReport(
         family=_label_for(f, label),
         interval=interval,
-        sup_error=float(sup_e),
-        arg_max=float(arg_sup),
+        sup_error=float(abs(errs[i_sup])),
+        arg_max=float(pts[i_sup]),
         claimed_bound=None,
         bound_kind=kind,
         satisfied=satisfied,
@@ -408,7 +405,7 @@ def norm_transfer_check(
 ) -> bool:
     """Check the lifting norm identity on matched intervals.
 
-    Measures ||lift(f) - arctan|| on (0, 2t/(1-t^2)) against twice
+    Measures ||LiftedApproximant(f) - arctan|| on (0, 2t/(1-t^2)) against twice
     ||f - arctan|| on (0, t); true when they agree within 1% relative
     (sampling allowance) or both vanish to oracle noise.
     """

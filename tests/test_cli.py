@@ -85,6 +85,14 @@ def test_eval_usage_errors(capsys):
     assert code == 2 and "error" in err
 
 
+def test_eval_rejects_m_outside_cheb(capsys):
+    # m scales cheb only; elsewhere it is a usage error, never silently ignored
+    code, _, err = run(capsys, "eval", "--family", "sf", "--x", "0.5", "--param", "m=2")
+    assert code == 2 and "m only applies" in err
+    assert run(capsys, "eval", "--family", "cf", "--n", "2", "--x", "0.5", "--param", "m=2")[0] == 2
+    assert run(capsys, "eval", "--family", "cheb", "--n", "2", "--x", "0.5", "--param", "m=inf")[0] == 2
+
+
 def test_certify_w(capsys):
     code, out, _ = run(
         capsys,

@@ -8,9 +8,7 @@ from mpmath import mp
 from arctancert.core import (
     LiftedApproximant,
     lagrange_p,
-    lift,
     lift_interval_map,
-    nested_radical_L,
     nested_radical_seq,
     shafer_fink_bounds,
     theorem2_bounds,
@@ -30,6 +28,11 @@ T2_UPPER_1 = 0.7854047879153436
 T4_AT_1 = 0.8083626396469424
 PI_4 = 0.7853981633974483
 ATAN_1E6 = 1.570795326794896619564655
+
+
+def nested_radical_L(j, x):
+    """L_j(x), the last entry of nested_radical_seq."""
+    return nested_radical_seq(j, x)[-1]
 
 
 def test_shafer_fink_at_zero():
@@ -167,15 +170,15 @@ def test_theorem5_values():
 
 def test_theorem5_matches_lifted_interpolant():
     for x in (0.5, 2.0, 100.0):
-        assert abs(theorem5_approx(x) - lift(lagrange_p, x)) < 1e-12
+        assert abs(theorem5_approx(x) - LiftedApproximant(lagrange_p)(x)) < 1e-12
 
 
 def test_lift_identities(cfg):
     with mp.workdps(50):
         f = lambda u: oracle_arctan(u, cfg)
-        assert abs(lift(f, mp.mpf(1)) - oracle_arctan(1.0, cfg)) < mp.mpf(10) ** -30
-    assert lift(lagrange_p, 1.0) == pytest.approx(theorem5_approx(1.0), rel=1e-14)
-    assert lift(lagrange_p, 0.0) == 2 * lagrange_p(0.0)
+        assert abs(LiftedApproximant(f)(mp.mpf(1)) - oracle_arctan(1.0, cfg)) < mp.mpf(10) ** -30
+    assert LiftedApproximant(lagrange_p)(1.0) == pytest.approx(theorem5_approx(1.0), rel=1e-14)
+    assert LiftedApproximant(lagrange_p)(0.0) == 2 * lagrange_p(0.0)
 
 
 def test_lift_interval_map_values():

@@ -6,22 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from arctancert.core import LiftedApproximant
+from arctancert.families import Approximant
 from arctancert.series import (
-    arctan_recip_series,
     blend_w,
-    blend_w_lifted,
     cf_arctan,
-    cf_lifted,
     cheb_arctan,
     cheb_arctan_scaled,
     cheb_coefficients,
-    cheb_lifted,
-    chebyshev_T,
     machin_pi,
     machin_pi_fraction,
     taylor1_s,
     taylor1_t,
-    taylor1_t_from_s,
 )
 
 CHEB0_AT_1 = 0.8284271247461901  # 2/(1+sqrt2)
@@ -31,6 +27,23 @@ ATAN_5 = 1.373400766945015860861272
 ATAN_3 = 1.249045772398254425829917
 ATAN_1_239 = 0.004184076002074723864538215
 PI_4 = 0.7853981633974483
+
+
+def chebyshev_T(k, x):
+    """Reference T_k(x) by the three-term recurrence T_{k+1} = 2x*T_k - T_{k-1}."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if not abs(x) <= 1:
+        raise ValueError(f"|x| must be <= 1, got {x!r}")
+    prev, cur = 1.0, x
+    for _ in range(k):
+        prev, cur = cur, 2 * x * cur - prev
+    return prev
+
+
+def taylor1_t_from_s(n, u):
+    """Reference composed form pi/4 - s_n((1-u)/(1+u)) of taylor1_t."""
+    return math.pi / 4 - taylor1_s(n, (1 - u) / (1 + u))
 
 def test_chebyshev_T_values():
     assert chebyshev_T(0, 0.73) == 1.0
@@ -77,6 +90,16 @@ def test_cheb_arctan_matches_direct_sum():
 def test_cheb_arctan_domain():
     with pytest.raises(ValueError):
         cheb_arctan(3, 1.0001)
+    # non-integer orders are usage errors, not TypeErrors
+    with pytest.raises(ValueError):
+        cheb_coefficients(2.5)
+    with pytest.raises(ValueError):
+        cheb_arctan(2.5, 0.5)
+    cheb_arctan(2, 0.5)
+    with pytest.raises(ValueError):  # not served from the entry cached for n = 2
+        cheb_arctan(2.0, 0.5)
+    with pytest.raises(ValueError):
+        LiftedApproximant(lambda u: cheb_arctan(3, u), lifts=1.5)(1.0)
 
 def test_cheb_scaled_matches_plain_at_m_1():
     for x in (0.0, 0.3, 0.999):
@@ -102,15 +125,20 @@ def test_cheb_scaled_domain():
         cheb_arctan_scaled(3, 2.0, 1.0)
     with pytest.raises(ValueError):
         cheb_arctan_scaled(3, 0.0, 0.5)
+    with pytest.raises(ValueError):
+        cheb_arctan_scaled(3, math.inf, 0.5)
+    with pytest.raises(ValueError):
+        Approximant("cheb", n=3, m=math.inf)(0.5)
 
 def test_cheb_lifted_spots(cfg):
     from arctancert.verify import oracle_arctan
 
-    assert cheb_lifted(4, 0.0) == 0.0
+    cheb_lifted_4 = Approximant("cheb-lifted", n=4)
+    assert cheb_lifted_4(0.0) == 0.0
     bound4 = (3 + 2 * math.sqrt(2)) ** -4
-    assert abs(cheb_lifted(4, 1e3) - float(oracle_arctan(1e3, cfg))) < bound4
+    assert abs(cheb_lifted_4(1e3) - float(oracle_arctan(1e3, cfg))) < bound4
     bound8 = (3 + 2 * math.sqrt(2)) ** -8
-    assert abs(cheb_lifted(8, 1.0) - PI_4) < bound8
+    assert abs(Approximant("cheb-lifted", n=8)(1.0) - PI_4) < bound8
 
 def test_cf_closed_forms_at_one():
     assert cf_arctan(1, 1.0) == pytest.approx(0.75, rel=1e-15)
@@ -139,8 +167,9 @@ def test_cf_positive_denominator(n, x):
     assert math.isfinite(v)
 
 def test_cf_lifted_spots():
-    assert cf_lifted(3, 0.0) == 0.0
-    assert abs(cf_lifted(3, 5.0) - ATAN_5) < 4.0**-3
+    cf_lifted_3 = Approximant("cf-lifted", n=3)
+    assert cf_lifted_3(0.0) == 0.0
+    assert abs(cf_lifted_3(5.0) - ATAN_5) < 4.0**-3
 
 def test_taylor1_s_values():
     assert taylor1_s(2, 0.0) == 0.0
@@ -182,18 +211,20 @@ def test_blend_w_is_convex_combination(n, u):
     assert min(s, t) - 1e-15 <= w <= max(s, t) + 1e-15
 
 def test_blend_w_lifted_spots():
-    assert blend_w_lifted(2, 0.0) == 0.0
-    assert abs(blend_w_lifted(2, 3.0) - ATAN_3) < 2 * 20.0**-2
-    assert abs(blend_w_lifted(4, 1e6) - math.atan(1e6)) < 1e-8
+    w_lifted_2 = Approximant("w-lifted", n=2)
+    assert w_lifted_2(0.0) == 0.0
+    assert abs(w_lifted_2(3.0) - ATAN_3) < 2 * 20.0**-2
+    assert abs(Approximant("w-lifted", n=4)(1e6) - math.atan(1e6)) < 1e-8
 
 def test_arctan_recip_series_spots():
-    assert arctan_recip_series(5.0, 3) == pytest.approx(ATAN_02, abs=1e-8)
-    assert arctan_recip_series(239.0, 1) == pytest.approx(ATAN_1_239, abs=1e-15)
-    assert arctan_recip_series(1.0, 10) == pytest.approx(PI_4, abs=1e-6)
+    # arctan(1/t) by the quartic-ratio series is s_n at u = 1/t
+    assert taylor1_s(3, 1 / 5.0) == pytest.approx(ATAN_02, abs=1e-8)
+    assert taylor1_s(1, 1 / 239.0) == pytest.approx(ATAN_1_239, abs=1e-15)
+    assert taylor1_s(10, 1 / 1.0) == pytest.approx(PI_4, abs=1e-6)
 
 def test_arctan_recip_series_domain():
     with pytest.raises(ValueError):
-        arctan_recip_series(0.99, 3)
+        taylor1_s(3, 1 / 0.99)
 
 def test_machin_first_row_exact():
     # 8*(1/3 + 1/18 + 1/162) - (1/60 + 1/14400 + 1/5184000), by hand

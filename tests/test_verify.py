@@ -102,6 +102,16 @@ def test_oracle_cold_and_warm_agree():
     assert cold == warm
 
 
+def test_oracle_accepts_ints_beyond_the_float_range(cfg):
+    # an int is never NaN or inf; 10**400 has no float, and its arctan is pi/2 at working precision
+    assert _ulps_off(oracle_arctan(10**400, cfg), 10**400, cfg.working_digits) <= 1
+    with mp.workdps(cfg.working_digits):
+        assert abs(oracle_arctan(10**400, cfg) - mp.pi / 2) <= mp.ldexp(1, 1 - mp.prec)
+    assert oracle_arctan(3, cfg) == oracle_arctan(3.0, cfg)
+    with pytest.raises(ValueError):
+        oracle_arctan(-(10**400), cfg)
+
+
 def test_oracle_domain():
     with pytest.raises(ValueError):
         oracle_arctan(-0.5)
