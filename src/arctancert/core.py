@@ -12,20 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from mpmath import mp
-
-from .numerics import (
-    Scalar,
-    hypot,
-    hypot1,
-    pi_like,
-    reduce_arg,
-    require_finite,
-    require_nonnegative,
-    require_unit,
-    sqrt,
-    sqrt2_like,
-)
+from .numerics import Scalar, require_finite, require_nonnegative, require_unit
 
 
 class BoundPair(NamedTuple):
@@ -35,22 +22,15 @@ class BoundPair(NamedTuple):
     upper: Scalar
 
 
-def _sqrt_prod(a, b):
-    # sqrt(a*b), splitting the product when it could overflow in double
-    if not isinstance(a, mp.mpf) and a > 1e150:
-        return sqrt(a) * sqrt(b)
-    return sqrt(a * b)
-
-
 def shafer_fink_bounds(x) -> BoundPair:
     """Two-sided Shafer-Fink bound: 3x/(1+2*sqrt(1+x^2)) < arctan x < pi*x/(1+2*sqrt(1+x^2)).
 
     Strict for x > 0; both sides vanish at x = 0. The lower bound is tight
     as x -> 0, the upper bound as x -> inf.
     """
-    require_nonnegative(x)
-    den = 1 + 2 * hypot1(x)
-    return BoundPair(3 * x / den, pi_like(x) * x / den)
+    c = require_nonnegative(x)
+    den = 1 + 2 * c.hypot(1, x)
+    return BoundPair(3 * x / den, c.pi * x / den)
 
 
 def nested_radical_seq(j: int, x) -> list:
@@ -61,11 +41,11 @@ def nested_radical_seq(j: int, x) -> list:
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
-    require_nonnegative(x)
-    val = x * 0 + 1.0
+    c = require_nonnegative(x)
+    val = c.one
     out = [val]
     for _ in range(j):
-        val = val + hypot(x, val)
+        val = val + c.hypot(x, val)
         out.append(val)
     return out
 
@@ -78,11 +58,10 @@ def theorem2_bounds(x) -> BoundPair:
     The pair gap is a factor ~66 narrower than Shafer-Fink's, though neither
     side dominates its Shafer-Fink counterpart pointwise.
     """
-    require_nonnegative(x)
-    s = hypot1(x)
-    r2 = sqrt2_like(x)
-    f = x / (7 + 6 * s + 16 * hypot(x, 1 + s))
-    return BoundPair(pi_like(x) * (3 + 8 * r2) * f, 45 * f)
+    c = require_nonnegative(x)
+    s = c.hypot(1, x)
+    f = x / (7 + 6 * s + 16 * c.hypot(x, 1 + s))
+    return BoundPair(c.pi * (3 + 8 * c.sqrt2) * f, 45 * f)
 
 
 def theorem4_upper(x):
@@ -91,31 +70,29 @@ def theorem4_upper(x):
     Tends to pi/2 as x -> inf. Not pointwise comparable with the
     Shafer-Fink upper bound: tighter only for x above ~0.711.
     """
-    require_nonnegative(x)
-    pi = pi_like(x)
-    s = hypot1(x)
-    den = 4 / pi + sqrt2_like(x) * _sqrt_prod(s, s + x)
-    return pi * x / den
+    c = require_nonnegative(x)
+    pi = c.pi
+    s = c.hypot(1, x)
+    return pi * x / (4 / pi + c.sqrt2 * c.sqrt_prod(s, s + x))
 
 
 def lagrange_p(u):
     """Quadratic interpolant of arctan through (0, 0), (sqrt2-1, pi/8), (1, pi/4)."""
-    require_unit(u, "u")
-    pi = pi_like(u)
-    r2 = sqrt2_like(u)
+    c = require_unit(u, "u")
+    pi, r2 = c.pi, c.sqrt2
     return pi / 4 * u * (u - r2 + 1) / (2 - r2) + pi / 8 * u * (u - 1) / ((r2 - 1) * (r2 - 2))
 
 
 def theorem5_approx(x):
     """The lifted interpolant in closed form; within 1/115 of arctan on all of R+.
 
-    Equals 2*lagrange_p(x/(1+sqrt(1+x^2))) up to rounding.
+    Equals 2*lagrange_p(x/(1+sqrt(1+x^2))) up to rounding. Written in the
+    reduced argument r = x/(1+sqrt(1+x^2)) as pi/8 * r*(4 + sqrt2*(1 - r)),
+    so nothing squares and the value tends to pi/2 as x -> inf.
     """
-    require_nonnegative(x)
-    pi = pi_like(x)
-    r2 = sqrt2_like(x)
-    s1 = 1 + hypot1(x)
-    return pi * x * ((4 + r2) * s1 - r2 * x) / (8 * s1 * s1)
+    c = require_nonnegative(x)
+    r = c.reduce(x)
+    return c.pi / 8 * r * (4 + c.sqrt2 * (1 - r))
 
 
 def lift_interval_map(t):
@@ -144,9 +121,9 @@ class LiftedApproximant:
             raise ValueError(f"lifts must be an integer >= 0, got {self.lifts!r}")
 
     def __call__(self, x):
-        require_nonnegative(x)
+        c = require_nonnegative(x)
         k = self.lifts
         while k:  # cheaper per call than iterating a range
-            x = reduce_arg(x)
+            x = c.reduce(x)
             k -= 1
         return (1 << self.lifts) * self.inner(x)

@@ -14,11 +14,15 @@ Two independent evaluation routes are kept on purpose: the e_j/L_j alternating
 sum behind a_n, and the A_k-weighted cotangent sum behind g_n. Their exact
 coefficient identity D*A_j/2^j == (-1)^(n-j)*2^j*e_j is asserted in the tests,
 which guards the easy-to-botch sign structure.
+
+g_n(pi/2) - 1 has about n^2/3 leading zeros, which the cotangent sum cancels,
+so g_n is evaluated at a precision derived from n: max(50, 20 + 3n^2/5)
+digits, 50 up to order 7 and 173 at order 16, which leaves at least 30
+significant digits in k_high - k_low at every order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,27 +30,19 @@ from functools import lru_cache
 from mpmath import mp
 
 from .core import BoundPair, nested_radical_seq
-from .numerics import require_nonnegative
+from .numerics import FLOAT, require_nonnegative
 
 MAX_ORDER = 16
-DEFAULT_DPS = 50
-
-# Even Maclaurin coefficients of y*cot(y) through y^14; tail below 1e-40 for y < 1e-3.
-_XCOTX_COEFFS = (
-    Fraction(1),
-    Fraction(-1, 3),
-    Fraction(-1, 45),
-    Fraction(-2, 945),
-    Fraction(-1, 4725),
-    Fraction(-2, 93555),
-    Fraction(-1382, 638512875),
-    Fraction(-4, 18243225),
-)
 
 
 def _check_order(n, cap=MAX_ORDER):
     if not isinstance(n, int) or not 1 <= n <= cap:
         raise ValueError(f"order n must be an integer in [1, {cap}], got {n!r}")
+
+
+def _working_digits(n: int) -> int:
+    # the precision g_n is evaluated at; see the module docstring
+    return max(50, 20 + 3 * n * n // 5)
 
 
 @lru_cache(maxsize=None)
@@ -98,7 +94,11 @@ def a_n(n: int, x):
     D (see master_bounds).
     """
     _check_order(n)
-    require_nonnegative(x)
+    return _a_n(n, x, require_nonnegative(x))
+
+
+def _a_n(n: int, x, c):
+    # a_n in the number row c that x was validated into
     e = elementary_symmetric(n)
     ell = nested_radical_seq(n, x)
     sign = -1 if n % 2 else 1
@@ -106,42 +106,30 @@ def a_n(n: int, x):
     for j in range(n + 1):
         terms.append(sign * (e[j] << j) * ell[j])
         sign = -sign
-    if isinstance(x, mp.mpf):
-        den = mp.fsum(terms)
-    else:
-        den = math.fsum(terms)
+    den = c.fsum(terms)
     assert den > 0, f"a_{n} denominator must be positive, got {den} at x={x}"
     return x / den
 
 
-def _xcotx(y):
-    # y*cot(y) at the active mpmath precision; the series form below 1e-3
-    # dodges the cancellation in 1/tan(y).
-    if y < 1e-3:
-        y2 = y * y
-        acc = mp.mpf(0)
-        for c in reversed(_XCOTX_COEFFS):
-            acc = acc * y2 + mp.mpf(c.numerator) / c.denominator
-        return acc
-    return y / mp.tan(y)
-
-
-def gn_eval(n: int, theta, dps: int = DEFAULT_DPS):
-    """g_n(theta) = sum_k A_k * f(theta/2^k) with f(y) = y*cot(y), at dps digits.
+def gn_eval(n: int, theta):
+    """g_n(theta) = sum_k A_k * f(theta/2^k) with f(y) = y*cot(y).
 
     Monotone on (0, pi/2] with g_n -> 1 as theta -> 0; increasing for odd n,
     decreasing for even n. Its value at pi/2 is the non-unit constant of the
-    order-n sandwich.
+    order-n sandwich. The sum is taken at the working precision derived from
+    n; theta is converted and range-checked at the caller's precision, so
+    pi/2 rounded there is accepted.
     """
     _check_order(n)
     coeffs = pn_coefficients(n)
-    with mp.workdps(dps):
-        th = mp.mpf(theta)
-        if not mp.isfinite(th) or not 0 < th <= mp.pi / 2 + mp.eps * 4:
-            raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
+    th = mp.mpf(theta)
+    if not mp.isfinite(th) or not 0 < th <= mp.pi / 2 + mp.eps * 4:
+        raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
+    with mp.workdps(_working_digits(n)):
         acc = mp.mpf(0)
         for k, c in enumerate(coeffs):
-            acc += mp.mpf(c.numerator) / c.denominator * _xcotx(th / 2**k)
+            y = th / 2**k
+            acc += mp.mpf(c.numerator) / c.denominator * (y / mp.tan(y))
         return +acc
 
 
@@ -149,8 +137,9 @@ def gn_eval(n: int, theta, dps: int = DEFAULT_DPS):
 class MasterParams:
     """Everything fixed by the order: exact coefficients and endpoint constants.
 
-    scale_low/scale_high are k_low*D and k_high*D rounded once to double, for
-    the fast evaluation path.
+    k_low/k_high carry the working precision derived from n; scale_low and
+    scale_high are k_low*D and k_high*D rounded once to double, for the float
+    evaluation path.
     """
 
     n: int
@@ -164,15 +153,15 @@ class MasterParams:
 
 
 @lru_cache(maxsize=None)
-def master_params(n: int, dps: int = DEFAULT_DPS) -> MasterParams:
+def master_params(n: int) -> MasterParams:
     """Assemble and cache the order-n parameters.
 
     The parity rule (g_n(pi/2) above 1 exactly for odd n) is derived from the
     sign of p_n beyond its roots and asserted here rather than assumed.
     """
     _check_order(n)
-    with mp.workdps(dps):
-        g_end = gn_eval(n, mp.pi / 2, dps)
+    with mp.workdps(_working_digits(n)):
+        g_end = gn_eval(n, mp.pi / 2)
         one = mp.mpf(1)
         if n % 2:
             assert g_end > one, f"expected g_{n}(pi/2) > 1, got {g_end}"
@@ -193,15 +182,16 @@ def master_params(n: int, dps: int = DEFAULT_DPS) -> MasterParams:
         )
 
 
-def master_bounds(n: int, x, dps: int = DEFAULT_DPS) -> BoundPair:
+def master_bounds(n: int, x) -> BoundPair:
     """The order-n sandwich (k_low * D * a_n(x), k_high * D * a_n(x)).
 
     Order 1 reproduces the Shafer-Fink pair, order 2 the order-2 closed
     form; the pair gap shrinks like 4^-n.
     """
-    params = master_params(n, dps)
-    raw = a_n(n, x)
-    if isinstance(x, mp.mpf):
-        scaled = params.denom_product * raw
-        return BoundPair(params.k_low * scaled, params.k_high * scaled)
-    return BoundPair(params.scale_low * raw, params.scale_high * raw)
+    params = master_params(n)
+    c = require_nonnegative(x)
+    raw = _a_n(n, x, c)
+    if c is FLOAT:
+        return BoundPair(params.scale_low * raw, params.scale_high * raw)
+    scaled = params.denom_product * raw
+    return BoundPair(params.k_low * scaled, params.k_high * scaled)

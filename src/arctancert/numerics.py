@@ -1,11 +1,15 @@
-"""Scalar helpers shared by every approximation kernel.
+"""The number context every approximation kernel computes in.
 
-All kernels in this package are written against these functions so that a
-single code path serves two precisions: pass a ``float`` and the whole
-computation stays in fast double precision, pass an ``mpmath.mpf`` and it is
-carried at the active mpmath precision. That second mode is what the
-certification harness uses to measure tiny bound margins without double
-rounding getting in the way.
+Each kernel is written once and runs on a ``float`` in fast double precision
+or on an ``mpmath.mpf`` at the active mpmath precision, answering in kind.
+The second mode is what the certification harness uses to measure tiny bound
+margins without double rounding getting in the way.
+
+The choice is made once per call, by the ``require_*`` validator the kernel
+calls first: it returns the argument's row, ``FLOAT`` (the ``math``
+functions, double pi and sqrt2, ``1.0``) or ``MPF`` (the mpmath functions,
+with pi and sqrt2 read at the active precision on each access), and the
+kernel takes every function and constant it needs from that row.
 """
 
 from __future__ import annotations
@@ -15,67 +19,70 @@ import math
 from mpmath import mp
 
 Scalar = float | mp.mpf
+_MPF = mp.mpf
 
 
-def sqrt(x):
-    if isinstance(x, mp.mpf):
-        return mp.sqrt(x)
-    return math.sqrt(x)
+class _Row:
+    def reduce(self, x):
+        """Half-angle reduction u = x/(1 + sqrt(1+x^2)), mapping [0, inf) into [0, 1).
+
+        hypot never forms x*x, so the reduction is overflow-safe for large x.
+        """
+        return x / (1 + self.hypot(1, x))
 
 
-def hypot(a, b):
-    if isinstance(a, mp.mpf) or isinstance(b, mp.mpf):
-        return mp.hypot(a, b)
-    return math.hypot(a, b)
+class _FloatRow(_Row):
+    hypot, fsum, isfinite = math.hypot, math.fsum, math.isfinite
+    one, pi, sqrt2 = 1.0, math.pi, math.sqrt(2.0)
+    prec = 0  # cache key: this row has a single precision
+
+    @staticmethod
+    def sqrt_prod(a, b):
+        # sqrt(a*b), split where the product could overflow a double
+        return math.sqrt(a) * math.sqrt(b) if a > 1e150 else math.sqrt(a * b)
 
 
-def pi_like(x):
-    """pi in the flavor of x: mpf at the active precision, else float."""
-    if isinstance(x, mp.mpf):
-        return +mp.pi
-    return math.pi
+class _MpfRow(_Row):
+    hypot, fsum, isfinite = mp.hypot, mp.fsum, mp.isfinite
+    one = _MPF(1)  # exact at every precision
+    pi = property(lambda self: +mp.pi)
+    sqrt2 = property(lambda self: mp.sqrt(2))
+    prec = property(lambda self: mp.prec)
+
+    @staticmethod
+    def sqrt_prod(a, b):
+        return mp.sqrt(a * b)
 
 
-def sqrt2_like(x):
-    if isinstance(x, mp.mpf):
-        return mp.sqrt(mp.mpf(2))
-    return math.sqrt(2.0)
-
-
-def hypot1(x):
-    """sqrt(1 + x^2), overflow-safe for large x (hypot never forms x*x)."""
-    if isinstance(x, mp.mpf):
-        return mp.hypot(mp.mpf(1), x)
-    return math.hypot(1.0, x)
-
-
-def reduce_arg(x):
-    """Half-angle reduction u = x/(1 + sqrt(1+x^2)), mapping [0, inf) into [0, 1)."""
-    return x / (1 + hypot1(x))
-
-
-def isfinite(x):
-    if isinstance(x, mp.mpf):
-        return mp.isfinite(x)
-    return math.isfinite(x)
+FLOAT, MPF = _FloatRow(), _MpfRow()
 
 
 def require_finite(x, name="x"):
-    if not isfinite(x):
+    """Raise ValueError unless x is finite, and return the row x computes in.
+
+    An mpf gets the mpf row; a float, an int or a Fraction the float row. An
+    int too large for a double is rejected here rather than overflowing in
+    a kernel.
+    """
+    row = MPF if isinstance(x, _MPF) else FLOAT
+    try:
+        finite = row.isfinite(x)
+    except OverflowError:
+        raise ValueError(f"{name} lies beyond the float range; pass an mpf instead") from None
+    if not finite:
         raise ValueError(f"{name} must be finite, got {x!r}")
+    return row
 
 
 def require_nonnegative(x, name="x"):
-    require_finite(x, name)
+    row = require_finite(x, name)
     if x < 0:
         raise ValueError(f"{name} must be non-negative, got {x!r}")
+    return row
 
 
-def require_unit(x, name="x", closed=True):
-    require_finite(x, name)
-    if closed:
-        if not 0 <= x <= 1:
-            raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
-    else:
-        if not 0 <= x < 1:
-            raise ValueError(f"{name} must lie in [0, 1), got {x!r}")
+def require_unit(x, name="x"):
+    row = require_finite(x, name)
+    if not 0 <= x <= 1:
+        raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
+    return row

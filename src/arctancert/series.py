@@ -14,17 +14,12 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .numerics import pi_like, reduce_arg, require_finite, require_unit, sqrt2_like
+from .numerics import FLOAT, require_finite, require_unit
 
 
 def _check_trunc(n):
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"truncation index n must be an integer >= 0, got {n!r}")
-
-
-def _match_ratio(x):
-    # default expansion ratio 1/(1+sqrt2) in the flavor of x
-    return 1 / (1 + sqrt2_like(x))
 
 
 def cheb_coefficients(n: int, ratio=None) -> list:
@@ -35,7 +30,7 @@ def cheb_coefficients(n: int, ratio=None) -> list:
     signs alternate.
     """
     _check_trunc(n)
-    r = _match_ratio(0.0) if ratio is None else ratio
+    r = 1 / (1 + FLOAT.sqrt2) if ratio is None else ratio
     r2 = r * r
     out = []
     p = r
@@ -47,10 +42,11 @@ def cheb_coefficients(n: int, ratio=None) -> list:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _default_coefficients(n: int, prec: int) -> tuple:
-    # prec 0 keys the float flavor, otherwise mpf at mp.prec == prec; typed,
-    # so that n = 2.0 misses the entry for 2 and reaches the order check
-    return tuple(cheb_coefficients(n, _match_ratio(mp.mpf(0) if prec else 0.0)))
+def _default_coefficients(n: int, row, prec: int) -> tuple:
+    # keyed on the row and its precision, which the mpf row reads from
+    # mp.prec; typed, so that n = 2.0 misses the entry for 2 and reaches the
+    # order check
+    return tuple(cheb_coefficients(n, 1 / (1 + row.sqrt2)))
 
 
 def _clenshaw_odd(coeffs, x):
@@ -69,10 +65,10 @@ def cheb_arctan(n: int, x):
 
     Odd in x; uniform error on [0,1] at most (1+sqrt2)^-(2n+3).
     """
-    require_finite(x)
+    c = require_finite(x)
     if abs(x) > 1:
         raise ValueError(f"|x| must be <= 1, got {x!r}")
-    return _clenshaw_odd(_default_coefficients(n, mp.prec if isinstance(x, mp.mpf) else 0), x)
+    return _clenshaw_odd(_default_coefficients(n, c, c.prec), x)
 
 
 def cheb_arctan_scaled(n: int, m, x):
@@ -86,7 +82,8 @@ def cheb_arctan_scaled(n: int, m, x):
     require_finite(m, "m")
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m!r}")
-    return _clenshaw_odd(cheb_coefficients(n, reduce_arg(m + x * 0)), x)
+    m = m + x * 0  # the ratio is an mpf when either argument is
+    return _clenshaw_odd(cheb_coefficients(n, require_finite(m).reduce(m)), x)
 
 
 def cf_arctan(n: int, x):
@@ -100,7 +97,7 @@ def cf_arctan(n: int, x):
         raise ValueError(f"depth n must be a positive integer, got {n!r}")
     require_finite(x)
     xx = x * x
-    d = x * 0 + (2 * n + 1)
+    d = 2 * n + 1
     for k in range(n, 0, -1):
         d = (2 * k - 1) + k * k * xx / d
     return x / d
@@ -144,8 +141,8 @@ def taylor1_t(n: int, u):
     a lower bound for even n, an upper bound for odd n.
     """
     _check_trunc(n)
-    require_unit(u, "u")
-    return pi_like(u) / 4 - _quartic_rows(n, (1 - u) / 2)
+    c = require_unit(u, "u")
+    return c.pi / 4 - _quartic_rows(n, (1 - u) / 2)
 
 
 def blend_w(n: int, u):

@@ -18,7 +18,7 @@ from arctancert.core import (
 from arctancert.families import Approximant
 from arctancert.master import a_n, gn_eval, master_bounds
 from arctancert.series import cf_arctan, machin_pi, taylor1_s, taylor1_t
-from arctancert.numerics import reduce_arg
+from arctancert.numerics import FLOAT, MPF
 from arctancert.verify import (
     BoundKind,
     Interval,
@@ -162,7 +162,7 @@ def test_criterion_06_lagrange_and_lifted():
     rep_5 = sup_error(theorem5_approx, R_PLUS, GRID, cfg=CFG, claimed_bound=1 / 115)
     worst = 0.0
     for x in _sample_points(UP_TO_1E6, 1025):
-        worst = max(worst, abs(theorem5_approx(x) - 2 * lagrange_p(reduce_arg(x))))
+        worst = max(worst, abs(theorem5_approx(x) - 2 * lagrange_p(FLOAT.reduce(x))))
     ok = rep_p.satisfied and rep_5.satisfied and worst < 1e-12
     _report(6, "interpolant sup < 1/230, lifted sup < 1/115, identity", ok,
             f"sup_p={rep_p.sup_error:.4e} sup_lift={rep_5.sup_error:.4e} id-worst={worst:.1e}")
@@ -221,7 +221,7 @@ def test_criterion_09_oracle_integrity():
         for i in range(100):
             theta = 1e-8 + (math.pi / 2 - 2e-8) * i / 99
             x = math.tan(theta)
-            u = reduce_arg(mp.mpf(x))
+            u = MPF.reduce(mp.mpf(x))
             resid = abs(2 * oracle_arctan(u, CFG) - oracle_arctan(x, CFG))
             worst_resid = max(worst_resid, resid)
             a = oracle_arctan(x, c40)

@@ -15,7 +15,7 @@ from arctancert.core import (
     theorem4_upper,
     theorem5_approx,
 )
-from arctancert.numerics import reduce_arg
+from arctancert.numerics import FLOAT, MPF
 from arctancert.verify import oracle_arctan
 
 from conftest import log_grid
@@ -168,6 +168,12 @@ def test_theorem5_values():
     assert abs(theorem5_approx(1.0) - PI_4) < 1 / 115
 
 
+@pytest.mark.parametrize("x", [1e150, 4e153, 5e153, 1e200, 1.7e308])
+def test_theorem5_finite_near_the_top_of_the_float_range(x):
+    v = theorem5_approx(x)
+    assert math.isfinite(v) and abs(v - math.pi / 2) < 1 / 115
+
+
 def test_theorem5_matches_lifted_interpolant():
     for x in (0.5, 2.0, 100.0):
         assert abs(theorem5_approx(x) - LiftedApproximant(lagrange_p)(x)) < 1e-12
@@ -197,21 +203,27 @@ def test_lift_interval_map_domain(bad):
 @settings(max_examples=50, deadline=None)
 def test_lifted_approximant_matches_lift(x):
     wrapped = LiftedApproximant(lagrange_p)
-    assert wrapped(x) == 2 * lagrange_p(reduce_arg(x))
+    assert wrapped(x) == 2 * lagrange_p(FLOAT.reduce(x))
     twice = LiftedApproximant(lagrange_p, lifts=2)
-    assert twice(x) == pytest.approx(2 * wrapped(reduce_arg(x)), rel=1e-15)
+    assert twice(x) == pytest.approx(2 * wrapped(FLOAT.reduce(x)), rel=1e-15)
 
 
 @given(st.floats(min_value=0.0, max_value=1e15))
 @settings(max_examples=100, deadline=None)
 def test_reduce_arg_lands_in_unit_interval(x):
-    u = reduce_arg(x)
+    u = FLOAT.reduce(x)
     assert 0.0 <= u < 1.0
+
+
+def test_mpf_row_constants_follow_the_active_precision():
+    for digits in (50, 70):
+        with mp.workdps(digits):
+            assert MPF.pi == +mp.pi and MPF.sqrt2 == mp.sqrt(2) and MPF.prec == mp.prec
 
 
 def test_bisection_identity_residual(cfg):
     with mp.workdps(50):
         for x in (0.3, 1.0, 7.0, 1e5):
-            u = reduce_arg(mp.mpf(x))
+            u = MPF.reduce(mp.mpf(x))
             resid = abs(2 * oracle_arctan(u, cfg) - oracle_arctan(x, cfg))
             assert resid < mp.mpf(10) ** -30

@@ -6,7 +6,7 @@ from mpmath import mp
 
 from arctancert.core import shafer_fink_bounds, theorem2_bounds
 from arctancert.master import (
-    _xcotx,
+    MAX_ORDER,
     a_n,
     denominator_product,
     elementary_symmetric,
@@ -101,13 +101,6 @@ def test_a_n_domain():
         a_n(3, -1.0)
 
 
-def test_xcotx_series_matches_direct_route():
-    with mp.workdps(60):
-        for y in ("1e-6", "3e-4", "9.9e-4"):
-            ym = mp.mpf(y)
-            assert abs(_xcotx(ym) - ym / mp.tan(ym)) < mp.mpf(10) ** -40
-
-
 def test_gn_endpoint_values():
     with mp.workdps(50):
         g1 = gn_eval(1, mp.pi / 2)
@@ -152,16 +145,29 @@ def test_endpoint_gap_shrinks_like_4_to_minus_n(n):
         assert abs(g - 1) < mp.mpf(4) ** -n
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+def _gn_end_reference(n):
+    # g_n(pi/2) summed at 400 digits, independent of master's precision rule
+    with mp.workdps(400):
+        th = mp.pi / 2
+        return +mp.fsum(
+            mp.mpf(c.numerator) / c.denominator * (th / 2**k) / mp.tan(th / 2**k)
+            for k, c in enumerate(pn_coefficients(n))
+        )
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
 def test_master_params_parity_and_gap(n):
     params = master_params(n)
     assert params.denom_product == denominator_product(n)
-    with mp.workdps(50):
+    with mp.workdps(400):
         if n % 2:
             assert params.k_low == 1 and params.k_high > 1
         else:
             assert params.k_high == 1 and params.k_low < 1
-        assert params.k_high - params.k_low < mp.mpf(4) ** -n
+        gap = params.k_high - params.k_low
+        assert gap < mp.mpf(4) ** -n
+        ref_gap = abs(_gn_end_reference(n) - 1)
+        assert abs(gap - ref_gap) < ref_gap * mp.mpf(10) ** -20
 
 
 def test_master_params_known_constants():
@@ -194,6 +200,14 @@ def test_master_bounds_sandwich_spot_check(cfg):
         lo, hi = master_bounds(4, mp.mpf(7))
         assert lo < ref < hi
         assert hi - lo < mp.mpf(4) ** -4 * denominator_product(4) * a_n(4, mp.mpf(7))
+
+
+@pytest.mark.parametrize("n", range(12, MAX_ORDER + 1))
+def test_master_bounds_enclose_atan_at_high_orders(n):
+    with mp.workdps(200):
+        for x in ("0.5", "3", "1e6"):
+            lo, hi = master_bounds(n, mp.mpf(x))
+            assert lo < mp.atan(mp.mpf(x)) < hi
 
 
 def test_denominator_identity_between_forms():
