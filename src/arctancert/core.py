@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .numerics import Scalar, require_finite, require_nonnegative, require_unit
+from .numerics import HUGE, Scalar, require_finite, require_nonnegative, require_unit
 
 
 class BoundPair(NamedTuple):
@@ -26,9 +26,14 @@ def shafer_fink_bounds(x) -> BoundPair:
     """Two-sided Shafer-Fink bound: 3x/(1+2*sqrt(1+x^2)) < arctan x < pi*x/(1+2*sqrt(1+x^2)).
 
     Strict for x > 0; both sides vanish at x = 0. The lower bound is tight
-    as x -> 0, the upper bound as x -> inf.
+    as x -> 0, the upper bound as x -> inf. Above HUGE both are evaluated
+    with x divided out, as 3/d' and pi/d' with d' = 1/x + 2*sqrt(1/x^2 + 1).
     """
     c = require_nonnegative(x)
+    if x > HUGE:
+        r = 1 / x
+        den = r + 2 * c.hypot(1, r)
+        return BoundPair(3 / den, c.pi / den)
     den = 1 + 2 * c.hypot(1, x)
     return BoundPair(3 * x / den, c.pi * x / den)
 
@@ -56,11 +61,17 @@ def theorem2_bounds(x) -> BoundPair:
     Here f(x) = x/(7 + 6*s + 16*sqrt2*sqrt(s^2+s)) with s = sqrt(1+x^2); the
     radical is evaluated as hypot(x, 1+s), equal since x^2+(1+s)^2 = 2s(s+1).
     The pair gap is a factor ~66 narrower than Shafer-Fink's, though neither
-    side dominates its Shafer-Fink counterpart pointwise.
+    side dominates its Shafer-Fink counterpart pointwise. Above HUGE, f is
+    evaluated with x divided out of its denominator.
     """
     c = require_nonnegative(x)
-    s = c.hypot(1, x)
-    f = x / (7 + 6 * s + 16 * c.hypot(x, 1 + s))
+    if x > HUGE:
+        r = 1 / x
+        s = c.hypot(r, 1)  # sqrt(1+x^2)/x
+        f = 1 / (7 * r + 6 * s + 16 * c.hypot(1, r + s))
+    else:
+        s = c.hypot(1, x)
+        f = x / (7 + 6 * s + 16 * c.hypot(x, 1 + s))
     return BoundPair(c.pi * (3 + 8 * c.sqrt2) * f, 45 * f)
 
 

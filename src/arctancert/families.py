@@ -16,6 +16,9 @@ from . import core, master, series
 from .verify import BoundKind
 
 _SQRT2 = math.sqrt(2)
+# K: at float every budgeted kernel lies within K/4 ulp of arctan x of its mpf
+# value, for x in [1e-150, 1e150] and orders up to MAX_ORDER (tests/test_families.py)
+FLOAT_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -26,7 +29,8 @@ class FamilyInfo:
     returns a BoundPair. claim maps n to the claimed uniform error bound. A
     lifted family is its kernel, valid on [0,1], lifted once to R+. A
     two-sided family's pair_order is its order in the master family, where
-    that order is fixed.
+    that order is fixed. float_budget is False for a kernel whose float error
+    is not within FLOAT_ULPS/4 ulp of arctan x.
     """
 
     ident: str
@@ -42,6 +46,7 @@ class FamilyInfo:
     claim: Optional[Callable] = None
     lifted: bool = False
     pair_order: Optional[int] = None
+    float_budget: bool = True
 
 
 _APPROX, _TWO, _UP = BoundKind.APPROXIMATION, BoundKind.TWO_SIDED, BoundKind.UPPER
@@ -72,8 +77,9 @@ FAMILIES: dict[str, FamilyInfo] = {
         # the pointwise envelopes of s and t peak at 4^-n
         FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.taylor1_s, claim=lambda n: 4.0**-n),
+        # pi/4 minus a row near pi/4: near u = 0 its float error is ulps of pi/4, not of arctan u
         FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.taylor1_t, claim=lambda n: 4.0**-n),
+                   kernel=series.taylor1_t, claim=lambda n: 4.0**-n, float_budget=False),
         FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.blend_w, claim=lambda n: 20.0**-n),
         FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
@@ -145,6 +151,18 @@ class Approximant:
             parts.append(f"m={self.m:g}")
         body = parts[0] if len(parts) == 1 else f"{parts[0]}({', '.join(parts[1:])})"
         return f"{body}.{self.side}" if self.side else body
+
+    @property
+    def float_ulps(self) -> Optional[int]:
+        """FLOAT_ULPS where the float evaluation is tested against mpf, else None.
+
+        The certification scan evaluates an approximant without this budget
+        at mpf only: family t, a scaled cheb, and orders past MAX_ORDER.
+        """
+        info = family_info(self.family)
+        if info.float_budget and self.m is None and (self.n is None or self.n <= master.MAX_ORDER):
+            return FLOAT_ULPS
+        return None
 
     def oracle_target(self, x):
         """The argument whose arctangent this approximant targets."""

@@ -30,7 +30,7 @@ from functools import lru_cache
 from mpmath import mp
 
 from .core import BoundPair, nested_radical_seq
-from .numerics import FLOAT, require_nonnegative
+from .numerics import FLOAT, HUGE, require_nonnegative
 
 MAX_ORDER = 16
 
@@ -98,9 +98,19 @@ def a_n(n: int, x):
 
 
 def _a_n(n: int, x, c):
-    # a_n in the number row c that x was validated into
+    # a_n in the number row c that x was validated into. Above HUGE, x is
+    # divided out of every L_j (L_j/x runs from 1/x by v -> v + sqrt(1+v^2)),
+    # so nothing overflows.
     e = elementary_symmetric(n)
-    ell = nested_radical_seq(n, x)
+    if x > HUGE:
+        v = 1 / x
+        ell = [v]
+        for _ in range(n):
+            v = v + c.hypot(1, v)
+            ell.append(v)
+        num = c.one
+    else:
+        ell, num = nested_radical_seq(n, x), x
     sign = -1 if n % 2 else 1
     terms = []
     for j in range(n + 1):
@@ -108,7 +118,7 @@ def _a_n(n: int, x, c):
         sign = -sign
     den = c.fsum(terms)
     assert den > 0, f"a_{n} denominator must be positive, got {den} at x={x}"
-    return x / den
+    return num / den
 
 
 def gn_eval(n: int, theta):

@@ -20,6 +20,7 @@ from mpmath import mp
 
 Scalar = float | mp.mpf
 _MPF = mp.mpf
+HUGE = 1e150  # above this, kernels that would square or scale x switch to a 1/x form
 
 
 class _Row:
@@ -39,7 +40,7 @@ class _FloatRow(_Row):
     @staticmethod
     def sqrt_prod(a, b):
         # sqrt(a*b), split where the product could overflow a double
-        return math.sqrt(a) * math.sqrt(b) if a > 1e150 else math.sqrt(a * b)
+        return math.sqrt(a) * math.sqrt(b) if a > HUGE else math.sqrt(a * b)
 
 
 class _MpfRow(_Row):

@@ -13,9 +13,27 @@ Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested interval (a tan-mapped grid when the interval
 is unbounded, uniform plus Chebyshev-spaced points when bounded), the worst
 few local error maxima are sharpened by golden-section search, and margins
-are reported against the claimed bound. Approximants are evaluated at the
-oracle's working precision so that margins far below double rounding remain
-meaningful.
+are reported against the claimed bound.
+
+The scan runs at two precisions. Each grid point is first evaluated in float
+against the oracle rounded to float, giving an error e with a budget
+B = K*ulp(arctan x) + ulp(e) that bounds its distance from the error at the
+oracle's working precision. K is the approximant's ``float_ulps``
+(``families.FLOAT_ULPS``, 64, for every budgeted registry row); the property
+it rests on, float within K/4 ulp of arctan x of the 50-digit value, is
+tested for every family, order and side in tests/test_families.py. A point
+is re-evaluated at mpf when a comparison the result depends on is within its
+budget: when it could be one of the refined local maxima or the global
+maximum, or, for a bound, when its margin is within budget of zero or of the
+smallest margin. It is also evaluated at mpf when its argument lies outside
+[1e-150, 1e150], the range the budget is tested on, or when its float value
+raises or is not finite. A row whose float errors all lie below 1e-12 is
+scanned wholly at mpf, and a callable without ``float_ulps`` gets an
+infinite budget, so every point of it is evaluated at mpf. Golden-section
+search compares in float while the budgets settle each comparison and at
+mpf from the first one they do not. Every decision is therefore the one an
+all-mpf scan makes, and every reported value (sup error, argmax, margins) is
+computed at mpf.
 """
 
 from __future__ import annotations
@@ -39,6 +57,8 @@ _INVPHI = (math.sqrt(5) - 1) / 2
 DEFAULT_GRID = 4097
 DEFAULT_REFINE_TOL = 1e-12
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
+_FLOAT_RANGE = (1e-150, 1e150)  # arguments over which float_ulps budgets are tested
+_TINY_ERROR = 1e-12  # rows whose float errors all lie below this are scanned at mpf
 
 
 class BoundKind(Enum):
@@ -226,6 +246,8 @@ class ErrorReport:
     bound_kind: BoundKind
     satisfied: bool
     min_gap: float
+    evals_float: int = 0  # approximant evaluations in double precision
+    evals_mpf: int = 0  # and at the oracle's working precision
 
 
 def _sample_points(iv: Interval, grid_points: int) -> list:
@@ -260,47 +282,139 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
     return out
 
 
-def _signed_errors(f: Callable, pts, cfg: OracleConfig) -> list:
-    # f - arctan at each grid point; run inside mp.workdps(cfg.working_digits)
-    return [f(mp.mpf(p)) - oracle_arctan(p, cfg) for p in pts]
+class _Errors:
+    """The signed error E = f - arctan of one approximant over a grid, at two precisions.
+
+    rough(x) evaluates f in float against the oracle rounded to float and
+    returns (e, B): B = K*ulp(arctan x) + ulp(e) bounds |e - E|, where K is
+    f's ``float_ulps``. B is infinite when f carries no K, when x lies
+    outside _FLOAT_RANGE, or when the float value raises or is not finite.
+    exact(x) is E at mpf. The grid keeps one (est, bud) pair per point, and
+    settle() replaces it by (E, 0). Evaluations are counted per precision.
+    """
+
+    def __init__(self, f: Callable, pts: list, cfg: OracleConfig):
+        self.f, self.pts, self.cfg = f, pts, cfg
+        self.ulps = getattr(f, "float_ulps", None)
+        self.evals_float = self.evals_mpf = 0
+        rough = [self.rough(p) for p in pts]
+        self.est = [e for e, _ in rough]
+        self.bud = [b for _, b in rough]
+        if max(map(abs, self.est)) < _TINY_ERROR:
+            # float rounding would settle no comparison: scan the row wholly at mpf
+            self.ulps = None
+            self.settle(range(len(pts)))
+
+    def rough(self, x: float):
+        if self.ulps is None or not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
+            return 0.0, math.inf
+        self.evals_float += 1
+        ref = float(oracle_arctan(x, self.cfg))
+        try:
+            e = self.f(x) - ref
+        except (ArithmeticError, ValueError):  # settled at mpf, where a real failure raises again
+            return 0.0, math.inf
+        if not math.isfinite(e):
+            return 0.0, math.inf
+        return e, self.ulps * math.ulp(ref) + math.ulp(e)
+
+    def exact(self, x: float):
+        self.evals_mpf += 1
+        return self.f(mp.mpf(x)) - oracle_arctan(x, self.cfg)
+
+    def settle(self, idxs) -> None:
+        for i in idxs:
+            if self.bud[i]:
+                self.est[i], self.bud[i] = self.exact(self.pts[i]), 0
+
+    def bounds(self):
+        """Lists lo, hi with lo[i] <= E_i <= hi[i], both E_i once settled."""
+        pairs = list(zip(self.est, self.bud))
+        return [e - b if b else e for e, b in pairs], [e + b if b else e for e, b in pairs]
 
 
-def _abs_err_fn(f: Callable, cfg: OracleConfig) -> Callable:
-    def g(x: float):
-        return abs(f(mp.mpf(x)) - oracle_arctan(x, cfg))
+def _abs_bounds(lo, hi):
+    # bounds on |E| from bounds on E; both equal |E| where lo == hi
+    a_lo = [l if l > 0 else -h if h < 0 else 0 for l, h in zip(lo, hi)]
+    a_hi = [max(-l, h) for l, h in zip(lo, hi)]
+    return a_lo, a_hi
 
-    return g
 
-
-def _top_local_maxima(values, top=3):
-    n = len(values)
-    idxs = []
-    for i in range(n):
-        left_ok = i == 0 or values[i] >= values[i - 1]
-        right_ok = i == n - 1 or values[i] >= values[i + 1]
-        if left_ok and right_ok:
-            idxs.append(i)
-    idxs.sort(key=lambda i: values[i], reverse=True)
+def _top_local_maxima(lo, hi, top=3):
+    # grid points certainly at least as large as their neighbours, largest first;
+    # with every point settled (lo == hi) these are the exact local maxima
+    n = len(lo)
+    idxs = [
+        i
+        for i in range(n)
+        if (i == 0 or lo[i] >= hi[i - 1]) and (i == n - 1 or lo[i] >= hi[i + 1])
+    ]
+    idxs.sort(key=lo.__getitem__, reverse=True)
     return idxs[:top]
 
 
-def _golden_max(g: Callable, a: float, b: float, refine_tol: float):
-    # golden-section search for the maximum of g on [a, b]
+def _settle_maxima(err: _Errors, top=3):
+    """Settle grid points until the top local maxima of |E| are exact and ranked.
+
+    A point is settled when it could be one of them (it is not below a
+    neighbour, and its upper bound reaches the top-th largest certain
+    maximum), together with its neighbours while its own rank against them is
+    open. Returns the lower bounds and the maxima; both agree with a scan made
+    wholly at mpf wherever they are used.
+    """
+    n = len(err.pts)
+    while True:
+        lo, hi = _abs_bounds(*err.bounds())
+        tops = _top_local_maxima(lo, hi, top)
+        floor = lo[tops[-1]] if len(tops) == top else -math.inf
+        todo = []
+        for i in range(n):
+            if hi[i] < floor:
+                continue
+            nbrs = [j for j in (i - 1, i + 1) if 0 <= j < n]
+            if any(hi[i] < lo[j] for j in nbrs):
+                continue
+            todo.append(i)
+            if not all(lo[i] >= hi[j] for j in nbrs):
+                todo.extend(nbrs)
+        todo = [i for i in todo if err.bud[i]]
+        if not todo:
+            return lo, tops
+        err.settle(todo)
+
+
+def _golden_max(err: _Errors, a: float, b: float, refine_tol: float):
+    # golden-section search for the maximum of |E| on [a, b]. Comparisons run
+    # in float while the two budgets settle them; at the first one they do not,
+    # both probes are redone at mpf and the search goes on at mpf. The probe
+    # points depend only on a, b and _INVPHI, so every decision is the one an
+    # all-mpf search makes, and the returned maximum is evaluated at mpf.
+    def rough(x):
+        e, bud = err.rough(x)
+        return abs(e), bud
+
+    def exact(x):
+        return abs(err.exact(x)), 0
+
+    g = rough
     tol = refine_tol * max(1.0, abs(a + b) / 2)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    gc, gd = g(c), g(d)
+    (gc, bc), (gd, bd) = g(c), g(d)
     while (b - a) > tol:
+        if g is rough and not abs(gc - gd) > bc + bd:
+            g = exact
+            (gc, bc), (gd, bd) = g(c), g(d)
         if gc < gd:
-            a, c, gc = c, d, gd
+            a, c, gc, bc = c, d, gd, bd
             d = a + _INVPHI * (b - a)
-            gd = g(d)
+            gd, bd = g(d)
         else:
-            b, d, gd = d, c, gc
+            b, d, gd, bd = d, c, gc, bc
             c = b - _INVPHI * (b - a)
-            gc = g(c)
+            gc, bc = g(c)
     x = (a + b) / 2
-    return x, g(x)
+    return x, exact(x)[0]
 
 
 def _label_for(f, label):
@@ -321,24 +435,25 @@ def sup_error(
 ) -> ErrorReport:
     """Estimate sup |f - arctan| over the interval.
 
-    Grid evaluation happens at the oracle's working precision; the top three
-    local maxima of the error are then refined by golden-section search until
-    the bracket width falls below refine_tol*max(1, x). When claimed_bound is
-    given, satisfied means the refined sup stayed at or under it.
+    The grid is scanned at two precisions (see the module docstring); the top
+    three local maxima of the error are then refined by golden-section search
+    until the bracket width falls below refine_tol*max(1, x). When
+    claimed_bound is given, satisfied means the refined sup stayed at or
+    under it. The report counts the approximant's evaluations per precision.
     """
     cfg = cfg or default_config()
     pts = _sample_points(interval, grid_points)
-    g = _abs_err_fn(f, cfg)
     with mp.workdps(cfg.working_digits):
-        errs = [abs(e) for e in _signed_errors(f, pts, cfg)]
-        best_i = max(range(len(pts)), key=errs.__getitem__)
-        best_x, best_e = pts[best_i], errs[best_i]
-        for i in _top_local_maxima(errs):
+        err = _Errors(f, pts, cfg)
+        lo, tops = _settle_maxima(err)
+        best_i = max(range(len(pts)), key=lo.__getitem__)
+        best_x, best_e = pts[best_i], lo[best_i]
+        for i in tops:
             a = pts[i - 1] if i > 0 else pts[i]
             b = pts[i + 1] if i + 1 < len(pts) else pts[i]
             if not a < b:
                 continue
-            x_r, e_r = _golden_max(g, a, b, refine_tol)
+            x_r, e_r = _golden_max(err, a, b, refine_tol)
             if e_r > best_e:
                 best_x, best_e = x_r, e_r
         satisfied = True
@@ -355,6 +470,8 @@ def sup_error(
         bound_kind=BoundKind.APPROXIMATION,
         satisfied=satisfied,
         min_gap=min_gap,
+        evals_float=err.evals_float,
+        evals_mpf=err.evals_mpf,
     )
 
 
@@ -379,20 +496,36 @@ def certify_bound(
     cfg = cfg or default_config()
     pts = _sample_points(interval, grid_points)
     with mp.workdps(cfg.working_digits):
-        errs = _signed_errors(f, pts, cfg)
-        min_gap = -max(errs) if kind is BoundKind.LOWER else min(errs)
-        i_sup = max(range(len(pts)), key=lambda i: abs(errs[i]))
+        err = _Errors(f, pts, cfg)
+        while True:
+            # settle the smallest margin, every margin whose sign is open, and the largest |E|
+            lo, hi = err.bounds()
+            m_lo, m_hi = ([-h for h in hi], [-l for l in lo]) if kind is BoundKind.LOWER else (lo, hi)
+            a_lo, a_hi = _abs_bounds(lo, hi)
+            ceiling, floor = min(m_hi), max(a_lo)
+            todo = [
+                i
+                for i, b in enumerate(err.bud)
+                if b and (m_lo[i] <= ceiling or m_lo[i] <= 0 <= m_hi[i] or a_hi[i] >= floor)
+            ]
+            if not todo:
+                break
+            err.settle(todo)
+        min_gap = min(m_lo)
+        i_sup = max(range(len(pts)), key=a_lo.__getitem__)
         tol = mp.mpf(10) ** (5 - cfg.report_digits)
         satisfied = bool(min_gap >= -tol)
     return ErrorReport(
         family=_label_for(f, label),
         interval=interval,
-        sup_error=float(abs(errs[i_sup])),
+        sup_error=float(a_lo[i_sup]),
         arg_max=float(pts[i_sup]),
         claimed_bound=None,
         bound_kind=kind,
         satisfied=satisfied,
         min_gap=float(min_gap),
+        evals_float=err.evals_float,
+        evals_mpf=err.evals_mpf,
     )
 
 

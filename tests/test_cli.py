@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from arctancert import cli
 from arctancert.cli import CSV_HEADER, main
 
 
@@ -115,6 +116,14 @@ def test_certify_t5(capsys):
     assert "satisfied    true" in out
 
 
+def test_certify_reports_evaluations_per_precision(capsys):
+    code, out, _ = run(capsys, "certify", "--family", "cf", "--n", "2", "--interval", "0:1", "--grid", "129")
+    assert code == 0
+    (line,) = [l for l in out.splitlines() if l.startswith("evals")]
+    n_float, n_mpf = (int(w) for w in line.replace(",", " ").split() if w.isdigit())
+    assert n_float > 0 and n_mpf > 0
+
+
 def test_certify_sf_upper_kind(capsys):
     code, out, _ = run(
         capsys,
@@ -209,6 +218,24 @@ def test_standard_table_csv_unchanged_at_grid_65(monkeypatch, capsys):
     assert len(out.splitlines()) == 59
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "5184cafddaa191266164da64c30ef477c0d90159b31482aabacb99ac300ffc6a"
+
+
+def test_standard_table_makes_at_most_5000_mpf_evaluations(monkeypatch, capsys):
+    # an all-mpf scan of the grid-65 table makes 9,880; a count, not a timing
+    reports = []
+    for name in ("sup_error", "certify_bound"):
+        real = getattr(cli, name)
+
+        def keep(*args, _real=real, **kwargs):
+            reports.append(_real(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, name, keep)
+    monkeypatch.delenv("ARCTAN_CERT_DIGITS", raising=False)
+    assert run(capsys, "table", "--families", STANDARD_TABLE, "--grid", "65")[0] == 0
+    assert len(reports) == 58
+    assert sum(r.evals_mpf for r in reports) <= 5000
+    assert sum(r.evals_float for r in reports) > 0
 
 
 def test_table_usage_errors(tmp_path, capsys):

@@ -174,6 +174,25 @@ def test_theorem5_finite_near_the_top_of_the_float_range(x):
     assert math.isfinite(v) and abs(v - math.pi / 2) < 1 / 115
 
 
+@pytest.mark.parametrize("x", [1e154, 1e200, 1.7e308])
+@pytest.mark.parametrize("pair", [shafer_fink_bounds, theorem2_bounds], ids=lambda f: f.__name__)
+def test_pairs_enclose_the_oracle_near_the_top_of_the_float_range(pair, x):
+    # the true margins (about 1/x) lie far below double resolution, so each
+    # side must reach the oracle rounded to float
+    ref = float(oracle_arctan(x))
+    lower, upper = pair(x)
+    assert lower <= ref <= upper
+
+
+def test_pairs_unchanged_up_to_1e150():
+    # the 1/x forms apply only above 1e150
+    for x in (1e-300, 0.5, 1e8, 1e150):
+        s = FLOAT.hypot(1, x)
+        assert shafer_fink_bounds(x) == (3 * x / (1 + 2 * s), math.pi * x / (1 + 2 * s))
+        f = x / (7 + 6 * s + 16 * FLOAT.hypot(x, 1 + s))
+        assert theorem2_bounds(x) == (math.pi * (3 + 8 * math.sqrt(2)) * f, 45 * f)
+
+
 def test_theorem5_matches_lifted_interpolant():
     for x in (0.5, 2.0, 100.0):
         assert abs(theorem5_approx(x) - LiftedApproximant(lagrange_p)(x)) < 1e-12

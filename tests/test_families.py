@@ -1,8 +1,13 @@
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
-from arctancert.families import FAMILIES, Approximant
-from arctancert.verify import BoundKind
+from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant
+from arctancert.master import MAX_ORDER
+from arctancert.verify import BoundKind, oracle_arctan
 
 # every registry family once, each side of a pair family separately
 INSTANCES = [
@@ -27,3 +32,48 @@ def test_values_returned_in_kind(ap):
 def test_ints_beyond_the_float_range_raise_value_error(ap):
     with pytest.raises(ValueError):
         ap(10**400)
+
+
+# every registry family, order up to MAX_ORDER and side that carries a float budget
+BUDGETED = [
+    Approximant(ident, n=n, side=side)
+    for ident, info in FAMILIES.items()
+    for n in (range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,))
+    for side in (("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,))
+    if info.float_budget
+]
+
+
+def _domain_points(unit):
+    # log-uniform over the budget's range (clipped to [0, 1] on unit domains), and linear
+    top = 0.0 if unit else 150.0
+    return st.one_of(
+        st.floats(min_value=-150.0, max_value=top).map(lambda t: 10.0**t),
+        st.floats(min_value=1e-150, max_value=1.0 if unit else 1e3),
+    )
+
+
+@pytest.mark.parametrize("ap", BUDGETED, ids=lambda ap: ap.label)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_float_within_a_quarter_budget_of_mpf(ap, data):
+    assert ap.float_ulps == FLOAT_ULPS
+    x = data.draw(_domain_points(FAMILIES[ap.family].claim_interval == "0:1"))
+    value = ap(x)
+    with mp.workdps(50):
+        gap = abs(value - ap(mp.mpf(x)))
+        ulp = math.ulp(float(oracle_arctan(x)))
+    assert gap <= FLOAT_ULPS / 4 * ulp
+
+
+def test_only_unbudgeted_rows_are_t_scaled_cheb_and_high_orders():
+    assert [ident for ident, info in FAMILIES.items() if not info.float_budget] == ["t"]
+    assert Approximant("t", n=3).float_ulps is None
+    assert Approximant("cheb", n=3, m=2.0).float_ulps is None
+    assert Approximant("cf", n=MAX_ORDER + 1).float_ulps is None
+    # t_n is pi/4 minus a row close to pi/4: near u = 0 its float error is
+    # ulps of pi/4, far more than FLOAT_ULPS ulps of arctan u
+    ap = Approximant("t", n=3)
+    with mp.workdps(50):
+        gap = abs(ap(1e-6) - ap(mp.mpf(1e-6)))
+    assert gap > FLOAT_ULPS * math.ulp(1e-6)

@@ -16,6 +16,8 @@ from arctancert.master import (
     pn_coefficients,
 )
 
+from arctancert.verify import oracle_arctan
+
 from conftest import log_grid
 
 A1_AT_1 = 0.2612038749637414
@@ -208,6 +210,17 @@ def test_master_bounds_enclose_atan_at_high_orders(n):
         for x in ("0.5", "3", "1e6"):
             lo, hi = master_bounds(n, mp.mpf(x))
             assert lo < mp.atan(mp.mpf(x)) < hi
+
+
+@pytest.mark.parametrize("x", [1e154, 1e200, 1.7e308])
+def test_master_bounds_near_the_top_of_the_float_range(x):
+    ref = float(oracle_arctan(x))
+    lower, upper = master_bounds(1, x)
+    assert lower <= ref <= upper  # order 1 is the Shafer-Fink pair
+    for n in range(2, MAX_ORDER + 1):
+        lower, upper = master_bounds(n, x)
+        assert math.isfinite(lower) and math.isfinite(upper)
+        assert abs(lower - ref) < 2 * 4.0**-n and abs(upper - ref) < 2 * 4.0**-n
 
 
 def test_denominator_identity_between_forms():

@@ -273,3 +273,100 @@ def test_norm_transfer_oracle_trivial(cfg):
 def test_norm_transfer_domain(cfg):
     with pytest.raises(ValueError):
         norm_transfer_check(lagrange_p, 1.0, cfg=cfg)
+
+
+def _outcome(rep):
+    return rep.sup_error, rep.arg_max, rep.min_gap, rep.satisfied
+
+
+def _without_budget(ap):
+    # the same approximant as a plain callable, which carries no float_ulps
+    return lambda x: ap(x)
+
+
+@pytest.mark.parametrize(
+    "ap, iv",
+    [
+        (Approximant("cheb-lifted", n=4), Interval(0.0, math.inf, lo_open=True, hi_open=True)),
+        (Approximant("w", n=3), Interval(0.0, 1.0, lo_open=True)),
+        (Approximant("w-lifted", n=1), Interval(0.0, math.inf, lo_open=True, hi_open=True)),
+        (Approximant("lagrange"), Interval(0.0, 1.0)),
+        (Approximant("cf", n=2), Interval(0.25, 3.0)),
+    ],
+    ids=lambda v: getattr(v, "label", None) or str(v),
+)
+def test_sup_error_two_precision_scan_matches_all_mpf(cfg, ap, iv):
+    fast = sup_error(ap, iv, 257, cfg=cfg, claimed_bound=0.01)
+    slow = sup_error(_without_budget(ap), iv, 257, cfg=cfg, claimed_bound=0.01)
+    assert _outcome(fast) == _outcome(slow)
+    assert slow.evals_float == 0 and fast.evals_float > 0
+    assert fast.evals_mpf < slow.evals_mpf
+
+
+@pytest.mark.parametrize(
+    "ap, kind, iv",
+    [
+        (Approximant("sf", side="lower"), "lower", Interval(0.0, 1e6, lo_open=True)),
+        (Approximant("sf", side="upper"), "upper", Interval(0.0, 1e6, lo_open=True)),
+        (Approximant("t4"), "upper", Interval(0.0, math.inf, lo_open=True, hi_open=True)),
+        (Approximant("master", n=3, side="lower"), "lower", Interval(0.0, 1000.0, lo_open=True)),
+        (Approximant("s", n=2), "lower", Interval(0.0, 1.0)),
+    ],
+    ids=str,
+)
+def test_certify_bound_two_precision_scan_matches_all_mpf(cfg, ap, kind, iv):
+    fast = certify_bound(ap, kind, iv, 257, cfg=cfg)
+    slow = certify_bound(_without_budget(ap), kind, iv, 257, cfg=cfg)
+    assert _outcome(fast) == _outcome(slow)
+    assert slow.evals_float == 0 and fast.evals_float > 0
+    assert fast.evals_mpf < slow.evals_mpf
+
+
+def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
+    iv = Interval(0.0, 1.0, lo_open=True, hi_open=True)
+    rep = sup_error(lagrange_p, iv, 257, cfg=cfg)
+    assert rep.evals_float == 0
+    assert rep.evals_mpf > len(_sample_points(iv, 257))  # the grid and the refinements
+    rep = certify_bound(_without_budget(Approximant("sf", side="lower")), "lower", iv, 129, cfg=cfg)
+    assert rep.evals_float == 0 and rep.evals_mpf == len(_sample_points(iv, 129))
+
+
+def test_tiny_error_row_is_scanned_wholly_at_mpf(cfg):
+    # the g-constant side of master n = 6 stays within about 1e-15 of arctan
+    iv = Interval(0.0, math.inf, lo_open=True, hi_open=True)
+    ap = Approximant("master", n=6, side="lower")
+    rep = sup_error(ap, iv, 129, cfg=cfg)
+    slow = sup_error(_without_budget(ap), iv, 129, cfg=cfg)
+    assert rep.sup_error < 1e-12
+    assert _outcome(rep)[:2] == _outcome(slow)[:2]
+    assert rep.evals_float == len(_sample_points(iv, 129))  # the float pass alone
+    assert rep.evals_mpf == slow.evals_mpf
+
+
+class _FloatTrouble:
+    """cf_arctan(2, x) that claims a float budget but fails at float on part of the grid."""
+
+    float_ulps = 64
+
+    def __call__(self, x):
+        if isinstance(x, float) and x > 0.5:
+            if x > 0.75:
+                raise ZeroDivisionError("float trouble")
+            return math.nan
+        return cf_arctan(2, x)
+
+
+def test_failed_float_values_are_settled_at_mpf(cfg):
+    iv = Interval(0.0, 1.0, lo_open=True)
+    fast = sup_error(_FloatTrouble(), iv, 257, cfg=cfg, claimed_bound=0.01)
+    slow = sup_error(lambda x: cf_arctan(2, x), iv, 257, cfg=cfg, claimed_bound=0.01)
+    assert _outcome(fast) == _outcome(slow)
+    assert 0 < fast.evals_float
+
+
+def test_points_outside_the_budget_range_are_settled_at_mpf(cfg):
+    # below 1e-150 the float budget is untested, so the scan evaluates there at mpf
+    iv = Interval(0.0, 1e-140)
+    rep = sup_error(Approximant("cf", n=2), iv, 129, cfg=cfg)
+    n_pts = len(_sample_points(iv, 129))
+    assert rep.evals_float < n_pts and rep.evals_mpf >= n_pts - rep.evals_float
