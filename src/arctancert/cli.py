@@ -61,6 +61,13 @@ def _parse_interval(text: str) -> Interval:
     return Interval(iv.lo, iv.hi, lo_open=iv.lo == 0.0, hi_open=iv.unbounded)
 
 
+def _side_approximants(ident: str, n, kind=None, m=None):
+    # (side, Approximant) per direction to check: kind, else each of _SIDES, else one (None, ...)
+    info = family_info(ident)
+    for side in (kind,) if kind else _SIDES.get(info.kind, (None,)):
+        yield side, Approximant(ident, n=n, m=m, side=side if info.kind is BoundKind.TWO_SIDED else None)
+
+
 def _parse_params(items) -> dict:
     out = {}
     for item in items or ():
@@ -81,15 +88,12 @@ def cmd_list(args) -> int:
 
 def cmd_eval(args) -> int:
     ident = args.family
-    info = family_info(ident)
-    two_sided = info.kind is BoundKind.TWO_SIDED
     m = _parse_params(args.param).get("m")
     cfg = default_config()
     x = args.x
 
     rows = []  # (side, value, target oracle)
-    for side in _SIDES.get(info.kind, (None,)):
-        approx = Approximant(ident, n=args.n, m=m, side=side if two_sided else None)
+    for side, approx in _side_approximants(ident, args.n, m=m):
         ref = float(_signed_oracle(approx.oracle_target(x), cfg))
         rows.append((side or "", approx(x), ref))
 
@@ -124,19 +128,16 @@ def _print_report(r: ErrorReport, grid: int) -> None:
 
 def cmd_certify(args) -> int:
     ident = args.family
-    info = family_info(ident)
-    two_sided = info.kind is BoundKind.TWO_SIDED
     interval = _parse_interval(args.interval)
     cfg = default_config()
 
     reports = []
-    for side in (args.kind,) if args.kind else _SIDES.get(info.kind, ()):
-        approx = Approximant(ident, n=args.n, side=side if two_sided else None)
-        reports.append(certify_bound(approx, BoundKind(side), interval, args.grid, cfg=cfg))
-    if not reports:
-        approx = Approximant(ident, n=args.n)
-        claim = claimed_sup_bound(ident, args.n)
-        reports.append(sup_error(approx, interval, args.grid, cfg=cfg, claimed_bound=claim))
+    for side, approx in _side_approximants(ident, args.n, args.kind):
+        if side:
+            reports.append(certify_bound(approx, BoundKind(side), interval, args.grid, cfg=cfg))
+        else:
+            claim = claimed_sup_bound(ident, args.n)
+            reports.append(sup_error(approx, interval, args.grid, cfg=cfg, claimed_bound=claim))
 
     if args.format == "csv":
         print(CSV_HEADER)

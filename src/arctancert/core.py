@@ -16,7 +16,12 @@ from .numerics import HUGE, Scalar, require_finite, require_nonnegative, require
 
 
 class BoundPair(NamedTuple):
-    """A lower/upper pair enclosing arctan(x)."""
+    """A lower/upper pair enclosing arctan(x).
+
+    The strict enclosure is the mathematical one that certify_bound checks.
+    At float the pair is nominal (sf misses on 64 of 400 log-spaced points in
+    [1e-8, 1e8]), and at mpf a margin below working precision can miss too.
+    """
 
     lower: Scalar
     upper: Scalar
@@ -25,9 +30,10 @@ class BoundPair(NamedTuple):
 def shafer_fink_bounds(x) -> BoundPair:
     """Two-sided Shafer-Fink bound: 3x/(1+2*sqrt(1+x^2)) < arctan x < pi*x/(1+2*sqrt(1+x^2)).
 
-    Strict for x > 0; both sides vanish at x = 0. The lower bound is tight
-    as x -> 0, the upper bound as x -> inf. Above HUGE both are evaluated
-    with x divided out, as 3/d' and pi/d' with d' = 1/x + 2*sqrt(1/x^2 + 1).
+    Strict for x > 0, nominal at float (see BoundPair); both sides vanish at
+    x = 0. The lower bound is tight as x -> 0, the upper bound as x -> inf.
+    Above HUGE both are evaluated with x divided out, as 3/d' and pi/d' with
+    d' = 1/x + 2*sqrt(1/x^2 + 1).
     """
     c = require_nonnegative(x)
     if x > HUGE:
@@ -62,7 +68,8 @@ def theorem2_bounds(x) -> BoundPair:
     radical is evaluated as hypot(x, 1+s), equal since x^2+(1+s)^2 = 2s(s+1).
     The pair gap is a factor ~66 narrower than Shafer-Fink's, though neither
     side dominates its Shafer-Fink counterpart pointwise. Above HUGE, f is
-    evaluated with x divided out of its denominator.
+    evaluated with x divided out of its denominator. The enclosure is
+    nominal at float (see BoundPair).
     """
     c = require_nonnegative(x)
     if x > HUGE:

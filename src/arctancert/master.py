@@ -94,12 +94,13 @@ def a_n(n: int, x):
     D (see master_bounds).
     """
     _check_order(n)
-    return _a_n(n, x, require_nonnegative(x))
+    num, den = _a_n(n, x, require_nonnegative(x))
+    return num / den
 
 
 def _a_n(n: int, x, c):
-    # a_n in the number row c that x was validated into. Above HUGE, x is
-    # divided out of every L_j (L_j/x runs from 1/x by v -> v + sqrt(1+v^2)),
+    # a_n = num/den in the number row c that x was validated into. Above HUGE,
+    # x is divided out of every L_j (L_j/x runs from 1/x by v -> v + sqrt(1+v^2)),
     # so nothing overflows.
     e = elementary_symmetric(n)
     if x > HUGE:
@@ -118,7 +119,7 @@ def _a_n(n: int, x, c):
         sign = -sign
     den = c.fsum(terms)
     assert den > 0, f"a_{n} denominator must be positive, got {den} at x={x}"
-    return num / den
+    return num, den
 
 
 def gn_eval(n: int, theta):
@@ -196,12 +197,14 @@ def master_bounds(n: int, x) -> BoundPair:
     """The order-n sandwich (k_low * D * a_n(x), k_high * D * a_n(x)).
 
     Order 1 reproduces the Shafer-Fink pair, order 2 the order-2 closed
-    form; the pair gap shrinks like 4^-n.
+    form; the pair gap shrinks like 4^-n. The enclosure is nominal at float
+    (see BoundPair): from n = 6 the two scales round to one double.
     """
     params = master_params(n)
     c = require_nonnegative(x)
-    raw = _a_n(n, x, c)
+    num, den = _a_n(n, x, c)
     if c is FLOAT:
-        return BoundPair(params.scale_low * raw, params.scale_high * raw)
-    scaled = params.denom_product * raw
+        # x last: x/den alone underflows at tiny x, where den is about D (1e82 at n = 16)
+        return BoundPair(num * (params.scale_low / den), num * (params.scale_high / den))
+    scaled = params.denom_product * (num / den)
     return BoundPair(params.k_low * scaled, params.k_high * scaled)

@@ -12,8 +12,8 @@ precision.
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested interval (a tan-mapped grid when the interval
 is unbounded, uniform plus Chebyshev-spaced points when bounded), the worst
-few local error maxima are sharpened by golden-section search, and margins
-are reported against the claimed bound.
+few local error maxima are sharpened by golden-section search to a bracket
+below REFINE_TOL*max(1, x), and margins are reported against the claimed bound.
 
 The scan runs at two precisions. Each grid point is first evaluated in float
 against the oracle rounded to float, giving an error e with a budget
@@ -21,19 +21,18 @@ B = K*ulp(arctan x) + ulp(e) that bounds its distance from the error at the
 oracle's working precision. K is the approximant's ``float_ulps``
 (``families.FLOAT_ULPS``, 64, for every budgeted registry row); the property
 it rests on, float within K/4 ulp of arctan x of the 50-digit value, is
-tested for every family, order and side in tests/test_families.py. A point
-is re-evaluated at mpf when a comparison the result depends on is within its
-budget: when it could be one of the refined local maxima or the global
-maximum, or, for a bound, when its margin is within budget of zero or of the
-smallest margin. It is also evaluated at mpf when its argument lies outside
-[1e-150, 1e150], the range the budget is tested on, or when its float value
-raises or is not finite. A row whose float errors all lie below 1e-12 is
-scanned wholly at mpf, and a callable without ``float_ulps`` gets an
-infinite budget, so every point of it is evaluated at mpf. Golden-section
-search compares in float while the budgets settle each comparison and at
-mpf from the first one they do not. Every decision is therefore the one an
-all-mpf scan makes, and every reported value (sup error, argmax, margins) is
-computed at mpf.
+tested for every family, order and side in tests/test_families.py. Both
+certifications then run one settle loop, which re-evaluates at mpf every
+point a decision could rest on until none is left: for sup_error a point that
+could be a refined local maximum or the global maximum, for certify_bound one
+whose margin could be the smallest or whose |E| the largest. Points outside
+[1e-150, 1e150], the range the budget is tested on, and points whose float
+value raises or is not finite are evaluated at mpf; a callable without
+``float_ulps`` gets an infinite budget, so all of its points are.
+Golden-section search compares in float while the budgets settle each
+comparison and at mpf from the first one they do not. Every decision is
+therefore the one an all-mpf scan makes, and every reported value (sup error,
+argmax, margins) is computed at mpf.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ _THETA_EDGE = 1e-8  # exclusion buffer at both ends of the tan-mapped grid
 _INVPHI = (math.sqrt(5) - 1) / 2
 
 DEFAULT_GRID = 4097
-DEFAULT_REFINE_TOL = 1e-12
+REFINE_TOL = 1e-12  # golden-section brackets stop below REFINE_TOL*max(1, x)
+_TOP = 3  # local maxima of |E| refined by golden-section search
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _FLOAT_RANGE = (1e-150, 1e150)  # arguments over which float_ulps budgets are tested
-_TINY_ERROR = 1e-12  # rows whose float errors all lie below this are scanned at mpf
 
 
 class BoundKind(Enum):
@@ -93,10 +92,8 @@ class OracleConfig:
 
 def default_config() -> OracleConfig:
     """Default precision, honoring the ARCTAN_CERT_DIGITS override (min 30)."""
-    report = 30
     env = os.environ.get("ARCTAN_CERT_DIGITS")
-    if env:
-        report = max(30, int(env))
+    report = max(30, int(env)) if env else 30
     return OracleConfig(working_digits=report + 20, report_digits=report)
 
 
@@ -164,21 +161,14 @@ def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
     Accepts non-negative floats, ints or mpf values; +inf returns pi/2.
     """
     cfg = cfg or default_config()
-    if isinstance(x, mp.mpf):
-        nan, infinite = mp.isnan(x), mp.isinf(x)
-    elif isinstance(x, int):  # never NaN or inf, and may lie beyond the float range
-        nan = infinite = False
-    else:
-        nan, infinite = math.isnan(x), math.isinf(x)
-    if nan:
+    # comparisons only, so a float, an int past the float range and an mpf all pass
+    if x != x:
         raise ValueError("x must not be NaN")
-    if infinite:
-        if x < 0:
-            raise ValueError("x must be non-negative")
-        with mp.workdps(cfg.working_digits):
-            return _pi_internal(cfg.working_digits) / 2
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x!r}")
+    if x == math.inf:
+        with mp.workdps(cfg.working_digits):
+            return _pi_internal(cfg.working_digits) / 2
     return _oracle_cached(x, cfg.working_digits, cfg.reduction_threshold)
 
 
@@ -210,7 +200,7 @@ class Interval:
         return math.isinf(self.hi)
 
     @classmethod
-    def parse(cls, text: str, lo_open: bool = False, hi_open: bool = False) -> "Interval":
+    def parse(cls, text: str) -> "Interval":
         """Parse 'lo:hi' with 'inf' allowed as hi."""
         parts = text.split(":")
         if len(parts) != 2:
@@ -220,7 +210,7 @@ class Interval:
             hi = math.inf if parts[1].strip().lower() == "inf" else float(parts[1])
         except ValueError as exc:
             raise ValueError(f"bad interval {text!r}: {exc}") from None
-        return cls(lo, hi, lo_open=lo_open, hi_open=hi_open)
+        return cls(lo, hi)
 
     def __str__(self) -> str:
         return f"{_fmt_endpoint(self.lo)}:{_fmt_endpoint(self.hi)}"
@@ -253,7 +243,6 @@ class ErrorReport:
 def _sample_points(iv: Interval, grid_points: int) -> list:
     if grid_points < 64:
         raise ValueError(f"grid_points must be >= 64, got {grid_points}")
-    pts: list = []
     if iv.unbounded:
         th_lo = max(math.atan(iv.lo), _THETA_EDGE)
         th_hi = math.pi / 2 - _THETA_EDGE
@@ -267,12 +256,7 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
         m = grid_points // 2 + 1
         pts.extend(lo + (hi - lo) * 0.5 * (1 - math.cos(math.pi * i / m)) for i in range(1, m))
         pts.sort()
-    out = []
-    prev = None
-    for p in pts:
-        if p != prev:
-            out.append(p)
-            prev = p
+    out = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
     if iv.lo_open:
         out = [p for p in out if p > iv.lo]
     if iv.hi_open:
@@ -300,10 +284,6 @@ class _Errors:
         rough = [self.rough(p) for p in pts]
         self.est = [e for e, _ in rough]
         self.bud = [b for _, b in rough]
-        if max(map(abs, self.est)) < _TINY_ERROR:
-            # float rounding would settle no comparison: scan the row wholly at mpf
-            self.ulps = None
-            self.settle(range(len(pts)))
 
     def rough(self, x: float):
         if self.ulps is None or not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
@@ -322,9 +302,14 @@ class _Errors:
         self.evals_mpf += 1
         return self.f(mp.mpf(x)) - oracle_arctan(x, self.cfg)
 
-    def settle(self, idxs) -> None:
-        for i in idxs:
-            if self.bud[i]:
+    def settle(self, pick):
+        """Settle the points pick(bounds()) names, until it names only settled ones; return the bounds."""
+        while True:
+            lo, hi = self.bounds()
+            todo = [i for i in dict.fromkeys(pick(lo, hi)) if self.bud[i]]  # a pick may repeat a point
+            if not todo:
+                return lo, hi
+            for i in todo:
                 self.est[i], self.bud[i] = self.exact(self.pts[i]), 0
 
     def bounds(self):
@@ -340,9 +325,9 @@ def _abs_bounds(lo, hi):
     return a_lo, a_hi
 
 
-def _top_local_maxima(lo, hi, top=3):
-    # grid points certainly at least as large as their neighbours, largest first;
-    # with every point settled (lo == hi) these are the exact local maxima
+def _top_local_maxima(lo, hi):
+    # the _TOP grid points certainly at least as large as their neighbours,
+    # largest first; with every point settled (lo == hi) these are the exact local maxima
     n = len(lo)
     idxs = [
         i
@@ -350,40 +335,31 @@ def _top_local_maxima(lo, hi, top=3):
         if (i == 0 or lo[i] >= hi[i - 1]) and (i == n - 1 or lo[i] >= hi[i + 1])
     ]
     idxs.sort(key=lo.__getitem__, reverse=True)
-    return idxs[:top]
+    return idxs[:_TOP]
 
 
-def _settle_maxima(err: _Errors, top=3):
-    """Settle grid points until the top local maxima of |E| are exact and ranked.
-
-    A point is settled when it could be one of them (it is not below a
-    neighbour, and its upper bound reaches the top-th largest certain
-    maximum), together with its neighbours while its own rank against them is
-    open. Returns the lower bounds and the maxima; both agree with a scan made
-    wholly at mpf wherever they are used.
-    """
-    n = len(err.pts)
-    while True:
-        lo, hi = _abs_bounds(*err.bounds())
-        tops = _top_local_maxima(lo, hi, top)
-        floor = lo[tops[-1]] if len(tops) == top else -math.inf
-        todo = []
-        for i in range(n):
-            if hi[i] < floor:
-                continue
-            nbrs = [j for j in (i - 1, i + 1) if 0 <= j < n]
-            if any(hi[i] < lo[j] for j in nbrs):
-                continue
-            todo.append(i)
-            if not all(lo[i] >= hi[j] for j in nbrs):
-                todo.extend(nbrs)
-        todo = [i for i in todo if err.bud[i]]
-        if not todo:
-            return lo, tops
-        err.settle(todo)
+def _maxima_pick(lo, hi):
+    # each point that could be a top local maximum of |E| (it is not below a neighbour,
+    # and its upper bound reaches the lowest certain one), with its neighbours while
+    # its own rank against them is open
+    lo, hi = _abs_bounds(lo, hi)
+    tops = _top_local_maxima(lo, hi)
+    floor = lo[tops[-1]] if len(tops) == _TOP else -math.inf
+    n = len(lo)
+    todo = []
+    for i in range(n):
+        if hi[i] < floor:
+            continue
+        nbrs = [j for j in (i - 1, i + 1) if 0 <= j < n]
+        if any(hi[i] < lo[j] for j in nbrs):
+            continue
+        todo.append(i)
+        if not all(lo[i] >= hi[j] for j in nbrs):
+            todo.extend(nbrs)
+    return todo
 
 
-def _golden_max(err: _Errors, a: float, b: float, refine_tol: float):
+def _golden_max(err: _Errors, a: float, b: float):
     # golden-section search for the maximum of |E| on [a, b]. Comparisons run
     # in float while the two budgets settle them; at the first one they do not,
     # both probes are redone at mpf and the search goes on at mpf. The probe
@@ -397,7 +373,7 @@ def _golden_max(err: _Errors, a: float, b: float, refine_tol: float):
         return abs(err.exact(x)), 0
 
     g = rough
-    tol = refine_tol * max(1.0, abs(a + b) / 2)
+    tol = REFINE_TOL * max(1.0, abs(a + b) / 2)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     (gc, bc), (gd, bd) = g(c), g(d)
@@ -417,61 +393,53 @@ def _golden_max(err: _Errors, a: float, b: float, refine_tol: float):
     return x, exact(x)[0]
 
 
-def _label_for(f, label):
-    if label:
-        return label
-    return getattr(f, "label", None) or getattr(f, "__name__", None) or "approximant"
+def _report(f: Callable, interval: Interval, err: _Errors, **fields) -> ErrorReport:
+    # the family label is the approximant's own: its label, else its __name__
+    label = getattr(f, "label", None) or getattr(f, "__name__", None) or "approximant"
+    return ErrorReport(label, interval, evals_float=err.evals_float, evals_mpf=err.evals_mpf, **fields)
 
 
 def sup_error(
     f: Callable,
     interval: Interval,
     grid_points: int = DEFAULT_GRID,
-    refine_tol: float = DEFAULT_REFINE_TOL,
     *,
     cfg: Optional[OracleConfig] = None,
     claimed_bound: Optional[float] = None,
-    label: Optional[str] = None,
 ) -> ErrorReport:
     """Estimate sup |f - arctan| over the interval.
 
     The grid is scanned at two precisions (see the module docstring); the top
     three local maxima of the error are then refined by golden-section search
-    until the bracket width falls below refine_tol*max(1, x). When
-    claimed_bound is given, satisfied means the refined sup stayed at or
+    until the bracket is narrower than REFINE_TOL*max(1, x), REFINE_TOL = 1e-12.
+    When claimed_bound is given, satisfied means the refined sup stayed at or
     under it. The report counts the approximant's evaluations per precision.
     """
     cfg = cfg or default_config()
     pts = _sample_points(interval, grid_points)
     with mp.workdps(cfg.working_digits):
         err = _Errors(f, pts, cfg)
-        lo, tops = _settle_maxima(err)
+        lo, hi = _abs_bounds(*err.settle(_maxima_pick))
         best_i = max(range(len(pts)), key=lo.__getitem__)
         best_x, best_e = pts[best_i], lo[best_i]
-        for i in tops:
+        for i in _top_local_maxima(lo, hi):
             a = pts[i - 1] if i > 0 else pts[i]
             b = pts[i + 1] if i + 1 < len(pts) else pts[i]
-            if not a < b:
-                continue
-            x_r, e_r = _golden_max(err, a, b, refine_tol)
+            x_r, e_r = _golden_max(err, a, b)
             if e_r > best_e:
                 best_x, best_e = x_r, e_r
-        satisfied = True
-        min_gap = math.nan
-        if claimed_bound is not None:
-            satisfied = bool(best_e <= claimed_bound)
-            min_gap = float(claimed_bound - best_e)
-    return ErrorReport(
-        family=_label_for(f, label),
-        interval=interval,
+        satisfied = claimed_bound is None or bool(best_e <= claimed_bound)
+        min_gap = math.nan if claimed_bound is None else float(claimed_bound - best_e)
+    return _report(
+        f,
+        interval,
+        err,
         sup_error=float(best_e),
         arg_max=float(best_x),
         claimed_bound=claimed_bound,
         bound_kind=BoundKind.APPROXIMATION,
         satisfied=satisfied,
         min_gap=min_gap,
-        evals_float=err.evals_float,
-        evals_mpf=err.evals_mpf,
     )
 
 
@@ -482,50 +450,50 @@ def certify_bound(
     grid_points: int = DEFAULT_GRID,
     *,
     cfg: Optional[OracleConfig] = None,
-    label: Optional[str] = None,
 ) -> ErrorReport:
     """Check that f stays on one side of arctan across the sampled interval.
 
     min_gap is the smallest signed margin (oracle - f for a lower bound,
     f - oracle for an upper bound); the verdict tolerates violations up to
-    oracle noise, 10^-(report_digits-5).
+    oracle noise, 10^-(report_digits-5). The scan settles each point whose
+    margin could be the smallest, and each whose |E| could be the largest
+    (the reported sup_error). Then min_gap is exact and every other margin
+    lies above it, so no other point can change the verdict. The grid is not
+    refined.
     """
     kind = BoundKind(kind) if not isinstance(kind, BoundKind) else kind
     if kind not in (BoundKind.LOWER, BoundKind.UPPER):
         raise ValueError("kind must be LOWER or UPPER")
     cfg = cfg or default_config()
     pts = _sample_points(interval, grid_points)
+
+    def margins(lo, hi):
+        # bounds on the signed margin from bounds on E
+        return ([-h for h in hi], [-l for l in lo]) if kind is BoundKind.LOWER else (lo, hi)
+
+    def pick(lo, hi):
+        (m_lo, m_hi), (a_lo, a_hi) = margins(lo, hi), _abs_bounds(lo, hi)
+        ceiling, floor = min(m_hi), max(a_lo)
+        return [i for i in range(len(lo)) if m_lo[i] <= ceiling or a_hi[i] >= floor]
+
     with mp.workdps(cfg.working_digits):
         err = _Errors(f, pts, cfg)
-        while True:
-            # settle the smallest margin, every margin whose sign is open, and the largest |E|
-            lo, hi = err.bounds()
-            m_lo, m_hi = ([-h for h in hi], [-l for l in lo]) if kind is BoundKind.LOWER else (lo, hi)
-            a_lo, a_hi = _abs_bounds(lo, hi)
-            ceiling, floor = min(m_hi), max(a_lo)
-            todo = [
-                i
-                for i, b in enumerate(err.bud)
-                if b and (m_lo[i] <= ceiling or m_lo[i] <= 0 <= m_hi[i] or a_hi[i] >= floor)
-            ]
-            if not todo:
-                break
-            err.settle(todo)
-        min_gap = min(m_lo)
+        lo, hi = err.settle(pick)
+        min_gap = min(margins(lo, hi)[0])
+        a_lo = _abs_bounds(lo, hi)[0]
         i_sup = max(range(len(pts)), key=a_lo.__getitem__)
         tol = mp.mpf(10) ** (5 - cfg.report_digits)
         satisfied = bool(min_gap >= -tol)
-    return ErrorReport(
-        family=_label_for(f, label),
-        interval=interval,
+    return _report(
+        f,
+        interval,
+        err,
         sup_error=float(a_lo[i_sup]),
         arg_max=float(pts[i_sup]),
         claimed_bound=None,
         bound_kind=kind,
         satisfied=satisfied,
         min_gap=float(min_gap),
-        evals_float=err.evals_float,
-        evals_mpf=err.evals_mpf,
     )
 
 

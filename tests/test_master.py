@@ -223,6 +223,15 @@ def test_master_bounds_near_the_top_of_the_float_range(x):
         assert abs(lower - ref) < 2 * 4.0**-n and abs(upper - ref) < 2 * 4.0**-n
 
 
+@pytest.mark.parametrize("x", [1e-300, 1e-250, 1e-200])
+def test_master_bounds_at_the_bottom_of_the_float_range(x):
+    # a_n(x) = x/den with den about D, up to 1e82, so x/den alone would underflow
+    for n in range(1, MAX_ORDER + 1):
+        for side in master_bounds(n, x):
+            assert side > 0
+            assert abs(side - x) <= (4.0**-n + 1e-15) * x
+
+
 def test_denominator_identity_between_forms():
     # D * sum_k float(A_k)/2^k * L_k agrees with the integer-weighted sum
     from arctancert.core import nested_radical_seq

@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from arctancert.core import lagrange_p, theorem5_approx, shafer_fink_bounds
-from arctancert.families import Approximant
+from arctancert.families import FAMILIES, Approximant
 from arctancert.series import cf_arctan
 from arctancert.verify import (
     BoundKind,
@@ -119,6 +121,10 @@ def test_oracle_domain():
         oracle_arctan(math.nan)
     with pytest.raises(ValueError):
         oracle_arctan(-math.inf)
+    for bad in ("nan", "-inf", "-0.5"):
+        with pytest.raises(ValueError):
+            oracle_arctan(mp.mpf(bad))
+    assert oracle_arctan(mp.mpf("inf")) == oracle_arctan(math.inf)
 
 
 def test_oracle_pi_matches_library(cfg):
@@ -322,6 +328,34 @@ def test_certify_bound_two_precision_scan_matches_all_mpf(cfg, ap, kind, iv):
     assert fast.evals_mpf < slow.evals_mpf
 
 
+@st.composite
+def _certifications(draw):
+    # a registry row, order, side, interval, grid and precision, as (ap, kind, iv, grid, cfg)
+    ident = draw(st.sampled_from(sorted(FAMILIES)))
+    info = FAMILIES[ident]
+    n = draw(st.integers(info.n_min, 8)) if info.needs_n else None
+    kind = draw(st.sampled_from(["lower", "upper"]))
+    ap = Approximant(ident, n=n, side=kind if info.kind is BoundKind.TWO_SIDED else None)
+    hi = 1.0 if info.claim_interval == "0:1" else draw(st.sampled_from([math.inf, 3.0, 1e6]))
+    lo = draw(st.one_of(st.just(0.0), st.floats(0.0, min(hi, 1e6) / 2)))
+    iv = Interval(lo, hi, lo_open=lo == 0.0, hi_open=math.isinf(hi))
+    digits = draw(st.sampled_from([50, 60]))
+    return ap, kind, iv, draw(st.integers(64, 400)), OracleConfig(digits, digits - 20)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=_certifications())
+def test_settle_rules_match_all_mpf_on_random_rows(case):
+    ap, kind, iv, grid, cfg = case
+    for certify in (
+        lambda f: sup_error(f, iv, grid, cfg=cfg, claimed_bound=0.01),
+        lambda f: certify_bound(f, kind, iv, grid, cfg=cfg),
+    ):
+        fast, slow = certify(ap), certify(_without_budget(ap))
+        assert _outcome(fast) == _outcome(slow)
+        assert fast.evals_mpf <= slow.evals_mpf
+
+
 def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
     iv = Interval(0.0, 1.0, lo_open=True, hi_open=True)
     rep = sup_error(lagrange_p, iv, 257, cfg=cfg)
@@ -332,14 +366,14 @@ def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
 
 
 def test_tiny_error_row_is_scanned_wholly_at_mpf(cfg):
-    # the g-constant side of master n = 6 stays within about 1e-15 of arctan
+    # the g-constant side of master n = 6 stays within about 1e-15 of arctan, under
+    # the float budget, so the settle rule alone evaluates every grid point at mpf
     iv = Interval(0.0, math.inf, lo_open=True, hi_open=True)
     ap = Approximant("master", n=6, side="lower")
     rep = sup_error(ap, iv, 129, cfg=cfg)
     slow = sup_error(_without_budget(ap), iv, 129, cfg=cfg)
     assert rep.sup_error < 1e-12
     assert _outcome(rep)[:2] == _outcome(slow)[:2]
-    assert rep.evals_float == len(_sample_points(iv, 129))  # the float pass alone
     assert rep.evals_mpf == slow.evals_mpf
 
 
@@ -365,8 +399,12 @@ def test_failed_float_values_are_settled_at_mpf(cfg):
 
 
 def test_points_outside_the_budget_range_are_settled_at_mpf(cfg):
-    # below 1e-150 the float budget is untested, so the scan evaluates there at mpf
+    # below 1e-150 the float budget is untested, so the scan evaluates there at mpf;
+    # certify_bound makes no golden-section probes, so each other point is one float evaluation
     iv = Interval(0.0, 1e-140)
-    rep = sup_error(Approximant("cf", n=2), iv, 129, cfg=cfg)
-    n_pts = len(_sample_points(iv, 129))
-    assert rep.evals_float < n_pts and rep.evals_mpf >= n_pts - rep.evals_float
+    rep = certify_bound(Approximant("cf", n=2), "lower", iv, 129, cfg=cfg)
+    pts = _sample_points(iv, 129)
+    outside = sum(x < 1e-150 for x in pts)
+    assert outside > 0
+    assert rep.evals_float == len(pts) - outside
+    assert rep.evals_mpf >= outside
