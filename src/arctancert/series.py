@@ -50,13 +50,13 @@ def _default_coefficients(n: int, row, prec: int) -> tuple:
 
 
 def _clenshaw_odd(coeffs, x):
-    # Clenshaw over degree 2n+1 with zero even coefficients; a_0 = 0.
-    b1 = x * 0
-    b2 = b1
-    top = 2 * len(coeffs) - 1
-    for j in range(top, 0, -1):
-        a_j = coeffs[(j - 1) // 2] if j % 2 else 0
-        b1, b2 = 2 * x * b1 - b2 + a_j, b1
+    # Clenshaw over degree 2n+1 in (odd, even) step pairs; even coefficients and a_0 are 0
+    x2 = 2 * x  # exact
+    b1 = b2 = x * 0
+    for a in coeffs[:0:-1]:
+        b1, b2 = x2 * b1 - b2 + a, b1
+        b1, b2 = x2 * b1 - b2, b1
+    b1, b2 = x2 * b1 - b2 + coeffs[0], b1
     return x * b1 - b2
 
 
@@ -109,12 +109,13 @@ def _quartic_rows(n: int, g):
     Generic over the number type of g: float, mpf or Fraction.
     """
     g2 = g * g
-    g3 = g2 * g
+    g3x2 = 2 * (g2 * g)
     q = -4 * g2 * g2
     acc = g * 0
     qj = acc + 1
     for j in range(n + 1):
-        acc += qj * (g / (4 * j + 1) + 2 * g2 / (4 * j + 2) + 2 * g3 / (4 * j + 3))
+        # g2/(2j+1) is the quotient 2g^2/(4j+2), and doubling is exact, so both round alike
+        acc += qj * (g / (4 * j + 1) + g2 / (2 * j + 1) + g3x2 / (4 * j + 3))
         qj *= q
     return acc
 

@@ -11,28 +11,30 @@ precision.
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested interval (a tan-mapped grid when the interval
-is unbounded, uniform plus Chebyshev-spaced points when bounded), the worst
-few local error maxima are sharpened by golden-section search to a bracket
-below REFINE_TOL*max(1, x), and margins are reported against the claimed bound.
+is unbounded, uniform plus Chebyshev-spaced points when bounded), the three
+largest local error maxima within half the largest grid error are sharpened by
+golden-section search to a bracket below REFINE_TOL*max(1, x), and margins are
+reported against the claimed bound. A smaller local maximum could only win if
+the error more than doubled inside one grid cell.
 
 The scan runs at two precisions. Each grid point is first evaluated in float
-against the oracle rounded to float, giving an error e with a budget
-B = K*ulp(arctan x) + ulp(e) that bounds its distance from the error at the
-oracle's working precision. K is the approximant's ``float_ulps``
-(``families.FLOAT_ULPS``, 64, for every budgeted registry row); the property
-it rests on, float within K/4 ulp of arctan x of the 50-digit value, is
-tested for every family, order and side in tests/test_families.py. Both
-certifications then run one settle loop, which re-evaluates at mpf every
-point a decision could rest on until none is left: for sup_error a point that
-could be a refined local maximum or the global maximum, for certify_bound one
-whose margin could be the smallest or whose |E| the largest. Points outside
-[1e-150, 1e150], the range the budget is tested on, and points whose float
-value raises or is not finite are evaluated at mpf; a callable without
-``float_ulps`` gets an infinite budget, so all of its points are.
-Golden-section search compares in float while the budgets settle each
-comparison and at mpf from the first one they do not. Every decision is
-therefore the one an all-mpf scan makes, and every reported value (sup error,
-argmax, margins) is computed at mpf.
+against the oracle rounded to float, which each grid computes once for every
+row scanned on it. This gives an error e with a budget B = K*ulp(arctan x) +
+ulp(e) that bounds its distance from the error at the oracle's working
+precision. K is the approximant's ``float_ulps`` (``families.FLOAT_ULPS``, 64,
+for every budgeted registry row); the property it rests on, float within K/4
+ulp of arctan x of the 50-digit value, is tested for every family, order and
+side in tests/test_families.py. Both certifications then run one settle loop,
+which re-evaluates at mpf every point a decision could rest on until none is
+left: for sup_error a point that could be a refined local maximum or the
+global maximum, for certify_bound one whose margin could be the smallest or
+whose |E| the largest. Points outside [1e-150, 1e150], the range the budget is
+tested on, and points whose float value raises or is not finite are evaluated
+at mpf; a callable without ``float_ulps`` gets an infinite budget, so all of
+its points are. Golden-section search compares in float while the budgets
+settle each comparison and at mpf from the first one they do not. Every
+decision is therefore the one an all-mpf scan makes, and every reported value
+(sup error, argmax, margins) is computed at mpf.
 """
 
 from __future__ import annotations
@@ -238,6 +240,7 @@ class ErrorReport:
     min_gap: float
     evals_float: int = 0  # approximant evaluations in double precision
     evals_mpf: int = 0  # and at the oracle's working precision
+    refined: int = 0  # golden-section searches run
 
 
 def _sample_points(iv: Interval, grid_points: int) -> list:
@@ -266,30 +269,36 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
     return out
 
 
+@lru_cache(maxsize=8)
+def _grid(iv: Interval, grid_points: int, cfg: OracleConfig):
+    # the sample points and their float oracle values, None outside _FLOAT_RANGE
+    pts = tuple(_sample_points(iv, grid_points))
+    return pts, tuple(float(oracle_arctan(p, cfg)) if _FLOAT_RANGE[0] <= p <= _FLOAT_RANGE[1] else None for p in pts)
+
+
 class _Errors:
     """The signed error E = f - arctan of one approximant over a grid, at two precisions.
 
-    rough(x) evaluates f in float against the oracle rounded to float and
-    returns (e, B): B = K*ulp(arctan x) + ulp(e) bounds |e - E|, where K is
-    f's ``float_ulps``. B is infinite when f carries no K, when x lies
-    outside _FLOAT_RANGE, or when the float value raises or is not finite.
+    rough(x, ref) evaluates f in float against ref, the oracle rounded to float
+    (the grid's, or looked up), and returns (e, B): B = K*ulp(arctan x) + ulp(e)
+    bounds |e - E|, where K is f's ``float_ulps``. B is infinite when f carries
+    no K, when x lies outside _FLOAT_RANGE, or when the float value raises or
+    is not finite.
     exact(x) is E at mpf. The grid keeps one (est, bud) pair per point, and
     settle() replaces it by (E, 0). Evaluations are counted per precision.
     """
 
-    def __init__(self, f: Callable, pts: list, cfg: OracleConfig):
-        self.f, self.pts, self.cfg = f, pts, cfg
+    def __init__(self, f: Callable, grid: tuple, cfg: OracleConfig):
+        self.f, (self.pts, refs), self.cfg = f, grid, cfg
         self.ulps = getattr(f, "float_ulps", None)
         self.evals_float = self.evals_mpf = 0
-        rough = [self.rough(p) for p in pts]
-        self.est = [e for e, _ in rough]
-        self.bud = [b for _, b in rough]
+        self.est, self.bud = map(list, zip(*(self.rough(p, r) for p, r in zip(self.pts, refs))))
 
-    def rough(self, x: float):
+    def rough(self, x: float, ref: Optional[float] = None):
         if self.ulps is None or not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
             return 0.0, math.inf
         self.evals_float += 1
-        ref = float(oracle_arctan(x, self.cfg))
+        ref = float(oracle_arctan(x, self.cfg)) if ref is None else ref
         try:
             e = self.f(x) - ref
         except (ArithmeticError, ValueError):  # settled at mpf, where a real failure raises again
@@ -325,26 +334,27 @@ def _abs_bounds(lo, hi):
     return a_lo, a_hi
 
 
-def _top_local_maxima(lo, hi):
-    # the _TOP grid points certainly at least as large as their neighbours,
-    # largest first; with every point settled (lo == hi) these are the exact local maxima
+def _top_local_maxima(lo, hi, cut):
+    # the _TOP grid points certainly at least cut and as large as their neighbours, largest
+    # first; with every point settled (lo == hi) these are the exact local maxima not below cut
     n = len(lo)
     idxs = [
         i
         for i in range(n)
-        if (i == 0 or lo[i] >= hi[i - 1]) and (i == n - 1 or lo[i] >= hi[i + 1])
+        if (i == 0 or lo[i] >= hi[i - 1]) and (i == n - 1 or lo[i] >= hi[i + 1]) and lo[i] >= cut
     ]
     idxs.sort(key=lo.__getitem__, reverse=True)
     return idxs[:_TOP]
 
 
 def _maxima_pick(lo, hi):
-    # each point that could be a top local maximum of |E| (it is not below a neighbour,
-    # and its upper bound reaches the lowest certain one), with its neighbours while
-    # its own rank against them is open
+    # each point that could be a top local maximum of |E| (not below a neighbour, and
+    # reaching the lowest certain one, or half the largest lower bound while fewer are
+    # certain), with its neighbours while its own rank against them is open
     lo, hi = _abs_bounds(lo, hi)
-    tops = _top_local_maxima(lo, hi)
-    floor = lo[tops[-1]] if len(tops) == _TOP else -math.inf
+    cut = max(lo) / 2
+    tops = _top_local_maxima(lo, hi, cut)
+    floor = lo[tops[-1]] if len(tops) == _TOP else cut
     n = len(lo)
     todo = []
     for i in range(n):
@@ -409,20 +419,23 @@ def sup_error(
 ) -> ErrorReport:
     """Estimate sup |f - arctan| over the interval.
 
-    The grid is scanned at two precisions (see the module docstring); the top
-    three local maxima of the error are then refined by golden-section search
-    until the bracket is narrower than REFINE_TOL*max(1, x), REFINE_TOL = 1e-12.
-    When claimed_bound is given, satisfied means the refined sup stayed at or
-    under it. The report counts the approximant's evaluations per precision.
+    The grid is scanned at two precisions (see the module docstring); the three
+    largest local maxima of the error within half the largest grid error are
+    then refined by golden-section search until the bracket is narrower than
+    REFINE_TOL*max(1, x), REFINE_TOL = 1e-12. A smaller one could only win if
+    the error more than doubled inside one grid cell. When claimed_bound is
+    given, satisfied means the refined sup stayed at or under it. The report
+    counts the approximant's evaluations per precision and the searches run.
     """
     cfg = cfg or default_config()
-    pts = _sample_points(interval, grid_points)
     with mp.workdps(cfg.working_digits):
-        err = _Errors(f, pts, cfg)
+        err = _Errors(f, _grid(interval, grid_points, cfg), cfg)
+        pts = err.pts
         lo, hi = _abs_bounds(*err.settle(_maxima_pick))
         best_i = max(range(len(pts)), key=lo.__getitem__)
         best_x, best_e = pts[best_i], lo[best_i]
-        for i in _top_local_maxima(lo, hi):
+        tops = _top_local_maxima(lo, hi, best_e / 2)
+        for i in tops:
             a = pts[i - 1] if i > 0 else pts[i]
             b = pts[i + 1] if i + 1 < len(pts) else pts[i]
             x_r, e_r = _golden_max(err, a, b)
@@ -440,6 +453,7 @@ def sup_error(
         bound_kind=BoundKind.APPROXIMATION,
         satisfied=satisfied,
         min_gap=min_gap,
+        refined=len(tops),
     )
 
 
@@ -465,7 +479,6 @@ def certify_bound(
     if kind not in (BoundKind.LOWER, BoundKind.UPPER):
         raise ValueError("kind must be LOWER or UPPER")
     cfg = cfg or default_config()
-    pts = _sample_points(interval, grid_points)
 
     def margins(lo, hi):
         # bounds on the signed margin from bounds on E
@@ -477,7 +490,8 @@ def certify_bound(
         return [i for i in range(len(lo)) if m_lo[i] <= ceiling or a_hi[i] >= floor]
 
     with mp.workdps(cfg.working_digits):
-        err = _Errors(f, pts, cfg)
+        err = _Errors(f, _grid(interval, grid_points, cfg), cfg)
+        pts = err.pts
         lo, hi = err.settle(pick)
         min_gap = min(margins(lo, hi)[0])
         a_lo = _abs_bounds(lo, hi)[0]

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from mpmath import mp
 from arctancert.core import LiftedApproximant
 from arctancert.families import Approximant
 from arctancert.series import (
+    _clenshaw_odd,
+    _quartic_rows,
     blend_w,
     cf_arctan,
     cheb_arctan,
@@ -244,3 +247,44 @@ def test_machin_error_strictly_decreases():
 def test_machin_domain():
     with pytest.raises(ValueError):
         machin_pi_fraction(0)
+
+
+def _clenshaw_reference(coeffs, x):
+    # b_j = a_j + 2x*b_{j+1} - b_{j+2} down from degree 2n+1, a_j = 0 for even j; x*b_1 - b_2
+    b1 = b2 = x * 0
+    for j in range(2 * len(coeffs) - 1, 0, -1):
+        a_j = coeffs[(j - 1) // 2] if j % 2 else 0
+        b1, b2 = 2 * x * b1 - b2 + a_j, b1
+    return x * b1 - b2
+
+
+def _quartic_reference(n, g):
+    # sum_{j<=n} q^j * (g/(4j+1) + 2g^2/(4j+2) + 2g^3/(4j+3)), q = -4g^4, term by term
+    acc, qj = g * 0, g * 0 + 1
+    for j in range(n + 1):
+        acc += qj * (g / (4 * j + 1) + 2 * (g * g) / (4 * j + 2) + 2 * (g * g * g) / (4 * j + 3))
+        qj *= -4 * (g * g) * (g * g)
+    return acc
+
+
+@pytest.mark.parametrize("digits", [None, 50, 70])
+def test_summation_kernels_match_their_textbook_recurrences_exactly(digits):
+    # the kernels reorder the recurrences only where rounding cannot tell, so the
+    # values must be the same numbers at float and at every mpf precision
+    rng = random.Random(20260718)
+    xs = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e-200] + [rng.uniform(-1, 1) for _ in range(12)]
+    gs = [0.0, 0.5, 1.0, 1e-200] + [rng.random() for _ in range(12)]
+    with mp.workdps(digits or 15):
+        num = float if digits is None else mp.mpf
+        ratio = num(1) / (1 + (math.sqrt(2) if digits is None else mp.sqrt(2)))
+        for n in range(17):
+            coeffs = cheb_coefficients(n, ratio)
+            for x in map(num, xs):
+                assert _clenshaw_odd(coeffs, x) == _clenshaw_reference(coeffs, x)
+            for g in map(num, gs):
+                assert _quartic_rows(n, g) == _quartic_reference(n, g)
+    for terms in range(1, 10):
+        expected = 16 * _quartic_reference(terms - 1, Fraction(1, 6)) - 4 * _quartic_reference(
+            terms - 1, Fraction(1, 240)
+        )
+        assert machin_pi_fraction(terms) == expected

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import pytest
@@ -408,3 +409,76 @@ def test_points_outside_the_budget_range_are_settled_at_mpf(cfg):
     assert outside > 0
     assert rep.evals_float == len(pts) - outside
     assert rep.evals_mpf >= outside
+
+
+class _Profile:
+    """arctan plus a piecewise-linear error through the knots (x, E), 0.01 outside them.
+
+    It claims a float budget of float_ulps, and its float values carry the extra
+    error float_error, which the budget must cover. Every call is recorded as
+    (x, "float") or (x, "mpf").
+    """
+
+    def __init__(self, knots, float_ulps, float_error=0.0):
+        self.xs, self.es = zip(*knots)
+        self.float_ulps, self.float_error = float_ulps, float_error
+        self.calls = []
+
+    def error(self, x):
+        k = bisect.bisect_right(self.xs, x)
+        if k == 0 or k == len(self.xs):
+            return 0.01
+        (x0, x1), (e0, e1) = self.xs[k - 1 : k + 1], self.es[k - 1 : k + 1]
+        return e0 + (e1 - e0) * (x - x0) / (x1 - x0)
+
+    def __call__(self, x):
+        if isinstance(x, float):
+            self.calls.append((x, "float"))
+            return math.atan(x) + self.error(x) + self.float_error
+        self.calls.append((float(x), "mpf"))
+        return mp.atan(x) + self.error(x)
+
+
+def test_neighbour_whose_rank_is_open_is_settled(cfg):
+    # grid point i is a local maximum of |E| below the peak at k = i+2. Its
+    # neighbour j = i+1 is certainly below k, so j is no candidate itself, but
+    # it ranks against i only within the float budget (about 6e-5 here). Only
+    # settling j as i's neighbour makes i a certain local maximum, and only
+    # refining i finds the error's true peak, 1.01, between i and j.
+    iv = Interval(0.0, 1.0)
+    pts = _sample_points(iv, 64)
+    i = 40
+    knots = [
+        (pts[i - 1], 0.01),
+        (pts[i], 1.0),
+        ((pts[i] + pts[i + 1]) / 2, 1.01),
+        (pts[i + 1], 1.0 - 1e-6),
+        (pts[i + 2], 1.001),
+        (pts[i + 3], 0.01),
+    ]
+    f = _Profile(knots, 2**40, float_error=1e-5)
+    fast = sup_error(f, iv, 64, cfg=cfg)
+    slow = sup_error(_without_budget(f), iv, 64, cfg=cfg)
+    assert _outcome(fast) == _outcome(slow)
+    assert fast.refined == slow.refined == 2
+    assert fast.sup_error == pytest.approx(1.01, abs=1e-9)
+
+
+def test_local_maximum_below_half_the_peak_is_neither_settled_nor_refined(cfg):
+    # a local maximum of 0.4 next to a peak of 1.0: it lies under the cut at half
+    # the peak, so neither scan refines it, and the fast scan evaluates it only at float
+    iv = Interval(0.0, 1.0)
+    pts = _sample_points(iv, 64)
+    p, m = 30, 70
+    knots = [(pts[p - 1], 0.01), (pts[p], 1.0), (pts[p + 1], 0.01)]
+    knots += [(pts[m - 1], 0.01), (pts[m], 0.4), (pts[m + 1], 0.01)]
+    fast_f, slow_f = _Profile(knots, 64), _Profile(knots, 64)
+    fast = sup_error(fast_f, iv, 64, cfg=cfg)
+    slow = sup_error(_without_budget(slow_f), iv, 64, cfg=cfg)
+    assert _outcome(fast) == _outcome(slow)
+    assert fast.refined == slow.refined == 1
+    assert fast.sup_error == pytest.approx(1.0, abs=1e-9)
+    assert fast.evals_mpf < slow.evals_mpf
+    near_m = [c for c in fast_f.calls if pts[m - 1] < c[0] < pts[m + 1]]
+    assert near_m == [(pts[m], "float")]
+    assert [c[0] for c in slow_f.calls if pts[m - 1] < c[0] < pts[m + 1]] == [pts[m]]
