@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .numerics import HUGE, Scalar, require_finite, require_nonnegative, require_unit
+from .numerics import Scalar, require_finite, require_nonnegative, require_unit
 
 
 class BoundPair(NamedTuple):
@@ -32,16 +32,13 @@ def shafer_fink_bounds(x) -> BoundPair:
 
     Strict for x > 0, nominal at float (see BoundPair); both sides vanish at
     x = 0. The lower bound is tight as x -> 0, the upper bound as x -> inf.
-    Above HUGE both are evaluated with x divided out, as 3/d' and pi/d' with
-    d' = 1/x + 2*sqrt(1/x^2 + 1).
+    With numerator and denominator divided by sqrt(1+x^2), both sides are
+    evaluated as 3*sin t/(2 + cos t) and pi*sin t/(2 + cos t), t = arctan x.
     """
     c = require_nonnegative(x)
-    if x > HUGE:
-        r = 1 / x
-        den = r + 2 * c.hypot(1, r)
-        return BoundPair(3 / den, c.pi / den)
-    den = 1 + 2 * c.hypot(1, x)
-    return BoundPair(3 * x / den, c.pi * x / den)
+    sin, cos = c.sincos(x)
+    den = 2 + cos
+    return BoundPair(3 * sin / den, c.pi * sin / den)
 
 
 def nested_radical_seq(j: int, x) -> list:
@@ -49,6 +46,8 @@ def nested_radical_seq(j: int, x) -> list:
 
     L_k(x) equals x/tan(arctan(x)/2^k) for x > 0 (repeated cotangent
     bisection), so the sequence is strictly increasing with L_k(0) = 2^k.
+    At float, L_j passes the float range once x is near its top; pass an mpf
+    there.
     """
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j}")
@@ -58,6 +57,8 @@ def nested_radical_seq(j: int, x) -> list:
     for _ in range(j):
         val = val + c.hypot(x, val)
         out.append(val)
+    if not c.isfinite(val):  # the sequence increases, so the last entry overflows first
+        raise ValueError(f"L_{j}({x!r}) lies beyond the float range; pass an mpf instead")
     return out
 
 
@@ -67,18 +68,13 @@ def theorem2_bounds(x) -> BoundPair:
     Here f(x) = x/(7 + 6*s + 16*sqrt2*sqrt(s^2+s)) with s = sqrt(1+x^2); the
     radical is evaluated as hypot(x, 1+s), equal since x^2+(1+s)^2 = 2s(s+1).
     The pair gap is a factor ~66 narrower than Shafer-Fink's, though neither
-    side dominates its Shafer-Fink counterpart pointwise. Above HUGE, f is
-    evaluated with x divided out of its denominator. The enclosure is
-    nominal at float (see BoundPair).
+    side dominates its Shafer-Fink counterpart pointwise. With s divided out,
+    f = sin t/(7*cos t + 6 + 16*hypot(sin t, 1 + cos t)), t = arctan x. The
+    enclosure is nominal at float (see BoundPair).
     """
     c = require_nonnegative(x)
-    if x > HUGE:
-        r = 1 / x
-        s = c.hypot(r, 1)  # sqrt(1+x^2)/x
-        f = 1 / (7 * r + 6 * s + 16 * c.hypot(1, r + s))
-    else:
-        s = c.hypot(1, x)
-        f = x / (7 + 6 * s + 16 * c.hypot(x, 1 + s))
+    sin, cos = c.sincos(x)
+    f = sin / (7 * cos + 6 + 16 * c.hypot(sin, 1 + cos))
     return BoundPair(c.pi * (3 + 8 * c.sqrt2) * f, 45 * f)
 
 
@@ -86,12 +82,15 @@ def theorem4_upper(x):
     """Upper bound pi*x/(4/pi + sqrt2*sqrt(1 + x^2 + x*sqrt(1+x^2))).
 
     Tends to pi/2 as x -> inf. Not pointwise comparable with the
-    Shafer-Fink upper bound: tighter only for x above ~0.711.
+    Shafer-Fink upper bound: tighter only for x above ~0.711. With
+    sqrt(1+x^2) divided out it reads pi*sin t/((4/pi)*cos t + sqrt(2 + 2*sin
+    t)), t = arctan x; at sin t = 1 the root is exactly 2 in float, where
+    sqrt2*sqrt(2) rounds above it.
     """
     c = require_nonnegative(x)
     pi = c.pi
-    s = c.hypot(1, x)
-    return pi * x / (4 / pi + c.sqrt2 * c.sqrt_prod(s, s + x))
+    sin, cos = c.sincos(x)
+    return pi * sin / (4 / pi * cos + c.sqrt(2 + 2 * sin))
 
 
 def lagrange_p(u):
@@ -123,25 +122,15 @@ def lift_interval_map(t):
 
 @dataclass(frozen=True)
 class LiftedApproximant:
-    """An approximant on [0,1] lifted to R+ by repeated argument halving.
+    """An approximant on [0,1] lifted to R+ by one argument halving.
 
-    Each application contributes one halving: value(x) = 2*inner(u) with
-    u = x/(1+sqrt(1+x^2)) per lift. This is the library's one lifting
-    operator: it turns an approximant valid on [0,1] into one valid on all
-    of R+, preserving lower/upper bound direction.
+    value(x) = 2*inner(u) with u = x/(1+sqrt(1+x^2)). This is the library's
+    one lifting operator: it turns an approximant valid on [0,1] into one
+    valid on all of R+, preserving lower/upper bound direction. Nest it to
+    halve more than once.
     """
 
     inner: Callable
-    lifts: int = 1
-
-    def __post_init__(self):
-        if not isinstance(self.lifts, int) or self.lifts < 0:
-            raise ValueError(f"lifts must be an integer >= 0, got {self.lifts!r}")
 
     def __call__(self, x):
-        c = require_nonnegative(x)
-        k = self.lifts
-        while k:  # cheaper per call than iterating a range
-            x = c.reduce(x)
-            k -= 1
-        return (1 << self.lifts) * self.inner(x)
+        return 2 * self.inner(require_nonnegative(x).reduce(x))

@@ -29,15 +29,15 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .core import BoundPair, nested_radical_seq
-from .numerics import FLOAT, HUGE, require_nonnegative
+from .core import BoundPair
+from .numerics import FLOAT, require_nonnegative
 
 MAX_ORDER = 16
 
 
-def _check_order(n, cap=MAX_ORDER):
-    if not isinstance(n, int) or not 1 <= n <= cap:
-        raise ValueError(f"order n must be an integer in [1, {cap}], got {n!r}")
+def _check_order(n):
+    if not isinstance(n, int) or not 1 <= n <= MAX_ORDER:
+        raise ValueError(f"order n must be an integer in [1, {MAX_ORDER}], got {n!r}")
 
 
 def _working_digits(n: int) -> int:
@@ -48,7 +48,7 @@ def _working_digits(n: int) -> int:
 @lru_cache(maxsize=None)
 def denominator_product(n: int) -> int:
     """D = prod_{k=1..n} (4^k - 1)."""
-    _check_order(n, cap=32)
+    _check_order(n)
     d = 1
     for k in range(1, n + 1):
         d *= 4**k - 1
@@ -62,7 +62,7 @@ def pn_coefficients(n: int) -> tuple:
     By construction p_n(1) = 1 (the coefficients sum to one) and
     p_n(4^-j) = 0 for j = 1..n.
     """
-    _check_order(n, cap=32)
+    _check_order(n)
     num = [Fraction(1)]
     for k in range(1, n + 1):
         w = 4**k
@@ -78,7 +78,7 @@ def pn_coefficients(n: int) -> tuple:
 @lru_cache(maxsize=None)
 def elementary_symmetric(n: int) -> tuple:
     """(e_0, ..., e_n) over the list (1, 4, ..., 4^(n-1)), via prod(1 + 4^k t)."""
-    _check_order(n, cap=32)
+    _check_order(n)
     e = [1]
     for k in range(n):
         w = 4**k
@@ -99,19 +99,16 @@ def a_n(n: int, x):
 
 
 def _a_n(n: int, x, c):
-    # a_n = num/den in the number row c that x was validated into. Above HUGE,
-    # x is divided out of every L_j (L_j/x runs from 1/x by v -> v + sqrt(1+v^2)),
-    # so nothing overflows.
+    # a_n = num/den in the number row c that x was validated into, with x and
+    # every L_j divided by s = sqrt(1+x^2), so no x in the float range
+    # overflows: num = sin t, ell_0 = cos t and ell_{k+1} = ell_k + hypot(sin t,
+    # ell_k) for t = arctan x. sin t is taken as x*cos t rather than as
+    # sincos's x/s: at float the pairs then miss arctan x less often.
     e = elementary_symmetric(n)
-    if x > HUGE:
-        v = 1 / x
-        ell = [v]
-        for _ in range(n):
-            v = v + c.hypot(1, v)
-            ell.append(v)
-        num = c.one
-    else:
-        ell, num = nested_radical_seq(n, x), x
+    ell = [1 / c.hypot(1, x)]
+    num = x * ell[0]
+    for _ in range(n):
+        ell.append(ell[-1] + c.hypot(num, ell[-1]))
     sign = -1 if n % 2 else 1
     terms = []
     for j in range(n + 1):
@@ -146,7 +143,7 @@ def gn_eval(n: int, theta):
 
 @dataclass(frozen=True)
 class MasterParams:
-    """Everything fixed by the order: exact coefficients and endpoint constants.
+    """Everything fixed by the order: D and the endpoint constants.
 
     k_low/k_high carry the working precision derived from n; scale_low and
     scale_high are k_low*D and k_high*D rounded once to double, for the float
@@ -154,8 +151,6 @@ class MasterParams:
     """
 
     n: int
-    coeffs: tuple  # Fractions A_0..A_n
-    sym: tuple  # ints e_0..e_n
     denom_product: int
     k_low: mp.mpf
     k_high: mp.mpf
@@ -183,8 +178,6 @@ def master_params(n: int) -> MasterParams:
         d = denominator_product(n)
         return MasterParams(
             n=n,
-            coeffs=pn_coefficients(n),
-            sym=elementary_symmetric(n),
             denom_product=d,
             k_low=k_low,
             k_high=k_high,

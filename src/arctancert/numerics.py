@@ -9,7 +9,11 @@ The choice is made once per call, by the ``require_*`` validator the kernel
 calls first: it returns the argument's row, ``FLOAT`` (the ``math``
 functions, double pi and sqrt2, ``1.0``) or ``MPF`` (the mpmath functions,
 with pi and sqrt2 read at the active precision on each access), and the
-kernel takes every function and constant it needs from that row.
+kernel takes every function and constant it needs from that row. Both rows
+share two overflow-free argument maps: ``reduce``, the half-angle reduction,
+and ``sincos``, the sine and cosine of arctan x, in which the closed-form
+kernels are written so that no x from 0 to the top of the float range
+squares or overflows.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ from mpmath import mp
 
 Scalar = float | mp.mpf
 _MPF = mp.mpf
-HUGE = 1e150  # above this, kernels that would square or scale x switch to a 1/x form
 
 
 class _Row:
@@ -31,28 +34,29 @@ class _Row:
         """
         return x / (1 + self.hypot(1, x))
 
+    def sincos(self, x):
+        """(sin t, cos t) of t = arctan x, as (x/s, 1/s) with s = hypot(1, x).
+
+        Both lie in [0, 1] for x >= 0, so a closed form in sqrt(1+x^2) with
+        numerator and denominator divided by s cannot overflow.
+        """
+        s = self.hypot(1, x)
+        return x / s, 1 / s
+
 
 class _FloatRow(_Row):
-    hypot, fsum, isfinite = math.hypot, math.fsum, math.isfinite
+    hypot, fsum, isfinite, sqrt = math.hypot, math.fsum, math.isfinite, math.sqrt
     one, pi, sqrt2 = 1.0, math.pi, math.sqrt(2.0)
     prec = 0  # cache key: this row has a single precision
-
-    @staticmethod
-    def sqrt_prod(a, b):
-        # sqrt(a*b), split where the product could overflow a double
-        return math.sqrt(a) * math.sqrt(b) if a > HUGE else math.sqrt(a * b)
 
 
 class _MpfRow(_Row):
     hypot, fsum, isfinite = mp.hypot, mp.fsum, mp.isfinite
+    sqrt = staticmethod(mp.sqrt)  # a plain function, unlike the bound methods above
     one = _MPF(1)  # exact at every precision
     pi = property(lambda self: +mp.pi)
     sqrt2 = property(lambda self: mp.sqrt(2))
     prec = property(lambda self: mp.prec)
-
-    @staticmethod
-    def sqrt_prod(a, b):
-        return mp.sqrt(a * b)
 
 
 FLOAT, MPF = _FloatRow(), _MpfRow()

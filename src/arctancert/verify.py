@@ -60,6 +60,7 @@ REFINE_TOL = 1e-12  # golden-section brackets stop below REFINE_TOL*max(1, x)
 _TOP = 3  # local maxima of |E| refined by golden-section search
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _FLOAT_RANGE = (1e-150, 1e150)  # arguments over which float_ulps budgets are tested
+_REDUCTION_THRESHOLD = 2.0**-10  # the oracle halves its argument until it lies below this
 
 
 class BoundKind(Enum):
@@ -79,7 +80,6 @@ class OracleConfig:
 
     working_digits: int = 50
     report_digits: int = 30
-    reduction_threshold: float = 2.0**-10
 
     def __post_init__(self):
         if self.report_digits < 30:
@@ -88,8 +88,6 @@ class OracleConfig:
             raise ValueError("working_digits must be >= 40")
         if self.working_digits < self.report_digits + 10:
             raise ValueError("working_digits must be >= report_digits + 10")
-        if not 0 < self.reduction_threshold <= 0.5:
-            raise ValueError("reduction_threshold must lie in (0, 0.5]")
 
 
 def default_config() -> OracleConfig:
@@ -103,10 +101,11 @@ def _shift(v: int, s: int) -> int:
     return v << s if s >= 0 else v >> -s
 
 
-def _atan_core(x, threshold):
+def _atan_core(x):
     # arctan of x >= 0 at the active precision: halve, Maclaurin, double back,
     # all on integers scaled by 2^wp, then round once. The reduced y stays
-    # above threshold/4, so wp keeps _GUARD_BITS beyond mp.prec relative to it.
+    # above _REDUCTION_THRESHOLD/4, so wp keeps _GUARD_BITS beyond mp.prec
+    # relative to it.
     if isinstance(x, float):
         man, den = x.as_integer_ratio()  # exact, and cheaper than building an mpf
         exp = 1 - den.bit_length()
@@ -114,7 +113,7 @@ def _atan_core(x, threshold):
         _, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
     if not man:
         return mp.mpf(0)
-    t_frac, t_exp = math.frexp(threshold)
+    t_frac, t_exp = math.frexp(_REDUCTION_THRESHOLD)
     wp = mp.prec + _GUARD_BITS + 3 - t_exp
     one = 1 << wp
     halvings = 0
@@ -122,7 +121,7 @@ def _atan_core(x, threshold):
         # first halving as 1/(r + sqrt(1+r^2)) with r = 1/x, so x never squares
         r = (1 << (wp - exp)) // man if wp >= exp else 0
         man, exp, halvings = (one << wp) // (r + math.isqrt((one << wp) + r * r)), -wp, 1
-    if x > threshold:
+    if x > _REDUCTION_THRESHOLD:
         y = _shift(man, exp + wp)
         t = int(t_frac * 2**53) << (wp + t_exp - 53)
         while y > t:
@@ -145,16 +144,16 @@ def _pi_internal(working_digits: int):
     with mp.workdps(working_digits):
         terms = working_digits // 2 + 4  # ~2.5 digits per dominant-series row
         from_series = machin_pi(terms, dps=working_digits)
-        from_reduction = 4 * _atan_core(mp.mpf(1), 2.0**-10)
+        from_reduction = 4 * _atan_core(mp.mpf(1))
         if abs(from_series - from_reduction) > mp.mpf(10) ** (5 - working_digits):
             raise ArithmeticError("internal pi cross-check failed")
         return +from_series
 
 
 @lru_cache(maxsize=262144)
-def _oracle_cached(x, working_digits, threshold):
+def _oracle_cached(x, working_digits):
     with mp.workdps(working_digits):
-        return _atan_core(x, threshold)
+        return _atan_core(x)
 
 
 def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
@@ -171,7 +170,7 @@ def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
     if x == math.inf:
         with mp.workdps(cfg.working_digits):
             return _pi_internal(cfg.working_digits) / 2
-    return _oracle_cached(x, cfg.working_digits, cfg.reduction_threshold)
+    return _oracle_cached(x, cfg.working_digits)
 
 
 def oracle_pi(cfg: Optional[OracleConfig] = None):

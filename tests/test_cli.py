@@ -51,9 +51,12 @@ def test_eval_master_matches_t2(capsys):
     assert code == 0
     code, out_t2, _ = run(capsys, "eval", "--family", "t2", "--x", "1", "--format", "csv")
     assert code == 0
-    vals_master = [line.split(",")[4] for line in out_master.strip().splitlines()[1:]]
-    vals_t2 = [line.split(",")[4] for line in out_t2.strip().splitlines()[1:]]
-    assert vals_master == vals_t2
+    vals_master = [float(line.split(",")[4]) for line in out_master.strip().splitlines()[1:]]
+    vals_t2 = [float(line.split(",")[4]) for line in out_t2.strip().splitlines()[1:]]
+    # the two routes round differently: a few ulp apart, not bit for bit
+    assert len(vals_master) == len(vals_t2) == 2
+    for m, t in zip(vals_master, vals_t2):
+        assert abs(m - t) <= 8 * math.ulp(t)
 
 
 def test_eval_scaled_cheb(capsys):

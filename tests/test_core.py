@@ -15,6 +15,7 @@ from arctancert.core import (
     theorem4_upper,
     theorem5_approx,
 )
+from arctancert.master import MAX_ORDER, a_n, elementary_symmetric, master_bounds
 from arctancert.numerics import FLOAT, MPF
 from arctancert.verify import oracle_arctan
 
@@ -80,6 +81,18 @@ def test_nested_radical_cot_identity(cfg):
             for j in range(1, 11):
                 ref = mp.mpf(x) / mp.tan(theta / 2**j)
                 assert abs(vals[j] - ref) / ref < 1e-12
+
+
+def test_nested_radical_past_the_float_range():
+    x = 1.7e308
+    assert nested_radical_seq(1, x)[-1] == 1 + x
+    with pytest.raises(ValueError, match="beyond the float range"):
+        nested_radical_seq(3, x)
+    with mp.workdps(50):
+        vals = nested_radical_seq(3, mp.mpf(x))
+        # L_3(x) = x/tan(arctan(x)/8), and arctan(x) = pi/2 - 1/x to within 1e-924
+        ref = x / mp.tan((mp.pi / 2 - 1 / mp.mpf(x)) / 8)
+        assert abs(vals[3] - ref) <= mp.mpf(1e-45) * ref
 
 
 def test_nested_radical_domain():
@@ -184,13 +197,58 @@ def test_pairs_enclose_the_oracle_near_the_top_of_the_float_range(pair, x):
     assert lower <= ref <= upper
 
 
-def test_pairs_unchanged_up_to_1e150():
-    # the 1/x forms apply only above 1e150
-    for x in (1e-300, 0.5, 1e8, 1e150):
-        s = FLOAT.hypot(1, x)
-        assert shafer_fink_bounds(x) == (3 * x / (1 + 2 * s), math.pi * x / (1 + 2 * s))
-        f = x / (7 + 6 * s + 16 * FLOAT.hypot(x, 1 + s))
-        assert theorem2_bounds(x) == (math.pi * (3 + 8 * math.sqrt(2)) * f, 45 * f)
+def _kernel_values(x):
+    yield from shafer_fink_bounds(x)
+    yield from theorem2_bounds(x)
+    yield theorem4_upper(x)
+    for n in range(1, MAX_ORDER + 1):
+        yield a_n(n, x)
+
+
+def _edge_values(x):
+    yield from _kernel_values(x)
+    for n in range(1, MAX_ORDER + 1):
+        yield from master_bounds(n, x)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-300, 1e150, 6e307, 1.7e308])
+def test_closed_forms_finite_from_the_bottom_to_the_top_of_the_float_range(x):
+    for v in _edge_values(x):
+        assert math.isfinite(v) and v >= 0
+    with mp.workdps(50):
+        for v in _edge_values(mp.mpf(x)):
+            assert mp.isfinite(v) and v >= 0
+    if x > 1e300:
+        assert abs(theorem4_upper(x) - math.pi / 2) <= 4 * math.ulp(math.pi / 2)
+
+
+def _paper_forms(x):
+    # the closed forms as the paper writes them, in sqrt(1+x^2), in _kernel_values' order
+    s = mp.sqrt(1 + x * x)
+    r2 = mp.sqrt(2)
+    f = x / (7 + 6 * s + 16 * r2 * mp.sqrt(s * s + s))
+    yield 3 * x / (1 + 2 * s)
+    yield mp.pi * x / (1 + 2 * s)
+    yield mp.pi * (3 + 8 * r2) * f
+    yield 45 * f
+    yield mp.pi * x / (4 / mp.pi + r2 * mp.sqrt(1 + x * x + x * s))
+    for n in range(1, MAX_ORDER + 1):
+        e, big_l, den = elementary_symmetric(n), mp.mpf(1), 0
+        for j in range(n + 1):
+            den += (-1) ** (n - j) * e[j] * 2**j * big_l
+            big_l += mp.sqrt(x * x + big_l * big_l)
+        yield x / den
+
+
+def test_sin_cos_forms_agree_with_the_paper_forms():
+    for x in log_grid(1e-300, 1e300, 61):
+        with mp.workdps(80):
+            want = list(_paper_forms(mp.mpf(x)))
+        with mp.workdps(50):
+            got = list(_kernel_values(mp.mpf(x)))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= mp.mpf(1e-45) * w, x
 
 
 def test_theorem5_matches_lifted_interpolant():
@@ -223,8 +281,8 @@ def test_lift_interval_map_domain(bad):
 def test_lifted_approximant_matches_lift(x):
     wrapped = LiftedApproximant(lagrange_p)
     assert wrapped(x) == 2 * lagrange_p(FLOAT.reduce(x))
-    twice = LiftedApproximant(lagrange_p, lifts=2)
-    assert twice(x) == pytest.approx(2 * wrapped(FLOAT.reduce(x)), rel=1e-15)
+    twice = LiftedApproximant(wrapped)
+    assert twice(x) == 4 * lagrange_p(FLOAT.reduce(FLOAT.reduce(x)))
 
 
 @given(st.floats(min_value=0.0, max_value=1e15))

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from arctancert.core import LiftedApproximant
 from arctancert.families import Approximant
 from arctancert.series import (
     _clenshaw_odd,
@@ -101,8 +100,6 @@ def test_cheb_arctan_domain():
     cheb_arctan(2, 0.5)
     with pytest.raises(ValueError):  # not served from the entry cached for n = 2
         cheb_arctan(2.0, 0.5)
-    with pytest.raises(ValueError):
-        LiftedApproximant(lambda u: cheb_arctan(3, u), lifts=1.5)(1.0)
 
 def test_cheb_scaled_matches_plain_at_m_1():
     for x in (0.0, 0.3, 0.999):

@@ -35,8 +35,6 @@ def test_oracle_config_validation():
         OracleConfig(39, 30)
     with pytest.raises(ValueError):
         OracleConfig(41, 35)
-    with pytest.raises(ValueError):
-        OracleConfig(50, 30, reduction_threshold=0.0)
 
 
 def test_default_config_env_override(monkeypatch):
@@ -84,10 +82,9 @@ _EDGE_POINTS = [5e-324, 2.0**-1074 * 3, 1e-300, 1e154, 1.7e308] + [
 ]
 
 
-@pytest.mark.parametrize("threshold", [2.0**-10, 0.3])
 @pytest.mark.parametrize("digits", [40, 50, 120])
-def test_oracle_within_one_ulp(digits, threshold):
-    cfg = OracleConfig(working_digits=digits, report_digits=30, reduction_threshold=threshold)
+def test_oracle_within_one_ulp(digits):
+    cfg = OracleConfig(working_digits=digits, report_digits=30)
     with mp.workdps(digits + 30):
         wide = mp.sqrt(2) / 3  # more bits than the working precision carries
     for x in [*_EDGE_POINTS, wide]:
@@ -95,7 +92,7 @@ def test_oracle_within_one_ulp(digits, threshold):
 
 
 def test_oracle_cold_and_warm_agree():
-    cfg = OracleConfig(working_digits=50, report_digits=30, reduction_threshold=0.3)
+    cfg = OracleConfig(working_digits=47, report_digits=30)  # a precision no other test uses
     x = 0.7071067811865476
     before = _oracle_cached.cache_info()
     cold = oracle_arctan(x, cfg)
