@@ -33,7 +33,6 @@ from .series import (
     blend_w,
     cf_arctan,
     cheb_arctan,
-    cheb_arctan_scaled,
     cheb_coefficients,
     machin_pi,
     machin_pi_fraction,
@@ -69,7 +68,6 @@ __all__ = [
     "certify_bound",
     "cf_arctan",
     "cheb_arctan",
-    "cheb_arctan_scaled",
     "cheb_coefficients",
     "claimed_sup_bound",
     "default_config",

@@ -5,8 +5,9 @@ point against the oracle), ``certify`` (run a bound/sup-norm certification),
 ``table`` (CSV error table over families and orders), ``pi`` (Machin-series
 pi against the oracle's internal value).
 
-Exit codes: 0 all certifications satisfied, 1 at least one violated,
-2 usage or I/O error.
+Exit codes: 0 all certifications satisfied (for ``eval``: every value
+finite), 1 at least one violated (for ``eval``: a value not finite), 2 usage
+or I/O error.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def _signed_oracle(x: float, cfg):
 
 def _parse_interval(text: str) -> Interval:
     iv = Interval.parse(text)
-    # open at zero (all families are exact there) and at infinity
-    return Interval(iv.lo, iv.hi, lo_open=iv.lo == 0.0, hi_open=iv.unbounded)
+    # open at zero, where every family but t is exact, so a strict bound check would fail there
+    return Interval(iv.lo, iv.hi, lo_open=iv.lo == 0.0)
 
 
 def _side_approximants(ident: str, n, kind=None, m=None):
@@ -109,6 +110,10 @@ def cmd_eval(args) -> int:
         for side, value, ref in rows:
             tag = f"{side:<6}" if side else "value "
             print(f"{tag}  {value:.17g}   error {value - ref:+.6e}")
+    bad = [side or "value" for side, value, _ in rows if not math.isfinite(value)]
+    if bad:
+        print(f"error: {ident} returned a non-finite {' and '.join(bad)} at x = {x!r}", file=sys.stderr)
+        return 1
     return 0
 
 

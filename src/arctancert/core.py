@@ -2,9 +2,10 @@
 
 The fixed-order bound families live here: the classical Shafer-Fink pair,
 its order-2 strengthening, a one-off upper bound, a quadratic interpolant,
-and the nested-radical sequence that the general-order machinery in
-``master`` is built from. Everything is a pure function accepting a float
-or an mpmath value.
+and the nested-radical sequence L_k of the paper's general-order
+construction, kept as a reference: ``master`` builds its a_n from the
+overflow-free ratios L_k/sqrt(1+x^2) instead. Everything is a pure function
+accepting a float or an mpmath value.
 """
 
 from __future__ import annotations
@@ -81,11 +82,13 @@ def theorem2_bounds(x) -> BoundPair:
 def theorem4_upper(x):
     """Upper bound pi*x/(4/pi + sqrt2*sqrt(1 + x^2 + x*sqrt(1+x^2))).
 
-    Tends to pi/2 as x -> inf. Not pointwise comparable with the
-    Shafer-Fink upper bound: tighter only for x above ~0.711. With
-    sqrt(1+x^2) divided out it reads pi*sin t/((4/pi)*cos t + sqrt(2 + 2*sin
-    t)), t = arctan x; at sin t = 1 the root is exactly 2 in float, where
-    sqrt2*sqrt(2) rounds above it.
+    Strict for x > 0, nominal at float as BoundPair is: it lies below the
+    oracle rounded to float at 6 of 400 log-spaced x in [1e-8, 1e8] and 4
+    of 400 in [1e8, 1e308]. Tends to pi/2 as x -> inf. Not pointwise
+    comparable with the Shafer-Fink upper bound: tighter only for x above
+    ~0.711. With sqrt(1+x^2) divided out it reads pi*sin t/((4/pi)*cos t +
+    sqrt(2 + 2*sin t)), t = arctan x; at sin t = 1 the root is exactly 2 in
+    float, where sqrt2*sqrt(2) rounds above it.
     """
     c = require_nonnegative(x)
     pi = c.pi

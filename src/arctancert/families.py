@@ -134,10 +134,7 @@ class Approximant:
         if self.m is not None:
             if self.family != "cheb":
                 raise ValueError("parameter m only applies to family 'cheb'")
-            if not 0 < self.m < math.inf:
-                raise ValueError(f"m must be finite and > 0, got {self.m!r}")
-            if self.m != 1:
-                fn = partial(series.cheb_arctan_scaled, self.n, self.m)
+            fn = partial(fn, m=self.m)
         if info.lifted:
             fn = core.LiftedApproximant(fn)
         object.__setattr__(self, "_eval", fn)

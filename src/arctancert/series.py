@@ -1,10 +1,11 @@
 """Series-based arctangent approximants.
 
-Four families: truncated Chebyshev expansions (plain and argument-scaled),
-convergents of the Gauss continued fraction, the quartic-ratio series around
-x = 1 (s_n, its reflection t_n, and their blend w_n), and the exact-rational
-Machin evaluation of pi built from the same series row. Their lifts to R+ are
-``core.LiftedApproximant`` applied to these kernels.
+Four families: the truncated Chebyshev expansion of arctan(m*x), one kernel
+for every scale m; convergents of the Gauss continued fraction; the
+quartic-ratio series around x = 1 (s_n, its reflection t_n, and their blend
+w_n); and the exact-rational Machin evaluation of pi built from the same
+series row. Their lifts to R+ are ``core.LiftedApproximant`` applied to
+these kernels.
 """
 
 from __future__ import annotations
@@ -42,11 +43,14 @@ def cheb_coefficients(n: int, ratio=None) -> list:
 
 
 @lru_cache(maxsize=None, typed=True)
-def _default_coefficients(n: int, row, prec: int) -> tuple:
+def _coefficients(n: int, m, row, prec: int) -> tuple:
     # keyed on the row and its precision, which the mpf row reads from
     # mp.prec; typed, so that n = 2.0 misses the entry for 2 and reaches the
-    # order check
-    return tuple(cheb_coefficients(n, 1 / (1 + row.sqrt2)))
+    # order check. m is checked here, once per key rather than once per call
+    require_finite(m, "m")
+    if not m > 0:
+        raise ValueError(f"m must be > 0, got {m!r}")
+    return tuple(cheb_coefficients(n, row.reduce(m)))
 
 
 def _clenshaw_odd(coeffs, x):
@@ -60,30 +64,18 @@ def _clenshaw_odd(coeffs, x):
     return x * b1 - b2
 
 
-def cheb_arctan(n: int, x):
-    """Truncated Chebyshev expansion of arctan over [-1,1], summed by Clenshaw.
+def cheb_arctan(n: int, x, m=1):
+    """Truncated Chebyshev expansion of arctan(m*x) over [-1,1], summed by Clenshaw.
 
-    Odd in x; uniform error on [0,1] at most (1+sqrt2)^-(2n+3).
+    The coefficients are those of cheb_coefficients at the ratio
+    r = m/(1 + sqrt(1+m^2)), which is 1/(1+sqrt2) at the default m = 1.
+    Odd in x; uniform error on [-1,1] at most 2r^(2n+3)/((2n+3)(1-r^2)),
+    below (1+sqrt2)^-(2n+3) at m = 1.
     """
     c = require_finite(x)
     if abs(x) > 1:
         raise ValueError(f"|x| must be <= 1, got {x!r}")
-    return _clenshaw_odd(_default_coefficients(n, c, c.prec), x)
-
-
-def cheb_arctan_scaled(n: int, m, x):
-    """Truncated Chebyshev expansion of arctan(m*x) for |x| < 1.
-
-    The ratio 1/(1+sqrt2) is replaced by m/(1+sqrt(1+m^2)).
-    """
-    require_finite(x)
-    if abs(x) >= 1:
-        raise ValueError(f"|x| must be < 1, got {x!r}")
-    require_finite(m, "m")
-    if not m > 0:
-        raise ValueError(f"m must be > 0, got {m!r}")
-    m = m + x * 0  # the ratio is an mpf when either argument is
-    return _clenshaw_odd(cheb_coefficients(n, require_finite(m).reduce(m)), x)
+    return _clenshaw_odd(_coefficients(n, m, c, c.prec), x)
 
 
 def cf_arctan(n: int, x):

@@ -181,12 +181,11 @@ def oracle_pi(cfg: Optional[OracleConfig] = None):
 
 @dataclass(frozen=True)
 class Interval:
-    """A sampling domain [lo, hi] with endpoint openness; hi may be +inf."""
+    """A sampling domain [lo, hi], or (lo, hi] when lo_open; hi may be +inf."""
 
     lo: float
     hi: float
     lo_open: bool = False
-    hi_open: bool = False
 
     def __post_init__(self):
         if math.isnan(self.lo) or math.isnan(self.hi):
@@ -261,8 +260,6 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
     out = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
     if iv.lo_open:
         out = [p for p in out if p > iv.lo]
-    if iv.hi_open:
-        out = [p for p in out if p < iv.hi]
     if len(out) < 2:
         raise ValueError(f"interval {iv} is degenerate at this grid size")
     return out

@@ -33,9 +33,9 @@ from arctancert.verify import (
 GRID = 4097
 SQRT2 = math.sqrt(2)
 
-R_PLUS = Interval(0.0, math.inf, lo_open=True, hi_open=True)
+R_PLUS = Interval(0.0, math.inf, lo_open=True)
 UNIT = Interval(0.0, 1.0)
-UNIT_OPEN = Interval(0.0, 1.0, lo_open=True, hi_open=True)
+UNIT_OPEN = Interval(0.0, 1.0, lo_open=True)
 UP_TO_1E6 = Interval(0.0, 1e6, lo_open=True)
 
 CFG = OracleConfig(working_digits=50, report_digits=30)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -68,6 +69,20 @@ def test_eval_scaled_cheb(capsys):
     row = out.strip().splitlines()[1].split(",")
     assert float(row[4]) == pytest.approx(math.atan(1.0), abs=1e-5)
     assert float(row[5]) == pytest.approx(math.atan(1.0), abs=1e-20)
+    # x = 1 closes the scaled domain as it does the plain one
+    code, out, _ = run(
+        capsys, "eval", "--family", "cheb", "--n", "8", "--x", "1", "--param", "m=2", "--format", "csv"
+    )
+    assert code == 0
+    assert float(out.strip().splitlines()[1].split(",")[4]) == pytest.approx(math.atan(2.0), abs=2e-5)
+
+
+def test_eval_non_finite_value_exits_1(capsys, monkeypatch):
+    nan_kernel = dataclasses.replace(cli.FAMILIES["t4"], kernel=lambda x: math.nan)
+    monkeypatch.setitem(cli.FAMILIES, "t4", nan_kernel)
+    code, out, err = run(capsys, "eval", "--family", "t4", "--x", "2")
+    assert code == 1
+    assert "nan" in out and "non-finite" in err
 
 
 def test_eval_negative_x_uses_odd_symmetry(capsys):

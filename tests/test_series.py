@@ -14,7 +14,6 @@ from arctancert.series import (
     blend_w,
     cf_arctan,
     cheb_arctan,
-    cheb_arctan_scaled,
     cheb_coefficients,
     machin_pi,
     machin_pi_fraction,
@@ -101,34 +100,54 @@ def test_cheb_arctan_domain():
     with pytest.raises(ValueError):  # not served from the entry cached for n = 2
         cheb_arctan(2.0, 0.5)
 
+def _cheb_points():
+    rng = random.Random(9)
+    return [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324] + [rng.uniform(-1, 1) for _ in range(44)]
+
 def test_cheb_scaled_matches_plain_at_m_1():
-    for x in (0.0, 0.3, 0.999):
-        assert cheb_arctan_scaled(6, 1.0, x) == pytest.approx(cheb_arctan(6, x), rel=1e-14)
+    # at m = 1 the ratio m/(1+hypot(1, m)) rounds exactly as 1/(1+sqrt2) does, at every precision
+    for n in range(17):
+        for x in _cheb_points():
+            plain = _clenshaw_odd(cheb_coefficients(n), x)
+            assert cheb_arctan(n, x) == cheb_arctan(n, x, 1.0) == plain
+        for dps in (50, 70):
+            with mp.workdps(dps):
+                coeffs = cheb_coefficients(n, 1 / (1 + mp.sqrt(2)))
+                for x in map(mp.mpf, _cheb_points()):
+                    assert cheb_arctan(n, x) == cheb_arctan(n, x, 1.0) == _clenshaw_odd(coeffs, x)
 
 def test_cheb_scaled_oracle_spots():
-    assert cheb_arctan_scaled(20, 2.0, 0.5) == pytest.approx(PI_4, abs=1e-8)
-    assert cheb_arctan_scaled(30, 5.0, 0.1) == pytest.approx(ATAN_05, abs=1e-6)
+    assert cheb_arctan(20, 0.5, 2.0) == pytest.approx(PI_4, abs=1e-8)
+    assert cheb_arctan(30, 0.1, 5.0) == pytest.approx(ATAN_05, abs=1e-6)
+
+def _cheb_tail(n, m):
+    # truncation tail bound 2*r^(2n+3)/((2n+3)*(1-r^2)) with r = m/(1+sqrt(1+m^2))
+    r = m / (1 + math.hypot(1, m))
+    return 2 * r ** (2 * n + 3) / ((2 * n + 3) * (1 - r * r))
 
 @pytest.mark.parametrize("m", [2, 3, 5, 10])
 def test_cheb_scaled_converges_for_integer_scales(m):
-    # truncation tail bound 2*r^(2n+3)/((2n+3)*(1-r^2)) with r = m/(1+sqrt(1+m^2))
     n = 25
-    r = m / (1 + math.hypot(1, m))
-    tail = 2 * r ** (2 * n + 3) / ((2 * n + 3) * (1 - r * r))
+    tail = _cheb_tail(n, m)
     for i in range(-19, 20):
         x = i / 20
-        err = abs(cheb_arctan_scaled(n, m, x) - math.atan(m * x))
+        err = abs(cheb_arctan(n, x, m) - math.atan(m * x))
         assert err <= tail + 1e-14
 
 def test_cheb_scaled_domain():
-    with pytest.raises(ValueError):
-        cheb_arctan_scaled(3, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        cheb_arctan_scaled(3, 0.0, 0.5)
-    with pytest.raises(ValueError):
-        cheb_arctan_scaled(3, math.inf, 0.5)
-    with pytest.raises(ValueError):
-        Approximant("cheb", n=3, m=math.inf)(0.5)
+    # the expansion of arctan(m*x) converges on the closed interval, so x = +-1 is in the domain
+    for m in (0.5, 2.0, 5.0, 10.0):
+        for n in (0, 4, 12):
+            for x in (1.0, -1.0):
+                assert abs(cheb_arctan(n, x, m) - math.atan(m * x)) <= _cheb_tail(n, m) + 1e-14
+    for m in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            cheb_arctan(3, 0.5, m)
+        with pytest.raises(ValueError):
+            Approximant("cheb", n=3, m=m)(0.5)
+    for x in (1.0001, -1.5):
+        with pytest.raises(ValueError):
+            cheb_arctan(3, x, 2.0)
 
 def test_cheb_lifted_spots(cfg):
     from arctancert.verify import oracle_arctan

@@ -171,13 +171,14 @@ def test_sample_points_bounded_respects_openness():
     pts = _sample_points(iv, 65)
     assert pts[0] == 0.0 and pts[-1] == 1.0
     assert all(a < b for a, b in zip(pts, pts[1:]))
-    open_iv = Interval(0.0, 1.0, lo_open=True, hi_open=True)
+    open_iv = Interval(0.0, 1.0, lo_open=True)
     pts_open = _sample_points(open_iv, 65)
-    assert pts_open[0] > 0.0 and pts_open[-1] < 1.0
+    assert pts_open[0] > 0.0 and pts_open[-1] == 1.0
+    assert pts_open == pts[1:]
 
 
 def test_sample_points_unbounded():
-    iv = Interval(0.0, math.inf, lo_open=True, hi_open=True)
+    iv = Interval(0.0, math.inf, lo_open=True)
     pts = _sample_points(iv, 65)
     assert len(pts) == 65
     assert pts[0] == pytest.approx(1e-8, rel=1e-6)
@@ -197,7 +198,7 @@ def test_sup_error_of_oracle_is_tiny(cfg):
 def test_sup_error_lagrange_under_claim(cfg):
     rep = sup_error(
         lagrange_p,
-        Interval(0.0, 1.0, lo_open=True, hi_open=True),
+        Interval(0.0, 1.0, lo_open=True),
         1025,
         cfg=cfg,
         claimed_bound=1 / 230,
@@ -209,10 +210,10 @@ def test_sup_error_lagrange_under_claim(cfg):
 
 
 def test_sup_error_lifted_doubles_lagrange(cfg):
-    inner = sup_error(lagrange_p, Interval(0.0, 1.0, lo_open=True, hi_open=True), 1025, cfg=cfg)
+    inner = sup_error(lagrange_p, Interval(0.0, 1.0, lo_open=True), 1025, cfg=cfg)
     outer = sup_error(
         theorem5_approx,
-        Interval(0.0, math.inf, lo_open=True, hi_open=True),
+        Interval(0.0, math.inf, lo_open=True),
         1025,
         cfg=cfg,
         claimed_bound=1 / 115,
@@ -222,7 +223,7 @@ def test_sup_error_lifted_doubles_lagrange(cfg):
 
 
 def test_sup_error_grid_doubling_growth(cfg):
-    iv = Interval(0.0, 1.0, lo_open=True, hi_open=True)
+    iv = Interval(0.0, 1.0, lo_open=True)
     small = sup_error(lagrange_p, iv, 513, cfg=cfg)
     big = sup_error(lagrange_p, iv, 1025, cfg=cfg)
     assert big.sup_error >= small.sup_error - 1e-11
@@ -291,9 +292,9 @@ def _without_budget(ap):
 @pytest.mark.parametrize(
     "ap, iv",
     [
-        (Approximant("cheb-lifted", n=4), Interval(0.0, math.inf, lo_open=True, hi_open=True)),
+        (Approximant("cheb-lifted", n=4), Interval(0.0, math.inf, lo_open=True)),
         (Approximant("w", n=3), Interval(0.0, 1.0, lo_open=True)),
-        (Approximant("w-lifted", n=1), Interval(0.0, math.inf, lo_open=True, hi_open=True)),
+        (Approximant("w-lifted", n=1), Interval(0.0, math.inf, lo_open=True)),
         (Approximant("lagrange"), Interval(0.0, 1.0)),
         (Approximant("cf", n=2), Interval(0.25, 3.0)),
     ],
@@ -312,7 +313,7 @@ def test_sup_error_two_precision_scan_matches_all_mpf(cfg, ap, iv):
     [
         (Approximant("sf", side="lower"), "lower", Interval(0.0, 1e6, lo_open=True)),
         (Approximant("sf", side="upper"), "upper", Interval(0.0, 1e6, lo_open=True)),
-        (Approximant("t4"), "upper", Interval(0.0, math.inf, lo_open=True, hi_open=True)),
+        (Approximant("t4"), "upper", Interval(0.0, math.inf, lo_open=True)),
         (Approximant("master", n=3, side="lower"), "lower", Interval(0.0, 1000.0, lo_open=True)),
         (Approximant("s", n=2), "lower", Interval(0.0, 1.0)),
     ],
@@ -336,7 +337,7 @@ def _certifications(draw):
     ap = Approximant(ident, n=n, side=kind if info.kind is BoundKind.TWO_SIDED else None)
     hi = 1.0 if info.claim_interval == "0:1" else draw(st.sampled_from([math.inf, 3.0, 1e6]))
     lo = draw(st.one_of(st.just(0.0), st.floats(0.0, min(hi, 1e6) / 2)))
-    iv = Interval(lo, hi, lo_open=lo == 0.0, hi_open=math.isinf(hi))
+    iv = Interval(lo, hi, lo_open=lo == 0.0)
     digits = draw(st.sampled_from([50, 60]))
     return ap, kind, iv, draw(st.integers(64, 400)), OracleConfig(digits, digits - 20)
 
@@ -355,7 +356,7 @@ def test_settle_rules_match_all_mpf_on_random_rows(case):
 
 
 def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
-    iv = Interval(0.0, 1.0, lo_open=True, hi_open=True)
+    iv = Interval(0.0, 1.0, lo_open=True)
     rep = sup_error(lagrange_p, iv, 257, cfg=cfg)
     assert rep.evals_float == 0
     assert rep.evals_mpf > len(_sample_points(iv, 257))  # the grid and the refinements
@@ -366,7 +367,7 @@ def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
 def test_tiny_error_row_is_scanned_wholly_at_mpf(cfg):
     # the g-constant side of master n = 6 stays within about 1e-15 of arctan, under
     # the float budget, so the settle rule alone evaluates every grid point at mpf
-    iv = Interval(0.0, math.inf, lo_open=True, hi_open=True)
+    iv = Interval(0.0, math.inf, lo_open=True)
     ap = Approximant("master", n=6, side="lower")
     rep = sup_error(ap, iv, 129, cfg=cfg)
     slow = sup_error(_without_budget(ap), iv, 129, cfg=cfg)
