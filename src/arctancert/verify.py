@@ -1,12 +1,15 @@
 """Extended-precision arctangent oracle and the sup-norm certification harness.
 
-The oracle never calls a library arctangent. It halves its argument through
-the identity arctan x = 2*arctan(x/(1+sqrt(1+x^2))) until the remainder drops
-below a threshold, sums the Maclaurin series there, and doubles back. These
-steps run in integer fixed point with guard bits beyond the working
-precision, and the result is rounded once, so it lies within one unit in the
-last place at working precision. pi is taken from the exact-rational Machin
-series and cross-checked against the reduction path once per working
+The oracle never calls a library arctangent. It reduces its argument against
+a table of centres k/64: above 1 it takes y = 1/x and reflects through pi/2,
+then adds arctan(c) for the centre c nearest y to the Maclaurin series at
+z = (y - c)/(1 + y*c), where |z| <= 2^-7. The 65 values arctan(k/64) are
+chained from short series of the same kind once per working precision.
+Arguments up to 2^-6 sum the series relative to x. All of this runs in integer
+fixed point with guard bits beyond the working precision, and the result is
+rounded once, so it lies within one unit in the last place at working
+precision. pi is taken from the exact-rational Machin series and
+cross-checked, to 4 ulp, against 4*arctan(1) from the table once per working
 precision.
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
@@ -60,7 +63,7 @@ REFINE_TOL = 1e-12  # golden-section brackets stop below REFINE_TOL*max(1, x)
 _TOP = 3  # local maxima of |E| refined by golden-section search
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _FLOAT_RANGE = (1e-150, 1e150)  # arguments over which float_ulps budgets are tested
-_REDUCTION_THRESHOLD = 2.0**-10  # the oracle halves its argument until it lies below this
+_CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
 
 
 class BoundKind(Enum):
@@ -101,11 +104,46 @@ def _shift(v: int, s: int) -> int:
     return v << s if s >= 0 else v >> -s
 
 
+def _series(y2: int, wp: int) -> int:
+    # arctan(y)/y = sum (-1)^j y^(2j)/(2j+1), scaled by 2^wp, from y^2 scaled by 2^wp
+    s, p, j = 0, 1 << wp, 0
+    while p:
+        s += p // (2 * j + 1) if j % 2 == 0 else -(p // (2 * j + 1))
+        p = (p * y2) >> wp
+        j += 1
+    return s
+
+
+def _atan_small(z: int, wp: int) -> int:
+    # arctan(z) scaled by 2^wp from z scaled by 2^wp, for 0 <= z <= 2^-6
+    return (z * _series((z * z) >> wp, wp)) >> wp
+
+
+@lru_cache(maxsize=None)
+def _centres(wp: int) -> tuple:
+    # T_k = arctan(k/N) scaled by 2^wp for k = 0..N, N = _CENTRES, built once per wp and
+    # chained through arctan((k+1)/N) - arctan(k/N) = arctan(N/(N^2 + k(k+1))) <= 1/N.
+    # Guard-bit budget: a link errs by under 3 + terms/32 units of 2^-wp (the quotient and
+    # the final product under one each; the series' error, under 1.5 units a term, scaled
+    # by z <= 2^-6), and the series takes under wp/12 + 2 terms, so T_k errs by under
+    # N*(3 + wp/384) units: under 2^9 up to wp of about 1,900 bits (570 digits), one bit
+    # more per doubling of wp beyond. Measured: under 65 units at wp = 150..4,800.
+    n = _CENTRES
+    t = [0]
+    for k in range(n):
+        t.append(t[-1] + _atan_small((n << wp) // (n * n + k * (k + 1)), wp))
+    return tuple(t)
+
+
 def _atan_core(x):
-    # arctan of x >= 0 at the active precision: halve, Maclaurin, double back,
-    # all on integers scaled by 2^wp, then round once. The reduced y stays
-    # above _REDUCTION_THRESHOLD/4, so wp keeps _GUARD_BITS beyond mp.prec
-    # relative to it.
+    # arctan of x >= 0 at the active precision, on integers scaled by 2^wp, rounded once.
+    # x <= 1/N, N = _CENTRES, sums the Maclaurin series relative to x, so tiny x keeps
+    # full relative accuracy. Otherwise y = x, or y = 1/x reflected through pi/2 = 2*T_N,
+    # is reduced against the nearest centre c = k/N: arctan y = T_k + arctan(z) with
+    # z = (y - c)/(1 + y*c), and |y - c| <= 1/(2N) puts |z| <= 2^-7. These results lie
+    # above 2^-7 (above pi/4 when reflected, where three table values enter), and the
+    # table and series err by under 2^9 units of 2^-wp (see _centres), so wp keeps
+    # _GUARD_BITS beyond mp.prec relative to them.
     if isinstance(x, float):
         man, den = x.as_integer_ratio()  # exact, and cheaper than building an mpf
         exp = 1 - den.bit_length()
@@ -113,39 +151,33 @@ def _atan_core(x):
         _, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
     if not man:
         return mp.mpf(0)
-    t_frac, t_exp = math.frexp(_REDUCTION_THRESHOLD)
-    wp = mp.prec + _GUARD_BITS + 3 - t_exp
-    one = 1 << wp
-    halvings = 0
-    if x >= 2:
-        # first halving as 1/(r + sqrt(1+r^2)) with r = 1/x, so x never squares
-        r = (1 << (wp - exp)) // man if wp >= exp else 0
-        man, exp, halvings = (one << wp) // (r + math.isqrt((one << wp) + r * r)), -wp, 1
-    if x > _REDUCTION_THRESHOLD:
+    wp = mp.prec + _GUARD_BITS + 16
+    n, one = _CENTRES, 1 << wp
+    if x * n <= 1:
+        s = _series(_shift(man * man, 2 * exp + wp), wp)
+        return mp.make_mpf(from_man_exp(man * s, exp - wp, mp.prec, round_nearest))
+    t = _centres(wp)
+    if x > 1:
+        y = (1 << (wp - exp)) // man if wp >= exp else 0
+    else:
         y = _shift(man, exp + wp)
-        t = int(t_frac * 2**53) << (wp + t_exp - 53)
-        while y > t:
-            y = (y << wp) // (one + math.isqrt((one << wp) + y * y))
-            halvings += 1
-        man, exp = y, -wp
-    # sum (-1)^j y^(2j)/(2j+1) relative to y, so tiny x keeps full relative accuracy
-    y2 = _shift(man * man, 2 * exp + wp)
-    s, p, j = 0, one, 0
-    while p:
-        s += p // (2 * j + 1) if j % 2 == 0 else -(p // (2 * j + 1))
-        p = (p * y2) >> wp
-        j += 1
-    return mp.make_mpf(from_man_exp(man * s, exp - wp + halvings, mp.prec, round_nearest))
+    k = (y * n + (one >> 1)) >> wp
+    num = y * n - k * one
+    z = _atan_small((abs(num) << wp) // (n * one + y * k), wp)
+    r = t[k] + z if num >= 0 else t[k] - z
+    if x > 1:
+        r = 2 * t[n] - r
+    return mp.make_mpf(from_man_exp(r, -wp, mp.prec, round_nearest))
 
 
 @lru_cache(maxsize=None)
 def _pi_internal(working_digits: int):
-    """Machin-series pi at the given precision, cross-checked against the reduction path."""
+    """Machin-series pi at the given precision, cross-checked against the centre table."""
     with mp.workdps(working_digits):
         terms = working_digits // 2 + 4  # ~2.5 digits per dominant-series row
         from_series = machin_pi(terms, dps=working_digits)
-        from_reduction = 4 * _atan_core(mp.mpf(1))
-        if abs(from_series - from_reduction) > mp.mpf(10) ** (5 - working_digits):
+        from_reduction = 4 * _atan_core(mp.mpf(1))  # 4*T_N
+        if abs(from_series - from_reduction) > mp.ldexp(4, 2 - mp.prec):  # 4 ulp of pi
             raise ArithmeticError("internal pi cross-check failed")
         return +from_series
 
@@ -239,6 +271,7 @@ class ErrorReport:
     evals_float: int = 0  # approximant evaluations in double precision
     evals_mpf: int = 0  # and at the oracle's working precision
     refined: int = 0  # golden-section searches run
+    oracle_cold: int = 0  # oracle values computed rather than found in its cache
 
 
 def _sample_points(iv: Interval, grid_points: int) -> list:
@@ -281,11 +314,13 @@ class _Errors:
     no K, when x lies outside _FLOAT_RANGE, or when the float value raises or
     is not finite.
     exact(x) is E at mpf. The grid keeps one (est, bud) pair per point, and
-    settle() replaces it by (E, 0). Evaluations are counted per precision.
+    settle() replaces it by (E, 0). Evaluations are counted per precision, and
+    oracle misses from the grid's construction on.
     """
 
-    def __init__(self, f: Callable, grid: tuple, cfg: OracleConfig):
-        self.f, (self.pts, refs), self.cfg = f, grid, cfg
+    def __init__(self, f: Callable, iv: Interval, grid_points: int, cfg: OracleConfig):
+        self.misses = _oracle_cached.cache_info().misses
+        self.f, (self.pts, refs), self.cfg = f, _grid(iv, grid_points, cfg), cfg
         self.ulps = getattr(f, "float_ulps", None)
         self.evals_float = self.evals_mpf = 0
         self.est, self.bud = map(list, zip(*(self.rough(p, r) for p, r in zip(self.pts, refs))))
@@ -402,7 +437,8 @@ def _golden_max(err: _Errors, a: float, b: float):
 def _report(f: Callable, interval: Interval, err: _Errors, **fields) -> ErrorReport:
     # the family label is the approximant's own: its label, else its __name__
     label = getattr(f, "label", None) or getattr(f, "__name__", None) or "approximant"
-    return ErrorReport(label, interval, evals_float=err.evals_float, evals_mpf=err.evals_mpf, **fields)
+    cold = _oracle_cached.cache_info().misses - err.misses
+    return ErrorReport(label, interval, evals_float=err.evals_float, evals_mpf=err.evals_mpf, oracle_cold=cold, **fields)
 
 
 def sup_error(
@@ -421,11 +457,12 @@ def sup_error(
     REFINE_TOL*max(1, x), REFINE_TOL = 1e-12. A smaller one could only win if
     the error more than doubled inside one grid cell. When claimed_bound is
     given, satisfied means the refined sup stayed at or under it. The report
-    counts the approximant's evaluations per precision and the searches run.
+    counts the approximant's evaluations per precision, the searches run and
+    the oracle values computed cold.
     """
     cfg = cfg or default_config()
     with mp.workdps(cfg.working_digits):
-        err = _Errors(f, _grid(interval, grid_points, cfg), cfg)
+        err = _Errors(f, interval, grid_points, cfg)
         pts = err.pts
         lo, hi = _abs_bounds(*err.settle(_maxima_pick))
         best_i = max(range(len(pts)), key=lo.__getitem__)
@@ -486,7 +523,7 @@ def certify_bound(
         return [i for i in range(len(lo)) if m_lo[i] <= ceiling or a_hi[i] >= floor]
 
     with mp.workdps(cfg.working_digits):
-        err = _Errors(f, _grid(interval, grid_points, cfg), cfg)
+        err = _Errors(f, interval, grid_points, cfg)
         pts = err.pts
         lo, hi = err.settle(pick)
         min_gap = min(margins(lo, hi)[0])

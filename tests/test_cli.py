@@ -138,9 +138,10 @@ def test_certify_reports_evaluations_per_precision(capsys):
     code, out, _ = run(capsys, "certify", "--family", "cf", "--n", "2", "--interval", "0:1", "--grid", "129")
     assert code == 0
     (line,) = [l for l in out.splitlines() if l.startswith("evals")]
-    n_float, n_mpf, n_refined = (int(w) for w in line.replace(",", " ").split() if w.isdigit())
+    n_float, n_mpf, n_refined, n_cold = (int(w) for w in line.replace(",", " ").split() if w.isdigit())
     assert n_float > 0 and n_mpf > 0
     assert 1 <= n_refined <= 3  # golden-section searches, one per refined local maximum
+    assert n_cold <= 129 * 2 + n_float + n_mpf  # each cold oracle value is a grid point's or an evaluation's
 
 
 def test_certify_sf_upper_kind(capsys):

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
+from arctancert import verify
 from arctancert.core import lagrange_p, theorem5_approx, shafer_fink_bounds
 from arctancert.families import FAMILIES, Approximant
 from arctancert.series import cf_arctan
@@ -76,9 +78,12 @@ def _ulps_off(got, x, working_digits):
         return abs(got - ref) / mp.ldexp(1, mp.frexp(ref)[1] - prec)
 
 
-# 2^-10, 1 and 2 each come with their float neighbours
+# the reduction's seams, each with its float neighbours: the centres k/64 (2^-6, where the
+# relative series ends, and 1, where the reflection starts, among them), the midpoints
+# (k+1/2)/64 where the nearest centre flips, and the same seams of 1/x above 1 (2 among them)
+_SEAMS = [k / 64 for k in range(1, 65)] + [(2 * k + 1) / 128 for k in range(64)]
 _EDGE_POINTS = [5e-324, 2.0**-1074 * 3, 1e-300, 1e154, 1.7e308] + [
-    math.nextafter(v, toward) for v in (2.0**-10, 1.0, 2.0) for toward in (0.0, v, math.inf)
+    math.nextafter(v, toward) for v in _SEAMS + [1 / c for c in _SEAMS] for toward in (0.0, v, math.inf)
 ]
 
 
@@ -89,6 +94,29 @@ def test_oracle_within_one_ulp(digits):
         wide = mp.sqrt(2) / 3  # more bits than the working precision carries
     for x in [*_EDGE_POINTS, wide]:
         assert _ulps_off(oracle_arctan(x, cfg), x, digits) <= 1, x
+
+
+@given(st.floats(min_value=5e-324, max_value=1.8e308), st.integers(min_value=40, max_value=150))
+@settings(max_examples=200, deadline=None)
+def test_oracle_within_one_ulp_everywhere(x, digits):
+    cfg = OracleConfig(working_digits=digits, report_digits=30)
+    assert _ulps_off(oracle_arctan(x, cfg), x, digits) <= 1
+
+
+def test_pi_cross_check_rejects_machin_off_by_16_ulp(monkeypatch):
+    machin_pi = verify.machin_pi
+
+    def off(terms, dps):
+        with mp.workdps(dps):
+            return machin_pi(terms, dps=dps) + mp.ldexp(16, 2 - mp.prec)  # pi lies in [2, 4)
+
+    monkeypatch.setattr(verify, "machin_pi", off)
+    verify._pi_internal.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            oracle_pi(OracleConfig(working_digits=53, report_digits=30))
+    finally:
+        verify._pi_internal.cache_clear()
 
 
 def test_oracle_cold_and_warm_agree():
@@ -362,6 +390,18 @@ def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
     assert rep.evals_mpf > len(_sample_points(iv, 257))  # the grid and the refinements
     rep = certify_bound(_without_budget(Approximant("sf", side="lower")), "lower", iv, 129, cfg=cfg)
     assert rep.evals_float == 0 and rep.evals_mpf == len(_sample_points(iv, 129))
+
+
+def test_report_counts_cold_oracle_values(cfg):
+    # a second identical run finds every oracle value in the cache, and reports the rest alike
+    for hi, run in (  # grids no other test scans
+        (0.6180339887, lambda iv: sup_error(Approximant("cf", n=3), iv, 129, cfg=cfg)),
+        (0.7071067811, lambda iv: certify_bound(Approximant("sf", side="upper"), "upper", iv, 129, cfg=cfg)),
+    ):
+        iv = Interval(0.0, hi, lo_open=True)
+        first, second = run(iv), run(iv)
+        assert first.oracle_cold > 0 and second.oracle_cold == 0
+        assert dataclasses.replace(second, oracle_cold=first.oracle_cold) == first
 
 
 def test_tiny_error_row_is_scanned_wholly_at_mpf(cfg):
