@@ -12,30 +12,22 @@ from .core import (
     LiftedApproximant,
     lagrange_p,
     lift_interval_map,
-    nested_radical_seq,
     shafer_fink_bounds,
     theorem2_bounds,
     theorem4_upper,
     theorem5_approx,
 )
-from .families import Approximant, claimed_sup_bound, family_info, list_rows
+from .families import Approximant
 from .master import (
-    MasterParams,
     a_n,
-    denominator_product,
-    elementary_symmetric,
-    gn_eval,
     master_bounds,
     master_params,
-    pn_coefficients,
 )
 from .series import (
     blend_w,
     cf_arctan,
     cheb_arctan,
-    cheb_coefficients,
     machin_pi,
-    machin_pi_fraction,
     taylor1_s,
     taylor1_t,
 )
@@ -45,7 +37,6 @@ from .verify import (
     Interval,
     OracleConfig,
     certify_bound,
-    default_config,
     norm_transfer_check,
     oracle_arctan,
     oracle_pi,
@@ -61,32 +52,20 @@ __all__ = [
     "ErrorReport",
     "Interval",
     "LiftedApproximant",
-    "MasterParams",
     "OracleConfig",
     "a_n",
     "blend_w",
     "certify_bound",
     "cf_arctan",
     "cheb_arctan",
-    "cheb_coefficients",
-    "claimed_sup_bound",
-    "default_config",
-    "denominator_product",
-    "elementary_symmetric",
-    "family_info",
-    "gn_eval",
     "lagrange_p",
     "lift_interval_map",
-    "list_rows",
     "machin_pi",
-    "machin_pi_fraction",
     "master_bounds",
     "master_params",
-    "nested_radical_seq",
     "norm_transfer_check",
     "oracle_arctan",
     "oracle_pi",
-    "pn_coefficients",
     "shafer_fink_bounds",
     "sup_error",
     "taylor1_s",

@@ -18,7 +18,7 @@ import sys
 
 from mpmath import mp
 
-from .families import Approximant, FAMILIES, claimed_sup_bound, family_info, list_rows, table_entry
+from .families import Approximant, FAMILIES, family_info, list_rows, table_entry
 from .series import machin_pi
 from .verify import (
     BoundKind,
@@ -63,10 +63,19 @@ def _parse_interval(text: str) -> Interval:
 
 
 def _side_approximants(ident: str, n, kind=None, m=None):
-    # (side, Approximant) per direction to check: kind, else each of _SIDES, else one (None, ...)
+    # (side, check kind, Approximant) per direction to check: kind, else each of _SIDES,
+    # else one (None, APPROXIMATION, ...) checked against the family's claim
     info = family_info(ident)
     for side in (kind,) if kind else _SIDES.get(info.kind, (None,)):
-        yield side, Approximant(ident, n=n, m=m, side=side if info.kind is BoundKind.TWO_SIDED else None)
+        approx = Approximant(ident, n=n, m=m, side=side if info.kind is BoundKind.TWO_SIDED else None)
+        yield side, BoundKind(side or "approximation"), approx
+
+
+def _check(approx: Approximant, claim, kind: BoundKind, interval: Interval, grid: int, cfg) -> ErrorReport:
+    # the one dispatch: an approximation goes to sup_error against claim, a bound direction to certify_bound
+    if kind is BoundKind.APPROXIMATION:
+        return sup_error(approx, interval, grid, cfg=cfg, claimed_bound=claim)
+    return certify_bound(approx, kind, interval, grid, cfg=cfg)
 
 
 def _parse_params(items) -> dict:
@@ -94,7 +103,7 @@ def cmd_eval(args) -> int:
     x = args.x
 
     rows = []  # (side, value, target oracle)
-    for side, approx in _side_approximants(ident, args.n, m=m):
+    for side, _, approx in _side_approximants(ident, args.n, m=m):
         ref = float(_signed_oracle(approx.oracle_target(x), cfg))
         rows.append((side or "", approx(x), ref))
 
@@ -137,12 +146,8 @@ def cmd_certify(args) -> int:
     cfg = default_config()
 
     reports = []
-    for side, approx in _side_approximants(ident, args.n, args.kind):
-        if side:
-            reports.append(certify_bound(approx, BoundKind(side), interval, args.grid, cfg=cfg))
-        else:
-            claim = claimed_sup_bound(ident, args.n)
-            reports.append(sup_error(approx, interval, args.grid, cfg=cfg, claimed_bound=claim))
+    for _, kind, approx in _side_approximants(ident, args.n, args.kind):
+        reports.append(_check(approx, approx.claim, kind, interval, args.grid, cfg))
 
     if args.format == "csv":
         print(CSV_HEADER)
@@ -210,12 +215,8 @@ def cmd_table(args) -> int:
     for ident, n in sorted(specs, key=lambda s: (s[0], -1 if s[1] is None else s[1])):
         # without an explicit interval each family is measured where its claim holds
         interval = shared or _parse_interval(family_info(ident).claim_interval)
-        approx, claim, row_kind = table_entry(ident, n)
-        if row_kind is BoundKind.UPPER:
-            # no uniform claim; the row's verdict is the direction check
-            report = certify_bound(approx, BoundKind.UPPER, interval, args.grid, cfg=cfg)
-        else:
-            report = sup_error(approx, interval, args.grid, cfg=cfg, claimed_bound=claim)
+        # an UPPER row has no uniform claim; its verdict is the direction check
+        report = _check(*table_entry(ident, n), interval, args.grid, cfg)
         ok = ok and report.satisfied
         rows.append(_csv_row(ident, n, report))
 

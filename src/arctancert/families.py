@@ -95,12 +95,6 @@ def family_info(ident: str) -> FamilyInfo:
         raise ValueError(f"unknown family {ident!r}; see the 'list' command") from None
 
 
-def claimed_sup_bound(ident: str, n: Optional[int]) -> Optional[float]:
-    """The family's claimed uniform error bound, when it has one."""
-    claim = family_info(ident).claim
-    return None if claim is None else claim(n)
-
-
 @dataclass(frozen=True)
 class Approximant:
     """Descriptor of one family instance, callable at either precision.
@@ -150,14 +144,20 @@ class Approximant:
         return f"{body}.{self.side}" if self.side else body
 
     @property
+    def claim(self) -> Optional[float]:
+        """The registry's uniform error bound at this order; None without one, or with m set."""
+        claim = family_info(self.family).claim
+        return None if claim is None or self.m is not None else claim(self.n)
+
+    @property
     def float_ulps(self) -> Optional[int]:
         """FLOAT_ULPS where the float evaluation is tested against mpf, else None.
 
         The certification scan evaluates an approximant without this budget
-        at mpf only: family t, a scaled cheb, and orders past MAX_ORDER.
+        at mpf only: family t and orders past MAX_ORDER.
         """
         info = family_info(self.family)
-        if info.float_budget and self.m is None and (self.n is None or self.n <= master.MAX_ORDER):
+        if info.float_budget and (self.n is None or self.n <= master.MAX_ORDER):
             return FLOAT_ULPS
         return None
 
@@ -184,7 +184,8 @@ def table_entry(ident: str, n: Optional[int]):
     """
     info = family_info(ident)
     if info.kind is not BoundKind.TWO_SIDED:
-        return Approximant(ident, n=n), claimed_sup_bound(ident, n), info.kind
+        approx = Approximant(ident, n=n)
+        return approx, approx.claim, info.kind
     order = info.pair_order or n
     params = master.master_params(order)
     side = "upper" if order % 2 else "lower"  # the g-constant side

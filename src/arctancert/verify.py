@@ -27,17 +27,21 @@ ulp(e) that bounds its distance from the error at the oracle's working
 precision. K is the approximant's ``float_ulps`` (``families.FLOAT_ULPS``, 64,
 for every budgeted registry row); the property it rests on, float within K/4
 ulp of arctan x of the 50-digit value, is tested for every family, order and
-side in tests/test_families.py. Both certifications then run one settle loop,
-which re-evaluates at mpf every point a decision could rest on until none is
-left: for sup_error a point that could be a refined local maximum or the
-global maximum, for certify_bound one whose margin could be the smallest or
-whose |E| the largest. Points outside [1e-150, 1e150], the range the budget is
-tested on, and points whose float value raises or is not finite are evaluated
-at mpf; a callable without ``float_ulps`` gets an infinite budget, so all of
-its points are. Golden-section search compares in float while the budgets
-settle each comparison and at mpf from the first one they do not. Every
-decision is therefore the one an all-mpf scan makes, and every reported value
-(sup error, argmax, margins) is computed at mpf.
+side in tests/test_families.py. Both certifications run one scan body with
+two settle rules. Its settle loop re-evaluates at mpf every point a decision
+could rest on until none is left: for sup_error a point that could be a
+refined local maximum or the global maximum, for certify_bound one whose
+margin (arctan - f for a lower bound, f - arctan for an upper one) could be
+the smallest or whose |E| the largest. It hands back the |E| bounds and the
+grid argmax; sup_error then refines, certify_bound reads the smallest margin.
+The scan compares with arctan x, so an approximant of arctan(m*x), one with
+its scale m set, raises ValueError. Points outside [1e-150, 1e150], the range
+the budget is tested on, and points whose float value raises or is not finite
+are evaluated at mpf; a callable without ``float_ulps`` gets an infinite
+budget, so all of its points are. Golden-section search compares in float
+while the budgets settle each comparison and at mpf from the first one they
+do not. Every decision is therefore the one an all-mpf scan makes, and every
+reported value (sup error, argmax, margins) is computed at mpf.
 """
 
 from __future__ import annotations
@@ -300,30 +304,32 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
 
 @lru_cache(maxsize=8)
 def _grid(iv: Interval, grid_points: int, cfg: OracleConfig):
-    # the sample points and their float oracle values, None outside _FLOAT_RANGE
+    # the sample points and their float oracle values
     pts = tuple(_sample_points(iv, grid_points))
-    return pts, tuple(float(oracle_arctan(p, cfg)) if _FLOAT_RANGE[0] <= p <= _FLOAT_RANGE[1] else None for p in pts)
+    return pts, tuple(float(oracle_arctan(p, cfg)) for p in pts)
 
 
 class _Errors:
-    """The signed error E = f - arctan of one approximant over a grid, at two precisions.
+    """The error sign*E, E = f - arctan, of one approximant over a grid, at two precisions.
 
-    rough(x, ref) evaluates f in float against ref, the oracle rounded to float
-    (the grid's, or looked up), and returns (e, B): B = K*ulp(arctan x) + ulp(e)
-    bounds |e - E|, where K is f's ``float_ulps``. B is infinite when f carries
-    no K, when x lies outside _FLOAT_RANGE, or when the float value raises or
-    is not finite.
-    exact(x) is E at mpf. The grid keeps one (est, bud) pair per point, and
-    settle() replaces it by (E, 0). Evaluations are counted per precision, and
-    oracle misses from the grid's construction on.
+    sign is -1 for the margin of a lower bound, arctan - f, and 1 otherwise.
+    rough(x, ref) evaluates sign*E in float against ref, the oracle rounded to
+    float (the grid's, or looked up), and returns (e, B): B = K*ulp(arctan x) +
+    ulp(e) bounds its distance from the mpf value, where K is f's
+    ``float_ulps``. B is infinite when f carries no K, when x lies outside
+    _FLOAT_RANGE, or when the float value raises or is not finite.
+    exact(x) is sign*E at mpf. The grid keeps bounds lo[i] <= sign*E_i <= hi[i]
+    on every point, and settle() sets both to the mpf value. Evaluations are
+    counted per precision, and oracle misses from the grid's construction on.
     """
 
-    def __init__(self, f: Callable, iv: Interval, grid_points: int, cfg: OracleConfig):
+    def __init__(self, f: Callable, iv: Interval, grid_points: int, cfg: OracleConfig, sign: int):
         self.misses = _oracle_cached.cache_info().misses
-        self.f, (self.pts, refs), self.cfg = f, _grid(iv, grid_points, cfg), cfg
+        self.f, (self.pts, refs), self.cfg, self.sign = f, _grid(iv, grid_points, cfg), cfg, sign
         self.ulps = getattr(f, "float_ulps", None)
         self.evals_float = self.evals_mpf = 0
-        self.est, self.bud = map(list, zip(*(self.rough(p, r) for p, r in zip(self.pts, refs))))
+        rough = [self.rough(p, r) for p, r in zip(self.pts, refs)]
+        self.lo, self.hi = [e - b for e, b in rough], [e + b for e, b in rough]
 
     def rough(self, x: float, ref: Optional[float] = None):
         if self.ulps is None or not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
@@ -331,7 +337,7 @@ class _Errors:
         self.evals_float += 1
         ref = float(oracle_arctan(x, self.cfg)) if ref is None else ref
         try:
-            e = self.f(x) - ref
+            e = self.sign * (self.f(x) - ref)
         except (ArithmeticError, ValueError):  # settled at mpf, where a real failure raises again
             return 0.0, math.inf
         if not math.isfinite(e):
@@ -340,26 +346,27 @@ class _Errors:
 
     def exact(self, x: float):
         self.evals_mpf += 1
-        return self.f(mp.mpf(x)) - oracle_arctan(x, self.cfg)
+        return self.sign * (self.f(mp.mpf(x)) - oracle_arctan(x, self.cfg))
 
     def settle(self, pick):
-        """Settle the points pick(bounds()) names, until it names only settled ones; return the bounds."""
-        while True:
-            lo, hi = self.bounds()
-            todo = [i for i in dict.fromkeys(pick(lo, hi)) if self.bud[i]]  # a pick may repeat a point
-            if not todo:
-                return lo, hi
-            for i in todo:
-                self.est[i], self.bud[i] = self.exact(self.pts[i]), 0
+        """Settle the points pick(lo, hi) names, until it names only settled ones.
 
-    def bounds(self):
-        """Lists lo, hi with lo[i] <= E_i <= hi[i], both E_i once settled."""
-        pairs = list(zip(self.est, self.bud))
-        return [e - b if b else e for e, b in pairs], [e + b if b else e for e, b in pairs]
+        Returns the bounds on |E| and the index of the largest lower one, whose
+        point every settle rule settles, so that its bound is |E| itself.
+        """
+        lo, hi = self.lo, self.hi
+        while True:
+            # a pick may repeat a point; an open point's bounds differ (B > 0)
+            todo = [i for i in dict.fromkeys(pick(lo, hi)) if lo[i] < hi[i]]
+            if not todo:
+                a_lo, a_hi = _abs_bounds(lo, hi)
+                return a_lo, a_hi, max(range(len(a_lo)), key=a_lo.__getitem__)
+            for i in todo:
+                lo[i] = hi[i] = self.exact(self.pts[i])
 
 
 def _abs_bounds(lo, hi):
-    # bounds on |E| from bounds on E; both equal |E| where lo == hi
+    # bounds on |E| from bounds on E (or on -E); both equal |E| where lo == hi
     a_lo = [l if l > 0 else -h if h < 0 else 0 for l, h in zip(lo, hi)]
     a_hi = [max(-l, h) for l, h in zip(lo, hi)]
     return a_lo, a_hi
@@ -400,6 +407,13 @@ def _maxima_pick(lo, hi):
     return todo
 
 
+def _margin_pick(lo, hi):
+    # each point whose margin (the scanned sign*E) could be the smallest, or whose |E| the largest
+    a_lo, a_hi = _abs_bounds(lo, hi)
+    ceiling, floor = min(hi), max(a_lo)
+    return [i for i in range(len(lo)) if lo[i] <= ceiling or a_hi[i] >= floor]
+
+
 def _golden_max(err: _Errors, a: float, b: float):
     # golden-section search for the maximum of |E| on [a, b]. Comparisons run
     # in float while the two budgets settle them; at the first one they do not,
@@ -434,11 +448,49 @@ def _golden_max(err: _Errors, a: float, b: float):
     return x, exact(x)[0]
 
 
-def _report(f: Callable, interval: Interval, err: _Errors, **fields) -> ErrorReport:
-    # the family label is the approximant's own: its label, else its __name__
+def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKind, claimed_bound=None) -> ErrorReport:
+    # The one scan body. An APPROXIMATION settles under _maxima_pick and refines
+    # its largest local maxima; a bound direction settles its margins under
+    # _margin_pick and reads the smallest. Both report the largest |E| found.
+    # The family label is the approximant's own: its label, else its __name__.
     label = getattr(f, "label", None) or getattr(f, "__name__", None) or "approximant"
-    cold = _oracle_cached.cache_info().misses - err.misses
-    return ErrorReport(label, interval, evals_float=err.evals_float, evals_mpf=err.evals_mpf, oracle_cold=cold, **fields)
+    if getattr(f, "m", None) is not None:
+        raise ValueError(f"{label} approximates arctan(m*x), but the scan compares with arctan x")
+    cfg = cfg or default_config()
+    approximation = kind is BoundKind.APPROXIMATION
+    with mp.workdps(cfg.working_digits):
+        err = _Errors(f, interval, grid_points, cfg, -1 if kind is BoundKind.LOWER else 1)
+        pts = err.pts
+        lo, hi, best_i = err.settle(_maxima_pick if approximation else _margin_pick)
+        best_x, best_e = pts[best_i], lo[best_i]
+        tops = _top_local_maxima(lo, hi, best_e / 2) if approximation else []
+        for i in tops:
+            a = pts[i - 1] if i > 0 else pts[i]
+            b = pts[i + 1] if i + 1 < len(pts) else pts[i]
+            x_r, e_r = _golden_max(err, a, b)
+            if e_r > best_e:
+                best_x, best_e = x_r, e_r
+        if approximation:
+            satisfied = claimed_bound is None or bool(best_e <= claimed_bound)
+            min_gap = math.nan if claimed_bound is None else claimed_bound - best_e
+        else:
+            min_gap = min(err.lo)
+            tol = mp.mpf(10) ** (5 - cfg.report_digits)
+            satisfied = bool(min_gap >= -tol)
+    return ErrorReport(
+        label,
+        interval,
+        sup_error=float(best_e),
+        arg_max=float(best_x),
+        claimed_bound=claimed_bound,
+        bound_kind=kind,
+        satisfied=satisfied,
+        min_gap=float(min_gap),
+        evals_float=err.evals_float,
+        evals_mpf=err.evals_mpf,
+        refined=len(tops),
+        oracle_cold=_oracle_cached.cache_info().misses - err.misses,
+    )
 
 
 def sup_error(
@@ -458,36 +510,10 @@ def sup_error(
     the error more than doubled inside one grid cell. When claimed_bound is
     given, satisfied means the refined sup stayed at or under it. The report
     counts the approximant's evaluations per precision, the searches run and
-    the oracle values computed cold.
+    the oracle values computed cold. An approximant of arctan(m*x), one with
+    its scale m set, raises ValueError.
     """
-    cfg = cfg or default_config()
-    with mp.workdps(cfg.working_digits):
-        err = _Errors(f, interval, grid_points, cfg)
-        pts = err.pts
-        lo, hi = _abs_bounds(*err.settle(_maxima_pick))
-        best_i = max(range(len(pts)), key=lo.__getitem__)
-        best_x, best_e = pts[best_i], lo[best_i]
-        tops = _top_local_maxima(lo, hi, best_e / 2)
-        for i in tops:
-            a = pts[i - 1] if i > 0 else pts[i]
-            b = pts[i + 1] if i + 1 < len(pts) else pts[i]
-            x_r, e_r = _golden_max(err, a, b)
-            if e_r > best_e:
-                best_x, best_e = x_r, e_r
-        satisfied = claimed_bound is None or bool(best_e <= claimed_bound)
-        min_gap = math.nan if claimed_bound is None else float(claimed_bound - best_e)
-    return _report(
-        f,
-        interval,
-        err,
-        sup_error=float(best_e),
-        arg_max=float(best_x),
-        claimed_bound=claimed_bound,
-        bound_kind=BoundKind.APPROXIMATION,
-        satisfied=satisfied,
-        min_gap=min_gap,
-        refined=len(tops),
-    )
+    return _scan(f, interval, grid_points, cfg, BoundKind.APPROXIMATION, claimed_bound)
 
 
 def certify_bound(
@@ -506,42 +532,12 @@ def certify_bound(
     margin could be the smallest, and each whose |E| could be the largest
     (the reported sup_error). Then min_gap is exact and every other margin
     lies above it, so no other point can change the verdict. The grid is not
-    refined.
+    refined. An approximant of arctan(m*x) raises ValueError, as in sup_error.
     """
-    kind = BoundKind(kind) if not isinstance(kind, BoundKind) else kind
+    kind = BoundKind(kind)
     if kind not in (BoundKind.LOWER, BoundKind.UPPER):
         raise ValueError("kind must be LOWER or UPPER")
-    cfg = cfg or default_config()
-
-    def margins(lo, hi):
-        # bounds on the signed margin from bounds on E
-        return ([-h for h in hi], [-l for l in lo]) if kind is BoundKind.LOWER else (lo, hi)
-
-    def pick(lo, hi):
-        (m_lo, m_hi), (a_lo, a_hi) = margins(lo, hi), _abs_bounds(lo, hi)
-        ceiling, floor = min(m_hi), max(a_lo)
-        return [i for i in range(len(lo)) if m_lo[i] <= ceiling or a_hi[i] >= floor]
-
-    with mp.workdps(cfg.working_digits):
-        err = _Errors(f, interval, grid_points, cfg)
-        pts = err.pts
-        lo, hi = err.settle(pick)
-        min_gap = min(margins(lo, hi)[0])
-        a_lo = _abs_bounds(lo, hi)[0]
-        i_sup = max(range(len(pts)), key=a_lo.__getitem__)
-        tol = mp.mpf(10) ** (5 - cfg.report_digits)
-        satisfied = bool(min_gap >= -tol)
-    return _report(
-        f,
-        interval,
-        err,
-        sup_error=float(a_lo[i_sup]),
-        arg_max=float(pts[i_sup]),
-        claimed_bound=None,
-        bound_kind=kind,
-        satisfied=satisfied,
-        min_gap=float(min_gap),
-    )
+    return _scan(f, interval, grid_points, cfg, kind)
 
 
 def norm_transfer_check(

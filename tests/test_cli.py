@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -291,3 +292,123 @@ def test_no_subcommand_is_usage_error(capsys):
 
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+# `certify` output at grid 65 as recorded before the sup_error/certify_bound scan
+# bodies were merged: (arguments after --family, exit code, CSV output, text output)
+CERTIFY_GOLDEN = [
+    (
+        "sf --interval 0:inf",
+        0,
+        """\
+family,n,interval,sup_error,arg_max,claimed_bound,satisfied
+sf,,0:inf,7.0796324294896656e-02,9.9999999995423689e+07,,true
+sf,,0:inf,4.1159107999168422e-02,1.8708683949138323e+00,,true
+""",
+        """\
+family       sf.lower
+interval     0:inf
+kind         lower
+grid         65
+sup_error    7.0796324294896656e-02  at x = 99999999.995423689
+min_gap      5.5555555555555551e-43
+evals        65 float, 2 mpf, 0 refined, 65 oracle cold
+satisfied    true
+
+family       sf.upper
+interval     0:inf
+kind         upper
+grid         65
+sup_error    4.1159107999168422e-02  at x = 1.8708683949138323
+min_gap      4.7197551196597744e-10
+evals        65 float, 2 mpf, 0 refined, 0 oracle cold
+satisfied    true
+""",
+    ),
+    (
+        "t4 --interval 0:inf",
+        0,
+        """\
+family,n,interval,sup_error,arg_max,claimed_bound,satisfied
+t4,,0:inf,3.1055780725045341e-02,4.7296478124498853e-01,,true
+""",
+        """\
+family       t4
+interval     0:inf
+kind         upper
+grid         65
+sup_error    3.1055780725045341e-02  at x = 0.47296478124498853
+min_gap      4.7571149937668428e-18
+evals        65 float, 2 mpf, 0 refined, 65 oracle cold
+satisfied    true
+""",
+    ),
+    (
+        "w --n 3 --interval 0:1",
+        0,
+        """\
+family,n,interval,sup_error,arg_max,claimed_bound,satisfied
+w,3,0:1,1.0556642653591596e-07,4.9169510609570283e-01,1.2500000000000000e-04,true
+""",
+        """\
+family       w(n=3)
+interval     0:1
+kind         approximation
+grid         65
+sup_error    1.0556642653591596e-07  at x = 0.49169510609570283
+claimed      1.2500000000000000e-04
+min_gap      1.2489443357346409e-04
+evals        110 float, 42 mpf, 1 refined, 149 oracle cold
+satisfied    true
+""",
+    ),
+    (
+        "s --n 2 --kind lower --interval 0:1",
+        1,
+        """\
+family,n,interval,sup_error,arg_max,claimed_bound,satisfied
+s,2,0:1,1.1909419416570295e-03,1.0000000000000000e+00,,false
+""",
+        """\
+family       s(n=2)
+interval     0:1
+kind         lower
+grid         65
+sup_error    1.1909419416570295e-03  at x = 1
+min_gap      -1.1909419416570295e-03
+evals        96 float, 1 mpf, 0 refined, 96 oracle cold
+satisfied    false
+""",
+    ),
+    (
+        "master --n 3 --kind upper --interval 0:1000",
+        0,
+        """\
+family,n,interval,sup_error,arg_max,claimed_bound,satisfied
+master,3,0:1000,2.9765256406562151e-06,2.2640387134577056e+00,,true
+""",
+        """\
+family       master(n=3).upper
+interval     0:1000
+kind         upper
+grid         65
+sup_error    2.9765256406562151e-06  at x = 2.2640387134577056
+min_gap      2.4445498008861409e-08
+evals        96 float, 2 mpf, 0 refined, 96 oracle cold
+satisfied    true
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, code, csv, text", CERTIFY_GOLDEN, ids=[c[0].split()[0] for c in CERTIFY_GOLDEN])
+def test_certify_output_unchanged_at_grid_65(monkeypatch, capsys, args, code, csv, text):
+    # CSV and exit code byte for byte; the text up to the oracle-cold count, which
+    # depends on what earlier runs in this process left in the oracle's cache
+    monkeypatch.delenv("ARCTAN_CERT_DIGITS", raising=False)
+    argv = ["certify", "--family", *args.split(), "--grid", "65"]
+    assert run(capsys, *argv, "--format", "csv") == (code, csv, "")
+    got_code, got_text, _ = run(capsys, *argv)
+    cold = re.compile(r"\d+ oracle cold")
+    assert got_code == code
+    assert cold.sub("N oracle cold", got_text) == cold.sub("N oracle cold", text)

@@ -66,10 +66,9 @@ def test_float_within_a_quarter_budget_of_mpf(ap, data):
     assert gap <= FLOAT_ULPS / 4 * ulp
 
 
-def test_only_unbudgeted_rows_are_t_scaled_cheb_and_high_orders():
+def test_only_unbudgeted_rows_are_t_and_high_orders():
     assert [ident for ident, info in FAMILIES.items() if not info.float_budget] == ["t"]
     assert Approximant("t", n=3).float_ulps is None
-    assert Approximant("cheb", n=3, m=2.0).float_ulps is None
     assert Approximant("cf", n=MAX_ORDER + 1).float_ulps is None
     # t_n is pi/4 minus a row close to pi/4: near u = 0 its float error is
     # ulps of pi/4, far more than FLOAT_ULPS ulps of arctan u
@@ -77,3 +76,28 @@ def test_only_unbudgeted_rows_are_t_scaled_cheb_and_high_orders():
     with mp.workdps(50):
         gap = abs(ap(1e-6) - ap(mp.mpf(1e-6)))
     assert gap > FLOAT_ULPS * math.ulp(1e-6)
+
+
+def _valid_orders(info):
+    return range(info.n_min, MAX_ORDER + 1) if info.needs_n else [None]
+
+
+def test_claim_is_the_registry_claim_at_every_valid_order():
+    for ident, info in FAMILIES.items():
+        side = "lower" if info.kind is BoundKind.TWO_SIDED else None
+        for n in _valid_orders(info):
+            expected = None if info.claim is None else info.claim(n)
+            assert Approximant(ident, n=n, side=side).claim == expected, (ident, n)
+    assert Approximant("cf", n=3).claim == 0.5 * 4.0**-3
+    assert Approximant("sf", side="upper").claim is None
+    assert Approximant("cheb", n=3, m=2.0).claim is None  # the registry claims (1+√2)^-9 for arctan x
+
+
+@pytest.mark.parametrize("ident", sorted(ident for ident, info in FAMILIES.items() if info.needs_n))
+def test_claim_needs_a_valid_order(ident):
+    # the order is checked when the Approximant is built, before any claim is read
+    info = FAMILIES[ident]
+    side = "lower" if info.kind is BoundKind.TWO_SIDED else None
+    for bad in (None, info.n_min - 1, 2.0):
+        with pytest.raises(ValueError):
+            Approximant(ident, n=bad, side=side)

@@ -520,3 +520,15 @@ def test_local_maximum_below_half_the_peak_is_neither_settled_nor_refined(cfg):
     near_m = [c for c in fast_f.calls if pts[m - 1] < c[0] < pts[m + 1]]
     assert near_m == [(pts[m], "float")]
     assert [c[0] for c in slow_f.calls if pts[m - 1] < c[0] < pts[m + 1]] == [pts[m]]
+
+
+def test_scaled_cheb_is_not_scanned_against_arctan_x(cfg):
+    # cheb with m set approximates arctan(m*x); a scan against arctan x would
+    # report |arctan 2x - arctan x| (0.34 here) under its label
+    ap, iv = Approximant("cheb", n=8, m=2.0), Interval(0.0, 1.0, lo_open=True)
+    with pytest.raises(ValueError, match=r"arctan\(m\*x\)"):
+        sup_error(ap, iv, 129, cfg=cfg)
+    with pytest.raises(ValueError, match=r"arctan\(m\*x\)"):
+        certify_bound(ap, "upper", iv, 129, cfg=cfg)
+    plain = Approximant("cheb", n=8)
+    assert sup_error(plain, iv, 129, cfg=cfg).sup_error < plain.claim
