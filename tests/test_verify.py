@@ -158,6 +158,12 @@ def test_oracle_pi_matches_library(cfg):
         assert abs(oracle_pi(cfg) - mp.pi) < mp.mpf(10) ** -45
 
 
+def test_oracle_at_infinity_within_half_ulp_at_every_precision():
+    # machin_pi rounds its fraction once; rounding the numerator first put pi/2 1.1 ulp off at 66 digits
+    for digits in range(40, 151):
+        assert _ulps_off(oracle_arctan(math.inf, OracleConfig(digits, 30)), math.inf, digits) <= 0.5, digits
+
+
 def test_machin_consistent_with_oracle_arctangents():
     # the two-series value equals 16*arctan(1/5) - 4*arctan(1/239)
     c60 = OracleConfig(working_digits=60, report_digits=45)
