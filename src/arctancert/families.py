@@ -12,13 +12,19 @@ from dataclasses import KW_ONLY, dataclass, field
 from functools import partial
 from typing import Callable, Optional
 
-from . import core, master, series
+from . import core, master, series, tails
 from .verify import BoundKind
 
 _SQRT2 = math.sqrt(2)
-# K: at float every budgeted kernel lies within K/4 ulp of arctan x of its mpf
+# K: at float every kernel but t's lies within K/4 ulp of arctan x of its mpf
 # value, for x in [1e-150, 1e150] and orders up to MAX_ORDER (tests/test_families.py)
 FLOAT_ULPS = 64
+_FLOAT_RANGE = (1e-150, 1e150)  # arguments over which both float rules are tested
+# The tail rule's third part: the mpf kernels err by under 2^18 units of 2^-prec
+# in max(1, arctan x) < 2 at prec >= 136 bits (40 digits), master's constants
+# carry 169 bits or more, and the oracle errs by one ulp of arctan x. Tested at
+# 40, 50 and 70 digits with the tail budgets (tests/test_tails.py).
+_MPF_TERM = 2.0**-117
 
 
 @dataclass(frozen=True)
@@ -29,8 +35,8 @@ class FamilyInfo:
     returns a BoundPair. claim maps n to the claimed uniform error bound. A
     lifted family is its kernel, valid on [0,1], lifted once to R+. A
     two-sided family's pair_order is its order in the master family, where
-    that order is fixed. float_budget is False for a kernel whose float error
-    is not within FLOAT_ULPS/4 ulp of arctan x.
+    that order is fixed. tail is the family's error series in float, from
+    ``tails``, for the families whose error has one.
     """
 
     ident: str
@@ -46,7 +52,7 @@ class FamilyInfo:
     claim: Optional[Callable] = None
     lifted: bool = False
     pair_order: Optional[int] = None
-    float_budget: bool = True
+    tail: Optional[Callable] = None
 
 
 _APPROX, _TWO, _UP = BoundKind.APPROXIMATION, BoundKind.TWO_SIDED, BoundKind.UPPER
@@ -55,35 +61,37 @@ FAMILIES: dict[str, FamilyInfo] = {
     info.ident: info
     for info in (
         FamilyInfo("sf", "Theorem 1", "3x/d < arctan x < πx/d, d = 1+2√(1+x²)", "[0,∞)", _TWO, False,
-                   kernel=core.shafer_fink_bounds, pair_order=1),
+                   kernel=core.shafer_fink_bounds, pair_order=1, tail=tails.master_error),
         FamilyInfo("t2", "Theorem 2", "π(3+8√2)f < arctan x < 45f", "[0,∞)", _TWO, False,
-                   kernel=core.theorem2_bounds, pair_order=2),
+                   kernel=core.theorem2_bounds, pair_order=2, tail=tails.master_error),
         FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", _UP, False,
                    kernel=core.theorem4_upper),
         FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
-                   kernel=master.master_bounds),
+                   kernel=master.master_bounds, tail=tails.master_error),
         FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
                    kernel=core.lagrange_p, claim=lambda n: 1 / 230),
         FamilyInfo("t5", "Theorem 5", "sup < 1/115", "[0,∞)", _APPROX, False,
                    kernel=core.theorem5_approx, claim=lambda n: 1 / 115),
         FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3)),
+                   kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
+                   tail=tails.cheb_error),
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
-                   kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True),
+                   kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
+                   tail=tails.cheb_error),
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
                    kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n),
         FamilyInfo("cf-lifted", "continued fraction, lifted", "4^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series.cf_arctan, claim=lambda n: 4.0**-n, lifted=True),
         # the pointwise envelopes of s and t peak at 4^-n
         FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n),
-        # pi/4 minus a row near pi/4: near u = 0 its float error is ulps of pi/4, not of arctan u
+                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n, tail=tails.s_error),
         FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.taylor1_t, claim=lambda n: 4.0**-n, float_budget=False),
+                   kernel=series.taylor1_t, claim=lambda n: 4.0**-n, tail=tails.t_error),
         FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.blend_w, claim=lambda n: 20.0**-n),
+                   kernel=series.blend_w, claim=lambda n: 20.0**-n, tail=tails.w_error),
         FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
-                   kernel=series.blend_w, claim=lambda n: 2 * 20.0**-n, lifted=True),
+                   kernel=series.blend_w, claim=lambda n: 2 * 20.0**-n, lifted=True,
+                   tail=tails.w_error),
     )
 }
 
@@ -102,6 +110,18 @@ class Approximant:
     Pair families (sf, t2, master) need a side; cheb accepts an optional
     scale m, in which case it approximates arctan(m*x). The evaluator
     (kernel, order, scale and lift) is bound once, at construction.
+
+    rough_error(x, ref) is the float tier of the certification scan, given
+    ref = arctan x rounded to float where the caller holds it (a grid point),
+    else None, and then math.atan(x) serves. It returns (e, B): e approximates
+    E = f(x) - arctan x, and B bounds |e - E| for E at the oracle's working
+    precision (40 digits or more). A family with a tail (sf, t2, master, cheb,
+    s, t, w and their lifts) sums it (``tails``), and B adds up the sum's float
+    error, the effect of rounding its argument to float, and the mpf kernel's
+    and the oracle's own rounding. The other families take the K-ulp rule
+    (ulp_rule). Outside [1e-150, 1e150], where both rules are tested, it
+    returns None; past MAX_ORDER rough_error is None itself. Either way the
+    scan evaluates at mpf.
     """
 
     family: str
@@ -109,6 +129,7 @@ class Approximant:
     m: Optional[float] = None
     side: Optional[str] = None
     _eval: Callable = field(init=False, repr=False, compare=False)
+    rough_error: Optional[Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         info = family_info(self.family)
@@ -132,6 +153,21 @@ class Approximant:
         if info.lifted:
             fn = core.LiftedApproximant(fn)
         object.__setattr__(self, "_eval", fn)
+        object.__setattr__(self, "rough_error", self._float_rule(info))
+
+    def _float_rule(self, info):
+        # rough_error at this order, side and lift; None past MAX_ORDER. With m set
+        # the tail is not arctan's, and the scan refuses such an approximant anyway
+        if (self.n or 0) > master.MAX_ORDER:
+            return None
+        if info.tail is None or self.m is not None:
+            return partial(ulp_rule, self)
+        if info.kind is BoundKind.TWO_SIDED:
+            order = info.pair_order or self.n
+            tail = partial(info.tail, order, (self.side == "upper") == bool(order % 2))
+        else:
+            tail = partial(tails.lifted if info.lifted else tails.on_unit, info.tail, self.n)
+        return partial(_tail_rule, tail)
 
     @property
     def label(self) -> str:
@@ -149,18 +185,6 @@ class Approximant:
         claim = family_info(self.family).claim
         return None if claim is None or self.m is not None else claim(self.n)
 
-    @property
-    def float_ulps(self) -> Optional[int]:
-        """FLOAT_ULPS where the float evaluation is tested against mpf, else None.
-
-        The certification scan evaluates an approximant without this budget
-        at mpf only: family t and orders past MAX_ORDER.
-        """
-        info = family_info(self.family)
-        if info.float_budget and (self.n is None or self.n <= master.MAX_ORDER):
-            return FLOAT_ULPS
-        return None
-
     def oracle_target(self, x):
         """The argument whose arctangent this approximant targets."""
         return self.m * x if self.m is not None else x
@@ -171,6 +195,43 @@ class Approximant:
         if self.side is None:
             return self._eval(x)
         return getattr(self._eval(x), self.side)
+
+
+_FAILED = (0.0, math.inf)  # a float value that raised or is not finite: settled at mpf
+
+
+def ulp_rule(f: Callable, x: float, ref: Optional[float], k: int = FLOAT_ULPS):
+    """The K-ulp rule, a rough_error for any float kernel f.
+
+    e = f(x) - ref with B = k*ulp(ref) + ulp(e), for x in [1e-150, 1e150],
+    and None outside; ref None takes math.atan(x). It rests on f's float
+    value lying within k/4 ulp of arctan x of its mpf value, which
+    tests/test_families.py checks for every registry row but t, and on ref
+    lying within one ulp of arctan x. B is infinite where f raises or e is
+    not finite; the scan then settles x at mpf, where a real failure raises
+    again.
+    """
+    if not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
+        return None
+    if ref is None:
+        ref = math.atan(x)
+    try:
+        e = f(x) - ref
+    except (ArithmeticError, ValueError):
+        return _FAILED
+    return (e, k * math.ulp(ref) + math.ulp(e)) if math.isfinite(e) else _FAILED
+
+
+def _tail_rule(tail: Callable, x: float, ref: Optional[float]):
+    # a family's tail (x, ref) -> (e, b) as a rough_error, handled as in ulp_rule; B adds
+    # the mpf kernel's and the oracle's rounding, and ulp(e)
+    if not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
+        return None
+    try:
+        e, b = tail(x, ref)
+    except (ArithmeticError, ValueError):
+        return _FAILED
+    return (e, b + _MPF_TERM + math.ulp(e)) if math.isfinite(e) else _FAILED
 
 
 def table_entry(ident: str, n: Optional[int]):

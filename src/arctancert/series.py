@@ -131,7 +131,10 @@ def taylor1_t(n: int, u):
     Evaluated directly as pi/4 minus the series row at g = (1-u)/2; agrees
     with the composed form to rounding. t_n(1) = pi/4 exactly; pointwise
     error at most ((1-u)/sqrt2)^(4n). Bound direction is opposite to s_n's:
-    a lower bound for even n, an upper bound for odd n.
+    a lower bound for even n, an upper bound for odd n. At float, near u = 0
+    the difference of two values near pi/4 errs by ulps of pi/4, not of
+    arctan u, so t takes no K-ulp budget; its float error comes from its tail
+    (``tails.t_error``) instead.
     """
     _check_trunc(n)
     c = require_unit(u, "u")

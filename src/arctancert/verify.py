@@ -21,24 +21,34 @@ reported against the claimed bound. A smaller local maximum could only win if
 the error more than doubled inside one grid cell.
 
 The scan runs at two precisions. Each grid point is first evaluated in float
-against the oracle rounded to float, which each grid computes once for every
-row scanned on it. This gives an error e with a budget B = K*ulp(arctan x) +
-ulp(e) that bounds its distance from the error at the oracle's working
-precision. K is the approximant's ``float_ulps`` (``families.FLOAT_ULPS``, 64,
-for every budgeted registry row); the property it rests on, float within K/4
-ulp of arctan x of the 50-digit value, is tested for every family, order and
-side in tests/test_families.py. Both certifications run one scan body with
-two settle rules. Its settle loop re-evaluates at mpf every point a decision
-could rest on until none is left: for sup_error a point that could be a
-refined local maximum or the global maximum, for certify_bound one whose
+through the approximant's ``rough_error(x, ref)`` hook, with ref the oracle
+rounded to float, which each grid computes once for every row scanned on it;
+a golden-section probe passes None, and the hook takes math.atan(x), so a
+probe the float tier decides costs no oracle evaluation.
+The hook returns an error e and a budget B that bounds its distance from the
+error at the oracle's working precision. ``families.Approximant`` has two
+rules. The tail rule, for sf, t2, master, cheb, s, t, w and the lifted cheb
+and w, sums the family's own error series in float (``tails``), so B is
+relative to E; it has three parts: the float sum's own error with the
+truncated rest of the series, the effect of rounding its argument (arctan x,
+or u) to float, and the mpf kernel's and the oracle's own rounding, under
+2^-117. The K-ulp rule, for t4, lagrange, t5, cf and
+cf-lifted, takes e = f(x) - ref with B = K*ulp(arctan x) + ulp(e), K = 64
+(``families.FLOAT_ULPS``); it rests on the float kernel lying within K/4 ulp
+of arctan x of the 50-digit value. Both rules are tested on [1e-150, 1e150]
+for every order up to 16 and every side (tests/test_tails.py,
+tests/test_families.py); outside that range, and for higher orders, the hook
+gives no float value, and points whose float value raises or is not finite
+get an infinite budget. Such points are evaluated at mpf, and so is every
+point of a callable without the hook. Both certifications run one scan body
+with two settle rules. Its settle loop re-evaluates at mpf every point a
+decision could rest on until none is left: for sup_error a point that could
+be a refined local maximum or the global maximum, for certify_bound one whose
 margin (arctan - f for a lower bound, f - arctan for an upper one) could be
 the smallest or whose |E| the largest. It hands back the |E| bounds and the
 grid argmax; sup_error then refines, certify_bound reads the smallest margin.
 The scan compares with arctan x, so an approximant of arctan(m*x), one with
-its scale m set, raises ValueError. Points outside [1e-150, 1e150], the range
-the budget is tested on, and points whose float value raises or is not finite
-are evaluated at mpf; a callable without ``float_ulps`` gets an infinite
-budget, so all of its points are. Golden-section search compares in float
+its scale m set, raises ValueError. Golden-section search compares in float
 while the budgets settle each comparison and at mpf from the first one they
 do not. Every decision is therefore the one an all-mpf scan makes, and every
 reported value (sup error, argmax, margins) is computed at mpf.
@@ -66,7 +76,6 @@ DEFAULT_GRID = 4097
 REFINE_TOL = 1e-12  # golden-section brackets stop below REFINE_TOL*max(1, x)
 _TOP = 3  # local maxima of |E| refined by golden-section search
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
-_FLOAT_RANGE = (1e-150, 1e150)  # arguments over which float_ulps budgets are tested
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
 
 
@@ -275,6 +284,7 @@ class ErrorReport:
     evals_float: int = 0  # approximant evaluations in double precision
     evals_mpf: int = 0  # and at the oracle's working precision
     refined: int = 0  # golden-section searches run
+    search_mpf: int = 0  # of evals_mpf, the golden-section probes
     oracle_cold: int = 0  # oracle values computed rather than found in its cache
 
 
@@ -313,11 +323,11 @@ class _Errors:
     """The error sign*E, E = f - arctan, of one approximant over a grid, at two precisions.
 
     sign is -1 for the margin of a lower bound, arctan - f, and 1 otherwise.
-    rough(x, ref) evaluates sign*E in float against ref, the oracle rounded to
-    float (the grid's, or looked up), and returns (e, B): B = K*ulp(arctan x) +
-    ulp(e) bounds its distance from the mpf value, where K is f's
-    ``float_ulps``. B is infinite when f carries no K, when x lies outside
-    _FLOAT_RANGE, or when the float value raises or is not finite.
+    rough(x, ref) returns (e, B): e is sign*E in float, from f's rough_error
+    hook at ref, the grid's oracle value rounded to float (None off the grid,
+    where the hook takes math.atan), and B bounds its distance from the mpf
+    value. B is infinite when f has no hook,
+    or the hook gives no float value at x or fails there.
     exact(x) is sign*E at mpf. The grid keeps bounds lo[i] <= sign*E_i <= hi[i]
     on every point, and settle() sets both to the mpf value. Evaluations are
     counted per precision, and oracle misses from the grid's construction on.
@@ -326,23 +336,20 @@ class _Errors:
     def __init__(self, f: Callable, iv: Interval, grid_points: int, cfg: OracleConfig, sign: int):
         self.misses = _oracle_cached.cache_info().misses
         self.f, (self.pts, refs), self.cfg, self.sign = f, _grid(iv, grid_points, cfg), cfg, sign
-        self.ulps = getattr(f, "float_ulps", None)
+        self.hook = getattr(f, "rough_error", None)
         self.evals_float = self.evals_mpf = 0
         rough = [self.rough(p, r) for p, r in zip(self.pts, refs)]
         self.lo, self.hi = [e - b for e, b in rough], [e + b for e, b in rough]
 
     def rough(self, x: float, ref: Optional[float] = None):
-        if self.ulps is None or not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
+        if self.hook is None:
+            return 0.0, math.inf
+        got = self.hook(x, ref)
+        if got is None:  # no float evaluation made
             return 0.0, math.inf
         self.evals_float += 1
-        ref = float(oracle_arctan(x, self.cfg)) if ref is None else ref
-        try:
-            e = self.sign * (self.f(x) - ref)
-        except (ArithmeticError, ValueError):  # settled at mpf, where a real failure raises again
-            return 0.0, math.inf
-        if not math.isfinite(e):
-            return 0.0, math.inf
-        return e, self.ulps * math.ulp(ref) + math.ulp(e)
+        e, b = got
+        return self.sign * e, b
 
     def exact(self, x: float):
         self.evals_mpf += 1
@@ -464,6 +471,7 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         lo, hi, best_i = err.settle(_maxima_pick if approximation else _margin_pick)
         best_x, best_e = pts[best_i], lo[best_i]
         tops = _top_local_maxima(lo, hi, best_e / 2) if approximation else []
+        settled = err.evals_mpf
         for i in tops:
             a = pts[i - 1] if i > 0 else pts[i]
             b = pts[i + 1] if i + 1 < len(pts) else pts[i]
@@ -489,6 +497,7 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         evals_float=err.evals_float,
         evals_mpf=err.evals_mpf,
         refined=len(tops),
+        search_mpf=err.evals_mpf - settled,
         oracle_cold=_oracle_cached.cache_info().misses - err.misses,
     )
 
@@ -509,8 +518,8 @@ def sup_error(
     REFINE_TOL*max(1, x), REFINE_TOL = 1e-12. A smaller one could only win if
     the error more than doubled inside one grid cell. When claimed_bound is
     given, satisfied means the refined sup stayed at or under it. The report
-    counts the approximant's evaluations per precision, the searches run and
-    the oracle values computed cold. An approximant of arctan(m*x), one with
+    counts the approximant's evaluations per precision, the searches run, the
+    search probes evaluated at mpf and the oracle values computed cold. An approximant of arctan(m*x), one with
     its scale m set, raises ValueError.
     """
     return _scan(f, interval, grid_points, cfg, BoundKind.APPROXIMATION, claimed_bound)

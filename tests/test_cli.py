@@ -139,8 +139,10 @@ def test_certify_reports_evaluations_per_precision(capsys):
     code, out, _ = run(capsys, "certify", "--family", "cf", "--n", "2", "--interval", "0:1", "--grid", "129")
     assert code == 0
     (line,) = [l for l in out.splitlines() if l.startswith("evals")]
-    n_float, n_mpf, n_refined, n_cold = (int(w) for w in line.replace(",", " ").split() if w.isdigit())
+    words = line.replace(",", " ").replace("(", " ").split()
+    n_float, n_mpf, n_search, n_refined, n_cold = (int(w) for w in words if w.isdigit())
     assert n_float > 0 and n_mpf > 0
+    assert 0 < n_search <= n_mpf  # golden-section probes evaluated at mpf
     assert 1 <= n_refined <= 3  # golden-section searches, one per refined local maximum
     assert n_cold <= 129 * 2 + n_float + n_mpf  # each cold oracle value is a grid point's or an evaluation's
 
@@ -241,9 +243,11 @@ def test_standard_table_csv_unchanged_at_grid_65(monkeypatch, capsys):
     assert digest == "5184cafddaa191266164da64c30ef477c0d90159b31482aabacb99ac300ffc6a"
 
 
-def test_standard_table_makes_at_most_4000_mpf_evaluations(monkeypatch, capsys):
-    # an all-mpf scan of the grid-65 table makes 9,574 and the two-precision scan
-    # 3,702, most of them in golden-section refinement; a count, not a timing
+def test_standard_table_makes_at_most_2800_mpf_evaluations(monkeypatch, capsys):
+    # an all-mpf scan of the grid-65 table makes 9,574 mpf evaluations; the
+    # two-precision scan made 3,702 with the K-ulp budget everywhere and makes 2,711
+    # with the series families' tail budgets, 2,592 of them golden-section probes; a
+    # count, not a timing
     reports = []
     for name in ("sup_error", "certify_bound"):
         real = getattr(cli, name)
@@ -256,8 +260,9 @@ def test_standard_table_makes_at_most_4000_mpf_evaluations(monkeypatch, capsys):
     monkeypatch.delenv("ARCTAN_CERT_DIGITS", raising=False)
     assert run(capsys, "table", "--families", STANDARD_TABLE, "--grid", "65")[0] == 0
     assert len(reports) == 58
-    assert sum(r.evals_mpf for r in reports) <= 4000
+    assert sum(r.evals_mpf for r in reports) <= 2800
     assert sum(r.evals_float for r in reports) > 0
+    assert 0 < sum(r.search_mpf for r in reports) < sum(r.evals_mpf for r in reports)
 
 
 def test_table_usage_errors(tmp_path, capsys):
@@ -295,7 +300,9 @@ def test_help_exits_zero(capsys):
 
 
 # `certify` output at grid 65 as recorded before the sup_error/certify_bound scan
-# bodies were merged: (arguments after --family, exit code, CSV output, text output)
+# bodies were merged, with the evals lines recorded again once the series families'
+# float errors came from their tails (w's counts moved, and every line gained the
+# search probes): (arguments after --family, exit code, CSV output, text output)
 CERTIFY_GOLDEN = [
     (
         "sf --interval 0:inf",
@@ -312,7 +319,7 @@ kind         lower
 grid         65
 sup_error    7.0796324294896656e-02  at x = 99999999.995423689
 min_gap      5.5555555555555551e-43
-evals        65 float, 2 mpf, 0 refined, 65 oracle cold
+evals        65 float, 2 mpf (0 in search), 0 refined, 65 oracle cold
 satisfied    true
 
 family       sf.upper
@@ -321,7 +328,7 @@ kind         upper
 grid         65
 sup_error    4.1159107999168422e-02  at x = 1.8708683949138323
 min_gap      4.7197551196597744e-10
-evals        65 float, 2 mpf, 0 refined, 0 oracle cold
+evals        65 float, 2 mpf (0 in search), 0 refined, 0 oracle cold
 satisfied    true
 """,
     ),
@@ -339,7 +346,7 @@ kind         upper
 grid         65
 sup_error    3.1055780725045341e-02  at x = 0.47296478124498853
 min_gap      4.7571149937668428e-18
-evals        65 float, 2 mpf, 0 refined, 65 oracle cold
+evals        65 float, 2 mpf (0 in search), 0 refined, 65 oracle cold
 satisfied    true
 """,
     ),
@@ -358,7 +365,7 @@ grid         65
 sup_error    1.0556642653591596e-07  at x = 0.49169510609570283
 claimed      1.2500000000000000e-04
 min_gap      1.2489443357346409e-04
-evals        110 float, 42 mpf, 1 refined, 149 oracle cold
+evals        127 float, 25 mpf (24 in search), 1 refined, 149 oracle cold
 satisfied    true
 """,
     ),
@@ -376,7 +383,7 @@ kind         lower
 grid         65
 sup_error    1.1909419416570295e-03  at x = 1
 min_gap      -1.1909419416570295e-03
-evals        96 float, 1 mpf, 0 refined, 96 oracle cold
+evals        96 float, 1 mpf (0 in search), 0 refined, 96 oracle cold
 satisfied    false
 """,
     ),
@@ -394,7 +401,7 @@ kind         upper
 grid         65
 sup_error    2.9765256406562151e-06  at x = 2.2640387134577056
 min_gap      2.4445498008861409e-08
-evals        96 float, 2 mpf, 0 refined, 96 oracle cold
+evals        96 float, 2 mpf (0 in search), 0 refined, 96 oracle cold
 satisfied    true
 """,
     ),

@@ -34,13 +34,14 @@ def test_ints_beyond_the_float_range_raise_value_error(ap):
         ap(10**400)
 
 
-# every registry family, order up to MAX_ORDER and side that carries a float budget
+# every registry family, order up to MAX_ORDER and side whose float value lies within
+# the K-ulp rule's K/4 ulp: all but t (see series.taylor1_t)
 BUDGETED = [
     Approximant(ident, n=n, side=side)
     for ident, info in FAMILIES.items()
     for n in (range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,))
     for side in (("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,))
-    if info.float_budget
+    if ident != "t"
 ]
 
 
@@ -57,7 +58,7 @@ def _domain_points(unit):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_float_within_a_quarter_budget_of_mpf(ap, data):
-    assert ap.float_ulps == FLOAT_ULPS
+    assert ap.rough_error is not None
     x = data.draw(_domain_points(FAMILIES[ap.family].claim_interval == "0:1"))
     value = ap(x)
     with mp.workdps(50):
@@ -66,16 +67,19 @@ def test_float_within_a_quarter_budget_of_mpf(ap, data):
     assert gap <= FLOAT_ULPS / 4 * ulp
 
 
-def test_only_unbudgeted_rows_are_t_and_high_orders():
-    assert [ident for ident, info in FAMILIES.items() if not info.float_budget] == ["t"]
-    assert Approximant("t", n=3).float_ulps is None
-    assert Approximant("cf", n=MAX_ORDER + 1).float_ulps is None
-    # t_n is pi/4 minus a row close to pi/4: near u = 0 its float error is
-    # ulps of pi/4, far more than FLOAT_ULPS ulps of arctan u
+def test_only_unbudgeted_rows_are_high_orders():
+    # t carries its tail's budget now; an order past MAX_ORDER has no float rule at all
     ap = Approximant("t", n=3)
+    e, b = ap.rough_error(1e-6, math.atan(1e-6))
+    assert math.isfinite(b) and abs(e) > 1e3 * b
+    assert Approximant("cf", n=MAX_ORDER + 1).rough_error is None
+    assert Approximant("cheb", n=MAX_ORDER + 1).rough_error is None
+    # t_n is pi/4 minus a row close to pi/4: near u = 0 its float value errs by
+    # ulps of pi/4, far more than FLOAT_ULPS ulps of arctan u, so t takes no K-ulp rule
     with mp.workdps(50):
         gap = abs(ap(1e-6) - ap(mp.mpf(1e-6)))
     assert gap > FLOAT_ULPS * math.ulp(1e-6)
+    assert FAMILIES["t"].tail is not None
 
 
 def _valid_orders(info):

@@ -9,7 +9,7 @@ from mpmath import mp
 
 from arctancert import verify
 from arctancert.core import lagrange_p, theorem5_approx, shafer_fink_bounds
-from arctancert.families import FAMILIES, Approximant
+from arctancert.families import FAMILIES, Approximant, ulp_rule
 from arctancert.series import cf_arctan
 from arctancert.verify import (
     BoundKind,
@@ -319,7 +319,7 @@ def _outcome(rep):
 
 
 def _without_budget(ap):
-    # the same approximant as a plain callable, which carries no float_ulps
+    # the same approximant as a plain callable, which carries no rough_error
     return lambda x: ap(x)
 
 
@@ -366,7 +366,7 @@ def _certifications(draw):
     # a registry row, order, side, interval, grid and precision, as (ap, kind, iv, grid, cfg)
     ident = draw(st.sampled_from(sorted(FAMILIES)))
     info = FAMILIES[ident]
-    n = draw(st.integers(info.n_min, 8)) if info.needs_n else None
+    n = draw(st.integers(info.n_min, 16 if ident == "master" else 8)) if info.needs_n else None
     kind = draw(st.sampled_from(["lower", "upper"]))
     ap = Approximant(ident, n=n, side=kind if info.kind is BoundKind.TWO_SIDED else None)
     hi = 1.0 if info.claim_interval == "0:1" else draw(st.sampled_from([math.inf, 3.0, 1e6]))
@@ -410,22 +410,25 @@ def test_report_counts_cold_oracle_values(cfg):
         assert dataclasses.replace(second, oracle_cold=first.oracle_cold) == first
 
 
-def test_tiny_error_row_is_scanned_wholly_at_mpf(cfg):
+def test_tiny_error_row_settles_fewer_points_at_mpf(cfg):
     # the g-constant side of master n = 6 stays within about 1e-15 of arctan, under
-    # the float budget, so the settle rule alone evaluates every grid point at mpf
+    # the K-ulp rule's budget, which settled every grid point at mpf; its tail's budget,
+    # relative to E, leaves the same outcome with fewer mpf evaluations
     iv = Interval(0.0, math.inf, lo_open=True)
     ap = Approximant("master", n=6, side="lower")
     rep = sup_error(ap, iv, 129, cfg=cfg)
     slow = sup_error(_without_budget(ap), iv, 129, cfg=cfg)
     assert rep.sup_error < 1e-12
-    assert _outcome(rep)[:2] == _outcome(slow)[:2]
-    assert rep.evals_mpf == slow.evals_mpf
+    assert _outcome(rep) == _outcome(slow)
+    assert rep.evals_mpf < slow.evals_mpf / 2
+    assert rep.evals_mpf - rep.search_mpf < len(_sample_points(iv, 129)) / 4
 
 
 class _FloatTrouble:
     """cf_arctan(2, x) that claims a float budget but fails at float on part of the grid."""
 
-    float_ulps = 64
+    def rough_error(self, x, ref):
+        return ulp_rule(self, x, ref, 64)
 
     def __call__(self, x):
         if isinstance(x, float) and x > 0.5:
@@ -458,15 +461,18 @@ def test_points_outside_the_budget_range_are_settled_at_mpf(cfg):
 class _Profile:
     """arctan plus a piecewise-linear error through the knots (x, E), 0.01 outside them.
 
-    It claims a float budget of float_ulps, and its float values carry the extra
-    error float_error, which the budget must cover. Every call is recorded as
-    (x, "float") or (x, "mpf").
+    It takes the K-ulp rule with K = float_ulps, and its float values carry the
+    extra error float_error, which the budget must cover. Every call is recorded
+    as (x, "float") or (x, "mpf").
     """
 
     def __init__(self, knots, float_ulps, float_error=0.0):
         self.xs, self.es = zip(*knots)
         self.float_ulps, self.float_error = float_ulps, float_error
         self.calls = []
+
+    def rough_error(self, x, ref):
+        return ulp_rule(self, x, ref, self.float_ulps)
 
     def error(self, x):
         k = bisect.bisect_right(self.xs, x)
