@@ -65,8 +65,9 @@ def _master_series(n: int) -> tuple:
     # (pi/2)^(2m) with b_m = 2^(2m)|B_2m|/(2m)! = T_m/((4^m - 1)(2m - 1)!), T_m the m-th
     # tangent number: the exact rational part from T_m and the integers D*A_k of
     # pn_coefficients, over one common denominator, times (pi/2)^(2m) at 40 digits.
-    # The d_i sum _SUM_TERMS terms; the rest, under 1.5*3^-40*|c_(n+1)|, moves H by
-    # under 2^-63 of itself. Built on first use, so master_params costs nothing more.
+    # The d_i sum _SUM_TERMS terms; the rest, under 1.5*3^-41*|c_(n+1)| in each of the
+    # n + 32 of them, moves H by under U/50 of itself, which the budget's slack covers.
+    # Built on first use, so master_params costs nothing more.
     d_n = denominator_product(n)
     ints = [int(a * d_n) for a in pn_coefficients(n)]  # D*A_k, exact
     tangent = _tangent_numbers()

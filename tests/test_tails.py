@@ -33,7 +33,7 @@ def _points(unit):
 
 
 @pytest.mark.parametrize("ap", TAIL_ROWS, ids=lambda ap: ap.label)
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_tail_budget_bounds_the_distance_from_the_mpf_error(ap, data):
     # B bounds |e - E| for E at 40, 50 and 70 digits, and is no vacuous bound: about
@@ -54,7 +54,7 @@ def test_tail_budget_bounds_the_distance_from_the_mpf_error(ap, data):
             assert b <= 1e-12 * (abs(e) + (ap.claim or 0)) + 2.0**-110
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(x=st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t))
 def test_library_atan_within_one_ulp(x):
     # off the grid both float rules take math.atan(x) for arctan x, on this premise
