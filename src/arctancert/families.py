@@ -111,17 +111,16 @@ class Approximant:
     scale m, in which case it approximates arctan(m*x). The evaluator
     (kernel, order, scale and lift) is bound once, at construction.
 
-    rough_error(x, ref) is the float tier of the certification scan, given
-    ref = arctan x rounded to float where the caller holds it (a grid point),
-    else None, and then math.atan(x) serves. It returns (e, B): e approximates
-    E = f(x) - arctan x, and B bounds |e - E| for E at the oracle's working
-    precision (40 digits or more). A family with a tail (sf, t2, master, cheb,
-    s, t, w and their lifts) sums it (``tails``), and B adds up the sum's float
-    error, the effect of rounding its argument to float, and the mpf kernel's
-    and the oracle's own rounding. The other families take the K-ulp rule
-    (ulp_rule). Outside [1e-150, 1e150], where both rules are tested, it
-    returns None; past MAX_ORDER rough_error is None itself. Either way the
-    scan evaluates at mpf.
+    rough_error(x) is the float tier of the certification scan, which takes
+    arctan x from math.atan(x). It returns (e, B): e approximates E = f(x) -
+    arctan x, and B bounds |e - E| for E at the oracle's working precision
+    (40 digits or more). A family with a tail (sf, t2, master, cheb, s, t, w
+    and their lifts) sums it (``tails``), and B adds up the sum's float error,
+    the effect of rounding its argument to float, and the mpf kernel's and the
+    oracle's own rounding. The other families take the K-ulp rule (ulp_rule).
+    One wrapper serves both rules: outside [1e-150, 1e150], where both are
+    tested, it returns None; past MAX_ORDER rough_error is None itself. Either
+    way the scan evaluates at mpf.
     """
 
     family: str
@@ -167,7 +166,7 @@ class Approximant:
             tail = partial(info.tail, order, (self.side == "upper") == bool(order % 2))
         else:
             tail = partial(tails.lifted if info.lifted else tails.on_unit, info.tail, self.n)
-        return partial(_tail_rule, tail)
+        return partial(_rough, tail, _MPF_TERM)
 
     @property
     def label(self) -> str:
@@ -200,38 +199,36 @@ class Approximant:
 _FAILED = (0.0, math.inf)  # a float value that raised or is not finite: settled at mpf
 
 
-def ulp_rule(f: Callable, x: float, ref: Optional[float], k: int = FLOAT_ULPS):
+def _rough(error: Callable, mpf_term: float, x: float):
+    # the one float rule wrapper: error(x) -> (e, b) as a rough_error, None outside
+    # _FLOAT_RANGE, _FAILED where it raises or e is not finite, else B = b + mpf_term + ulp(e)
+    if not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
+        return None
+    try:
+        e, b = error(x)
+    except (ArithmeticError, ValueError):
+        return _FAILED
+    return (e, b + mpf_term + math.ulp(e)) if math.isfinite(e) else _FAILED
+
+
+def _ulp_error(f: Callable, k: int, x: float):
+    # the K-ulp rule's error function, shaped like a tail: f(x) - arctan x and k*ulp(arctan x)
+    atan = math.atan(x)
+    return f(x) - atan, k * math.ulp(atan)
+
+
+def ulp_rule(f: Callable, x: float, k: int = FLOAT_ULPS):
     """The K-ulp rule, a rough_error for any float kernel f.
 
-    e = f(x) - ref with B = k*ulp(ref) + ulp(e), for x in [1e-150, 1e150],
-    and None outside; ref None takes math.atan(x). It rests on f's float
-    value lying within k/4 ulp of arctan x of its mpf value, which
-    tests/test_families.py checks for every registry row but t, and on ref
-    lying within one ulp of arctan x. B is infinite where f raises or e is
-    not finite; the scan then settles x at mpf, where a real failure raises
-    again.
+    e = f(x) - math.atan(x) with B = k*ulp(arctan x) + ulp(e), for x in
+    [1e-150, 1e150], and None outside. It rests on f's float value lying
+    within k/4 ulp of arctan x of its mpf value, which tests/test_families.py
+    checks for every registry row but t, and on math.atan lying within one
+    ulp of arctan x (tests/test_tails.py). B is infinite where f raises or e
+    is not finite; the scan then settles x at mpf, where a real failure
+    raises again.
     """
-    if not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
-        return None
-    if ref is None:
-        ref = math.atan(x)
-    try:
-        e = f(x) - ref
-    except (ArithmeticError, ValueError):
-        return _FAILED
-    return (e, k * math.ulp(ref) + math.ulp(e)) if math.isfinite(e) else _FAILED
-
-
-def _tail_rule(tail: Callable, x: float, ref: Optional[float]):
-    # a family's tail (x, ref) -> (e, b) as a rough_error, handled as in ulp_rule; B adds
-    # the mpf kernel's and the oracle's rounding, and ulp(e)
-    if not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
-        return None
-    try:
-        e, b = tail(x, ref)
-    except (ArithmeticError, ValueError):
-        return _FAILED
-    return (e, b + _MPF_TERM + math.ulp(e)) if math.isfinite(e) else _FAILED
+    return _rough(partial(_ulp_error, f, k), 0.0, x)
 
 
 def table_entry(ident: str, n: Optional[int]):

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional
 
 from mpmath import mp
 
 from .master import MAX_ORDER, denominator_product, pn_coefficients
+from .series import cheb_coefficients
 
 U = 2.0**-53  # unit roundoff of a double
 _MASTER_TERMS = 30  # terms of master's S past t^(n+1); H takes n + 1 more
@@ -101,10 +101,9 @@ def _tangent_numbers() -> list:
     return t
 
 
-def master_error(n: int, constant_side: bool, x: float, theta: Optional[float]):
-    """(e, b) for the order-n master pair, from theta = arctan x in float.
+def master_error(n: int, constant_side: bool, x: float):
+    """(e, b) for the order-n master pair, from theta = math.atan(x).
 
-    theta is the oracle rounded to float, or None for math.atan(x).
     constant_side picks the side whose constant is g_n(pi/2); the other side's
     constant is 1.
     """
@@ -119,12 +118,11 @@ def master_error(n: int, constant_side: bool, x: float, theta: Optional[float]):
     # Every c_m has the sign (-1)^n, so neither sum cancels; |S| <= |S(pi/2)| =
     # |g_n(pi/2) - 1| < 4^-n <= 1/4.
     #
-    # Float error. theta errs by 2U (the oracle rounded to float, or math.atan, within
-    # one ulp); t = theta^2*(4/pi^2) by 7U; t^(n+1), a pow within one ulp, by
-    # (n+1)*7U + 2U; tau by 4U and 1 + tau by 3U; omega by 5U (1/x by U, math.atan by
-    # one ulp, the constant and the product by U each).
-    if theta is None:
-        theta = math.atan(x)
+    # Float error. theta errs by 2U (math.atan, within one ulp); t = theta^2*(4/pi^2)
+    # by 7U; t^(n+1), a pow within one ulp, by (n+1)*7U + 2U; tau by 4U and 1 + tau by
+    # 3U; omega by 5U (1/x by U, math.atan by one ulp, the constant and the product by
+    # U each).
+    theta = math.atan(x)
     ps, m_s, rest_s, hs, m_h, rest_h = _master_series(n)
     d_t = 7.01 * U
     t = theta * theta * _FOUR_OVER_PI2
@@ -216,15 +214,12 @@ def w_error(n: int, u: float, v: float, eps_u: float, eps_v: float):
 
 @lru_cache(maxsize=None)
 def _cheb_coefficients() -> tuple:
-    # c_k = 2(-1)^k r^(2k+1)/(2k+1), r = sqrt2 - 1, for k = 0..MAX_ORDER + L + 1, at 30
-    # digits and each rounded once to float; and 1/(1 - r^2)
+    # c_k for k = 0..MAX_ORDER + L + 1 at 30 digits, each rounded once to float; and
+    # 1/(1 - r^2), r = sqrt2 - 1
     with mp.workdps(30):
         r = mp.sqrt(2) - 1
-        c, p = [], 2 * r  # 2(-1)^k r^(2k+1) at k = 0, then times -r^2
-        for k in range(MAX_ORDER + _CHEB_TERMS + 2):
-            c.append(float(p / (2 * k + 1)))
-            p *= -r * r
-        return tuple(c), float(1 / (1 - r * r))
+        c = cheb_coefficients(MAX_ORDER + _CHEB_TERMS + 1, r)
+        return tuple(float(ck) for ck in c), float(1 / (1 - r * r))
 
 
 @lru_cache(maxsize=None)
@@ -265,21 +260,15 @@ def cheb_error(n: int, x: float, v: float, eps_x: float, eps_v: float):
     return -(z * acc).real, (eta * ka + U * kb) * 1.01 + rest
 
 
-def on_unit(error, n: int, x: float, ref: Optional[float]):
-    """error at u = x in [0, 1], exact, with v = 1 - x (exact from 1/2 up, else within U).
-
-    ref, arctan x in float or None, goes unused; master_error takes it as theta.
-    """
+def on_unit(error, n: int, x: float):
+    """error at u = x in [0, 1], exact, with v = 1 - x (exact from 1/2 up, else within U)."""
     if not 0 <= x <= 1:
         raise ValueError(f"u must lie in [0, 1], got {x!r}")
     return error(n, x, 1 - x, 0.0, U)
 
 
-def lifted(error, n: int, x: float, ref: Optional[float]):
-    """2*error at u = x/(1 + sqrt(1 + x^2)) for x >= 0, with v = 1 - u free of cancellation.
-
-    ref goes unused, as in on_unit.
-    """
+def lifted(error, n: int, x: float):
+    """2*error at u = x/(1 + sqrt(1 + x^2)) for x >= 0, with v = 1 - u free of cancellation."""
     # s = hypot(1, x) errs by one ulp (2U); u = x/(1 + s) then by 4U, and
     # v = (1 + 1/(s + x))/(1 + s), since s - x = 1/(s + x), by 9U
     if not x >= 0:

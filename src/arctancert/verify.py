@@ -14,44 +14,47 @@ precision.
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested interval (a tan-mapped grid when the interval
-is unbounded, uniform plus Chebyshev-spaced points when bounded), the three
-largest local error maxima within half the largest grid error are sharpened by
-golden-section search to a bracket below REFINE_TOL*max(1, x), and margins are
-reported against the claimed bound. A smaller local maximum could only win if
-the error more than doubled inside one grid cell.
+is unbounded, which stops at tan(pi/2 - 1e-8), about 1e8, so that an interval
+starting there or beyond raises ValueError; uniform plus Chebyshev-spaced
+points when bounded), the three largest local error maxima within half the
+largest grid error are sharpened by golden-section search to a bracket below
+REFINE_TOL*max(1, x), and margins are reported against the claimed bound. A
+smaller local maximum could only win if the error more than doubled inside
+one grid cell.
 
-The scan runs at two precisions. Each grid point is first evaluated in float
-through the approximant's ``rough_error(x, ref)`` hook, with ref the oracle
-rounded to float, which each grid computes once for every row scanned on it;
-a golden-section probe passes None, and the hook takes math.atan(x), so a
-probe the float tier decides costs no oracle evaluation.
-The hook returns an error e and a budget B that bounds its distance from the
-error at the oracle's working precision. ``families.Approximant`` has two
-rules. The tail rule, for sf, t2, master, cheb, s, t, w and the lifted cheb
-and w, sums the family's own error series in float (``tails``), so B is
-relative to E; it has three parts: the float sum's own error with the
-truncated rest of the series, the effect of rounding its argument (arctan x,
-or u) to float, and the mpf kernel's and the oracle's own rounding, under
-2^-117. The K-ulp rule, for t4, lagrange, t5, cf and
-cf-lifted, takes e = f(x) - ref with B = K*ulp(arctan x) + ulp(e), K = 64
-(``families.FLOAT_ULPS``); it rests on the float kernel lying within K/4 ulp
-of arctan x of the 50-digit value. Both rules are tested on [1e-150, 1e150]
-for every order up to 16 and every side (tests/test_tails.py,
-tests/test_families.py); outside that range, and for higher orders, the hook
-gives no float value, and points whose float value raises or is not finite
-get an infinite budget. Such points are evaluated at mpf, and so is every
-point of a callable without the hook. Both certifications run one scan body
-with two settle rules. Its settle loop re-evaluates at mpf every point a
-decision could rest on until none is left: for sup_error a point that could
-be a refined local maximum or the global maximum, for certify_bound one whose
-margin (arctan - f for a lower bound, f - arctan for an upper one) could be
-the smallest or whose |E| the largest. It hands back the |E| bounds and the
-grid argmax; sup_error then refines, certify_bound reads the smallest margin.
-The scan compares with arctan x, so an approximant of arctan(m*x), one with
-its scale m set, raises ValueError. Golden-section search compares in float
-while the budgets settle each comparison and at mpf from the first one they
-do not. Every decision is therefore the one an all-mpf scan makes, and every
-reported value (sup error, argmax, margins) is computed at mpf.
+The scan runs at two precisions. Each grid point and each golden-section
+probe is first evaluated in float through the approximant's
+``rough_error(x)`` hook, which has one float source of arctan x, math.atan(x),
+tested to lie within one ulp of it; a point the float tier decides costs no
+oracle evaluation. The hook returns an error e and a budget B that bounds its
+distance from the error at the oracle's working precision.
+``families.Approximant`` has two rules behind one wrapper. The tail rule, for
+sf, t2, master, cheb, s, t, w and the lifted cheb and w, sums the family's own
+error series in float (``tails``), so B is relative to E; it has three parts:
+the float sum's own error with the truncated rest of the series, the effect
+of rounding its argument (arctan x, or u) to float, and the mpf kernel's and
+the oracle's own rounding, under 2^-117. The K-ulp rule, for t4, lagrange,
+t5, cf and cf-lifted, takes e = f(x) - math.atan(x) with B = K*ulp(arctan x)
++ ulp(e), K = 64 (``families.FLOAT_ULPS``); it rests on the float kernel
+lying within K/4 ulp of arctan x of the 50-digit value. Both rules are tested
+on [1e-150, 1e150] for every order up to 16 and every side
+(tests/test_tails.py, tests/test_families.py); outside that range, and for
+higher orders, the wrapper gives no float value, and points whose float value
+raises or is not finite get an infinite budget. Such points are evaluated at
+mpf, and so is every point of a callable without the hook.
+
+Both certifications run one scan body with two settle rules. Its settle loop
+re-evaluates at mpf every point a decision could rest on until none is left:
+for sup_error a point that could be a refined local maximum or the global
+maximum, for certify_bound one whose margin (arctan - f for a lower bound,
+f - arctan for an upper one) could be the smallest or whose |E| the largest.
+It hands back the |E| bounds and the grid argmax; sup_error then refines,
+certify_bound reads the smallest margin. The scan compares with arctan x, so
+an approximant of arctan(m*x), one with its scale m set, raises ValueError.
+Golden-section search compares in float while the budgets settle each
+comparison and at mpf from the first one they do not. Every decision is
+therefore the one an all-mpf scan makes, and every reported value (sup error,
+argmax, margins) is computed at mpf.
 """
 
 from __future__ import annotations
@@ -294,8 +297,11 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
     if iv.unbounded:
         th_lo = max(math.atan(iv.lo), _THETA_EDGE)
         th_hi = math.pi / 2 - _THETA_EDGE
+        if th_lo >= th_hi:
+            raise ValueError(f"interval {iv} starts past the tan-mapped grid's top, {math.tan(th_hi):.9g}")
         step = (th_hi - th_lo) / (grid_points - 1)
-        pts = [math.tan(th_lo + i * step) for i in range(grid_points)]
+        # tan may round the first point below lo; it is sampled at lo instead
+        pts = [max(math.tan(th_lo + i * step), iv.lo) for i in range(grid_points)]
     else:
         lo, hi = iv.lo, iv.hi
         step = (hi - lo) / (grid_points - 1)
@@ -312,39 +318,31 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
     return out
 
 
-@lru_cache(maxsize=8)
-def _grid(iv: Interval, grid_points: int, cfg: OracleConfig):
-    # the sample points and their float oracle values
-    pts = tuple(_sample_points(iv, grid_points))
-    return pts, tuple(float(oracle_arctan(p, cfg)) for p in pts)
-
-
 class _Errors:
     """The error sign*E, E = f - arctan, of one approximant over a grid, at two precisions.
 
     sign is -1 for the margin of a lower bound, arctan - f, and 1 otherwise.
-    rough(x, ref) returns (e, B): e is sign*E in float, from f's rough_error
-    hook at ref, the grid's oracle value rounded to float (None off the grid,
-    where the hook takes math.atan), and B bounds its distance from the mpf
-    value. B is infinite when f has no hook,
-    or the hook gives no float value at x or fails there.
-    exact(x) is sign*E at mpf. The grid keeps bounds lo[i] <= sign*E_i <= hi[i]
-    on every point, and settle() sets both to the mpf value. Evaluations are
-    counted per precision, and oracle misses from the grid's construction on.
+    rough(x) returns (e, B): e is sign*E in float, from f's rough_error hook,
+    which takes arctan x from math.atan(x) at grid points and probes alike,
+    and B bounds its distance from the mpf value. B is infinite when f has no
+    hook, or the hook gives no float value at x or fails there. exact(x) is
+    sign*E at mpf. The grid keeps bounds lo[i] <= sign*E_i <= hi[i] on every
+    point, and settle() sets both to the mpf value. Evaluations are counted
+    per precision, and oracle misses from the scan's start.
     """
 
     def __init__(self, f: Callable, iv: Interval, grid_points: int, cfg: OracleConfig, sign: int):
         self.misses = _oracle_cached.cache_info().misses
-        self.f, (self.pts, refs), self.cfg, self.sign = f, _grid(iv, grid_points, cfg), cfg, sign
+        self.f, self.pts, self.cfg, self.sign = f, _sample_points(iv, grid_points), cfg, sign
         self.hook = getattr(f, "rough_error", None)
         self.evals_float = self.evals_mpf = 0
-        rough = [self.rough(p, r) for p, r in zip(self.pts, refs)]
+        rough = [self.rough(p) for p in self.pts]
         self.lo, self.hi = [e - b for e, b in rough], [e + b for e, b in rough]
 
-    def rough(self, x: float, ref: Optional[float] = None):
+    def rough(self, x: float):
         if self.hook is None:
             return 0.0, math.inf
-        got = self.hook(x, ref)
+        got = self.hook(x)
         if got is None:  # no float evaluation made
             return 0.0, math.inf
         self.evals_float += 1
@@ -519,8 +517,8 @@ def sup_error(
     the error more than doubled inside one grid cell. When claimed_bound is
     given, satisfied means the refined sup stayed at or under it. The report
     counts the approximant's evaluations per precision, the searches run, the
-    search probes evaluated at mpf and the oracle values computed cold. An approximant of arctan(m*x), one with
-    its scale m set, raises ValueError.
+    search probes evaluated at mpf and the oracle values computed cold. An
+    approximant of arctan(m*x), one with its scale m set, raises ValueError.
     """
     return _scan(f, interval, grid_points, cfg, BoundKind.APPROXIMATION, claimed_bound)
 

@@ -178,6 +178,8 @@ def test_certify_usage_errors(capsys):
     assert run(capsys, "certify", "--family", "sf", "--interval", "1:0")[0] == 2
     assert run(capsys, "certify", "--family", "sf", "--interval", "junk")[0] == 2
     assert run(capsys, "certify", "--family", "w", "--interval", "0:1")[0] == 2  # missing n
+    # past the unbounded grid's top, about 1e8, rather than a verdict on points below lo
+    assert run(capsys, "certify", "--family", "t5", "--interval", "1e12:inf", "--grid", "65")[0] == 2
 
 
 def test_table_master_orders(tmp_path, capsys):

@@ -9,7 +9,7 @@ from mpmath import bernfrac, mp
 from arctancert import tails
 from arctancert.families import FAMILIES, Approximant
 from arctancert.master import MAX_ORDER
-from arctancert.verify import BoundKind, Interval, OracleConfig, oracle_arctan, sup_error
+from arctancert.verify import BoundKind, Interval, OracleConfig, _sample_points, oracle_arctan, sup_error
 
 # every row whose float error comes from its tail: each order up to MAX_ORDER, each side
 TAIL_ROWS = [
@@ -43,24 +43,34 @@ def test_tail_budget_bounds_the_distance_from_the_mpf_error(ap, data):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
-            ref = float(oracle_arctan(x, cfg))
-        for got in (ap.rough_error(x, ref), ap.rough_error(x, None)):  # on the grid, and off it
-            if not 1e-150 <= x <= 1e150:
-                assert got is None
-                continue
-            e, b = got
-            with mp.workdps(digits):
-                assert abs(e - exact) <= b, (x, digits, e, float(exact), b)
-            assert b <= 1e-12 * (abs(e) + (ap.claim or 0)) + 2.0**-110
+        got = ap.rough_error(x)
+        if not 1e-150 <= x <= 1e150:
+            assert got is None
+            continue
+        e, b = got
+        with mp.workdps(digits):
+            assert abs(e - exact) <= b, (x, digits, e, float(exact), b)
+        assert b <= 1e-12 * (abs(e) + (ap.claim or 0)) + 2.0**-110
 
 
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t))
 def test_library_atan_within_one_ulp(x):
-    # off the grid both float rules take math.atan(x) for arctan x, on this premise
+    # both float rules take math.atan(x) for arctan x, on this premise
     ref = oracle_arctan(x)
     with mp.workdps(50):
         assert abs(math.atan(x) - ref) <= math.ulp(float(ref))
+
+
+def test_library_atan_within_one_ulp_at_the_table_grid_points():
+    # the same premise, at every point the standard table's grids sample (10,402 points)
+    cfg = OracleConfig(50, 30)
+    for iv in (Interval(0.0, 1.0, lo_open=True), Interval(0.0, math.inf, lo_open=True)):
+        for grid in (65, 4097):
+            for x in _sample_points(iv, grid):
+                ref = oracle_arctan(x, cfg)
+                with mp.workdps(50):
+                    assert abs(math.atan(x) - ref) <= math.ulp(float(ref)), x
 
 
 def test_tangent_numbers_give_the_cotangent_coefficients():
@@ -86,6 +96,6 @@ def test_tail_row_outside_its_domain_is_settled_at_mpf_and_raises(cfg):
     # the tail needs no kernel evaluation, so it checks the kernel's domain itself: a
     # point the kernel rejects gets an infinite budget, and the scan's mpf value raises
     ap = Approximant("cheb", n=3)
-    assert ap.rough_error(1.5, math.atan(1.5)) == (0.0, math.inf)
+    assert ap.rough_error(1.5) == (0.0, math.inf)
     with pytest.raises(ValueError):
         sup_error(ap, Interval(0.0, 2.0), 65, cfg=cfg)

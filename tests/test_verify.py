@@ -221,6 +221,21 @@ def test_sample_points_unbounded():
         _sample_points(iv, 63)
 
 
+@pytest.mark.parametrize("lo", [0.0, 1.0, 5e7, 9e7])
+def test_sample_points_unbounded_stay_at_or_above_lo(lo):
+    # at 1 and 9e7 tan rounds the grid's first point below lo; lo is sampled instead
+    pts = _sample_points(Interval(lo, math.inf), 65)
+    assert len(pts) == 65 and min(pts) >= lo
+    assert pts[0] == pytest.approx(max(lo, 1e-8), rel=1e-6)
+
+
+def test_sample_points_unbounded_past_the_grid_top_raise():
+    # the tan-mapped grid stops at tan(pi/2 - 1e-8), about 1e8: an interval starting
+    # past it would be sampled backwards, below its own lo
+    with pytest.raises(ValueError, match="past the tan-mapped grid's top"):
+        _sample_points(Interval(1e12, math.inf), 65)
+
+
 def test_sup_error_of_oracle_is_tiny(cfg):
     f = lambda x: oracle_arctan(x, cfg)
     rep = sup_error(f, Interval(0.0, 1.0), 257, cfg=cfg)
@@ -427,8 +442,8 @@ def test_tiny_error_row_settles_fewer_points_at_mpf(cfg):
 class _FloatTrouble:
     """cf_arctan(2, x) that claims a float budget but fails at float on part of the grid."""
 
-    def rough_error(self, x, ref):
-        return ulp_rule(self, x, ref, 64)
+    def rough_error(self, x):
+        return ulp_rule(self, x, 64)
 
     def __call__(self, x):
         if isinstance(x, float) and x > 0.5:
@@ -471,8 +486,8 @@ class _Profile:
         self.float_ulps, self.float_error = float_ulps, float_error
         self.calls = []
 
-    def rough_error(self, x, ref):
-        return ulp_rule(self, x, ref, self.float_ulps)
+    def rough_error(self, x):
+        return ulp_rule(self, x, self.float_ulps)
 
     def error(self, x):
         k = bisect.bisect_right(self.xs, x)
