@@ -19,7 +19,7 @@ import sys
 from mpmath import mp
 
 from .families import Approximant, FAMILIES, family_info, list_rows, table_entry
-from .series import machin_pi
+from .series import cheb_arctan, machin_pi
 from .verify import (
     BoundKind,
     DEFAULT_GRID,
@@ -62,12 +62,12 @@ def _parse_interval(text: str) -> Interval:
     return Interval(iv.lo, iv.hi, lo_open=iv.lo == 0.0)
 
 
-def _side_approximants(ident: str, n, kind=None, m=None):
+def _side_approximants(ident: str, n, kind=None):
     # (side, check kind, Approximant) per direction to check: kind, else each of _SIDES,
     # else one (None, APPROXIMATION, ...) checked against the family's claim
     info = family_info(ident)
     for side in (kind,) if kind else _SIDES.get(info.kind, (None,)):
-        approx = Approximant(ident, n=n, m=m, side=side if info.kind is BoundKind.TWO_SIDED else None)
+        approx = Approximant(ident, n=n, side=side if info.kind is BoundKind.TWO_SIDED else None)
         yield side, BoundKind(side or "approximation"), approx
 
 
@@ -78,7 +78,8 @@ def _check(approx: Approximant, claim, kind: BoundKind, interval: Interval, grid
     return certify_bound(approx, kind, interval, grid, cfg=cfg)
 
 
-def _parse_params(items) -> dict:
+def _parse_params(ident: str, items) -> dict:
+    # m scales cheb's expansion to arctan(m*x), which eval compares with its own oracle
     out = {}
     for item in items or ():
         key, sep, val = item.partition("=")
@@ -86,6 +87,8 @@ def _parse_params(items) -> dict:
             raise ValueError(f"parameter must look like key=value, got {item!r}")
         if key != "m":
             raise ValueError(f"unknown parameter {key!r} (supported: m)")
+        if ident != "cheb":
+            raise ValueError("parameter m only applies to family 'cheb'")
         out["m"] = float(val)
     return out
 
@@ -98,14 +101,14 @@ def cmd_list(args) -> int:
 
 def cmd_eval(args) -> int:
     ident = args.family
-    m = _parse_params(args.param).get("m")
+    m = _parse_params(ident, args.param).get("m")
     cfg = default_config()
     x = args.x
 
     rows = []  # (side, value, target oracle)
-    for side, _, approx in _side_approximants(ident, args.n, m=m):
-        ref = float(_signed_oracle(approx.oracle_target(x), cfg))
-        rows.append((side or "", approx(x), ref))
+    for side, _, approx in _side_approximants(ident, args.n):
+        ref = float(_signed_oracle(x if m is None else m * x, cfg))
+        rows.append((side or "", approx(x) if m is None else cheb_arctan(args.n, x, m), ref))
 
     if args.format == "csv":
         print("family,n,x,side,value,oracle,signed_error")

@@ -107,9 +107,9 @@ def family_info(ident: str) -> FamilyInfo:
 class Approximant:
     """Descriptor of one family instance, callable at either precision.
 
-    Pair families (sf, t2, master) need a side; cheb accepts an optional
-    scale m, in which case it approximates arctan(m*x). The evaluator
-    (kernel, order, scale and lift) is bound once, at construction.
+    Pair families (sf, t2, master) need a side. The evaluator (kernel, order
+    and lift) is bound once, at construction. Every approximant targets
+    arctan x; cheb's expansion of arctan(m*x) is series.cheb_arctan(n, x, m).
 
     rough_error(x) is the float tier of the certification scan, which takes
     arctan x from math.atan(x). It returns (e, B): e approximates E = f(x) -
@@ -125,7 +125,6 @@ class Approximant:
 
     family: str
     n: Optional[int] = None
-    m: Optional[float] = None
     side: Optional[str] = None
     _eval: Callable = field(init=False, repr=False, compare=False)
     rough_error: Optional[Callable] = field(init=False, repr=False, compare=False)
@@ -145,21 +144,16 @@ class Approximant:
         elif self.side is not None:
             raise ValueError(f"family {self.family!r} does not take a side")
         fn = info.kernel if self.n is None else partial(info.kernel, self.n)
-        if self.m is not None:
-            if self.family != "cheb":
-                raise ValueError("parameter m only applies to family 'cheb'")
-            fn = partial(fn, m=self.m)
         if info.lifted:
             fn = core.LiftedApproximant(fn)
         object.__setattr__(self, "_eval", fn)
         object.__setattr__(self, "rough_error", self._float_rule(info))
 
     def _float_rule(self, info):
-        # rough_error at this order, side and lift; None past MAX_ORDER. With m set
-        # the tail is not arctan's, and the scan refuses such an approximant anyway
+        # rough_error at this order, side and lift; None past MAX_ORDER
         if (self.n or 0) > master.MAX_ORDER:
             return None
-        if info.tail is None or self.m is not None:
+        if info.tail is None:
             return partial(ulp_rule, self)
         if info.kind is BoundKind.TWO_SIDED:
             order = info.pair_order or self.n
@@ -170,23 +164,14 @@ class Approximant:
 
     @property
     def label(self) -> str:
-        parts = [self.family]
-        if self.n is not None:
-            parts.append(f"n={self.n}")
-        if self.m is not None:
-            parts.append(f"m={self.m:g}")
-        body = parts[0] if len(parts) == 1 else f"{parts[0]}({', '.join(parts[1:])})"
+        body = self.family if self.n is None else f"{self.family}(n={self.n})"
         return f"{body}.{self.side}" if self.side else body
 
     @property
     def claim(self) -> Optional[float]:
-        """The registry's uniform error bound at this order; None without one, or with m set."""
+        """The registry's uniform error bound at this order; None without one."""
         claim = family_info(self.family).claim
-        return None if claim is None or self.m is not None else claim(self.n)
-
-    def oracle_target(self, x):
-        """The argument whose arctangent this approximant targets."""
-        return self.m * x if self.m is not None else x
+        return None if claim is None else claim(self.n)
 
     def __call__(self, x):
         # the side is picked here, not by a wrapper, so a raising kernel's

@@ -171,7 +171,9 @@ def machin_pi_fraction(terms: int) -> Fraction:
 
 
 def machin_pi(terms: int, dps: int = 50):
-    """machin_pi_fraction rounded to the nearest mpf at dps digits."""
+    """machin_pi_fraction rounded to the nearest mpf at dps digits, an integer >= 1."""
+    if not isinstance(dps, int) or dps < 1:
+        raise ValueError(f"dps must be an integer >= 1, got {dps!r}")
     v = machin_pi_fraction(terms)
     with mp.workdps(dps):
         # fdiv takes both integers exactly and rounds once; mpf(numerator) would

@@ -49,12 +49,10 @@ for sup_error a point that could be a refined local maximum or the global
 maximum, for certify_bound one whose margin (arctan - f for a lower bound,
 f - arctan for an upper one) could be the smallest or whose |E| the largest.
 It hands back the |E| bounds and the grid argmax; sup_error then refines,
-certify_bound reads the smallest margin. The scan compares with arctan x, so
-an approximant of arctan(m*x), one with its scale m set, raises ValueError.
-Golden-section search compares in float while the budgets settle each
-comparison and at mpf from the first one they do not. Every decision is
-therefore the one an all-mpf scan makes, and every reported value (sup error,
-argmax, margins) is computed at mpf.
+certify_bound reads the smallest margin. Golden-section search compares in
+float while the budgets settle each comparison and at mpf from the first one
+they do not. Every decision is therefore the one an all-mpf scan makes, and
+every reported value (sup error, argmax, margins) is computed at mpf.
 """
 
 from __future__ import annotations
@@ -236,7 +234,11 @@ class Interval:
     lo_open: bool = False
 
     def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
+        try:
+            nan = math.isnan(self.lo) or math.isnan(self.hi)
+        except OverflowError:  # an int past the float range
+            raise ValueError("interval endpoints must lie in the float range or be inf") from None
+        if nan:
             raise ValueError("interval endpoints must not be NaN")
         if math.isinf(self.lo) or self.lo < 0:
             raise ValueError(f"lo must be finite and >= 0, got {self.lo!r}")
@@ -292,8 +294,8 @@ class ErrorReport:
 
 
 def _sample_points(iv: Interval, grid_points: int) -> list:
-    if grid_points < 64:
-        raise ValueError(f"grid_points must be >= 64, got {grid_points}")
+    if not isinstance(grid_points, int) or grid_points < 64:
+        raise ValueError(f"grid_points must be an integer >= 64, got {grid_points!r}")
     if iv.unbounded:
         th_lo = max(math.atan(iv.lo), _THETA_EDGE)
         th_hi = math.pi / 2 - _THETA_EDGE
@@ -459,8 +461,6 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
     # _margin_pick and reads the smallest. Both report the largest |E| found.
     # The family label is the approximant's own: its label, else its __name__.
     label = getattr(f, "label", None) or getattr(f, "__name__", None) or "approximant"
-    if getattr(f, "m", None) is not None:
-        raise ValueError(f"{label} approximates arctan(m*x), but the scan compares with arctan x")
     cfg = cfg or default_config()
     approximation = kind is BoundKind.APPROXIMATION
     with mp.workdps(cfg.working_digits):
@@ -517,8 +517,7 @@ def sup_error(
     the error more than doubled inside one grid cell. When claimed_bound is
     given, satisfied means the refined sup stayed at or under it. The report
     counts the approximant's evaluations per precision, the searches run, the
-    search probes evaluated at mpf and the oracle values computed cold. An
-    approximant of arctan(m*x), one with its scale m set, raises ValueError.
+    search probes evaluated at mpf and the oracle values computed cold.
     """
     return _scan(f, interval, grid_points, cfg, BoundKind.APPROXIMATION, claimed_bound)
 
@@ -539,7 +538,7 @@ def certify_bound(
     margin could be the smallest, and each whose |E| could be the largest
     (the reported sup_error). Then min_gap is exact and every other margin
     lies above it, so no other point can change the verdict. The grid is not
-    refined. An approximant of arctan(m*x) raises ValueError, as in sup_error.
+    refined.
     """
     kind = BoundKind(kind)
     if kind not in (BoundKind.LOWER, BoundKind.UPPER):

@@ -410,6 +410,73 @@ satisfied    true
 ]
 
 
+# `eval` output as recorded while cheb's scale m was still a field of Approximant:
+# (arguments after eval, exit code, stdout)
+EVAL_GOLDEN = [
+    (
+        "--family cheb --n 8 --x 0.5 --param m=2",
+        0,
+        """\
+family  cheb  n=8
+x       0.5
+oracle  0.78539816339744828
+value   0.78540794446210249   error +9.781065e-06
+""",
+    ),
+    (
+        "--family cheb --n 8 --x 0.5 --param m=2 --format csv",
+        0,
+        """\
+family,n,x,side,value,oracle,signed_error
+cheb,8,5.0000000000000000e-01,,7.8540794446210249e-01,7.8539816339744828e-01,9.7810646542129120e-06
+""",
+    ),
+    (
+        "--family cheb --n 8 --x 1 --param m=2 --format csv",
+        0,
+        """\
+family,n,x,side,value,oracle,signed_error
+cheb,8,1.0000000000000000e+00,,1.1071570906145658e+00,1.1071487177940904e+00,8.3728204753885649e-06
+""",
+    ),
+    (
+        "--family cheb --n 6 --x -0.5 --param m=0.5",
+        0,
+        """\
+family  cheb  n=6
+x       -0.5
+oracle  -0.24497866312686414
+value   -0.24497866307310287   error +5.376127e-11
+""",
+    ),
+    (
+        "--family master --n 3 --x 7",
+        0,
+        """\
+family  master  n=3
+x       7
+oracle  1.4288992721907328
+lower   1.4288975397286763   error -1.732462e-06
+upper   1.4289015049048248   error +2.232714e-06
+""",
+    ),
+    (
+        "--family w-lifted --n 3 --x 1e6 --format csv",
+        0,
+        """\
+family,n,x,side,value,oracle,signed_error
+w-lifted,3,1.0000000000000000e+06,,1.5707953267948966e+00,1.5707953267948966e+00,0.0000000000000000e+00
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, code, out", EVAL_GOLDEN, ids=[c[0] for c in EVAL_GOLDEN])
+def test_eval_output_unchanged(monkeypatch, capsys, args, code, out):
+    monkeypatch.delenv("ARCTAN_CERT_DIGITS", raising=False)
+    assert run(capsys, "eval", *args.split()) == (code, out, "")
+
+
 @pytest.mark.parametrize("args, code, csv, text", CERTIFY_GOLDEN, ids=[c[0].split()[0] for c in CERTIFY_GOLDEN])
 def test_certify_output_unchanged_at_grid_65(monkeypatch, capsys, args, code, csv, text):
     # CSV and exit code byte for byte; the text up to the oracle-cold count, which

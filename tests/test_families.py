@@ -94,7 +94,6 @@ def test_claim_is_the_registry_claim_at_every_valid_order():
             assert Approximant(ident, n=n, side=side).claim == expected, (ident, n)
     assert Approximant("cf", n=3).claim == 0.5 * 4.0**-3
     assert Approximant("sf", side="upper").claim is None
-    assert Approximant("cheb", n=3, m=2.0).claim is None  # the registry claims (1+√2)^-9 for arctan x
 
 
 @pytest.mark.parametrize("ident", sorted(ident for ident, info in FAMILIES.items() if info.needs_n))

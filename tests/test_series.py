@@ -143,8 +143,6 @@ def test_cheb_scaled_domain():
     for m in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             cheb_arctan(3, 0.5, m)
-        with pytest.raises(ValueError):
-            Approximant("cheb", n=3, m=m)(0.5)
     for x in (1.0001, -1.5):
         with pytest.raises(ValueError):
             cheb_arctan(3, x, 2.0)
@@ -263,6 +261,14 @@ def test_machin_error_strictly_decreases():
 def test_machin_domain():
     with pytest.raises(ValueError):
         machin_pi_fraction(0)
+
+
+@pytest.mark.parametrize("dps", [0, -5, 30.0, None])
+def test_machin_pi_needs_a_positive_integer_precision(dps):
+    # mp.workdps takes 0 and negative digits too, and rounds pi to 3.0 or 4.0 there
+    with pytest.raises(ValueError):
+        machin_pi(12, dps=dps)
+    assert abs(machin_pi(12, dps=1) - math.pi) < 0.05  # one digit, the least precision allowed
 
 
 def _clenshaw_reference(coeffs, x):

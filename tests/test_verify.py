@@ -194,10 +194,15 @@ def test_interval_parse_and_str():
     assert str(Interval(0.0, math.inf)) == "0:inf"
 
 
-@pytest.mark.parametrize("bad", ["5", "2:1", "abc:1", "-1:2", "1:1", "inf:2"])
+@pytest.mark.parametrize(
+    "bad",
+    ["5", "2:1", "abc:1", "-1:2", "1:1", "inf:2",
+     # ints past the float range, passed to Interval directly
+     pytest.param((0, 10**400), id="0:10**400"), pytest.param((10**400, math.inf), id="10**400:inf")],
+)
 def test_interval_errors(bad):
     with pytest.raises(ValueError):
-        Interval.parse(bad)
+        Interval.parse(bad) if isinstance(bad, str) else Interval(*bad)
 
 
 def test_sample_points_bounded_respects_openness():
@@ -281,6 +286,10 @@ def test_sup_error_grid_doubling_growth(cfg):
 def test_sup_error_validates_grid(cfg):
     with pytest.raises(ValueError):
         sup_error(lagrange_p, Interval(0.0, 1.0), 32, cfg=cfg)
+    with pytest.raises(ValueError):
+        sup_error(Approximant("cf", n=2), Interval(0, 1, lo_open=True), 100.0, cfg=cfg)
+    with pytest.raises(ValueError):
+        norm_transfer_check(lagrange_p, 0.5, 200.0, cfg=cfg)
 
 
 def test_certify_shafer_fink_directions(cfg):
@@ -547,15 +556,3 @@ def test_local_maximum_below_half_the_peak_is_neither_settled_nor_refined(cfg):
     near_m = [c for c in fast_f.calls if pts[m - 1] < c[0] < pts[m + 1]]
     assert near_m == [(pts[m], "float")]
     assert [c[0] for c in slow_f.calls if pts[m - 1] < c[0] < pts[m + 1]] == [pts[m]]
-
-
-def test_scaled_cheb_is_not_scanned_against_arctan_x(cfg):
-    # cheb with m set approximates arctan(m*x); a scan against arctan x would
-    # report |arctan 2x - arctan x| (0.34 here) under its label
-    ap, iv = Approximant("cheb", n=8, m=2.0), Interval(0.0, 1.0, lo_open=True)
-    with pytest.raises(ValueError, match=r"arctan\(m\*x\)"):
-        sup_error(ap, iv, 129, cfg=cfg)
-    with pytest.raises(ValueError, match=r"arctan\(m\*x\)"):
-        certify_bound(ap, "upper", iv, 129, cfg=cfg)
-    plain = Approximant("cheb", n=8)
-    assert sup_error(plain, iv, 129, cfg=cfg).sup_error < plain.claim
