@@ -19,6 +19,7 @@ import sys
 from mpmath import mp
 
 from .families import Approximant, FAMILIES, family_info, list_rows, table_entry
+from .numerics import require_int
 from .series import cheb_arctan, machin_pi
 from .verify import (
     BoundKind,
@@ -89,6 +90,8 @@ def _parse_params(ident: str, items) -> dict:
             raise ValueError(f"unknown parameter {key!r} (supported: m)")
         if ident != "cheb":
             raise ValueError("parameter m only applies to family 'cheb'")
+        if key in out:
+            raise ValueError(f"parameter {key!r} given more than once")
         out["m"] = float(val)
     return out
 
@@ -237,10 +240,7 @@ def cmd_table(args) -> int:
 
 def cmd_pi(args) -> int:
     cfg = default_config()
-    if args.terms < 1:
-        raise ValueError("--terms must be >= 1")
-    if not 1 <= args.digits <= cfg.report_digits:
-        raise ValueError(f"--digits must lie in [1, {cfg.report_digits}]")
+    require_int(args.digits, "--digits", 1, cfg.report_digits)
     value = machin_pi(args.terms, dps=cfg.working_digits)
     with mp.workdps(cfg.working_digits):
         err = abs(value - oracle_pi(cfg))

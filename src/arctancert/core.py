@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .numerics import Scalar, require_finite, require_nonnegative, require_unit
+from .numerics import Scalar, require_finite, require_int, require_nonnegative, require_unit
 
 
 class BoundPair(NamedTuple):
@@ -31,7 +31,8 @@ class BoundPair(NamedTuple):
 def shafer_fink_bounds(x) -> BoundPair:
     """Two-sided Shafer-Fink bound: 3x/(1+2*sqrt(1+x^2)) < arctan x < pi*x/(1+2*sqrt(1+x^2)).
 
-    Strict for x > 0, nominal at float (see BoundPair); both sides vanish at
+    Strict for x > 0; nominal at float, and at mpf once the margin (about 1/x)
+    lies below working precision (see BoundPair). Both sides vanish at
     x = 0. The lower bound is tight as x -> 0, the upper bound as x -> inf.
     With numerator and denominator divided by sqrt(1+x^2), both sides are
     evaluated as 3*sin t/(2 + cos t) and pi*sin t/(2 + cos t), t = arctan x.
@@ -50,8 +51,7 @@ def nested_radical_seq(j: int, x) -> list:
     At float, L_j passes the float range once x is near its top; pass an mpf
     there.
     """
-    if j < 0:
-        raise ValueError(f"j must be >= 0, got {j}")
+    require_int(j, "j", 0)
     c = require_nonnegative(x)
     val = c.one
     out = [val]
@@ -71,7 +71,8 @@ def theorem2_bounds(x) -> BoundPair:
     The pair gap is a factor ~66 narrower than Shafer-Fink's, though neither
     side dominates its Shafer-Fink counterpart pointwise. With s divided out,
     f = sin t/(7*cos t + 6 + 16*hypot(sin t, 1 + cos t)), t = arctan x. The
-    enclosure is nominal at float (see BoundPair).
+    enclosure is nominal at float, and at mpf once the margin (about 1/x) lies
+    below working precision (see BoundPair).
     """
     c = require_nonnegative(x)
     sin, cos = c.sincos(x)

@@ -13,6 +13,7 @@ from functools import partial
 from typing import Callable, Optional
 
 from . import core, master, series, tails
+from .numerics import require_int
 from .verify import BoundKind
 
 _SQRT2 = math.sqrt(2)
@@ -132,10 +133,7 @@ class Approximant:
     def __post_init__(self):
         info = family_info(self.family)
         if info.needs_n:
-            if self.n is None:
-                raise ValueError(f"family {self.family!r} requires n")
-            if not isinstance(self.n, int) or self.n < info.n_min:
-                raise ValueError(f"family {self.family!r} needs integer n >= {info.n_min}")
+            require_int(self.n, f"n of family {self.family!r}", info.n_min)
         elif self.n is not None:
             raise ValueError(f"family {self.family!r} does not take n")
         if info.kind is BoundKind.TWO_SIDED:

@@ -30,14 +30,13 @@ from functools import lru_cache
 from mpmath import mp
 
 from .core import BoundPair
-from .numerics import FLOAT, require_nonnegative
+from .numerics import FLOAT, require_int, require_nonnegative
 
 MAX_ORDER = 16
 
 
 def _check_order(n):
-    if not isinstance(n, int) or not 1 <= n <= MAX_ORDER:
-        raise ValueError(f"order n must be an integer in [1, {MAX_ORDER}], got {n!r}")
+    require_int(n, "order n", 1, MAX_ORDER)
 
 
 def _working_digits(n: int) -> int:
@@ -191,7 +190,8 @@ def master_bounds(n: int, x) -> BoundPair:
 
     Order 1 reproduces the Shafer-Fink pair, order 2 the order-2 closed
     form; the pair gap shrinks like 4^-n. The enclosure is nominal at float
-    (see BoundPair): from n = 6 the two scales round to one double.
+    (see BoundPair): from n = 6 the two scales round to one double. At mpf a
+    margin (about 1/x) below working precision can miss too.
     """
     params = master_params(n)
     c = require_nonnegative(x)

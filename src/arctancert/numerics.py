@@ -6,7 +6,7 @@ The second mode is what the certification harness uses to measure tiny bound
 margins without double rounding getting in the way.
 
 The choice is made once per call, by the ``require_*`` validator the kernel
-calls first: it returns the argument's row, ``FLOAT`` (the ``math``
+calls on its argument: it returns the argument's row, ``FLOAT`` (the ``math``
 functions, double pi and sqrt2, ``1.0``) or ``MPF`` (the mpmath functions,
 with pi and sqrt2 read at the active precision on each access), and the
 kernel takes every function and constant it needs from that row. Both rows
@@ -91,3 +91,13 @@ def require_unit(x, name="x"):
     if not 0 <= x <= 1:
         raise ValueError(f"{name} must lie in [0, 1], got {x!r}")
     return row
+
+
+def require_int(v, name, lo, hi=None):
+    """Raise ValueError unless v is an int in [lo, hi]; hi = None sets no upper limit.
+
+    A bool passes as the int it equals, as in the lru_caches keyed on orders.
+    """
+    if not isinstance(v, int) or v < lo or (hi is not None and v > hi):
+        limit = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {limit}, got {v!r}")

@@ -10,17 +10,13 @@ these kernels.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
 
-from .numerics import FLOAT, require_finite, require_unit
-
-
-def _check_trunc(n):
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"truncation index n must be an integer >= 0, got {n!r}")
+from .numerics import FLOAT, require_finite, require_int, require_unit
 
 
 def cheb_coefficients(n: int, ratio=None) -> list:
@@ -30,7 +26,7 @@ def cheb_coefficients(n: int, ratio=None) -> list:
     coefficients of arctan on [-1,1]; magnitudes decrease strictly and
     signs alternate.
     """
-    _check_trunc(n)
+    require_int(n, "truncation index n", 0)
     r = 1 / (1 + FLOAT.sqrt2) if ratio is None else ratio
     r2 = r * r
     out = []
@@ -83,12 +79,14 @@ def cf_arctan(n: int, x):
 
     Starting from the tail d = 2n+1, fold d = (2k-1) + k^2 x^2 / d for
     k = n..1 and return x/d. Reproduces the closed-form convergents; error
-    on [0,1] at most 1/(2*4^n).
+    on [0,1] at most 1/(2*4^n). At float every partial denominator is finite
+    while n^2*x^2 is, and past that x must be an mpf.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"depth n must be a positive integer, got {n!r}")
-    require_finite(x)
+    require_int(n, "depth n", 1)
+    c = require_finite(x)
     xx = x * x
+    if c is FLOAT and not n * n * xx <= sys.float_info.max:  # exact for an int x
+        raise ValueError(f"n^2*x^2 lies beyond the float range at n = {n}, x = {x!r}; pass an mpf instead")
     d = 2 * n + 1
     for k in range(n, 0, -1):
         d = (2 * k - 1) + k * k * xx / d
@@ -120,7 +118,7 @@ def taylor1_s(n: int, u):
     an upper bound of arctan for even n, a lower bound for odd n. At u = 1/t
     it is the depth-n series for arctan(1/t), t >= 1.
     """
-    _check_trunc(n)
+    require_int(n, "truncation index n", 0)
     require_unit(u, "u")
     return _quartic_rows(n, u / (u + 1))
 
@@ -136,7 +134,7 @@ def taylor1_t(n: int, u):
     arctan u, so t takes no K-ulp budget; its float error comes from its tail
     (``tails.t_error``) instead.
     """
-    _check_trunc(n)
+    require_int(n, "truncation index n", 0)
     c = require_unit(u, "u")
     return c.pi / 4 - _quartic_rows(n, (1 - u) / 2)
 
@@ -147,7 +145,7 @@ def blend_w(n: int, u):
     A convex combination, so it inherits whichever bound direction the pair
     shares; uniform error on [0,1] at most 20^-n.
     """
-    _check_trunc(n)
+    require_int(n, "truncation index n", 0)
     require_unit(u, "u")
     p = 4 * n + 4
     wu = u**p
@@ -165,15 +163,13 @@ def machin_pi_fraction(terms: int) -> Fraction:
     the accumulation in rational arithmetic leaves rounding out of the digit
     comparisons.
     """
-    if not isinstance(terms, int) or terms < 1:
-        raise ValueError(f"terms must be a positive integer, got {terms!r}")
+    require_int(terms, "terms", 1)
     return 16 * _quartic_rows(terms - 1, Fraction(1, 6)) - 4 * _quartic_rows(terms - 1, Fraction(1, 240))
 
 
 def machin_pi(terms: int, dps: int = 50):
     """machin_pi_fraction rounded to the nearest mpf at dps digits, an integer >= 1."""
-    if not isinstance(dps, int) or dps < 1:
-        raise ValueError(f"dps must be an integer >= 1, got {dps!r}")
+    require_int(dps, "dps", 1)
     v = machin_pi_fraction(terms)
     with mp.workdps(dps):
         # fdiv takes both integers exactly and rounds once; mpf(numerator) would

@@ -27,6 +27,7 @@ from functools import lru_cache
 from mpmath import mp
 
 from .master import MAX_ORDER, denominator_product, pn_coefficients
+from .numerics import require_nonnegative, require_unit
 from .series import cheb_coefficients
 
 U = 2.0**-53  # unit roundoff of a double
@@ -262,8 +263,7 @@ def cheb_error(n: int, x: float, v: float, eps_x: float, eps_v: float):
 
 def on_unit(error, n: int, x: float):
     """error at u = x in [0, 1], exact, with v = 1 - x (exact from 1/2 up, else within U)."""
-    if not 0 <= x <= 1:
-        raise ValueError(f"u must lie in [0, 1], got {x!r}")
+    require_unit(x, "u")
     return error(n, x, 1 - x, 0.0, U)
 
 
@@ -271,8 +271,7 @@ def lifted(error, n: int, x: float):
     """2*error at u = x/(1 + sqrt(1 + x^2)) for x >= 0, with v = 1 - u free of cancellation."""
     # s = hypot(1, x) errs by one ulp (2U); u = x/(1 + s) then by 4U, and
     # v = (1 + 1/(s + x))/(1 + s), since s - x = 1/(s + x), by 9U
-    if not x >= 0:
-        raise ValueError(f"x must be non-negative, got {x!r}")
+    require_nonnegative(x)
     s = math.hypot(1.0, x)
     u = x / (1 + s)
     v = (1 + 1 / (s + x)) / (1 + s)

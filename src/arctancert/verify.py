@@ -68,6 +68,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest
 
 from .core import LiftedApproximant, lift_interval_map
+from .numerics import require_int
 from .series import machin_pi
 
 _THETA_EDGE = 1e-8  # exclusion buffer at both ends of the tan-mapped grid
@@ -99,12 +100,8 @@ class OracleConfig:
     report_digits: int = 30
 
     def __post_init__(self):
-        if self.report_digits < 30:
-            raise ValueError("report_digits must be >= 30")
-        if self.working_digits < 40:
-            raise ValueError("working_digits must be >= 40")
-        if self.working_digits < self.report_digits + 10:
-            raise ValueError("working_digits must be >= report_digits + 10")
+        require_int(self.report_digits, "report_digits", 30)
+        require_int(self.working_digits, "working_digits", max(40, self.report_digits + 10))
 
 
 def default_config() -> OracleConfig:
@@ -294,8 +291,7 @@ class ErrorReport:
 
 
 def _sample_points(iv: Interval, grid_points: int) -> list:
-    if not isinstance(grid_points, int) or grid_points < 64:
-        raise ValueError(f"grid_points must be an integer >= 64, got {grid_points!r}")
+    require_int(grid_points, "grid_points", 64)
     if iv.unbounded:
         th_lo = max(math.atan(iv.lo), _THETA_EDGE)
         th_hi = math.pi / 2 - _THETA_EDGE
@@ -559,11 +555,9 @@ def norm_transfer_check(
     ||f - arctan|| on (0, t); true when they agree within 1% relative
     (sampling allowance) or both vanish to oracle noise.
     """
-    if not 0 < t < 1:
-        raise ValueError(f"t must lie in (0, 1), got {t!r}")
+    outer_hi = lift_interval_map(t)
     cfg = cfg or default_config()
     inner = sup_error(f, Interval(0.0, t, lo_open=True), grid_points, cfg=cfg)
-    outer_hi = lift_interval_map(t)
     lifted = LiftedApproximant(f)
     outer = sup_error(lifted, Interval(0.0, outer_hi, lo_open=True), grid_points, cfg=cfg)
     a = outer.sup_error

@@ -101,6 +101,7 @@ def test_eval_usage_errors(capsys):
     assert run(capsys, "eval", "--family", "sf", "--n", "2", "--x", "1")[0] == 2
     assert run(capsys, "eval", "--family", "master", "--x", "1")[0] == 2
     assert run(capsys, "eval", "--family", "cheb", "--n", "2", "--x", "0.5", "--param", "q=1")[0] == 2
+    assert run(capsys, "eval", "--family", "cheb", "--n", "2", "--x", "0.5", "--param", "m2")[0] == 2
     code, _, err = run(capsys, "eval", "--family", "lagrange", "--x", "3")
     assert code == 2 and "error" in err
 
@@ -111,6 +112,9 @@ def test_eval_rejects_m_outside_cheb(capsys):
     assert code == 2 and "m only applies" in err
     assert run(capsys, "eval", "--family", "cf", "--n", "2", "--x", "0.5", "--param", "m=2")[0] == 2
     assert run(capsys, "eval", "--family", "cheb", "--n", "2", "--x", "0.5", "--param", "m=inf")[0] == 2
+    # a repeated key is refused, not overridden by the last one
+    code, _, err = run(capsys, "eval", "--family", "cheb", "--n", "8", "--x", "0.5", "--param", "m=2", "--param", "m=3")
+    assert code == 2 and "more than once" in err
 
 
 def test_certify_w(capsys):
@@ -271,6 +275,8 @@ def test_table_usage_errors(tmp_path, capsys):
     assert run(capsys, "table", "--families", "", "--grid", "129")[0] == 2
     assert run(capsys, "table", "--families", "w", "--grid", "129")[0] == 2  # w needs a range
     assert run(capsys, "table", "--families", "sf:1..2", "--grid", "129")[0] == 2
+    assert run(capsys, "table", "--families", "cf:a..b", "--grid", "129")[0] == 2
+    assert run(capsys, "table", "--families", "cf:3..1", "--grid", "129")[0] == 2
     code, _, err = run(
         capsys,
         "table", "--families", "cf:1..1", "--grid", "129",

@@ -100,6 +100,8 @@ def test_nested_radical_domain():
         nested_radical_L(-1, 1.0)
     with pytest.raises(ValueError):
         nested_radical_L(2, -0.5)
+    with pytest.raises(ValueError):  # not range()'s TypeError
+        nested_radical_L(2.5, 1.0)
 
 
 def test_theorem2_frozen_values():

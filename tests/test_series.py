@@ -175,6 +175,14 @@ def test_cf_matches_closed_forms_on_grid():
 def test_cf_domain():
     with pytest.raises(ValueError):
         cf_arctan(0, 0.5)
+    # at float, n^2*x^2 past the float range is refused: the fold would give 0.0 (n = 1) or nan
+    for n, x in ((1, 1.35e154), (2, 1e200), (3, 1.3e154)):
+        with pytest.raises(ValueError):
+            cf_arctan(n, x)
+        with mp.workdps(30):
+            assert mp.isfinite(cf_arctan(n, mp.mpf(x)))
+    # just below the bound the value is right: x/(1 + x^2/3), about 3/x
+    assert cf_arctan(1, 1.3e154) == pytest.approx(3 / 1.3e154, rel=1e-15)
 
 @given(st.integers(min_value=1, max_value=10), st.floats(min_value=0.0, max_value=1e6))
 @settings(max_examples=50, deadline=None)

@@ -37,6 +37,10 @@ def test_oracle_config_validation():
         OracleConfig(39, 30)
     with pytest.raises(ValueError):
         OracleConfig(41, 35)
+    with pytest.raises(ValueError):  # not the comparison's TypeError
+        OracleConfig("50", 30)
+    with pytest.raises(ValueError):  # digits are whole
+        OracleConfig(50.5, 30)
 
 
 def test_default_config_env_override(monkeypatch):
@@ -196,7 +200,7 @@ def test_interval_parse_and_str():
 
 @pytest.mark.parametrize(
     "bad",
-    ["5", "2:1", "abc:1", "-1:2", "1:1", "inf:2",
+    ["5", "2:1", "abc:1", "-1:2", "1:1", "inf:2", "0:nan",
      # ints past the float range, passed to Interval directly
      pytest.param((0, 10**400), id="0:10**400"), pytest.param((10**400, math.inf), id="10**400:inf")],
 )
@@ -290,6 +294,8 @@ def test_sup_error_validates_grid(cfg):
         sup_error(Approximant("cf", n=2), Interval(0, 1, lo_open=True), 100.0, cfg=cfg)
     with pytest.raises(ValueError):
         norm_transfer_check(lagrange_p, 0.5, 200.0, cfg=cfg)
+    with pytest.raises(ValueError):  # every grid point but the open lo rounds to hi
+        sup_error(lagrange_p, Interval(0.0, 5e-324, lo_open=True), 64, cfg=cfg)
 
 
 def test_certify_shafer_fink_directions(cfg):
