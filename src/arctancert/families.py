@@ -20,12 +20,6 @@ _SQRT2 = math.sqrt(2)
 # K: at float every kernel but t's lies within K/4 ulp of arctan x of its mpf
 # value, for x in [1e-150, 1e150] and orders up to MAX_ORDER (tests/test_families.py)
 FLOAT_ULPS = 64
-_FLOAT_RANGE = (1e-150, 1e150)  # arguments over which both float rules are tested
-# The tail rule's third part: the mpf kernels err by under 2^18 units of 2^-prec
-# in max(1, arctan x) < 2 at prec >= 136 bits (40 digits), master's constants
-# carry 169 bits or more, and the oracle errs by one ulp of arctan x. Tested at
-# 40, 50 and 70 digits with the tail budgets (tests/test_tails.py).
-_MPF_TERM = 2.0**-117
 
 
 @dataclass(frozen=True)
@@ -112,16 +106,10 @@ class Approximant:
     and lift) is bound once, at construction. Every approximant targets
     arctan x; cheb's expansion of arctan(m*x) is series.cheb_arctan(n, x, m).
 
-    rough_error(x) is the float tier of the certification scan, which takes
-    arctan x from math.atan(x). It returns (e, B): e approximates E = f(x) -
-    arctan x, and B bounds |e - E| for E at the oracle's working precision
-    (40 digits or more). A family with a tail (sf, t2, master, cheb, s, t, w
-    and their lifts) sums it (``tails``), and B adds up the sum's float error,
-    the effect of rounding its argument to float, and the mpf kernel's and the
-    oracle's own rounding. The other families take the K-ulp rule (ulp_rule).
-    One wrapper serves both rules: outside [1e-150, 1e150], where both are
-    tested, it returns None; past MAX_ORDER rough_error is None itself. Either
-    way the scan evaluates at mpf.
+    rough_error(x) is the float rule of the certification scan's float tier
+    (see ``verify``): the family's tail summed in float (``tails``) where it
+    has one, else the K-ulp rule (ulp_rule). It returns the rule's own (e, b)
+    or raises; past MAX_ORDER it is None.
     """
 
     family: str
@@ -155,10 +143,8 @@ class Approximant:
             return partial(ulp_rule, self)
         if info.kind is BoundKind.TWO_SIDED:
             order = info.pair_order or self.n
-            tail = partial(info.tail, order, (self.side == "upper") == bool(order % 2))
-        else:
-            tail = partial(tails.lifted if info.lifted else tails.on_unit, info.tail, self.n)
-        return partial(_rough, tail, _MPF_TERM)
+            return partial(info.tail, order, (self.side == "upper") == bool(order % 2))
+        return partial(tails.lifted if info.lifted else tails.on_unit, info.tail, self.n)
 
     @property
     def label(self) -> str:
@@ -179,39 +165,17 @@ class Approximant:
         return getattr(self._eval(x), self.side)
 
 
-_FAILED = (0.0, math.inf)  # a float value that raised or is not finite: settled at mpf
-
-
-def _rough(error: Callable, mpf_term: float, x: float):
-    # the one float rule wrapper: error(x) -> (e, b) as a rough_error, None outside
-    # _FLOAT_RANGE, _FAILED where it raises or e is not finite, else B = b + mpf_term + ulp(e)
-    if not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
-        return None
-    try:
-        e, b = error(x)
-    except (ArithmeticError, ValueError):
-        return _FAILED
-    return (e, b + mpf_term + math.ulp(e)) if math.isfinite(e) else _FAILED
-
-
-def _ulp_error(f: Callable, k: int, x: float):
-    # the K-ulp rule's error function, shaped like a tail: f(x) - arctan x and k*ulp(arctan x)
-    atan = math.atan(x)
-    return f(x) - atan, k * math.ulp(atan)
-
-
-def ulp_rule(f: Callable, x: float, k: int = FLOAT_ULPS):
+def ulp_rule(f: Callable, x: float):
     """The K-ulp rule, a rough_error for any float kernel f.
 
-    e = f(x) - math.atan(x) with B = k*ulp(arctan x) + ulp(e), for x in
-    [1e-150, 1e150], and None outside. It rests on f's float value lying
-    within k/4 ulp of arctan x of its mpf value, which tests/test_families.py
-    checks for every registry row but t, and on math.atan lying within one
-    ulp of arctan x (tests/test_tails.py). B is infinite where f raises or e
-    is not finite; the scan then settles x at mpf, where a real failure
-    raises again.
+    e = f(x) - math.atan(x) and b = K*ulp(arctan x), K = FLOAT_ULPS. It rests
+    on f's float value lying within K/4 ulp of arctan x of its mpf value, which
+    tests/test_families.py checks for every registry row but t on [1e-150,
+    1e150], and on math.atan lying within one ulp of arctan x
+    (tests/test_tails.py).
     """
-    return _rough(partial(_ulp_error, f, k), 0.0, x)
+    atan = math.atan(x)
+    return f(x) - atan, FLOAT_ULPS * math.ulp(atan)
 
 
 def table_entry(ident: str, n: Optional[int]):

@@ -86,7 +86,7 @@ def cf_arctan(n: int, x):
     c = require_finite(x)
     xx = x * x
     if c is FLOAT and not n * n * xx <= sys.float_info.max:  # exact for an int x
-        raise ValueError(f"n^2*x^2 lies beyond the float range at n = {n}, x = {x!r}; pass an mpf instead")
+        raise ValueError(f"n^2*x^2 lies beyond the float range at n = {n}, x = {x!r}")
     d = 2 * n + 1
     for k in range(n, 0, -1):
         d = (2 * k - 1) + k * k * xx / d

@@ -15,8 +15,9 @@ computation's distance from E. The series:
 
 The bounds are first order in the unit roundoff U; every constant carries a
 few percent of slack for the second-order terms. Quantities that underflow
-err by under 2^-1000 absolutely, which the caller's mpf term (see
-``families``) absorbs. b does not include that term, nor the final ulp(e).
+err by under 2^-1000 absolutely, which the scan's mpf term absorbs. b does
+not include that term, nor the final ulp(e): the scan's guard adds both (see
+``verify``).
 """
 
 from __future__ import annotations

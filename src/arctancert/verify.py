@@ -23,25 +23,30 @@ smaller local maximum could only win if the error more than doubled inside
 one grid cell.
 
 The scan runs at two precisions. Each grid point and each golden-section
-probe is first evaluated in float through the approximant's
-``rough_error(x)`` hook, which has one float source of arctan x, math.atan(x),
-tested to lie within one ulp of it; a point the float tier decides costs no
-oracle evaluation. The hook returns an error e and a budget B that bounds its
-distance from the error at the oracle's working precision.
-``families.Approximant`` has two rules behind one wrapper. The tail rule, for
-sf, t2, master, cheb, s, t, w and the lifted cheb and w, sums the family's own
-error series in float (``tails``), so B is relative to E; it has three parts:
-the float sum's own error with the truncated rest of the series, the effect
-of rounding its argument (arctan x, or u) to float, and the mpf kernel's and
-the oracle's own rounding, under 2^-117. The K-ulp rule, for t4, lagrange,
-t5, cf and cf-lifted, takes e = f(x) - math.atan(x) with B = K*ulp(arctan x)
-+ ulp(e), K = 64 (``families.FLOAT_ULPS``); it rests on the float kernel
-lying within K/4 ulp of arctan x of the 50-digit value. Both rules are tested
-on [1e-150, 1e150] for every order up to 16 and every side
-(tests/test_tails.py, tests/test_families.py); outside that range, and for
-higher orders, the wrapper gives no float value, and points whose float value
-raises or is not finite get an infinite budget. Such points are evaluated at
-mpf, and so is every point of a callable without the hook.
+probe is first evaluated in float, through the approximant's
+``rough_error(x)`` hook, if it has one. The hook is the family's float rule;
+it takes arctan x from math.atan(x), tested to lie within one ulp of it, and
+returns (e, b): e approximates E = f(x) - arctan x, and b bounds the float
+computation's distance from E. ``families.Approximant`` has two rules. The
+tail rule, for sf, t2, master, cheb, s, t, w and the lifted cheb and w, sums
+the family's own error series in float (``tails``), so b is relative to E:
+the float sum's own error with the truncated rest of the series, and the
+effect of rounding its argument (arctan x, or u) to float. The K-ulp rule,
+for t4, lagrange, t5, cf and cf-lifted, takes e = f(x) - math.atan(x) with
+b = K*ulp(arctan x), K = 64 (``families.FLOAT_ULPS``); it rests on the float
+kernel lying within K/4 ulp of arctan x of the 50-digit value. Past order 16
+the hook is None.
+
+One guard here, _float_error, decides when to trust a hook. It takes no float
+value outside [1e-150, 1e150], the range on which both rules are tested for
+every order up to 16 and every side (tests/test_tails.py,
+tests/test_families.py), nor from a callable without the hook. Where the hook
+raises ArithmeticError or ValueError, or e is not finite, the budget is
+infinite. Otherwise the budget is B = b + 2^-117 + ulp(e): 2^-117 covers the
+mpf kernel's and the oracle's own rounding, and ulp(e) the rounding of e.
+A point with no float value or an infinite budget is evaluated at mpf, where
+a real failure raises again; a point the float tier decides costs no oracle
+evaluation.
 
 Both certifications run one scan body with two settle rules. Its settle loop
 re-evaluates at mpf every point a decision could rest on until none is left:
@@ -79,6 +84,12 @@ REFINE_TOL = 1e-12  # golden-section brackets stop below REFINE_TOL*max(1, x)
 _TOP = 3  # local maxima of |E| refined by golden-section search
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
+_FLOAT_RANGE = (1e-150, 1e150)  # arguments over which both float rules are tested
+# The budget's mpf term: the mpf kernels err by under 2^18 units of 2^-prec in
+# max(1, arctan x) < 2 at prec >= 136 bits (40 digits), master's constants carry
+# 169 bits or more, and the oracle errs by one ulp of arctan x. Tested at 40, 50
+# and 70 digits with the tail budgets (tests/test_tails.py).
+_MPF_TERM = 2.0**-117
 
 
 class BoundKind(Enum):
@@ -316,17 +327,30 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
     return out
 
 
+def _float_error(hook: Optional[Callable], x: float):
+    # the float tier's one guard (see the module docstring): (e, B) from the
+    # rough_error hook at x, or None where it makes no float evaluation
+    if hook is None or not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
+        return None
+    try:
+        e, b = hook(x)
+        if math.isfinite(e):
+            return e, b + _MPF_TERM + math.ulp(e)
+    except (ArithmeticError, ValueError):
+        pass
+    return 0.0, math.inf
+
+
 class _Errors:
     """The error sign*E, E = f - arctan, of one approximant over a grid, at two precisions.
 
     sign is -1 for the margin of a lower bound, arctan - f, and 1 otherwise.
-    rough(x) returns (e, B): e is sign*E in float, from f's rough_error hook,
-    which takes arctan x from math.atan(x) at grid points and probes alike,
-    and B bounds its distance from the mpf value. B is infinite when f has no
-    hook, or the hook gives no float value at x or fails there. exact(x) is
-    sign*E at mpf. The grid keeps bounds lo[i] <= sign*E_i <= hi[i] on every
-    point, and settle() sets both to the mpf value. Evaluations are counted
-    per precision, and oracle misses from the scan's start.
+    rough(x) returns (e, B) from _float_error at grid points and probes alike:
+    e is sign*E in float and B bounds its distance from the mpf value, infinite
+    where the guard takes no float value. exact(x) is sign*E at mpf. The grid
+    keeps bounds lo[i] <= sign*E_i <= hi[i] on every point, and settle() sets
+    both to the mpf value. Evaluations are counted per precision, and oracle
+    misses from the scan's start.
     """
 
     def __init__(self, f: Callable, iv: Interval, grid_points: int, cfg: OracleConfig, sign: int):
@@ -338,10 +362,8 @@ class _Errors:
         self.lo, self.hi = [e - b for e, b in rough], [e + b for e, b in rough]
 
     def rough(self, x: float):
-        if self.hook is None:
-            return 0.0, math.inf
-        got = self.hook(x)
-        if got is None:  # no float evaluation made
+        got = _float_error(self.hook, x)
+        if got is None:
             return 0.0, math.inf
         self.evals_float += 1
         e, b = got
@@ -431,7 +453,7 @@ def _golden_max(err: _Errors, a: float, b: float):
         return abs(err.exact(x)), 0
 
     g = rough
-    tol = REFINE_TOL * max(1.0, abs(a + b) / 2)
+    tol = REFINE_TOL * max(1.0, a / 2 + b / 2)  # halves first: a + b may overflow
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     (gc, bc), (gd, bd) = g(c), g(d)
@@ -447,7 +469,7 @@ def _golden_max(err: _Errors, a: float, b: float):
             b, d, gd, bd = d, c, gc, bc
             c = b - _INVPHI * (b - a)
             gc, bc = g(c)
-    x = (a + b) / 2
+    x = a / 2 + b / 2
     return x, exact(x)[0]
 
 

@@ -106,6 +106,13 @@ def test_eval_usage_errors(capsys):
     assert code == 2 and "error" in err
 
 
+def test_eval_refuses_a_float_past_the_kernel_range(capsys):
+    # eval takes x as a float, so the refusal names the float range and offers no mpf
+    code, out, err = run(capsys, "eval", "--family", "cf", "--n", "2", "--x", "1e200")
+    assert code == 2 and out == ""
+    assert err == "error: n^2*x^2 lies beyond the float range at n = 2, x = 1e+200\n"
+
+
 def test_eval_rejects_m_outside_cheb(capsys):
     # m scales cheb only; elsewhere it is a usage error, never silently ignored
     code, _, err = run(capsys, "eval", "--family", "sf", "--x", "0.5", "--param", "m=2")

@@ -9,7 +9,7 @@ from mpmath import bernfrac, mp
 from arctancert import tails
 from arctancert.families import FAMILIES, Approximant
 from arctancert.master import MAX_ORDER
-from arctancert.verify import BoundKind, Interval, OracleConfig, _sample_points, oracle_arctan, sup_error
+from arctancert.verify import BoundKind, Interval, OracleConfig, _float_error, _sample_points, oracle_arctan, sup_error
 
 # every row whose float error comes from its tail: each order up to MAX_ORDER, each side
 TAIL_ROWS = [
@@ -43,7 +43,7 @@ def test_tail_budget_bounds_the_distance_from_the_mpf_error(ap, data):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
-        got = ap.rough_error(x)
+        got = _float_error(ap.rough_error, x)  # the budget the scan uses
         if not 1e-150 <= x <= 1e150:
             assert got is None
             continue
@@ -96,6 +96,8 @@ def test_tail_row_outside_its_domain_is_settled_at_mpf_and_raises(cfg):
     # the tail needs no kernel evaluation, so it checks the kernel's domain itself: a
     # point the kernel rejects gets an infinite budget, and the scan's mpf value raises
     ap = Approximant("cheb", n=3)
-    assert ap.rough_error(1.5) == (0.0, math.inf)
+    with pytest.raises(ValueError):
+        ap.rough_error(1.5)
+    assert _float_error(ap.rough_error, 1.5) == (0.0, math.inf)
     with pytest.raises(ValueError):
         sup_error(ap, Interval(0.0, 2.0), 65, cfg=cfg)

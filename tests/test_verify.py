@@ -458,7 +458,7 @@ class _FloatTrouble:
     """cf_arctan(2, x) that claims a float budget but fails at float on part of the grid."""
 
     def rough_error(self, x):
-        return ulp_rule(self, x, 64)
+        return ulp_rule(self, x)
 
     def __call__(self, x):
         if isinstance(x, float) and x > 0.5:
@@ -488,6 +488,45 @@ def test_points_outside_the_budget_range_are_settled_at_mpf(cfg):
     assert rep.evals_mpf >= outside
 
 
+class _RangeStrict:
+    """cf_arctan(2, x) whose float rule fails loudly outside the range it is tested on.
+
+    AssertionError is no float failure the scan forgives, so only a guard that
+    checks the range before calling the hook lets the scan finish. The mpf
+    arguments it is called at are recorded.
+    """
+
+    def __init__(self):
+        self.mpf = []
+
+    def rough_error(self, x):
+        assert 1e-150 <= x <= 1e150, x
+        return ulp_rule(self, x)
+
+    def __call__(self, x):
+        if not isinstance(x, float):
+            self.mpf.append(float(x))
+        return cf_arctan(2, x)
+
+
+def test_the_scan_alone_keeps_a_hook_to_the_float_range(cfg):
+    iv = Interval(0.0, 1e-140)
+    f = _RangeStrict()
+    rep = sup_error(f, iv, 129, cfg=cfg)
+    below = {x for x in _sample_points(iv, 129) if x < 1e-150}
+    assert below and below <= set(f.mpf)
+    assert _outcome(rep) == _outcome(sup_error(_without_budget(f), iv, 129, cfg=cfg))
+
+
+def test_golden_section_brackets_near_the_top_of_the_float_range(cfg):
+    # both ends of a bracket lie above 9e307, where their sum overflows; the search
+    # halves them first, so its tolerance and its returned point stay finite
+    rep = sup_error(Approximant("t5"), Interval(9e307, 1e308), 65, cfg=cfg)
+    assert rep.refined > 0
+    assert 9e307 <= rep.arg_max <= 1e308
+    assert math.isfinite(rep.sup_error)
+
+
 class _Profile:
     """arctan plus a piecewise-linear error through the knots (x, E), 0.01 outside them.
 
@@ -502,7 +541,8 @@ class _Profile:
         self.calls = []
 
     def rough_error(self, x):
-        return ulp_rule(self, x, self.float_ulps)
+        atan = math.atan(x)
+        return self(x) - atan, self.float_ulps * math.ulp(atan)
 
     def error(self, x):
         k = bisect.bisect_right(self.xs, x)
