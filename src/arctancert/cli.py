@@ -57,12 +57,6 @@ def _signed_oracle(x: float, cfg):
     return oracle_arctan(x, cfg)
 
 
-def _parse_interval(text: str) -> Interval:
-    iv = Interval.parse(text)
-    # open at zero, where every family but t is exact, so a strict bound check would fail there
-    return Interval(iv.lo, iv.hi, lo_open=iv.lo == 0.0)
-
-
 def _side_approximants(ident: str, n, kind=None):
     # (side, check kind, Approximant) per direction to check: kind, else each of _SIDES,
     # else one (None, APPROXIMATION, ...) checked against the family's claim
@@ -110,8 +104,8 @@ def cmd_eval(args) -> int:
 
     rows = []  # (side, value, target oracle)
     for side, _, approx in _side_approximants(ident, args.n):
-        ref = float(_signed_oracle(x if m is None else m * x, cfg))
-        rows.append((side or "", approx(x) if m is None else cheb_arctan(args.n, x, m), ref))
+        value = approx(x) if m is None else cheb_arctan(args.n, x, m)  # names a bad m before the oracle does
+        rows.append((side or "", value, float(_signed_oracle(x if m is None else m * x, cfg))))
 
     if args.format == "csv":
         print("family,n,x,side,value,oracle,signed_error")
@@ -151,7 +145,7 @@ def _print_report(r: ErrorReport, grid: int) -> None:
 
 def cmd_certify(args) -> int:
     ident = args.family
-    interval = _parse_interval(args.interval)
+    interval = Interval.parse(args.interval)
     cfg = default_config()
 
     reports = []
@@ -216,14 +210,14 @@ def _csv_row(ident: str, n, r: ErrorReport) -> str:
 
 def cmd_table(args) -> int:
     specs = _parse_family_specs(args.families)
-    shared = _parse_interval(args.interval) if args.interval else None
+    shared = Interval.parse(args.interval) if args.interval else None
     cfg = default_config()
 
     rows = []
     ok = True
     for ident, n in sorted(specs, key=lambda s: (s[0], -1 if s[1] is None else s[1])):
         # without an explicit interval each family is measured where its claim holds
-        interval = shared or _parse_interval(family_info(ident).claim_interval)
+        interval = shared or Interval.parse(family_info(ident).claim_interval)
         # an UPPER row has no uniform claim; its verdict is the direction check
         report = _check(*table_entry(ident, n), interval, args.grid, cfg)
         ok = ok and report.satisfied

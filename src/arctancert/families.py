@@ -143,7 +143,7 @@ class Approximant:
             return partial(ulp_rule, self)
         if info.kind is BoundKind.TWO_SIDED:
             order = info.pair_order or self.n
-            return partial(info.tail, order, (self.side == "upper") == bool(order % 2))
+            return partial(info.tail, order, self.side == master.constant_side(order))
         return partial(tails.lifted if info.lifted else tails.on_unit, info.tail, self.n)
 
     @property
@@ -193,9 +193,8 @@ def table_entry(ident: str, n: Optional[int]):
         return approx, approx.claim, info.kind
     order = info.pair_order or n
     params = master.master_params(order)
-    side = "upper" if order % 2 else "lower"  # the g-constant side
     claim = float(params.k_high - params.k_low) * (math.pi / 2) / float(params.k_low)
-    return Approximant(ident, n=n, side=side), claim, BoundKind.APPROXIMATION
+    return Approximant(ident, n=n, side=master.constant_side(order)), claim, BoundKind.APPROXIMATION
 
 
 def list_rows() -> list:

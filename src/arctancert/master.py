@@ -157,22 +157,25 @@ class MasterParams:
     scale_high: float
 
 
+def constant_side(n: int) -> str:
+    """The order-n pair's side with the constant g_n(pi/2), which exceeds 1 exactly for odd n."""
+    return "upper" if n % 2 else "lower"
+
+
 @lru_cache(maxsize=None)
 def master_params(n: int) -> MasterParams:
     """Assemble and cache the order-n parameters.
 
-    The parity rule (g_n(pi/2) above 1 exactly for odd n) is derived from the
-    sign of p_n beyond its roots and asserted here rather than assumed.
+    The parity rule (constant_side) is derived from the sign of p_n beyond its
+    roots and asserted here rather than assumed.
     """
     _check_order(n)
     with mp.workdps(_working_digits(n)):
         g_end = gn_eval(n, mp.pi / 2)
         one = mp.mpf(1)
-        if n % 2:
-            assert g_end > one, f"expected g_{n}(pi/2) > 1, got {g_end}"
-        else:
-            assert g_end < one, f"expected g_{n}(pi/2) < 1, got {g_end}"
-        k_low, k_high = (one, g_end) if g_end > one else (g_end, one)
+        upper = constant_side(n) == "upper"
+        assert g_end > one if upper else g_end < one, f"expected g_{n}(pi/2) {'>' if upper else '<'} 1, got {g_end}"
+        k_low, k_high = (one, g_end) if upper else (g_end, one)
         assert k_high - k_low < mp.mpf(4) ** -n
         d = denominator_product(n)
         return MasterParams(

@@ -13,8 +13,8 @@ cross-checked, to 4 ulp, against 4*arctan(1) from the table once per working
 precision.
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
-grid is laid over the requested interval (a tan-mapped grid when the interval
-is unbounded, which stops at tan(pi/2 - 1e-8), about 1e8, so that an interval
+grid is laid over the requested closed interval (a tan-mapped grid when it is
+unbounded, which stops at tan(pi/2 - 1e-8), about 1e8, so that an interval
 starting there or beyond raises ValueError; uniform plus Chebyshev-spaced
 points when bounded), the three largest local error maxima within half the
 largest grid error are sharpened by golden-section search to a bracket below
@@ -38,12 +38,14 @@ kernel lying within K/4 ulp of arctan x of the 50-digit value. Past order 16
 the hook is None.
 
 One guard here, _float_error, decides when to trust a hook. It takes no float
-value outside [1e-150, 1e150], the range on which both rules are tested for
-every order up to 16 and every side (tests/test_tails.py,
-tests/test_families.py), nor from a callable without the hook. Where the hook
-raises ArithmeticError or ValueError, or e is not finite, the budget is
-infinite. Otherwise the budget is B = b + 2^-117 + ulp(e): 2^-117 covers the
-mpf kernel's and the oracle's own rounding, and ulp(e) the rounding of e.
+value outside 0 and [1e-150, 1e150], where both rules are tested for every
+order up to 16 and every side (tests/test_tails.py, tests/test_families.py),
+nor from a callable without the hook. At 0 every rule is exact but two: t's
+tail, at the edge g = 1/2 of its budget, and master's constant side, which
+raises on 1/x. Where the hook raises ArithmeticError or ValueError, or e is
+not finite, the budget is infinite. Otherwise the budget is B = b + 2^-117 +
+ulp(e): 2^-117 covers the mpf kernel's and the oracle's own rounding, and
+ulp(e) the rounding of e.
 A point with no float value or an infinite budget is evaluated at mpf, where
 a real failure raises again; a point the float tier decides costs no oracle
 evaluation.
@@ -84,7 +86,7 @@ REFINE_TOL = 1e-12  # golden-section brackets stop below REFINE_TOL*max(1, x)
 _TOP = 3  # local maxima of |E| refined by golden-section search
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
-_FLOAT_RANGE = (1e-150, 1e150)  # arguments over which both float rules are tested
+_FLOAT_RANGE = (1e-150, 1e150)  # nonzero arguments over which both float rules are tested
 # The budget's mpf term: the mpf kernels err by under 2^18 units of 2^-prec in
 # max(1, arctan x) < 2 at prec >= 136 bits (40 digits), master's constants carry
 # 169 bits or more, and the oracle errs by one ulp of arctan x. Tested at 40, 50
@@ -235,11 +237,10 @@ def oracle_pi(cfg: Optional[OracleConfig] = None):
 
 @dataclass(frozen=True)
 class Interval:
-    """A sampling domain [lo, hi], or (lo, hi] when lo_open; hi may be +inf."""
+    """The closed sampling domain [lo, hi], hi possibly +inf; a 0:inf grid starts near 1e-8."""
 
     lo: float
     hi: float
-    lo_open: bool = False
 
     def __post_init__(self):
         try:
@@ -302,6 +303,11 @@ class ErrorReport:
 
 
 def _sample_points(iv: Interval, grid_points: int) -> list:
+    """Sorted distinct grid points of iv, both ends included when it is bounded.
+
+    An unbounded grid is uniform in arctan x on [max(arctan lo, 1e-8), pi/2 - 1e-8],
+    so 0:inf starts near 1e-8; tan steps by about 2 even where that range is one ulp.
+    """
     require_int(grid_points, "grid_points", 64)
     if iv.unbounded:
         th_lo = max(math.atan(iv.lo), _THETA_EDGE)
@@ -319,18 +325,13 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
         m = grid_points // 2 + 1
         pts.extend(lo + (hi - lo) * 0.5 * (1 - math.cos(math.pi * i / m)) for i in range(1, m))
         pts.sort()
-    out = [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
-    if iv.lo_open:
-        out = [p for p in out if p > iv.lo]
-    if len(out) < 2:
-        raise ValueError(f"interval {iv} is degenerate at this grid size")
-    return out
+    return [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
 
 
 def _float_error(hook: Optional[Callable], x: float):
     # the float tier's one guard (see the module docstring): (e, B) from the
     # rough_error hook at x, or None where it makes no float evaluation
-    if hook is None or not _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]:
+    if hook is None or not (x == 0 or _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]):
         return None
     try:
         e, b = hook(x)
@@ -556,7 +557,7 @@ def certify_bound(
     margin could be the smallest, and each whose |E| could be the largest
     (the reported sup_error). Then min_gap is exact and every other margin
     lies above it, so no other point can change the verdict. The grid is not
-    refined.
+    refined. A bounded grid from 0 samples x = 0, where every bound meets arctan.
     """
     kind = BoundKind(kind)
     if kind not in (BoundKind.LOWER, BoundKind.UPPER):
@@ -573,15 +574,15 @@ def norm_transfer_check(
 ) -> bool:
     """Check the lifting norm identity on matched intervals.
 
-    Measures ||LiftedApproximant(f) - arctan|| on (0, 2t/(1-t^2)) against twice
-    ||f - arctan|| on (0, t); true when they agree within 1% relative
+    Measures ||LiftedApproximant(f) - arctan|| on [0, 2t/(1-t^2)] against twice
+    ||f - arctan|| on [0, t]; true when they agree within 1% relative
     (sampling allowance) or both vanish to oracle noise.
     """
     outer_hi = lift_interval_map(t)
     cfg = cfg or default_config()
-    inner = sup_error(f, Interval(0.0, t, lo_open=True), grid_points, cfg=cfg)
+    inner = sup_error(f, Interval(0.0, t), grid_points, cfg=cfg)
     lifted = LiftedApproximant(f)
-    outer = sup_error(lifted, Interval(0.0, outer_hi, lo_open=True), grid_points, cfg=cfg)
+    outer = sup_error(lifted, Interval(0.0, outer_hi), grid_points, cfg=cfg)
     a = outer.sup_error
     b = 2 * inner.sup_error
     if max(a, b) < 1e-20:

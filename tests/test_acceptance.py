@@ -33,10 +33,9 @@ from arctancert.verify import (
 GRID = 4097
 SQRT2 = math.sqrt(2)
 
-R_PLUS = Interval(0.0, math.inf, lo_open=True)
+R_PLUS = Interval(0.0, math.inf)
 UNIT = Interval(0.0, 1.0)
-UNIT_OPEN = Interval(0.0, 1.0, lo_open=True)
-UP_TO_1E6 = Interval(0.0, 1e6, lo_open=True)
+UP_TO_1E6 = Interval(0.0, 1e6)
 
 CFG = OracleConfig(working_digits=50, report_digits=30)
 
@@ -158,7 +157,7 @@ def test_criterion_05_continued_fraction():
 
 
 def test_criterion_06_lagrange_and_lifted():
-    rep_p = sup_error(lagrange_p, UNIT_OPEN, GRID, cfg=CFG, claimed_bound=1 / 230)
+    rep_p = sup_error(lagrange_p, UNIT, GRID, cfg=CFG, claimed_bound=1 / 230)
     rep_5 = sup_error(theorem5_approx, R_PLUS, GRID, cfg=CFG, claimed_bound=1 / 115)
     worst = 0.0
     for x in _sample_points(UP_TO_1E6, 1025):

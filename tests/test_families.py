@@ -46,25 +46,35 @@ BUDGETED = [
 
 
 def _domain_points(unit):
-    # log-uniform over the budget's range (clipped to [0, 1] on unit domains), and linear
+    # 0, log-uniform over the budget's range (clipped to [0, 1] on unit domains), and linear
     top = 0.0 if unit else 150.0
     return st.one_of(
+        st.just(0.0),
         st.floats(min_value=-150.0, max_value=top).map(lambda t: 10.0**t),
         st.floats(min_value=1e-150, max_value=1.0 if unit else 1e3),
     )
+
+
+def _check_quarter_budget(ap, x):
+    assert ap.rough_error is not None
+    value = ap(x)
+    with mp.workdps(50):
+        gap = abs(value - ap(mp.mpf(x)))
+        ulp = math.ulp(float(oracle_arctan(x)))
+    assert gap <= FLOAT_ULPS / 4 * ulp, (ap.label, x)
 
 
 @pytest.mark.parametrize("ap", BUDGETED, ids=lambda ap: ap.label)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_float_within_a_quarter_budget_of_mpf(ap, data):
-    assert ap.rough_error is not None
-    x = data.draw(_domain_points(FAMILIES[ap.family].claim_interval == "0:1"))
-    value = ap(x)
-    with mp.workdps(50):
-        gap = abs(value - ap(mp.mpf(x)))
-        ulp = math.ulp(float(oracle_arctan(x)))
-    assert gap <= FLOAT_ULPS / 4 * ulp
+    _check_quarter_budget(ap, data.draw(_domain_points(FAMILIES[ap.family].claim_interval == "0:1")))
+
+
+def test_float_within_a_quarter_budget_of_mpf_at_zero():
+    # ulp(arctan 0) is the least subnormal, so every float value must be exact there
+    for ap in BUDGETED:
+        _check_quarter_budget(ap, 0.0)
 
 
 def test_only_unbudgeted_rows_are_high_orders():

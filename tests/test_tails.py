@@ -8,23 +8,23 @@ from mpmath import bernfrac, mp
 
 from arctancert import tails
 from arctancert.families import FAMILIES, Approximant
-from arctancert.master import MAX_ORDER
+from arctancert.master import MAX_ORDER, constant_side
 from arctancert.verify import BoundKind, Interval, OracleConfig, _float_error, _sample_points, oracle_arctan, sup_error
 
-# every row whose float error comes from its tail: each order up to MAX_ORDER, each side
-TAIL_ROWS = [
+# every registry row: each order up to MAX_ORDER, each side; and those whose float error comes from their tail
+ROWS = [
     Approximant(ident, n=n, side=side)
     for ident, info in FAMILIES.items()
-    if info.tail is not None
     for n in (range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,))
     for side in (("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,))
 ]
+TAIL_ROWS = [ap for ap in ROWS if FAMILIES[ap.family].tail is not None]
 
 
 def _points(unit):
-    # log-uniform over [1e-150, 1e150]; on unit domains over [1e-150, 1], with 0, 1 and uniform draws
+    # 0, and log-uniform over [1e-150, 1e150]; on unit domains over [1e-150, 1], with 1 and uniform draws
     if not unit:
-        return st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t)
+        return st.one_of(st.just(0.0), st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t))
     return st.one_of(
         st.sampled_from([0.0, 1.0]),
         st.floats(min_value=-150.0, max_value=0.0).map(lambda t: 10.0**t),
@@ -32,25 +32,41 @@ def _points(unit):
     )
 
 
-@pytest.mark.parametrize("ap", TAIL_ROWS, ids=lambda ap: ap.label)
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_tail_budget_bounds_the_distance_from_the_mpf_error(ap, data):
+def _check_budget(ap, x):
     # B bounds |e - E| for E at 40, 50 and 70 digits, and is no vacuous bound: about
-    # 1e-14 of |E|, or of the claimed bound where E passes through zero
-    x = data.draw(_points(FAMILIES[ap.family].claim_interval == "0:1"))
+    # 1e-14 of |E|, or of the claimed bound where E passes through zero. At 0 the
+    # g-constant side of a pair raises on 1/x, so the scan settles it at mpf.
+    refuses_zero = bool(ap.side) and ap.side == constant_side(FAMILIES[ap.family].pair_order or ap.n)
     for digits in (40, 50, 70):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
         got = _float_error(ap.rough_error, x)  # the budget the scan uses
-        if not 1e-150 <= x <= 1e150:
+        if not (x == 0 or 1e-150 <= x <= 1e150):
             assert got is None
+            continue
+        if x == 0 and refuses_zero:
+            assert got == (0.0, math.inf), ap.label
             continue
         e, b = got
         with mp.workdps(digits):
-            assert abs(e - exact) <= b, (x, digits, e, float(exact), b)
-        assert b <= 1e-12 * (abs(e) + (ap.claim or 0)) + 2.0**-110
+            assert abs(e - exact) <= b, (ap.label, x, digits, e, float(exact), b)
+        assert b <= 1e-12 * (abs(e) + (ap.claim or 0)) + 2.0**-110, (ap.label, x, b)
+
+
+@pytest.mark.parametrize("ap", TAIL_ROWS, ids=lambda ap: ap.label)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_tail_budget_bounds_the_distance_from_the_mpf_error(ap, data):
+    _check_budget(ap, data.draw(_points(FAMILIES[ap.family].claim_interval == "0:1")))
+
+
+def test_every_float_rule_holds_or_refuses_at_zero():
+    # the scan's guard takes x = 0 from both rules, for all 172 rows: the K-ulp kernels
+    # and every tail but t's give exactly 0, t's sits at g = 1/2, the g-constant side refuses
+    assert len(ROWS) == 172
+    for ap in ROWS:
+        _check_budget(ap, 0.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -63,9 +79,9 @@ def test_library_atan_within_one_ulp(x):
 
 
 def test_library_atan_within_one_ulp_at_the_table_grid_points():
-    # the same premise, at every point the standard table's grids sample (10,402 points)
+    # the same premise, at every point the standard table's grids sample (10,404 points)
     cfg = OracleConfig(50, 30)
-    for iv in (Interval(0.0, 1.0, lo_open=True), Interval(0.0, math.inf, lo_open=True)):
+    for iv in (Interval(0.0, 1.0), Interval(0.0, math.inf)):
         for grid in (65, 4097):
             for x in _sample_points(iv, grid):
                 ref = oracle_arctan(x, cfg)

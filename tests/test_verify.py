@@ -209,19 +209,17 @@ def test_interval_errors(bad):
         Interval.parse(bad) if isinstance(bad, str) else Interval(*bad)
 
 
-def test_sample_points_bounded_respects_openness():
+def test_sample_points_bounded_hold_both_ends():
     iv = Interval(0.0, 1.0)
     pts = _sample_points(iv, 65)
     assert pts[0] == 0.0 and pts[-1] == 1.0
     assert all(a < b for a, b in zip(pts, pts[1:]))
-    open_iv = Interval(0.0, 1.0, lo_open=True)
-    pts_open = _sample_points(open_iv, 65)
-    assert pts_open[0] > 0.0 and pts_open[-1] == 1.0
-    assert pts_open == pts[1:]
+    # every other grid point rounds to one of the ends, which both stay
+    assert _sample_points(Interval(0.0, 5e-324), 64) == [0.0, 5e-324]
 
 
 def test_sample_points_unbounded():
-    iv = Interval(0.0, math.inf, lo_open=True)
+    iv = Interval(0.0, math.inf)
     pts = _sample_points(iv, 65)
     assert len(pts) == 65
     assert pts[0] == pytest.approx(1e-8, rel=1e-6)
@@ -256,7 +254,7 @@ def test_sup_error_of_oracle_is_tiny(cfg):
 def test_sup_error_lagrange_under_claim(cfg):
     rep = sup_error(
         lagrange_p,
-        Interval(0.0, 1.0, lo_open=True),
+        Interval(0.0, 1.0),
         1025,
         cfg=cfg,
         claimed_bound=1 / 230,
@@ -268,10 +266,10 @@ def test_sup_error_lagrange_under_claim(cfg):
 
 
 def test_sup_error_lifted_doubles_lagrange(cfg):
-    inner = sup_error(lagrange_p, Interval(0.0, 1.0, lo_open=True), 1025, cfg=cfg)
+    inner = sup_error(lagrange_p, Interval(0.0, 1.0), 1025, cfg=cfg)
     outer = sup_error(
         theorem5_approx,
-        Interval(0.0, math.inf, lo_open=True),
+        Interval(0.0, math.inf),
         1025,
         cfg=cfg,
         claimed_bound=1 / 115,
@@ -281,7 +279,7 @@ def test_sup_error_lifted_doubles_lagrange(cfg):
 
 
 def test_sup_error_grid_doubling_growth(cfg):
-    iv = Interval(0.0, 1.0, lo_open=True)
+    iv = Interval(0.0, 1.0)
     small = sup_error(lagrange_p, iv, 513, cfg=cfg)
     big = sup_error(lagrange_p, iv, 1025, cfg=cfg)
     assert big.sup_error >= small.sup_error - 1e-11
@@ -291,15 +289,13 @@ def test_sup_error_validates_grid(cfg):
     with pytest.raises(ValueError):
         sup_error(lagrange_p, Interval(0.0, 1.0), 32, cfg=cfg)
     with pytest.raises(ValueError):
-        sup_error(Approximant("cf", n=2), Interval(0, 1, lo_open=True), 100.0, cfg=cfg)
+        sup_error(Approximant("cf", n=2), Interval(0, 1), 100.0, cfg=cfg)
     with pytest.raises(ValueError):
         norm_transfer_check(lagrange_p, 0.5, 200.0, cfg=cfg)
-    with pytest.raises(ValueError):  # every grid point but the open lo rounds to hi
-        sup_error(lagrange_p, Interval(0.0, 5e-324, lo_open=True), 64, cfg=cfg)
 
 
 def test_certify_shafer_fink_directions(cfg):
-    iv = Interval(0.0, 1e6, lo_open=True)
+    iv = Interval(0.0, 1e6)
     low = certify_bound(Approximant("sf", side="lower"), BoundKind.LOWER, iv, 513, cfg=cfg)
     up = certify_bound(Approximant("sf", side="upper"), "upper", iv, 513, cfg=cfg)
     assert low.satisfied and low.min_gap >= 0
@@ -309,7 +305,7 @@ def test_certify_shafer_fink_directions(cfg):
 
 def test_certify_flags_corrupted_bound(cfg):
     scaled = lambda x: 0.999 * shafer_fink_bounds(x).upper
-    rep = certify_bound(scaled, BoundKind.UPPER, Interval(0.0, 1e6, lo_open=True), 257, cfg=cfg)
+    rep = certify_bound(scaled, BoundKind.UPPER, Interval(0.0, 1e6), 257, cfg=cfg)
     assert not rep.satisfied
     assert rep.min_gap < 0
 
@@ -356,9 +352,9 @@ def _without_budget(ap):
 @pytest.mark.parametrize(
     "ap, iv",
     [
-        (Approximant("cheb-lifted", n=4), Interval(0.0, math.inf, lo_open=True)),
-        (Approximant("w", n=3), Interval(0.0, 1.0, lo_open=True)),
-        (Approximant("w-lifted", n=1), Interval(0.0, math.inf, lo_open=True)),
+        (Approximant("cheb-lifted", n=4), Interval(0.0, math.inf)),
+        (Approximant("w", n=3), Interval(0.0, 1.0)),
+        (Approximant("w-lifted", n=1), Interval(0.0, math.inf)),
         (Approximant("lagrange"), Interval(0.0, 1.0)),
         (Approximant("cf", n=2), Interval(0.25, 3.0)),
     ],
@@ -375,10 +371,10 @@ def test_sup_error_two_precision_scan_matches_all_mpf(cfg, ap, iv):
 @pytest.mark.parametrize(
     "ap, kind, iv",
     [
-        (Approximant("sf", side="lower"), "lower", Interval(0.0, 1e6, lo_open=True)),
-        (Approximant("sf", side="upper"), "upper", Interval(0.0, 1e6, lo_open=True)),
-        (Approximant("t4"), "upper", Interval(0.0, math.inf, lo_open=True)),
-        (Approximant("master", n=3, side="lower"), "lower", Interval(0.0, 1000.0, lo_open=True)),
+        (Approximant("sf", side="lower"), "lower", Interval(0.0, 1e6)),
+        (Approximant("sf", side="upper"), "upper", Interval(0.0, 1e6)),
+        (Approximant("t4"), "upper", Interval(0.0, math.inf)),
+        (Approximant("master", n=3, side="lower"), "lower", Interval(0.0, 1000.0)),
         (Approximant("s", n=2), "lower", Interval(0.0, 1.0)),
     ],
     ids=str,
@@ -401,7 +397,7 @@ def _certifications(draw):
     ap = Approximant(ident, n=n, side=kind if info.kind is BoundKind.TWO_SIDED else None)
     hi = 1.0 if info.claim_interval == "0:1" else draw(st.sampled_from([math.inf, 3.0, 1e6]))
     lo = draw(st.one_of(st.just(0.0), st.floats(0.0, min(hi, 1e6) / 2)))
-    iv = Interval(lo, hi, lo_open=lo == 0.0)
+    iv = Interval(lo, hi)
     digits = draw(st.sampled_from([50, 60]))
     return ap, kind, iv, draw(st.integers(64, 400)), OracleConfig(digits, digits - 20)
 
@@ -420,7 +416,7 @@ def test_settle_rules_match_all_mpf_on_random_rows(case):
 
 
 def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
-    iv = Interval(0.0, 1.0, lo_open=True)
+    iv = Interval(0.0, 1.0)
     rep = sup_error(lagrange_p, iv, 257, cfg=cfg)
     assert rep.evals_float == 0
     assert rep.evals_mpf > len(_sample_points(iv, 257))  # the grid and the refinements
@@ -434,7 +430,7 @@ def test_report_counts_cold_oracle_values(cfg):
         (0.6180339887, lambda iv: sup_error(Approximant("cf", n=3), iv, 129, cfg=cfg)),
         (0.7071067811, lambda iv: certify_bound(Approximant("sf", side="upper"), "upper", iv, 129, cfg=cfg)),
     ):
-        iv = Interval(0.0, hi, lo_open=True)
+        iv = Interval(0.0, hi)
         first, second = run(iv), run(iv)
         assert first.oracle_cold > 0 and second.oracle_cold == 0
         assert dataclasses.replace(second, oracle_cold=first.oracle_cold) == first
@@ -444,7 +440,7 @@ def test_tiny_error_row_settles_fewer_points_at_mpf(cfg):
     # the g-constant side of master n = 6 stays within about 1e-15 of arctan, under
     # the K-ulp rule's budget, which settled every grid point at mpf; its tail's budget,
     # relative to E, leaves the same outcome with fewer mpf evaluations
-    iv = Interval(0.0, math.inf, lo_open=True)
+    iv = Interval(0.0, math.inf)
     ap = Approximant("master", n=6, side="lower")
     rep = sup_error(ap, iv, 129, cfg=cfg)
     slow = sup_error(_without_budget(ap), iv, 129, cfg=cfg)
@@ -469,7 +465,7 @@ class _FloatTrouble:
 
 
 def test_failed_float_values_are_settled_at_mpf(cfg):
-    iv = Interval(0.0, 1.0, lo_open=True)
+    iv = Interval(0.0, 1.0)
     fast = sup_error(_FloatTrouble(), iv, 257, cfg=cfg, claimed_bound=0.01)
     slow = sup_error(lambda x: cf_arctan(2, x), iv, 257, cfg=cfg, claimed_bound=0.01)
     assert _outcome(fast) == _outcome(slow)
@@ -477,12 +473,13 @@ def test_failed_float_values_are_settled_at_mpf(cfg):
 
 
 def test_points_outside_the_budget_range_are_settled_at_mpf(cfg):
-    # below 1e-150 the float budget is untested, so the scan evaluates there at mpf;
-    # certify_bound makes no golden-section probes, so each other point is one float evaluation
-    iv = Interval(0.0, 1e-140)
+    # in (0, 1e-150) the float budget is untested, so the scan evaluates there at mpf;
+    # certify_bound makes no golden-section probes, so each other point, 0 among
+    # them, is one float evaluation
+    iv = Interval(0.0, 1e-148)
     rep = certify_bound(Approximant("cf", n=2), "lower", iv, 129, cfg=cfg)
     pts = _sample_points(iv, 129)
-    outside = sum(x < 1e-150 for x in pts)
+    outside = sum(0 < x < 1e-150 for x in pts)
     assert outside > 0
     assert rep.evals_float == len(pts) - outside
     assert rep.evals_mpf >= outside
@@ -500,7 +497,7 @@ class _RangeStrict:
         self.mpf = []
 
     def rough_error(self, x):
-        assert 1e-150 <= x <= 1e150, x
+        assert x == 0 or 1e-150 <= x <= 1e150, x
         return ulp_rule(self, x)
 
     def __call__(self, x):
@@ -510,10 +507,10 @@ class _RangeStrict:
 
 
 def test_the_scan_alone_keeps_a_hook_to_the_float_range(cfg):
-    iv = Interval(0.0, 1e-140)
+    iv = Interval(0.0, 1e-148)
     f = _RangeStrict()
     rep = sup_error(f, iv, 129, cfg=cfg)
-    below = {x for x in _sample_points(iv, 129) if x < 1e-150}
+    below = {x for x in _sample_points(iv, 129) if 0 < x < 1e-150}
     assert below and below <= set(f.mpf)
     assert _outcome(rep) == _outcome(sup_error(_without_budget(f), iv, 129, cfg=cfg))
 
