@@ -18,7 +18,7 @@ from .verify import BoundKind
 
 _SQRT2 = math.sqrt(2)
 # K: at float every kernel but t's lies within K/4 ulp of arctan x of its mpf
-# value, for x in [1e-150, 1e150] and orders up to MAX_ORDER (tests/test_families.py)
+# value, for x = 0 and in [1e-150, 1e150], orders up to MAX_ORDER (tests/test_families.py)
 FLOAT_ULPS = 64
 
 
@@ -170,8 +170,8 @@ def ulp_rule(f: Callable, x: float):
 
     e = f(x) - math.atan(x) and b = K*ulp(arctan x), K = FLOAT_ULPS. It rests
     on f's float value lying within K/4 ulp of arctan x of its mpf value, which
-    tests/test_families.py checks for every registry row but t on [1e-150,
-    1e150], and on math.atan lying within one ulp of arctan x
+    tests/test_families.py checks for every registry row but t at 0 and on
+    [1e-150, 1e150], and on math.atan lying within one ulp of arctan x
     (tests/test_tails.py).
     """
     atan = math.atan(x)
