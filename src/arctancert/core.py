@@ -1,11 +1,10 @@
 """Closed-form arctangent bounds and the half-angle lifting operator.
 
 The fixed-order bound families live here: the classical Shafer-Fink pair,
-its order-2 strengthening, a one-off upper bound, a quadratic interpolant,
-and the nested-radical sequence L_k of the paper's general-order
-construction, kept as a reference: ``master`` builds its a_n from the
-overflow-free ratios L_k/sqrt(1+x^2) instead. Everything is a pure function
-accepting a float or an mpmath value.
+its order-2 strengthening, a one-off upper bound and a quadratic
+interpolant. ``master`` builds the paper's general order from the
+overflow-free ratios L_k/sqrt(1+x^2) of its nested-radical sequence L_k.
+Everything is a pure function accepting a float or an mpmath value.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .numerics import Scalar, require_finite, require_int, require_nonnegative, require_unit
+from .numerics import Scalar, require_finite, require_nonnegative, require_unit
 
 
 class BoundPair(NamedTuple):
@@ -41,26 +40,6 @@ def shafer_fink_bounds(x) -> BoundPair:
     sin, cos = c.sincos(x)
     den = 2 + cos
     return BoundPair(3 * sin / den, c.pi * sin / den)
-
-
-def nested_radical_seq(j: int, x) -> list:
-    """Values L_0..L_j of the recursion L_0 = 1, L_{k+1} = L_k + sqrt(x^2 + L_k^2).
-
-    L_k(x) equals x/tan(arctan(x)/2^k) for x > 0 (repeated cotangent
-    bisection), so the sequence is strictly increasing with L_k(0) = 2^k.
-    At float, L_j passes the float range once x is near its top; pass an mpf
-    there.
-    """
-    require_int(j, "j", 0)
-    c = require_nonnegative(x)
-    val = c.one
-    out = [val]
-    for _ in range(j):
-        val = val + c.hypot(x, val)
-        out.append(val)
-    if not c.isfinite(val):  # the sequence increases, so the last entry overflows first
-        raise ValueError(f"L_{j}({x!r}) lies beyond the float range; pass an mpf instead")
-    return out
 
 
 def theorem2_bounds(x) -> BoundPair:

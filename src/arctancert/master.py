@@ -33,6 +33,7 @@ from .core import BoundPair
 from .numerics import FLOAT, require_int, require_nonnegative
 
 MAX_ORDER = 16
+CONSTANT_DIGITS = 50  # the least precision of g_n and of the constants, at orders up to 7
 
 
 def _check_order(n):
@@ -41,7 +42,7 @@ def _check_order(n):
 
 def _working_digits(n: int) -> int:
     # the precision g_n is evaluated at; see the module docstring
-    return max(50, 20 + 3 * n * n // 5)
+    return max(CONSTANT_DIGITS, 20 + 3 * n * n // 5)
 
 
 @lru_cache(maxsize=None)

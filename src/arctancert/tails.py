@@ -1,8 +1,10 @@
-"""Float errors of the series families, summed from each family's own tail.
+"""Errors of the series families, summed from each family's own tail.
 
-A family whose error has a cancellation-free series gets it here in float,
-as (e, b): e approximates the error E = f - arctan x, and b bounds the float
-computation's distance from E. The series:
+A family whose error has a cancellation-free series gets it here twice, from
+one set of coefficients rounded per tier (``MASTER_TAIL`` and the like): in float, as (e, b), e
+approximating the error E = f - arctan x and b bounding the float
+computation's distance from E; and in integers scaled by 2^w, as (m, err),
+m*2^-w lying within err units of 2^-w of E. The series:
 
 - master, and sf and t2, which are master 1 and 2: D*a_n(x) = theta/g_n(theta)
   with theta = arctan x, and S = 1 - g_n(theta) = sum_{m>n} b_m p_n(4^-m)
@@ -13,23 +15,29 @@ computation's distance from E. The series:
 - cheb: -sum_{k>n} c_k T_(2k+1)(x) (Mason & Handscomb, ch. 5).
 - lifted rows: 2*E_inner(u), since arctan x = 2*arctan u.
 
-The bounds are first order in the unit roundoff U; every constant carries a
-few percent of slack for the second-order terms. Quantities that underflow
-err by under 2^-1000 absolutely, which the scan's mpf term absorbs. b does
-not include that term, nor the final ulp(e): the scan's guard adds both (see
-``verify``).
+The float bounds are first order in the unit roundoff U; every constant
+carries a few percent of slack for the second-order terms. Quantities that
+underflow err by under 2^-1000 absolutely, which the scan's mpf term
+absorbs. The fixed-point bounds count units of 2^-w: each floor adds under
+one, each coefficient under 1/2 and a little, and the sums are arranged
+(Horner over t or g below 1, Clenshaw in 2T_2(x)) so that no step's error
+grows on its way to the result (Brent & Zimmermann, Modern Computer
+Arithmetic, ch. 1 and 4). Neither b nor err includes the mpf term, nor the
+final ulp(e) or rounding up: the scan's guards add them (see ``verify``).
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
 
 from .master import MAX_ORDER, denominator_product, pn_coefficients
 from .numerics import require_nonnegative, require_unit
-from .series import cheb_coefficients
+from .series import cheb_coefficients, machin_pi_fraction
+from .verify import _atan_fixed, _oracle_bits
 
 U = 2.0**-53  # unit roundoff of a double
 _MASTER_TERMS = 30  # terms of master's S past t^(n+1); H takes n + 1 more
@@ -40,14 +48,62 @@ with mp.workdps(30):  # the nearest doubles to 2/pi and 4/pi^2, each within U
     _TWO_OVER_PI, _FOUR_OVER_PI2 = float(2 / mp.pi), float(4 / mp.pi**2)
 
 
-def _horner_constants(coeffs):
+def _nearest(num: int, den: int) -> int:
+    # num/den rounded to the nearest integer, den > 0
+    return (2 * num + den) // (2 * den)
+
+
+def _pi_fixed(bits: int) -> int:
+    # pi*2^bits within 1.01 units, shifted at least 8 bits down from _pi_top
+    top = -(-(bits + 8) // 512) * 512
+    return _pi_top(top) >> (top - bits)
+
+
+@lru_cache(maxsize=None)
+def _pi_top(bits: int) -> int:
+    # pi*2^bits within 1.01 units: the Machin fraction at bits//8 + 2 rows errs by under
+    # 4*324^-rows < 2^-(bits + 7), since each of its two series alternates with rows
+    # shrinking by 1/324 or faster, the first one left out of 16*arctan(1/5) being under
+    # 3.2*324^-rows; the quotient is floored
+    f = machin_pi_fraction(bits // 8 + 2)
+    return (f.numerator << bits) // f.denominator
+
+
+def _mul(a, b, w: int):
+    # the product of fixed values a = (m, e) and b at scale 2^w, floored: m*2^-w lies
+    # within e units of 2^-w of its value, so the product within |a|e_b + |b|e_a + e_a e_b
+    # units, and one more for the floor
+    (x, ex), (y, ey) = a, b
+    one = 1 << w
+    return (x * y) >> w, (abs(x) * ey + abs(y) * ex + ex * ey) / one + 1
+
+
+def _div(a, b, w: int):
+    # a/b at scale 2^w for b > e_b, floored: within (e_a + |a/b|e_b)/(b - e_b) units, and
+    # one more for the floor
+    (x, ex), (y, ey) = a, b
+    q = (x << w) // y
+    return q, (ex + (abs(q) + 1) * ey / (1 << w)) / ((y - ey) / (1 << w)) + 1
+
+
+def _horner(coeffs, t: int, w: int) -> int:
+    # sum_i a_i t^i at scale 2^w by Horner, coefficients highest degree first, each
+    # step floored
+    acc = 0
+    for a in coeffs:
+        acc = a + ((t * acc) >> w)
+    return acc
+
+
+def _horner_constants(coeffs, bits):
     # Horner coefficients of sum_i a_i t^i (highest degree first, rounded once to float)
-    # for exact a_i of one sign, the last of coeffs being the first one left out; the
-    # mean degree plus one, M = sum (i+1)|a_i| / sum |a_i|; and the rest of the series
-    # relative to its sum, for t in [0, 1] and terms past the last shrinking by 1/3:
+    # for a_i*2^bits given as integers of one sign, the last of coeffs being the first
+    # one left out; the mean degree plus one, M = sum (i+1)|a_i| / sum |a_i|; and the
+    # rest of the series relative to its sum, for t in [0, 1] and terms past the last
+    # shrinking by 1/3:
     # 1.5*|a_K|/|a_0|. The running mean of i + 1 in sum (i+1)|a_i| t^i / sum |a_i| t^i
     # grows with t (its derivative in log t is a variance), so M bounds it on [0, 1].
-    *a, after = (float(ai) for ai in coeffs)
+    *a, after = (ai / (1 << bits) for ai in coeffs)  # int division rounds once
     m = sum((i + 1) * abs(ai) for i, ai in enumerate(a)) / sum(abs(ai) for ai in a)
     return tuple(reversed(a)), m * 1.001, 1.5 * abs(after) / abs(a[0]) * 1.001
 
@@ -61,46 +117,69 @@ def _horner_error(m, d_t):
 
 
 @lru_cache(maxsize=None)
-def _master_series(n: int) -> tuple:
-    # S(t) = t^(n+1)*P(t) with P(t) = sum_i c_(n+1+i) t^i, and H(t) = sum_i d_i t^i with
-    # d_i = sum_{m > max(i, n)} c_m, as _horner_constants of each. c_m = b_m*p_n(4^-m)*
-    # (pi/2)^(2m) with b_m = 2^(2m)|B_2m|/(2m)! = T_m/((4^m - 1)(2m - 1)!), T_m the m-th
-    # tangent number: the exact rational part from T_m and the integers D*A_k of
-    # pn_coefficients, over one common denominator, times (pi/2)^(2m) at 40 digits.
-    # The d_i sum _SUM_TERMS terms; the rest, under 1.5*3^-41*|c_(n+1)| in each of the
-    # n + 32 of them, moves H by under U/50 of itself, which the budget's slack covers.
-    # Built on first use, so master_params costs nothing more.
+def _master_coefficients(n: int, bits: int, count=None) -> tuple:
+    # c_m*2^bits rounded to integers for m = n+1, n+2, ...: count of them, or while they
+    # are nonzero. c_m = b_m*p_n(4^-m)*(pi/2)^(2m) with b_m = 2^(2m)|B_2m|/(2m)! =
+    # T_m/((4^m - 1)(2m - 1)!), T_m the m-th tangent number: the exact rational part from
+    # T_m and the integers D*A_k of pn_coefficients over one common denominator, times
+    # (pi/2)^(2m) in fixed point 64 bits deeper. There (pi/2)^2 lies within 4.2 units of
+    # its value, 1.7 of 2^-deep relative, and each of the m products adds one unit, so the
+    # power errs by under 2.2m*2^-deep relative and c_m*2^bits, |c_m| < 1, by under 2^-50
+    # before its rounding. The one derivation of master's coefficients, for both tiers.
     d_n = denominator_product(n)
     ints = [int(a * d_n) for a in pn_coefficients(n)]  # D*A_k, exact
-    tangent = _tangent_numbers()
-    with mp.workdps(40):
-        c, pi2 = [], (mp.pi / 2) ** 2
-        pw = pi2**n
-        for m in range(n + 1, n + 1 + _SUM_TERMS):
-            pw *= pi2  # (pi/2)^(2m)
-            p = sum(a_k << (2 * m * (n - k)) for k, a_k in enumerate(ints))  # D*4^(mn)*p_n(4^-m)
-            den = ((1 << 2 * m) - 1) * math.factorial(2 * m - 1) * d_n << (2 * m * n)
-            c.append(mp.mpf(tangent[m] * p) / den * pw)
-        d = [mp.mpf(0)]
-        for cm in reversed(c):
-            d.append(d[-1] + cm)
-        d = d[: -_MASTER_TERMS - 3 : -1]  # d_n, ..., d_(n+_MASTER_TERMS+1)
-        return _horner_constants(c[: _MASTER_TERMS + 1]) + _horner_constants([d[0]] * n + d)  # d_0..d_n = d[0]
+    deep = bits + 64
+    hp2 = (_pi_fixed(deep - 1) ** 2) >> deep  # (pi/2)^2
+    pw = 1 << deep
+    for _ in range(n):
+        pw = (pw * hp2) >> deep
+    out, m = [], n
+    while count is None or len(out) < count:
+        m += 1
+        pw = (pw * hp2) >> deep  # (pi/2)^(2m)
+        p = sum(a_k << (2 * m * (n - k)) for k, a_k in enumerate(ints))  # D*4^(mn)*p_n(4^-m)
+        den = ((1 << 2 * m) - 1) * math.factorial(2 * m - 1) * d_n << (2 * m * n)
+        c = _nearest(_tangent_number(m) * p * pw, den << (deep - bits))
+        if count is None and not c:  # |c_m| falls by 3 or more a step
+            break
+        out.append(c)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _tangent_numbers() -> list:
-    # T_0..T_top for every order, T_0 = 0: the integers with tan y = sum T_m y^(2m-1)/(2m-1)!,
-    # by the Brent-Harvey recurrence, exact and cheap where bernfrac computes each B_2m
+def _master_series(n: int) -> tuple:
+    # S(t) = t^(n+1)*P(t) with P(t) = sum_i c_(n+1+i) t^i, and H(t) = sum_i d_i t^i with
+    # d_i = sum_{m > max(i, n)} c_m, as _horner_constants of each, from _master_coefficients
+    # at 256 + 2n^2 bits, where c_(n+_SUM_TERMS) still exceeds 2^100 units.
+    # The d_i sum _SUM_TERMS terms; the rest, under 1.5*3^-41*|c_(n+1)| in each of the
+    # n + 32 of them, moves H by under U/50 of itself, which the budget's slack covers.
+    # Built on first use, so master_params costs nothing more.
+    bits = 256 + 2 * n * n
+    c = _master_coefficients(n, bits, _SUM_TERMS)
+    d = [0]
+    for cm in reversed(c):
+        d.append(d[-1] + cm)
+    d = d[: -_MASTER_TERMS - 3 : -1]  # d_n, ..., d_(n+_MASTER_TERMS+1)
+    return _horner_constants(c[: _MASTER_TERMS + 1], bits) + _horner_constants([d[0]] * n + d, bits)
+
+
+@lru_cache(maxsize=None)
+def _tangent_numbers(top: int) -> tuple:
+    # T_0..T_top, T_0 = 0: the integers with tan y = sum T_m y^(2m-1)/(2m-1)!, by the
+    # Brent-Harvey recurrence, exact and cheap where bernfrac computes each B_2m
     # numerically (tests/test_tails.py checks b_m against bernfrac)
-    top = MAX_ORDER + _SUM_TERMS
     t = [0, 1] + [0] * (top - 1)
     for k in range(2, top + 1):
         t[k] = (k - 1) * t[k - 1]
     for k in range(2, top + 1):
         for j in range(k, top + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return t
+    return tuple(t)
+
+
+def _tangent_number(m: int) -> int:
+    # T_m, from a table built to the next multiple of 64
+    return _tangent_numbers(-(-m // 64) * 64)[m]
 
 
 def master_error(n: int, constant_side: bool, x: float):
@@ -149,12 +228,83 @@ def master_error(n: int, constant_side: bool, x: float):
     return e, abs(e) * (14 * U + r_h + 1.34 * (abs(s) * r_s + U)) * 1.01
 
 
+def master_fixed(n: int, constant_side: bool, x: float, w: int):
+    """(m, err) for the order-n master pair: m*2^-w lies within err units of 2^-w of E.
+
+    The error series of master_error in fixed point, from arctan x at the oracle's
+    working bits (verify._atan_fixed) before its rounding.
+    """
+    # Every step carries its error bound in units (_mul, _div). theta within 1.01 units
+    # (2^11 units of 2^-wp, wp - w >= 40, and the shift's floor); pi/2 within 1.01; tau =
+    # theta/(pi/2) and t = tau^2, each clamped to 1, which only brings them nearer. P
+    # and H by Horner over t in [0, 1]: each step's floor and each coefficient (0.51,
+    # _master_fixed_series) add under 1.51 units, the coefficients left out 0.77, and t's
+    # error e_t moves P by under sum i|c_(n+1+i)|*e_t, H by sum i|d_i|*e_t. t^(n+1) errs by
+    # (n + 1)*e_t and its floor; 1 - S >= 3/4. The constant side takes S(theta) - S(pi/2)
+    # = -(1 - t)*H(t) with 1 - t exact from t, so nothing cancels.
+    require_nonnegative(x)
+    one = 1 << w
+    ps, hs, sens_p, sens_h = _master_fixed_series(n, w)
+    wp = max(_oracle_bits(), w + 40)
+    theta = _atan_fixed(x, wp) >> (wp - w), 1.01
+    tau, e_tau = _div(theta, (_pi_fixed(w - 1), 1.01), w)
+    tau = min(tau, one), e_tau
+    t = _mul(tau, tau, w)
+    tv, et = min(t[0], one), t[1]
+    p = _horner(ps, tv, w), 1.51 * len(ps) + 0.77 + sens_p * et
+    s = _mul(((tv ** (n + 1)) >> (n * w), (n + 1) * et + 1), p, w)
+    den = one - s[0], s[1]
+    if not constant_side:
+        return _div(_mul(theta, s, w), den, w)
+    h = _horner(hs, tv, w), 1.51 * len(hs) + 0.77 + sens_h * et
+    m, err = _div(_mul(_mul(theta, (one - tv, et), w), h, w), den, w)
+    return -m, err
+
+
+@lru_cache(maxsize=None)
+def _master_fixed_series(n: int, w: int) -> tuple:
+    # Horner coefficients, highest degree first, of P and H at scale 2^w, and the sums
+    # sum i|a_i| of each in value units. c_m and the d_i are summed at 2^-(w + 32) from
+    # _master_coefficients, each term within 1/2 + 2^-50 of those units and the terms left
+    # out under 0.75 of them, and rounded once to 2^-w: each within 0.51 units. Those
+    # that round to 0 are left out: under 0.51 units and falling by 3 a step (d_(i+1) <=
+    # d_i/3, see master_error), so under 0.77 units at t <= 1 in each of P and H.
+    c = _master_coefficients(n, w + 32)
+    d, acc = [], 0
+    for cm in reversed(c):
+        acc += cm
+        d.append(acc)
+    d.reverse()  # d_n, d_(n+1), ...
+    half = 1 << 31
+
+    def rounded(vals):
+        out = [(v + half) >> 32 for v in vals]
+        while out and not out[-1]:
+            out.pop()
+        return out
+
+    ps, hs = rounded(c), rounded([d[0]] * n + d if d else [])
+    one = 1 << w
+    return (
+        tuple(reversed(ps)),
+        tuple(reversed(hs)),
+        sum(i * abs(a) for i, a in enumerate(ps)) / one,
+        sum(i * abs(a) for i, a in enumerate(hs)) / one,
+    )
+
+
 @lru_cache(maxsize=None)
 def _quartic_series(n: int) -> tuple:
-    # Horner coefficients, highest j first, of the three series in q below: 1/(4j+1),
-    # 1/(2j+1) and 1/(4j+3) for j = n+1..n+_QUARTIC_TERMS, each quotient rounded once
+    # Horner coefficients, highest j first, of the three series in q below: the rows
+    # _quartic_row(j) for j = n+1..n+_QUARTIC_TERMS, each quotient rounded once to float
     js = range(n + _QUARTIC_TERMS, n, -1)
-    return tuple((1 / (4 * j + 1), 1 / (2 * j + 1), 1 / (4 * j + 3)) for j in js)
+    return tuple(tuple(map(float, _quartic_row(j))) for j in js)
+
+
+def _quartic_row(j: int) -> tuple:
+    # 1/(4j+1), 1/(2j+1) and 1/(4j+3), exact: row j of the quartic-ratio series is
+    # q^j*(g/(4j+1) + g^2/(2j+1) + 2g^3/(4j+3)), q = -4g^4. Both tiers round these.
+    return Fraction(1, 4 * j + 1), Fraction(1, 2 * j + 1), Fraction(1, 4 * j + 3)
 
 
 def _quartic_tail(n: int, g: float, eps: float):
@@ -215,13 +365,88 @@ def w_error(n: int, u: float, v: float, eps_u: float, eps_v: float):
 
 
 @lru_cache(maxsize=None)
+def _quartic_fixed(w: int) -> tuple:
+    # t_i*2^w rounded to integers, the coefficients of T as a series in g: row j gives
+    # t_(4j+1), t_(4j+2), t_(4j+3) = (-4)^j times _quartic_row(j) (the last doubled), and
+    # t_(4j) = 0; rows up to MAX_ORDER + w/2 + 2, all that _quartic_tail_fixed takes
+    t = []
+    for j in range(MAX_ORDER + w // 2 + 3):
+        a, b, c = _quartic_row(j)
+        s = (-4) ** j
+        t += [0] + [_nearest(q.numerator << w, q.denominator) for q in (s * a, s * b, 2 * s * c)]
+    return tuple(t)
+
+
+def _quartic_tail_fixed(n: int, g: int, e_g: float, w: int):
+    # (T, err) at scale 2^w for the T of _quartic_tail at g*2^-w in [0, 1/2], given within
+    # e_g units. T = g^(4n+5)*sum_i t_i g^(i-4n-5) over i = 4n+5..4L+3, the rows n+1..L,
+    # by Horner in g: each step's floor and coefficient add under 1.5 units, scaled by
+    # g^k <= 2^-k, so the sum errs by under 3; the exact product with g^(4n+5) and one floor
+    # leave under 1.1. The rows alternate and shrink by |q| = 4g^4 <= 1/4, so the rest is
+    # under row L+1 <= 0.22|q|^(L+1): L = ceil(w/l), l = log2(1/|q|) >= 2, puts it under
+    # 0.25 units, and where L <= n all of T is under it. Across g, |dT/dg| =
+    # (1 + 2g + 2g^2)|q|^(n+1)/(1 + |q|) <= 2.5*4^-(n+1), which bounds e_g's effect.
+    err = 2.5 * 4.0 ** -(n + 1) * e_g
+    if not g:
+        return 0, err
+    last = math.ceil(w / (-2 - 4 * math.log2(g / (1 << w))))
+    if last <= n:
+        return 0, err + 0.25
+    i0 = 4 * n + 5
+    h = _horner(_quartic_fixed(w)[4 * last + 3 : i0 - 1 : -1], g, w)
+    return (g**i0 * h) >> (w * i0), err + 1.35
+
+
+def s_fixed(n: int, u: int, e_u: float, w: int):
+    """(m, err) for s_n at u*2^-w in [0, 1], given within e_u units: E_s*2^w within err."""
+    # g = u/(1 + u) is floored, and dg/du = 1/(1 + u)^2 <= 1
+    e, err = _quartic_tail_fixed(n, (u << w) // (u + (1 << w)), 1 + e_u, w)
+    return -e, err
+
+
+def t_fixed(n: int, u: int, e_u: float, w: int):
+    """(m, err) for t_n: E_t = tail((1 - u)/2), with 1 - u exact from u."""
+    return _quartic_tail_fixed(n, ((1 << w) - u) >> 1, 0.5 + e_u / 2, w)
+
+
+def w_fixed(n: int, u: int, e_u: float, w: int):
+    """(m, err) for w_n, the blend of the s and t errors with the weights of blend_w."""
+    # E_w = l*E_t + (1 - l)*E_s with l = u^p/(u^p + v^p), from the exact powers and one
+    # floor. |dl/du| = p*l(1 - l)/(uv) = p*(cosh(s/2)/cosh(ps/2))^2 <= p with u/v = e^s, so
+    # l lies within 1 + p*e_u units of its value, which moves E_w by that times |E_t - E_s|;
+    # the blend of the two errors adds the larger of them, and its floor one unit.
+    p, one = 4 * n + 4, 1 << w
+    e_t, b_t = t_fixed(n, u, e_u, w)
+    e_s, b_s = s_fixed(n, u, e_u, w)
+    up, vp = u**p, (one - u) ** p
+    lam = (up << w) // (up + vp)
+    e = (lam * e_t + (one - lam) * e_s) >> w
+    gap = (abs(e_t) + abs(e_s) + b_t + b_s) / one
+    return e, max(b_t, b_s) + (1 + p * e_u) * gap + 1
+
+
+@lru_cache(maxsize=None)
+def _cheb_fixed(w: int) -> tuple:
+    # c_k*2^w rounded to integers, for k = 0, 1, ... while nonzero: the one derivation of
+    # cheb's tail coefficients, for both tiers. series.cheb_coefficients at r = sqrt2 - 1,
+    # worked 40 bits deeper, where the 2k + 2 roundings of r and its powers move c_k*2^w,
+    # |c_k| < 1, by under 2^-30; so each lies within 1/2 + 2^-30 units. Past the last, each
+    # c_k is under that and they shrink by r^2, so together under 0.61 units.
+    with mp.workprec(w + 40):
+        c = cheb_coefficients(w // 2 + 2, mp.sqrt(2) - 1)  # r^(2k+1) < 2^-(w+2) by then
+        out = [int(mp.nint(mp.ldexp(ck, w))) for ck in c]
+    while not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
 def _cheb_coefficients() -> tuple:
-    # c_k for k = 0..MAX_ORDER + L + 1 at 30 digits, each rounded once to float; and
-    # 1/(1 - r^2), r = sqrt2 - 1
-    with mp.workdps(30):
-        r = mp.sqrt(2) - 1
-        c = cheb_coefficients(MAX_ORDER + _CHEB_TERMS + 1, r)
-        return tuple(float(ck) for ck in c), float(1 / (1 - r * r))
+    # c_k for k = 0..MAX_ORDER + L + 1, each rounded once to float from _cheb_fixed(256),
+    # where the smallest exceeds 2^150 units; and 1/(1 - r^2) =
+    # (1 + sqrt2)/2, r = sqrt2 - 1, within 2U
+    c = _cheb_fixed(256)[: MAX_ORDER + _CHEB_TERMS + 2]
+    return tuple(ck / (1 << 256) for ck in c), (1 + math.sqrt(2)) / 2
 
 
 @lru_cache(maxsize=None)
@@ -262,6 +487,30 @@ def cheb_error(n: int, x: float, v: float, eps_x: float, eps_v: float):
     return -(z * acc).real, (eta * ka + U * kb) * 1.01 + rest
 
 
+def cheb_fixed(n: int, u: int, e_u: float, w: int):
+    """(m, err) for the order-n Chebyshev truncation at u*2^-w in [0, 1], within e_u units."""
+    # E = -sum_{k>n} c_k T_(2k+1)(x), by Clenshaw in y = 2T_2(x) = 4x^2 - 2 over k = K..0,
+    # c_k = 0 for k <= n, since T_(2k+3) = y*T_(2k+1) - T_(2k-1) and T_(-1) = T_1 = x:
+    # sum = x*(b_0 - b_1). y is exact at scale 2^(2w), so each step's floor and coefficient
+    # rounding, under 1.51 units, act as a change of c_k by as much, which moves the sum
+    # by that times |T_(2k+1)(x)| <= 1; the final product floors once. The c_k past K add
+    # 0.61 units (_cheb_fixed). Across x, |dE/dx| <= sum_{k>n} |c_k|(2k+1)^2 <=
+    # sum_{k>=1} 2(2k+1)r^(2k+1) < 0.6, which bounds e_u's effect.
+    c = _cheb_fixed(w)
+    top = len(c) - 1
+    err = 0.61 + 0.6 * e_u
+    if top <= n:
+        return 0, err
+    w2 = 2 * w
+    y = 4 * u * u - (2 << w2)
+    b1 = b2 = 0
+    for ck in c[top:n:-1]:
+        b1, b2 = ck + ((y * b1) >> w2) - b2, b1
+    for _ in range(n + 1):
+        b1, b2 = ((y * b1) >> w2) - b2, b1
+    return -((u * (b1 - b2)) >> w), err + 1.51 * (top - n) + n + 2
+
+
 def on_unit(error, n: int, x: float):
     """error at u = x in [0, 1], exact, with v = 1 - x (exact from 1/2 up, else within U)."""
     require_unit(x, "u")
@@ -278,3 +527,33 @@ def lifted(error, n: int, x: float):
     v = (1 + 1 / (s + x)) / (1 + s)
     e, b = error(n, u, v, 4.01 * U, 9.01 * U)
     return 2 * e, 2 * b
+
+
+def on_unit_fixed(error, n: int, x: float, w: int):
+    """error in fixed point at u = x in [0, 1], floored to 2^-w: exact or within one unit."""
+    require_unit(x, "u")
+    p, q = x.as_integer_ratio()
+    u, r = divmod(p << w, q)
+    return error(n, u, 1 if r else 0, w)
+
+
+def lifted_fixed(error, n: int, x: float, w: int):
+    """2*error in fixed point at u = x/(1 + sqrt(1 + x^2)) for x >= 0."""
+    # With x = p/q exact, u = p/(q + sqrt(q^2 + p^2)). The denominator d, scaled by 2^w
+    # with its root floored, lies within one unit below its value, which is at least
+    # 2^(w+1), so the quotient moves by under u*2^w/d < 1 unit, and its floor adds one:
+    # u within 2 units.
+    require_nonnegative(x)
+    p, q = x.as_integer_ratio()
+    d = (q << w) + math.isqrt((q * q + p * p) << (2 * w))
+    e, err = error(n, min((p << (2 * w)) // d, 1 << w), 2, w)
+    return 2 * e, 2 * err
+
+
+# each family's error series as (float, fixed point): an error of on_unit or lifted, or
+# master_error, and its counterpart
+MASTER_TAIL = master_error, master_fixed
+CHEB_TAIL = cheb_error, cheb_fixed
+S_TAIL = s_error, s_fixed
+T_TAIL = t_error, t_fixed
+W_TAIL = w_error, w_fixed

@@ -22,32 +22,47 @@ REFINE_TOL*max(1, x), and margins are reported against the claimed bound. A
 smaller local maximum could only win if the error more than doubled inside
 one grid cell.
 
-The scan runs at two precisions. Each grid point and each golden-section
-probe is first evaluated in float, through the approximant's
-``rough_error(x)`` hook, if it has one. The hook is the family's float rule;
-it takes arctan x from math.atan(x), tested to lie within one ulp of it, and
-returns (e, b): e approximates E = f(x) - arctan x, and b bounds the float
-computation's distance from E. ``families.Approximant`` has two rules. The
-tail rule, for sf, t2, master, cheb, s, t, w and the lifted cheb and w, sums
-the family's own error series in float (``tails``), so b is relative to E:
-the float sum's own error with the truncated rest of the series, and the
-effect of rounding its argument (arctan x, or u) to float. The K-ulp rule,
-for t4, lagrange, t5, cf and cf-lifted, takes e = f(x) - math.atan(x) with
-b = K*ulp(arctan x), K = 64 (``families.FLOAT_ULPS``); it rests on the float
-kernel lying within K/4 ulp of arctan x of the 50-digit value. Past order 16
-the hook is None.
+The scan has three tiers: float, fixed point and mpf. Each grid point and
+each golden-section probe is first evaluated in float, through the
+approximant's ``rough_error(x)`` hook, if it has one. The hook is the
+family's float rule; it takes arctan x from math.atan(x), tested to lie
+within one ulp of it, and returns (e, b): e approximates E = f(x) - arctan x,
+and b bounds the float computation's distance from E. ``families.Approximant``
+has two rules. The tail rule, for sf, t2, master, cheb, s, t, w and the
+lifted cheb and w, sums the family's own error series in float (``tails``),
+so b is relative to E: the float sum's own error with the truncated rest of
+the series, and the effect of rounding its argument (arctan x, or u) to
+float. The K-ulp rule, for t4, lagrange, t5, cf and cf-lifted, takes
+e = f(x) - math.atan(x) with b = K*ulp(arctan x), K = 64
+(``families.FLOAT_ULPS``); it rests on the float kernel lying within K/4 ulp
+of arctan x of the 50-digit value. Past order 16 the hook is None.
 
-One guard here, _float_error, decides when to trust a hook. It takes no float
-value outside 0 and [1e-150, 1e150], where both rules are tested for every
-order up to 16 and every side (tests/test_tails.py, tests/test_families.py),
-nor from a callable without the hook. At 0 every rule is exact but two: t's
-tail, at the edge g = 1/2 of its budget, and master's constant side, which
-raises on 1/x. Where the hook raises ArithmeticError or ValueError, or e is
-not finite, the budget is infinite. Otherwise the budget is B = b + 2^-117 +
-ulp(e): 2^-117 covers the mpf kernel's and the oracle's own rounding, and
-ulp(e) the rounding of e.
-A point with no float value or an infinite budget is evaluated at mpf, where
-a real failure raises again; a point the float tier decides costs no oracle
+The tail rows also have a ``fixed_error(x, w)`` hook, which sums the same
+error series in integers scaled by 2^w (``tails``) and returns (m, err): m*2^-w
+lies within err units of 2^-w of E. Its parts are the steps' floors, the
+coefficients' rounding (each derived once, exactly or 40 bits deeper or more,
+and rounded per tier), the truncated rest of the series, and the effect of
+the argument's error: x is exact or floored by under a unit, u of a lift lies
+within 2 units, and master's theta comes from the oracle's fixed-point arctan
+before its rounding. Golden-section search alone uses this tier, at w about 116 bits
+below the float estimate of |E| (_fixed_bits), so one budget serves master's
+|E| near 1e-17 and cheb's near 1e-2.
+
+Both tiers have one guard each, _float_error and _fixed_error, which decide
+when to trust a hook. They take no value outside 0 and [1e-150, 1e150], where
+every rule is tested for every order up to 16 and every side
+(tests/test_tails.py, tests/test_families.py), nor from a callable without
+the hook. At 0 every float rule is exact but two: t's tail, at the edge
+g = 1/2 of its budget, and master's constant side, which raises on 1/x.
+Where a hook raises ArithmeticError or ValueError, or e is not finite, the
+budget is infinite. Otherwise the float budget is B = b + 2^-k + ulp(e) and
+the fixed one B = 1.01*err + 2^-k, rounded up to whole units: ulp(e) covers
+the rounding of e, 1.01 the float arithmetic of err, and the mpf term 2^-k
+the mpf kernel's, the oracle's and master's constants' own error, so that B
+bounds the distance from the mpf value E (_mpf_term_bits: k = min(prec, 169)
+- 20, 149 at 50 digits). A grid
+point with no float value or an infinite budget is evaluated at mpf, where a
+real failure raises again; a point the float tier decides costs no oracle
 evaluation.
 
 Both certifications run one scan body with two settle rules. Its settle loop
@@ -57,9 +72,13 @@ maximum, for certify_bound one whose margin (arctan - f for a lower bound,
 f - arctan for an upper one) could be the smallest or whose |E| the largest.
 It hands back the |E| bounds and the grid argmax; sup_error then refines,
 certify_bound reads the smallest margin. Golden-section search compares in
-float while the budgets settle each comparison and at mpf from the first one
-they do not. Every decision is therefore the one an all-mpf scan makes, and
-every reported value (sup error, argmax, margins) is computed at mpf.
+float while the budgets settle each comparison; at the first one they do not,
+it redoes both probes in fixed point and goes on there, and at the first one
+the fixed budgets do not settle, it redoes both at mpf and stays there. A row
+without a fixed hook goes from float to mpf. Every decision is therefore the
+one an all-mpf scan makes, and every reported value (sup error, argmax,
+margins) is computed at mpf, one mpf value per search where no comparison
+reaches mpf.
 """
 
 from __future__ import annotations
@@ -68,13 +87,14 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
 
 from .core import LiftedApproximant, lift_interval_map
+from .master import CONSTANT_DIGITS
 from .numerics import require_int
 from .series import machin_pi
 
@@ -87,11 +107,9 @@ _TOP = 3  # local maxima of |E| refined by golden-section search
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
 _FLOAT_RANGE = (1e-150, 1e150)  # nonzero arguments over which both float rules are tested
-# The budget's mpf term: the mpf kernels err by under 2^18 units of 2^-prec in
-# max(1, arctan x) < 2 at prec >= 136 bits (40 digits), master's constants carry
-# 169 bits or more, and the oracle errs by one ulp of arctan x. Tested at 40, 50
-# and 70 digits with the tail budgets (tests/test_tails.py).
-_MPF_TERM = 2.0**-117
+_FIXED_REL = 100  # bits below |E| that the fixed-point tier resolves
+_FIXED_GUARD = 16  # bits the fixed-point tier carries beyond them
+_MASTER_PREC = dps_to_prec(CONSTANT_DIGITS)  # bits of master's constants, 169 or more
 
 
 class BoundKind(Enum):
@@ -120,7 +138,10 @@ class OracleConfig:
 def default_config() -> OracleConfig:
     """Default precision, honoring the ARCTAN_CERT_DIGITS override (min 30)."""
     env = os.environ.get("ARCTAN_CERT_DIGITS")
-    report = max(30, int(env)) if env else 30
+    try:
+        report = max(30, int(env)) if env else 30
+    except ValueError:
+        raise ValueError(f"ARCTAN_CERT_DIGITS must be an integer, got {env!r}") from None
     return OracleConfig(working_digits=report + 20, report_digits=report)
 
 
@@ -159,29 +180,39 @@ def _centres(wp: int) -> tuple:
     return tuple(t)
 
 
-def _atan_core(x):
-    # arctan of x >= 0 at the active precision, on integers scaled by 2^wp, rounded once.
-    # x <= 1/N, N = _CENTRES, sums the Maclaurin series relative to x, so tiny x keeps
-    # full relative accuracy. Otherwise y = x, or y = 1/x reflected through pi/2 = 2*T_N,
-    # is reduced against the nearest centre c = k/N: arctan y = T_k + arctan(z) with
-    # z = (y - c)/(1 + y*c), and |y - c| <= 1/(2N) puts |z| <= 2^-7. These results lie
-    # above 2^-7 (above pi/4 when reflected, where three table values enter), and the
-    # table and series err by under 2^9 units of 2^-wp (see _centres), so wp keeps
-    # _GUARD_BITS beyond mp.prec relative to them.
+def _parts(x):
+    # (man, exp) with x = man*2^exp exactly, for a float, an int or an mpf
     if isinstance(x, float):
         man, den = x.as_integer_ratio()  # exact, and cheaper than building an mpf
-        exp = 1 - den.bit_length()
-    else:
-        _, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
-    if not man:
-        return mp.mpf(0)
-    wp = mp.prec + _GUARD_BITS + 16
+        return man, 1 - den.bit_length()
+    _, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
+    return man, exp
+
+
+def _oracle_bits() -> int:
+    # the oracle's fixed-point bits at the active precision
+    return mp.prec + _GUARD_BITS + 16
+
+
+def _atan_fixed(x, wp: int) -> int:
+    # arctan of x >= 0 scaled by 2^wp, within 2^11 units of 2^-wp for wp up to 1,900.
+    # x <= 1/N, N = _CENTRES, sums the series at z = x*2^wp, floored (one unit); larger
+    # x is reduced (_atan_reduced), within 2^11 units.
+    man, exp = _parts(x)
+    if x * _CENTRES <= 1:
+        return _atan_small(_shift(man, exp + wp), wp)
+    return _atan_reduced(man, exp, x > 1, wp)
+
+
+def _atan_reduced(man: int, exp: int, above: bool, wp: int) -> int:
+    # arctan x scaled by 2^wp for x = man*2^exp > 1/N, N = _CENTRES, above telling x > 1.
+    # y = x, or y = 1/x reflected through pi/2 = 2*T_N, is reduced against the nearest
+    # centre c = k/N: arctan y = T_k + arctan(z) with z = (y - c)/(1 + y*c), and
+    # |y - c| <= 1/(2N) puts |z| <= 2^-7. At most three table values enter, each within
+    # 2^9 units (see _centres), and the series within 8, so the result lies within 2^11.
     n, one = _CENTRES, 1 << wp
-    if x * n <= 1:
-        s = _series(_shift(man * man, 2 * exp + wp), wp)
-        return mp.make_mpf(from_man_exp(man * s, exp - wp, mp.prec, round_nearest))
     t = _centres(wp)
-    if x > 1:
+    if above:
         y = (1 << (wp - exp)) // man if wp >= exp else 0
     else:
         y = _shift(man, exp + wp)
@@ -189,9 +220,27 @@ def _atan_core(x):
     num = y * n - k * one
     z = _atan_small((abs(num) << wp) // (n * one + y * k), wp)
     r = t[k] + z if num >= 0 else t[k] - z
-    if x > 1:
-        r = 2 * t[n] - r
-    return mp.make_mpf(from_man_exp(r, -wp, mp.prec, round_nearest))
+    return 2 * t[n] - r if above else r
+
+
+def _atan_core(x):
+    # arctan of x >= 0 at the active precision, rounded once. x <= 1/N sums the Maclaurin
+    # series relative to x, so tiny x keeps full relative accuracy. Larger x is reduced
+    # (_atan_reduced): the results lie above 2^-7 within 2^9 + 8 units of 2^-wp, or,
+    # reflected, above pi/4 within 2^11, so wp keeps _GUARD_BITS beyond mp.prec relative
+    # to them.
+    if isinstance(x, float):  # _parts, inline on the oracle's hot path
+        man, den = x.as_integer_ratio()
+        exp = 1 - den.bit_length()
+    else:
+        _, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
+    if not man:
+        return mp.mpf(0)
+    wp = _oracle_bits()
+    if x * _CENTRES <= 1:
+        s = _series(_shift(man * man, 2 * exp + wp), wp)
+        return mp.make_mpf(from_man_exp(man * s, exp - wp, mp.prec, round_nearest))
+    return mp.make_mpf(from_man_exp(_atan_reduced(man, exp, x > 1, wp), -wp, mp.prec, round_nearest))
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +348,7 @@ class ErrorReport:
     evals_mpf: int = 0  # and at the oracle's working precision
     refined: int = 0  # golden-section searches run
     search_mpf: int = 0  # of evals_mpf, the golden-section probes
+    search_fixed: int = 0  # golden-section probes evaluated in fixed point
     oracle_cold: int = 0  # oracle values computed rather than found in its cache
 
 
@@ -328,27 +378,66 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
     return [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
 
 
-def _float_error(hook: Optional[Callable], x: float):
+def _mpf_term_bits() -> int:
+    # k with the mpf term 2^-k: the distance of the mpf error E from the exact one. At
+    # p = mp.prec bits, the mpf kernels err by under 2^18 units of 2^-p in max(1, arctan x)
+    # < 2 at p >= 136 (40 digits), 2^(19 - p); the oracle by one ulp of arctan x < 2,
+    # 2^(1 - p); master's constants g_n(pi/2) by a few units of 2^-q relative, q =
+    # _MASTER_PREC, which moves k*D*a_n, near arctan x < 2, by under 2^(4 - q). The sum is
+    # under 2^(20 - min(p, q)): 2^-116 at 40 digits, 2^-149 at 50 and 70. Tested at 40, 50
+    # and 70 digits against E computed 30 digits higher (tests/test_tails.py), which
+    # leaves out master's constants, and with both tiers' budgets.
+    return min(mp.prec, _MASTER_PREC) - 20
+
+
+def _float_error(hook: Optional[Callable], x: float, k: int):
     # the float tier's one guard (see the module docstring): (e, B) from the
-    # rough_error hook at x, or None where it makes no float evaluation
+    # rough_error hook at x with the mpf term 2^-k, or None where it makes no float
+    # evaluation
     if hook is None or not (x == 0 or _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]):
         return None
     try:
         e, b = hook(x)
         if math.isfinite(e):
-            return e, b + _MPF_TERM + math.ulp(e)
+            return e, b + math.ldexp(1.0, -k) + math.ulp(e)
     except (ArithmeticError, ValueError):
         pass
     return 0.0, math.inf
 
 
+def _fixed_bits(e: float) -> int:
+    # the fixed-point tier's scale w for a search whose |E| is near e > 0: 2^-w lies
+    # _FIXED_REL + _FIXED_GUARD bits below |E|, rounded up to a multiple of 32 so that
+    # few coefficient tables are built, and no finer than 2^-mp.prec, 20 bits below the
+    # mpf term, past which a budget cannot shrink
+    top = mp.prec
+    if not (e > 0 and math.isfinite(e)):
+        return top
+    return min(top, -(-(_FIXED_REL + _FIXED_GUARD - math.frexp(e)[1]) // 32) * 32)
+
+
+def _fixed_error(hook: Optional[Callable], x: float, w: int, k: int):
+    # the fixed-point tier's one guard (see the module docstring): (m, B) from the
+    # fixed_error hook at x and scale w with the mpf term 2^-k, both in units of 2^-w,
+    # B an integer, or None where it makes no fixed evaluation
+    if hook is None or not (x == 0 or _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]):
+        return None
+    try:
+        m, b = hook(x, w)
+        return m, math.ceil(b * 1.01) + (1 << max(0, w - k))
+    except (ArithmeticError, ValueError):
+        return 0, math.inf
+
+
 class _Errors:
-    """The error sign*E, E = f - arctan, of one approximant over a grid, at two precisions.
+    """The error sign*E, E = f - arctan, of one approximant over a grid, on three tiers.
 
     sign is -1 for the margin of a lower bound, arctan - f, and 1 otherwise.
     rough(x) returns (e, B) from _float_error at grid points and probes alike:
     e is sign*E in float and B bounds its distance from the mpf value, infinite
-    where the guard takes no float value. exact(x) is sign*E at mpf. The grid
+    where the guard takes no float value. fixed(w, x) returns the same from
+    _fixed_error, in integer units of 2^-w, for search probes. exact(x) is
+    sign*E at mpf. The grid
     keeps bounds lo[i] <= sign*E_i <= hi[i] on every point, and settle() sets
     both to the mpf value. Evaluations are counted per precision, and oracle
     misses from the scan's start.
@@ -358,17 +447,27 @@ class _Errors:
         self.misses = _oracle_cached.cache_info().misses
         self.f, self.pts, self.cfg, self.sign = f, _sample_points(iv, grid_points), cfg, sign
         self.hook = getattr(f, "rough_error", None)
-        self.evals_float = self.evals_mpf = 0
+        self.fixed_hook = getattr(f, "fixed_error", None)
+        self.evals_float = self.evals_fixed = self.evals_mpf = 0
+        self.k = _mpf_term_bits()  # read once: the scan runs at one precision
         rough = [self.rough(p) for p in self.pts]
         self.lo, self.hi = [e - b for e, b in rough], [e + b for e, b in rough]
 
     def rough(self, x: float):
-        got = _float_error(self.hook, x)
+        got = _float_error(self.hook, x, self.k)
         if got is None:
             return 0.0, math.inf
         self.evals_float += 1
         e, b = got
         return self.sign * e, b
+
+    def fixed(self, w: int, x: float):
+        got = _fixed_error(self.fixed_hook, x, w, self.k)
+        if got is None:
+            return 0, math.inf
+        self.evals_fixed += 1
+        m, b = got
+        return self.sign * m, b
 
     def exact(self, x: float):
         self.evals_mpf += 1
@@ -441,27 +540,36 @@ def _margin_pick(lo, hi):
 
 
 def _golden_max(err: _Errors, a: float, b: float):
-    # golden-section search for the maximum of |E| on [a, b]. Comparisons run
-    # in float while the two budgets settle them; at the first one they do not,
-    # both probes are redone at mpf and the search goes on at mpf. The probe
-    # points depend only on a, b and _INVPHI, so every decision is the one an
-    # all-mpf search makes, and the returned maximum is evaluated at mpf.
+    # golden-section search for the maximum of |E| on [a, b], on three tiers: float,
+    # fixed point, mpf. Comparisons run on a tier while the two budgets settle them; at
+    # the first one they do not, both probes are redone on the next tier, and the search
+    # goes on there. A row without a fixed-point hook goes from float to mpf. The probe
+    # points depend only on a, b and _INVPHI, so every decision is the one an all-mpf
+    # search makes, and the returned maximum is evaluated at mpf.
     def rough(x):
         e, bud = err.rough(x)
         return abs(e), bud
 
+    def fixed(w, x):
+        m, bud = err.fixed(w, x)
+        return abs(m), bud
+
     def exact(x):
         return abs(err.exact(x)), 0
 
-    g = rough
+    tier, g = 0, rough  # tier 0 float, 1 fixed point, 2 mpf
     tol = REFINE_TOL * max(1.0, a / 2 + b / 2)  # halves first: a + b may overflow
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     (gc, bc), (gd, bd) = g(c), g(d)
     while (b - a) > tol:
-        if g is rough and not abs(gc - gd) > bc + bd:
-            g = exact
+        if tier < 2 and not abs(gc - gd) > bc + bd:
+            if tier == 0 and err.fixed_hook is not None:
+                tier, g = 1, partial(fixed, _fixed_bits(max(gc, gd)))
+            else:
+                tier, g = 2, exact
             (gc, bc), (gd, bd) = g(c), g(d)
+            continue
         if gc < gd:
             a, c, gc, bc = c, d, gd, bd
             d = a + _INVPHI * (b - a)
@@ -515,6 +623,7 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         evals_mpf=err.evals_mpf,
         refined=len(tops),
         search_mpf=err.evals_mpf - settled,
+        search_fixed=err.evals_fixed,
         oracle_cold=_oracle_cached.cache_info().misses - err.misses,
     )
 
@@ -536,7 +645,8 @@ def sup_error(
     the error more than doubled inside one grid cell. When claimed_bound is
     given, satisfied means the refined sup stayed at or under it. The report
     counts the approximant's evaluations per precision, the searches run, the
-    search probes evaluated at mpf and the oracle values computed cold.
+    search probes evaluated at mpf and in fixed point, and the oracle values
+    computed cold.
     """
     return _scan(f, interval, grid_points, cfg, BoundKind.APPROXIMATION, claimed_bound)
 

@@ -154,9 +154,10 @@ def test_certify_reports_evaluations_per_precision(capsys):
     assert code == 0
     (line,) = [l for l in out.splitlines() if l.startswith("evals")]
     words = line.replace(",", " ").replace("(", " ").split()
-    n_float, n_mpf, n_search, n_refined, n_cold = (int(w) for w in words if w.isdigit())
+    n_float, n_mpf, n_search, n_fixed, n_refined, n_cold = (int(w) for w in words if w.isdigit())
     assert n_float > 0 and n_mpf > 0
     assert 0 < n_search <= n_mpf  # golden-section probes evaluated at mpf
+    assert n_fixed == 0  # cf's float rule is the K-ulp one, so it has no fixed-point tier
     assert 1 <= n_refined <= 3  # golden-section searches, one per refined local maximum
     assert n_cold <= 129 * 2 + n_float + n_mpf  # each cold oracle value is a grid point's or an evaluation's
 
@@ -261,9 +262,11 @@ def test_standard_table_csv_unchanged_at_grid_65(monkeypatch, capsys):
 
 def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     # an all-mpf scan of the grid-65 table makes 9,574 mpf evaluations; the
-    # two-precision scan made 3,702 with the K-ulp budget everywhere and makes 2,711
-    # with the series families' tail budgets, 2,592 of them golden-section probes.
-    # The counts are deterministic, so all four totals are pinned: a count, not a timing
+    # two-precision scan made 3,702 with the K-ulp budget everywhere and 2,711 with
+    # the series families' tail budgets, 2,592 of them golden-section probes. The
+    # fixed-point tier takes 1,875 of those probes, leaving 836 mpf evaluations, 717 in
+    # search: one per search on every tail row, and the K-ulp rows' 645 as before.
+    # The counts are deterministic, so all five totals are pinned: a count, not a timing
     reports = []
     for name in ("sup_error", "certify_bound"):
         real = getattr(cli, name)
@@ -276,8 +279,9 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     monkeypatch.delenv("ARCTAN_CERT_DIGITS", raising=False)
     assert run(capsys, "table", "--families", STANDARD_TABLE, "--grid", "65")[0] == 0
     assert len(reports) == 58
-    totals = [sum(getattr(r, name) for r in reports) for name in ("evals_float", "evals_mpf", "search_mpf", "refined")]
-    assert totals == [7185, 2711, 2592, 92]
+    names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined")
+    totals = [sum(getattr(r, name) for r in reports) for name in names]
+    assert totals == [7185, 836, 717, 1875, 92]
 
 
 def test_table_usage_errors(tmp_path, capsys):
@@ -319,8 +323,10 @@ def test_help_exits_zero(capsys):
 # `certify` output at grid 65 as recorded before the sup_error/certify_bound scan
 # bodies were merged, with the evals lines recorded again once the series families'
 # float errors came from their tails (w's counts moved, and every line gained the
-# search probes), and once every interval was closed (each 0:1 and 0:1000 grid gained
-# x = 0, where master's upper margin is 0): (arguments after --family, exit code,
+# search probes), once every interval was closed (each 0:1 and 0:1000 grid gained
+# x = 0, where master's upper margin is 0), and once the search gained its fixed-point
+# tier (every line gained the fixed probes; w's search moved 23 of its 24 mpf probes
+# there, and only its final value stays at mpf): (arguments after --family, exit code,
 # CSV output, text output)
 CERTIFY_GOLDEN = [
     (
@@ -338,7 +344,7 @@ kind         lower
 grid         65
 sup_error    7.0796324294896656e-02  at x = 99999999.995423689
 min_gap      5.5555555555555551e-43
-evals        65 float, 2 mpf (0 in search), 0 refined, 65 oracle cold
+evals        65 float, 2 mpf (0 in search), 0 fixed, 0 refined, 65 oracle cold
 satisfied    true
 
 family       sf.upper
@@ -347,7 +353,7 @@ kind         upper
 grid         65
 sup_error    4.1159107999168422e-02  at x = 1.8708683949138323
 min_gap      4.7197551196597744e-10
-evals        65 float, 2 mpf (0 in search), 0 refined, 0 oracle cold
+evals        65 float, 2 mpf (0 in search), 0 fixed, 0 refined, 0 oracle cold
 satisfied    true
 """,
     ),
@@ -365,7 +371,7 @@ kind         upper
 grid         65
 sup_error    3.1055780725045341e-02  at x = 0.47296478124498853
 min_gap      4.7571149937668428e-18
-evals        65 float, 2 mpf (0 in search), 0 refined, 65 oracle cold
+evals        65 float, 2 mpf (0 in search), 0 fixed, 0 refined, 65 oracle cold
 satisfied    true
 """,
     ),
@@ -384,7 +390,7 @@ grid         65
 sup_error    1.0556642653591596e-07  at x = 0.49169510609570283
 claimed      1.2500000000000000e-04
 min_gap      1.2489443357346409e-04
-evals        128 float, 25 mpf (24 in search), 1 refined, 149 oracle cold
+evals        128 float, 2 mpf (1 in search), 23 fixed, 1 refined, 2 oracle cold
 satisfied    true
 """,
     ),
@@ -402,7 +408,7 @@ kind         lower
 grid         65
 sup_error    1.1909419416570295e-03  at x = 1
 min_gap      -1.1909419416570295e-03
-evals        97 float, 1 mpf (0 in search), 0 refined, 96 oracle cold
+evals        97 float, 1 mpf (0 in search), 0 fixed, 0 refined, 96 oracle cold
 satisfied    false
 """,
     ),
@@ -420,7 +426,7 @@ kind         upper
 grid         65
 sup_error    2.9765256406562151e-06  at x = 2.2640387134577056
 min_gap      0.0000000000000000e+00
-evals        97 float, 3 mpf (0 in search), 0 refined, 96 oracle cold
+evals        97 float, 3 mpf (0 in search), 0 fixed, 0 refined, 96 oracle cold
 satisfied    true
 """,
     ),

@@ -9,7 +9,6 @@ from arctancert.core import (
     LiftedApproximant,
     lagrange_p,
     lift_interval_map,
-    nested_radical_seq,
     shafer_fink_bounds,
     theorem2_bounds,
     theorem4_upper,
@@ -19,7 +18,7 @@ from arctancert.master import MAX_ORDER, a_n, elementary_symmetric, master_bound
 from arctancert.numerics import FLOAT, MPF
 from arctancert.verify import oracle_arctan
 
-from conftest import log_grid
+from conftest import log_grid, nested_radical_seq
 
 # frozen via extended-precision evaluation of the closed forms
 SF_LOWER_1 = 0.7836116248912243

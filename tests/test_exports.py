@@ -21,10 +21,9 @@ def test_readme_quick_start_runs():
 
 
 def test_names_cut_from_the_package_stay_in_their_modules():
-    from arctancert import core, families, master, series, verify
+    from arctancert import families, master, series, verify
 
     homes = {
-        core: ["nested_radical_seq"],
         families: ["family_info", "list_rows"],
         master: ["MasterParams", "denominator_product", "elementary_symmetric", "gn_eval", "pn_coefficients"],
         series: ["cheb_coefficients", "machin_pi_fraction"],

@@ -18,7 +18,7 @@ from arctancert.master import (
 
 from arctancert.verify import oracle_arctan
 
-from conftest import log_grid
+from conftest import log_grid, nested_radical_seq
 
 A1_AT_1 = 0.2612038749637414
 A2_AT_1 = 0.017453439731452079
@@ -234,8 +234,6 @@ def test_master_bounds_at_the_bottom_of_the_float_range(x):
 
 def test_denominator_identity_between_forms():
     # D * sum_k float(A_k)/2^k * L_k agrees with the integer-weighted sum
-    from arctancert.core import nested_radical_seq
-
     for n in range(1, 7):
         coeffs = [float(c) for c in pn_coefficients(n)]
         e = elementary_symmetric(n)

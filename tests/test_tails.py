@@ -9,7 +9,18 @@ from mpmath import bernfrac, mp
 from arctancert import tails
 from arctancert.families import FAMILIES, Approximant
 from arctancert.master import MAX_ORDER, constant_side
-from arctancert.verify import BoundKind, Interval, OracleConfig, _float_error, _sample_points, oracle_arctan, sup_error
+from arctancert.verify import (
+    BoundKind,
+    Interval,
+    OracleConfig,
+    _fixed_bits,
+    _fixed_error,
+    _float_error,
+    _mpf_term_bits,
+    _sample_points,
+    oracle_arctan,
+    sup_error,
+)
 
 # every registry row: each order up to MAX_ORDER, each side; and those whose float error comes from their tail
 ROWS = [
@@ -35,13 +46,14 @@ def _points(unit):
 def _check_budget(ap, x):
     # B bounds |e - E| for E at 40, 50 and 70 digits, and is no vacuous bound: about
     # 1e-14 of |E|, or of the claimed bound where E passes through zero. At 0 the
-    # g-constant side of a pair raises on 1/x, so the scan settles it at mpf.
+    # g-constant side of a pair raises on 1/x, so the scan settles it at mpf. Both
+    # guards read the working precision, so they are called at it, as the scan does.
     refuses_zero = bool(ap.side) and ap.side == constant_side(FAMILIES[ap.family].pair_order or ap.n)
     for digits in (40, 50, 70):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
-        got = _float_error(ap.rough_error, x)  # the budget the scan uses
+            got = _float_error(ap.rough_error, x, _mpf_term_bits())  # the budget the scan uses
         if not (x == 0 or 1e-150 <= x <= 1e150):
             assert got is None
             continue
@@ -69,6 +81,54 @@ def test_every_float_rule_holds_or_refuses_at_zero():
         _check_budget(ap, 0.0)
 
 
+def _check_fixed_budget(ap, x):
+    # the fixed-point tier's B bounds |m*2^-w - E| for E at 40, 50 and 70 digits, at a
+    # coarse scale and at the one a search near this |E| takes, where B is no vacuous
+    # bound: about 2^-100 of |E|, or a little over the mpf term where E is smaller
+    for digits in (40, 50, 70):
+        cfg = OracleConfig(digits, digits - 10)
+        with mp.workdps(digits):
+            exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
+            k, w = _mpf_term_bits(), _fixed_bits(abs(float(exact)))
+            got = [(v, _fixed_error(ap.fixed_error, x, v, k)) for v in (64, w)]
+            if not (x == 0 or 1e-150 <= x <= 1e150):
+                assert [g for _, g in got] == [None, None]
+                continue
+            for v, (m, b) in got:
+                assert abs(m - mp.ldexp(exact, v)) <= b, (ap.label, x, digits, v, m, float(exact), b)
+        assert b <= 2.0 ** (w - 96) * abs(exact) + 2 ** (w - k + 1) + 2**10, (ap.label, x, digits, b)
+
+
+@pytest.mark.parametrize("ap", TAIL_ROWS, ids=lambda ap: ap.label)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_fixed_budget_bounds_the_distance_from_the_mpf_error(ap, data):
+    _check_fixed_budget(ap, data.draw(_points(FAMILIES[ap.family].claim_interval == "0:1")))
+
+
+def test_every_fixed_rule_holds_at_zero():
+    # x = 0 takes the fixed-point tier on every tail row, the g-constant side included
+    for ap in TAIL_ROWS:
+        _check_fixed_budget(ap, 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ap=st.sampled_from(ROWS), data=st.data())
+def test_mpf_error_lies_within_the_mpf_term(ap, data):
+    # E at working precision, 40, 50 or 70 digits, lies within the mpf term of E computed
+    # 30 digits higher, for every registry row. Master's constants carry their own
+    # precision at both, so their share of the term is argued, not tested, here.
+    x = data.draw(_points(FAMILIES[ap.family].claim_interval == "0:1"))
+    digits = data.draw(st.sampled_from([40, 50, 70]))
+    with mp.workdps(digits + 30):
+        ref = ap(mp.mpf(x)) - oracle_arctan(x, OracleConfig(digits + 30, digits + 20))
+    with mp.workdps(digits):
+        exact = ap(mp.mpf(x)) - oracle_arctan(x, OracleConfig(digits, digits - 10))
+        term = mp.ldexp(1, -_mpf_term_bits())
+    with mp.workdps(digits + 30):
+        assert abs(exact - ref) <= term, (ap.label, x, digits, float(exact - ref))
+
+
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t))
 def test_library_atan_within_one_ulp(x):
@@ -91,7 +151,7 @@ def test_library_atan_within_one_ulp_at_the_table_grid_points():
 
 def test_tangent_numbers_give_the_cotangent_coefficients():
     # b_m = 2^(2m)|B_2m|/(2m)! = T_m/((4^m - 1)(2m - 1)!), checked against bernfrac
-    t = tails._tangent_numbers()
+    t = tails._tangent_numbers(64)
     for m in range(1, len(t)):
         num, den = bernfrac(2 * m)
         assert Fraction(t[m], (4**m - 1) * math.factorial(2 * m - 1)) == Fraction(4**m * abs(num), den * math.factorial(2 * m))
@@ -114,6 +174,7 @@ def test_tail_row_outside_its_domain_is_settled_at_mpf_and_raises(cfg):
     ap = Approximant("cheb", n=3)
     with pytest.raises(ValueError):
         ap.rough_error(1.5)
-    assert _float_error(ap.rough_error, 1.5) == (0.0, math.inf)
+    assert _float_error(ap.rough_error, 1.5, 116) == (0.0, math.inf)
+    assert _fixed_error(ap.fixed_error, 1.5, 128, 116) == (0, math.inf)
     with pytest.raises(ValueError):
         sup_error(ap, Interval(0.0, 2.0), 65, cfg=cfg)

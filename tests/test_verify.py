@@ -52,7 +52,7 @@ def test_default_config_env_override(monkeypatch):
     monkeypatch.setenv("ARCTAN_CERT_DIGITS", "10")  # clamped up
     assert default_config().report_digits == 30
     monkeypatch.setenv("ARCTAN_CERT_DIGITS", "lots")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ARCTAN_CERT_DIGITS must be an integer, got 'lots'$"):
         default_config()
 
 
@@ -345,8 +345,19 @@ def _outcome(rep):
 
 
 def _without_budget(ap):
-    # the same approximant as a plain callable, which carries no rough_error
+    # the same approximant as a plain callable, which carries neither hook, rough_error
+    # nor fixed_error: every grid point and every search probe is evaluated at mpf
     return lambda x: ap(x)
+
+
+def _without_fixed(ap):
+    # the same approximant with its float hook but no fixed-point one: a search goes
+    # from float straight to mpf, as it did before the fixed-point tier
+    def f(x):
+        return ap(x)
+
+    f.rough_error = ap.rough_error
+    return f
 
 
 @pytest.mark.parametrize(
@@ -410,9 +421,13 @@ def test_settle_rules_match_all_mpf_on_random_rows(case):
         lambda f: sup_error(f, iv, grid, cfg=cfg, claimed_bound=0.01),
         lambda f: certify_bound(f, kind, iv, grid, cfg=cfg),
     ):
-        fast, slow = certify(ap), certify(_without_budget(ap))
-        assert _outcome(fast) == _outcome(slow)
-        assert fast.evals_mpf <= slow.evals_mpf
+        fast, float_only, slow = certify(ap), certify(_without_fixed(ap)), certify(_without_budget(ap))
+        assert _outcome(fast) == _outcome(float_only) == _outcome(slow)
+        assert slow.evals_float == slow.search_fixed == float_only.search_fixed == 0
+        # the float tier runs alike with or without the fixed-point one, which only saves mpf
+        assert fast.evals_float == float_only.evals_float and fast.refined == float_only.refined
+        assert fast.evals_mpf <= float_only.evals_mpf <= slow.evals_mpf
+        assert fast.evals_mpf + fast.search_fixed >= float_only.evals_mpf
 
 
 def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
