@@ -30,8 +30,11 @@ class FamilyInfo:
     returns a BoundPair. claim maps n to the claimed uniform error bound. A
     lifted family is its kernel, valid on [0,1], lifted once to R+. A
     two-sided family's pair_order is its order in the master family, where
-    that order is fixed. tail is the family's error series in float and in
-    fixed point, a pair from ``tails``, for the families whose error has one.
+    that order is fixed. tail is the family's error series in float, from
+    ``tails``, for the families whose error has one; the rest take the K-ulp
+    rule. fixed is its fixed-point rule from ``tails``: the tail in integers for
+    master and cheb, else the kernel in integers minus the oracle's fixed
+    arctan (``tails.direct_fixed``).
     """
 
     ident: str
@@ -47,7 +50,8 @@ class FamilyInfo:
     claim: Optional[Callable] = None
     lifted: bool = False
     pair_order: Optional[int] = None
-    tail: Optional[tuple] = None
+    tail: Optional[Callable] = None
+    fixed: Optional[Callable] = None
 
 
 _APPROX, _TWO, _UP = BoundKind.APPROXIMATION, BoundKind.TWO_SIDED, BoundKind.UPPER
@@ -56,37 +60,44 @@ FAMILIES: dict[str, FamilyInfo] = {
     info.ident: info
     for info in (
         FamilyInfo("sf", "Theorem 1", "3x/d < arctan x < πx/d, d = 1+2√(1+x²)", "[0,∞)", _TWO, False,
-                   kernel=core.shafer_fink_bounds, pair_order=1, tail=tails.MASTER_TAIL),
+                   kernel=core.shafer_fink_bounds, pair_order=1, tail=tails.master_error, fixed=tails.master_fixed),
         FamilyInfo("t2", "Theorem 2", "π(3+8√2)f < arctan x < 45f", "[0,∞)", _TWO, False,
-                   kernel=core.theorem2_bounds, pair_order=2, tail=tails.MASTER_TAIL),
+                   kernel=core.theorem2_bounds, pair_order=2, tail=tails.master_error, fixed=tails.master_fixed),
         FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", _UP, False,
-                   kernel=core.theorem4_upper),
+                   kernel=core.theorem4_upper, fixed=partial(tails.direct_fixed, tails.t4_kernel, True)),
         FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
-                   kernel=master.master_bounds, tail=tails.MASTER_TAIL),
+                   kernel=master.master_bounds, tail=tails.master_error, fixed=tails.master_fixed),
         FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
-                   kernel=core.lagrange_p, claim=lambda n: 1 / 230),
+                   kernel=core.lagrange_p, claim=lambda n: 1 / 230,
+                   fixed=partial(tails.direct_fixed, tails.lagrange_kernel, False)),
         FamilyInfo("t5", "Theorem 5", "sup < 1/115", "[0,∞)", _APPROX, False,
-                   kernel=core.theorem5_approx, claim=lambda n: 1 / 115),
+                   kernel=core.theorem5_approx, claim=lambda n: 1 / 115,
+                   fixed=partial(tails.direct_fixed, tails.lagrange_kernel, True)),
         FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
                    kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
-                   tail=tails.CHEB_TAIL),
+                   tail=tails.cheb_error, fixed=partial(tails.on_unit_fixed, tails.cheb_fixed)),
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
-                   tail=tails.CHEB_TAIL),
+                   tail=tails.cheb_error, fixed=partial(tails.lifted_fixed, tails.cheb_fixed)),
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
-                   kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n),
+                   kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n,
+                   fixed=partial(tails.direct_fixed, tails.cf_kernel, False)),
         FamilyInfo("cf-lifted", "continued fraction, lifted", "4^-n", "[0,∞)", _APPROX, True, 1,
-                   kernel=series.cf_arctan, claim=lambda n: 4.0**-n, lifted=True),
+                   kernel=series.cf_arctan, claim=lambda n: 4.0**-n, lifted=True,
+                   fixed=partial(tails.direct_fixed, tails.cf_kernel, True)),
         # the pointwise envelopes of s and t peak at 4^-n
         FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n, tail=tails.S_TAIL),
+                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n,
+                   tail=tails.s_error, fixed=partial(tails.direct_fixed, tails.s_kernel, False)),
         FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.taylor1_t, claim=lambda n: 4.0**-n, tail=tails.T_TAIL),
+                   kernel=series.taylor1_t, claim=lambda n: 4.0**-n,
+                   tail=tails.t_error, fixed=partial(tails.direct_fixed, tails.t_kernel, False)),
         FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.blend_w, claim=lambda n: 20.0**-n, tail=tails.W_TAIL),
+                   kernel=series.blend_w, claim=lambda n: 20.0**-n,
+                   tail=tails.w_error, fixed=partial(tails.direct_fixed, tails.w_kernel, False)),
         FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
                    kernel=series.blend_w, claim=lambda n: 2 * 20.0**-n, lifted=True,
-                   tail=tails.W_TAIL),
+                   tail=tails.w_error, fixed=partial(tails.direct_fixed, tails.w_kernel, True)),
     )
 }
 
@@ -109,9 +120,10 @@ class Approximant:
     rough_error(x) is the float rule of the certification scan's float tier
     (see ``verify``): the family's tail summed in float (``tails``) where it
     has one, else the K-ulp rule (ulp_rule). It returns the rule's own (e, b)
-    or raises. fixed_error(x, w) is the fixed-point tier's rule, the same tail
-    in integers scaled by 2^w, returning (m, err) in units of 2^-w; rows
-    without a tail have none. Past MAX_ORDER both are None.
+    or raises. fixed_error(x, w) is the fixed-point tier's rule, in integers
+    scaled by 2^w, returning (m, err) in units of 2^-w: master's and cheb's
+    tail, or every other row's kernel minus the oracle's fixed arctan. Every
+    row has both up to MAX_ORDER; past it both are None.
     """
 
     family: str
@@ -144,16 +156,14 @@ class Approximant:
         # rough_error and fixed_error at this order, side and lift; None past MAX_ORDER
         if (self.n or 0) > master.MAX_ORDER:
             return None, None
-        if info.tail is None:
-            return partial(ulp_rule, self), None
-        rough, fixed = info.tail
         if info.kind is BoundKind.TWO_SIDED:
             order = info.pair_order or self.n
             args = order, self.side == master.constant_side(order)
-            return partial(rough, *args), partial(fixed, *args)
-        if info.lifted:
-            return partial(tails.lifted, rough, self.n), partial(tails.lifted_fixed, fixed, self.n)
-        return partial(tails.on_unit, rough, self.n), partial(tails.on_unit_fixed, fixed, self.n)
+            return partial(info.tail, *args), partial(info.fixed, *args)
+        fixed = partial(info.fixed, self.n)
+        if info.tail is None:
+            return partial(ulp_rule, self), fixed
+        return partial(tails.lifted if info.lifted else tails.on_unit, info.tail, self.n), fixed
 
     @property
     def label(self) -> str:

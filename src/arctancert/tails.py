@@ -1,10 +1,11 @@
-"""Errors of the series families, summed from each family's own tail.
+"""Errors of the families in float and in fixed point, for the certification scan's tiers.
 
-A family whose error has a cancellation-free series gets it here twice, from
-one set of coefficients rounded per tier (``MASTER_TAIL`` and the like): in float, as (e, b), e
-approximating the error E = f - arctan x and b bounding the float
-computation's distance from E; and in integers scaled by 2^w, as (m, err),
-m*2^-w lying within err units of 2^-w of E. The series:
+A family whose error has a cancellation-free series gets it summed from its
+tail: in float, as (e, b), e approximating the error E = f - arctan x and b
+bounding the float computation's distance from E; and, for master and cheb,
+in integers scaled by 2^w, as (m, err), m*2^-w lying within err units of
+2^-w of E, each tail from one set of coefficients rounded per tier. The
+series:
 
 - master, and sf and t2, which are master 1 and 2: D*a_n(x) = theta/g_n(theta)
   with theta = arctan x, and S = 1 - g_n(theta) = sum_{m>n} b_m p_n(4^-m)
@@ -15,14 +16,23 @@ m*2^-w lying within err units of 2^-w of E. The series:
 - cheb: -sum_{k>n} c_k T_(2k+1)(x) (Mason & Handscomb, ch. 5).
 - lifted rows: 2*E_inner(u), since arctan x = 2*arctan u.
 
+Every other row's fixed-point rule is direct (direct_fixed): its kernel in
+integers at u = x or at the lift's u, minus the oracle's fixed-point arctan
+x. The kernels are t4 and lagrange in closed form (t5 is lagrange at the lift's u),
+cf's backward recurrence, and the quartic rows' partial sums (s, t and their
+blend w; Cuyt et al., Handbook of Continued Fractions for Special Functions,
+ch. 11, for cf).
+
 The float bounds are first order in the unit roundoff U; every constant
 carries a few percent of slack for the second-order terms. Quantities that
 underflow err by under 2^-1000 absolutely, which the scan's mpf term
 absorbs. The fixed-point bounds count units of 2^-w: each floor adds under
 one, each coefficient under 1/2 and a little, and the sums are arranged
-(Horner over t or g below 1, Clenshaw in 2T_2(x)) so that no step's error
-grows on its way to the result (Brent & Zimmermann, Modern Computer
-Arithmetic, ch. 1 and 4). Neither b nor err includes the mpf term, nor the
+(Horner over t, g or q below 1, Clenshaw in 2T_2(x), cf's recurrence, which
+shrinks an error by 4 a step) so that no step's error grows on its way to
+the result (Brent & Zimmermann, Modern Computer
+Arithmetic, ch. 1 and 4); the closed forms carry each step's error with
+its value (_mul, _div, _sqrt). Neither b nor err includes the mpf term, nor the
 final ulp(e) or rounding up: the scan's guards add them (see ``verify``).
 """
 
@@ -69,6 +79,13 @@ def _pi_top(bits: int) -> int:
     return (f.numerator << bits) // f.denominator
 
 
+def _atan_w(x: float, w: int) -> int:
+    # arctan x at scale 2^w within 1.01 units: verify._atan_fixed at the oracle's bits,
+    # at least 40 above w, within 2^11 units of 2^-wp there, shifted down and floored
+    wp = max(_oracle_bits(), w + 40)
+    return _atan_fixed(x, wp) >> (wp - w)
+
+
 def _mul(a, b, w: int):
     # the product of fixed values a = (m, e) and b at scale 2^w, floored: m*2^-w lies
     # within e units of 2^-w of its value, so the product within |a|e_b + |b|e_a + e_a e_b
@@ -84,6 +101,13 @@ def _div(a, b, w: int):
     (x, ex), (y, ey) = a, b
     q = (x << w) // y
     return q, (ex + (abs(q) + 1) * ey / (1 << w)) / ((y - ey) / (1 << w)) + 1
+
+
+def _sqrt(a, w: int):
+    # the root of a fixed value a = (m, e) > 0 at scale 2^w, floored: |sqrt(A) - sqrt(a)| =
+    # |A - a|/(sqrt(A) + sqrt(a)) <= e/sqrt(a) units, and one more for the floor
+    x, ex = a
+    return math.isqrt(x << w), ex / math.sqrt(x / (1 << w)) + 1
 
 
 def _horner(coeffs, t: int, w: int) -> int:
@@ -245,8 +269,7 @@ def master_fixed(n: int, constant_side: bool, x: float, w: int):
     require_nonnegative(x)
     one = 1 << w
     ps, hs, sens_p, sens_h = _master_fixed_series(n, w)
-    wp = max(_oracle_bits(), w + 40)
-    theta = _atan_fixed(x, wp) >> (wp - w), 1.01
+    theta = _atan_w(x, w), 1.01
     tau, e_tau = _div(theta, (_pi_fixed(w - 1), 1.01), w)
     tau = min(tau, one), e_tau
     t = _mul(tau, tau, w)
@@ -365,67 +388,6 @@ def w_error(n: int, u: float, v: float, eps_u: float, eps_v: float):
 
 
 @lru_cache(maxsize=None)
-def _quartic_fixed(w: int) -> tuple:
-    # t_i*2^w rounded to integers, the coefficients of T as a series in g: row j gives
-    # t_(4j+1), t_(4j+2), t_(4j+3) = (-4)^j times _quartic_row(j) (the last doubled), and
-    # t_(4j) = 0; rows up to MAX_ORDER + w/2 + 2, all that _quartic_tail_fixed takes
-    t = []
-    for j in range(MAX_ORDER + w // 2 + 3):
-        a, b, c = _quartic_row(j)
-        s = (-4) ** j
-        t += [0] + [_nearest(q.numerator << w, q.denominator) for q in (s * a, s * b, 2 * s * c)]
-    return tuple(t)
-
-
-def _quartic_tail_fixed(n: int, g: int, e_g: float, w: int):
-    # (T, err) at scale 2^w for the T of _quartic_tail at g*2^-w in [0, 1/2], given within
-    # e_g units. T = g^(4n+5)*sum_i t_i g^(i-4n-5) over i = 4n+5..4L+3, the rows n+1..L,
-    # by Horner in g: each step's floor and coefficient add under 1.5 units, scaled by
-    # g^k <= 2^-k, so the sum errs by under 3; the exact product with g^(4n+5) and one floor
-    # leave under 1.1. The rows alternate and shrink by |q| = 4g^4 <= 1/4, so the rest is
-    # under row L+1 <= 0.22|q|^(L+1): L = ceil(w/l), l = log2(1/|q|) >= 2, puts it under
-    # 0.25 units, and where L <= n all of T is under it. Across g, |dT/dg| =
-    # (1 + 2g + 2g^2)|q|^(n+1)/(1 + |q|) <= 2.5*4^-(n+1), which bounds e_g's effect.
-    err = 2.5 * 4.0 ** -(n + 1) * e_g
-    if not g:
-        return 0, err
-    last = math.ceil(w / (-2 - 4 * math.log2(g / (1 << w))))
-    if last <= n:
-        return 0, err + 0.25
-    i0 = 4 * n + 5
-    h = _horner(_quartic_fixed(w)[4 * last + 3 : i0 - 1 : -1], g, w)
-    return (g**i0 * h) >> (w * i0), err + 1.35
-
-
-def s_fixed(n: int, u: int, e_u: float, w: int):
-    """(m, err) for s_n at u*2^-w in [0, 1], given within e_u units: E_s*2^w within err."""
-    # g = u/(1 + u) is floored, and dg/du = 1/(1 + u)^2 <= 1
-    e, err = _quartic_tail_fixed(n, (u << w) // (u + (1 << w)), 1 + e_u, w)
-    return -e, err
-
-
-def t_fixed(n: int, u: int, e_u: float, w: int):
-    """(m, err) for t_n: E_t = tail((1 - u)/2), with 1 - u exact from u."""
-    return _quartic_tail_fixed(n, ((1 << w) - u) >> 1, 0.5 + e_u / 2, w)
-
-
-def w_fixed(n: int, u: int, e_u: float, w: int):
-    """(m, err) for w_n, the blend of the s and t errors with the weights of blend_w."""
-    # E_w = l*E_t + (1 - l)*E_s with l = u^p/(u^p + v^p), from the exact powers and one
-    # floor. |dl/du| = p*l(1 - l)/(uv) = p*(cosh(s/2)/cosh(ps/2))^2 <= p with u/v = e^s, so
-    # l lies within 1 + p*e_u units of its value, which moves E_w by that times |E_t - E_s|;
-    # the blend of the two errors adds the larger of them, and its floor one unit.
-    p, one = 4 * n + 4, 1 << w
-    e_t, b_t = t_fixed(n, u, e_u, w)
-    e_s, b_s = s_fixed(n, u, e_u, w)
-    up, vp = u**p, (one - u) ** p
-    lam = (up << w) // (up + vp)
-    e = (lam * e_t + (one - lam) * e_s) >> w
-    gap = (abs(e_t) + abs(e_s) + b_t + b_s) / one
-    return e, max(b_t, b_s) + (1 + p * e_u) * gap + 1
-
-
-@lru_cache(maxsize=None)
 def _cheb_fixed(w: int) -> tuple:
     # c_k*2^w rounded to integers, for k = 0, 1, ... while nonzero: the one derivation of
     # cheb's tail coefficients, for both tiers. series.cheb_coefficients at r = sqrt2 - 1,
@@ -529,31 +491,152 @@ def lifted(error, n: int, x: float):
     return 2 * e, 2 * b
 
 
-def on_unit_fixed(error, n: int, x: float, w: int):
-    """error in fixed point at u = x in [0, 1], floored to 2^-w: exact or within one unit."""
+def _unit_u(x: float, w: int):
+    # (u, e_u): u = x in [0, 1] at scale 2^w, floored, so exact or within one unit
     require_unit(x, "u")
     p, q = x.as_integer_ratio()
     u, r = divmod(p << w, q)
-    return error(n, u, 1 if r else 0, w)
+    return u, 1 if r else 0
 
 
-def lifted_fixed(error, n: int, x: float, w: int):
-    """2*error in fixed point at u = x/(1 + sqrt(1 + x^2)) for x >= 0."""
-    # With x = p/q exact, u = p/(q + sqrt(q^2 + p^2)). The denominator d, scaled by 2^w
-    # with its root floored, lies within one unit below its value, which is at least
-    # 2^(w+1), so the quotient moves by under u*2^w/d < 1 unit, and its floor adds one:
-    # u within 2 units.
+def _lift_u(x: float, w: int):
+    # (u, e_u): u = x/(1 + sqrt(1 + x^2)) at scale 2^w for x >= 0. With x = p/q exact,
+    # u = p/(q + sqrt(q^2 + p^2)). The denominator d, scaled by 2^w with its root floored,
+    # lies within one unit below its value, which is at least 2^(w+1), so the quotient
+    # moves by under u*2^w/d < 1 unit, and its floor adds one: u within 2 units.
     require_nonnegative(x)
     p, q = x.as_integer_ratio()
     d = (q << w) + math.isqrt((q * q + p * p) << (2 * w))
-    e, err = error(n, min((p << (2 * w)) // d, 1 << w), 2, w)
+    return min((p << (2 * w)) // d, 1 << w), 2
+
+
+def on_unit_fixed(error, n: int, x: float, w: int):
+    """error in fixed point at u = x in [0, 1], floored to 2^-w: exact or within one unit."""
+    return error(n, *_unit_u(x, w), w)
+
+
+def lifted_fixed(error, n: int, x: float, w: int):
+    """2*error in fixed point at u = x/(1 + sqrt(1 + x^2)) for x >= 0, u within 2 units."""
+    e, err = error(n, *_lift_u(x, w), w)
     return 2 * e, 2 * err
 
 
-# each family's error series as (float, fixed point): an error of on_unit or lifted, or
-# master_error, and its counterpart
-MASTER_TAIL = master_error, master_fixed
-CHEB_TAIL = cheb_error, cheb_fixed
-S_TAIL = s_error, s_fixed
-T_TAIL = t_error, t_fixed
-W_TAIL = w_error, w_fixed
+def direct_fixed(kernel, lift: bool, n, x: float, w: int):
+    """(m, err) for E = f(x) - arctan x: the kernel in integers minus the oracle's fixed arctan.
+
+    The fixed-point counterpart of families.ulp_rule, for the rows without a fixed
+    tail. kernel(n, u, e_u, w) returns f's inner kernel at u*2^-w, given within e_u
+    units, scaled by 2^w with its error in units; u is x on [0, 1], or, with lift,
+    the lift's u, and f is twice the kernel there.
+    """
+    if lift:
+        f, err = kernel(n, *_lift_u(x, w), w)
+        f, err = 2 * f, 2 * err
+    else:
+        f, err = kernel(n, *_unit_u(x, w), w)
+    return f - _atan_w(x, w), err + 1.01
+
+
+@lru_cache(maxsize=None)
+def _constants(w: int) -> tuple:
+    # pi, pi/16, 4/pi and sqrt2 at scale 2^w as fixed values (m, e): pi and pi/16 within 1.01
+    # units (_pi_fixed), 4/pi by _div, sqrt2 by isqrt, floored, within one
+    pi = _pi_fixed(w), 1.01
+    return pi, (_pi_fixed(w - 4), 1.01), _div((4 << w, 0), pi, w), (math.isqrt(2 << (2 * w)), 1)
+
+
+def t4_kernel(n, u: int, e_u: float, w: int):
+    """Half of core.theorem4_upper at the lift's u, n ignored.
+
+    That is pi*u/((4/pi)*(1 - u^2) + sqrt2*(1 + u)*sqrt(1 + u^2)), u*2^-w given within
+    e_u units.
+    """
+    # With t = arctan x = 2*arctan u, sin t = 2u/(1 + u^2), cos t = (1 - u^2)/(1 + u^2) and
+    # sqrt(2 + 2 sin t) = sqrt2*(1 + u)/sqrt(1 + u^2); multiplying pi*sin t/((4/pi)*cos t +
+    # sqrt(2 + 2 sin t)) through by 1 + u^2 gives twice this. Every step carries its error
+    # (_mul, _div, _sqrt); the denominator is at least 4/pi + sqrt2 > 2.6.
+    one = 1 << w
+    pi, _, four_over_pi, sqrt2 = _constants(w)
+    uu, e_uu = _mul((u, e_u), (u, e_u), w)
+    den = _mul(four_over_pi, (one - uu, e_uu), w)
+    r = _mul(_mul(sqrt2, (one + u, e_u), w), _sqrt((one + uu, e_uu), w), w)
+    return _div(_mul(pi, (u, e_u), w), (den[0] + r[0], den[1] + r[1]), w)
+
+
+def lagrange_kernel(n, u: int, e_u: float, w: int):
+    """core.lagrange_p, n ignored: (pi/16)*u*(4 + sqrt2*(1 - u)), which t5 takes at the lift's u."""
+    # The two Lagrange terms collect to this: (pi/4)*u*(u - sqrt2 + 1)/(2 - sqrt2) has
+    # coefficients pi*(2 + sqrt2)/8 times u^2 + (1 - sqrt2)*u, and (pi/8)*u*(u - 1)/((sqrt2 -
+    # 1)*(sqrt2 - 2)) = -pi*(4 + 3*sqrt2)/16 times u^2 - u. Every step carries its error (_mul).
+    one = 1 << w
+    _, pi16, _, sqrt2 = _constants(w)
+    r, e_r = _mul(sqrt2, (one - u, e_u), w)
+    return _mul(pi16, _mul((u, e_u), ((4 << w) + r, e_r), w), w)
+
+
+def cf_kernel(n: int, u: int, e_u: float, w: int):
+    """series.cf_arctan's depth-n convergent at u*2^-w in [0, 1], given within e_u units."""
+    # d_k = (2k - 1) + k^2 u^2/d_(k+1) from d_(n+1) = 2n + 1, each step floored with u^2
+    # exact at scale 2^(2w), and cf_n = u/d_1, floored. Computed and exact d_(k+1) are at
+    # least 2k + 1 and u <= 1, so an error in d_(k+1) moves d_k by k^2/(2k + 1)^2 < 1/4 of
+    # it: the floors leave d_1 within 4/3 units, which moves u/d_1, d_1 >= 1, by 4/3 more,
+    # and its floor adds one: 3.67 units. Across u, |dd_k/du| <= 2k^2/(2k + 1) + |dd_(k+1)/du|/4 < k + |dd_(k+1)/du|/4, so
+    # |dd_1/du| <= sum_j (j + 1)/4^j = 16/9 and |d(u/d_1)/du| <= 1 + 16/9 < 2.78.
+    uu = u * u
+    d = (2 * n + 1) << w
+    for k in range(n, 0, -1):
+        d = ((2 * k - 1) << w) + k * k * uu // d
+    return (u << w) // d, 3.67 + 2.78 * e_u
+
+
+@lru_cache(maxsize=None)
+def _quartic_coefficients(w: int) -> tuple:
+    # _quartic_row(j) at scale 2^w, the last doubled, each rounded to the nearest unit, for
+    # j = 0..MAX_ORDER: the rows of the partial sums s_n
+    rows = map(_quartic_row, range(MAX_ORDER + 1))
+    return tuple(tuple(_nearest(c.numerator << w, c.denominator) for c in (a, b, 2 * c)) for a, b, c in rows)
+
+
+def _quartic_sum(n: int, g: int, w: int) -> int:
+    # series._quartic_rows(n, g) at g*2^-w in [0, 1/2], scale 2^w: g*(A + g*(B + g*C)) with
+    # A, B, C summing q^j times row j's three coefficients (_quartic_row, the last doubled),
+    # at most 1, 1 and 2/3, by Horner in q = -4g^4, floored once (1 unit). A step errs by its coefficient (1/2 unit),
+    # its floor (1), the previous error times |q| <= 1/4, and q's unit times the previous
+    # sum, under 4/3 of the next coefficient, at most 0.45: so each of A, B, C within
+    # 1.95*4/3 < 2.6 units. The three products with g <= 1/2 and their floors leave
+    # B + g*C within 4.9 units, A + g*(...) within 6.05 and the sum within 4.03. Across g,
+    # |ds_n/dg| <= sum_j 4^j g^(4j)*(1 + 2g + 2g^2) <= 2.5*sum_j 4^-j < 3.34, which bounds
+    # the effect of g's error (s_kernel, t_kernel).
+    coeffs = _quartic_coefficients(w)[n::-1]
+    q = -((g * g) ** 2 >> (3 * w - 2))
+    a = b = c = 0
+    for ca, cb, cc in coeffs:
+        a, b, c = ca + ((q * a) >> w), cb + ((q * b) >> w), cc + ((q * c) >> w)
+    return (g * (a + ((g * (b + ((g * c) >> w))) >> w))) >> w
+
+
+def s_kernel(n: int, u: int, e_u: float, w: int):
+    """series.taylor1_s at u*2^-w in [0, 1], given within e_u units."""
+    # g = u/(1 + u), floored, within 1 + e_u units, since dg/du <= 1
+    return _quartic_sum(n, (u << w) // (u + (1 << w)), w), 4.1 + 3.34 * (1 + e_u)
+
+
+def t_kernel(n: int, u: int, e_u: float, w: int):
+    """series.taylor1_t: pi/4 minus the partial sum at g = (1 - u)/2."""
+    # pi/4 within 1.01 units (_pi_fixed); g floored, within (1 + e_u)/2 units
+    return _pi_fixed(w - 2) - _quartic_sum(n, ((1 << w) - u) >> 1, w), 1.01 + 4.1 + 1.67 * (1 + e_u)
+
+
+def w_kernel(n: int, u: int, e_u: float, w: int):
+    """series.blend_w: the blend of t_kernel and s_kernel with the weights of blend_w."""
+    # w_n = l*t_n + (1 - l)*s_n with l = u^p/(u^p + v^p), from the exact powers and one
+    # floor. |dl/du| = p*l(1 - l)/(uv) = p*(cosh(s/2)/cosh(ps/2))^2 <= p with u/v = e^s, so
+    # l lies within 1 + p*e_u units of its value, which moves w_n by that times |t_n - s_n|;
+    # the blend of the two values adds the larger of their errors, and its floor one unit.
+    p, one = 4 * n + 4, 1 << w
+    t, e_t = t_kernel(n, u, e_u, w)
+    s, e_s = s_kernel(n, u, e_u, w)
+    up, vp = u**p, (one - u) ** p
+    lam = (up << w) // (up + vp)
+    gap = (abs(t - s) + e_t + e_s) / one
+    return (lam * t + (one - lam) * s) >> w, max(e_t, e_s) + (1 + p * e_u) * gap + 1

@@ -37,16 +37,20 @@ e = f(x) - math.atan(x) with b = K*ulp(arctan x), K = 64
 (``families.FLOAT_ULPS``); it rests on the float kernel lying within K/4 ulp
 of arctan x of the 50-digit value. Past order 16 the hook is None.
 
-The tail rows also have a ``fixed_error(x, w)`` hook, which sums the same
-error series in integers scaled by 2^w (``tails``) and returns (m, err): m*2^-w
-lies within err units of 2^-w of E. Its parts are the steps' floors, the
-coefficients' rounding (each derived once, exactly or 40 bits deeper or more,
-and rounded per tier), the truncated rest of the series, and the effect of
-the argument's error: x is exact or floored by under a unit, u of a lift lies
-within 2 units, and master's theta comes from the oracle's fixed-point arctan
-before its rounding. Golden-section search alone uses this tier, at w about 116 bits
-below the float estimate of |E| (_fixed_bits), so one budget serves master's
-|E| near 1e-17 and cheb's near 1e-2.
+Every approximant also has a ``fixed_error(x, w)`` hook, in integers scaled
+by 2^w (``tails``), returning (m, err): m*2^-w lies within err units of 2^-w
+of E. It has two rules. The tail rule, for sf, t2, master, cheb and the
+lifted cheb, sums the float tier's error series. The direct rule, for every
+other row, is the K-ulp rule's fixed counterpart: the kernel in integers
+minus arctan x from the oracle's fixed-point arctan before its rounding
+(_atan_fixed), within 1.01 units. The parts of err, each proved in a comment,
+are the steps' floors, the constants' and coefficients' rounding (the tails'
+derived once, exactly or 40 bits deeper or more, and rounded per tier), a
+tail's truncated rest, and the effect of the argument's error: x is exact or
+floored by under a unit, u of a lift lies within 2 units, and master's theta
+is the oracle's. Golden-section search alone uses this tier, at w about 116
+bits below the float estimate of |E| (_fixed_bits), so one budget serves
+master's |E| near 1e-17 and cheb's near 1e-2.
 
 Both tiers have one guard each, _float_error and _fixed_error, which decide
 when to trust a hook. They take no value outside 0 and [1e-150, 1e150], where
@@ -70,15 +74,17 @@ re-evaluates at mpf every point a decision could rest on until none is left:
 for sup_error a point that could be a refined local maximum or the global
 maximum, for certify_bound one whose margin (arctan - f for a lower bound,
 f - arctan for an upper one) could be the smallest or whose |E| the largest.
-It hands back the |E| bounds and the grid argmax; sup_error then refines,
+Its picks compare floats only: a settled point's mpf value enters the bounds
+as its two neighbouring doubles until the loop ends. It then hands back the
+|E| bounds, with the mpf values, and the grid argmax; sup_error refines,
 certify_bound reads the smallest margin. Golden-section search compares in
 float while the budgets settle each comparison; at the first one they do not,
 it redoes both probes in fixed point and goes on there, and at the first one
-the fixed budgets do not settle, it redoes both at mpf and stays there. A row
-without a fixed hook goes from float to mpf. Every decision is therefore the
-one an all-mpf scan makes, and every reported value (sup error, argmax,
-margins) is computed at mpf, one mpf value per search where no comparison
-reaches mpf.
+the fixed budgets do not settle, it redoes both at mpf and stays there. A
+callable without a fixed hook goes from float to mpf. Every decision is
+therefore the one an all-mpf scan makes, and every reported value (sup error,
+argmax, margins) is computed at mpf, one mpf value per search where no
+comparison reaches mpf.
 """
 
 from __future__ import annotations
@@ -91,7 +97,7 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest
+from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_floor, round_nearest, to_float
 
 from .core import LiftedApproximant, lift_interval_map
 from .master import CONSTANT_DIGITS
@@ -476,18 +482,30 @@ class _Errors:
     def settle(self, pick):
         """Settle the points pick(lo, hi) names, until it names only settled ones.
 
+        The picks run on floats: a settled point's mpf value is kept on the side
+        and enters lo and hi as its two neighbouring doubles, so a pick never
+        compares an mpf. Once the loop ends, lo and hi take the mpf values.
         Returns the bounds on |E| and the index of the largest lower one, whose
         point every settle rule settles, so that its bound is |E| itself.
         """
-        lo, hi = self.lo, self.hi
+        lo, hi, exact = self.lo, self.hi, {}
         while True:
-            # a pick may repeat a point; an open point's bounds differ (B > 0)
-            todo = [i for i in dict.fromkeys(pick(lo, hi)) if lo[i] < hi[i]]
+            # a pick may repeat a point
+            todo = [i for i in dict.fromkeys(pick(lo, hi)) if i not in exact]
             if not todo:
-                a_lo, a_hi = _abs_bounds(lo, hi)
-                return a_lo, a_hi, max(range(len(a_lo)), key=a_lo.__getitem__)
+                break
             for i in todo:
-                lo[i] = hi[i] = self.exact(self.pts[i])
+                v = exact[i] = self.exact(self.pts[i])
+                lo[i], hi[i] = to_float(v._mpf_, rnd=round_floor), to_float(v._mpf_, rnd=round_ceiling)
+        # the float bounds enclose the mpf ones, so a point whose float upper bound lies
+        # below the largest float lower bound is not the argmax; the rest are compared exactly
+        f_lo, f_hi = _abs_bounds(lo, hi)
+        top = max(f_lo)
+        near = [i for i, h in enumerate(f_hi) if h >= top]
+        for i, v in exact.items():
+            lo[i] = hi[i] = v
+        a_lo, a_hi = _abs_bounds(lo, hi)
+        return a_lo, a_hi, max(near, key=a_lo.__getitem__)
 
 
 def _abs_bounds(lo, hi):
@@ -543,7 +561,7 @@ def _golden_max(err: _Errors, a: float, b: float):
     # golden-section search for the maximum of |E| on [a, b], on three tiers: float,
     # fixed point, mpf. Comparisons run on a tier while the two budgets settle them; at
     # the first one they do not, both probes are redone on the next tier, and the search
-    # goes on there. A row without a fixed-point hook goes from float to mpf. The probe
+    # goes on there. A callable without a fixed-point hook goes from float to mpf. The probe
     # points depend only on a, b and _INVPHI, so every decision is the one an all-mpf
     # search makes, and the returned maximum is evaluated at mpf.
     def rough(x):

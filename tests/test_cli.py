@@ -156,9 +156,11 @@ def test_certify_reports_evaluations_per_precision(capsys):
     words = line.replace(",", " ").replace("(", " ").split()
     n_float, n_mpf, n_search, n_fixed, n_refined, n_cold = (int(w) for w in words if w.isdigit())
     assert n_float > 0 and n_mpf > 0
-    assert 0 < n_search <= n_mpf  # golden-section probes evaluated at mpf
-    assert n_fixed == 0  # cf's float rule is the K-ulp one, so it has no fixed-point tier
     assert 1 <= n_refined <= 3  # golden-section searches, one per refined local maximum
+    # cf's float rule is the K-ulp one, and its fixed-point rule the kernel in integers:
+    # every comparison the float budgets leave open is decided in fixed point, so the
+    # search evaluates only its final value at mpf
+    assert n_fixed > 0 and n_search == n_refined <= n_mpf
     assert n_cold <= 129 * 2 + n_float + n_mpf  # each cold oracle value is a grid point's or an evaluation's
 
 
@@ -263,9 +265,10 @@ def test_standard_table_csv_unchanged_at_grid_65(monkeypatch, capsys):
 def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     # an all-mpf scan of the grid-65 table makes 9,574 mpf evaluations; the
     # two-precision scan made 3,702 with the K-ulp budget everywhere and 2,711 with
-    # the series families' tail budgets, 2,592 of them golden-section probes. The
-    # fixed-point tier takes 1,875 of those probes, leaving 836 mpf evaluations, 717 in
-    # search: one per search on every tail row, and the K-ulp rows' 645 as before.
+    # the series families' tail budgets, 2,592 of them golden-section probes. A
+    # fixed-point tier on the tail rows took 1,875 of those probes, leaving 836; with
+    # every row on it (the tails of master and cheb, every other row's kernel in
+    # integers) it takes 2,500, leaving 211 mpf evaluations, 92 in search: one per search.
     # The counts are deterministic, so all five totals are pinned: a count, not a timing
     reports = []
     for name in ("sup_error", "certify_bound"):
@@ -281,7 +284,7 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     assert len(reports) == 58
     names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined")
     totals = [sum(getattr(r, name) for r in reports) for name in names]
-    assert totals == [7185, 836, 717, 1875, 92]
+    assert totals == [7185, 211, 92, 2500, 92]
 
 
 def test_table_usage_errors(tmp_path, capsys):

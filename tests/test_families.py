@@ -83,6 +83,7 @@ def test_only_unbudgeted_rows_are_high_orders():
     e, b = ap.rough_error(1e-6)
     assert math.isfinite(b) and abs(e) > 1e3 * b
     assert Approximant("cf", n=MAX_ORDER + 1).rough_error is None
+    assert Approximant("cf", n=MAX_ORDER + 1).fixed_error is None
     assert Approximant("cheb", n=MAX_ORDER + 1).rough_error is None
     # t_n is pi/4 minus a row close to pi/4: near u = 0 its float value errs by
     # ulps of pi/4, far more than FLOAT_ULPS ulps of arctan u, so t takes no K-ulp rule

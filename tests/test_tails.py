@@ -84,7 +84,9 @@ def test_every_float_rule_holds_or_refuses_at_zero():
 def _check_fixed_budget(ap, x):
     # the fixed-point tier's B bounds |m*2^-w - E| for E at 40, 50 and 70 digits, at a
     # coarse scale and at the one a search near this |E| takes, where B is no vacuous
-    # bound: about 2^-100 of |E|, or a little over the mpf term where E is smaller
+    # bound: about 2^-100 of |E|, or a little over the mpf term where E is smaller. Both
+    # fixed rules: master's and cheb's tails, and every other row's kernel in integers
+    # minus the oracle's fixed arctan
     for digits in (40, 50, 70):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
@@ -99,7 +101,7 @@ def _check_fixed_budget(ap, x):
         assert b <= 2.0 ** (w - 96) * abs(exact) + 2 ** (w - k + 1) + 2**10, (ap.label, x, digits, b)
 
 
-@pytest.mark.parametrize("ap", TAIL_ROWS, ids=lambda ap: ap.label)
+@pytest.mark.parametrize("ap", ROWS, ids=lambda ap: ap.label)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_fixed_budget_bounds_the_distance_from_the_mpf_error(ap, data):
@@ -107,8 +109,10 @@ def test_fixed_budget_bounds_the_distance_from_the_mpf_error(ap, data):
 
 
 def test_every_fixed_rule_holds_at_zero():
-    # x = 0 takes the fixed-point tier on every tail row, the g-constant side included
-    for ap in TAIL_ROWS:
+    # every registry row has a fixed-point rule, and x = 0 takes it on all 172, the
+    # g-constant side included
+    assert len(ROWS) == 172 and all(ap.fixed_error is not None for ap in ROWS)
+    for ap in ROWS:
         _check_fixed_budget(ap, 0.0)
 
 

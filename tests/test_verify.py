@@ -3,7 +3,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -413,6 +413,21 @@ def _certifications(draw):
     return ap, kind, iv, draw(st.integers(64, 400)), OracleConfig(digits, digits - 20)
 
 
+def _case(ident, n, kind, hi, digits):
+    return Approximant(ident, n=n), kind, Interval(0.0, hi), 65, OracleConfig(digits, digits - 20)
+
+
+# every row whose fixed-point rule is its kernel in integers, besides the random draws:
+# the K-ulp rows and the quartic ones
+@example(case=_case("t4", None, "upper", math.inf, 50))
+@example(case=_case("lagrange", None, "lower", 1.0, 60))
+@example(case=_case("t5", None, "lower", math.inf, 50))
+@example(case=_case("cf", 5, "upper", 1.0, 60))
+@example(case=_case("cf-lifted", 3, "upper", math.inf, 50))
+@example(case=_case("s", 2, "upper", 1.0, 60))
+@example(case=_case("t", 1, "upper", 1.0, 50))
+@example(case=_case("w", 2, "lower", 1.0, 60))
+@example(case=_case("w-lifted", 1, "upper", math.inf, 50))
 @settings(max_examples=20, deadline=None)
 @given(case=_certifications())
 def test_settle_rules_match_all_mpf_on_random_rows(case):
