@@ -46,7 +46,7 @@ from mpmath import mp
 
 from .master import MAX_ORDER, denominator_product, pn_coefficients
 from .numerics import require_nonnegative, require_unit
-from .series import cheb_coefficients, machin_pi_fraction
+from .series import cheb_coefficients
 from .verify import _atan_fixed, _oracle_bits
 
 U = 2.0**-53  # unit roundoff of a double
@@ -71,12 +71,29 @@ def _pi_fixed(bits: int) -> int:
 
 @lru_cache(maxsize=None)
 def _pi_top(bits: int) -> int:
-    # pi*2^bits within 1.01 units: the Machin fraction at bits//8 + 2 rows errs by under
-    # 4*324^-rows < 2^-(bits + 7), since each of its two series alternates with rows
-    # shrinking by 1/324 or faster, the first one left out of 16*arctan(1/5) being under
-    # 3.2*324^-rows; the quotient is floored
-    f = machin_pi_fraction(bits // 8 + 2)
-    return (f.numerator << bits) // f.denominator
+    # pi*2^bits within 1.01 units: Machin's pi = 16*arctan(1/5) - 4*arctan(1/239), each
+    # arctan(1/k) = sum_j (-1)^j/((2j + 1)k^(2j+1)) summed in integers at p = bits + g.
+    # P_0 = floor(2^p/k), P_j = floor(P_(j-1)/k^2) lie within 1 + k^-2 + ... <= 25/24
+    # units below Q_j = 2^p/k^(2j+1), so each term floor(P_j/(2j + 1)) within 1 + 25/24
+    # < 2.05 below Q_j/(2j + 1). The loop stops at the first P_J = 0, so Q_J < 25/24, and
+    # the rest, alternating with shrinking terms, is under its first, Q_J/(2J + 1) < 1.05.
+    # P_(J-1) >= 1 puts k^(2J-1) <= 2^p, J <= (p/log2(5) + 1)/2 <= p/4 + 1, so each sum
+    # lies within 2.05(p/4 + 1) + 1.05 < 0.52p + 3.1 units and pi within 20 times that,
+    # 11p + 62. g = bitlength(bits + 64) + 11 makes 2^g > 2048(bits + 64) >= 100(11p + 62)
+    # (1100g grows as a log, below 948*bits + 124,872 for every bits >= 0), so the floored
+    # shift by g lies within 0.01 + 1 units.
+    g = (bits + 64).bit_length() + 11
+    p = bits + g
+
+    def arctan_inv(k: int) -> int:
+        k2, t, s, j = k * k, (1 << p) // k, 0, 0
+        while t:
+            s += t // (2 * j + 1) if j % 2 == 0 else -(t // (2 * j + 1))
+            t //= k2
+            j += 1
+        return s
+
+    return (16 * arctan_inv(5) - 4 * arctan_inv(239)) >> g
 
 
 def _atan_w(x: float, w: int) -> int:

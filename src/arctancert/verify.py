@@ -48,9 +48,10 @@ are the steps' floors, the constants' and coefficients' rounding (the tails'
 derived once, exactly or 40 bits deeper or more, and rounded per tier), a
 tail's truncated rest, and the effect of the argument's error: x is exact or
 floored by under a unit, u of a lift lies within 2 units, and master's theta
-is the oracle's. Golden-section search alone uses this tier, at w about 116
-bits below the float estimate of |E| (_fixed_bits), so one budget serves
-master's |E| near 1e-17 and cheb's near 1e-2.
+is the oracle's. Golden-section probes, settled grid points and each
+search's final value use this tier, at w about 116 bits below the float
+estimate of |E| (_fixed_bits), so one budget serves master's |E| near 1e-17
+and cheb's near 1e-2.
 
 Both tiers have one guard each, _float_error and _fixed_error, which decide
 when to trust a hook. They take no value outside 0 and [1e-150, 1e150], where
@@ -64,32 +65,43 @@ the fixed one B = 1.01*err + 2^-k, rounded up to whole units: ulp(e) covers
 the rounding of e, 1.01 the float arithmetic of err, and the mpf term 2^-k
 the mpf kernel's, the oracle's and master's constants' own error, so that B
 bounds the distance from the mpf value E (_mpf_term_bits: k = min(prec, 169)
-- 20, 149 at 50 digits). A grid
-point with no float value or an infinite budget is evaluated at mpf, where a
-real failure raises again; a point the float tier decides costs no oracle
-evaluation.
+- 20, 149 at 50 digits). A point the float tier decides costs no oracle
+evaluation; a settled point that the fixed guard takes no value at, or gives
+an infinite budget, is evaluated at mpf, where a real failure raises again.
 
 Both certifications run one scan body with two settle rules. Its settle loop
-re-evaluates at mpf every point a decision could rest on until none is left:
-for sup_error a point that could be a refined local maximum or the global
+settles every point a decision could rest on until none is left: for
+sup_error a point that could be a refined local maximum or the global
 maximum, for certify_bound one whose margin (arctan - f for a lower bound,
 f - arctan for an upper one) could be the smallest or whose |E| the largest.
-Its picks compare floats only: a settled point's mpf value enters the bounds
-as its two neighbouring doubles until the loop ends. It then hands back the
-|E| bounds, with the mpf values, and the grid argmax; sup_error refines,
-certify_bound reads the smallest margin. Golden-section search compares in
-float while the budgets settle each comparison; at the first one they do not,
-it redoes both probes in fixed point and goes on there, and at the first one
-the fixed budgets do not settle, it redoes both at mpf and stays there. A
-callable without a fixed hook goes from float to mpf. Every decision is
-therefore the one an all-mpf scan makes, and every reported value (sup error,
-argmax, margins) is computed at mpf, one mpf value per search where no
-comparison reaches mpf.
+A settled value is the fixed guard's enclosure [L, H] = [(m - B)*2^-w,
+(m + B)*2^-w] of its mpf value, a _Lazy. Its picks compare floats only: a
+settled point enters the bounds as the two doubles next to its mpf value,
+read from [L, H] where that lies strictly between two adjacent doubles, and
+from the mpf value otherwise (an enclosure that holds a double, such as a
+margin of 0 at x = 0). It then hands back the |E| bounds, with the settled
+values, and the grid argmax; sup_error refines, certify_bound reads the
+smallest margin. Golden-section search compares in float while the budgets
+settle each comparison; at the first one they do not, it redoes both probes
+in fixed point and goes on there, and at the first one the fixed budgets do
+not settle, it redoes both at mpf and stays there. A callable without a
+fixed hook goes from float to mpf. Its final value is an enclosure too.
+Every later comparison of settled or final values (the argmax, the order of
+the local maxima, the refined maxima against the grid's, the claim, the
+smallest margin and its tolerance) reads the enclosures, and resolves both
+sides to mpf first where they overlap or one holds the number it is compared
+with. A reported float is read from the enclosure where both ends round to
+the same double, and resolved to mpf otherwise; min_gap, the claim less the
+sup at mp.prec, maps the enclosure through that same rounded subtraction.
+Every decision and every reported value (sup error, argmax, margins) is
+therefore the one an all-mpf scan gives, and mpf is computed only where an
+enclosure cannot decide.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -353,8 +365,9 @@ class ErrorReport:
     evals_float: int = 0  # approximant evaluations in double precision
     evals_mpf: int = 0  # and at the oracle's working precision
     refined: int = 0  # golden-section searches run
-    search_mpf: int = 0  # of evals_mpf, the golden-section probes
+    search_mpf: int = 0  # of evals_mpf, the golden-section probes and final values
     search_fixed: int = 0  # golden-section probes evaluated in fixed point
+    settle_fixed: int = 0  # grid points settled in fixed point, never evaluated at mpf
     oracle_cold: int = 0  # oracle values computed rather than found in its cache
 
 
@@ -435,6 +448,113 @@ def _fixed_error(hook: Optional[Callable], x: float, w: int, k: int):
         return 0, math.inf
 
 
+class _Lazy:
+    """A value within the exact bounds lo <= v <= hi, resolved to its mpf value on demand.
+
+    A settled point's sign*E enters with its fixed-point enclosure, or as its mpf
+    value (lo == hi) where it has none; down and up are doubles at or beyond the
+    bounds (_double). A comparison, and float(), read the bounds, the doubles first,
+    where every value within them gives the same answer, and otherwise resolve
+    both sides to mpf first, so each gives what the mpf values give. The scan's
+    negation, halving and c - v round at mp.prec as on the mpf value and are
+    monotone, so they map the bounds to bounds and resolve through their operand.
+    """
+
+    __slots__ = ("lo", "hi", "down", "up", "_get")
+
+    def __init__(self, lo, hi, get=None):
+        self.lo, self.hi, self._get = lo, hi, get
+        self.down, self.up = _double(lo, round_floor), _double(hi, round_ceiling)
+
+    @property
+    def open(self) -> bool:
+        return self._get is not None
+
+    def exact(self):
+        if self._get is not None:
+            v = self._get()
+            self.__init__(v, v)  # the point v from now on
+        return self.lo
+
+    def _map(self, f):
+        a, b = f(self.lo), f(self.hi)
+        if self._get is None:
+            return _Lazy(a, a)
+        return _Lazy(min(a, b), max(a, b), lambda: f(self.exact()))
+
+    def __neg__(self):
+        return self._map(operator.neg)
+
+    def __truediv__(self, k):  # k > 0
+        return self._map(lambda v: v / k)
+
+    def __rsub__(self, c):
+        return self._map(lambda v: c - v)
+
+    def __abs__(self):
+        return self if self >= 0 else -self
+
+    def _decide(self, other, op, below: bool):
+        # op(self, other) for op < or <= (below) or > or >=: decided by the doubles, then by
+        # the exact bounds, where op holds at the nearest ends or fails at the farthest,
+        # else on the mpf values
+        for exact in (False, True):
+            (a_lo, a_hi), (b_lo, b_hi) = _bounds(self, exact), _bounds(other, exact)
+            near, far = ((a_hi, b_lo), (a_lo, b_hi)) if below else ((a_lo, b_hi), (a_hi, b_lo))
+            if op(*near):
+                return True
+            if not op(*far):
+                return False
+        return op(self.exact(), other.exact() if isinstance(other, _Lazy) else other)
+
+    def __lt__(self, other):
+        return self._decide(other, operator.lt, True)
+
+    def __le__(self, other):
+        return self._decide(other, operator.le, True)
+
+    def __gt__(self, other):
+        return self._decide(other, operator.gt, False)
+
+    def __ge__(self, other):
+        return self._decide(other, operator.ge, False)
+
+    def __float__(self):
+        # float() of the mpf value rounds to nearest, which is monotone: where both bounds
+        # round to one double, so does every value between them
+        lo, hi = float(self.lo), float(self.hi)
+        return lo if lo == hi else float(self.exact())
+
+
+def _bounds(v, exact: bool):
+    if not isinstance(v, _Lazy):
+        return v, v
+    return (v.lo, v.hi) if exact else (v.down, v.up)
+
+
+def _double(v, rnd) -> float:
+    # v rounded to a double in the direction rnd, round_floor or round_ceiling. Outside the
+    # normal range to_float may round twice, overflow or underflow, so there the bound is
+    # the infinity that way, which leaves the decision to the exact bounds
+    _, man, exp, bc = v._mpf_
+    if not man or -1021 <= exp + bc <= 1024:
+        return to_float(v._mpf_, rnd=rnd)
+    return -math.inf if rnd == round_floor else math.inf
+
+
+def _cell(v: _Lazy):
+    # to_float of v's mpf value rounding down and up, the two doubles next to it (one
+    # double where it is one): from the bounds where both of their ends give the same two,
+    # since to_float is monotone in each direction, which holds where the bounds lie
+    # strictly between two adjacent doubles; else from the mpf value
+    lo, hi = v.lo._mpf_, v.hi._mpf_
+    down, up = to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling)
+    if to_float(hi, rnd=round_floor) != down or to_float(lo, rnd=round_ceiling) != up:
+        e = v.exact()._mpf_
+        down, up = to_float(e, rnd=round_floor), to_float(e, rnd=round_ceiling)
+    return down, up
+
+
 class _Errors:
     """The error sign*E, E = f - arctan, of one approximant over a grid, on three tiers.
 
@@ -442,11 +562,12 @@ class _Errors:
     rough(x) returns (e, B) from _float_error at grid points and probes alike:
     e is sign*E in float and B bounds its distance from the mpf value, infinite
     where the guard takes no float value. fixed(w, x) returns the same from
-    _fixed_error, in integer units of 2^-w, for search probes. exact(x) is
-    sign*E at mpf. The grid
-    keeps bounds lo[i] <= sign*E_i <= hi[i] on every point, and settle() sets
-    both to the mpf value. Evaluations are counted per precision, and oracle
-    misses from the scan's start.
+    _fixed_error, in integer units of 2^-w, for search probes, and exact(x)
+    sign*E at mpf for those that reach mpf. value(x, w) is sign*E as a _Lazy
+    within its fixed-point enclosure at scale w, for settled points and each
+    search's final value. The grid keeps float bounds lo[i] <= sign*E_i <= hi[i]
+    on every point, and settle() sets both to the settled value. Evaluations are
+    counted per precision and phase, and oracle misses from the scan's start.
     """
 
     def __init__(self, f: Callable, iv: Interval, grid_points: int, cfg: OracleConfig, sign: int):
@@ -454,9 +575,11 @@ class _Errors:
         self.f, self.pts, self.cfg, self.sign = f, _sample_points(iv, grid_points), cfg, sign
         self.hook = getattr(f, "rough_error", None)
         self.fixed_hook = getattr(f, "fixed_error", None)
-        self.evals_float = self.evals_fixed = self.evals_mpf = 0
+        self.evals_float = self.evals_fixed = self.probes_mpf = 0
+        self.settled, self.ends = {}, []  # the grid's settled values by index; the searches' final ones
         self.k = _mpf_term_bits()  # read once: the scan runs at one precision
         rough = [self.rough(p) for p in self.pts]
+        self.est = [e for e, _ in rough]
         self.lo, self.hi = [e - b for e, b in rough], [e + b for e, b in rough]
 
     def rough(self, x: float):
@@ -476,36 +599,57 @@ class _Errors:
         return self.sign * m, b
 
     def exact(self, x: float):
-        self.evals_mpf += 1
-        return self.sign * (self.f(mp.mpf(x)) - oracle_arctan(x, self.cfg))
+        self.probes_mpf += 1
+        return _signed_error(self.f, self.sign, self.cfg, x)
+
+    def value(self, x: float, w: int) -> _Lazy:
+        # sign*E at x within [(m - B)*2^-w, (m + B)*2^-w] from the fixed guard, which
+        # holds the mpf value; at mpf where the guard gives no finite budget. The value
+        # does not refer back to the scan, so that neither outlives it.
+        get = partial(_signed_error, self.f, self.sign, self.cfg, x)
+        got = _fixed_error(self.fixed_hook, x, w, self.k)
+        if got is None or got[1] == math.inf:
+            v = get()
+            return _Lazy(v, v)
+        m, b = got
+        m *= self.sign
+        return _Lazy(mp.make_mpf(from_man_exp(m - b, -w)), mp.make_mpf(from_man_exp(m + b, -w)), get)
 
     def settle(self, pick):
-        """Settle the points pick(lo, hi) names, until it names only settled ones.
+        """Settle the points pick(lo, hi, a_lo, a_hi) names, until it names only settled ones.
 
-        The picks run on floats: a settled point's mpf value is kept on the side
-        and enters lo and hi as its two neighbouring doubles, so a pick never
-        compares an mpf. Once the loop ends, lo and hi take the mpf values.
-        Returns the bounds on |E| and the index of the largest lower one, whose
-        point every settle rule settles, so that its bound is |E| itself.
+        a_lo and a_hi are the bounds on |E|, kept beside lo and hi. The picks run on
+        floats: a settled point enters lo and hi as the two doubles next to its mpf
+        value, read from its fixed-point enclosure where that lies strictly between
+        them, so a pick never compares an mpf. Once the loop ends, lo and hi take
+        the settled values. Returns the bounds on |E| and the index of the largest
+        lower one, whose point every settle rule settles, so that its bound is |E|
+        itself.
         """
-        lo, hi, exact = self.lo, self.hi, {}
+        lo, hi, done = self.lo, self.hi, self.settled
+        a_lo, a_hi = _abs_bounds(lo, hi)
         while True:
             # a pick may repeat a point
-            todo = [i for i in dict.fromkeys(pick(lo, hi)) if i not in exact]
+            todo = [i for i in dict.fromkeys(pick(lo, hi, a_lo, a_hi)) if i not in done]
             if not todo:
                 break
             for i in todo:
-                v = exact[i] = self.exact(self.pts[i])
-                lo[i], hi[i] = to_float(v._mpf_, rnd=round_floor), to_float(v._mpf_, rnd=round_ceiling)
-        # the float bounds enclose the mpf ones, so a point whose float upper bound lies
+                v = done[i] = self.value(self.pts[i], _fixed_bits(abs(self.est[i])))
+                lo[i], hi[i] = _cell(v)
+                (a_lo[i],), (a_hi[i],) = _abs_bounds(lo[i : i + 1], hi[i : i + 1])
+        # the float bounds enclose the settled ones, so a point whose float upper bound lies
         # below the largest float lower bound is not the argmax; the rest are compared exactly
-        f_lo, f_hi = _abs_bounds(lo, hi)
-        top = max(f_lo)
-        near = [i for i, h in enumerate(f_hi) if h >= top]
-        for i, v in exact.items():
+        top = max(a_lo)
+        near = [i for i, h in enumerate(a_hi) if h >= top]
+        for i, v in done.items():
             lo[i] = hi[i] = v
         a_lo, a_hi = _abs_bounds(lo, hi)
         return a_lo, a_hi, max(near, key=a_lo.__getitem__)
+
+
+def _signed_error(f: Callable, sign: int, cfg: OracleConfig, x: float):
+    # sign*E at x, at mpf
+    return sign * (f(mp.mpf(x)) - oracle_arctan(x, cfg))
 
 
 def _abs_bounds(lo, hi):
@@ -528,11 +672,11 @@ def _top_local_maxima(lo, hi, cut):
     return idxs[:_TOP]
 
 
-def _maxima_pick(lo, hi):
+def _maxima_pick(_e_lo, _e_hi, lo, hi):
     # each point that could be a top local maximum of |E| (not below a neighbour, and
     # reaching the lowest certain one, or half the largest lower bound while fewer are
-    # certain), with its neighbours while its own rank against them is open
-    lo, hi = _abs_bounds(lo, hi)
+    # certain), with its neighbours while its own rank against them is open; from the
+    # bounds lo, hi on |E| alone
     cut = max(lo) / 2
     tops = _top_local_maxima(lo, hi, cut)
     floor = lo[tops[-1]] if len(tops) == _TOP else cut
@@ -550,9 +694,8 @@ def _maxima_pick(lo, hi):
     return todo
 
 
-def _margin_pick(lo, hi):
+def _margin_pick(lo, hi, a_lo, a_hi):
     # each point whose margin (the scanned sign*E) could be the smallest, or whose |E| the largest
-    a_lo, a_hi = _abs_bounds(lo, hi)
     ceiling, floor = min(hi), max(a_lo)
     return [i for i in range(len(lo)) if lo[i] <= ceiling or a_hi[i] >= floor]
 
@@ -563,7 +706,8 @@ def _golden_max(err: _Errors, a: float, b: float):
     # the first one they do not, both probes are redone on the next tier, and the search
     # goes on there. A callable without a fixed-point hook goes from float to mpf. The probe
     # points depend only on a, b and _INVPHI, so every decision is the one an all-mpf
-    # search makes, and the returned maximum is evaluated at mpf.
+    # search makes. The returned maximum is a _Lazy within its fixed-point enclosure at
+    # the search's scale.
     def rough(x):
         e, bud = err.rough(x)
         return abs(e), bud
@@ -575,7 +719,7 @@ def _golden_max(err: _Errors, a: float, b: float):
     def exact(x):
         return abs(err.exact(x)), 0
 
-    tier, g = 0, rough  # tier 0 float, 1 fixed point, 2 mpf
+    tier, g, w = 0, rough, None  # tier 0 float, 1 fixed point at scale w, 2 mpf
     tol = REFINE_TOL * max(1.0, a / 2 + b / 2)  # halves first: a + b may overflow
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -583,7 +727,8 @@ def _golden_max(err: _Errors, a: float, b: float):
     while (b - a) > tol:
         if tier < 2 and not abs(gc - gd) > bc + bd:
             if tier == 0 and err.fixed_hook is not None:
-                tier, g = 1, partial(fixed, _fixed_bits(max(gc, gd)))
+                w = _fixed_bits(max(gc, gd))
+                tier, g = 1, partial(fixed, w)
             else:
                 tier, g = 2, exact
             (gc, bc), (gd, bd) = g(c), g(d)
@@ -597,7 +742,10 @@ def _golden_max(err: _Errors, a: float, b: float):
             c = b - _INVPHI * (b - a)
             gc, bc = g(c)
     x = a / 2 + b / 2
-    return x, exact(x)[0]
+    if tier == 0:
+        w = _fixed_bits(max(gc, gd))
+    err.ends.append(err.value(x, w))
+    return x, abs(err.ends[-1])
 
 
 def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKind, claimed_bound=None) -> ErrorReport:
@@ -614,7 +762,6 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         lo, hi, best_i = err.settle(_maxima_pick if approximation else _margin_pick)
         best_x, best_e = pts[best_i], lo[best_i]
         tops = _top_local_maxima(lo, hi, best_e / 2) if approximation else []
-        settled = err.evals_mpf
         for i in tops:
             a = pts[i - 1] if i > 0 else pts[i]
             b = pts[i + 1] if i + 1 < len(pts) else pts[i]
@@ -628,20 +775,24 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
             min_gap = min(err.lo)
             tol = mp.mpf(10) ** (5 - cfg.report_digits)
             satisfied = bool(min_gap >= -tol)
+        # every value is read here, at the working precision, resolving at mpf where it must
+        sup, gap = float(best_e), float(min_gap)
+        settle_mpf, ends_mpf = (sum(not v.open for v in vs) for vs in (err.settled.values(), err.ends))
     return ErrorReport(
         label,
         interval,
-        sup_error=float(best_e),
+        sup_error=sup,
         arg_max=float(best_x),
         claimed_bound=claimed_bound,
         bound_kind=kind,
         satisfied=satisfied,
-        min_gap=float(min_gap),
+        min_gap=gap,
         evals_float=err.evals_float,
-        evals_mpf=err.evals_mpf,
+        evals_mpf=settle_mpf + ends_mpf + err.probes_mpf,
         refined=len(tops),
-        search_mpf=err.evals_mpf - settled,
+        search_mpf=ends_mpf + err.probes_mpf,
         search_fixed=err.evals_fixed,
+        settle_fixed=len(err.settled) - settle_mpf,
         oracle_cold=_oracle_cached.cache_info().misses - err.misses,
     )
 
@@ -656,14 +807,15 @@ def sup_error(
 ) -> ErrorReport:
     """Estimate sup |f - arctan| over the interval.
 
-    The grid is scanned at two precisions (see the module docstring); the three
+    The grid is scanned on three tiers (see the module docstring); the three
     largest local maxima of the error within half the largest grid error are
     then refined by golden-section search until the bracket is narrower than
     REFINE_TOL*max(1, x), REFINE_TOL = 1e-12. A smaller one could only win if
     the error more than doubled inside one grid cell. When claimed_bound is
     given, satisfied means the refined sup stayed at or under it. The report
     counts the approximant's evaluations per precision, the searches run, the
-    search probes evaluated at mpf and in fixed point, and the oracle values
+    search probes and final values evaluated at mpf, the probes and the
+    settled grid points evaluated in fixed point alone, and the oracle values
     computed cold.
     """
     return _scan(f, interval, grid_points, cfg, BoundKind.APPROXIMATION, claimed_bound)

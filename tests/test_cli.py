@@ -154,13 +154,16 @@ def test_certify_reports_evaluations_per_precision(capsys):
     assert code == 0
     (line,) = [l for l in out.splitlines() if l.startswith("evals")]
     words = line.replace(",", " ").replace("(", " ").split()
-    n_float, n_mpf, n_search, n_fixed, n_refined, n_cold = (int(w) for w in words if w.isdigit())
-    assert n_float > 0 and n_mpf > 0
+    counts = [int(w) for w in words if w.isdigit()]
+    n_float, n_mpf, n_search, n_fixed, n_search_fixed, n_refined, n_cold = counts
+    assert n_float > 0
     assert 1 <= n_refined <= 3  # golden-section searches, one per refined local maximum
     # cf's float rule is the K-ulp one, and its fixed-point rule the kernel in integers:
-    # every comparison the float budgets leave open is decided in fixed point, so the
-    # search evaluates only its final value at mpf
-    assert n_fixed > 0 and n_search == n_refined <= n_mpf
+    # every comparison the float budgets leave open is decided in fixed point, and the
+    # settled points and the search's final value are read from their fixed-point
+    # enclosures, so nothing is evaluated at mpf
+    assert n_mpf == n_search == 0
+    assert n_fixed > n_search_fixed > 0
     assert n_cold <= 129 * 2 + n_float + n_mpf  # each cold oracle value is a grid point's or an evaluation's
 
 
@@ -268,8 +271,10 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     # the series families' tail budgets, 2,592 of them golden-section probes. A
     # fixed-point tier on the tail rows took 1,875 of those probes, leaving 836; with
     # every row on it (the tails of master and cheb, every other row's kernel in
-    # integers) it takes 2,500, leaving 211 mpf evaluations, 92 in search: one per search.
-    # The counts are deterministic, so all five totals are pinned: a count, not a timing
+    # integers) it takes 2,500, leaving 211: 119 settled grid points and one final value
+    # per search. Those are now read from their fixed-point enclosures, which decide
+    # every one of them, so the table makes no mpf evaluation.
+    # The counts are deterministic, so all six totals are pinned: a count, not a timing
     reports = []
     for name in ("sup_error", "certify_bound"):
         real = getattr(cli, name)
@@ -282,9 +287,9 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     monkeypatch.delenv("ARCTAN_CERT_DIGITS", raising=False)
     assert run(capsys, "table", "--families", STANDARD_TABLE, "--grid", "65")[0] == 0
     assert len(reports) == 58
-    names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined")
+    names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined", "settle_fixed")
     totals = [sum(getattr(r, name) for r in reports) for name in names]
-    assert totals == [7185, 211, 92, 2500, 92]
+    assert totals == [7185, 0, 0, 2500, 92, 119]
 
 
 def test_table_usage_errors(tmp_path, capsys):
@@ -329,8 +334,11 @@ def test_help_exits_zero(capsys):
 # search probes), once every interval was closed (each 0:1 and 0:1000 grid gained
 # x = 0, where master's upper margin is 0), and once the search gained its fixed-point
 # tier (every line gained the fixed probes; w's search moved 23 of its 24 mpf probes
-# there, and only its final value stays at mpf): (arguments after --family, exit code,
-# CSV output, text output)
+# there, and only its final value stays at mpf), and once settled points and final
+# values came from their fixed-point enclosures (each fixed count gained them; what
+# stays at mpf is a margin whose enclosure holds a double: sf.lower's 5.6e-43 near
+# x = 1e-8, master's 0 at x = 0): (arguments after --family, exit code, CSV output,
+# text output)
 CERTIFY_GOLDEN = [
     (
         "sf --interval 0:inf",
@@ -347,7 +355,7 @@ kind         lower
 grid         65
 sup_error    7.0796324294896656e-02  at x = 99999999.995423689
 min_gap      5.5555555555555551e-43
-evals        65 float, 2 mpf (0 in search), 0 fixed, 0 refined, 65 oracle cold
+evals        65 float, 1 mpf (0 in search), 1 fixed (0 in search), 0 refined, 1 oracle cold
 satisfied    true
 
 family       sf.upper
@@ -356,7 +364,7 @@ kind         upper
 grid         65
 sup_error    4.1159107999168422e-02  at x = 1.8708683949138323
 min_gap      4.7197551196597744e-10
-evals        65 float, 2 mpf (0 in search), 0 fixed, 0 refined, 0 oracle cold
+evals        65 float, 0 mpf (0 in search), 2 fixed (0 in search), 0 refined, 0 oracle cold
 satisfied    true
 """,
     ),
@@ -374,7 +382,7 @@ kind         upper
 grid         65
 sup_error    3.1055780725045341e-02  at x = 0.47296478124498853
 min_gap      4.7571149937668428e-18
-evals        65 float, 2 mpf (0 in search), 0 fixed, 0 refined, 65 oracle cold
+evals        65 float, 0 mpf (0 in search), 2 fixed (0 in search), 0 refined, 0 oracle cold
 satisfied    true
 """,
     ),
@@ -393,7 +401,7 @@ grid         65
 sup_error    1.0556642653591596e-07  at x = 0.49169510609570283
 claimed      1.2500000000000000e-04
 min_gap      1.2489443357346409e-04
-evals        128 float, 2 mpf (1 in search), 23 fixed, 1 refined, 2 oracle cold
+evals        128 float, 0 mpf (0 in search), 24 fixed (23 in search), 1 refined, 0 oracle cold
 satisfied    true
 """,
     ),
@@ -411,7 +419,7 @@ kind         lower
 grid         65
 sup_error    1.1909419416570295e-03  at x = 1
 min_gap      -1.1909419416570295e-03
-evals        97 float, 1 mpf (0 in search), 0 fixed, 0 refined, 96 oracle cold
+evals        97 float, 0 mpf (0 in search), 1 fixed (0 in search), 0 refined, 0 oracle cold
 satisfied    false
 """,
     ),
@@ -429,7 +437,7 @@ kind         upper
 grid         65
 sup_error    2.9765256406562151e-06  at x = 2.2640387134577056
 min_gap      0.0000000000000000e+00
-evals        97 float, 3 mpf (0 in search), 0 fixed, 0 refined, 96 oracle cold
+evals        97 float, 1 mpf (0 in search), 2 fixed (0 in search), 0 refined, 1 oracle cold
 satisfied    true
 """,
     ),

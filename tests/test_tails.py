@@ -9,6 +9,7 @@ from mpmath import bernfrac, mp
 from arctancert import tails
 from arctancert.families import FAMILIES, Approximant
 from arctancert.master import MAX_ORDER, constant_side
+from arctancert.series import machin_pi_fraction
 from arctancert.verify import (
     BoundKind,
     Interval,
@@ -151,6 +152,14 @@ def test_library_atan_within_one_ulp_at_the_table_grid_points():
                 ref = oracle_arctan(x, cfg)
                 with mp.workdps(50):
                     assert abs(math.atan(x) - ref) <= math.ulp(float(ref)), x
+
+
+@pytest.mark.parametrize("bits", [64, 512, 2048])
+def test_integer_machin_pi_lies_within_its_bound(bits):
+    # the exact Machin fraction at bits/4 + 4 rows lies within 4*324^-rows of pi, far
+    # below one unit of 2^-bits, so it stands for pi here
+    exact = machin_pi_fraction(bits // 4 + 4) * 2**bits
+    assert abs(tails._pi_top(bits) - exact) <= Fraction(101, 100)
 
 
 def test_tangent_numbers_give_the_cotangent_coefficients():

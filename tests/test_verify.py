@@ -15,6 +15,8 @@ from arctancert.verify import (
     BoundKind,
     Interval,
     OracleConfig,
+    _Lazy,
+    _cell,
     _oracle_cached,
     _sample_points,
     certify_bound,
@@ -439,10 +441,101 @@ def test_settle_rules_match_all_mpf_on_random_rows(case):
         fast, float_only, slow = certify(ap), certify(_without_fixed(ap)), certify(_without_budget(ap))
         assert _outcome(fast) == _outcome(float_only) == _outcome(slow)
         assert slow.evals_float == slow.search_fixed == float_only.search_fixed == 0
+        assert slow.settle_fixed == float_only.settle_fixed == 0
         # the float tier runs alike with or without the fixed-point one, which only saves mpf
         assert fast.evals_float == float_only.evals_float and fast.refined == float_only.refined
         assert fast.evals_mpf <= float_only.evals_mpf <= slow.evals_mpf
-        assert fast.evals_mpf + fast.search_fixed >= float_only.evals_mpf
+        # the same grid points settle: in fixed point or at mpf in the fast run, at mpf in
+        # the float-only one, and in the all-mpf one, which has no float bounds to leave a
+        # point out, every grid point
+        settled = [r.settle_fixed + r.evals_mpf - r.search_mpf for r in (fast, float_only, slow)]
+        assert settled[0] == settled[1] <= settled[2] == len(_sample_points(iv, grid))
+        # each float-only search value at mpf is a probe or a final value of the fast search
+        assert fast.search_mpf + fast.search_fixed + fast.refined >= float_only.search_mpf
+
+
+def _enclosed(lo, hi, value):
+    # a _Lazy within [1 + lo*u, 1 + hi*u], u = 2^-52 the spacing of doubles above 1, whose
+    # mpf value is 1 + value*u; the list records each resolution
+    calls = []
+
+    def get():
+        calls.append(value)
+        return 1 + value * u
+
+    u = mp.ldexp(1, -52)
+    return _Lazy(1 + lo * u, 1 + hi * u, get), calls
+
+
+def test_enclosure_rules_resolve_only_where_the_bounds_cannot_decide():
+    below, above = 1.0, 1.0 + 2**-52
+    with mp.workdps(50):
+        # the settle loop's rule: the doubles next to the value come from the bounds where
+        # both lie strictly inside one cell, even across its midpoint
+        for lo, hi, value in ((0.125, 0.25, 0.2), (0.25, 0.75, 0.625)):
+            v, calls = _enclosed(lo, hi, value)
+            assert _cell(v) == (below, above) and not calls
+        # an enclosure that holds a double, inside or at its end, resolves, whether the
+        # value is that double or not
+        for lo, hi, value, cell in (
+            (-0.125, 0.125, 0.0625, (below, above)),
+            (-0.125, 0.125, 0.0, (below, below)),
+            (0.0, 0.5, 0.25, (below, above)),
+            (0.5, 1.0, 0.75, (below, above)),
+        ):
+            v, calls = _enclosed(lo, hi, value)
+            assert _cell(v) == cell and calls == [value]
+        # the reported float's rule: round to nearest at both ends, resolving only where
+        # they differ, so an enclosure across the midpoint resolves and one holding a
+        # double need not
+        for lo, hi, value, nearest, resolved in (
+            (0.125, 0.25, 0.2, below, False),
+            (-0.125, 0.125, 0.0625, below, False),
+            (0.625, 0.875, 0.75, above, False),
+            (0.25, 0.75, 0.625, above, True),
+            (0.25, 0.75, 0.375, below, True),
+        ):
+            v, calls = _enclosed(lo, hi, value)
+            assert float(v) == nearest and bool(calls) is resolved
+        # comparisons: disjoint bounds decide; overlapping ones, or bounds holding the
+        # number compared with, resolve both sides first
+        (a, a_calls), (b, b_calls) = _enclosed(0.125, 0.25, 0.2), _enclosed(0.5, 0.75, 0.6)
+        assert a < b and b >= a and not (a_calls or b_calls)
+        (a, a_calls), (b, b_calls) = _enclosed(0.125, 0.5, 0.2), _enclosed(0.25, 0.75, 0.6)
+        assert a < b and a_calls and b_calls
+        a, a_calls = _enclosed(-0.125, 0.125, 0.0625)
+        assert a > 1.0 and a_calls
+        # below the normal range the doubles give way to the exact bounds
+        tiny = mp.ldexp(1, -1100)
+        a = _Lazy(tiny, tiny)
+        assert a > 0 and -a < 0 and not (a <= 0) and a < 2 * tiny
+        # c - v maps the bounds, rounded at mp.prec, and resolves through its operand
+        a, a_calls = _enclosed(0.125, 0.25, 0.2)
+        gap = 2.0 - a
+        assert float(gap) == 1.0 and not a_calls
+        assert gap.exact() == 1 - 0.2 * mp.ldexp(1, -52) and a_calls == [0.2]
+
+
+@pytest.mark.parametrize(
+    "ap, kind, iv",
+    [
+        (Approximant("master", n=12, side="lower"), "lower", Interval(0.0, math.inf)),
+        (Approximant("master", n=6, side="upper"), "upper", Interval(0.0, math.inf)),
+        (Approximant("cf-lifted", n=3), "upper", Interval(0.0, math.inf)),
+        (Approximant("w", n=2), "lower", Interval(0.0, 1.0)),
+    ],
+    ids=str,
+)
+def test_settled_value_encloses_its_mpf_value(cfg, ap, kind, iv):
+    # a settled point's enclosure holds the mpf value it stands for, down to master
+    # n = 12, whose |E| (about 1e-51) lies below the mpf term that the enclosure carries
+    with mp.workdps(cfg.working_digits):
+        err = verify._Errors(ap, iv, 64, cfg, -1 if kind == "lower" else 1)
+        for x, e in zip(err.pts[::4], err.est[::4]):
+            v = err.value(x, verify._fixed_bits(abs(e)))
+            lo, hi = v.lo, v.hi
+            assert v.open and lo < hi
+            assert lo <= v.exact() <= hi
 
 
 def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
@@ -455,10 +548,14 @@ def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
 
 
 def test_report_counts_cold_oracle_values(cfg):
-    # a second identical run finds every oracle value in the cache, and reports the rest alike
+    # a second identical run finds every oracle value in the cache, and reports the rest
+    # alike; bare callables, since a registry row reads its values from fixed point
     for hi, run in (  # grids no other test scans
-        (0.6180339887, lambda iv: sup_error(Approximant("cf", n=3), iv, 129, cfg=cfg)),
-        (0.7071067811, lambda iv: certify_bound(Approximant("sf", side="upper"), "upper", iv, 129, cfg=cfg)),
+        (0.6180339887, lambda iv: sup_error(_without_budget(Approximant("cf", n=3)), iv, 129, cfg=cfg)),
+        (
+            0.7071067811,
+            lambda iv: certify_bound(_without_budget(Approximant("sf", side="upper")), "upper", iv, 129, cfg=cfg),
+        ),
     ):
         iv = Interval(0.0, hi)
         first, second = run(iv), run(iv)
