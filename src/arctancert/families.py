@@ -32,9 +32,8 @@ class FamilyInfo:
     two-sided family's pair_order is its order in the master family, where
     that order is fixed. tail is the family's error series in float, from
     ``tails``, for the families whose error has one; the rest take the K-ulp
-    rule. fixed is its fixed-point rule from ``tails``: the tail in integers for
-    master and cheb, else the kernel in integers minus the oracle's fixed
-    arctan (``tails.direct_fixed``).
+    rule. fixed is its fixed-point rule, the one rule of every row: its kernel
+    in integers less the oracle's fixed arctan (``tails.direct_fixed``).
     """
 
     ident: str
@@ -55,18 +54,19 @@ class FamilyInfo:
 
 
 _APPROX, _TWO, _UP = BoundKind.APPROXIMATION, BoundKind.TWO_SIDED, BoundKind.UPPER
+_MASTER = partial(tails.direct_fixed, tails.master_kernel, None)  # the pairs' kernel takes x itself
 
 FAMILIES: dict[str, FamilyInfo] = {
     info.ident: info
     for info in (
         FamilyInfo("sf", "Theorem 1", "3x/d < arctan x < πx/d, d = 1+2√(1+x²)", "[0,∞)", _TWO, False,
-                   kernel=core.shafer_fink_bounds, pair_order=1, tail=tails.master_error, fixed=tails.master_fixed),
+                   kernel=core.shafer_fink_bounds, pair_order=1, tail=tails.master_error, fixed=_MASTER),
         FamilyInfo("t2", "Theorem 2", "π(3+8√2)f < arctan x < 45f", "[0,∞)", _TWO, False,
-                   kernel=core.theorem2_bounds, pair_order=2, tail=tails.master_error, fixed=tails.master_fixed),
+                   kernel=core.theorem2_bounds, pair_order=2, tail=tails.master_error, fixed=_MASTER),
         FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", _UP, False,
                    kernel=core.theorem4_upper, fixed=partial(tails.direct_fixed, tails.t4_kernel, True)),
         FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
-                   kernel=master.master_bounds, tail=tails.master_error, fixed=tails.master_fixed),
+                   kernel=master.master_bounds, tail=tails.master_error, fixed=_MASTER),
         FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
                    kernel=core.lagrange_p, claim=lambda n: 1 / 230,
                    fixed=partial(tails.direct_fixed, tails.lagrange_kernel, False)),
@@ -75,10 +75,10 @@ FAMILIES: dict[str, FamilyInfo] = {
                    fixed=partial(tails.direct_fixed, tails.lagrange_kernel, True)),
         FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
                    kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
-                   tail=tails.cheb_error, fixed=partial(tails.on_unit_fixed, tails.cheb_fixed)),
+                   tail=tails.cheb_error, fixed=partial(tails.direct_fixed, tails.cheb_kernel, False)),
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
-                   tail=tails.cheb_error, fixed=partial(tails.lifted_fixed, tails.cheb_fixed)),
+                   tail=tails.cheb_error, fixed=partial(tails.direct_fixed, tails.cheb_kernel, True)),
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
                    kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n,
                    fixed=partial(tails.direct_fixed, tails.cf_kernel, False)),
@@ -121,9 +121,9 @@ class Approximant:
     (see ``verify``): the family's tail summed in float (``tails``) where it
     has one, else the K-ulp rule (ulp_rule). It returns the rule's own (e, b)
     or raises. fixed_error(x, w) is the fixed-point tier's rule, in integers
-    scaled by 2^w, returning (m, err) in units of 2^-w: master's and cheb's
-    tail, or every other row's kernel minus the oracle's fixed arctan. Every
-    row has both up to MAX_ORDER; past it both are None.
+    scaled by 2^w, returning (m, err) in units of 2^-w: for every row, its
+    kernel less the oracle's fixed arctan (``tails.direct_fixed``). Every row
+    has both up to MAX_ORDER; past it both are None.
     """
 
     family: str
@@ -159,7 +159,7 @@ class Approximant:
         if info.kind is BoundKind.TWO_SIDED:
             order = info.pair_order or self.n
             args = order, self.side == master.constant_side(order)
-            return partial(info.tail, *args), partial(info.fixed, *args)
+            return partial(info.tail, *args), partial(info.fixed, args)
         fixed = partial(info.fixed, self.n)
         if info.tail is None:
             return partial(ulp_rule, self), fixed

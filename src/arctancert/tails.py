@@ -1,11 +1,8 @@
 """Errors of the families in float and in fixed point, for the certification scan's tiers.
 
-A family whose error has a cancellation-free series gets it summed from its
-tail: in float, as (e, b), e approximating the error E = f - arctan x and b
-bounding the float computation's distance from E; and, for master and cheb,
-in integers scaled by 2^w, as (m, err), m*2^-w lying within err units of
-2^-w of E, each tail from one set of coefficients rounded per tier. The
-series:
+In float, a family whose error has a cancellation-free series gets it summed
+from its tail, as (e, b): e approximating the error E = f - arctan x and b
+bounding the float computation's distance from E. The series:
 
 - master, and sf and t2, which are master 1 and 2: D*a_n(x) = theta/g_n(theta)
   with theta = arctan x, and S = 1 - g_n(theta) = sum_{m>n} b_m p_n(4^-m)
@@ -16,24 +13,29 @@ series:
 - cheb: -sum_{k>n} c_k T_(2k+1)(x) (Mason & Handscomb, ch. 5).
 - lifted rows: 2*E_inner(u), since arctan x = 2*arctan u.
 
-Every other row's fixed-point rule is direct (direct_fixed): its kernel in
-integers at u = x or at the lift's u, minus the oracle's fixed-point arctan
-x. The kernels are t4 and lagrange in closed form (t5 is lagrange at the lift's u),
-cf's backward recurrence, and the quartic rows' partial sums (s, t and their
-blend w; Cuyt et al., Handbook of Continued Fractions for Special Functions,
-ch. 11, for cf).
+In fixed point every row has one rule (direct_fixed), as (m, err), m*2^-w
+lying within err units of 2^-w of E: its kernel in integers scaled by 2^w, at
+x itself, at u = x on [0, 1] or at the lift's u, less arctan x from the
+oracle's fixed-point arctan, which reduces x against a cached anchor next to
+it (_atan_w, verify._atan_fixed). The kernels are master's nested radicals
+(sf and t2 too), t4 and lagrange in closed form (t5 is lagrange at the lift's
+u), cheb's Clenshaw sum, cf's backward recurrence, and the quartic rows'
+partial sums (s, t and their blend w; Cuyt et al., Handbook of Continued
+Fractions for Special Functions, ch. 11, for cf). cheb's coefficients have
+one integer derivation for both tiers (_cheb_ints).
 
 The float bounds are first order in the unit roundoff U; every constant
 carries a few percent of slack for the second-order terms. Quantities that
 underflow err by under 2^-1000 absolutely, which the scan's mpf term
 absorbs. The fixed-point bounds count units of 2^-w: each floor adds under
 one, each coefficient under 1/2 and a little, and the sums are arranged
-(Horner over t, g or q below 1, Clenshaw in 2T_2(x), cf's recurrence, which
-shrinks an error by 4 a step) so that no step's error grows on its way to
-the result (Brent & Zimmermann, Modern Computer
-Arithmetic, ch. 1 and 4); the closed forms carry each step's error with
-its value (_mul, _div, _sqrt). Neither b nor err includes the mpf term, nor the
-final ulp(e) or rounding up: the scan's guards add them (see ``verify``).
+(Clenshaw in 2T_2(x), cf's recurrence, which shrinks an error by 4 a step,
+Horner in q below 1) so that no step's error grows on its way to the result
+(Brent & Zimmermann, Modern Computer Arithmetic, ch. 1 and 4); master's
+radicals, which can double an error a step, run at guard bits, and the closed
+forms carry each step's error with its value (_mul, _div, _sqrt). Neither b
+nor err includes the mpf term, nor the final ulp(e) or rounding up: the
+scan's guards add them (see ``verify``).
 """
 
 from __future__ import annotations
@@ -44,10 +46,9 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .master import MAX_ORDER, denominator_product, pn_coefficients
+from .master import MAX_ORDER, denominator_product, elementary_symmetric, master_params, pn_coefficients
 from .numerics import require_nonnegative, require_unit
-from .series import cheb_coefficients
-from .verify import _atan_fixed, _oracle_bits
+from .verify import _atan_fixed, _oracle_bits, _shift
 
 U = 2.0**-53  # unit roundoff of a double
 _MASTER_TERMS = 30  # terms of master's S past t^(n+1); H takes n + 1 more
@@ -127,15 +128,6 @@ def _sqrt(a, w: int):
     return math.isqrt(x << w), ex / math.sqrt(x / (1 << w)) + 1
 
 
-def _horner(coeffs, t: int, w: int) -> int:
-    # sum_i a_i t^i at scale 2^w by Horner, coefficients highest degree first, each
-    # step floored
-    acc = 0
-    for a in coeffs:
-        acc = a + ((t * acc) >> w)
-    return acc
-
-
 def _horner_constants(coeffs, bits):
     # Horner coefficients of sum_i a_i t^i (highest degree first, rounded once to float)
     # for a_i*2^bits given as integers of one sign, the last of coeffs being the first
@@ -157,16 +149,14 @@ def _horner_error(m, d_t):
     return (2 * m + 1) * U + (m - 1) * d_t
 
 
-@lru_cache(maxsize=None)
-def _master_coefficients(n: int, bits: int, count=None) -> tuple:
-    # c_m*2^bits rounded to integers for m = n+1, n+2, ...: count of them, or while they
-    # are nonzero. c_m = b_m*p_n(4^-m)*(pi/2)^(2m) with b_m = 2^(2m)|B_2m|/(2m)! =
-    # T_m/((4^m - 1)(2m - 1)!), T_m the m-th tangent number: the exact rational part from
-    # T_m and the integers D*A_k of pn_coefficients over one common denominator, times
-    # (pi/2)^(2m) in fixed point 64 bits deeper. There (pi/2)^2 lies within 4.2 units of
-    # its value, 1.7 of 2^-deep relative, and each of the m products adds one unit, so the
-    # power errs by under 2.2m*2^-deep relative and c_m*2^bits, |c_m| < 1, by under 2^-50
-    # before its rounding. The one derivation of master's coefficients, for both tiers.
+def _master_coefficients(n: int, bits: int, count: int) -> tuple:
+    # c_m*2^bits rounded to integers for m = n+1, ..., n+count. c_m = b_m*p_n(4^-m)*(pi/2)^(2m)
+    # with b_m = 2^(2m)|B_2m|/(2m)! = T_m/((4^m - 1)(2m - 1)!), T_m the m-th tangent number:
+    # the exact rational part from T_m and the integers D*A_k of pn_coefficients over one
+    # common denominator, times (pi/2)^(2m) in fixed point 64 bits deeper. There (pi/2)^2 lies
+    # within 4.2 units of its value, 1.7 of 2^-deep relative, and each of the m products adds
+    # one unit, so the power errs by under 2.2m*2^-deep relative and c_m*2^bits, |c_m| < 1, by
+    # under 2^-50 before its rounding.
     d_n = denominator_product(n)
     ints = [int(a * d_n) for a in pn_coefficients(n)]  # D*A_k, exact
     deep = bits + 64
@@ -174,16 +164,12 @@ def _master_coefficients(n: int, bits: int, count=None) -> tuple:
     pw = 1 << deep
     for _ in range(n):
         pw = (pw * hp2) >> deep
-    out, m = [], n
-    while count is None or len(out) < count:
-        m += 1
+    out = []
+    for m in range(n + 1, n + count + 1):
         pw = (pw * hp2) >> deep  # (pi/2)^(2m)
         p = sum(a_k << (2 * m * (n - k)) for k, a_k in enumerate(ints))  # D*4^(mn)*p_n(4^-m)
         den = ((1 << 2 * m) - 1) * math.factorial(2 * m - 1) * d_n << (2 * m * n)
-        c = _nearest(_tangent_number(m) * p * pw, den << (deep - bits))
-        if count is None and not c:  # |c_m| falls by 3 or more a step
-            break
-        out.append(c)
+        out.append(_nearest(_tangent_number(m) * p * pw, den << (deep - bits)))
     return tuple(out)
 
 
@@ -269,70 +255,6 @@ def master_error(n: int, constant_side: bool, x: float):
     return e, abs(e) * (14 * U + r_h + 1.34 * (abs(s) * r_s + U)) * 1.01
 
 
-def master_fixed(n: int, constant_side: bool, x: float, w: int):
-    """(m, err) for the order-n master pair: m*2^-w lies within err units of 2^-w of E.
-
-    The error series of master_error in fixed point, from arctan x at the oracle's
-    working bits (verify._atan_fixed) before its rounding.
-    """
-    # Every step carries its error bound in units (_mul, _div). theta within 1.01 units
-    # (2^11 units of 2^-wp, wp - w >= 40, and the shift's floor); pi/2 within 1.01; tau =
-    # theta/(pi/2) and t = tau^2, each clamped to 1, which only brings them nearer. P
-    # and H by Horner over t in [0, 1]: each step's floor and each coefficient (0.51,
-    # _master_fixed_series) add under 1.51 units, the coefficients left out 0.77, and t's
-    # error e_t moves P by under sum i|c_(n+1+i)|*e_t, H by sum i|d_i|*e_t. t^(n+1) errs by
-    # (n + 1)*e_t and its floor; 1 - S >= 3/4. The constant side takes S(theta) - S(pi/2)
-    # = -(1 - t)*H(t) with 1 - t exact from t, so nothing cancels.
-    require_nonnegative(x)
-    one = 1 << w
-    ps, hs, sens_p, sens_h = _master_fixed_series(n, w)
-    theta = _atan_w(x, w), 1.01
-    tau, e_tau = _div(theta, (_pi_fixed(w - 1), 1.01), w)
-    tau = min(tau, one), e_tau
-    t = _mul(tau, tau, w)
-    tv, et = min(t[0], one), t[1]
-    p = _horner(ps, tv, w), 1.51 * len(ps) + 0.77 + sens_p * et
-    s = _mul(((tv ** (n + 1)) >> (n * w), (n + 1) * et + 1), p, w)
-    den = one - s[0], s[1]
-    if not constant_side:
-        return _div(_mul(theta, s, w), den, w)
-    h = _horner(hs, tv, w), 1.51 * len(hs) + 0.77 + sens_h * et
-    m, err = _div(_mul(_mul(theta, (one - tv, et), w), h, w), den, w)
-    return -m, err
-
-
-@lru_cache(maxsize=None)
-def _master_fixed_series(n: int, w: int) -> tuple:
-    # Horner coefficients, highest degree first, of P and H at scale 2^w, and the sums
-    # sum i|a_i| of each in value units. c_m and the d_i are summed at 2^-(w + 32) from
-    # _master_coefficients, each term within 1/2 + 2^-50 of those units and the terms left
-    # out under 0.75 of them, and rounded once to 2^-w: each within 0.51 units. Those
-    # that round to 0 are left out: under 0.51 units and falling by 3 a step (d_(i+1) <=
-    # d_i/3, see master_error), so under 0.77 units at t <= 1 in each of P and H.
-    c = _master_coefficients(n, w + 32)
-    d, acc = [], 0
-    for cm in reversed(c):
-        acc += cm
-        d.append(acc)
-    d.reverse()  # d_n, d_(n+1), ...
-    half = 1 << 31
-
-    def rounded(vals):
-        out = [(v + half) >> 32 for v in vals]
-        while out and not out[-1]:
-            out.pop()
-        return out
-
-    ps, hs = rounded(c), rounded([d[0]] * n + d if d else [])
-    one = 1 << w
-    return (
-        tuple(reversed(ps)),
-        tuple(reversed(hs)),
-        sum(i * abs(a) for i, a in enumerate(ps)) / one,
-        sum(i * abs(a) for i, a in enumerate(hs)) / one,
-    )
-
-
 @lru_cache(maxsize=None)
 def _quartic_series(n: int) -> tuple:
     # Horner coefficients, highest j first, of the three series in q below: the rows
@@ -405,26 +327,30 @@ def w_error(n: int, u: float, v: float, eps_u: float, eps_v: float):
 
 
 @lru_cache(maxsize=None)
-def _cheb_fixed(w: int) -> tuple:
-    # c_k*2^w rounded to integers, for k = 0, 1, ... while nonzero: the one derivation of
-    # cheb's tail coefficients, for both tiers. series.cheb_coefficients at r = sqrt2 - 1,
-    # worked 40 bits deeper, where the 2k + 2 roundings of r and its powers move c_k*2^w,
-    # |c_k| < 1, by under 2^-30; so each lies within 1/2 + 2^-30 units. Past the last, each
-    # c_k is under that and they shrink by r^2, so together under 0.61 units.
-    with mp.workprec(w + 40):
-        c = cheb_coefficients(w // 2 + 2, mp.sqrt(2) - 1)  # r^(2k+1) < 2^-(w+2) by then
-        out = [int(mp.nint(mp.ldexp(ck, w))) for ck in c]
-    while not out[-1]:
-        out.pop()
+def _cheb_ints(count: int, w: int) -> tuple:
+    # c_k*2^w rounded to the nearest integer for k = 0..count-1, c_k = 2(-1)^k r^(2k+1)/(2k+1)
+    # with r = sqrt2 - 1: the one derivation of cheb's coefficients, for both tiers. Worked at
+    # W = w + 16 bits with floored steps, each below its value: r by isqrt within one unit,
+    # r^2 by a product within 2r + 2 < 2.83, and p_k = r^(2k+1) by p_(k+1) = p_k*r^2 within
+    # e_(k+1) <= r^2*e_k + 2.83*r^(2k+1) + 1, so e_0 = 1, e_1 < 2.35 and e_k < 1.61 after.
+    # 2p_k/(2k+1), floored, then lies within 2e_k + 1 < 6 units of 2^-W, under 2^-13 units of
+    # 2^-w, so each rounded c_k lies within 1/2 + 2^-13 units of its value.
+    big = w + 16
+    r = math.isqrt(2 << (2 * big)) - (1 << big)
+    r2, p, out = (r * r) >> big, r, []
+    for k in range(count):
+        c = (((2 * p) // (2 * k + 1)) + (1 << 15)) >> 16
+        out.append(-c if k % 2 else c)
+        p = (p * r2) >> big
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
 def _cheb_coefficients() -> tuple:
-    # c_k for k = 0..MAX_ORDER + L + 1, each rounded once to float from _cheb_fixed(256),
+    # c_k for k = 0..MAX_ORDER + L + 1, each rounded once to float from _cheb_ints at 256 bits,
     # where the smallest exceeds 2^150 units; and 1/(1 - r^2) =
     # (1 + sqrt2)/2, r = sqrt2 - 1, within 2U
-    c = _cheb_fixed(256)[: MAX_ORDER + _CHEB_TERMS + 2]
+    c = _cheb_ints(MAX_ORDER + _CHEB_TERMS + 2, 256)
     return tuple(ck / (1 << 256) for ck in c), (1 + math.sqrt(2)) / 2
 
 
@@ -466,28 +392,21 @@ def cheb_error(n: int, x: float, v: float, eps_x: float, eps_v: float):
     return -(z * acc).real, (eta * ka + U * kb) * 1.01 + rest
 
 
-def cheb_fixed(n: int, u: int, e_u: float, w: int):
-    """(m, err) for the order-n Chebyshev truncation at u*2^-w in [0, 1], within e_u units."""
-    # E = -sum_{k>n} c_k T_(2k+1)(x), by Clenshaw in y = 2T_2(x) = 4x^2 - 2 over k = K..0,
-    # c_k = 0 for k <= n, since T_(2k+3) = y*T_(2k+1) - T_(2k-1) and T_(-1) = T_1 = x:
-    # sum = x*(b_0 - b_1). y is exact at scale 2^(2w), so each step's floor and coefficient
-    # rounding, under 1.51 units, act as a change of c_k by as much, which moves the sum
-    # by that times |T_(2k+1)(x)| <= 1; the final product floors once. The c_k past K add
-    # 0.61 units (_cheb_fixed). Across x, |dE/dx| <= sum_{k>n} |c_k|(2k+1)^2 <=
-    # sum_{k>=1} 2(2k+1)r^(2k+1) < 0.6, which bounds e_u's effect.
-    c = _cheb_fixed(w)
-    top = len(c) - 1
-    err = 0.61 + 0.6 * e_u
-    if top <= n:
-        return 0, err
+def cheb_kernel(n: int, u: int, e_u: float, w: int):
+    """series.cheb_arctan at u*2^-w in [0, 1], given within e_u units."""
+    # f_n = sum_{k<=n} c_k T_(2k+1)(u) by Clenshaw in y = 2T_2(u) = 4u^2 - 2 over k = n..0,
+    # since T_(2k+3) = y*T_(2k+1) - T_(2k-1) and T_(-1) = T_1 = u: f_n = u*(b_0 - b_1). y is
+    # exact at scale 2^(2w), so each step's floor and its coefficient's rounding (_cheb_ints),
+    # under 1.51 units, act as a change of c_k by as much, which moves f_n by that times
+    # |T_(2k+1)(u)| <= 1; the final product floors once. Across u, f_n = arctan - E with
+    # |E'| <= sum_{k>n} |c_k|(2k+1)^2 <= sum_{k>=1} 2(2k+1)r^(2k+1) < 0.6, so |f_n'| < 1.6,
+    # which bounds e_u's effect.
     w2 = 2 * w
     y = 4 * u * u - (2 << w2)
     b1 = b2 = 0
-    for ck in c[top:n:-1]:
+    for ck in _cheb_ints(MAX_ORDER + 1, w)[n::-1]:
         b1, b2 = ck + ((y * b1) >> w2) - b2, b1
-    for _ in range(n + 1):
-        b1, b2 = ((y * b1) >> w2) - b2, b1
-    return -((u * (b1 - b2)) >> w), err + 1.51 * (top - n) + n + 2
+    return (u * (b1 - b2)) >> w, 1.51 * (n + 1) + 1 + 1.6 * e_u
 
 
 def on_unit(error, n: int, x: float):
@@ -527,31 +446,70 @@ def _lift_u(x: float, w: int):
     return min((p << (2 * w)) // d, 1 << w), 2
 
 
-def on_unit_fixed(error, n: int, x: float, w: int):
-    """error in fixed point at u = x in [0, 1], floored to 2^-w: exact or within one unit."""
-    return error(n, *_unit_u(x, w), w)
+def direct_fixed(kernel, lift, n, x: float, w: int):
+    """(m, err) for E = f(x) - arctan x: the kernel in integers less arctan x from _atan_w.
 
-
-def lifted_fixed(error, n: int, x: float, w: int):
-    """2*error in fixed point at u = x/(1 + sqrt(1 + x^2)) for x >= 0, u within 2 units."""
-    e, err = error(n, *_lift_u(x, w), w)
-    return 2 * e, 2 * err
-
-
-def direct_fixed(kernel, lift: bool, n, x: float, w: int):
-    """(m, err) for E = f(x) - arctan x: the kernel in integers minus the oracle's fixed arctan.
-
-    The fixed-point counterpart of families.ulp_rule, for the rows without a fixed
-    tail. kernel(n, u, e_u, w) returns f's inner kernel at u*2^-w, given within e_u
-    units, scaled by 2^w with its error in units; u is x on [0, 1], or, with lift,
-    the lift's u, and f is twice the kernel there.
+    The one fixed-point rule of every registry row, the counterpart of
+    families.ulp_rule. kernel(n, u, e_u, w) returns f's inner kernel at u*2^-w,
+    given within e_u units, scaled by 2^w with its error in units; u is x on
+    [0, 1] (lift False), or the lift's u (lift True), and f is twice the kernel
+    there. With lift None the kernel takes x itself, exact: kernel(n, x, w).
     """
-    if lift:
+    if lift is None:
+        f, err = kernel(n, x, w)
+    elif lift:
         f, err = kernel(n, *_lift_u(x, w), w)
         f, err = 2 * f, 2 * err
     else:
         f, err = kernel(n, *_unit_u(x, w), w)
     return f - _atan_w(x, w), err + 1.01
+
+
+_MASTER_GUARD = 16  # bits master_kernel carries beyond w
+
+
+def master_kernel(pair, x: float, w: int):
+    """master.master_bounds' side k*D*a_n(x) for pair = (n, constant_side), x >= 0 exact.
+
+    k is g_n(pi/2) from master_params on the constant side, else 1; its distance
+    from g_n(pi/2) is the scan's mpf term's (verify._mpf_term_bits).
+    """
+    # With t = arctan x and x = p/q exact, R = sqrt(p^2 + q^2), cos t = q/R and sin t = p/R;
+    # D*a_n = D*sin t/den, den = sum_j (-1)^(n-j) e_j 2^j l_j, l_0 = cos t, l_(j+1) = l_j +
+    # sqrt(sin^2 t + l_j^2) (master._a_n), all at W = w + _MASTER_GUARD bits. In units of 2^-W:
+    # - r = isqrt(R^2*2^(2W)) lies in (R*2^W - 1, R*2^W], R >= 1, so (q << 2W)/r exceeds
+    #   cos t*2^W by under 2^W/r < 1.001, and its floor lies within 1.001; sin t likewise.
+    # - A root moves by at most the sum of its arguments' errors and floors one unit more,
+    #   so e_(j+1) <= 2e_j + 2.001 and e_j < 3.01*2^j: each radical step can double an error.
+    # - den then errs by under 3.01*sum_j e_j 4^j = 3.01*prod_{k<=n} (1 + 4^k) < 6D, as
+    #   prod_k (4^k + 1)/(4^k - 1) < 1.97, and den = D*g_n(t)*sin t/t > D*(15/16)*(2/pi) >
+    #   0.59D (D*a_n = t/g_n(t); g_n lies between 1 and g_n(pi/2), within 4^-n of 1 and above
+    #   it for odd n): under 10.2 units relative for every n, so G need not grow with n.
+    # - V = k*D*sin t/den = k*t/g_n(t) < (pi/2)(5/4) < 2, so den moves V by under 20.4
+    #   units, k's floor (k >= 15/16) by 2.2, and sin t's 1.001 by k*D*1.001/den < 2.2.
+    # Under 25 units of 2^-W is under 0.001 of 2^-w, and the quotient's floor there adds one.
+    n, constant_side = pair
+    require_nonnegative(x)
+    big = w + _MASTER_GUARD
+    kd, terms = _master_constants(n, constant_side, big)
+    p, q = x.as_integer_ratio()
+    r = math.isqrt((p * p + q * q) << (2 * big))
+    ell, sin = (q << (2 * big)) // r, (p << (2 * big)) // r
+    ss, den = sin * sin, terms[0] * ell
+    for c in terms[1:]:
+        ell += math.isqrt(ss + ell * ell)
+        den += c * ell
+    return (kd * sin) // (den << _MASTER_GUARD), 1.01
+
+
+@lru_cache(maxsize=None)
+def _master_constants(n: int, constant_side: bool, big: int) -> tuple:
+    # k*D at scale 2^big, k = g_n(pi/2) floored there or 1, and the integers (-1)^(n-j) e_j 2^j.
+    # g_n(pi/2) is k_high for odd n, else k_low (master.constant_side).
+    params = master_params(n)
+    _, man, exp, _ = (params.k_high if n % 2 else params.k_low)._mpf_
+    kd = (_shift(man, exp + big) if constant_side else 1 << big) * params.denom_product
+    return kd, tuple((-1) ** (n - j) * e << j for j, e in enumerate(elementary_symmetric(n)))
 
 
 @lru_cache(maxsize=None)
@@ -644,16 +602,33 @@ def t_kernel(n: int, u: int, e_u: float, w: int):
     return _pi_fixed(w - 2) - _quartic_sum(n, ((1 << w) - u) >> 1, w), 1.01 + 4.1 + 1.67 * (1 + e_u)
 
 
+def _blend_weight(p: int, u: int, w: int) -> int:
+    # l = u^p/(u^p + v^p) at scale 2^w for u*2^-w in [0, 1], v = 1 - u, within 1.01 units.
+    # With a <= b the smaller and larger of u and v, the ratio r = a/b floored at W = w + g
+    # bits, g = ceil(log2 p) + 8, lies within one unit below its value in [0, 1], and R = r^p
+    # by floored squarings within p + p - 1 < 2p units below: each product of two values
+    # in [0, 1] errs by the sum of their errors and one unit for its floor. l = R/(1 + R),
+    # or 1/(1 + R) where u > v, moves by at most R's error, 2p*2^-g <= 1/128 units of 2^-w,
+    # and floors once there.
+    big = w + (p - 1).bit_length() + 8
+    v = (1 << w) - u
+    r, rp = (min(u, v) << big) // max(u, v), 1 << big
+    for bit in bin(p)[2:]:  # r^p, leading bit first
+        rp = (rp * rp) >> big
+        if bit == "1":
+            rp = (rp * r) >> big
+    return ((rp if u <= v else 1 << big) << w) // ((1 << big) + rp)
+
+
 def w_kernel(n: int, u: int, e_u: float, w: int):
     """series.blend_w: the blend of t_kernel and s_kernel with the weights of blend_w."""
-    # w_n = l*t_n + (1 - l)*s_n with l = u^p/(u^p + v^p), from the exact powers and one
-    # floor. |dl/du| = p*l(1 - l)/(uv) = p*(cosh(s/2)/cosh(ps/2))^2 <= p with u/v = e^s, so
-    # l lies within 1 + p*e_u units of its value, which moves w_n by that times |t_n - s_n|;
-    # the blend of the two values adds the larger of their errors, and its floor one unit.
+    # w_n = l*t_n + (1 - l)*s_n, l within 1.01 units for this u (_blend_weight) and within
+    # 1.01 + p*e_u of its value: |dl/du| = p*l(1 - l)/(uv) = p*(cosh(s/2)/cosh(ps/2))^2 <= p
+    # with u/v = e^s. That moves w_n by as many units times |t_n - s_n|; the blend of the
+    # two values adds the larger of their errors, and its floor one unit.
     p, one = 4 * n + 4, 1 << w
     t, e_t = t_kernel(n, u, e_u, w)
     s, e_s = s_kernel(n, u, e_u, w)
-    up, vp = u**p, (one - u) ** p
-    lam = (up << w) // (up + vp)
+    lam = _blend_weight(p, u, w)
     gap = (abs(t - s) + e_t + e_s) / one
-    return (lam * t + (one - lam) * s) >> w, max(e_t, e_s) + (1 + p * e_u) * gap + 1
+    return (lam * t + (one - lam) * s) >> w, max(e_t, e_s) + (1.01 + p * e_u) * gap + 1

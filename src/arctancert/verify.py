@@ -39,19 +39,19 @@ of arctan x of the 50-digit value. Past order 16 the hook is None.
 
 Every approximant also has a ``fixed_error(x, w)`` hook, in integers scaled
 by 2^w (``tails``), returning (m, err): m*2^-w lies within err units of 2^-w
-of E. It has two rules. The tail rule, for sf, t2, master, cheb and the
-lifted cheb, sums the float tier's error series. The direct rule, for every
-other row, is the K-ulp rule's fixed counterpart: the kernel in integers
-minus arctan x from the oracle's fixed-point arctan before its rounding
-(_atan_fixed), within 1.01 units. The parts of err, each proved in a comment,
-are the steps' floors, the constants' and coefficients' rounding (the tails'
-derived once, exactly or 40 bits deeper or more, and rounded per tier), a
-tail's truncated rest, and the effect of the argument's error: x is exact or
-floored by under a unit, u of a lift lies within 2 units, and master's theta
-is the oracle's. Golden-section probes, settled grid points and each
-search's final value use this tier, at w about 116 bits below the float
-estimate of |E| (_fixed_bits), so one budget serves master's |E| near 1e-17
-and cheb's near 1e-2.
+of E. It has one rule, the K-ulp rule's fixed counterpart: the row's kernel
+in integers less arctan x from the oracle's fixed-point arctan before its
+rounding (_atan_fixed, within 1.01 units at w). That arctan splits x at the
+anchor x0 <= x, x's top 20 mantissa bits, whose arctan the oracle's
+reduction gives once and a bounded cache keeps, and adds the short series
+at z = (x - x0)/(1 + x*x0) < 2^-19. The parts of err, each proved in a
+comment, are the steps' floors, the constants' and coefficients' rounding
+(derived exactly or in integers with guard bits, and rounded once), and the
+effect of the argument's error: x is exact or floored by under a unit, and
+u of a lift lies within 2 units. Golden-section probes, settled grid points
+and each search's final value use this tier, at w about 116 bits below the
+float estimate of |E| (_fixed_bits), so one budget serves master's |E| near
+1e-17 and cheb's near 1e-2.
 
 Both tiers have one guard each, _float_error and _fixed_error, which decide
 when to trust a hook. They take no value outside 0 and [1e-150, 1e150], where
@@ -124,6 +124,7 @@ REFINE_TOL = 1e-12  # golden-section brackets stop below REFINE_TOL*max(1, x)
 _TOP = 3  # local maxima of |E| refined by golden-section search
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
+_ANCHOR_BITS = 20  # mantissa bits of the anchor that _atan_fixed reduces x against (z < 2^-19)
 _FLOAT_RANGE = (1e-150, 1e150)  # nonzero arguments over which both float rules are tested
 _FIXED_REL = 100  # bits below |E| that the fixed-point tier resolves
 _FIXED_GUARD = 16  # bits the fixed-point tier carries beyond them
@@ -214,12 +215,36 @@ def _oracle_bits() -> int:
 
 def _atan_fixed(x, wp: int) -> int:
     # arctan of x >= 0 scaled by 2^wp, within 2^11 units of 2^-wp for wp up to 1,900.
-    # x <= 1/N, N = _CENTRES, sums the series at z = x*2^wp, floored (one unit); larger
-    # x is reduced (_atan_reduced), within 2^11 units.
+    # x = m*2^e is split at its anchor x0 = m0*2^e <= x, m0 the top _ANCHOR_BITS bits of m:
+    # arctan x = arctan x0 + arctan z with z = (x - x0)/(1 + x*x0), both terms >= 0. The
+    # anchor (_anchor) lies within 3*2^9 + 8 units. m - m0 < 2^-19*m puts x - x0 below
+    # 2^-19*x and z below 2^-19*x/(1 + x^2/2) < 2^-19, so _atan_small sums about wp/38
+    # terms. z is formed exactly from the two ratios and floored (one unit, which moves
+    # arctan z by at most one); the series adds its final floor, and its terms' floors,
+    # under 2 units each in under 60 terms, scaled by z, under 2^-12: 3*2^9 + 11 < 2^11 in all.
     man, exp = _parts(x)
-    if x * _CENTRES <= 1:
+    if not man:
+        return 0
+    cut = max(0, man.bit_length() - _ANCHOR_BITS)
+    m0 = man >> cut << cut
+    t = _anchor(m0 >> cut, exp + cut, wp)
+    if m0 == man:
+        return t
+    if exp >= 0:
+        z = ((man - m0) << (wp + exp)) // (1 + (man * m0 << 2 * exp))
+    else:
+        z = ((man - m0) << (wp - exp)) // ((1 << -2 * exp) + man * m0)
+    return t + _atan_small(z, wp)
+
+
+@lru_cache(maxsize=1 << 12)
+def _anchor(man: int, exp: int, wp: int) -> int:
+    # arctan x0 scaled by 2^wp for the anchor x0 = man*2^exp > 0, cached, since a search's
+    # probes share anchors: for x0 <= 1/N, N = _CENTRES, the series at x0*2^wp, floored,
+    # within a few units; above, _atan_reduced, within 3*2^9 + 8.
+    if man * _CENTRES << max(0, exp) <= 1 << max(0, -exp):  # x0*N <= 1, exactly
         return _atan_small(_shift(man, exp + wp), wp)
-    return _atan_reduced(man, exp, x > 1, wp)
+    return _atan_reduced(man, exp, man << max(0, exp) > 1 << max(0, -exp), wp)
 
 
 def _atan_reduced(man: int, exp: int, above: bool, wp: int) -> int:

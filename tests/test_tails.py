@@ -2,14 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import bernfrac, mp
 
 from arctancert import tails
 from arctancert.families import FAMILIES, Approximant
 from arctancert.master import MAX_ORDER, constant_side
-from arctancert.series import machin_pi_fraction
+from arctancert.series import cheb_coefficients, machin_pi_fraction
 from arctancert.verify import (
     BoundKind,
     Interval,
@@ -85,9 +85,8 @@ def test_every_float_rule_holds_or_refuses_at_zero():
 def _check_fixed_budget(ap, x):
     # the fixed-point tier's B bounds |m*2^-w - E| for E at 40, 50 and 70 digits, at a
     # coarse scale and at the one a search near this |E| takes, where B is no vacuous
-    # bound: about 2^-100 of |E|, or a little over the mpf term where E is smaller. Both
-    # fixed rules: master's and cheb's tails, and every other row's kernel in integers
-    # minus the oracle's fixed arctan
+    # bound: about 2^-100 of |E|, or a little over the mpf term where E is smaller. The
+    # one fixed rule: every row's kernel in integers less the oracle's fixed arctan
     for digits in (40, 50, 70):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
@@ -160,6 +159,30 @@ def test_integer_machin_pi_lies_within_its_bound(bits):
     # below one unit of 2^-bits, so it stands for pi here
     exact = machin_pi_fraction(bits // 4 + 4) * 2**bits
     assert abs(tails._pi_top(bits) - exact) <= Fraction(101, 100)
+
+
+@pytest.mark.parametrize("w", [64, 160, 256])
+def test_integer_cheb_coefficients_lie_within_their_bound(w):
+    # the one derivation of cheb's coefficients, for both tiers: each c_k*2^w within
+    # 1/2 + 2^-13 units of series.cheb_coefficients at 300 bits (r = sqrt2 - 1)
+    got = tails._cheb_ints(MAX_ORDER + 24, w)
+    with mp.workprec(300):
+        ref = cheb_coefficients(MAX_ORDER + 23, mp.sqrt(2) - 1)
+        assert len(got) == len(ref) == MAX_ORDER + 24
+        for m, c in zip(got, ref):
+            assert abs(m - mp.ldexp(c, w)) <= 0.5 + 2**-13, (w, m)
+
+
+@example(n=6, u=0.5, w=64)
+@example(n=16, u=0.49, w=160)
+@example(n=3, u=0.53, w=64)
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, MAX_ORDER), u=st.floats(0.0, 1.0), w=st.sampled_from([64, 160]))
+def test_blend_weight_lies_within_its_bound(n, u, w):
+    # w's weight l = u^p/(u^p + v^p), p = 4n + 4, within 1.01 units of 2^-w at u*2^-w exact
+    p, ui = 4 * n + 4, math.floor(u * 2**w)
+    exact = Fraction(ui**p << w, ui**p + ((1 << w) - ui) ** p)
+    assert abs(tails._blend_weight(p, ui, w) - exact) <= Fraction(101, 100), (n, u, w)
 
 
 def test_tangent_numbers_give_the_cotangent_coefficients():

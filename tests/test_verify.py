@@ -109,6 +109,49 @@ def test_oracle_within_one_ulp_everywhere(x, digits):
     assert _ulps_off(oracle_arctan(x, cfg), x, digits) <= 1
 
 
+def _anchored_points():
+    # 0, the smallest subnormal, 1e-300, 1/64 and 1 with their neighbouring doubles, the top
+    # of the float range, and mantissas whose low 33 bits are all 0, all 1, or 2^32
+    pts = [0.0, 5e-324, 1e-300, 1.7e308, 1 / 64, 1.0]
+    pts += [math.nextafter(c, to) for c in (1 / 64, 1.0) for to in (0.0, math.inf)]
+    for top in (0x80005, 0xFFFFF, 0xAAAAA):  # 20 bits, so each mantissa has 53
+        for low in (0, 2**33 - 1, 2**32):
+            pts += [math.ldexp(top << 33 | low, e) for e in (-1074, -600, -60, -52, -45, 0, 100, 970)]
+    return pts
+
+
+with mp.workdps(50):
+    _WP_50 = verify._oracle_bits()  # the fixed arctan's bits at the scan's default precision
+
+
+def _check_atan_fixed(x, wp):
+    # verify._atan_fixed within 2^11 units of 2^-wp of arctan x, against mpmath.atan 80
+    # bits deeper, with x's anchor cold and then cached
+    with mp.workprec(wp + 80):
+        ref = mp.ldexp(mp.atan(mp.mpf(x)), wp)
+    verify._anchor.cache_clear()
+    for hits in (0, 1):
+        got = verify._atan_fixed(x, wp)
+        assert verify._anchor.cache_info().hits == (hits if x else 0)
+        with mp.workprec(wp + 80):
+            assert abs(got - ref) <= 2**11, (x, wp, float(got - ref))
+
+
+@pytest.mark.parametrize("wp", [150, _WP_50, 400, 1000])
+def test_fixed_arctan_lies_within_its_bound_at_edge_points(wp):
+    for x in _anchored_points():
+        _check_atan_fixed(x, wp)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    x=st.one_of(st.floats(0.0, 1.7976931348623157e308), st.floats(-324.0, 308.0).map(lambda t: 10.0**t)),
+    wp=st.sampled_from([150, _WP_50, 400, 1000]),
+)
+def test_fixed_arctan_lies_within_its_bound(x, wp):
+    _check_atan_fixed(x, wp)
+
+
 def test_pi_cross_check_rejects_machin_off_by_16_ulp(monkeypatch):
     machin_pi = verify.machin_pi
 
@@ -416,11 +459,17 @@ def _certifications(draw):
 
 
 def _case(ident, n, kind, hi, digits):
-    return Approximant(ident, n=n), kind, Interval(0.0, hi), 65, OracleConfig(digits, digits - 20)
+    side = kind if FAMILIES[ident].kind is BoundKind.TWO_SIDED else None
+    return Approximant(ident, n=n, side=side), kind, Interval(0.0, hi), 65, OracleConfig(digits, digits - 20)
 
 
-# every row whose fixed-point rule is its kernel in integers, besides the random draws:
-# the K-ulp rows and the quartic ones
+# every family, besides the random draws: each row's fixed-point rule is its kernel in
+# integers less the oracle's fixed arctan
+@example(case=_case("sf", None, "lower", math.inf, 60))
+@example(case=_case("t2", None, "upper", math.inf, 50))
+@example(case=_case("master", 4, "lower", math.inf, 50))
+@example(case=_case("cheb", 3, "upper", 1.0, 60))
+@example(case=_case("cheb-lifted", 2, "lower", math.inf, 50))
 @example(case=_case("t4", None, "upper", math.inf, 50))
 @example(case=_case("lagrange", None, "lower", 1.0, 60))
 @example(case=_case("t5", None, "lower", math.inf, 50))
