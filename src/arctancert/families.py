@@ -30,10 +30,10 @@ class FamilyInfo:
     returns a BoundPair. claim maps n to the claimed uniform error bound. A
     lifted family is its kernel, valid on [0,1], lifted once to R+. A
     two-sided family's pair_order is its order in the master family, where
-    that order is fixed. tail is the family's error series in float, from
-    ``tails``, for the families whose error has one; the rest take the K-ulp
-    rule. fixed is its fixed-point rule, the one rule of every row: its kernel
-    in integers less the oracle's fixed arctan (``tails.direct_fixed``).
+    that order is fixed. tail is the error series in float (``tails``) of sf,
+    t2, master, s, t, w and w-lifted; the rest take the K-ulp rule. fixed is
+    its fixed-point rule, the one rule of every row: its kernel in integers
+    less the oracle's fixed arctan (``tails.direct_fixed``).
     """
 
     ident: str
@@ -75,10 +75,10 @@ FAMILIES: dict[str, FamilyInfo] = {
                    fixed=partial(tails.direct_fixed, tails.lagrange_kernel, True)),
         FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
                    kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
-                   tail=tails.cheb_error, fixed=partial(tails.direct_fixed, tails.cheb_kernel, False)),
+                   fixed=partial(tails.direct_fixed, tails.cheb_kernel, False)),
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
-                   tail=tails.cheb_error, fixed=partial(tails.direct_fixed, tails.cheb_kernel, True)),
+                   fixed=partial(tails.direct_fixed, tails.cheb_kernel, True)),
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
                    kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n,
                    fixed=partial(tails.direct_fixed, tails.cf_kernel, False)),

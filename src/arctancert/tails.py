@@ -10,8 +10,7 @@ bounding the float computation's distance from E. The series:
   4.19). The unit side has E = theta*S/(1 - S), the side with the constant
   g_n(pi/2) has E = theta*(S(theta) - S(pi/2))/(1 - S(theta)).
 - s, t and w: the tail of the quartic-ratio series past row n.
-- cheb: -sum_{k>n} c_k T_(2k+1)(x) (Mason & Handscomb, ch. 5).
-- lifted rows: 2*E_inner(u), since arctan x = 2*arctan u.
+- w-lifted: 2*E_w(u), since arctan x = 2*arctan u.
 
 In fixed point every row has one rule (direct_fixed), as (m, err), m*2^-w
 lying within err units of 2^-w of E: its kernel in integers scaled by 2^w, at
@@ -19,10 +18,10 @@ x itself, at u = x on [0, 1] or at the lift's u, less arctan x from the
 oracle's fixed-point arctan, which reduces x against a cached anchor next to
 it (_atan_w, verify._atan_fixed). The kernels are master's nested radicals
 (sf and t2 too), t4 and lagrange in closed form (t5 is lagrange at the lift's
-u), cheb's Clenshaw sum, cf's backward recurrence, and the quartic rows'
-partial sums (s, t and their blend w; Cuyt et al., Handbook of Continued
-Fractions for Special Functions, ch. 11, for cf). cheb's coefficients have
-one integer derivation for both tiers (_cheb_ints).
+u), cheb's Clenshaw sum over coefficients from an integer recurrence
+(_cheb_ints), cf's backward recurrence, and the quartic rows' partial sums
+(s, t and their blend w; Cuyt et al., Handbook of Continued Fractions for
+Special Functions, ch. 11, for cf).
 
 The float bounds are first order in the unit roundoff U; every constant
 carries a few percent of slack for the second-order terms. Quantities that
@@ -53,7 +52,6 @@ from .verify import _atan_fixed, _oracle_bits, _shift
 U = 2.0**-53  # unit roundoff of a double
 _MASTER_TERMS = 30  # terms of master's S past t^(n+1); H takes n + 1 more
 _SUM_TERMS = 41  # terms of master's c_m summed for the d_i
-_CHEB_TERMS = 22  # tail terms summed for cheb; the rest is under U*|c_(n+1)|/8
 _QUARTIC_TERMS = 30  # the most rows a quartic tail sums; |q| <= 1/4 needs 29
 with mp.workdps(30):  # the nearest doubles to 2/pi and 4/pi^2, each within U
     _TWO_OVER_PI, _FOUR_OVER_PI2 = float(2 / mp.pi), float(4 / mp.pi**2)
@@ -329,7 +327,7 @@ def w_error(n: int, u: float, v: float, eps_u: float, eps_v: float):
 @lru_cache(maxsize=None)
 def _cheb_ints(count: int, w: int) -> tuple:
     # c_k*2^w rounded to the nearest integer for k = 0..count-1, c_k = 2(-1)^k r^(2k+1)/(2k+1)
-    # with r = sqrt2 - 1: the one derivation of cheb's coefficients, for both tiers. Worked at
+    # with r = sqrt2 - 1, the coefficients of cheb_kernel (Mason & Handscomb, ch. 5). Worked at
     # W = w + 16 bits with floored steps, each below its value: r by isqrt within one unit,
     # r^2 by a product within 2r + 2 < 2.83, and p_k = r^(2k+1) by p_(k+1) = p_k*r^2 within
     # e_(k+1) <= r^2*e_k + 2.83*r^(2k+1) + 1, so e_0 = 1, e_1 < 2.35 and e_k < 1.61 after.
@@ -343,53 +341,6 @@ def _cheb_ints(count: int, w: int) -> tuple:
         out.append(-c if k % 2 else c)
         p = (p * r2) >> big
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _cheb_coefficients() -> tuple:
-    # c_k for k = 0..MAX_ORDER + L + 1, each rounded once to float from _cheb_ints at 256 bits,
-    # where the smallest exceeds 2^150 units; and 1/(1 - r^2) =
-    # (1 + sqrt2)/2, r = sqrt2 - 1, within 2U
-    c = _cheb_ints(MAX_ORDER + _CHEB_TERMS + 2, 256)
-    return tuple(ck / (1 << 256) for ck in c), (1 + math.sqrt(2)) / 2
-
-
-@lru_cache(maxsize=None)
-def _cheb_series(n: int) -> tuple:
-    # Horner coefficients, highest k first, of C(y) = sum_i c_(n+1+i) y^i over the
-    # L = _CHEB_TERMS tail orders; ka = (2n+3)*A0 + 2*A1 and kb = (4.48n + 11)*A0 + 5.5*A1
-    # for A0 = sum |c_(n+1+i)| and A1 = sum i|c_(n+1+i)| (in float, which 1.01 covers);
-    # and the rest of the tail, sum_{k>n+L} |c_k| <= |c_(n+L+1)|/(1 - r^2).
-    coeffs, ratio = _cheb_coefficients()
-    c = coeffs[n + 1 : n + _CHEB_TERMS + 1]
-    a0 = sum(abs(ck) for ck in c)
-    a1 = sum(i * abs(ck) for i, ck in enumerate(c))
-    ka, kb = (2 * n + 3) * a0 + 2 * a1, (4.48 * n + 11) * a0 + 5.5 * a1
-    return c[::-1], ka, kb, abs(coeffs[n + _CHEB_TERMS + 1]) * ratio * 1.001
-
-
-def cheb_error(n: int, x: float, v: float, eps_x: float, eps_v: float):
-    """(e, b) for the order-n Chebyshev truncation at x in [0, 1], v = 1 - x."""
-    # With x = cos(phi), T_j(x) = Re z^j for z = e^(i*phi) = x + i*s, s = sqrt((1 - x)(1 + x)),
-    # so E = -sum_{k>n} c_k Re z^(2k+1) = -Re(z^(2n+3)*C(z^2)).
-    #
-    # Float error, relative to |z| = 1: s errs by eps_s = (eps_v + eps_x + 2U)/2 + U (1 + x,
-    # the product, the root), so z by eta = x*eps_x + s*eps_s; y = z^2 by 2*eta + sqrt5*U (a
-    # complex product errs by sqrt5*U, a sum by U); z^(2n+3) = z*y^(n+1) by (2n+3)*eta +
-    # 4.48(n+1)*U. Horner on |y| = 1 errs by (sqrt5 + 1)U*sum (i+1)|c_i| for its steps, U*A0
-    # for the coefficients, and (2*eta + sqrt5*U)*A1 for y; the last product by sqrt5*U*A0.
-    # |C| <= A0, so the sum errs by eta*ka + U*kb, plus the rest of the tail (_cheb_series).
-    cs, ka, kb, rest = _cheb_series(n)
-    s = math.sqrt(v * (1 + x))
-    z = complex(x, s)
-    y = z * z
-    acc = 0j
-    for ck in cs:
-        acc = acc * y + ck
-    for _ in range(n + 1):  # z^(2n+3)
-        z *= y
-    eta = x * eps_x + s * ((eps_v + eps_x + 2 * U) / 2 + U)
-    return -(z * acc).real, (eta * ka + U * kb) * 1.01 + rest
 
 
 def cheb_kernel(n: int, u: int, e_u: float, w: int):

@@ -28,11 +28,11 @@ approximant's ``rough_error(x)`` hook, if it has one. The hook is the
 family's float rule; it takes arctan x from math.atan(x), tested to lie
 within one ulp of it, and returns (e, b): e approximates E = f(x) - arctan x,
 and b bounds the float computation's distance from E. ``families.Approximant``
-has two rules. The tail rule, for sf, t2, master, cheb, s, t, w and the
-lifted cheb and w, sums the family's own error series in float (``tails``),
-so b is relative to E: the float sum's own error with the truncated rest of
-the series, and the effect of rounding its argument (arctan x, or u) to
-float. The K-ulp rule, for t4, lagrange, t5, cf and cf-lifted, takes
+has two rules. The tail rule, for sf, t2, master, s, t, w and w-lifted, sums
+the family's own error series in float (``tails``), so b is relative to E:
+the float sum's own error with the truncated rest of the series, and the
+effect of rounding its argument (arctan x, or u) to float. The K-ulp rule,
+for t4, lagrange, t5, cheb, cf and the lifted cheb and cf, takes
 e = f(x) - math.atan(x) with b = K*ulp(arctan x), K = 64
 (``families.FLOAT_ULPS``); it rests on the float kernel lying within K/4 ulp
 of arctan x of the 50-digit value. Past order 16 the hook is None.
@@ -69,33 +69,31 @@ bounds the distance from the mpf value E (_mpf_term_bits: k = min(prec, 169)
 evaluation; a settled point that the fixed guard takes no value at, or gives
 an infinite budget, is evaluated at mpf, where a real failure raises again.
 
-Both certifications run one scan body with two settle rules. Its settle loop
-settles every point a decision could rest on until none is left: for
-sup_error a point that could be a refined local maximum or the global
-maximum, for certify_bound one whose margin (arctan - f for a lower bound,
-f - arctan for an upper one) could be the smallest or whose |E| the largest.
-A settled value is the fixed guard's enclosure [L, H] = [(m - B)*2^-w,
-(m + B)*2^-w] of its mpf value, a _Lazy. Its picks compare floats only: a
-settled point enters the bounds as the two doubles next to its mpf value,
-read from [L, H] where that lies strictly between two adjacent doubles, and
-from the mpf value otherwise (an enclosure that holds a double, such as a
-margin of 0 at x = 0). It then hands back the |E| bounds, with the settled
-values, and the grid argmax; sup_error refines, certify_bound reads the
-smallest margin. Golden-section search compares in float while the budgets
-settle each comparison; at the first one they do not, it redoes both probes
-in fixed point and goes on there, and at the first one the fixed budgets do
-not settle, it redoes both at mpf and stays there. A callable without a
-fixed hook goes from float to mpf. Its final value is an enclosure too.
-Every later comparison of settled or final values (the argmax, the order of
-the local maxima, the refined maxima against the grid's, the claim, the
-smallest margin and its tolerance) reads the enclosures, and resolves both
-sides to mpf first where they overlap or one holds the number it is compared
-with. A reported float is read from the enclosure where both ends round to
-the same double, and resolved to mpf otherwise; min_gap, the claim less the
-sup at mp.prec, maps the enclosure through that same rounded subtraction.
-Every decision and every reported value (sup error, argmax, margins) is
-therefore the one an all-mpf scan gives, and mpf is computed only where an
-enclosure cannot decide.
+Both certifications run one scan body with two settle rules. One pick on
+the float bounds settles every point a decision could rest on: for sup_error
+a point that could be a refined local maximum or the global maximum, for
+certify_bound one whose margin (arctan - f for a lower bound, f - arctan for
+an upper one) could be the smallest or whose |E| the largest. Tighter bounds
+make either pick name fewer points, and a settled value lies within its float
+bounds, so a second pick would name no new one. A settled value is the fixed
+guard's enclosure [L, H] = [(m - B)*2^-w, (m + B)*2^-w] of its mpf value, a
+_Lazy. The scan then gets the |E| bounds, with the settled values, and the
+grid argmax; sup_error refines, certify_bound reads the smallest margin.
+Golden-section search compares in float while the budgets settle each
+comparison; at the first one they do not, it redoes both probes in fixed
+point and goes on there, and at the first one the fixed budgets do not
+settle, it redoes both at mpf and stays there. A callable without a fixed
+hook goes from float to mpf. Its final value is an enclosure too. Every later
+comparison of settled or final values (the argmax, the order of the local
+maxima, the refined maxima against the grid's, the claim, the smallest margin
+and its tolerance) reads the enclosures, and resolves both sides to mpf first
+where they overlap or one holds the number it is compared with. A reported
+float is read from the enclosure where both ends round to the same double,
+and resolved to mpf otherwise; min_gap, the claim less the sup at mp.prec,
+maps the enclosure through that same rounded subtraction. Every decision and
+every reported value (sup error, argmax, margins) is therefore the one an
+all-mpf scan gives, and mpf is computed only where an enclosure cannot
+decide.
 """
 
 from __future__ import annotations
@@ -567,19 +565,6 @@ def _double(v, rnd) -> float:
     return -math.inf if rnd == round_floor else math.inf
 
 
-def _cell(v: _Lazy):
-    # to_float of v's mpf value rounding down and up, the two doubles next to it (one
-    # double where it is one): from the bounds where both of their ends give the same two,
-    # since to_float is monotone in each direction, which holds where the bounds lie
-    # strictly between two adjacent doubles; else from the mpf value
-    lo, hi = v.lo._mpf_, v.hi._mpf_
-    down, up = to_float(lo, rnd=round_floor), to_float(hi, rnd=round_ceiling)
-    if to_float(hi, rnd=round_floor) != down or to_float(lo, rnd=round_ceiling) != up:
-        e = v.exact()._mpf_
-        down, up = to_float(e, rnd=round_floor), to_float(e, rnd=round_ceiling)
-    return down, up
-
-
 class _Errors:
     """The error sign*E, E = f - arctan, of one approximant over a grid, on three tiers.
 
@@ -640,28 +625,32 @@ class _Errors:
         m *= self.sign
         return _Lazy(mp.make_mpf(from_man_exp(m - b, -w)), mp.make_mpf(from_man_exp(m + b, -w)), get)
 
+    # One pick settles every point a decision could rest on. Both picks are monotone: on
+    # tighter bounds, lo <= lo' <= hi' <= hi at each point (and so on |E|), a pick names a
+    # subset of what it named before. _margin_pick's ceiling min(hi) only falls and its
+    # floor max(a_lo) only rises. In _maxima_pick cut = max(lo)/2 only rises, and a
+    # certain top stays certain, as lo[i] >= hi[j] survives tightening. So floor only
+    # rises: with fewer than _TOP old tops it was the old cut; if a top drops below the
+    # new cut, the old floor, at most that top's old lower bound, was already below it;
+    # else the _TOP-th lower bound only rose. A point left out for hi < floor or for hi
+    # below a neighbour's lo stays out, and a neighbour added while a rank is open was
+    # added before. A settled value lies within its float bounds, since the float guard's
+    # B bounds the distance to the mpf value, so settling only tightens the bounds: a
+    # second pick could name only points the first one settled.
     def settle(self, pick):
-        """Settle the points pick(lo, hi, a_lo, a_hi) names, until it names only settled ones.
+        """Settle the points pick(lo, hi, a_lo, a_hi) names, in one pass.
 
-        a_lo and a_hi are the bounds on |E|, kept beside lo and hi. The picks run on
-        floats: a settled point enters lo and hi as the two doubles next to its mpf
-        value, read from its fixed-point enclosure where that lies strictly between
-        them, so a pick never compares an mpf. Once the loop ends, lo and hi take
-        the settled values. Returns the bounds on |E| and the index of the largest
-        lower one, whose point every settle rule settles, so that its bound is |E|
-        itself.
+        a_lo and a_hi are the bounds on |E| from the float bounds lo and hi, so the
+        pick compares floats alone. Each point it names takes its settled value, a
+        _Lazy enclosure of its mpf value, in lo and hi. Returns the bounds on |E| and
+        the index of the largest lower one, whose point every settle rule settles,
+        so that its bound is |E| itself.
         """
         lo, hi, done = self.lo, self.hi, self.settled
         a_lo, a_hi = _abs_bounds(lo, hi)
-        while True:
-            # a pick may repeat a point
-            todo = [i for i in dict.fromkeys(pick(lo, hi, a_lo, a_hi)) if i not in done]
-            if not todo:
-                break
-            for i in todo:
-                v = done[i] = self.value(self.pts[i], _fixed_bits(abs(self.est[i])))
-                lo[i], hi[i] = _cell(v)
-                (a_lo[i],), (a_hi[i],) = _abs_bounds(lo[i : i + 1], hi[i : i + 1])
+        for i in pick(lo, hi, a_lo, a_hi):
+            if i not in done:  # a pick may repeat a point
+                done[i] = self.value(self.pts[i], _fixed_bits(abs(self.est[i])))
         # the float bounds enclose the settled ones, so a point whose float upper bound lies
         # below the largest float lower bound is not the argmax; the rest are compared exactly
         top = max(a_lo)

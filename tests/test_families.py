@@ -93,6 +93,20 @@ def test_only_unbudgeted_rows_are_high_orders():
     assert FAMILIES["t"].tail is not None
 
 
+def test_only_these_rows_keep_a_float_tail():
+    # every other row takes the K-ulp rule, and the fixed-point tier decides what its
+    # budget of 64 ulp of arctan x leaves open. These keep their error series in float:
+    # - master, and sf and t2, its orders 1 and 2: master's |E| (near 5e-17 at n = 6)
+    #   lies below 64 ulp of arctan x;
+    # - t: its float kernel, pi/4 less a row near pi/4, errs by ulps of pi/4 near u = 0,
+    #   so it is not relatively accurate there;
+    # - w and w-lifted, and s, whose tail w sums: w's |E| lies under the mpf term 2^-149
+    #   over much of [0, 1], where a fixed enclosure straddles 0 and every comparison with
+    #   0 resolves it at mpf; only the relative float tail keeps those points out of a pick
+    tailed = {ident for ident, info in FAMILIES.items() if info.tail is not None}
+    assert tailed == {"sf", "t2", "master", "s", "t", "w", "w-lifted"}
+
+
 def _valid_orders(info):
     return range(info.n_min, MAX_ORDER + 1) if info.needs_n else [None]
 

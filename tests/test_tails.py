@@ -163,7 +163,7 @@ def test_integer_machin_pi_lies_within_its_bound(bits):
 
 @pytest.mark.parametrize("w", [64, 160, 256])
 def test_integer_cheb_coefficients_lie_within_their_bound(w):
-    # the one derivation of cheb's coefficients, for both tiers: each c_k*2^w within
+    # cheb_kernel's coefficients from their integer recurrence: each c_k*2^w within
     # 1/2 + 2^-13 units of series.cheb_coefficients at 300 bits (r = sqrt2 - 1)
     got = tails._cheb_ints(MAX_ORDER + 24, w)
     with mp.workprec(300):

@@ -16,7 +16,9 @@ from arctancert.verify import (
     Interval,
     OracleConfig,
     _Lazy,
-    _cell,
+    _abs_bounds,
+    _margin_pick,
+    _maxima_pick,
     _oracle_cached,
     _sample_points,
     certify_bound,
@@ -519,21 +521,6 @@ def _enclosed(lo, hi, value):
 def test_enclosure_rules_resolve_only_where_the_bounds_cannot_decide():
     below, above = 1.0, 1.0 + 2**-52
     with mp.workdps(50):
-        # the settle loop's rule: the doubles next to the value come from the bounds where
-        # both lie strictly inside one cell, even across its midpoint
-        for lo, hi, value in ((0.125, 0.25, 0.2), (0.25, 0.75, 0.625)):
-            v, calls = _enclosed(lo, hi, value)
-            assert _cell(v) == (below, above) and not calls
-        # an enclosure that holds a double, inside or at its end, resolves, whether the
-        # value is that double or not
-        for lo, hi, value, cell in (
-            (-0.125, 0.125, 0.0625, (below, above)),
-            (-0.125, 0.125, 0.0, (below, below)),
-            (0.0, 0.5, 0.25, (below, above)),
-            (0.5, 1.0, 0.75, (below, above)),
-        ):
-            v, calls = _enclosed(lo, hi, value)
-            assert _cell(v) == cell and calls == [value]
         # the reported float's rule: round to nearest at both ends, resolving only where
         # they differ, so an enclosure across the midpoint resolves and one holding a
         # double need not
@@ -775,3 +762,50 @@ def test_local_maximum_below_half_the_peak_is_neither_settled_nor_refined(cfg):
     near_m = [c for c in fast_f.calls if pts[m - 1] < c[0] < pts[m + 1]]
     assert near_m == [(pts[m], "float")]
     assert [c[0] for c in slow_f.calls if pts[m - 1] < c[0] < pts[m + 1]] == [pts[m]]
+
+
+# one bound of sign*E: ties, and the infinite bounds of a point the float tier takes no
+# value at, besides any finite value
+_BOUND = st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 5.0, math.inf]) | st.floats(-4.0, 4.0)
+
+
+def _tightening(loose, tight):
+    # ((lo, hi), (lo', hi')) from two lists of (lo, hi), one pair per point
+    return tuple(tuple(map(list, zip(*pairs))) for pairs in (loose, tight))
+
+
+@st.composite
+def _tightenings(draw):
+    # float bounds lo <= hi on sign*E over a grid of 2 to 40 points, and tighter ones
+    # lo <= lo' <= hi' <= hi: each point's kept, or two draws clamped into [lo, hi]
+    loose, tight = [], []
+    for a, b, c, d, keep in draw(st.lists(st.tuples(*[_BOUND] * 4, st.booleans()), min_size=2, max_size=40)):
+        lo, hi = sorted((a, b))
+        loose.append((lo, hi))
+        tight.append((lo, hi) if keep else tuple(sorted(min(max(v, lo), hi) for v in (c, d))))
+    return _tightening(loose, tight)
+
+
+_ZERO, _LOW = (0.0, 0.0), (0.5, 0.5)
+
+
+# a certain top drops below the cut that the tightened peak raises: with _TOP tops left
+# (the third top, 2, under the new cut 2.5), and with fewer (the three tops of 1 under 2);
+# the two points of 0.5 at the end are named should the floor fall
+@example(case=_tightening(
+    [_ZERO, (3.0, 3.0), _ZERO, (3.0, 3.0), _ZERO, (2.0, 2.0), _ZERO, (0.0, 5.0), _ZERO, _LOW, _LOW],
+    [_ZERO, (3.0, 3.0), _ZERO, (3.0, 3.0), _ZERO, (2.0, 2.0), _ZERO, (5.0, 5.0), _ZERO, _LOW, _LOW],
+))
+@example(case=_tightening(
+    [_ZERO, (1.0, 1.0), _ZERO, (1.0, 1.0), _ZERO, (1.0, 1.0), _ZERO, (0.0, 4.0), _ZERO, _LOW, _LOW],
+    [_ZERO, (1.0, 1.0), _ZERO, (1.0, 1.0), _ZERO, (1.0, 1.0), _ZERO, (4.0, 4.0), _ZERO, _LOW, _LOW],
+))
+@settings(max_examples=300, deadline=None)
+@given(case=_tightenings())
+def test_picks_name_fewer_points_on_tighter_bounds(case):
+    # settle's single pass rests on this (see _Errors.settle): on bounds within the ones
+    # it was given, each pick names a subset of the points it named there
+    (lo, hi), (lo2, hi2) = case
+    for pick in (_maxima_pick, _margin_pick):
+        loose = set(pick(lo, hi, *_abs_bounds(lo, hi)))
+        assert set(pick(lo2, hi2, *_abs_bounds(lo2, hi2))) <= loose, pick.__name__
