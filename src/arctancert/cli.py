@@ -138,8 +138,8 @@ def _print_report(r: ErrorReport, grid: int) -> None:
         print(f"min_gap      {_sci(r.min_gap)}")
     print(
         f"evals        {r.evals_float} float, {r.evals_mpf} mpf ({r.search_mpf} in search), "
-        f"{r.settle_fixed + r.search_fixed} fixed ({r.search_fixed} in search), {r.refined} refined, "
-        f"{r.oracle_cold} oracle cold"
+        f"{r.settle_fixed + r.search_fixed} fixed ({r.search_fixed} in search), "
+        f"{r.refined} refined ({r.pruned} pruned), {r.oracle_cold} oracle cold"
     )
     print(f"satisfied    {_flag(r.satisfied)}")
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, dataclass, field
-from functools import partial
+from fractions import Fraction
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from . import core, master, series, tails
@@ -33,7 +34,10 @@ class FamilyInfo:
     that order is fixed. tail is the error series in float (``tails``) of sf,
     t2, master, s, t, w and w-lifted; the rest take the K-ulp rule. fixed is
     its fixed-point rule, the one rule of every row: its kernel in integers
-    less the oracle's fixed arctan (``tails.direct_fixed``).
+    less the oracle's fixed arctan (``tails.direct_fixed``). slope maps n to a
+    proved bound on |dE/dx| over the row's domain, E = f - arctan, which lets
+    the scan stop a golden-section search that cannot beat its best value; it
+    is None where a row has none.
     """
 
     ident: str
@@ -51,6 +55,29 @@ class FamilyInfo:
     pair_order: Optional[int] = None
     tail: Optional[Callable] = None
     fixed: Optional[Callable] = None
+    slope: Optional[Callable] = None
+
+
+@lru_cache(maxsize=None)
+def _cheb_slope(n: int) -> float:
+    # A bound on |E'| over [-1, 1] at order n. E = f_n - arctan = -sum_{k>n} c_k T_(2k+1) with
+    # |c_k| = 2r^(2k+1)/(2k+1), r = sqrt2 - 1 (tails._cheb_ints), and Markov's |T_m'| <= m^2 on
+    # [-1, 1] (Mason & Handscomb, ch. 2) gives |E'| <= S(n) = sum_{k>n} 2(2k+1) r^(2k+1). With
+    # q = r^2 and j = n + 1, sum_{k>=j} (2k+1) q^k = q^j ((2j+1)/(1-q) + 2q/(1-q)^2). S grows
+    # with r, so S at the rational R = 0.4142136 > r, exact, and rounded up to a double bounds
+    # it. cheb-lifted takes the same S in x: E(x) = 2E_cheb(u) with du/dx = (1 - u^2)^2/(2(1 +
+    # u^2)) <= 1/2 at the lift's u = x/(1 + sqrt(1 + x^2)).
+    r = Fraction(4142136, 10**7)
+    q, j = r * r, n + 1
+    s = 2 * r * q**j * ((2 * j + 1) / (1 - q) + 2 * q / (1 - q) ** 2)
+    return math.nextafter(float(s), math.inf)
+
+
+# lagrange's p(u) = (pi/16)u(4 + sqrt2(1 - u)) (tails.lagrange_kernel) has the linear p'(u) =
+# (pi/16)(4 + sqrt2 - 2sqrt2*u), from 1.064 at u = 0 down to 0.507 at u = 1, and arctan' =
+# 1/(1 + u^2) lies in [1/2, 1] on [0, 1], so |E'| <= max(1.064 - 1/2, 1 - 0.507) < 0.57. t5 is
+# 2p at the lift's u, whose du/dx <= 1/2 (_cheb_slope), so the same bound holds in x on [0, inf).
+_LAGRANGE_SLOPE = 0.57
 
 
 _APPROX, _TWO, _UP = BoundKind.APPROXIMATION, BoundKind.TWO_SIDED, BoundKind.UPPER
@@ -68,17 +95,17 @@ FAMILIES: dict[str, FamilyInfo] = {
         FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
                    kernel=master.master_bounds, tail=tails.master_error, fixed=_MASTER),
         FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
-                   kernel=core.lagrange_p, claim=lambda n: 1 / 230,
+                   kernel=core.lagrange_p, claim=lambda n: 1 / 230, slope=lambda n: _LAGRANGE_SLOPE,
                    fixed=partial(tails.direct_fixed, tails.lagrange_kernel, False)),
         FamilyInfo("t5", "Theorem 5", "sup < 1/115", "[0,∞)", _APPROX, False,
-                   kernel=core.theorem5_approx, claim=lambda n: 1 / 115,
+                   kernel=core.theorem5_approx, claim=lambda n: 1 / 115, slope=lambda n: _LAGRANGE_SLOPE,
                    fixed=partial(tails.direct_fixed, tails.lagrange_kernel, True)),
         FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
                    kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
-                   fixed=partial(tails.direct_fixed, tails.cheb_kernel, False)),
+                   slope=_cheb_slope, fixed=partial(tails.direct_fixed, tails.cheb_kernel, False)),
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
-                   fixed=partial(tails.direct_fixed, tails.cheb_kernel, True)),
+                   slope=_cheb_slope, fixed=partial(tails.direct_fixed, tails.cheb_kernel, True)),
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
                    kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n,
                    fixed=partial(tails.direct_fixed, tails.cf_kernel, False)),
@@ -175,6 +202,12 @@ class Approximant:
         """The registry's uniform error bound at this order; None without one."""
         claim = family_info(self.family).claim
         return None if claim is None else claim(self.n)
+
+    @property
+    def slope(self) -> Optional[float]:
+        """The registry's proved bound on |dE/dx| over the row's domain; None without one."""
+        slope = family_info(self.family).slope
+        return None if slope is None else slope(self.n)
 
     def __call__(self, x):
         # the side is picked here, not by a wrapper, so a raising kernel's

@@ -83,7 +83,13 @@ Golden-section search compares in float while the budgets settle each
 comparison; at the first one they do not, it redoes both probes in fixed
 point and goes on there, and at the first one the fixed budgets do not
 settle, it redoes both at mpf and stays there. A callable without a fixed
-hook goes from float to mpf. Its final value is an enclosure too. Every later
+hook goes from float to mpf. Its final value is an enclosure too. Where the
+approximant has a proved bound S on |E'| (its ``slope``), a search stops as
+soon as its probes' upper bounds, plus S times their distance to the bracket's
+far end, show that no point of the bracket can beat the largest |E| found so
+far (_golden_max); it could change nothing, and the report counts it as
+pruned. A search whose bracket holds the largest |E| found so far, as one at
+an interval's end often does, is never stopped so. Every later
 comparison of settled or final values (the argmax, the order of the local
 maxima, the refined maxima against the grid's, the claim, the smallest margin
 and its tolerance) reads the enclosures, and resolves both sides to mpf first
@@ -127,6 +133,7 @@ _FLOAT_RANGE = (1e-150, 1e150)  # nonzero arguments over which both float rules 
 _FIXED_REL = 100  # bits below |E| that the fixed-point tier resolves
 _FIXED_GUARD = 16  # bits the fixed-point tier carries beyond them
 _MASTER_PREC = dps_to_prec(CONSTANT_DIGITS)  # bits of master's constants, 169 or more
+_UP = 1 + 2.0**-48  # rounds up a search's bound, formed in a few roundings (_golden_max)
 
 
 class BoundKind(Enum):
@@ -387,7 +394,8 @@ class ErrorReport:
     min_gap: float
     evals_float: int = 0  # approximant evaluations in double precision
     evals_mpf: int = 0  # and at the oracle's working precision
-    refined: int = 0  # golden-section searches run
+    refined: int = 0  # golden-section searches started
+    pruned: int = 0  # of them, those stopped because they could not beat the best value
     search_mpf: int = 0  # of evals_mpf, the golden-section probes and final values
     search_fixed: int = 0  # golden-section probes evaluated in fixed point
     settle_fixed: int = 0  # grid points settled in fixed point, never evaluated at mpf
@@ -585,6 +593,7 @@ class _Errors:
         self.f, self.pts, self.cfg, self.sign = f, _sample_points(iv, grid_points), cfg, sign
         self.hook = getattr(f, "rough_error", None)
         self.fixed_hook = getattr(f, "fixed_error", None)
+        self.slope = getattr(f, "slope", None)  # a bound on |E'| over f's domain, if f has one
         self.evals_float = self.evals_fixed = self.probes_mpf = 0
         self.settled, self.ends = {}, []  # the grid's settled values by index; the searches' final ones
         self.k = _mpf_term_bits()  # read once: the scan runs at one precision
@@ -714,7 +723,7 @@ def _margin_pick(lo, hi, a_lo, a_hi):
     return [i for i in range(len(lo)) if lo[i] <= ceiling or a_hi[i] >= floor]
 
 
-def _golden_max(err: _Errors, a: float, b: float):
+def _golden_max(err: _Errors, a: float, b: float, best):
     # golden-section search for the maximum of |E| on [a, b], on three tiers: float,
     # fixed point, mpf. Comparisons run on a tier while the two budgets settle them; at
     # the first one they do not, both probes are redone on the next tier, and the search
@@ -722,6 +731,17 @@ def _golden_max(err: _Errors, a: float, b: float):
     # points depend only on a, b and _INVPHI, so every decision is the one an all-mpf
     # search makes. The returned maximum is a _Lazy within its fixed-point enclosure at
     # the search's scale.
+    #
+    # best is the largest |E| found so far. Given a bound S on |E'| (err.slope), the
+    # search stops and returns None once it cannot beat best. After each probe, with the
+    # tier's upper bound h(p) on |E_mpf(p)| at the probes p = c, d, U = min_p (h(p) +
+    # S*max(p - a, b - p)) + 2*2^-k bounds |E_mpf| on [a, b]: the mean-value theorem moves
+    # the exact E by at most S*|x - p|, and E_mpf lies within 2^-k of it at p and at x.
+    # The final value lies in [a, b], so it lies at or below U, and where best's lower
+    # double reaches U, the scan's "final value > best" is false. Reading that double,
+    # never best's mpf value, keeps the check free of evaluations. U is formed from values
+    # in hand in a handful of roundings, of doubles (or of mpf values on the mpf tier),
+    # which the factor 1 + 2^-48 covers.
     def rough(x):
         e, bud = err.rough(x)
         return abs(e), bud
@@ -733,18 +753,27 @@ def _golden_max(err: _Errors, a: float, b: float):
     def exact(x):
         return abs(err.exact(x)), 0
 
-    tier, g, w = 0, rough, None  # tier 0 float, 1 fixed point at scale w, 2 mpf
+    slope = err.slope
+    if slope is not None:
+        best_lo, pad = _bounds(best, False)[0], 2 * math.ldexp(1.0, -err.k)
+    tier, g, w, unit = 0, rough, None, 1.0  # tier 0 float, 1 fixed point at scale w, 2 mpf
     tol = REFINE_TOL * max(1.0, a / 2 + b / 2)  # halves first: a + b may overflow
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     (gc, bc), (gd, bd) = g(c), g(d)
-    while (b - a) > tol:
+    while True:
+        if slope is not None and best_lo >= _UP * (
+            pad + min((gc + bc) * unit + slope * max(c - a, b - c), (gd + bd) * unit + slope * max(d - a, b - d))
+        ):
+            return None
+        if not (b - a) > tol:
+            break
         if tier < 2 and not abs(gc - gd) > bc + bd:
             if tier == 0 and err.fixed_hook is not None:
                 w = _fixed_bits(max(gc, gd))
-                tier, g = 1, partial(fixed, w)
+                tier, g, unit = 1, partial(fixed, w), math.ldexp(1.0, -w)
             else:
-                tier, g = 2, exact
+                tier, g, unit = 2, exact, 1.0
             (gc, bc), (gd, bd) = g(c), g(d)
             continue
         if gc < gd:
@@ -776,12 +805,15 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         lo, hi, best_i = err.settle(_maxima_pick if approximation else _margin_pick)
         best_x, best_e = pts[best_i], lo[best_i]
         tops = _top_local_maxima(lo, hi, best_e / 2) if approximation else []
+        pruned = 0
         for i in tops:
             a = pts[i - 1] if i > 0 else pts[i]
             b = pts[i + 1] if i + 1 < len(pts) else pts[i]
-            x_r, e_r = _golden_max(err, a, b)
-            if e_r > best_e:
-                best_x, best_e = x_r, e_r
+            got = _golden_max(err, a, b, best_e)
+            if got is None:
+                pruned += 1
+            elif got[1] > best_e:
+                best_x, best_e = got
         if approximation:
             satisfied = claimed_bound is None or bool(best_e <= claimed_bound)
             min_gap = math.nan if claimed_bound is None else claimed_bound - best_e
@@ -804,6 +836,7 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         evals_float=err.evals_float,
         evals_mpf=settle_mpf + ends_mpf + err.probes_mpf,
         refined=len(tops),
+        pruned=pruned,
         search_mpf=ends_mpf + err.probes_mpf,
         search_fixed=err.evals_fixed,
         settle_fixed=len(err.settled) - settle_mpf,
@@ -825,12 +858,14 @@ def sup_error(
     largest local maxima of the error within half the largest grid error are
     then refined by golden-section search until the bracket is narrower than
     REFINE_TOL*max(1, x), REFINE_TOL = 1e-12. A smaller one could only win if
-    the error more than doubled inside one grid cell. When claimed_bound is
+    the error more than doubled inside one grid cell. Where f has a proved
+    bound on |E'| (its slope attribute), a search stops once that bound shows
+    it cannot beat the largest error found so far. When claimed_bound is
     given, satisfied means the refined sup stayed at or under it. The report
-    counts the approximant's evaluations per precision, the searches run, the
-    search probes and final values evaluated at mpf, the probes and the
-    settled grid points evaluated in fixed point alone, and the oracle values
-    computed cold.
+    counts the approximant's evaluations per precision, the searches started
+    and of them those stopped early (pruned), the search probes and final
+    values evaluated at mpf, the probes and the settled grid points evaluated
+    in fixed point alone, and the oracle values computed cold.
     """
     return _scan(f, interval, grid_points, cfg, BoundKind.APPROXIMATION, claimed_bound)
 

@@ -155,9 +155,10 @@ def test_certify_reports_evaluations_per_precision(capsys):
     (line,) = [l for l in out.splitlines() if l.startswith("evals")]
     words = line.replace(",", " ").replace("(", " ").split()
     counts = [int(w) for w in words if w.isdigit()]
-    n_float, n_mpf, n_search, n_fixed, n_search_fixed, n_refined, n_cold = counts
+    n_float, n_mpf, n_search, n_fixed, n_search_fixed, n_refined, n_pruned, n_cold = counts
     assert n_float > 0
     assert 1 <= n_refined <= 3  # golden-section searches, one per refined local maximum
+    assert n_pruned == 0  # cf has no bound on |E'|, so no search stops early
     # cf's float rule is the K-ulp one, and its fixed-point rule the kernel in integers:
     # every comparison the float budgets leave open is decided in fixed point, and the
     # settled points and the search's final value are read from their fixed-point
@@ -276,8 +277,12 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     # every one of them, so the table makes no mpf evaluation. cheb and cheb-lifted then
     # left their float tail for the K-ulp rule, whose budget of 64 ulp of arctan x decides
     # fewer of their points: float evaluations fell from 7,185 to 6,608, as fewer searches
-    # stay in float, and fixed probes rose from 2,500 to 3,077.
-    # The counts are deterministic, so all six totals are pinned: a count, not a timing
+    # stay in float, and fixed probes rose from 2,500 to 3,077. A search now stops once a
+    # proved bound on |E'| shows that it cannot beat the best value: 35 of the 92 searches
+    # end so (two on each cheb and cheb-lifted row but one on cheb n = 0, and one each on
+    # lagrange and t5), which leaves out their later probes and final values: float evaluations fell to 6,318 and
+    # fixed probes to 1,841.
+    # The counts are deterministic, so all seven totals are pinned: a count, not a timing
     reports = []
     for name in ("sup_error", "certify_bound"):
         real = getattr(cli, name)
@@ -290,9 +295,9 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     monkeypatch.delenv("ARCTAN_CERT_DIGITS", raising=False)
     assert run(capsys, "table", "--families", STANDARD_TABLE, "--grid", "65")[0] == 0
     assert len(reports) == 58
-    names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined", "settle_fixed")
+    names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined", "settle_fixed", "pruned")
     totals = [sum(getattr(r, name) for r in reports) for name in names]
-    assert totals == [6608, 0, 0, 3077, 92, 119]
+    assert totals == [6318, 0, 0, 1841, 92, 119, 35]
 
 
 def test_table_usage_errors(tmp_path, capsys):
@@ -340,7 +345,8 @@ def test_help_exits_zero(capsys):
 # there, and only its final value stays at mpf), and once settled points and final
 # values came from their fixed-point enclosures (each fixed count gained them; what
 # stays at mpf is a margin whose enclosure holds a double: sf.lower's 5.6e-43 near
-# x = 1e-8, master's 0 at x = 0): (arguments after --family, exit code, CSV output,
+# x = 1e-8, master's 0 at x = 0), and once the evals line gained the searches stopped
+# early, `(N pruned)`, 0 on each of these rows: (arguments after --family, exit code, CSV output,
 # text output)
 CERTIFY_GOLDEN = [
     (
@@ -358,7 +364,7 @@ kind         lower
 grid         65
 sup_error    7.0796324294896656e-02  at x = 99999999.995423689
 min_gap      5.5555555555555551e-43
-evals        65 float, 1 mpf (0 in search), 1 fixed (0 in search), 0 refined, 1 oracle cold
+evals        65 float, 1 mpf (0 in search), 1 fixed (0 in search), 0 refined (0 pruned), 1 oracle cold
 satisfied    true
 
 family       sf.upper
@@ -367,7 +373,7 @@ kind         upper
 grid         65
 sup_error    4.1159107999168422e-02  at x = 1.8708683949138323
 min_gap      4.7197551196597744e-10
-evals        65 float, 0 mpf (0 in search), 2 fixed (0 in search), 0 refined, 0 oracle cold
+evals        65 float, 0 mpf (0 in search), 2 fixed (0 in search), 0 refined (0 pruned), 0 oracle cold
 satisfied    true
 """,
     ),
@@ -385,7 +391,7 @@ kind         upper
 grid         65
 sup_error    3.1055780725045341e-02  at x = 0.47296478124498853
 min_gap      4.7571149937668428e-18
-evals        65 float, 0 mpf (0 in search), 2 fixed (0 in search), 0 refined, 0 oracle cold
+evals        65 float, 0 mpf (0 in search), 2 fixed (0 in search), 0 refined (0 pruned), 0 oracle cold
 satisfied    true
 """,
     ),
@@ -404,7 +410,7 @@ grid         65
 sup_error    1.0556642653591596e-07  at x = 0.49169510609570283
 claimed      1.2500000000000000e-04
 min_gap      1.2489443357346409e-04
-evals        128 float, 0 mpf (0 in search), 24 fixed (23 in search), 1 refined, 0 oracle cold
+evals        128 float, 0 mpf (0 in search), 24 fixed (23 in search), 1 refined (0 pruned), 0 oracle cold
 satisfied    true
 """,
     ),
@@ -422,7 +428,7 @@ kind         lower
 grid         65
 sup_error    1.1909419416570295e-03  at x = 1
 min_gap      -1.1909419416570295e-03
-evals        97 float, 0 mpf (0 in search), 1 fixed (0 in search), 0 refined, 0 oracle cold
+evals        97 float, 0 mpf (0 in search), 1 fixed (0 in search), 0 refined (0 pruned), 0 oracle cold
 satisfied    false
 """,
     ),
@@ -440,7 +446,7 @@ kind         upper
 grid         65
 sup_error    2.9765256406562151e-06  at x = 2.2640387134577056
 min_gap      0.0000000000000000e+00
-evals        97 float, 1 mpf (0 in search), 2 fixed (0 in search), 0 refined, 1 oracle cold
+evals        97 float, 1 mpf (0 in search), 2 fixed (0 in search), 0 refined (0 pruned), 1 oracle cold
 satisfied    true
 """,
     ),

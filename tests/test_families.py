@@ -1,13 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant
 from arctancert.master import MAX_ORDER
-from arctancert.verify import BoundKind, oracle_arctan
+from arctancert.verify import BoundKind, OracleConfig, _mpf_term_bits, oracle_arctan
 
 # every registry family once, each side of a pair family separately
 INSTANCES = [
@@ -129,3 +129,38 @@ def test_claim_needs_a_valid_order(ident):
     for bad in (None, info.n_min - 1, 2.0):
         with pytest.raises(ValueError):
             Approximant(ident, n=bad, side=side)
+
+
+# the rows with a bound S on |E'|: cheb 0..16, cheb-lifted 1..16, lagrange and t5
+SLOPED = [Approximant(ident, n=n) for ident, info in FAMILIES.items() if info.slope for n in _valid_orders(info)]
+
+
+@st.composite
+def _slope_pairs(draw):
+    # a sloped row and x < y in its domain: x near 0, near 1, anywhere, or (lifted) near 1e8
+    ap = draw(st.sampled_from(SLOPED))
+    top = 1.0 if FAMILIES[ap.family].claim_interval == "0:1" else 1e9
+    near = [st.floats(0.0, 1e-3), st.floats(1e-12, 0.1).map(lambda t: 1 - t), st.floats(0.0, top)]
+    if top > 1:
+        near.append(st.floats(-0.5, 0.5).map(lambda t: 1e8 * (1 + t)))
+    x = draw(st.one_of(near))
+    y = min(top, x + max(x, 1.0) * 10.0 ** draw(st.floats(-12.0, 0.0)))
+    return ap, x, y
+
+
+@example(case=(Approximant("cheb", n=3), 0.999, 1.0))  # cheb's |E'| peaks at x = 1
+@example(case=(Approximant("cheb", n=16), 0.99, 0.995))
+@example(case=(Approximant("cheb-lifted", n=1), 0.0, 1e-3))  # the lifted rows' at x = 0
+@example(case=(Approximant("lagrange"), 0.0, 1e-3))
+@example(case=(Approximant("t5"), 9e7, 1.1e8))
+@settings(max_examples=300, deadline=None)
+@given(case=_slope_pairs())
+def test_slope_bounds_the_error_derivative(case):
+    # |E(x) - E(y)| <= S*(y - x) for the exact E; the mpf values lie within 2^-k of it
+    ap, x, y = case
+    assume(x < y)
+    cfg = OracleConfig(50, 30)
+    with mp.workdps(50):
+        e_x, e_y = (ap(mp.mpf(v)) - oracle_arctan(v, cfg) for v in (x, y))
+        gap = ap.slope * (mp.mpf(y) - mp.mpf(x)) + 2 * mp.ldexp(1, -_mpf_term_bits())
+        assert abs(e_x - e_y) <= gap, (ap.label, x, y)

@@ -407,6 +407,13 @@ def _without_fixed(ap):
     return f
 
 
+def _without_slope(ap):
+    # the same approximant with both hooks but no bound on |E'|: every search runs to its end
+    f = _without_fixed(ap)
+    f.fixed_error = ap.fixed_error
+    return f
+
+
 @pytest.mark.parametrize(
     "ap, iv",
     [
@@ -484,12 +491,14 @@ def _case(ident, n, kind, hi, digits):
 @settings(max_examples=20, deadline=None)
 @given(case=_certifications())
 def test_settle_rules_match_all_mpf_on_random_rows(case):
+    # every run here is without a bound on |E'|: a run without the fixed-point tier would
+    # stop a search at another probe than one with it (test_pruning_changes_no_outcome)
     ap, kind, iv, grid, cfg = case
     for certify in (
         lambda f: sup_error(f, iv, grid, cfg=cfg, claimed_bound=0.01),
         lambda f: certify_bound(f, kind, iv, grid, cfg=cfg),
     ):
-        fast, float_only, slow = certify(ap), certify(_without_fixed(ap)), certify(_without_budget(ap))
+        fast, float_only, slow = certify(_without_slope(ap)), certify(_without_fixed(ap)), certify(_without_budget(ap))
         assert _outcome(fast) == _outcome(float_only) == _outcome(slow)
         assert slow.evals_float == slow.search_fixed == float_only.search_fixed == 0
         assert slow.settle_fixed == float_only.settle_fixed == 0
@@ -503,6 +512,39 @@ def test_settle_rules_match_all_mpf_on_random_rows(case):
         assert settled[0] == settled[1] <= settled[2] == len(_sample_points(iv, grid))
         # each float-only search value at mpf is a probe or a final value of the fast search
         assert fast.search_mpf + fast.search_fixed + fast.refined >= float_only.search_mpf
+
+
+@st.composite
+def _sloped_scans(draw):
+    # a row with a bound on |E'|, an interval in its domain and a grid, as (ap, iv, grid)
+    ident = draw(st.sampled_from(sorted(ident for ident, info in FAMILIES.items() if info.slope)))
+    info = FAMILIES[ident]
+    ap = Approximant(ident, n=draw(st.integers(info.n_min, 16)) if info.needs_n else None)
+    if info.claim_interval == "0:1":
+        ends = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2, unique=True).map(sorted)
+        lo, hi = draw(st.one_of(st.just([0.0, 1.0]), ends))
+    else:
+        lo = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+        hi = draw(st.sampled_from([math.inf, lo + 1.0, 2 * lo + 5.0]))
+    return ap, Interval(lo, hi), draw(st.integers(64, 300))
+
+
+@example(case=(Approximant("cheb", n=3), Interval(0.0, 1.0), 65))
+@settings(max_examples=25, deadline=None)
+@given(case=_sloped_scans())
+def test_pruning_changes_no_outcome(case):
+    # a search stopped because it cannot beat the best value would not have changed it:
+    # the same report, with no evaluation more, as the runs that search to the end
+    ap, iv, grid = case
+    pruned = sup_error(ap, iv, grid, claimed_bound=ap.claim)
+    full = sup_error(_without_slope(ap), iv, grid, claimed_bound=ap.claim)
+    assert _outcome(pruned) == _outcome(full) and pruned.refined == full.refined
+    assert full.pruned == 0
+    for name in ("evals_float", "evals_mpf", "search_mpf", "search_fixed"):
+        assert getattr(pruned, name) <= getattr(full, name), name
+    if case == (Approximant("cheb", n=3), Interval(0.0, 1.0), 65):
+        # two of its three searches refine maxima that end below the grid's largest error
+        assert pruned.pruned == 2 and pruned.search_fixed < full.search_fixed
 
 
 def _enclosed(lo, hi, value):
