@@ -226,8 +226,8 @@ def master_error(n: int, constant_side: bool, x: float):
     #
     # Float error. theta errs by 2U (math.atan, within one ulp); t = theta^2*(4/pi^2)
     # by 7U; t^(n+1), a pow within one ulp, by (n+1)*7U + 2U; tau by 4U and 1 + tau by
-    # 3U; omega by 5U (1/x by U, math.atan by one ulp, the constant and the product by
-    # U each).
+    # 3U; omega by 4U (math.atan2 within one ulp, the constant and the product by U
+    # each). At x = 0, atan2 gives pi/2 and theta = 0 gives e = 0 and b = 0.
     theta = math.atan(x)
     ps, m_s, rest_s, hs, m_h, rest_h = _master_series(n)
     d_t = 7.01 * U
@@ -243,12 +243,12 @@ def master_error(n: int, constant_side: bool, x: float):
         e = theta * s / (1 - s)
         return e, abs(e) * (1.34 * r_s + 5.34 * U) * 1.01
     # e = -theta*omega*(1 + tau)*H/(1 - S): theta, omega, 1 + tau and the four
-    # operations add 14U, H its own error, 1 - S 1.34*(|S|*r_s + U)
+    # operations add 13U, taken as 14U, H its own error, 1 - S 1.34*(|S|*r_s + U)
     h = 0.0
     for a in hs:
         h = h * t + a
     tau = theta * _TWO_OVER_PI
-    e = -theta * (math.atan(1 / x) * _TWO_OVER_PI * (1 + tau)) * h / (1 - s)
+    e = -theta * (math.atan2(1.0, x) * _TWO_OVER_PI * (1 + tau)) * h / (1 - s)
     r_h = _horner_error(m_h, d_t) + rest_h
     return e, abs(e) * (14 * U + r_h + 1.34 * (abs(s) * r_s + U)) * 1.01
 

@@ -49,29 +49,28 @@ comment, are the steps' floors, the constants' and coefficients' rounding
 (derived exactly or in integers with guard bits, and rounded once), and the
 effect of the argument's error: x is exact or floored by under a unit, and
 u of a lift lies within 2 units. Golden-section probes, settled grid points
-and each search's final value use this tier, at w about 116 bits below the
-float estimate of |E| (_fixed_bits), so one budget serves master's |E| near
-1e-17 and cheb's near 1e-2.
+and each search's final value use this tier, at the one scale 2^-mp.prec, 20
+bits below the mpf term 2^-k, where each row's budget is about that term, so
+one scale serves master's |E| near 1e-17 and cheb's near 1e-2.
 
 Both tiers have one guard each, _float_error and _fixed_error, which decide
 when to trust a hook. They take no value outside 0 and [1e-150, 1e150], where
 every rule is tested for every order up to 16 and every side
-(tests/test_tails.py, tests/test_families.py), nor from a callable without
-the hook. At 0 every float rule is exact but two: t's tail, at the edge
-g = 1/2 of its budget, and master's constant side, which raises on 1/x.
-Where a hook raises ArithmeticError or ValueError, or e is not finite, the
-budget is infinite. Otherwise the float budget is B = b + 2^-k + ulp(e) and
-the fixed one B = 1.01*err + 2^-k, rounded up to whole units: ulp(e) covers
-the rounding of e, 1.01 the float arithmetic of err, and the mpf term 2^-k
-the mpf kernel's, the oracle's and master's constants' own error, so that B
-bounds the distance from the mpf value E (_mpf_term_bits: k = min(prec, 169)
+(tests/test_tails.py, tests/test_families.py), nor from a callable without the
+hook. At 0 every float rule is exact but t's tail, at the edge g = 1/2 of its
+budget. Where a hook raises ArithmeticError or ValueError, or e is not finite,
+the budget is infinite. Otherwise the float budget is B = b + 2^-k + ulp(e)
+and the fixed one B = 1.01*err + 2^-k, rounded up to whole units: ulp(e)
+covers the rounding of e, 1.01 the float arithmetic of err, and the mpf term
+2^-k the mpf kernel's, the oracle's and master's constants' own error, so that
+B bounds the distance from the mpf value E (_mpf_term_bits: k = min(prec, 169)
 - 20, 149 at 50 digits). A point the float tier decides costs no oracle
 evaluation; a settled point that the fixed guard takes no value at, or gives
 an infinite budget, is evaluated at mpf, where a real failure raises again.
 
-Both certifications run one scan body with two settle rules. One pick on
-the float bounds settles every point a decision could rest on: for sup_error
-a point that could be a refined local maximum or the global maximum, for
+Both certifications run one scan body with two settle rules. One pick on the
+float bounds settles every point a decision could rest on: for sup_error a
+point that could be a refined local maximum or the global maximum, for
 certify_bound one whose margin (arctan - f for a lower bound, f - arctan for
 an upper one) could be the smallest or whose |E| the largest. Tighter bounds
 make either pick name fewer points, and a settled value lies within its float
@@ -80,26 +79,27 @@ guard's enclosure [L, H] = [(m - B)*2^-w, (m + B)*2^-w] of its mpf value, a
 _Lazy. The scan then gets the |E| bounds, with the settled values, and the
 grid argmax; sup_error refines, certify_bound reads the smallest margin.
 Golden-section search compares in float while the budgets settle each
-comparison; at the first one they do not, it redoes both probes in fixed
-point and goes on there, and at the first one the fixed budgets do not
-settle, it redoes both at mpf and stays there. A callable without a fixed
-hook goes from float to mpf. Its final value is an enclosure too. Where the
-approximant has a proved bound S on |E'| (its ``slope``), a search stops as
-soon as its probes' upper bounds, plus S times their distance to the bracket's
-far end, show that no point of the bracket can beat the largest |E| found so
-far (_golden_max); it could change nothing, and the report counts it as
-pruned. A search whose bracket holds the largest |E| found so far, as one at
-an interval's end often does, is never stopped so. Every later
-comparison of settled or final values (the argmax, the order of the local
-maxima, the refined maxima against the grid's, the claim, the smallest margin
-and its tolerance) reads the enclosures, and resolves both sides to mpf first
-where they overlap or one holds the number it is compared with. A reported
-float is read from the enclosure where both ends round to the same double,
-and resolved to mpf otherwise; min_gap, the claim less the sup at mp.prec,
-maps the enclosure through that same rounded subtraction. Every decision and
-every reported value (sup error, argmax, margins) is therefore the one an
-all-mpf scan gives, and mpf is computed only where an enclosure cannot
-decide.
+comparison; at the first one they do not, it redoes both probes in fixed point
+and goes on there, and at the first one the fixed budgets do not settle, it
+redoes both at mpf and stays there. A callable without a fixed hook goes from
+float to mpf. Its final value is an enclosure too, and the report's
+search_fixed counts the fixed-point probes and final values, as search_mpf
+counts the mpf ones. Where the approximant has a proved bound S on |E'| (its
+``slope``), a search stops as soon as its probes' upper bounds, plus S times
+their distance to the bracket's far end, show that no point of the bracket can
+beat the largest |E| found so far (_golden_max); it could change nothing, and
+the report counts it as pruned. A search whose bracket holds the largest |E|
+found so far, as one at an interval's end often does, is never stopped so.
+Every later comparison of settled or final values (the argmax, the order of
+the local maxima, the refined maxima against the grid's, the claim, the
+smallest margin and its tolerance) reads the enclosures, and resolves both
+sides to mpf first where they overlap or one holds the number it is compared
+with. A reported float is read from the enclosure where both ends round to the
+same double, and resolved to mpf otherwise; min_gap, the claim less the sup at
+mp.prec, maps the enclosure through that same rounded subtraction. Every
+decision and every reported value (sup error, argmax, margins) is therefore
+the one an all-mpf scan gives, and mpf is computed only where an enclosure
+cannot decide.
 """
 
 from __future__ import annotations
@@ -130,8 +130,6 @@ _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working preci
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
 _ANCHOR_BITS = 20  # mantissa bits of the anchor that _atan_fixed reduces x against (z < 2^-19)
 _FLOAT_RANGE = (1e-150, 1e150)  # nonzero arguments over which both float rules are tested
-_FIXED_REL = 100  # bits below |E| that the fixed-point tier resolves
-_FIXED_GUARD = 16  # bits the fixed-point tier carries beyond them
 _MASTER_PREC = dps_to_prec(CONSTANT_DIGITS)  # bits of master's constants, 169 or more
 _UP = 1 + 2.0**-48  # rounds up a search's bound, formed in a few roundings (_golden_max)
 
@@ -397,7 +395,7 @@ class ErrorReport:
     refined: int = 0  # golden-section searches started
     pruned: int = 0  # of them, those stopped because they could not beat the best value
     search_mpf: int = 0  # of evals_mpf, the golden-section probes and final values
-    search_fixed: int = 0  # golden-section probes evaluated in fixed point
+    search_fixed: int = 0  # golden-section probes and final values evaluated in fixed point
     settle_fixed: int = 0  # grid points settled in fixed point, never evaluated at mpf
     oracle_cold: int = 0  # oracle values computed rather than found in its cache
 
@@ -453,17 +451,6 @@ def _float_error(hook: Optional[Callable], x: float, k: int):
     except (ArithmeticError, ValueError):
         pass
     return 0.0, math.inf
-
-
-def _fixed_bits(e: float) -> int:
-    # the fixed-point tier's scale w for a search whose |E| is near e > 0: 2^-w lies
-    # _FIXED_REL + _FIXED_GUARD bits below |E|, rounded up to a multiple of 32 so that
-    # few coefficient tables are built, and no finer than 2^-mp.prec, 20 bits below the
-    # mpf term, past which a budget cannot shrink
-    top = mp.prec
-    if not (e > 0 and math.isfinite(e)):
-        return top
-    return min(top, -(-(_FIXED_REL + _FIXED_GUARD - math.frexp(e)[1]) // 32) * 32)
 
 
 def _fixed_error(hook: Optional[Callable], x: float, w: int, k: int):
@@ -579,10 +566,10 @@ class _Errors:
     sign is -1 for the margin of a lower bound, arctan - f, and 1 otherwise.
     rough(x) returns (e, B) from _float_error at grid points and probes alike:
     e is sign*E in float and B bounds its distance from the mpf value, infinite
-    where the guard takes no float value. fixed(w, x) returns the same from
-    _fixed_error, in integer units of 2^-w, for search probes, and exact(x)
-    sign*E at mpf for those that reach mpf. value(x, w) is sign*E as a _Lazy
-    within its fixed-point enclosure at scale w, for settled points and each
+    where the guard takes no float value. fixed(x) returns the same from
+    _fixed_error, in integer units of 2^-w, w = mp.prec, for search probes, and
+    exact(x) sign*E at mpf for those that reach mpf. value(x) is sign*E as a
+    _Lazy within the enclosure that fixed(x) gives, for settled points and each
     search's final value. The grid keeps float bounds lo[i] <= sign*E_i <= hi[i]
     on every point, and settle() sets both to the settled value. Evaluations are
     counted per precision and phase, and oracle misses from the scan's start.
@@ -596,9 +583,9 @@ class _Errors:
         self.slope = getattr(f, "slope", None)  # a bound on |E'| over f's domain, if f has one
         self.evals_float = self.evals_fixed = self.probes_mpf = 0
         self.settled, self.ends = {}, []  # the grid's settled values by index; the searches' final ones
-        self.k = _mpf_term_bits()  # read once: the scan runs at one precision
+        # read once: the scan runs at one precision, and the fixed tier at its one scale 2^-w
+        self.k, self.w = _mpf_term_bits(), mp.prec
         rough = [self.rough(p) for p in self.pts]
-        self.est = [e for e, _ in rough]
         self.lo, self.hi = [e - b for e, b in rough], [e + b for e, b in rough]
 
     def rough(self, x: float):
@@ -609,8 +596,8 @@ class _Errors:
         e, b = got
         return self.sign * e, b
 
-    def fixed(self, w: int, x: float):
-        got = _fixed_error(self.fixed_hook, x, w, self.k)
+    def fixed(self, x: float):
+        got = _fixed_error(self.fixed_hook, x, self.w, self.k)
         if got is None:
             return 0, math.inf
         self.evals_fixed += 1
@@ -621,17 +608,16 @@ class _Errors:
         self.probes_mpf += 1
         return _signed_error(self.f, self.sign, self.cfg, x)
 
-    def value(self, x: float, w: int) -> _Lazy:
+    def value(self, x: float) -> _Lazy:
         # sign*E at x within [(m - B)*2^-w, (m + B)*2^-w] from the fixed guard, which
         # holds the mpf value; at mpf where the guard gives no finite budget. The value
         # does not refer back to the scan, so that neither outlives it.
         get = partial(_signed_error, self.f, self.sign, self.cfg, x)
-        got = _fixed_error(self.fixed_hook, x, w, self.k)
-        if got is None or got[1] == math.inf:
+        m, b = self.fixed(x)
+        if b == math.inf:
             v = get()
             return _Lazy(v, v)
-        m, b = got
-        m *= self.sign
+        w = self.w
         return _Lazy(mp.make_mpf(from_man_exp(m - b, -w)), mp.make_mpf(from_man_exp(m + b, -w)), get)
 
     # One pick settles every point a decision could rest on. Both picks are monotone: on
@@ -659,7 +645,7 @@ class _Errors:
         a_lo, a_hi = _abs_bounds(lo, hi)
         for i in pick(lo, hi, a_lo, a_hi):
             if i not in done:  # a pick may repeat a point
-                done[i] = self.value(self.pts[i], _fixed_bits(abs(self.est[i])))
+                done[i] = self.value(self.pts[i])
         # the float bounds enclose the settled ones, so a point whose float upper bound lies
         # below the largest float lower bound is not the argmax; the rest are compared exactly
         top = max(a_lo)
@@ -729,8 +715,7 @@ def _golden_max(err: _Errors, a: float, b: float, best):
     # the first one they do not, both probes are redone on the next tier, and the search
     # goes on there. A callable without a fixed-point hook goes from float to mpf. The probe
     # points depend only on a, b and _INVPHI, so every decision is the one an all-mpf
-    # search makes. The returned maximum is a _Lazy within its fixed-point enclosure at
-    # the search's scale.
+    # search makes. The returned maximum is a _Lazy within its fixed-point enclosure.
     #
     # best is the largest |E| found so far. Given a bound S on |E'| (err.slope), the
     # search stops and returns None once it cannot beat best. After each probe, with the
@@ -746,8 +731,8 @@ def _golden_max(err: _Errors, a: float, b: float, best):
         e, bud = err.rough(x)
         return abs(e), bud
 
-    def fixed(w, x):
-        m, bud = err.fixed(w, x)
+    def fixed(x):
+        m, bud = err.fixed(x)
         return abs(m), bud
 
     def exact(x):
@@ -756,7 +741,7 @@ def _golden_max(err: _Errors, a: float, b: float, best):
     slope = err.slope
     if slope is not None:
         best_lo, pad = _bounds(best, False)[0], 2 * math.ldexp(1.0, -err.k)
-    tier, g, w, unit = 0, rough, None, 1.0  # tier 0 float, 1 fixed point at scale w, 2 mpf
+    tier, g, unit = 0, rough, 1.0  # tier 0 float, 1 fixed point in units of 2^-w, 2 mpf
     tol = REFINE_TOL * max(1.0, a / 2 + b / 2)  # halves first: a + b may overflow
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -770,8 +755,7 @@ def _golden_max(err: _Errors, a: float, b: float, best):
             break
         if tier < 2 and not abs(gc - gd) > bc + bd:
             if tier == 0 and err.fixed_hook is not None:
-                w = _fixed_bits(max(gc, gd))
-                tier, g, unit = 1, partial(fixed, w), math.ldexp(1.0, -w)
+                tier, g, unit = 1, fixed, math.ldexp(1.0, -err.w)
             else:
                 tier, g, unit = 2, exact, 1.0
             (gc, bc), (gd, bd) = g(c), g(d)
@@ -785,9 +769,7 @@ def _golden_max(err: _Errors, a: float, b: float, best):
             c = b - _INVPHI * (b - a)
             gc, bc = g(c)
     x = a / 2 + b / 2
-    if tier == 0:
-        w = _fixed_bits(max(gc, gd))
-    err.ends.append(err.value(x, w))
+    err.ends.append(err.value(x))
     return x, abs(err.ends[-1])
 
 
@@ -803,6 +785,7 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         err = _Errors(f, interval, grid_points, cfg, -1 if kind is BoundKind.LOWER else 1)
         pts = err.pts
         lo, hi, best_i = err.settle(_maxima_pick if approximation else _margin_pick)
+        settle_evals = err.evals_fixed  # the fixed evaluations from here on are the searches'
         best_x, best_e = pts[best_i], lo[best_i]
         tops = _top_local_maxima(lo, hi, best_e / 2) if approximation else []
         pruned = 0
@@ -838,7 +821,7 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         refined=len(tops),
         pruned=pruned,
         search_mpf=ends_mpf + err.probes_mpf,
-        search_fixed=err.evals_fixed,
+        search_fixed=err.evals_fixed - settle_evals,
         settle_fixed=len(err.settled) - settle_mpf,
         oracle_cold=_oracle_cached.cache_info().misses - err.misses,
     )
@@ -864,8 +847,8 @@ def sup_error(
     given, satisfied means the refined sup stayed at or under it. The report
     counts the approximant's evaluations per precision, the searches started
     and of them those stopped early (pruned), the search probes and final
-    values evaluated at mpf, the probes and the settled grid points evaluated
-    in fixed point alone, and the oracle values computed cold.
+    values evaluated at mpf and in fixed point, the settled grid points
+    evaluated in fixed point alone, and the oracle values computed cold.
     """
     return _scan(f, interval, grid_points, cfg, BoundKind.APPROXIMATION, claimed_bound)
 

@@ -281,7 +281,9 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     # proved bound on |E'| shows that it cannot beat the best value: 35 of the 92 searches
     # end so (two on each cheb and cheb-lifted row but one on cheb n = 0, and one each on
     # lagrange and t5), which leaves out their later probes and final values: float evaluations fell to 6,318 and
-    # fixed probes to 1,841.
+    # fixed probes to 1,841. search_fixed now also counts each search's final value,
+    # which the fixed tier evaluates as it does a probe: the 57 searches that run to
+    # the end raise it to 1,898.
     # The counts are deterministic, so all seven totals are pinned: a count, not a timing
     reports = []
     for name in ("sup_error", "certify_bound"):
@@ -297,7 +299,7 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     assert len(reports) == 58
     names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined", "settle_fixed", "pruned")
     totals = [sum(getattr(r, name) for r in reports) for name in names]
-    assert totals == [6318, 0, 0, 1841, 92, 119, 35]
+    assert totals == [6318, 0, 0, 1898, 92, 119, 35]
 
 
 def test_table_usage_errors(tmp_path, capsys):
@@ -346,8 +348,11 @@ def test_help_exits_zero(capsys):
 # values came from their fixed-point enclosures (each fixed count gained them; what
 # stays at mpf is a margin whose enclosure holds a double: sf.lower's 5.6e-43 near
 # x = 1e-8, master's 0 at x = 0), and once the evals line gained the searches stopped
-# early, `(N pruned)`, 0 on each of these rows: (arguments after --family, exit code, CSV output,
-# text output)
+# early, `(N pruned)`, 0 on each of these rows, and once the fixed count gained each search's
+# final value (w's `24 fixed (23 in search)` became `25 fixed (24 in search)`) and master's
+# constant side took x = 0 in float (its float bounds there show that x = 0 holds the
+# smallest margin, so x = 1000 is no longer settled: `2 fixed` became `1 fixed`):
+# (arguments after --family, exit code, CSV output, text output)
 CERTIFY_GOLDEN = [
     (
         "sf --interval 0:inf",
@@ -410,7 +415,7 @@ grid         65
 sup_error    1.0556642653591596e-07  at x = 0.49169510609570283
 claimed      1.2500000000000000e-04
 min_gap      1.2489443357346409e-04
-evals        128 float, 0 mpf (0 in search), 24 fixed (23 in search), 1 refined (0 pruned), 0 oracle cold
+evals        128 float, 0 mpf (0 in search), 25 fixed (24 in search), 1 refined (0 pruned), 0 oracle cold
 satisfied    true
 """,
     ),
@@ -446,7 +451,7 @@ kind         upper
 grid         65
 sup_error    2.9765256406562151e-06  at x = 2.2640387134577056
 min_gap      0.0000000000000000e+00
-evals        97 float, 1 mpf (0 in search), 2 fixed (0 in search), 0 refined (0 pruned), 1 oracle cold
+evals        97 float, 1 mpf (0 in search), 1 fixed (0 in search), 0 refined (0 pruned), 1 oracle cold
 satisfied    true
 """,
     ),

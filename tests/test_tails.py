@@ -8,18 +8,18 @@ from mpmath import bernfrac, mp
 
 from arctancert import tails
 from arctancert.families import FAMILIES, Approximant
-from arctancert.master import MAX_ORDER, constant_side
+from arctancert.master import MAX_ORDER
 from arctancert.series import cheb_coefficients, machin_pi_fraction
 from arctancert.verify import (
     BoundKind,
     Interval,
     OracleConfig,
-    _fixed_bits,
     _fixed_error,
     _float_error,
     _mpf_term_bits,
     _sample_points,
     oracle_arctan,
+    oracle_pi,
     sup_error,
 )
 
@@ -46,10 +46,8 @@ def _points(unit):
 
 def _check_budget(ap, x):
     # B bounds |e - E| for E at 40, 50 and 70 digits, and is no vacuous bound: about
-    # 1e-14 of |E|, or of the claimed bound where E passes through zero. At 0 the
-    # g-constant side of a pair raises on 1/x, so the scan settles it at mpf. Both
-    # guards read the working precision, so they are called at it, as the scan does.
-    refuses_zero = bool(ap.side) and ap.side == constant_side(FAMILIES[ap.family].pair_order or ap.n)
+    # 1e-14 of |E|, or of the claimed bound where E passes through zero. Both guards
+    # read the working precision, so they are called at it, as the scan does.
     for digits in (40, 50, 70):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
@@ -57,9 +55,6 @@ def _check_budget(ap, x):
             got = _float_error(ap.rough_error, x, _mpf_term_bits())  # the budget the scan uses
         if not (x == 0 or 1e-150 <= x <= 1e150):
             assert got is None
-            continue
-        if x == 0 and refuses_zero:
-            assert got == (0.0, math.inf), ap.label
             continue
         e, b = got
         with mp.workdps(digits):
@@ -74,9 +69,9 @@ def test_tail_budget_bounds_the_distance_from_the_mpf_error(ap, data):
     _check_budget(ap, data.draw(_points(FAMILIES[ap.family].claim_interval == "0:1")))
 
 
-def test_every_float_rule_holds_or_refuses_at_zero():
+def test_every_float_rule_holds_at_zero():
     # the scan's guard takes x = 0 from both rules, for all 172 rows: the K-ulp kernels
-    # and every tail but t's give exactly 0, t's sits at g = 1/2, the g-constant side refuses
+    # and every tail but t's give exactly 0, t's sits at g = 1/2
     assert len(ROWS) == 172
     for ap in ROWS:
         _check_budget(ap, 0.0)
@@ -84,14 +79,14 @@ def test_every_float_rule_holds_or_refuses_at_zero():
 
 def _check_fixed_budget(ap, x):
     # the fixed-point tier's B bounds |m*2^-w - E| for E at 40, 50 and 70 digits, at a
-    # coarse scale and at the one a search near this |E| takes, where B is no vacuous
-    # bound: about 2^-100 of |E|, or a little over the mpf term where E is smaller. The
+    # coarse scale and at the scan's one scale, w = mp.prec, where B is no vacuous
+    # bound: within 2^-96 of |E| and a little over the mpf term. The
     # one fixed rule: every row's kernel in integers less the oracle's fixed arctan
     for digits in (40, 50, 70):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
-            k, w = _mpf_term_bits(), _fixed_bits(abs(float(exact)))
+            k, w = _mpf_term_bits(), mp.prec
             got = [(v, _fixed_error(ap.fixed_error, x, v, k)) for v in (64, w)]
             if not (x == 0 or 1e-150 <= x <= 1e150):
                 assert [g for _, g in got] == [None, None]
@@ -106,6 +101,23 @@ def _check_fixed_budget(ap, x):
 @given(data=st.data())
 def test_fixed_budget_bounds_the_distance_from_the_mpf_error(ap, data):
     _check_fixed_budget(ap, data.draw(_points(FAMILIES[ap.family].claim_interval == "0:1")))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ap=st.sampled_from(ROWS), data=st.data())
+def test_fixed_budget_at_the_working_precision_is_the_narrowest(ap, data):
+    # the absolute budget B*2^-w at w = mp.prec, the scan's one scale, is no wider than
+    # at each multiple of 32 below it, from 64: a finer scale shrinks the rule's own
+    # error and its rounding, and the mpf term 2^-k is the same at every w >= k, so one
+    # scale is never coarser than one picked for the point's |E|
+    x = data.draw(_points(FAMILIES[ap.family].claim_interval == "0:1").filter(lambda v: v == 0 or v >= 1e-150))
+    digits = data.draw(st.sampled_from([40, 50, 70]))
+    with mp.workdps(digits):
+        k, top = _mpf_term_bits(), mp.prec
+        _, b_top = _fixed_error(ap.fixed_error, x, top, k)
+        for w in range(64, top, 32):
+            _, b = _fixed_error(ap.fixed_error, x, w, k)
+            assert b_top <= b << (top - w), (ap.label, x, digits, w, b_top, b)
 
 
 def test_every_fixed_rule_holds_at_zero():
@@ -135,11 +147,16 @@ def test_mpf_error_lies_within_the_mpf_term(ap, data):
 
 @settings(max_examples=200, deadline=None)
 @given(x=st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t))
+@example(x=0.0)
 def test_library_atan_within_one_ulp(x):
-    # both float rules take math.atan(x) for arctan x, on this premise
-    ref = oracle_arctan(x)
+    # both float rules take math.atan(x) for arctan x, and master's constant side
+    # math.atan2(1, x) for arctan(1/x), pi/2 at 0, on this premise
+    cfg = OracleConfig(50, 30)
+    ref = oracle_arctan(x, cfg)
     with mp.workdps(50):
+        inv = oracle_arctan(1 / mp.mpf(x), cfg) if x else oracle_pi(cfg) / 2
         assert abs(math.atan(x) - ref) <= math.ulp(float(ref))
+        assert abs(math.atan2(1.0, x) - inv) <= math.ulp(float(inv))
 
 
 def test_library_atan_within_one_ulp_at_the_table_grid_points():

@@ -609,11 +609,34 @@ def test_settled_value_encloses_its_mpf_value(cfg, ap, kind, iv):
     # n = 12, whose |E| (about 1e-51) lies below the mpf term that the enclosure carries
     with mp.workdps(cfg.working_digits):
         err = verify._Errors(ap, iv, 64, cfg, -1 if kind == "lower" else 1)
-        for x, e in zip(err.pts[::4], err.est[::4]):
-            v = err.value(x, verify._fixed_bits(abs(e)))
+        for x in err.pts[::4]:
+            v = err.value(x)
             lo, hi = v.lo, v.hi
             assert v.open and lo < hi
             assert lo <= v.exact() <= hi
+
+
+def test_fixed_tier_works_at_the_working_precision(cfg, monkeypatch):
+    # every fixed-point evaluation a scan makes, settled points, probes and final values
+    # alike, is at the one scale 2^-mp.prec, whatever the row's |E|
+    scales = []
+
+    def record(hook, x, w, k, _real=verify._fixed_error):
+        scales.append(w)
+        return _real(hook, x, w, k)
+
+    monkeypatch.setattr(verify, "_fixed_error", record)
+    unit, whole = Interval(0.0, 1.0), Interval(0.0, math.inf)
+    for ap, iv in [
+        (Approximant("cheb", n=0), unit),
+        (Approximant("cheb", n=8), unit),
+        (Approximant("master", n=6, side="upper"), whole),
+        (Approximant("w", n=3), unit),
+    ]:
+        sup_error(ap, iv, 65, cfg=cfg)
+    certify_bound(Approximant("t4"), "upper", whole, 65, cfg=cfg)
+    with mp.workdps(cfg.working_digits):
+        assert scales and set(scales) == {mp.prec}
 
 
 def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
