@@ -31,9 +31,10 @@ class FamilyInfo:
     returns a BoundPair. claim maps n to the claimed uniform error bound. A
     lifted family is its kernel, valid on [0,1], lifted once to R+. A
     two-sided family's pair_order is its order in the master family, where
-    that order is fixed. tail is the error series in float (``tails``) of sf,
-    t2, master, s, t, w and w-lifted; the rest take the K-ulp rule. fixed is
-    its fixed-point rule, the one rule of every row: its kernel in integers
+    that order is fixed. float_rule is False on t alone, which has no float
+    rule; sf, t2 and master sum their error series in float
+    (``tails.master_error``), and the rest take the K-ulp rule. fixed is its
+    fixed-point rule, the one rule of every row: its kernel in integers
     less the oracle's fixed arctan (``tails.direct_fixed``). slope maps n to a
     proved bound on |dE/dx| over the row's domain, E = f - arctan, which lets
     the scan stop a golden-section search that cannot beat its best value; it
@@ -53,7 +54,7 @@ class FamilyInfo:
     claim: Optional[Callable] = None
     lifted: bool = False
     pair_order: Optional[int] = None
-    tail: Optional[Callable] = None
+    float_rule: bool = True
     fixed: Optional[Callable] = None
     slope: Optional[Callable] = None
 
@@ -87,13 +88,13 @@ FAMILIES: dict[str, FamilyInfo] = {
     info.ident: info
     for info in (
         FamilyInfo("sf", "Theorem 1", "3x/d < arctan x < πx/d, d = 1+2√(1+x²)", "[0,∞)", _TWO, False,
-                   kernel=core.shafer_fink_bounds, pair_order=1, tail=tails.master_error, fixed=_MASTER),
+                   kernel=core.shafer_fink_bounds, pair_order=1, fixed=_MASTER),
         FamilyInfo("t2", "Theorem 2", "π(3+8√2)f < arctan x < 45f", "[0,∞)", _TWO, False,
-                   kernel=core.theorem2_bounds, pair_order=2, tail=tails.master_error, fixed=_MASTER),
+                   kernel=core.theorem2_bounds, pair_order=2, fixed=_MASTER),
         FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", _UP, False,
                    kernel=core.theorem4_upper, fixed=partial(tails.direct_fixed, tails.t4_kernel, True)),
         FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
-                   kernel=master.master_bounds, tail=tails.master_error, fixed=_MASTER),
+                   kernel=master.master_bounds, fixed=_MASTER),
         FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
                    kernel=core.lagrange_p, claim=lambda n: 1 / 230, slope=lambda n: _LAGRANGE_SLOPE,
                    fixed=partial(tails.direct_fixed, tails.lagrange_kernel, False)),
@@ -115,16 +116,18 @@ FAMILIES: dict[str, FamilyInfo] = {
         # the pointwise envelopes of s and t peak at 4^-n
         FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.taylor1_s, claim=lambda n: 4.0**-n,
-                   tail=tails.s_error, fixed=partial(tails.direct_fixed, tails.s_kernel, False)),
+                   fixed=partial(tails.direct_fixed, tails.s_kernel, False)),
+        # no float rule: t's float kernel is pi/4 less a row near pi/4, so near u = 0 it errs by
+        # ulps of pi/4, far more than the K-ulp rule allows of arctan u; the fixed tier decides t
         FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.taylor1_t, claim=lambda n: 4.0**-n,
-                   tail=tails.t_error, fixed=partial(tails.direct_fixed, tails.t_kernel, False)),
+                   float_rule=False, fixed=partial(tails.direct_fixed, tails.t_kernel, False)),
         FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.blend_w, claim=lambda n: 20.0**-n,
-                   tail=tails.w_error, fixed=partial(tails.direct_fixed, tails.w_kernel, False)),
+                   fixed=partial(tails.direct_fixed, tails.w_kernel, False)),
         FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
                    kernel=series.blend_w, claim=lambda n: 2 * 20.0**-n, lifted=True,
-                   tail=tails.w_error, fixed=partial(tails.direct_fixed, tails.w_kernel, True)),
+                   fixed=partial(tails.direct_fixed, tails.w_kernel, True)),
     )
 }
 
@@ -145,12 +148,13 @@ class Approximant:
     arctan x; cheb's expansion of arctan(m*x) is series.cheb_arctan(n, x, m).
 
     rough_error(x) is the float rule of the certification scan's float tier
-    (see ``verify``): the family's tail summed in float (``tails``) where it
-    has one, else the K-ulp rule (ulp_rule). It returns the rule's own (e, b)
-    or raises. fixed_error(x, w) is the fixed-point tier's rule, in integers
-    scaled by 2^w, returning (m, err) in units of 2^-w: for every row, its
-    kernel less the oracle's fixed arctan (``tails.direct_fixed``). Every row
-    has both up to MAX_ORDER; past it both are None.
+    (see ``verify``): for sf, t2 and master their error series summed in float
+    (``tails.master_error``), None for t, and for every other row the
+    K-ulp rule (ulp_rule). It returns the rule's own (e, b) or raises.
+    fixed_error(x, w) is the fixed-point tier's rule, in integers scaled by
+    2^w, returning (m, err) in units of 2^-w: for every row, its kernel less
+    the oracle's fixed arctan (``tails.direct_fixed``). Every row has it up to
+    MAX_ORDER; past it both hooks are None.
     """
 
     family: str
@@ -186,11 +190,8 @@ class Approximant:
         if info.kind is BoundKind.TWO_SIDED:
             order = info.pair_order or self.n
             args = order, self.side == master.constant_side(order)
-            return partial(info.tail, *args), partial(info.fixed, args)
-        fixed = partial(info.fixed, self.n)
-        if info.tail is None:
-            return partial(ulp_rule, self), fixed
-        return partial(tails.lifted if info.lifted else tails.on_unit, info.tail, self.n), fixed
+            return partial(tails.master_error, *args), partial(info.fixed, args)
+        return partial(ulp_rule, self) if info.float_rule else None, partial(info.fixed, self.n)
 
     @property
     def label(self) -> str:
@@ -222,9 +223,10 @@ def ulp_rule(f: Callable, x: float):
 
     e = f(x) - math.atan(x) and b = K*ulp(arctan x), K = FLOAT_ULPS. It rests
     on f's float value lying within K/4 ulp of arctan x of its mpf value, which
-    tests/test_families.py checks for every registry row but t at 0 and on
-    [1e-150, 1e150], and on math.atan lying within one ulp of arctan x
-    (tests/test_tails.py).
+    tests/test_families.py checks at 0 and on [1e-150, 1e150] for every
+    registry row but t, and on math.atan lying within one ulp of arctan x
+    (tests/test_tails.py). It is the float rule of t4, lagrange, t5, cheb,
+    cheb-lifted, cf, cf-lifted, s, w and w-lifted.
     """
     atan = math.atan(x)
     return f(x) - atan, FLOAT_ULPS * math.ulp(atan)

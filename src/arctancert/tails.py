@@ -1,16 +1,14 @@
 """Errors of the families in float and in fixed point, for the certification scan's tiers.
 
-In float, a family whose error has a cancellation-free series gets it summed
-from its tail, as (e, b): e approximating the error E = f - arctan x and b
-bounding the float computation's distance from E. The series:
-
-- master, and sf and t2, which are master 1 and 2: D*a_n(x) = theta/g_n(theta)
-  with theta = arctan x, and S = 1 - g_n(theta) = sum_{m>n} b_m p_n(4^-m)
-  theta^(2m), b_m = 2^(2m)|B_2m|/(2m)! the coefficients of y*cot y (DLMF
-  4.19). The unit side has E = theta*S/(1 - S), the side with the constant
-  g_n(pi/2) has E = theta*(S(theta) - S(pi/2))/(1 - S(theta)).
-- s, t and w: the tail of the quartic-ratio series past row n.
-- w-lifted: 2*E_w(u), since arctan x = 2*arctan u.
+In float, the master pairs get their error summed from its tail, as (e, b): e
+approximating the error E = f - arctan x and b bounding the float
+computation's distance from E. master, and sf and t2, which are master 1 and
+2, have D*a_n(x) = theta/g_n(theta) with theta = arctan x, and S = 1 -
+g_n(theta) = sum_{m>n} b_m p_n(4^-m) theta^(2m), b_m = 2^(2m)|B_2m|/(2m)! the
+coefficients of y*cot y (DLMF 4.19). The unit side has E = theta*S/(1 - S), the
+side with the constant g_n(pi/2) has E = theta*(S(theta) - S(pi/2))/(1 -
+S(theta)). Every other row but t takes the K-ulp rule (families.ulp_rule), and
+t has no float rule.
 
 In fixed point every row has one rule (direct_fixed), as (m, err), m*2^-w
 lying within err units of 2^-w of E: its kernel in integers scaled by 2^w, at
@@ -52,7 +50,6 @@ from .verify import _atan_fixed, _oracle_bits, _shift
 U = 2.0**-53  # unit roundoff of a double
 _MASTER_TERMS = 30  # terms of master's S past t^(n+1); H takes n + 1 more
 _SUM_TERMS = 41  # terms of master's c_m summed for the d_i
-_QUARTIC_TERMS = 30  # the most rows a quartic tail sums; |q| <= 1/4 needs 29
 with mp.workdps(30):  # the nearest doubles to 2/pi and 4/pi^2, each within U
     _TWO_OVER_PI, _FOUR_OVER_PI2 = float(2 / mp.pi), float(4 / mp.pi**2)
 
@@ -254,77 +251,6 @@ def master_error(n: int, constant_side: bool, x: float):
 
 
 @lru_cache(maxsize=None)
-def _quartic_series(n: int) -> tuple:
-    # Horner coefficients, highest j first, of the three series in q below: the rows
-    # _quartic_row(j) for j = n+1..n+_QUARTIC_TERMS, each quotient rounded once to float
-    js = range(n + _QUARTIC_TERMS, n, -1)
-    return tuple(tuple(map(float, _quartic_row(j))) for j in js)
-
-
-def _quartic_row(j: int) -> tuple:
-    # 1/(4j+1), 1/(2j+1) and 1/(4j+3), exact: row j of the quartic-ratio series is
-    # q^j*(g/(4j+1) + g^2/(2j+1) + 2g^3/(4j+3)), q = -4g^4. Both tiers round these.
-    return Fraction(1, 4 * j + 1), Fraction(1, 2 * j + 1), Fraction(1, 4 * j + 3)
-
-
-def _quartic_tail(n: int, g: float, eps: float):
-    # (T, bound) for T = sum_{j>n} q^j*(g/(4j+1) + 2g^2/(4j+2) + 2g^3/(4j+3)), q = -4g^4,
-    # 0 <= g <= 1/2 given with relative error eps: T = q^(n+1)*(g*A(q) + g^2*B(q) +
-    # 2g^3*C(q)), each of A, B, C a series sum_i q^i/(4(n+1+i) + a) in q.
-    #
-    # The rows alternate and shrink by |q| <= 1/4, so |T| >= (1 - |q|)*|row n+1|, and
-    # the rows after the first K add to at most |q|^K times row n+1: K is taken so
-    # that |q|^K <= 2^-58. Row j holds g^(4j+1), g^(4j+2) and g^(4j+3), so eps moves T
-    # by sum_j (4j+3)|row j|*eps <= ((4n+7)/(1 - |q|) + 4|q|/(1 - |q|)^2)*|row n+1|*eps.
-    # Float error: q errs by 3U, and q^(n+1), a pow within one ulp, by (3n + 5)U. Each of
-    # A, B, C alternates with terms shrinking by |q|: its steps err by 2U of partial
-    # sums under each step's first coefficient, 2U*(4/3) of the first in all, and the sum
-    # is at least 3/4 of it, so 3.56U; the coefficients add 1.78U and q's 3U another 1.8U
-    # (|q*A'/A| <= 0.6). g^2 errs by U, 2g^3 by 2U; combining adds 5U and the last
-    # product U. In all (3n + 19)U, and the rows past K 1.78*2^-58 of T.
-    q = -4 * (g * g) ** 2
-    aq = abs(q)
-    k = min(_QUARTIC_TERMS, int(58 / -math.log2(aq)) + 1) if aq > 2.0**-58 else 1
-    a = b = c = 0.0
-    for ca, cb, cc in _quartic_series(n)[-k:]:
-        a, b, c = a * q + ca, b * q + cb, c * q + cc
-    g2 = g * g
-    tail = q ** (n + 1) * (g * a + g2 * b + 2 * (g2 * g) * c)
-    grow = ((4 * n + 7) / (1 - aq) + 4 * aq / (1 - aq) ** 2) / (1 - aq)
-    return tail, abs(tail) * (grow * eps + (3 * n + 19) * U + 1.78 * 2.0**-58) * 1.01
-
-
-def s_error(n: int, u: float, v: float, eps_u: float, eps_v: float):
-    """(e, b) for s_n at u in [0, 1], v = 1 - u, each given with its relative error."""
-    # g = u/(u + 1) errs by eps_u (the map shrinks relative error) plus U for u + 1
-    # and U for the quotient; E_s = -tail(g)
-    e, b = _quartic_tail(n, u / (u + 1), eps_u + 2.01 * U)
-    return -e, b
-
-
-def t_error(n: int, u: float, v: float, eps_u: float, eps_v: float):
-    """(e, b) for t_n: pi/4 - arctan u = arctan((1 - u)/(1 + u)), so E_t = tail((1 - u)/2)."""
-    return _quartic_tail(n, v / 2, eps_v)
-
-
-def w_error(n: int, u: float, v: float, eps_u: float, eps_v: float):
-    """(e, b) for w_n, the blend of the s and t errors with the weights of blend_w."""
-    # E_w = l*E_t + (1 - l)*E_s with l = u^p/(u^p + v^p). E_t and E_s have opposite
-    # signs, so the budget is taken on M = l*|E_t| + (1 - l)*|E_s|, not on |E_w|. The
-    # weights err by p*eps + 2U each (pow within one ulp), which moves l by
-    # l*(1 - l)*(p*(eps_u + eps_v) + 4U) and E_w by that times |E_t - E_s| <= M/(l*(1 - l));
-    # the blend's two products, sum and quotient add 4U of M, and the rest 1.01 covers.
-    p = 4 * n + 4
-    e_t, b_t = t_error(n, u, v, eps_u, eps_v)
-    e_s, b_s = s_error(n, u, v, eps_u, eps_v)
-    wu, wv = u**p, v**p
-    e = (wu * e_t + wv * e_s) / (wu + wv)
-    lu, lv = wu / (wu + wv), wv / (wu + wv)  # l and 1 - l, each relative to itself
-    m = lu * abs(e_t) + lv * abs(e_s)
-    return e, (lu * b_t + lv * b_s + (p * (eps_u + eps_v) + 9 * U) * m) * 1.01
-
-
-@lru_cache(maxsize=None)
 def _cheb_ints(count: int, w: int) -> tuple:
     # c_k*2^w rounded to the nearest integer for k = 0..count-1, c_k = 2(-1)^k r^(2k+1)/(2k+1)
     # with r = sqrt2 - 1, the coefficients of cheb_kernel (Mason & Handscomb, ch. 5). Worked at
@@ -358,24 +284,6 @@ def cheb_kernel(n: int, u: int, e_u: float, w: int):
     for ck in _cheb_ints(MAX_ORDER + 1, w)[n::-1]:
         b1, b2 = ck + ((y * b1) >> w2) - b2, b1
     return (u * (b1 - b2)) >> w, 1.51 * (n + 1) + 1 + 1.6 * e_u
-
-
-def on_unit(error, n: int, x: float):
-    """error at u = x in [0, 1], exact, with v = 1 - x (exact from 1/2 up, else within U)."""
-    require_unit(x, "u")
-    return error(n, x, 1 - x, 0.0, U)
-
-
-def lifted(error, n: int, x: float):
-    """2*error at u = x/(1 + sqrt(1 + x^2)) for x >= 0, with v = 1 - u free of cancellation."""
-    # s = hypot(1, x) errs by one ulp (2U); u = x/(1 + s) then by 4U, and
-    # v = (1 + 1/(s + x))/(1 + s), since s - x = 1/(s + x), by 9U
-    require_nonnegative(x)
-    s = math.hypot(1.0, x)
-    u = x / (1 + s)
-    v = (1 + 1 / (s + x)) / (1 + s)
-    e, b = error(n, u, v, 4.01 * U, 9.01 * U)
-    return 2 * e, 2 * b
 
 
 def _unit_u(x: float, w: int):
@@ -513,6 +421,12 @@ def cf_kernel(n: int, u: int, e_u: float, w: int):
     for k in range(n, 0, -1):
         d = ((2 * k - 1) << w) + k * k * uu // d
     return (u << w) // d, 3.67 + 2.78 * e_u
+
+
+def _quartic_row(j: int) -> tuple:
+    # 1/(4j+1), 1/(2j+1) and 1/(4j+3), exact: row j of the quartic-ratio series is
+    # q^j*(g/(4j+1) + g^2/(2j+1) + 2g^3/(4j+3)), q = -4g^4.
+    return Fraction(1, 4 * j + 1), Fraction(1, 2 * j + 1), Fraction(1, 4 * j + 3)
 
 
 @lru_cache(maxsize=None)

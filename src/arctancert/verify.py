@@ -28,14 +28,15 @@ approximant's ``rough_error(x)`` hook, if it has one. The hook is the
 family's float rule; it takes arctan x from math.atan(x), tested to lie
 within one ulp of it, and returns (e, b): e approximates E = f(x) - arctan x,
 and b bounds the float computation's distance from E. ``families.Approximant``
-has two rules. The tail rule, for sf, t2, master, s, t, w and w-lifted, sums
-the family's own error series in float (``tails``), so b is relative to E:
-the float sum's own error with the truncated rest of the series, and the
-effect of rounding its argument (arctan x, or u) to float. The K-ulp rule,
-for t4, lagrange, t5, cheb, cf and the lifted cheb and cf, takes
-e = f(x) - math.atan(x) with b = K*ulp(arctan x), K = 64
-(``families.FLOAT_ULPS``); it rests on the float kernel lying within K/4 ulp
-of arctan x of the 50-digit value. Past order 16 the hook is None.
+has two rules. The tail rule, for sf, t2 and master, sums master's error
+series in float (``tails.master_error``), so b is relative to E: the float
+sum's own error with the truncated rest of the series, and the effect of
+rounding arctan x to float. The K-ulp rule, for t4, lagrange, t5, cheb, cf,
+s, w and the lifted cheb, cf and w, takes e = f(x) - math.atan(x) with b =
+K*ulp(arctan x), K = 64 (``families.FLOAT_ULPS``); it rests on the float
+kernel lying within K/4 ulp of arctan x of the 50-digit value. t, whose float
+kernel errs by ulps of pi/4, has no float rule, and past order 16 no row has
+one: there the hook is None.
 
 Every approximant also has a ``fixed_error(x, w)`` hook, in integers scaled
 by 2^w (``tails``), returning (m, err): m*2^-w lies within err units of 2^-w
@@ -57,16 +58,17 @@ Both tiers have one guard each, _float_error and _fixed_error, which decide
 when to trust a hook. They take no value outside 0 and [1e-150, 1e150], where
 every rule is tested for every order up to 16 and every side
 (tests/test_tails.py, tests/test_families.py), nor from a callable without the
-hook. At 0 every float rule is exact but t's tail, at the edge g = 1/2 of its
-budget. Where a hook raises ArithmeticError or ValueError, or e is not finite,
-the budget is infinite. Otherwise the float budget is B = b + 2^-k + ulp(e)
-and the fixed one B = 1.01*err + 2^-k, rounded up to whole units: ulp(e)
-covers the rounding of e, 1.01 the float arithmetic of err, and the mpf term
-2^-k the mpf kernel's, the oracle's and master's constants' own error, so that
-B bounds the distance from the mpf value E (_mpf_term_bits: k = min(prec, 169)
-- 20, 149 at 50 digits). A point the float tier decides costs no oracle
-evaluation; a settled point that the fixed guard takes no value at, or gives
-an infinite budget, is evaluated at mpf, where a real failure raises again.
+hook. At 0 every float rule is exact. Where a hook raises ArithmeticError or
+ValueError, or e is not finite, the budget is infinite. Otherwise the float
+budget is B = b + 2^-k + ulp(e) and the fixed one B = 1.01*err + 2^-k, rounded
+up to whole units: ulp(e) covers the rounding of e, 1.01 the float arithmetic
+of err, and the mpf term 2^-k the mpf kernel's, the oracle's and master's
+constants' own error, so that B bounds the distance from the mpf value E
+(_mpf_term_bits: k = min(prec, 169) - 20, 149 at 50 digits). A point the
+float tier decides costs no oracle evaluation, and one it takes no value at,
+as every point of t, has infinite float bounds, so that every pick settles it;
+a settled point that the fixed guard takes no value at, or gives an infinite
+budget, is evaluated at mpf, where a real failure raises again.
 
 Both certifications run one scan body with two settle rules. One pick on the
 float bounds settles every point a decision could rest on: for sup_error a
@@ -510,7 +512,10 @@ class _Lazy:
         return self._map(lambda v: c - v)
 
     def __abs__(self):
-        return self if self >= 0 else -self
+        # across 0 the bounds are [0, max(-lo, hi)], resolved only on demand
+        if self.lo < 0 < self.hi:
+            return _Lazy(mp.zero, max(-self.lo, self.hi), lambda: abs(self.exact()))
+        return self if self.lo >= 0 else -self
 
     def _decide(self, other, op, below: bool):
         # op(self, other) for op < or <= (below) or > or >=: decided by the doubles, then by
@@ -647,12 +652,15 @@ class _Errors:
             if i not in done:  # a pick may repeat a point
                 done[i] = self.value(self.pts[i])
         # the float bounds enclose the settled ones, so a point whose float upper bound lies
-        # below the largest float lower bound is not the argmax; the rest are compared exactly
+        # below the largest float lower bound is not the argmax, nor one whose upper double
+        # lies below the largest lower double once settled; the rest are compared exactly
         top = max(a_lo)
         near = [i for i, h in enumerate(a_hi) if h >= top]
         for i, v in done.items():
             lo[i] = hi[i] = v
-        a_lo, a_hi = _abs_bounds(lo, hi)
+            a_lo[i] = a_hi[i] = abs(v)
+        top = max(_bounds(a_lo[i], False)[0] for i in near)
+        near = [i for i in near if _bounds(a_hi[i], False)[1] >= top]
         return a_lo, a_hi, max(near, key=a_lo.__getitem__)
 
 
@@ -662,7 +670,7 @@ def _signed_error(f: Callable, sign: int, cfg: OracleConfig, x: float):
 
 
 def _abs_bounds(lo, hi):
-    # bounds on |E| from bounds on E (or on -E); both equal |E| where lo == hi
+    # bounds on |E| from float bounds on E (or on -E)
     a_lo = [l if l > 0 else -h if h < 0 else 0 for l, h in zip(lo, hi)]
     a_hi = [max(-l, h) for l, h in zip(lo, hi)]
     return a_lo, a_hi
@@ -675,7 +683,7 @@ def _top_local_maxima(lo, hi, cut):
     idxs = [
         i
         for i in range(n)
-        if (i == 0 or lo[i] >= hi[i - 1]) and (i == n - 1 or lo[i] >= hi[i + 1]) and lo[i] >= cut
+        if lo[i] >= cut and (i == 0 or lo[i] >= hi[i - 1]) and (i == n - 1 or lo[i] >= hi[i + 1])
     ]
     idxs.sort(key=lo.__getitem__, reverse=True)
     return idxs[:_TOP]
@@ -801,7 +809,9 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
             satisfied = claimed_bound is None or bool(best_e <= claimed_bound)
             min_gap = math.nan if claimed_bound is None else claimed_bound - best_e
         else:
-            min_gap = min(err.lo)
+            # a margin whose lower double lies above the smallest upper double is not the smallest
+            ceiling = min(_bounds(v, False)[1] for v in err.lo)
+            min_gap = min(v for v in err.lo if _bounds(v, False)[0] <= ceiling)
             tol = mp.mpf(10) ** (5 - cfg.report_digits)
             satisfied = bool(min_gap >= -tol)
         # every value is read here, at the working precision, resolving at mpf where it must

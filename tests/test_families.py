@@ -5,7 +5,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant
+from arctancert import tails
+from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
 from arctancert.verify import BoundKind, OracleConfig, _mpf_term_bits, oracle_arctan
 
@@ -77,11 +78,11 @@ def test_float_within_a_quarter_budget_of_mpf_at_zero():
         _check_quarter_budget(ap, 0.0)
 
 
-def test_only_unbudgeted_rows_are_high_orders():
-    # t carries its tail's budget now; an order past MAX_ORDER has no float rule at all
+def test_only_unbudgeted_rows_are_t_and_high_orders():
+    # t has no float rule, so the fixed-point tier decides each of its points; an order
+    # past MAX_ORDER has no rule at all
     ap = Approximant("t", n=3)
-    e, b = ap.rough_error(1e-6)
-    assert math.isfinite(b) and abs(e) > 1e3 * b
+    assert ap.rough_error is None and ap.fixed_error is not None
     assert Approximant("cf", n=MAX_ORDER + 1).rough_error is None
     assert Approximant("cf", n=MAX_ORDER + 1).fixed_error is None
     assert Approximant("cheb", n=MAX_ORDER + 1).rough_error is None
@@ -90,21 +91,19 @@ def test_only_unbudgeted_rows_are_high_orders():
     with mp.workdps(50):
         gap = abs(ap(1e-6) - ap(mp.mpf(1e-6)))
     assert gap > FLOAT_ULPS * math.ulp(1e-6)
-    assert FAMILIES["t"].tail is not None
 
 
 def test_only_these_rows_keep_a_float_tail():
-    # every other row takes the K-ulp rule, and the fixed-point tier decides what its
-    # budget of 64 ulp of arctan x leaves open. These keep their error series in float:
-    # - master, and sf and t2, its orders 1 and 2: master's |E| (near 5e-17 at n = 6)
-    #   lies below 64 ulp of arctan x;
-    # - t: its float kernel, pi/4 less a row near pi/4, errs by ulps of pi/4 near u = 0,
-    #   so it is not relatively accurate there;
-    # - w and w-lifted, and s, whose tail w sums: w's |E| lies under the mpf term 2^-149
-    #   over much of [0, 1], where a fixed enclosure straddles 0 and every comparison with
-    #   0 resolves it at mpf; only the relative float tail keeps those points out of a pick
-    tailed = {ident for ident, info in FAMILIES.items() if info.tail is not None}
-    assert tailed == {"sf", "t2", "master", "s", "t", "w", "w-lifted"}
+    # every other row but t, which has no float rule, takes the K-ulp rule, and the
+    # fixed-point tier decides what its budget of 64 ulp of arctan x leaves open. master,
+    # and sf and t2, its orders 1 and 2, keep their error series in float: master's |E|
+    # (near 5e-17 at n = 6) lies below 64 ulp of arctan x, and on the K-ulp rule master
+    # n = 5 and 6 settle most of their grid-4097 points in fixed point. s, w and w-lifted
+    # need no tail: w's |E| lies under the mpf term 2^-149 over much of [0, 1], but the
+    # scan compares such tiny enclosures only where a decision needs them
+    rules = {ap.family: getattr(ap.rough_error, "func", None) for ap in INSTANCES}
+    assert {ident for ident, rule in rules.items() if rule is tails.master_error} == {"sf", "t2", "master"}
+    assert {ident for ident, rule in rules.items() if rule is not ulp_rule} == {"sf", "t2", "master", "t"}
 
 
 def _valid_orders(info):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import bernfrac, mp
 
 from arctancert import tails
-from arctancert.families import FAMILIES, Approximant
+from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant
 from arctancert.master import MAX_ORDER
 from arctancert.series import cheb_coefficients, machin_pi_fraction
 from arctancert.verify import (
@@ -23,46 +23,50 @@ from arctancert.verify import (
     sup_error,
 )
 
-# every registry row: each order up to MAX_ORDER, each side; and those whose float error comes from their tail
+# every registry row: each order up to MAX_ORDER, each side
 ROWS = [
     Approximant(ident, n=n, side=side)
     for ident, info in FAMILIES.items()
     for n in (range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,))
     for side in (("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,))
 ]
-TAIL_ROWS = [ap for ap in ROWS if FAMILIES[ap.family].tail is not None]
 
 
 def _points(unit):
-    # 0, and log-uniform over [1e-150, 1e150]; on unit domains over [1e-150, 1], with 1 and uniform draws
+    # 0, and log-uniform over [1e-150, 1e150]; on unit domains 0 and 1, and log-uniform and
+    # uniform draws over [1e-150, 1]: where both guards take a value, whose refusal below
+    # it test_guards_take_no_value_below_the_tested_range checks
     if not unit:
         return st.one_of(st.just(0.0), st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t))
     return st.one_of(
         st.sampled_from([0.0, 1.0]),
         st.floats(min_value=-150.0, max_value=0.0).map(lambda t: 10.0**t),
-        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=1e-150, max_value=1.0),
     )
 
 
 def _check_budget(ap, x):
-    # B bounds |e - E| for E at 40, 50 and 70 digits, and is no vacuous bound: about
-    # 1e-14 of |E|, or of the claimed bound where E passes through zero. Both guards
-    # read the working precision, so they are called at it, as the scan does.
+    # B bounds |e - E| for E at 40, 50 and 70 digits, and is no vacuous bound: master's
+    # tail, on the pairs, about 1e-14 of |E|, or of the claimed bound where E passes
+    # through zero; the K-ulp rule, on every other row but t, its K ulp of arctan x. t has
+    # no float rule, so the guard takes no value from it. Both guards read the working
+    # precision, so they are called at it, as the scan does.
     for digits in (40, 50, 70):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
             got = _float_error(ap.rough_error, x, _mpf_term_bits())  # the budget the scan uses
-        if not (x == 0 or 1e-150 <= x <= 1e150):
+        if ap.rough_error is None or not (x == 0 or 1e-150 <= x <= 1e150):
             assert got is None
             continue
         e, b = got
         with mp.workdps(digits):
             assert abs(e - exact) <= b, (ap.label, x, digits, e, float(exact), b)
-        assert b <= 1e-12 * (abs(e) + (ap.claim or 0)) + 2.0**-110, (ap.label, x, b)
+        room = 1e-12 * (abs(e) + (ap.claim or 0)) if ap.side else (FLOAT_ULPS + 1) * math.ulp(math.atan(x))
+        assert b <= room + 2.0**-110, (ap.label, x, b)
 
 
-@pytest.mark.parametrize("ap", TAIL_ROWS, ids=lambda ap: ap.label)
+@pytest.mark.parametrize("ap", ROWS, ids=lambda ap: ap.label)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_tail_budget_bounds_the_distance_from_the_mpf_error(ap, data):
@@ -70,11 +74,22 @@ def test_tail_budget_bounds_the_distance_from_the_mpf_error(ap, data):
 
 
 def test_every_float_rule_holds_at_zero():
-    # the scan's guard takes x = 0 from both rules, for all 172 rows: the K-ulp kernels
-    # and every tail but t's give exactly 0, t's sits at g = 1/2
+    # the scan's guard takes x = 0 from every float rule: the K-ulp kernels and master's
+    # tail give exactly 0. The rows without a float rule are t's 17 orders
     assert len(ROWS) == 172
-    for ap in ROWS:
+    ruled = [ap for ap in ROWS if ap.rough_error is not None]
+    assert {ap.label for ap in ROWS} - {ap.label for ap in ruled} == {f"t(n={n})" for n in range(MAX_ORDER + 1)}
+    for ap in ruled:
         _check_budget(ap, 0.0)
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-200])
+def test_guards_take_no_value_below_the_tested_range(x):
+    # _points draws no x in (0, 1e-150), where neither rule is tested: both guards refuse
+    # it on every row, and the scan settles it at mpf
+    for ap in ROWS:
+        _check_budget(ap, x)
+        _check_fixed_budget(ap, x)
 
 
 def _check_fixed_budget(ap, x):
@@ -110,7 +125,7 @@ def test_fixed_budget_at_the_working_precision_is_the_narrowest(ap, data):
     # at each multiple of 32 below it, from 64: a finer scale shrinks the rule's own
     # error and its rounding, and the mpf term 2^-k is the same at every w >= k, so one
     # scale is never coarser than one picked for the point's |E|
-    x = data.draw(_points(FAMILIES[ap.family].claim_interval == "0:1").filter(lambda v: v == 0 or v >= 1e-150))
+    x = data.draw(_points(FAMILIES[ap.family].claim_interval == "0:1"))
     digits = data.draw(st.sampled_from([40, 50, 70]))
     with mp.workdps(digits):
         k, top = _mpf_term_bits(), mp.prec

@@ -594,6 +594,67 @@ def test_enclosure_rules_resolve_only_where_the_bounds_cannot_decide():
         assert gap.exact() == 1 - 0.2 * mp.ldexp(1, -52) and a_calls == [0.2]
 
 
+def test_abs_of_an_enclosure_across_zero_stays_open_until_a_comparison_needs_it():
+    with mp.workdps(50):
+        u = mp.ldexp(1, -60)
+        calls = []
+
+        def get():
+            calls.append(1)
+            return -u / 4
+
+        a = abs(_Lazy(-u, u / 2, get))
+        assert (a.lo, a.hi) == (0, u) and a.open and not calls
+        # the bounds decide what lies outside [0, u]; a number inside resolves the value
+        assert a >= 0 and a < 2 * u and not (a > u) and not calls
+        assert a > u / 8 and calls == [1]
+        assert a.exact() == abs(-u / 4) == u / 4 and calls == [1]
+        # an enclosure on one side of 0 is itself or its negation, a settled value too
+        v = _Lazy(u, 2 * u, get)
+        assert abs(v) is v and (abs(-v).lo, abs(-v).hi) == (u, 2 * u)
+        assert abs(_Lazy(-u, -u)).lo == u
+
+
+def test_top_local_maxima_test_the_cut_before_the_neighbours():
+    # points under the cut are left out before their rank against a neighbour is read, so
+    # neighbouring enclosures that overlap stay open there
+    with mp.workdps(50):
+        (a, a_calls), (b, b_calls) = _enclosed(0.125, 0.5, 0.2), _enclosed(0.25, 0.75, 0.6)
+        bounds = [a, b, 4.0, 1.0]
+        assert verify._top_local_maxima(bounds, bounds, 2.0) == [2]
+        assert not (a_calls or b_calls)
+
+
+def test_settle_leaves_out_of_the_argmax_what_the_settled_doubles_rule_out(cfg):
+    # w n = 12's K-ulp budget (about 7e-15) is wider than its sup (under 20^-12), so on the
+    # float bounds all 97 grid points could be the argmax. Once settled, 96 of them have an
+    # upper double below the largest lower double, many of them tiny enclosures across 0
+    # that overlap; settle leaves them out, resolves no settled value, and picks the
+    # argmax that the mpf values give
+    ap = Approximant("w", n=12)
+    with mp.workdps(cfg.working_digits):
+        err = verify._Errors(ap, Interval(0.0, 1.0), 65, cfg, 1)
+        a_lo, a_hi = _abs_bounds(err.lo, err.hi)
+        near = [i for i, h in enumerate(a_hi) if h >= max(a_lo)]
+        lo, hi, best = err.settle(_maxima_pick)
+        top = max(verify._bounds(lo[i], False)[0] for i in near)
+        kept = [i for i in near if verify._bounds(hi[i], False)[1] >= top]
+        assert len(near) == len(err.pts) == 97 and kept == [best]
+        assert all(v.open for v in err.settled.values())
+        exact = [abs(verify._signed_error(ap, 1, cfg, x)) for x in err.pts]
+    assert best == max(range(len(exact)), key=exact.__getitem__)
+
+
+def test_smallest_margin_leaves_out_what_the_doubles_rule_out(cfg):
+    # w n = 9 is no upper bound: its smallest margin, near -6e-16, lies far below the
+    # margins of its tiny enclosures across 0, which overlap one another, so min_gap is
+    # read with none of them resolved, and is the margin that the mpf values give
+    ap, iv = Approximant("w", n=9), Interval(0.0, 1.0)
+    fast = certify_bound(ap, "upper", iv, 65, cfg=cfg)
+    assert _outcome(fast) == _outcome(certify_bound(_without_budget(ap), "upper", iv, 65, cfg=cfg))
+    assert not fast.satisfied and fast.evals_mpf == 0
+
+
 @pytest.mark.parametrize(
     "ap, kind, iv",
     [
