@@ -77,22 +77,22 @@ def theorem4_upper(x):
 
 
 def lagrange_p(u):
-    """Quadratic interpolant of arctan through (0, 0), (sqrt2-1, pi/8), (1, pi/4)."""
+    """Quadratic interpolant of arctan through (0, 0), (sqrt2-1, pi/8), (1, pi/4).
+
+    Evaluated in the collected form (pi/16)*u*(4 + sqrt2*(1 - u)), which equals
+    the Lagrange form (tails.lagrange_kernel derives it).
+    """
     c = require_unit(u, "u")
-    pi, r2 = c.pi, c.sqrt2
-    return pi / 4 * u * (u - r2 + 1) / (2 - r2) + pi / 8 * u * (u - 1) / ((r2 - 1) * (r2 - 2))
+    return c.pi / 16 * u * (4 + c.sqrt2 * (1 - u))
 
 
 def theorem5_approx(x):
-    """The lifted interpolant in closed form; within 1/115 of arctan on all of R+.
+    """The lifted interpolant; within 1/115 of arctan on all of R+.
 
-    Equals 2*lagrange_p(x/(1+sqrt(1+x^2))) up to rounding. Written in the
-    reduced argument r = x/(1+sqrt(1+x^2)) as pi/8 * r*(4 + sqrt2*(1 - r)),
-    so nothing squares and the value tends to pi/2 as x -> inf.
+    Equals 2*lagrange_p(x/(1+sqrt(1+x^2))): the reduced argument lies in [0, 1),
+    nothing squares, and the value tends to pi/2 as x -> inf.
     """
-    c = require_nonnegative(x)
-    r = c.reduce(x)
-    return c.pi / 8 * r * (4 + c.sqrt2 * (1 - r))
+    return 2 * lagrange_p(require_nonnegative(x).reduce(x))
 
 
 def lift_interval_map(t):

@@ -33,12 +33,13 @@ class FamilyInfo:
     two-sided family's pair_order is its order in the master family, where
     that order is fixed. float_rule is False on t alone, which has no float
     rule; sf, t2 and master sum their error series in float
-    (``tails.master_error``), and the rest take the K-ulp rule. fixed is its
-    fixed-point rule, the one rule of every row: its kernel in integers
-    less the oracle's fixed arctan (``tails.direct_fixed``). slope maps n to a
-    proved bound on |dE/dx| over the row's domain, E = f - arctan, which lets
-    the scan stop a golden-section search that cannot beat its best value; it
-    is None where a row has none.
+    (``tails.master_error``), and the rest take the K-ulp rule. fixed is the
+    row's kernel in integers (``tails``); Approximant makes it the row's one
+    fixed-point rule (``tails.direct_fixed``), at x itself for a pair, at the
+    lift's u where claim_interval is 0:inf and at u = x where it is 0:1.
+    slope maps n to a proved bound on |dE/dx| over the row's domain, E = f -
+    arctan, which lets the scan stop a golden-section search that cannot beat
+    its best value; it is None where a row has none.
     """
 
     ident: str
@@ -74,7 +75,7 @@ def _cheb_slope(n: int) -> float:
     return math.nextafter(float(s), math.inf)
 
 
-# lagrange's p(u) = (pi/16)u(4 + sqrt2(1 - u)) (tails.lagrange_kernel) has the linear p'(u) =
+# lagrange's p(u) = (pi/16)u(4 + sqrt2(1 - u)) (core.lagrange_p) has the linear p'(u) =
 # (pi/16)(4 + sqrt2 - 2sqrt2*u), from 1.064 at u = 0 down to 0.507 at u = 1, and arctan' =
 # 1/(1 + u^2) lies in [1/2, 1] on [0, 1], so |E'| <= max(1.064 - 1/2, 1 - 0.507) < 0.57. t5 is
 # 2p at the lift's u, whose du/dx <= 1/2 (_cheb_slope), so the same bound holds in x on [0, inf).
@@ -82,52 +83,46 @@ _LAGRANGE_SLOPE = 0.57
 
 
 _APPROX, _TWO, _UP = BoundKind.APPROXIMATION, BoundKind.TWO_SIDED, BoundKind.UPPER
-_MASTER = partial(tails.direct_fixed, tails.master_kernel, None)  # the pairs' kernel takes x itself
 
 FAMILIES: dict[str, FamilyInfo] = {
     info.ident: info
     for info in (
         FamilyInfo("sf", "Theorem 1", "3x/d < arctan x < πx/d, d = 1+2√(1+x²)", "[0,∞)", _TWO, False,
-                   kernel=core.shafer_fink_bounds, pair_order=1, fixed=_MASTER),
+                   kernel=core.shafer_fink_bounds, pair_order=1, fixed=tails.master_kernel),
         FamilyInfo("t2", "Theorem 2", "π(3+8√2)f < arctan x < 45f", "[0,∞)", _TWO, False,
-                   kernel=core.theorem2_bounds, pair_order=2, fixed=_MASTER),
+                   kernel=core.theorem2_bounds, pair_order=2, fixed=tails.master_kernel),
         FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", _UP, False,
-                   kernel=core.theorem4_upper, fixed=partial(tails.direct_fixed, tails.t4_kernel, True)),
+                   kernel=core.theorem4_upper, fixed=tails.t4_kernel),
         FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
-                   kernel=master.master_bounds, fixed=_MASTER),
+                   kernel=master.master_bounds, fixed=tails.master_kernel),
         FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
                    kernel=core.lagrange_p, claim=lambda n: 1 / 230, slope=lambda n: _LAGRANGE_SLOPE,
-                   fixed=partial(tails.direct_fixed, tails.lagrange_kernel, False)),
+                   fixed=tails.lagrange_kernel),
         FamilyInfo("t5", "Theorem 5", "sup < 1/115", "[0,∞)", _APPROX, False,
-                   kernel=core.theorem5_approx, claim=lambda n: 1 / 115, slope=lambda n: _LAGRANGE_SLOPE,
-                   fixed=partial(tails.direct_fixed, tails.lagrange_kernel, True)),
+                   kernel=core.lagrange_p, claim=lambda n: 1 / 115, lifted=True, slope=lambda n: _LAGRANGE_SLOPE,
+                   fixed=tails.lagrange_kernel),
         FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
                    kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
-                   slope=_cheb_slope, fixed=partial(tails.direct_fixed, tails.cheb_kernel, False)),
+                   slope=_cheb_slope, fixed=tails.cheb_kernel),
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
-                   slope=_cheb_slope, fixed=partial(tails.direct_fixed, tails.cheb_kernel, True)),
+                   slope=_cheb_slope, fixed=tails.cheb_kernel),
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
-                   kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n,
-                   fixed=partial(tails.direct_fixed, tails.cf_kernel, False)),
+                   kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n, fixed=tails.cf_kernel),
         FamilyInfo("cf-lifted", "continued fraction, lifted", "4^-n", "[0,∞)", _APPROX, True, 1,
-                   kernel=series.cf_arctan, claim=lambda n: 4.0**-n, lifted=True,
-                   fixed=partial(tails.direct_fixed, tails.cf_kernel, True)),
+                   kernel=series.cf_arctan, claim=lambda n: 4.0**-n, lifted=True, fixed=tails.cf_kernel),
         # the pointwise envelopes of s and t peak at 4^-n
         FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n,
-                   fixed=partial(tails.direct_fixed, tails.s_kernel, False)),
+                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n, fixed=tails.s_kernel),
         # no float rule: t's float kernel is pi/4 less a row near pi/4, so near u = 0 it errs by
         # ulps of pi/4, far more than the K-ulp rule allows of arctan u; the fixed tier decides t
         FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.taylor1_t, claim=lambda n: 4.0**-n,
-                   float_rule=False, fixed=partial(tails.direct_fixed, tails.t_kernel, False)),
+                   float_rule=False, fixed=tails.t_kernel),
         FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.blend_w, claim=lambda n: 20.0**-n,
-                   fixed=partial(tails.direct_fixed, tails.w_kernel, False)),
+                   kernel=series.blend_w, claim=lambda n: 20.0**-n, fixed=tails.w_kernel),
         FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
-                   kernel=series.blend_w, claim=lambda n: 2 * 20.0**-n, lifted=True,
-                   fixed=partial(tails.direct_fixed, tails.w_kernel, True)),
+                   kernel=series.blend_w, claim=lambda n: 2 * 20.0**-n, lifted=True, fixed=tails.w_kernel),
     )
 }
 
@@ -152,8 +147,9 @@ class Approximant:
     (``tails.master_error``), None for t, and for every other row the
     K-ulp rule (ulp_rule). It returns the rule's own (e, b) or raises.
     fixed_error(x, w) is the fixed-point tier's rule, in integers scaled by
-    2^w, returning (m, err) in units of 2^-w: for every row, its kernel less
-    the oracle's fixed arctan (``tails.direct_fixed``). Every row has it up to
+    2^w, returning (m, err) in units of 2^-w: for every row, its integer
+    kernel less the oracle's fixed arctan (``tails.direct_fixed``), at the
+    argument its domain implies. Every row has it up to
     MAX_ORDER; past it both hooks are None.
     """
 
@@ -190,8 +186,10 @@ class Approximant:
         if info.kind is BoundKind.TWO_SIDED:
             order = info.pair_order or self.n
             args = order, self.side == master.constant_side(order)
-            return partial(tails.master_error, *args), partial(info.fixed, args)
-        return partial(ulp_rule, self) if info.float_rule else None, partial(info.fixed, self.n)
+            return partial(tails.master_error, *args), partial(tails.direct_fixed, info.fixed, None, args)
+        # the kernel takes the lift's u on a row claimed over R+, and u = x on a [0, 1] row
+        fixed = partial(tails.direct_fixed, info.fixed, info.claim_interval == "0:inf", self.n)
+        return partial(ulp_rule, self) if info.float_rule else None, fixed
 
     @property
     def label(self) -> str:

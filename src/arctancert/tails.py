@@ -38,14 +38,13 @@ scan's guards add them (see ``verify``).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
 
 from .master import MAX_ORDER, denominator_product, elementary_symmetric, master_params, pn_coefficients
 from .numerics import require_nonnegative, require_unit
-from .verify import _atan_fixed, _oracle_bits, _shift
+from .verify import _atan_fixed, _oracle_bits, _series, _shift
 
 U = 2.0**-53  # unit roundoff of a double
 _MASTER_TERMS = 30  # terms of master's S past t^(n+1); H takes n + 1 more
@@ -68,28 +67,22 @@ def _pi_fixed(bits: int) -> int:
 @lru_cache(maxsize=None)
 def _pi_top(bits: int) -> int:
     # pi*2^bits within 1.01 units: Machin's pi = 16*arctan(1/5) - 4*arctan(1/239), each
-    # arctan(1/k) = sum_j (-1)^j/((2j + 1)k^(2j+1)) summed in integers at p = bits + g.
-    # P_0 = floor(2^p/k), P_j = floor(P_(j-1)/k^2) lie within 1 + k^-2 + ... <= 25/24
-    # units below Q_j = 2^p/k^(2j+1), so each term floor(P_j/(2j + 1)) within 1 + 25/24
-    # < 2.05 below Q_j/(2j + 1). The loop stops at the first P_J = 0, so Q_J < 25/24, and
-    # the rest, alternating with shrinking terms, is under its first, Q_J/(2J + 1) < 1.05.
-    # P_(J-1) >= 1 puts k^(2J-1) <= 2^p, J <= (p/log2(5) + 1)/2 <= p/4 + 1, so each sum
-    # lies within 2.05(p/4 + 1) + 1.05 < 0.52p + 3.1 units and pi within 20 times that,
-    # 11p + 62. g = bitlength(bits + 64) + 11 makes 2^g > 2048(bits + 64) >= 100(11p + 62)
-    # (1100g grows as a log, below 948*bits + 124,872 for every bits >= 0), so the floored
-    # shift by g lies within 0.01 + 1 units.
+    # arctan(1/k) = (1/k)*sum_j (-1)^j k^(-2j)/(2j + 1) summed by verify._series at p = bits
+    # + g from y = floor(2^p/k^2), then divided by k and floored. The series' P_0 = 2^p and
+    # P_j = floor(P_(j-1)*y/2^p) lie at or below Q_j = 2^p*k^(-2j), by e_j: P_1 = y, so e_1 < 1,
+    # and e_j < e_(j-1)/k^2 + Q_(j-1)/2^p + 1 < 1.09/25 + 1/25 + 1 < 1.09 for j >= 2, k^2 >= 25.
+    # So each term floor(P_j/(2j + 1)) lies within 2.09 below Q_j/(2j + 1), the first exactly.
+    # The loop stops at the first P_J = 0, so Q_J < 1.09, and the rest, alternating with
+    # shrinking terms, is under its first, Q_J/(2J + 1) < 1.09. P_(J-1) >= 1 puts k^(2J-2) <=
+    # 2^p, J <= p/(2*log2(5)) + 1 <= p/4 + 1, so each sum lies within 2.09(p/4 + 1) + 1.09 <
+    # 0.53p + 3.2 units, and after the division and its floor within 0.11p + 1.64 for k = 5 and
+    # 0.003p + 1.02 for k = 239: pi within 16 and 4 times those, under 1.8p + 31. g =
+    # bitlength(bits + 64) + 11 makes 2^g > 2048(bits + 64) >= 100(1.8p + 31) (180g grows as a
+    # log, below 1,868*bits + 127,972 for every bits >= 0), so the floored shift by g lies
+    # within 0.01 + 1 units.
     g = (bits + 64).bit_length() + 11
     p = bits + g
-
-    def arctan_inv(k: int) -> int:
-        k2, t, s, j = k * k, (1 << p) // k, 0, 0
-        while t:
-            s += t // (2 * j + 1) if j % 2 == 0 else -(t // (2 * j + 1))
-            t //= k2
-            j += 1
-        return s
-
-    return (16 * arctan_inv(5) - 4 * arctan_inv(239)) >> g
+    return (16 * (_series((1 << p) // 25, p) // 5) - 4 * (_series((1 << p) // 57121, p) // 239)) >> g
 
 
 def _atan_w(x: float, w: int) -> int:
@@ -313,6 +306,7 @@ def direct_fixed(kernel, lift, n, x: float, w: int):
     given within e_u units, scaled by 2^w with its error in units; u is x on
     [0, 1] (lift False), or the lift's u (lift True), and f is twice the kernel
     there. With lift None the kernel takes x itself, exact: kernel(n, x, w).
+    families.Approximant picks lift from the row's domain.
     """
     if lift is None:
         f, err = kernel(n, x, w)
@@ -398,10 +392,11 @@ def t4_kernel(n, u: int, e_u: float, w: int):
 
 
 def lagrange_kernel(n, u: int, e_u: float, w: int):
-    """core.lagrange_p, n ignored: (pi/16)*u*(4 + sqrt2*(1 - u)), which t5 takes at the lift's u."""
-    # The two Lagrange terms collect to this: (pi/4)*u*(u - sqrt2 + 1)/(2 - sqrt2) has
-    # coefficients pi*(2 + sqrt2)/8 times u^2 + (1 - sqrt2)*u, and (pi/8)*u*(u - 1)/((sqrt2 -
-    # 1)*(sqrt2 - 2)) = -pi*(4 + 3*sqrt2)/16 times u^2 - u. Every step carries its error (_mul).
+    """core.lagrange_p in its collected form, n ignored; t5 takes it at the lift's u."""
+    # The two Lagrange terms collect to (pi/16)*u*(4 + sqrt2*(1 - u)): (pi/4)*u*(u - sqrt2 +
+    # 1)/(2 - sqrt2) has coefficients pi*(2 + sqrt2)/8 times u^2 + (1 - sqrt2)*u, and
+    # (pi/8)*u*(u - 1)/((sqrt2 - 1)*(sqrt2 - 2)) = -pi*(4 + 3*sqrt2)/16 times u^2 - u. Every
+    # step carries its error (_mul).
     one = 1 << w
     _, pi16, _, sqrt2 = _constants(w)
     r, e_r = _mul(sqrt2, (one - u, e_u), w)
@@ -423,23 +418,18 @@ def cf_kernel(n: int, u: int, e_u: float, w: int):
     return (u << w) // d, 3.67 + 2.78 * e_u
 
 
-def _quartic_row(j: int) -> tuple:
-    # 1/(4j+1), 1/(2j+1) and 1/(4j+3), exact: row j of the quartic-ratio series is
-    # q^j*(g/(4j+1) + g^2/(2j+1) + 2g^3/(4j+3)), q = -4g^4.
-    return Fraction(1, 4 * j + 1), Fraction(1, 2 * j + 1), Fraction(1, 4 * j + 3)
-
-
 @lru_cache(maxsize=None)
 def _quartic_coefficients(w: int) -> tuple:
-    # _quartic_row(j) at scale 2^w, the last doubled, each rounded to the nearest unit, for
-    # j = 0..MAX_ORDER: the rows of the partial sums s_n
-    rows = map(_quartic_row, range(MAX_ORDER + 1))
-    return tuple(tuple(_nearest(c.numerator << w, c.denominator) for c in (a, b, 2 * c)) for a, b, c in rows)
+    # 1/(4j+1), 1/(2j+1) and 2/(4j+3) at scale 2^w, each rounded to the nearest unit, for
+    # j = 0..MAX_ORDER: row j of the quartic-ratio series is q^j*(g/(4j+1) + g^2/(2j+1) +
+    # 2g^3/(4j+3)), q = -4g^4, and these rows make the partial sums s_n
+    one, rows = 1 << w, range(MAX_ORDER + 1)
+    return tuple((_nearest(one, 4 * j + 1), _nearest(one, 2 * j + 1), _nearest(2 * one, 4 * j + 3)) for j in rows)
 
 
 def _quartic_sum(n: int, g: int, w: int) -> int:
     # series._quartic_rows(n, g) at g*2^-w in [0, 1/2], scale 2^w: g*(A + g*(B + g*C)) with
-    # A, B, C summing q^j times row j's three coefficients (_quartic_row, the last doubled),
+    # A, B, C summing q^j times row j's three coefficients (_quartic_coefficients),
     # at most 1, 1 and 2/3, by Horner in q = -4g^4, floored once (1 unit). A step errs by its coefficient (1/2 unit),
     # its floor (1), the previous error times |q| <= 1/4, and q's unit times the previous
     # sum, under 4/3 of the next coefficient, at most 0.45: so each of A, B, C within

@@ -277,11 +277,7 @@ def _atan_core(x):
     # (_atan_reduced): the results lie above 2^-7 within 2^9 + 8 units of 2^-wp, or,
     # reflected, above pi/4 within 2^11, so wp keeps _GUARD_BITS beyond mp.prec relative
     # to them.
-    if isinstance(x, float):  # _parts, inline on the oracle's hot path
-        man, den = x.as_integer_ratio()
-        exp = 1 - den.bit_length()
-    else:
-        _, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
+    man, exp = _parts(x)
     if not man:
         return mp.mpf(0)
     wp = _oracle_bits()
@@ -573,7 +569,7 @@ class _Errors:
     e is sign*E in float and B bounds its distance from the mpf value, infinite
     where the guard takes no float value. fixed(x) returns the same from
     _fixed_error, in integer units of 2^-w, w = mp.prec, for search probes, and
-    exact(x) sign*E at mpf for those that reach mpf. value(x) is sign*E as a
+    exact(x) (sign*E, 0) at mpf for those that reach mpf. value(x) is sign*E as a
     _Lazy within the enclosure that fixed(x) gives, for settled points and each
     search's final value. The grid keeps float bounds lo[i] <= sign*E_i <= hi[i]
     on every point, and settle() sets both to the settled value. Evaluations are
@@ -611,7 +607,7 @@ class _Errors:
 
     def exact(self, x: float):
         self.probes_mpf += 1
-        return _signed_error(self.f, self.sign, self.cfg, x)
+        return _signed_error(self.f, self.sign, self.cfg, x), 0
 
     def value(self, x: float) -> _Lazy:
         # sign*E at x within [(m - B)*2^-w, (m + B)*2^-w] from the fixed guard, which
@@ -718,12 +714,13 @@ def _margin_pick(lo, hi, a_lo, a_hi):
 
 
 def _golden_max(err: _Errors, a: float, b: float, best):
-    # golden-section search for the maximum of |E| on [a, b], on three tiers: float,
-    # fixed point, mpf. Comparisons run on a tier while the two budgets settle them; at
-    # the first one they do not, both probes are redone on the next tier, and the search
-    # goes on there. A callable without a fixed-point hook goes from float to mpf. The probe
-    # points depend only on a, b and _INVPHI, so every decision is the one an all-mpf
-    # search makes. The returned maximum is a _Lazy within its fixed-point enclosure.
+    # golden-section search for the maximum of |E| on [a, b], on one ordered list of tiers,
+    # each a probe of err giving (sign*E, budget) and the budget's unit: float, fixed point
+    # where err has a fixed-point hook, mpf. Comparisons run on a tier while the two budgets
+    # settle them; at the first one they do not, both probes are redone on the next tier,
+    # and the search goes on there. The probe points depend only on a, b and _INVPHI, so
+    # every decision is the one an all-mpf search makes. The returned maximum is a _Lazy
+    # within its fixed-point enclosure.
     #
     # best is the largest |E| found so far. Given a bound S on |E'| (err.slope), the
     # search stops and returns None once it cannot beat best. After each probe, with the
@@ -735,21 +732,18 @@ def _golden_max(err: _Errors, a: float, b: float, best):
     # never best's mpf value, keeps the check free of evaluations. U is formed from values
     # in hand in a handful of roundings, of doubles (or of mpf values on the mpf tier),
     # which the factor 1 + 2^-48 covers.
-    def rough(x):
-        e, bud = err.rough(x)
+    tiers = [(err.rough, 1.0), (err.fixed, math.ldexp(1.0, -err.w)), (err.exact, 1.0)]
+    if err.fixed_hook is None:
+        del tiers[1]
+    probe, unit = tiers.pop(0)
+
+    def g(x):
+        e, bud = probe(x)
         return abs(e), bud
-
-    def fixed(x):
-        m, bud = err.fixed(x)
-        return abs(m), bud
-
-    def exact(x):
-        return abs(err.exact(x)), 0
 
     slope = err.slope
     if slope is not None:
         best_lo, pad = _bounds(best, False)[0], 2 * math.ldexp(1.0, -err.k)
-    tier, g, unit = 0, rough, 1.0  # tier 0 float, 1 fixed point in units of 2^-w, 2 mpf
     tol = REFINE_TOL * max(1.0, a / 2 + b / 2)  # halves first: a + b may overflow
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -761,11 +755,8 @@ def _golden_max(err: _Errors, a: float, b: float, best):
             return None
         if not (b - a) > tol:
             break
-        if tier < 2 and not abs(gc - gd) > bc + bd:
-            if tier == 0 and err.fixed_hook is not None:
-                tier, g, unit = 1, fixed, math.ldexp(1.0, -err.w)
-            else:
-                tier, g, unit = 2, exact, 1.0
+        if tiers and not abs(gc - gd) > bc + bd:
+            probe, unit = tiers.pop(0)
             (gc, bc), (gd, bd) = g(c), g(d)
             continue
         if gc < gd:

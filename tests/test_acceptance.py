@@ -162,7 +162,7 @@ def test_criterion_06_lagrange_and_lifted():
     worst = 0.0
     for x in _sample_points(UP_TO_1E6, 1025):
         worst = max(worst, abs(theorem5_approx(x) - 2 * lagrange_p(FLOAT.reduce(x))))
-    ok = rep_p.satisfied and rep_5.satisfied and worst < 1e-12
+    ok = rep_p.satisfied and rep_5.satisfied and worst == 0
     _report(6, "interpolant sup < 1/230, lifted sup < 1/115, identity", ok,
             f"sup_p={rep_p.sup_error:.4e} sup_lift={rep_5.sup_error:.4e} id-worst={worst:.1e}")
 

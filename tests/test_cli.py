@@ -267,26 +267,13 @@ def test_standard_table_csv_unchanged_at_grid_65(monkeypatch, capsys):
 
 
 def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
-    # an all-mpf scan of the grid-65 table makes 9,574 mpf evaluations; the
-    # two-precision scan made 3,702 with the K-ulp budget everywhere and 2,711 with
-    # the series families' tail budgets, 2,592 of them golden-section probes. A
-    # fixed-point tier on the tail rows took 1,875 of those probes, leaving 836; with
-    # every row on it (the tails of master and cheb, every other row's kernel in
-    # integers) it takes 2,500, leaving 211: 119 settled grid points and one final value
-    # per search. Those are now read from their fixed-point enclosures, which decide
-    # every one of them, so the table makes no mpf evaluation. cheb and cheb-lifted then
-    # left their float tail for the K-ulp rule, whose budget of 64 ulp of arctan x decides
-    # fewer of their points: float evaluations fell from 7,185 to 6,608, as fewer searches
-    # stay in float, and fixed probes rose from 2,500 to 3,077. A search now stops once a
-    # proved bound on |E'| shows that it cannot beat the best value: 35 of the 92 searches
-    # end so (two on each cheb and cheb-lifted row but one on cheb n = 0, and one each on
-    # lagrange and t5), which leaves out their later probes and final values: float evaluations fell to 6,318 and
-    # fixed probes to 1,841. search_fixed now also counts each search's final value,
-    # which the fixed tier evaluates as it does a probe: the 57 searches that run to
-    # the end raise it to 1,898. s, w and w-lifted then left their float tails for the
-    # K-ulp rule, whose budget of 64 ulp of arctan x decides fewer of w's and w-lifted's
-    # search comparisons: float evaluations fell to 6,103 and fixed probes rose to 2,113.
-    # The counts are deterministic, so all seven totals are pinned: a count, not a timing
+    # the grid-65 table's evaluations, summed over its 58 reports: float evaluations, mpf
+    # evaluations and of them the golden-section ones, search probes and final values in
+    # fixed point, searches started, grid points settled in fixed point alone, and
+    # searches stopped because a proved bound on |E'| shows they cannot beat the best
+    # value. An all-mpf scan would make 9,574 mpf evaluations; here the float and
+    # fixed-point tiers decide every point, so the table makes none. The counts are
+    # deterministic, so all seven totals are pinned: a count, not a timing
     reports = []
     for name in ("sup_error", "certify_bound"):
         real = getattr(cli, name)
@@ -310,6 +297,8 @@ def test_table_usage_errors(tmp_path, capsys):
     assert run(capsys, "table", "--families", "sf:1..2", "--grid", "129")[0] == 2
     assert run(capsys, "table", "--families", "cf:a..b", "--grid", "129")[0] == 2
     assert run(capsys, "table", "--families", "cf:3..1", "--grid", "129")[0] == 2
+    code, _, err = run(capsys, "table", "--families", "nosuch", "--grid", "129")
+    assert code == 2 and "unknown family 'nosuch'; see the 'list' command" in err
     code, _, err = run(
         capsys,
         "table", "--families", "cf:1..1", "--grid", "129",

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -253,15 +253,32 @@ def test_sin_cos_forms_agree_with_the_paper_forms():
 
 
 def test_theorem5_matches_lifted_interpolant():
-    for x in (0.5, 2.0, 100.0):
-        assert abs(theorem5_approx(x) - LiftedApproximant(lagrange_p)(x)) < 1e-12
+    for x in (0.0, 0.5, 2.0, 100.0, 1e150):
+        assert theorem5_approx(x) == LiftedApproximant(lagrange_p)(x)
+
+
+def _theorem5_closed_form(x, c):
+    # theorem 5 as pi/8 * r*(4 + sqrt2*(1 - r)) in the reduced argument r, written out
+    r = c.reduce(x)
+    return c.pi / 8 * r * (4 + c.sqrt2 * (1 - r))
+
+
+@given(st.one_of(st.just(0.0), st.floats(-150.0, 150.0).map(lambda t: 10.0**t), st.floats(0.0, 1.0)))
+@settings(max_examples=300, deadline=None)
+def test_theorem5_equals_its_closed_form_bit_for_bit(x):
+    # 2*lagrange_p(r) scales (pi/16)*r by 2 exactly wherever nothing is subnormal, at
+    # float and at mpf; below 1e-150, where neither float guard takes a value, it may not
+    assume(x == 0 or x >= 1e-150)
+    assert theorem5_approx(x) == _theorem5_closed_form(x, FLOAT)
+    with mp.workdps(50):
+        assert theorem5_approx(mp.mpf(x)) == _theorem5_closed_form(mp.mpf(x), MPF)
 
 
 def test_lift_identities(cfg):
     with mp.workdps(50):
         f = lambda u: oracle_arctan(u, cfg)
         assert abs(LiftedApproximant(f)(mp.mpf(1)) - oracle_arctan(1.0, cfg)) < mp.mpf(10) ** -30
-    assert LiftedApproximant(lagrange_p)(1.0) == pytest.approx(theorem5_approx(1.0), rel=1e-14)
+    assert LiftedApproximant(lagrange_p)(1.0) == theorem5_approx(1.0)
     assert LiftedApproximant(lagrange_p)(0.0) == 2 * lagrange_p(0.0)
 
 

@@ -163,3 +163,55 @@ def test_slope_bounds_the_error_derivative(case):
         e_x, e_y = (ap(mp.mpf(v)) - oracle_arctan(v, cfg) for v in (x, y))
         gap = ap.slope * (mp.mpf(y) - mp.mpf(x)) + 2 * mp.ldexp(1, -_mpf_term_bits())
         assert abs(e_x - e_y) <= gap, (ap.label, x, y)
+
+
+def test_unknown_family_raises_value_error():
+    with pytest.raises(ValueError, match="unknown family 'nosuch'"):
+        Approximant("nosuch")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"family": "sf"},
+        {"family": "t2", "side": "middle"},
+        {"family": "master", "n": 2, "side": None},
+        {"family": "cf", "n": 1, "side": "lower"},
+        {"family": "t5", "side": "upper"},
+    ],
+    ids=lambda kw: "-".join(str(v) for v in kw.values()),
+)
+def test_side_is_checked_against_the_kind(kwargs):
+    # a pair needs side lower or upper; every other row takes none
+    with pytest.raises(ValueError, match="side"):
+        Approximant(**kwargs)
+
+
+# each non-pair row's integer kernel, and whether its domain, 0:inf or 0:1, implies the lift
+FIXED_KERNELS = {
+    "t4": (tails.t4_kernel, True),
+    "lagrange": (tails.lagrange_kernel, False),
+    "t5": (tails.lagrange_kernel, True),
+    "cheb": (tails.cheb_kernel, False),
+    "cheb-lifted": (tails.cheb_kernel, True),
+    "cf": (tails.cf_kernel, False),
+    "cf-lifted": (tails.cf_kernel, True),
+    "s": (tails.s_kernel, False),
+    "t": (tails.t_kernel, False),
+    "w": (tails.w_kernel, False),
+    "w-lifted": (tails.w_kernel, True),
+}
+
+
+def test_every_non_pair_row_has_a_fixed_kernel_case():
+    assert set(FIXED_KERNELS) == {ident for ident, info in FAMILIES.items() if info.kind is not BoundKind.TWO_SIDED}
+
+
+@pytest.mark.parametrize("ident", list(FIXED_KERNELS))
+def test_fixed_rule_takes_the_lift_its_domain_implies(ident):
+    kernel, lift = FIXED_KERNELS[ident]
+    info = FAMILIES[ident]
+    n = max(info.n_min, 3) if info.needs_n else None
+    ap = Approximant(ident, n=n)
+    for x in (0.5, 3.0) if lift else (0.5,):
+        assert ap.fixed_error(x, 169) == tails.direct_fixed(kernel, lift, n, x, 169), (ident, x)
