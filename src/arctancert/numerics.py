@@ -7,13 +7,13 @@ margins without double rounding getting in the way.
 
 The choice is made once per call, by the ``require_*`` validator the kernel
 calls on its argument: it returns the argument's row, ``FLOAT`` (the ``math``
-functions, double pi and sqrt2, ``1.0``) or ``MPF`` (the mpmath functions,
-with pi and sqrt2 read at the active precision on each access), and the
-kernel takes every function and constant it needs from that row. Both rows
-share two overflow-free argument maps: ``reduce``, the half-angle reduction,
-and ``sincos``, the sine and cosine of arctan x, in which the closed-form
-kernels are written so that no x from 0 to the top of the float range
-squares or overflows.
+functions, double pi and sqrt2) or ``MPF`` (the mpmath functions, with pi and
+sqrt2 read at the active precision on each access), and the kernel takes
+every function and constant it needs from that row. Both rows share two
+overflow-free argument maps: ``reduce``, the half-angle reduction, and
+``sincos``, the sine and cosine of arctan x, in which the closed-form kernels
+are written so that no x from 0 to the top of the float range squares or
+overflows.
 """
 
 from __future__ import annotations
@@ -46,14 +46,13 @@ class _Row:
 
 class _FloatRow(_Row):
     hypot, fsum, isfinite, sqrt = math.hypot, math.fsum, math.isfinite, math.sqrt
-    one, pi, sqrt2 = 1.0, math.pi, math.sqrt(2.0)
+    pi, sqrt2 = math.pi, math.sqrt(2.0)
     prec = 0  # cache key: this row has a single precision
 
 
 class _MpfRow(_Row):
     hypot, fsum, isfinite = mp.hypot, mp.fsum, mp.isfinite
     sqrt = staticmethod(mp.sqrt)  # a plain function, unlike the bound methods above
-    one = _MPF(1)  # exact at every precision
     pi = property(lambda self: +mp.pi)
     sqrt2 = property(lambda self: mp.sqrt(2))
     prec = property(lambda self: mp.prec)

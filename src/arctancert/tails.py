@@ -15,11 +15,14 @@ lying within err units of 2^-w of E: its kernel in integers scaled by 2^w, at
 x itself, at u = x on [0, 1] or at the lift's u, less arctan x from the
 oracle's fixed-point arctan, which reduces x against a cached anchor next to
 it (_atan_w, verify._atan_fixed). The kernels are master's nested radicals
-(sf and t2 too), t4 and lagrange in closed form (t5 is lagrange at the lift's
-u), cheb's Clenshaw sum over coefficients from an integer recurrence
-(_cheb_ints), cf's backward recurrence, and the quartic rows' partial sums
-(s, t and their blend w; Cuyt et al., Handbook of Continued Fractions for
-Special Functions, ch. 11, for cf).
+(sf and t2 too), t4 and lagrange in closed form, each one quotient or one
+product of exact powers of u and the constants pi, 4/pi and sqrt2 (t5 is
+lagrange at the lift's u), cheb's Clenshaw sum over coefficients from an
+integer recurrence (_cheb_ints), cf's backward recurrence, and the quartic
+rows' partial sums (s, t and their blend w; Cuyt et al., Handbook of Continued
+Fractions for Special Functions, ch. 11, for cf). pi, there and in master's
+coefficients, is 4*arctan 1 from the oracle's table of centres
+(_pi_fixed, verify._centres).
 
 The float bounds are first order in the unit roundoff U; every constant
 carries a few percent of slack for the second-order terms. Quantities that
@@ -30,9 +33,11 @@ one, each coefficient under 1/2 and a little, and the sums are arranged
 Horner in q below 1) so that no step's error grows on its way to the result
 (Brent & Zimmermann, Modern Computer Arithmetic, ch. 1 and 4); master's
 radicals, which can double an error a step, run at guard bits, and the closed
-forms carry each step's error with its value (_mul, _div, _sqrt). Neither b
-nor err includes the mpf term, nor the final ulp(e) or rounding up: the
-scan's guards add them (see ``verify``).
+forms floor only a root, a shift and their final quotient or product, every
+other step being exact. e_u, the units a kernel's argument may lie off by,
+enters err through a proved bound on the kernel's slope. Neither b nor err
+includes the mpf term, nor the final ulp(e) or rounding up: the scan's guards
+add them (see ``verify``).
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from mpmath import mp
 
 from .master import MAX_ORDER, denominator_product, elementary_symmetric, master_params, pn_coefficients
 from .numerics import require_nonnegative, require_unit
-from .verify import _atan_fixed, _oracle_bits, _series, _shift
+from .verify import _CENTRES, _atan_fixed, _centres, _shift
 
 U = 2.0**-53  # unit roundoff of a double
 _MASTER_TERMS = 30  # terms of master's S past t^(n+1); H takes n + 1 more
@@ -59,61 +64,23 @@ def _nearest(num: int, den: int) -> int:
 
 
 def _pi_fixed(bits: int) -> int:
-    # pi*2^bits within 1.01 units, shifted at least 8 bits down from _pi_top
-    top = -(-(bits + 8) // 512) * 512
-    return _pi_top(top) >> (top - bits)
-
-
-@lru_cache(maxsize=None)
-def _pi_top(bits: int) -> int:
-    # pi*2^bits within 1.01 units: Machin's pi = 16*arctan(1/5) - 4*arctan(1/239), each
-    # arctan(1/k) = (1/k)*sum_j (-1)^j k^(-2j)/(2j + 1) summed by verify._series at p = bits
-    # + g from y = floor(2^p/k^2), then divided by k and floored. The series' P_0 = 2^p and
-    # P_j = floor(P_(j-1)*y/2^p) lie at or below Q_j = 2^p*k^(-2j), by e_j: P_1 = y, so e_1 < 1,
-    # and e_j < e_(j-1)/k^2 + Q_(j-1)/2^p + 1 < 1.09/25 + 1/25 + 1 < 1.09 for j >= 2, k^2 >= 25.
-    # So each term floor(P_j/(2j + 1)) lies within 2.09 below Q_j/(2j + 1), the first exactly.
-    # The loop stops at the first P_J = 0, so Q_J < 1.09, and the rest, alternating with
-    # shrinking terms, is under its first, Q_J/(2J + 1) < 1.09. P_(J-1) >= 1 puts k^(2J-2) <=
-    # 2^p, J <= p/(2*log2(5)) + 1 <= p/4 + 1, so each sum lies within 2.09(p/4 + 1) + 1.09 <
-    # 0.53p + 3.2 units, and after the division and its floor within 0.11p + 1.64 for k = 5 and
-    # 0.003p + 1.02 for k = 239: pi within 16 and 4 times those, under 1.8p + 31. g =
-    # bitlength(bits + 64) + 11 makes 2^g > 2048(bits + 64) >= 100(1.8p + 31) (180g grows as a
-    # log, below 1,868*bits + 127,972 for every bits >= 0), so the floored shift by g lies
-    # within 0.01 + 1 units.
-    g = (bits + 64).bit_length() + 11
-    p = bits + g
-    return (16 * (_series((1 << p) // 25, p) // 5) - 4 * (_series((1 << p) // 57121, p) // 239)) >> g
+    # pi*2^bits within 1.01 units: 4*T_N from the oracle's centre table at top bits, T_N =
+    # arctan 1, shifted down by s = top - bits >= g and floored. _centres' links put T_N within
+    # N*(3.07 + top/384) units of 2^-top at any top, so 4*T_N within 786 + 2*top/3. With g = 20
+    # while bits < 2^13, top < 8,723 and that is under 0.0064*2^20; beyond, g = bitlength(bits)
+    # + 7 makes 2^g > 128*bits while top < 1.07*bits, and it is under 0.0064*2^g again. The
+    # shift leaves under 0.007 units, and its floor one more. top, a multiple of 512, keeps
+    # few tables.
+    top = -(-(bits + max(20, bits.bit_length() + 7)) // 512) * 512
+    return 4 * _centres(top)[_CENTRES] >> (top - bits)
 
 
 def _atan_w(x: float, w: int) -> int:
-    # arctan x at scale 2^w within 1.01 units: verify._atan_fixed at the oracle's bits,
-    # at least 40 above w, within 2^11 units of 2^-wp there, shifted down and floored
-    wp = max(_oracle_bits(), w + 40)
-    return _atan_fixed(x, wp) >> (wp - w)
-
-
-def _mul(a, b, w: int):
-    # the product of fixed values a = (m, e) and b at scale 2^w, floored: m*2^-w lies
-    # within e units of 2^-w of its value, so the product within |a|e_b + |b|e_a + e_a e_b
-    # units, and one more for the floor
-    (x, ex), (y, ey) = a, b
-    one = 1 << w
-    return (x * y) >> w, (abs(x) * ey + abs(y) * ex + ex * ey) / one + 1
-
-
-def _div(a, b, w: int):
-    # a/b at scale 2^w for b > e_b, floored: within (e_a + |a/b|e_b)/(b - e_b) units, and
-    # one more for the floor
-    (x, ex), (y, ey) = a, b
-    q = (x << w) // y
-    return q, (ex + (abs(q) + 1) * ey / (1 << w)) / ((y - ey) / (1 << w)) + 1
-
-
-def _sqrt(a, w: int):
-    # the root of a fixed value a = (m, e) > 0 at scale 2^w, floored: |sqrt(A) - sqrt(a)| =
-    # |A - a|/(sqrt(A) + sqrt(a)) <= e/sqrt(a) units, and one more for the floor
-    x, ex = a
-    return math.isqrt(x << w), ex / math.sqrt(x / (1 << w)) + 1
+    # arctan x at scale 2^w within 1.01 units: verify._atan_fixed at wp = w + 40 errs by three
+    # table values' errors and 11 units more, under 602 + wp/2 units of 2^-wp at any wp
+    # (_centres), so by under 0.01 units of 2^-w for w below 2^34 once shifted down, and the
+    # shift floors one more
+    return _atan_fixed(x, w + 40) >> 40
 
 
 def _horner_constants(coeffs, bits):
@@ -367,40 +334,50 @@ def _master_constants(n: int, constant_side: bool, big: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _constants(w: int) -> tuple:
-    # pi, pi/16, 4/pi and sqrt2 at scale 2^w as fixed values (m, e): pi and pi/16 within 1.01
-    # units (_pi_fixed), 4/pi by _div, sqrt2 by isqrt, floored, within one
-    pi = _pi_fixed(w), 1.01
-    return pi, (_pi_fixed(w - 4), 1.01), _div((4 << w, 0), pi, w), (math.isqrt(2 << (2 * w)), 1)
+    # pi, 4/pi and sqrt2 at scale 2^w: pi within 1.01 units (_pi_fixed); 4/pi = 2^(2w+2)/pi,
+    # within 4*1.01/pi^2 < 0.41 units before its floor and 1.41 after; sqrt2 by isqrt, floored,
+    # within one
+    pi = _pi_fixed(w)
+    return pi, (4 << 2 * w) // pi, math.isqrt(2 << (2 * w))
 
 
 def t4_kernel(n, u: int, e_u: float, w: int):
     """Half of core.theorem4_upper at the lift's u, n ignored.
 
-    That is pi*u/((4/pi)*(1 - u^2) + sqrt2*(1 + u)*sqrt(1 + u^2)), u*2^-w given within
-    e_u units.
+    That is pi*u/((4/pi)*(1 - u^2) + sqrt2*(1 + u)*sqrt(1 + u^2)), u*2^-w in [0, 1] given
+    within e_u units.
     """
     # With t = arctan x = 2*arctan u, sin t = 2u/(1 + u^2), cos t = (1 - u^2)/(1 + u^2) and
     # sqrt(2 + 2 sin t) = sqrt2*(1 + u)/sqrt(1 + u^2); multiplying pi*sin t/((4/pi)*cos t +
-    # sqrt(2 + 2 sin t)) through by 1 + u^2 gives twice this. Every step carries its error
-    # (_mul, _div, _sqrt); the denominator is at least 4/pi + sqrt2 > 2.6.
-    one = 1 << w
-    pi, _, four_over_pi, sqrt2 = _constants(w)
-    uu, e_uu = _mul((u, e_u), (u, e_u), w)
-    den = _mul(four_over_pi, (one - uu, e_uu), w)
-    r = _mul(_mul(sqrt2, (one + u, e_u), w), _sqrt((one + uu, e_uu), w), w)
-    return _div(_mul(pi, (u, e_u), w), (den[0] + r[0], den[1] + r[1]), w)
+    # sqrt(2 + 2 sin t)) through by 1 + u^2 gives twice F = pi*u/D. D, at scale 2^(3w) with
+    # u^2 exact, errs by under 4.25 units of 2^-w for w >= 16: 4/pi's 1.41 times 1 - u^2 <= 1,
+    # sqrt2's one times (1 + u)*sqrt(1 + u^2) <= 2.83, and the floored root of 1 + u^2, within
+    # one unit of 2^-2w, and the final shift, under 0.01. D' >= 1 + u + 2u^2 - (8/pi)*u > 0.7,
+    # since sqrt2*d((1 + u)*sqrt(1 + u^2))/du = sqrt2*(1 + u + 2u^2)/sqrt(1 + u^2), so D >=
+    # 4/pi + sqrt2 + 0.7u > 2.68 + 0.7u: u/D < 0.3 and pi*u/D^2 < 0.28 on [0, 1]. pi's 1.01
+    # units times u then move F by under 0.31 units, D's error, under 0.001*D, by under
+    # 0.28*4.25/0.999 < 1.2, and the quotient floors once: 2.51 units. Across u, D' <= 4 (the
+    # root's derivative grows to 4 at u = 1), so 0 <= u*D' <= 4 < 2D and |F'| = pi*|D -
+    # u*D'|/D^2 <= pi/D < 1.17, which bounds e_u's effect.
+    w2 = 2 * w
+    pi, four_over_pi, sqrt2 = _constants(w)
+    uu = u * u
+    root = math.isqrt(((1 << w2) + uu) << w2)
+    den = four_over_pi * ((1 << w2) - uu) + ((sqrt2 * ((1 << w) + u) * root) >> w)
+    return (pi * u << w2) // den, 2.51 + 1.17 * e_u
 
 
 def lagrange_kernel(n, u: int, e_u: float, w: int):
     """core.lagrange_p in its collected form, n ignored; t5 takes it at the lift's u."""
     # The two Lagrange terms collect to (pi/16)*u*(4 + sqrt2*(1 - u)): (pi/4)*u*(u - sqrt2 +
     # 1)/(2 - sqrt2) has coefficients pi*(2 + sqrt2)/8 times u^2 + (1 - sqrt2)*u, and
-    # (pi/8)*u*(u - 1)/((sqrt2 - 1)*(sqrt2 - 2)) = -pi*(4 + 3*sqrt2)/16 times u^2 - u. Every
-    # step carries its error (_mul).
-    one = 1 << w
-    _, pi16, _, sqrt2 = _constants(w)
-    r, e_r = _mul(sqrt2, (one - u, e_u), w)
-    return _mul(pi16, _mul((u, e_u), ((4 << w) + r, e_r), w), w)
+    # (pi/8)*u*(u - 1)/((sqrt2 - 1)*(sqrt2 - 2)) = -pi*(4 + 3*sqrt2)/16 times u^2 - u. In one
+    # product at scale 2^(4w), floored once: pi's 1.01 units times u*(4 + sqrt2*(1 - u))/16,
+    # which grows on [0, 1] to 4/16, move it by under 0.26 units, sqrt2's one times
+    # (pi/16)*u*(1 - u) <= pi/64 by under 0.05, and the floor adds one: 1.31 units. Across u,
+    # p'(u) = (pi/16)*(4 + sqrt2 - 2*sqrt2*u) lies in [0.5, 1.07], which bounds e_u's effect.
+    pi, _, sqrt2 = _constants(w)
+    return (pi * u * ((4 << 2 * w) + sqrt2 * ((1 << w) - u))) >> (3 * w + 4), 1.31 + 1.07 * e_u
 
 
 def cf_kernel(n: int, u: int, e_u: float, w: int):

@@ -10,7 +10,8 @@ fixed point with guard bits beyond the working precision, and the result is
 rounded once, so it lies within one unit in the last place at working
 precision. pi is taken from the exact-rational Machin series and
 cross-checked, to 4 ulp, against 4*arctan(1) from the table once per working
-precision.
+precision; the fixed-point tier's integer pi is the table's 4*arctan(1)
+itself (tails._pi_fixed).
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested closed interval (a tan-mapped grid when it is
@@ -195,8 +196,8 @@ def _centres(wp: int) -> tuple:
     # Guard-bit budget: a link errs by under 3 + terms/32 units of 2^-wp (the quotient and
     # the final product under one each; the series' error, under 1.5 units a term, scaled
     # by z <= 2^-6), and the series takes under wp/12 + 2 terms, so T_k errs by under
-    # N*(3 + wp/384) units: under 2^9 up to wp of about 1,900 bits (570 digits), one bit
-    # more per doubling of wp beyond. Measured: under 65 units at wp = 150..4,800.
+    # N*(3.07 + wp/384) units at any wp: under 2^9 up to wp of about 1,880 bits (565 digits),
+    # one bit more per doubling of wp beyond. Measured: under 65 units at wp = 150..4,800.
     n = _CENTRES
     t = [0]
     for k in range(n):
@@ -219,7 +220,7 @@ def _oracle_bits() -> int:
 
 
 def _atan_fixed(x, wp: int) -> int:
-    # arctan of x >= 0 scaled by 2^wp, within 2^11 units of 2^-wp for wp up to 1,900.
+    # arctan of x >= 0 scaled by 2^wp, within 2^11 units of 2^-wp for wp up to 1,880.
     # x = m*2^e is split at its anchor x0 = m0*2^e <= x, m0 the top _ANCHOR_BITS bits of m:
     # arctan x = arctan x0 + arctan z with z = (x - x0)/(1 + x*x0), both terms >= 0. The
     # anchor (_anchor) lies within 3*2^9 + 8 units. m - m0 < 2^-19*m puts x - x0 below

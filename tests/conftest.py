@@ -29,7 +29,7 @@ def nested_radical_seq(j: int, x) -> list:
     """
     require_int(j, "j", 0)
     c = require_nonnegative(x)
-    val = c.one
+    val = c.sqrt(1)  # L_0 = 1, in the row's number type
     out = [val]
     for _ in range(j):
         val = val + c.hypot(x, val)

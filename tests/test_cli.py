@@ -345,7 +345,8 @@ def test_help_exits_zero(capsys):
 # smallest margin, so x = 1000 is no longer settled: `2 fixed` became `1 fixed`), and
 # once w left its float tail for the K-ulp rule, whose wider budget leaves more of its
 # search's comparisons to the fixed-point tier (`128 float ... 25 fixed (24 in search)`
-# became `111 float ... 42 fixed (41 in search)`):
+# became `111 float ... 42 fixed (41 in search)`). lagrange and t5, recorded before their
+# fixed kernels took floored integer steps, pin the fixed tier's closed forms:
 # (arguments after --family, exit code, CSV output, text output)
 CERTIFY_GOLDEN = [
     (
@@ -391,6 +392,44 @@ grid         65
 sup_error    3.1055780725045341e-02  at x = 0.47296478124498853
 min_gap      4.7571149937668428e-18
 evals        65 float, 0 mpf (0 in search), 2 fixed (0 in search), 0 refined (0 pruned), 0 oracle cold
+satisfied    true
+""",
+    ),
+    (
+        "lagrange --interval 0:1",
+        0,
+        """\
+family,n,interval,sup_error,arg_max,claimed_bound,satisfied
+lagrange,,0:1,4.3299841293913391e-03,1.5677702546291636e-01,4.3478260869565218e-03,true
+""",
+        """\
+family       lagrange
+interval     0:1
+kind         approximation
+grid         65
+sup_error    4.3299841293913391e-03  at x = 0.15677702546291636
+claimed      4.3478260869565218e-03
+min_gap      1.7841957565182540e-05
+evals        127 float, 0 mpf (0 in search), 39 fixed (31 in search), 2 refined (1 pruned), 0 oracle cold
+satisfied    true
+""",
+    ),
+    (
+        "t5 --interval 0:inf",
+        0,
+        """\
+family,n,interval,sup_error,arg_max,claimed_bound,satisfied
+t5,,0:inf,8.6599682587826781e-03,3.2145510749300665e-01,8.6956521739130436e-03,true
+""",
+        """\
+family       t5
+interval     0:inf
+kind         approximation
+grid         65
+sup_error    8.6599682587826781e-03  at x = 0.32145510749300665
+claimed      8.6956521739130436e-03
+min_gap      3.5683915130365079e-05
+evals        100 float, 0 mpf (0 in search), 34 fixed (32 in search), 2 refined (1 pruned), 0 oracle cold
 satisfied    true
 """,
     ),

@@ -7,9 +7,18 @@ from hypothesis import strategies as st
 from mpmath import bernfrac, mp
 
 from arctancert import tails
+from arctancert.core import lagrange_p, theorem4_upper
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant
 from arctancert.master import MAX_ORDER
-from arctancert.series import cheb_coefficients, machin_pi_fraction
+from arctancert.series import (
+    blend_w,
+    cf_arctan,
+    cheb_arctan,
+    cheb_coefficients,
+    machin_pi_fraction,
+    taylor1_s,
+    taylor1_t,
+)
 from arctancert.verify import (
     BoundKind,
     Interval,
@@ -185,12 +194,45 @@ def test_library_atan_within_one_ulp_at_the_table_grid_points():
                     assert abs(math.atan(x) - ref) <= math.ulp(float(ref)), x
 
 
-@pytest.mark.parametrize("bits", [64, 512, 2048])
+@pytest.mark.parametrize("bits", [0, 1, 63, 64, 167, 491, 492, 512, 1000, 2048, 5120])
 def test_integer_machin_pi_lies_within_its_bound(bits):
-    # the exact Machin fraction at bits/4 + 4 rows lies within 4*324^-rows of pi, far
-    # below one unit of 2^-bits, so it stands for pi here
+    # the fixed tier's pi, 4*arctan 1 from the oracle's centre table, within 1.01 units of
+    # 2^-bits, on both sides of the table widths' steps of 512 bits. The exact Machin
+    # fraction at bits/4 + 4 rows lies within 4*324^-rows of pi, far below one unit of
+    # 2^-bits, so it stands for pi here
     exact = machin_pi_fraction(bits // 4 + 4) * 2**bits
-    assert abs(tails._pi_top(bits) - exact) <= Fraction(101, 100)
+    assert abs(tails._pi_fixed(bits) - exact) <= Fraction(101, 100)
+
+
+# each fixed kernel of an argument u in [0, 1], with the function it computes there and
+# its lowest order; t4's is half of Theorem 4 at the x whose lift is u
+UNIT_KERNELS = {
+    "cheb": (tails.cheb_kernel, cheb_arctan, 0),
+    "cf": (tails.cf_kernel, cf_arctan, 1),
+    "s": (tails.s_kernel, taylor1_s, 0),
+    "t": (tails.t_kernel, taylor1_t, 0),
+    "w": (tails.w_kernel, blend_w, 0),
+    "t4": (tails.t4_kernel, lambda n, u: theorem4_upper(2 * u / (1 - u * u)) / 2, None),
+    "lagrange": (tails.lagrange_kernel, lambda n, u: lagrange_p(u), None),
+}
+
+
+@pytest.mark.parametrize("e_u", [0, 1, 2, 8])
+@pytest.mark.parametrize("name", UNIT_KERNELS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_unit_kernel_budget_covers_an_argument_off_by_e_u_units(name, e_u, data):
+    # the kernel at u = u0 + d, |d| <= e_u, lies within its err of f(u0*2^-w)*2^w, f at mpf
+    # 64 bits deeper: err's slope term covers every e_u, where the table's rows pass only
+    # 0 to 2 (u of a lift lies within 2 units). u stays in [0, 1], as the rules keep it
+    kernel, f, n_min = UNIT_KERNELS[name]
+    w = data.draw(st.sampled_from([64, 169]), "w")
+    n = None if n_min is None else data.draw(st.integers(n_min, MAX_ORDER), "n")
+    u0 = data.draw(st.one_of(st.sampled_from([0, 1, (1 << w) - 1]), st.integers(0, (1 << w) - 1)), "u0")
+    d = data.draw(st.one_of(st.sampled_from([-e_u, e_u]), st.integers(-e_u, e_u)), "d")
+    m, err = kernel(n, min(max(u0 + d, 0), 1 << w), e_u, w)
+    with mp.workprec(w + 64):
+        assert abs(m - mp.ldexp(f(n, mp.ldexp(u0, -w)), w)) <= err, (name, n, w, u0, d, m, err)
 
 
 @pytest.mark.parametrize("w", [64, 160, 256])
