@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from . import core, master, series, tails
 from .numerics import require_int
-from .verify import BoundKind
+from .verify import BoundKind, Interval
 
 _SQRT2 = math.sqrt(2)
 # K: at float every kernel but t's lies within K/4 ulp of arctan x of its mpf
@@ -39,7 +39,13 @@ class FamilyInfo:
     lift's u where claim_interval is 0:inf and at u = x where it is 0:1.
     slope maps n to a proved bound on |dE/dx| over the row's domain, E = f -
     arctan, which lets the scan stop a golden-section search that cannot beat
-    its best value; it is None where a row has none.
+    its best value; it is None where a row has none. monotone is a proved
+    direction of |E| in x over the claim interval, at every order, with a
+    rate: +1 where |E| rises, d log|E|/dx >= 1/(c(1 + c)) with c = max(1, x),
+    -1 where it falls as fast, 0 (the default) no claim. Where the scanned
+    interval lies within the claim interval, the scan skips the search at the
+    grid end |E| grows toward wherever the rate shows that the search cannot
+    beat that end's value (verify._end_holds).
     """
 
     ident: str
@@ -58,6 +64,7 @@ class FamilyInfo:
     float_rule: bool = True
     fixed: Optional[Callable] = None
     slope: Optional[Callable] = None
+    monotone: int = 0
 
 
 @lru_cache(maxsize=None)
@@ -107,18 +114,37 @@ FAMILIES: dict[str, FamilyInfo] = {
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
                    slope=_cheb_slope, fixed=tails.cheb_kernel),
+        # cf's |E| rises on (0, 1] at the monotone rate. arctan(x)/x = F(z) = int dmu(s)/(1 +
+        # zs), z = x^2, dmu = ds/(2sqrt(s)) on [0, 1], a Stieltjes function, and depth n of
+        # series.cf_arctan is its Pade approximant R = [m-1/m] (n = 2m - 1) or [m/m] (n = 2m)
+        # in z (Cuyt et al., ch. 11). The m-point Gauss rule of dmu gives F - [m-1/m] = z^(2m)
+        # int q_m(s)^2 dmu(s) / ((1 + zs) prod_i (1 + z s_i)^2), q_m the degree-m orthogonal
+        # polynomial of dmu and s_i in (0, 1) its zeros (Baker & Graves-Morris, Pade
+        # Approximants, 2nd ed., ch. 5). The integrand's log-derivative in z is (sum_i 2/(1 +
+        # z s_i) - zs/(1 + zs))/z, positive for z <= 1, where each 2/(1 + z s_i) >= 1 > zs/(1 +
+        # zs). [m/m] follows the same way from F = 1 - zG, G(z) = int s dmu(s)/(1 + zs), with
+        # one factor z more. So |F - R| rises with z, and |E| = x|F - R| has d log|E|/dx >=
+        # 1/x. cf-lifted's E(x) = 2E_cf(u) at the lift's u, so on [0, inf) its d log|E|/dx >=
+        # d log u/dx = 1/(x sqrt(1 + x^2)) >= 1/(x(1 + x)).
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
-                   kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n, fixed=tails.cf_kernel),
+                   kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n, fixed=tails.cf_kernel, monotone=1),
         FamilyInfo("cf-lifted", "continued fraction, lifted", "4^-n", "[0,∞)", _APPROX, True, 1,
-                   kernel=series.cf_arctan, claim=lambda n: 4.0**-n, lifted=True, fixed=tails.cf_kernel),
-        # the pointwise envelopes of s and t peak at 4^-n
+                   kernel=series.cf_arctan, claim=lambda n: 4.0**-n, lifted=True, fixed=tails.cf_kernel,
+                   monotone=1),
+        # the pointwise envelopes of s and t peak at 4^-n. s's |E| rises on (0, 1] at the
+        # monotone rate: its rows sum the integrand of arctan u = int_0^g (1 + 2t + 2t^2)/(1 +
+        # 4t^4) dt, g = u/(1 + u), as a geometric series in -4t^4, so E_s = -(-4)^(n+1) H(g),
+        # H(g) = int_0^g h, h(t) = t^(4n+4)/(1 - 2t + 2t^2) > 0. h rises on [0, 1/2], which
+        # holds g, so H <= g*h(g) and d log|E_s|/du >= g'/g = 1/(u(1 + u)). t's E_t(u) =
+        # -E_s(v), v = (1 - u)/(1 + u), v' = -2/(1 + u)^2, so d log|E_t|/du <= v'/(v(1 + v)) =
+        # -1/(1 - u) <= -1 on [0, 1).
         FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n, fixed=tails.s_kernel),
+                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n, fixed=tails.s_kernel, monotone=1),
         # no float rule: t's float kernel is pi/4 less a row near pi/4, so near u = 0 it errs by
         # ulps of pi/4, far more than the K-ulp rule allows of arctan u; the fixed tier decides t
         FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.taylor1_t, claim=lambda n: 4.0**-n,
-                   float_rule=False, fixed=tails.t_kernel),
+                   float_rule=False, fixed=tails.t_kernel, monotone=-1),
         FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.blend_w, claim=lambda n: 20.0**-n, fixed=tails.w_kernel),
         FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
@@ -207,6 +233,16 @@ class Approximant:
         """The registry's proved bound on |dE/dx| over the row's domain; None without one."""
         slope = family_info(self.family).slope
         return None if slope is None else slope(self.n)
+
+    @property
+    def monotone(self) -> int:
+        """The registry's proved direction of |E| over claim_interval, 1 or -1 (see FamilyInfo); 0 for none."""
+        return family_info(self.family).monotone
+
+    @property
+    def claim_interval(self) -> Interval:
+        """The interval the registry's claims (bound, monotone) apply to."""
+        return Interval.parse(family_info(self.family).claim_interval)
 
     def __call__(self, x):
         # the side is picked here, not by a wrapper, so a raising kernel's

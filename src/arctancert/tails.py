@@ -21,8 +21,8 @@ lagrange at the lift's u), cheb's Clenshaw sum over coefficients from an
 integer recurrence (_cheb_ints), cf's backward recurrence, and the quartic
 rows' partial sums (s, t and their blend w; Cuyt et al., Handbook of Continued
 Fractions for Special Functions, ch. 11, for cf). pi, there and in master's
-coefficients, is 4*arctan 1 from the oracle's table of centres
-(_pi_fixed, verify._centres).
+coefficients, is mpmath's floor(pi*2^bits), from the series behind mp.pi
+(_pi_fixed).
 
 The float bounds are first order in the unit roundoff U; every constant
 carries a few percent of slack for the second-order terms. Quantities that
@@ -46,10 +46,11 @@ import math
 from functools import lru_cache
 
 from mpmath import mp
+from mpmath.libmp import pi_fixed
 
 from .master import MAX_ORDER, denominator_product, elementary_symmetric, master_params, pn_coefficients
 from .numerics import require_nonnegative, require_unit
-from .verify import _CENTRES, _atan_fixed, _centres, _shift
+from .verify import _atan_fixed, _shift
 
 U = 2.0**-53  # unit roundoff of a double
 _MASTER_TERMS = 30  # terms of master's S past t^(n+1); H takes n + 1 more
@@ -64,15 +65,10 @@ def _nearest(num: int, den: int) -> int:
 
 
 def _pi_fixed(bits: int) -> int:
-    # pi*2^bits within 1.01 units: 4*T_N from the oracle's centre table at top bits, T_N =
-    # arctan 1, shifted down by s = top - bits >= g and floored. _centres' links put T_N within
-    # N*(3.07 + top/384) units of 2^-top at any top, so 4*T_N within 786 + 2*top/3. With g = 20
-    # while bits < 2^13, top < 8,723 and that is under 0.0064*2^20; beyond, g = bitlength(bits)
-    # + 7 makes 2^g > 128*bits while top < 1.07*bits, and it is under 0.0064*2^g again. The
-    # shift leaves under 0.007 units, and its floor one more. top, a multiple of 512, keeps
-    # few tables.
-    top = -(-(bits + max(20, bits.bit_length() + 7)) // 512) * 512
-    return 4 * _centres(top)[_CENTRES] >> (top - bits)
+    # pi*2^bits within one unit: mpmath's floor(pi*2^bits) (libmp.pi_fixed), Chudnovsky's
+    # series summed 10 or more bits deeper and shifted down, memoized there; mp.pi, which
+    # master_params and the mpf kernels read, rounds the same series
+    return pi_fixed(bits)
 
 
 def _atan_w(x: float, w: int) -> int:

@@ -10,8 +10,8 @@ fixed point with guard bits beyond the working precision, and the result is
 rounded once, so it lies within one unit in the last place at working
 precision. pi is taken from the exact-rational Machin series and
 cross-checked, to 4 ulp, against 4*arctan(1) from the table once per working
-precision; the fixed-point tier's integer pi is the table's 4*arctan(1)
-itself (tails._pi_fixed).
+precision; the fixed-point tier's integer pi is mpmath's floor(pi*2^w), from
+the series behind mp.pi (tails._pi_fixed).
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested closed interval (a tan-mapped grid when it is
@@ -93,6 +93,12 @@ their distance to the bracket's far end, show that no point of the bracket can
 beat the largest |E| found so far (_golden_max); it could change nothing, and
 the report counts it as pruned. A search whose bracket holds the largest |E|
 found so far, as one at an interval's end often does, is never stopped so.
+Where the approximant's |E| is proved monotone over an interval holding the
+scanned one (its ``monotone`` over its ``claim_interval``), the search at the
+grid end |E| grows toward is skipped when the flag shows that it cannot beat
+that end's value: its final point lies inside the bracket, where the proved
+rate of change puts |E| two mpf terms or more below the end's (_end_holds). It
+too counts as pruned.
 Every later comparison of settled or final values (the argmax, the order of
 the local maxima, the refined maxima against the grid's, the claim, the
 smallest margin and its tolerance) reads the enclosures, and resolves both
@@ -392,7 +398,7 @@ class ErrorReport:
     evals_float: int = 0  # approximant evaluations in double precision
     evals_mpf: int = 0  # and at the oracle's working precision
     refined: int = 0  # golden-section searches started
-    pruned: int = 0  # of them, those stopped because they could not beat the best value
+    pruned: int = 0  # of them, those stopped or skipped because they could not beat the best value
     search_mpf: int = 0  # of evals_mpf, the golden-section probes and final values
     search_fixed: int = 0  # golden-section probes and final values evaluated in fixed point
     settle_fixed: int = 0  # grid points settled in fixed point, never evaluated at mpf
@@ -714,6 +720,26 @@ def _margin_pick(lo, hi, a_lo, a_hi):
     return [i for i in range(len(lo)) if lo[i] <= ceiling or a_hi[i] >= floor]
 
 
+def _refine_tol(a: float, b: float) -> float:
+    # the width below which a search on [a, b] stops; halves first: a + b may overflow
+    return REFINE_TOL * max(1.0, a / 2 + b / 2)
+
+
+def _end_holds(err: _Errors, a: float, b: float, v) -> bool:
+    # True where a search on [a, b] at the grid end that |E| grows toward, whose settled |E|
+    # is v, cannot beat v. The approximant's |E| is proved monotone toward that end, with
+    # |d log|E|/dx| >= 1/(c(1 + c)), c = max(1, x) (families.FamilyInfo.monotone). The final
+    # point x lies delta = 0.3*min(b - a, tol) or more inside the bracket: its last bracket is
+    # [a, b] itself, or one golden step, _INVPHI, below a width over tol. So the exact |E(x)|
+    # <= |E(end)|*exp(-delta/(c(1 + c))) <= |E(end)|*(1 - rho), rho = delta/(2c(1 + c)), c =
+    # max(1, b); with each mpf value within 2^-k of the exact one, the final value lies at or
+    # below v wherever rho*v >= 2*2^-k. Below that, |E| may move by less than the mpf term
+    # over delta, and the search runs.
+    c = max(1.0, b)
+    rho = 0.3 * min(b - a, _refine_tol(a, b)) / (2 * c * (1 + c))
+    return _bounds(v, False)[0] * rho >= _UP * 2 * math.ldexp(1.0, -err.k)
+
+
 def _golden_max(err: _Errors, a: float, b: float, best):
     # golden-section search for the maximum of |E| on [a, b], on one ordered list of tiers,
     # each a probe of err giving (sign*E, budget) and the budget's unit: float, fixed point
@@ -745,7 +771,7 @@ def _golden_max(err: _Errors, a: float, b: float, best):
     slope = err.slope
     if slope is not None:
         best_lo, pad = _bounds(best, False)[0], 2 * math.ldexp(1.0, -err.k)
-    tol = REFINE_TOL * max(1.0, a / 2 + b / 2)  # halves first: a + b may overflow
+    tol = _refine_tol(a, b)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     (gc, bc), (gd, bd) = g(c), g(d)
@@ -789,10 +815,14 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         best_x, best_e = pts[best_i], lo[best_i]
         tops = _top_local_maxima(lo, hi, best_e / 2) if approximation else []
         pruned = 0
+        # the grid end a proved monotone |E| grows toward, where its claim covers the interval
+        home = getattr(f, "claim_interval", None)
+        inside = home is not None and home.lo <= interval.lo and interval.hi <= home.hi
+        end = {1: len(pts) - 1, -1: 0}.get(getattr(f, "monotone", 0)) if inside else None
         for i in tops:
             a = pts[i - 1] if i > 0 else pts[i]
             b = pts[i + 1] if i + 1 < len(pts) else pts[i]
-            got = _golden_max(err, a, b, best_e)
+            got = None if i == end and _end_holds(err, a, b, lo[i]) else _golden_max(err, a, b, best_e)
             if got is None:
                 pruned += 1
             elif got[1] > best_e:
@@ -845,10 +875,13 @@ def sup_error(
     REFINE_TOL*max(1, x), REFINE_TOL = 1e-12. A smaller one could only win if
     the error more than doubled inside one grid cell. Where f has a proved
     bound on |E'| (its slope attribute), a search stops once that bound shows
-    it cannot beat the largest error found so far. When claimed_bound is
+    it cannot beat the largest error found so far; where f's |E| is proved
+    monotone over an interval holding this one (its monotone and
+    claim_interval attributes), the search at the grid end it grows toward is
+    skipped when the flag shows it cannot beat that end. When claimed_bound is
     given, satisfied means the refined sup stayed at or under it. The report
     counts the approximant's evaluations per precision, the searches started
-    and of them those stopped early (pruned), the search probes and final
+    and of them those stopped early or skipped (pruned), the search probes and final
     values evaluated at mpf and in fixed point, the settled grid points
     evaluated in fixed point alone, and the oracle values computed cold.
     """

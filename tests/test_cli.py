@@ -149,23 +149,39 @@ def test_certify_t5(capsys):
     assert "satisfied    true" in out
 
 
-def test_certify_reports_evaluations_per_precision(capsys):
-    code, out, _ = run(capsys, "certify", "--family", "cf", "--n", "2", "--interval", "0:1", "--grid", "129")
+def _evals(capsys, *args):
+    # the eight counts of certify's evals line at grid 129
+    code, out, _ = run(capsys, "certify", *args, "--grid", "129")
     assert code == 0
     (line,) = [l for l in out.splitlines() if l.startswith("evals")]
     words = line.replace(",", " ").replace("(", " ").split()
-    counts = [int(w) for w in words if w.isdigit()]
+    return [int(w) for w in words if w.isdigit()]
+
+
+def test_certify_reports_evaluations_per_precision(capsys):
+    counts = _evals(capsys, "--family", "w", "--n", "2", "--interval", "0:1")
     n_float, n_mpf, n_search, n_fixed, n_search_fixed, n_refined, n_pruned, n_cold = counts
     assert n_float > 0
     assert 1 <= n_refined <= 3  # golden-section searches, one per refined local maximum
-    assert n_pruned == 0  # cf has no bound on |E'|, so no search stops early
-    # cf's float rule is the K-ulp one, and its fixed-point rule the kernel in integers:
+    # w has no bound on |E'| and no monotone |E|, its maximum lying inside [0, 1], so no
+    # search stops early
+    assert n_pruned == 0
+    # w's float rule is the K-ulp one, and its fixed-point rule the kernel in integers:
     # every comparison the float budgets leave open is decided in fixed point, and the
     # settled points and the search's final value are read from their fixed-point
     # enclosures, so nothing is evaluated at mpf
     assert n_mpf == n_search == 0
     assert n_fixed > n_search_fixed > 0
     assert n_cold <= 129 * 2 + n_float + n_mpf  # each cold oracle value is a grid point's or an evaluation's
+
+
+def test_certify_skips_the_end_search_of_a_monotone_row(capsys):
+    # cf's |E| rises on [0, 1], so its one local maximum, the grid point x = 1, is not
+    # searched: one search started, and skipped, with no fixed-point evaluation in search
+    counts = _evals(capsys, "--family", "cf", "--n", "2", "--interval", "0:1")
+    n_float, n_mpf, n_search, n_fixed, n_search_fixed, n_refined, n_pruned, n_cold = counts
+    assert (n_refined, n_pruned) == (1, 1)
+    assert n_mpf == n_search == n_search_fixed == 0 and n_fixed > 0
 
 
 def test_certify_sf_upper_kind(capsys):
@@ -270,10 +286,13 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     # the grid-65 table's evaluations, summed over its 58 reports: float evaluations, mpf
     # evaluations and of them the golden-section ones, search probes and final values in
     # fixed point, searches started, grid points settled in fixed point alone, and
-    # searches stopped because a proved bound on |E'| shows they cannot beat the best
-    # value. An all-mpf scan would make 9,574 mpf evaluations; here the float and
-    # fixed-point tiers decide every point, so the table makes none. The counts are
-    # deterministic, so all seven totals are pinned: a count, not a timing
+    # searches stopped or skipped because a proved bound on |E'|, or a proved monotone
+    # |E|, shows they cannot beat the best value: 35 by the slope, and 16 at the grid end
+    # of cf n = 1..8 (x = 1) and cf-lifted n = 1..8 (near 1e8), which no longer make their
+    # 400 float and 510 fixed-point search evaluations. An all-mpf scan would make 9,574
+    # mpf evaluations; here the float and fixed-point tiers decide every point, so the
+    # table makes none. The counts are deterministic, so all seven totals are pinned: a
+    # count, not a timing
     reports = []
     for name in ("sup_error", "certify_bound"):
         real = getattr(cli, name)
@@ -288,7 +307,7 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     assert len(reports) == 58
     names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined", "settle_fixed", "pruned")
     totals = [sum(getattr(r, name) for r in reports) for name in names]
-    assert totals == [6103, 0, 0, 2113, 92, 119, 35]
+    assert totals == [5703, 0, 0, 1603, 92, 119, 51]
 
 
 def test_table_usage_errors(tmp_path, capsys):

@@ -165,6 +165,47 @@ def test_slope_bounds_the_error_derivative(case):
         assert abs(e_x - e_y) <= gap, (ap.label, x, y)
 
 
+# the rows whose |E| is proved monotone: cf and cf-lifted 1..16 and s 0..16 rise, t 0..16 falls
+MONOTONE = [Approximant(ident, n=n) for ident, info in FAMILIES.items() if info.monotone for n in _valid_orders(info)]
+
+
+@st.composite
+def _monotone_pairs(draw):
+    # a flagged row and x < y in its claim interval: x near 0, near 1, anywhere, or (lifted) near 1e8
+    ap = draw(st.sampled_from(MONOTONE))
+    top = 1.0 if ap.claim_interval.hi == 1 else 1e9
+    near = [st.floats(0.0, 1e-3), st.floats(1e-12, 0.1).map(lambda t: 1 - t), st.floats(0.0, top)]
+    if top > 1:
+        near.append(st.floats(-0.5, 0.5).map(lambda t: 1e8 * (1 + t)))
+    x = draw(st.one_of(near))
+    y = min(top, x + max(x, 1.0) * 10.0 ** draw(st.floats(-12.0, 0.0)))
+    return ap, x, y
+
+
+@example(case=(Approximant("cf", n=8), 0.999, 1.0))
+@example(case=(Approximant("cf-lifted", n=16), 9e7, 1.1e8))
+@example(case=(Approximant("s", n=0), 0.0, 1e-3))
+@example(case=(Approximant("t", n=16), 0.0, 1e-12))
+@example(case=(Approximant("t", n=3), 0.99, 1.0))
+@settings(max_examples=300, deadline=None)
+@given(case=_monotone_pairs())
+def test_monotone_rows_move_at_their_rate(case):
+    # |E| moves in the flagged direction with |d log|E|/dx| >= 1/(c(1 + c)), c = max(1, x):
+    # the smaller end of the pair times exp((y - x)/(c(1 + c))), c = max(1, y), stays at or
+    # below the larger. At 100 digits each mpf E lies within tau = 2^(20 - prec) of the exact
+    # one (the kernels' and the oracle's parts of verify._mpf_term_bits)
+    ap, x, y = case
+    assume(x < y)
+    cfg = OracleConfig(100, 80)
+    with mp.workdps(100):
+        e_x, e_y = (abs(ap(mp.mpf(v)) - oracle_arctan(v, cfg)) for v in (x, y))
+        c = max(1, mp.mpf(y))
+        grow = mp.exp((mp.mpf(y) - mp.mpf(x)) / (c * (1 + c)))
+        small, big = (e_x, e_y) if ap.monotone > 0 else (e_y, e_x)
+        tau = mp.ldexp(1, 20 - mp.prec)
+        assert small * grow <= big + tau * (1 + grow), (ap.label, x, y)
+
+
 def test_unknown_family_raises_value_error():
     with pytest.raises(ValueError, match="unknown family 'nosuch'"):
         Approximant("nosuch")

@@ -196,10 +196,9 @@ def test_library_atan_within_one_ulp_at_the_table_grid_points():
 
 @pytest.mark.parametrize("bits", [0, 1, 63, 64, 167, 491, 492, 512, 1000, 2048, 5120])
 def test_integer_machin_pi_lies_within_its_bound(bits):
-    # the fixed tier's pi, 4*arctan 1 from the oracle's centre table, within 1.01 units of
-    # 2^-bits, on both sides of the table widths' steps of 512 bits. The exact Machin
-    # fraction at bits/4 + 4 rows lies within 4*324^-rows of pi, far below one unit of
-    # 2^-bits, so it stands for pi here
+    # the fixed tier's pi, mpmath's floor(pi*2^bits), within 1.01 units of 2^-bits at widths
+    # from 0 to 5,120 bits. The exact Machin fraction at bits/4 + 4 rows lies within
+    # 4*324^-rows of pi, far below one unit of 2^-bits, so it stands for pi here
     exact = machin_pi_fraction(bits // 4 + 4) * 2**bits
     assert abs(tails._pi_fixed(bits) - exact) <= Fraction(101, 100)
 

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -408,7 +409,8 @@ def _without_fixed(ap):
 
 
 def _without_slope(ap):
-    # the same approximant with both hooks but no bound on |E'|: every search runs to its end
+    # the same approximant with both hooks but neither a bound on |E'| nor a monotone |E|:
+    # every search runs to its end
     f = _without_fixed(ap)
     f.fixed_error = ap.fixed_error
     return f
@@ -545,6 +547,67 @@ def test_pruning_changes_no_outcome(case):
     if case == (Approximant("cheb", n=3), Interval(0.0, 1.0), 65):
         # two of its three searches refine maxima that end below the grid's largest error
         assert pruned.pruned == 2 and pruned.search_fixed < full.search_fixed
+
+
+def _flagged_intervals(ident, rng):
+    # the claim interval and two random sub-intervals of it, with a grid each
+    if FAMILIES[ident].claim_interval == "0:1":
+        ivs = [Interval(0.0, 1.0)] + [Interval(*sorted(rng.uniform(0.0, 1.0) for _ in "ab")) for _ in "ab"]
+    else:
+        lo = rng.choice([0.0, 10 ** rng.uniform(-3, 7)])
+        ivs = [Interval(0.0, math.inf), Interval(lo, math.inf), Interval(lo, (lo or 1.0) * (1 + 10 ** rng.uniform(-3, 2)))]
+    return [(iv, rng.randint(64, 300)) for iv in ivs]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("ident", sorted(ident for ident, info in FAMILIES.items() if info.monotone))
+def test_monotone_skip_changes_no_outcome(ident, seed):
+    # a search skipped at the end a proved monotone |E| grows toward would not have changed
+    # the report: both settle rules give what the same row without its flag gives, and on
+    # the whole claim interval, whose grid maximum lies at that end, the search is skipped
+    rng = random.Random(f"{ident}/{seed}")
+    info = FAMILIES[ident]
+    ap = Approximant(ident, n=rng.randint(info.n_min, 16))
+    plain = _without_slope(ap)
+    for j, (iv, grid) in enumerate(_flagged_intervals(ident, rng)):
+        flagged, full = (sup_error(f, iv, grid, claimed_bound=ap.claim) for f in (ap, plain))
+        assert _outcome(flagged) == _outcome(full), (ap.label, iv, grid)
+        assert flagged.refined == full.refined and flagged.pruned >= full.pruned
+        if j == 0:
+            assert flagged.pruned == full.pruned + 1 and flagged.search_fixed < full.search_fixed
+        kind = rng.choice(["lower", "upper"])
+        assert _outcome(certify_bound(ap, kind, iv, grid)) == _outcome(certify_bound(plain, kind, iv, grid))
+
+
+@pytest.mark.parametrize(
+    "ap, iv, end",
+    [
+        # cf's |E| is proved monotone on [0, 1] alone, so on 0:2 its end search runs
+        (Approximant("cf", n=2), Interval(0.0, 2.0), 2.0),
+        # |E| at the end lies near 2^-149 times 1/REFINE_TOL, so the search's final point may
+        # lie within the mpf term of it: the flag does not settle the search, which runs and
+        # here beats the grid value by less than 2*2^-149
+        (Approximant("t", n=10), Interval(0.8574956976627317, 0.9994667260078469), 0.8574956976627317),
+        (Approximant("t", n=16), Interval(0.6317247125396113, 0.7328950321941883), 0.6317247125396113),
+    ],
+    ids=lambda v: getattr(v, "label", None) or str(v),
+)
+def test_end_search_runs_where_the_flag_cannot_settle_it(ap, iv, end):
+    flagged, full = (sup_error(f, iv, 65, claimed_bound=ap.claim) for f in (ap, _without_slope(ap)))
+    assert _outcome(flagged) == _outcome(full)
+    assert flagged.pruned == full.pruned == 0 and flagged.refined == 1
+    assert flagged.search_fixed == full.search_fixed > 0
+    assert abs(flagged.arg_max - end) <= (iv.hi - iv.lo) / 64  # in the end's grid cell
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_t_skips_its_search_at_zero(n):
+    # t's |E| falls on [0, 1], so its grid maximum at x = 0 is not searched
+    ap = Approximant("t", n=n)
+    flagged, full = (sup_error(f, Interval(0.0, 1.0), 65) for f in (ap, _without_slope(ap)))
+    assert _outcome(flagged) == _outcome(full) and flagged.arg_max == 0.0
+    assert (flagged.refined, flagged.pruned, flagged.search_fixed) == (1, 1, 0)
+    assert full.search_fixed == 48
 
 
 def _enclosed(lo, hi, value):
