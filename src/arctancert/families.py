@@ -215,7 +215,8 @@ class Approximant:
             return partial(tails.master_error, *args), partial(tails.direct_fixed, info.fixed, None, args)
         # the kernel takes the lift's u on a row claimed over R+, and u = x on a [0, 1] row
         fixed = partial(tails.direct_fixed, info.fixed, info.claim_interval == "0:inf", self.n)
-        return partial(ulp_rule, self) if info.float_rule else None, fixed
+        # the K-ulp rule reads the evaluator itself, so a float value skips __call__
+        return partial(ulp_rule, self._eval) if info.float_rule else None, fixed
 
     @property
     def label(self) -> str:

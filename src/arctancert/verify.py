@@ -55,21 +55,28 @@ and each search's final value use this tier, at the one scale 2^-mp.prec, 20
 bits below the mpf term 2^-k, where each row's budget is about that term, so
 one scale serves master's |E| near 1e-17 and cheb's near 1e-2.
 
-Both tiers have one guard each, _float_error and _fixed_error, which decide
+Both tiers have one guard each, _float_errors and _fixed_error, which decide
 when to trust a hook. They take no value outside 0 and [1e-150, 1e150], where
 every rule is tested for every order up to 16 and every side
 (tests/test_tails.py, tests/test_families.py), nor from a callable without the
-hook. At 0 every float rule is exact. Where a hook raises ArithmeticError or
-ValueError, or e is not finite, the budget is infinite. Otherwise the float
-budget is B = b + 2^-k + ulp(e) and the fixed one B = 1.01*err + 2^-k, rounded
-up to whole units: ulp(e) covers the rounding of e, 1.01 the float arithmetic
-of err, and the mpf term 2^-k the mpf kernel's, the oracle's and master's
-constants' own error, so that B bounds the distance from the mpf value E
-(_mpf_term_bits: k = min(prec, 169) - 20, 149 at 50 digits). A point the
-float tier decides costs no oracle evaluation, and one it takes no value at,
-as every point of t, has infinite float bounds, so that every pick settles it;
-a settled point that the fixed guard takes no value at, or gives an infinite
-budget, is evaluated at mpf, where a real failure raises again.
+hook. The float guard takes a sorted list of points: the scan hands it the whole
+grid once, which it splits at 0, 1e-150 and 1e150 with bisect before it calls
+the hook on the points in range, and each golden-section probe is a list of one
+(_float_error). The hook itself stays per point, so a plain callable can carry
+one, and a kernel keeps its own argument checks. Each grid is built once per
+process for its endpoints and size and kept in a small bounded cache
+(_sample_points). At 0 every float rule is exact. Where a hook raises
+ArithmeticError or ValueError, or e is not finite, the budget is infinite.
+Otherwise the float budget is B = b + 2^-k + ulp(e) and the fixed one
+B = 1.01*err + 2^-k, rounded up to whole units: ulp(e) covers the rounding of
+e, 1.01 the float arithmetic of err, and the mpf term 2^-k the mpf kernel's,
+the oracle's and master's constants' own error, so that B bounds the distance
+from the mpf value E (_mpf_term_bits: k = min(prec, 169) - 20, 149 at 50
+digits). A point the float tier decides costs no oracle evaluation, and one it
+takes no value at, as every point of t, has infinite float bounds, so that
+every pick settles it; a settled point that the fixed guard takes no value at,
+or gives an infinite budget, is evaluated at mpf, where a real failure raises
+again.
 
 Both certifications run one scan body with two settle rules. One pick on the
 float bounds settles every point a decision could rest on: for sup_error a
@@ -116,6 +123,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
@@ -410,25 +418,34 @@ def _sample_points(iv: Interval, grid_points: int) -> list:
 
     An unbounded grid is uniform in arctan x on [max(arctan lo, 1e-8), pi/2 - 1e-8],
     so 0:inf starts near 1e-8; tan steps by about 2 even where that range is one ulp.
+    Each grid is built once per process from iv's endpoints as doubles, and a new
+    list of it is returned on every call.
     """
     require_int(grid_points, "grid_points", 64)
-    if iv.unbounded:
-        th_lo = max(math.atan(iv.lo), _THETA_EDGE)
+    return list(_grid(float(iv.lo), float(iv.hi), grid_points))
+
+
+@lru_cache(maxsize=16)
+def _grid(lo: float, hi: float, grid_points: int) -> tuple:
+    # the grid of _sample_points, kept by endpoints and size: a table scans two grids
+    if math.isinf(hi):
+        th_lo = max(math.atan(lo), _THETA_EDGE)
         th_hi = math.pi / 2 - _THETA_EDGE
         if th_lo >= th_hi:
-            raise ValueError(f"interval {iv} starts past the tan-mapped grid's top, {math.tan(th_hi):.9g}")
+            raise ValueError(
+                f"interval {_fmt_endpoint(lo)}:inf starts past the tan-mapped grid's top, {math.tan(th_hi):.9g}"
+            )
         step = (th_hi - th_lo) / (grid_points - 1)
         # tan may round the first point below lo; it is sampled at lo instead
-        pts = [max(math.tan(th_lo + i * step), iv.lo) for i in range(grid_points)]
+        pts = [max(math.tan(th_lo + i * step), lo) for i in range(grid_points)]
     else:
-        lo, hi = iv.lo, iv.hi
         step = (hi - lo) / (grid_points - 1)
         pts = [lo + i * step for i in range(grid_points)]
         pts[-1] = hi
         m = grid_points // 2 + 1
         pts.extend(lo + (hi - lo) * 0.5 * (1 - math.cos(math.pi * i / m)) for i in range(1, m))
         pts.sort()
-    return [p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1]]
+    return tuple(p for i, p in enumerate(pts) if i == 0 or p != pts[i - 1])
 
 
 def _mpf_term_bits() -> int:
@@ -443,19 +460,34 @@ def _mpf_term_bits() -> int:
     return min(mp.prec, _MASTER_PREC) - 20
 
 
+def _float_errors(hook: Optional[Callable], xs, k: int) -> list:
+    # the float tier's one guard (see the module docstring): for sorted non-negative
+    # doubles xs, (e, B) at each from the rough_error hook with the mpf term 2^-k, or None
+    # where it makes no float evaluation. xs is split once at 0 and at the ends of
+    # _FLOAT_RANGE, and the hook is called on the points in range alone
+    out = [None] * len(xs)
+    if hook is None:
+        return out
+    lo, hi = _FLOAT_RANGE
+    term = math.ldexp(1.0, -k)
+    gap, above = bisect_right(xs, 0.0), bisect_left(xs, lo)  # (0, 1e-150) lies in [gap, above)
+    for i in range(bisect_left(xs, 0.0), bisect_right(xs, hi)):
+        if gap <= i < above:
+            continue
+        try:
+            e, b = hook(xs[i])
+            if math.isfinite(e):
+                out[i] = e, b + term + math.ulp(e)
+                continue
+        except (ArithmeticError, ValueError):
+            pass
+        out[i] = 0.0, math.inf
+    return out
+
+
 def _float_error(hook: Optional[Callable], x: float, k: int):
-    # the float tier's one guard (see the module docstring): (e, B) from the
-    # rough_error hook at x with the mpf term 2^-k, or None where it makes no float
-    # evaluation
-    if hook is None or not (x == 0 or _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]):
-        return None
-    try:
-        e, b = hook(x)
-        if math.isfinite(e):
-            return e, b + math.ldexp(1.0, -k) + math.ulp(e)
-    except (ArithmeticError, ValueError):
-        pass
-    return 0.0, math.inf
+    # the guard at one point, a search probe: (e, B), or None
+    return _float_errors(hook, (x,), k)[0]
 
 
 def _fixed_error(hook: Optional[Callable], x: float, w: int, k: int):
@@ -572,8 +604,9 @@ class _Errors:
     """The error sign*E, E = f - arctan, of one approximant over a grid, on three tiers.
 
     sign is -1 for the margin of a lower bound, arctan - f, and 1 otherwise.
-    rough(x) returns (e, B) from _float_error at grid points and probes alike:
-    e is sign*E in float and B bounds its distance from the mpf value, infinite
+    The grid goes through the float guard _float_errors at once, and each search
+    probe through rough(x), the same guard at one point: it returns (e, B), e
+    sign*E in float and B a bound on its distance from the mpf value, infinite
     where the guard takes no float value. fixed(x) returns the same from
     _fixed_error, in integer units of 2^-w, w = mp.prec, for search probes, and
     exact(x) (sign*E, 0) at mpf for those that reach mpf. value(x) is sign*E as a
@@ -589,12 +622,16 @@ class _Errors:
         self.hook = getattr(f, "rough_error", None)
         self.fixed_hook = getattr(f, "fixed_error", None)
         self.slope = getattr(f, "slope", None)  # a bound on |E'| over f's domain, if f has one
-        self.evals_float = self.evals_fixed = self.probes_mpf = 0
+        self.evals_fixed = self.probes_mpf = 0
         self.settled, self.ends = {}, []  # the grid's settled values by index; the searches' final ones
         # read once: the scan runs at one precision, and the fixed tier at its one scale 2^-w
         self.k, self.w = _mpf_term_bits(), mp.prec
-        rough = [self.rough(p) for p in self.pts]
-        self.lo, self.hi = [e - b for e, b in rough], [e + b for e, b in rough]
+        # the whole grid through the guard at once; a point it takes no value at has the
+        # bounds of rough()'s (0.0, inf)
+        rough = _float_errors(self.hook, self.pts, self.k)
+        self.evals_float = len(rough) - rough.count(None)
+        self.lo = [-math.inf if r is None else sign * r[0] - r[1] for r in rough]
+        self.hi = [math.inf if r is None else sign * r[0] + r[1] for r in rough]
 
     def rough(self, x: float):
         got = _float_error(self.hook, x, self.k)
@@ -681,12 +718,16 @@ def _abs_bounds(lo, hi):
 
 def _top_local_maxima(lo, hi, cut):
     # the _TOP grid points certainly at least cut and as large as their neighbours, largest
-    # first; with every point settled (lo == hi) these are the exact local maxima not below cut
-    n = len(lo)
+    # first; with every point settled (lo == hi) these are the exact local maxima not below
+    # cut. A number is compared with cut's doubles first, as a comparison with a _Lazy cut
+    # would: at or above its upper one it passes, below its lower one it is left out
+    n, (c_down, c_up) = len(lo), _bounds(cut, False)
     idxs = [
         i
-        for i in range(n)
-        if lo[i] >= cut and (i == 0 or lo[i] >= hi[i - 1]) and (i == n - 1 or lo[i] >= hi[i + 1])
+        for i, v in enumerate(lo)
+        if ((v >= c_up or (v >= c_down and v >= cut)) if type(v) is not _Lazy else v >= cut)
+        and (i == 0 or v >= hi[i - 1])
+        and (i == n - 1 or v >= hi[i + 1])
     ]
     idxs.sort(key=lo.__getitem__, reverse=True)
     return idxs[:_TOP]
@@ -700,17 +741,15 @@ def _maxima_pick(_e_lo, _e_hi, lo, hi):
     cut = max(lo) / 2
     tops = _top_local_maxima(lo, hi, cut)
     floor = lo[tops[-1]] if len(tops) == _TOP else cut
-    n = len(lo)
+    last = len(lo) - 1
     todo = []
-    for i in range(n):
-        if hi[i] < floor:
-            continue
-        nbrs = [j for j in (i - 1, i + 1) if 0 <= j < n]
-        if any(hi[i] < lo[j] for j in nbrs):
+    for i, h in enumerate(hi):
+        if h < floor or (i > 0 and h < lo[i - 1]) or (i < last and h < lo[i + 1]):
             continue
         todo.append(i)
-        if not all(lo[i] >= hi[j] for j in nbrs):
-            todo.extend(nbrs)
+        v = lo[i]
+        if not ((i == 0 or v >= hi[i - 1]) and (i == last or v >= hi[i + 1])):
+            todo.extend(j for j in (i - 1, i + 1) if 0 <= j <= last)
     return todo
 
 

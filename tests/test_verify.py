@@ -11,6 +11,7 @@ from mpmath import mp
 from arctancert import verify
 from arctancert.core import lagrange_p, theorem5_approx, shafer_fink_bounds
 from arctancert.families import FAMILIES, Approximant, ulp_rule
+from arctancert.master import MAX_ORDER
 from arctancert.series import cf_arctan
 from arctancert.verify import (
     BoundKind,
@@ -289,6 +290,35 @@ def test_sample_points_unbounded_past_the_grid_top_raise():
     # past it would be sampled backwards, below its own lo
     with pytest.raises(ValueError, match="past the tan-mapped grid's top"):
         _sample_points(Interval(1e12, math.inf), 65)
+
+
+def test_sample_points_are_a_new_list_of_floats_on_every_call():
+    # each grid is built once per process, and every call gets its own list
+    iv = Interval(0.0, 1.0)
+    first = _sample_points(iv, 65)
+    first[0] = -1.0
+    first.append(2.0)
+    again = _sample_points(iv, 65)
+    assert again is not first and again[0] == 0.0 and again[-1] == 1.0 and len(again) == 97
+    for ints, floats in ((Interval(0, 1), iv), (Interval(1, math.inf), Interval(1.0, math.inf))):
+        pts = _sample_points(ints, 65)
+        assert pts == _sample_points(floats, 65) and all(type(p) is float for p in pts)
+
+
+def test_grid_cache_stays_bounded():
+    cache = verify._grid
+    assert cache.cache_info().maxsize is not None
+    for k in range(cache.cache_info().maxsize + 4):
+        _sample_points(Interval(0.0, 1.0 + k / 8), 64)
+    assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
+def test_a_scan_on_a_new_grid_reports_what_a_warm_one_does(cfg):
+    ap, iv = Approximant("w", n=6), Interval(0.0, 1.0)
+    sup_error(ap, iv, 65, cfg=cfg)  # the oracle's values, in both runs below
+    warm = sup_error(ap, iv, 65, cfg=cfg)
+    verify._grid.cache_clear()
+    assert sup_error(ap, iv, 65, cfg=cfg) == warm
 
 
 def test_sup_error_of_oracle_is_tiny(cfg):
@@ -865,6 +895,121 @@ def test_the_scan_alone_keeps_a_hook_to_the_float_range(cfg):
     below = {x for x in _sample_points(iv, 129) if 0 < x < 1e-150}
     assert below and below <= set(f.mpf)
     assert _outcome(rep) == _outcome(sup_error(_without_budget(f), iv, 129, cfg=cfg))
+
+
+def _hex(got):
+    # a guard's (e, B), or None, bit for bit
+    return None if got is None else tuple(float(v).hex() for v in got)
+
+
+class _Odd(Exception):
+    """No float failure: the guard must let it through."""
+
+
+# what a drawn hook does at one point
+_HOOK_ACTS = ["value", "value", "nan", "inf", "-inf", "arith", "valueerror", "odd"]
+
+
+def _drawn_hook(acts, calls):
+    # a rough_error hook acting at each x as acts[x] says, recording where it is called
+    def hook(x):
+        calls.append(x)
+        act = acts[x]
+        if act == "arith":
+            raise ZeroDivisionError("float trouble")
+        if act == "valueerror":
+            raise ValueError("outside the kernel's domain")
+        if act == "odd":
+            raise _Odd(x)
+        return {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}.get(act, _drawn_e(x)), _drawn_b(x)
+
+    return hook
+
+
+def _drawn_e(x):
+    return math.sin(x) * 1e-3
+
+
+def _drawn_b(x):
+    return 64 * math.ulp(math.atan(x))
+
+
+# grids holding 0, the smallest subnormal, points under the tested range and points above it
+_GRID_POINTS = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-150, 1e150, 1.7e308]),
+    st.floats(5e-324, 1e-150, exclude_max=True),
+    st.floats(1e150, 1.7e308, exclude_min=True),
+    st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t),
+)
+
+
+@st.composite
+def _hooked_grids(draw):
+    # a sorted grid, and what the hook does at each of its points
+    xs = sorted(draw(st.lists(_GRID_POINTS, min_size=1, max_size=40, unique=True)))
+    return xs, [draw(st.sampled_from(_HOOK_ACTS)) for _ in xs]
+
+
+# points where b + 2^-k + ulp(e), summed in another order, rounds to another double
+@example(case=([0.0, 1.0137223441605712e-37], ["value", "value"]), k=116)
+@example(case=([1.4920963276941121e-47, 1e150], ["value", "nan"]), k=149)
+@settings(max_examples=300, deadline=None)
+@given(case=_hooked_grids(), k=st.sampled_from([116, 149]))
+def test_list_guard_gives_what_the_guard_gives_point_by_point(case, k):
+    # the grid goes through the guard at once, search probes one point at a time: bit for
+    # bit the same (e, B), the hook called at the same points, once each (0 and
+    # [1e-150, 1e150] alone, in order), and any other exception let through
+    xs, drawn = case
+    acts = dict(zip(xs, drawn))
+    whole, single = [], []
+    try:
+        got = verify._float_errors(_drawn_hook(acts, whole), xs, k)
+    except _Odd as exc:
+        got = exc.args
+    one_hook, each = _drawn_hook(acts, single), []
+    try:
+        each = [verify._float_error(one_hook, x, k) for x in xs]
+    except _Odd as exc:
+        each = exc.args
+    tested = [x for x in xs if x == 0 or 1e-150 <= x <= 1e150]
+    odd = [x for x in tested if acts[x] == "odd"]
+    if odd:
+        assert got == each == (odd[0],) and whole == single == tested[: tested.index(odd[0]) + 1]
+        return
+    assert [_hex(g) for g in got] == [_hex(g) for g in each]
+    assert whole == single == tested
+    for x, g in zip(xs, got):
+        if x not in tested:
+            assert g is None
+        elif acts[x] != "value":
+            assert g == (0.0, math.inf)
+        else:  # B = b + 2^-k + ulp(e), summed in that order
+            e = _drawn_e(x)
+            assert _hex(g) == _hex((e, _drawn_b(x) + math.ldexp(1.0, -k) + math.ulp(e)))
+    assert verify._float_errors(None, xs, k) == [None] * len(xs) and verify._float_error(None, xs[0], k) is None
+
+
+@pytest.mark.parametrize("ident", sorted(FAMILIES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_a_grid_at_once_gives_each_rows_float_bounds_point_by_point(cfg, ident, data):
+    # on the row's table grid at a random order and side: the float bounds and the
+    # evals_float count the scan sets up from the whole grid at once are those that the
+    # guard gives one point at a time
+    info = FAMILIES[ident]
+    n = data.draw(st.integers(info.n_min, MAX_ORDER + 1)) if info.needs_n else None
+    side = data.draw(st.sampled_from(["lower", "upper"])) if info.kind is BoundKind.TWO_SIDED else None
+    sign = data.draw(st.sampled_from([-1, 1]))
+    ap = Approximant(ident, n=n, side=side)
+    with mp.workdps(cfg.working_digits):
+        err = verify._Errors(ap, Interval.parse(info.claim_interval), 65, cfg, sign)
+        grid_evals = err.evals_float
+        bounds = [(lo, hi) for lo, hi in zip(err.lo, err.hi)]
+        for x, (lo, hi) in zip(err.pts, bounds):
+            e, b = err.rough(x)
+            assert _hex((lo, hi)) == _hex((e - b, e + b)), (ap.label, x)
+    assert err.evals_float == 2 * grid_evals
+    assert grid_evals == (0 if ap.rough_error is None else len(err.pts))
 
 
 def test_golden_section_brackets_near_the_top_of_the_float_range(cfg):
