@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .numerics import Scalar, require_finite, require_nonnegative, require_unit
+from .numerics import Scalar, require_finite, require_nonnegative, require_unit, row_of
 
 
 class BoundPair(NamedTuple):
@@ -82,7 +82,13 @@ def lagrange_p(u):
     Evaluated in the collected form (pi/16)*u*(4 + sqrt2*(1 - u)), which equals
     the Lagrange form (tails.lagrange_kernel derives it).
     """
-    c = require_unit(u, "u")
+    require_unit(u, "u")
+    return _lagrange(u)
+
+
+def _lagrange(u):
+    # lagrange_p's body, for u already in [0, 1]
+    c = row_of(u)
     return c.pi / 16 * u * (4 + c.sqrt2 * (1 - u))
 
 
@@ -92,7 +98,7 @@ def theorem5_approx(x):
     Equals 2*lagrange_p(x/(1+sqrt(1+x^2))): the reduced argument lies in [0, 1),
     nothing squares, and the value tends to pi/2 as x -> inf.
     """
-    return 2 * lagrange_p(require_nonnegative(x).reduce(x))
+    return 2 * _lagrange(require_nonnegative(x).reduce(x))
 
 
 def lift_interval_map(t):
@@ -107,10 +113,10 @@ def lift_interval_map(t):
 class LiftedApproximant:
     """An approximant on [0,1] lifted to R+ by one argument halving.
 
-    value(x) = 2*inner(u) with u = x/(1+sqrt(1+x^2)). This is the library's
-    one lifting operator: it turns an approximant valid on [0,1] into one
-    valid on all of R+, preserving lower/upper bound direction. Nest it to
-    halve more than once.
+    value(x) = 2*inner(u) with u = x/(1+sqrt(1+x^2)), the library's one
+    lifting operator: valid on [0,1] becomes valid on R+, bound direction
+    kept; nest it to halve more than once. It checks x; u lies in [0, 1) by
+    construction, so a registry row's inner is its kernel's unchecked body.
     """
 
     inner: Callable

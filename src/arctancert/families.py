@@ -29,14 +29,15 @@ class FamilyInfo:
 
     kernel takes (n, x) when needs_n, else (x); a two-sided family's kernel
     returns a BoundPair. claim maps n to the claimed uniform error bound. A
-    lifted family is its kernel, valid on [0,1], lifted once to R+. A
-    two-sided family's pair_order is its order in the master family, where
-    that order is fixed. float_rule is False on t alone, which has no float
-    rule; sf, t2 and master sum their error series in float
-    (``tails.master_error``), and the rest take the K-ulp rule. fixed is the
-    row's kernel in integers (``tails``); Approximant makes it the row's one
-    fixed-point rule (``tails.direct_fixed``), at x itself for a pair, at the
-    lift's u where claim_interval is 0:inf and at u = x where it is 0:1.
+    lifted family's kernel is a [0,1] kernel's unchecked body, lifted once to
+    R+ by core.LiftedApproximant, which checks x. A two-sided family's
+    pair_order is its order in the master family, where that order is fixed.
+    float_rule is False on t alone, which has no float rule; sf, t2 and
+    master sum their error series in float (``tails.master_error``), and the
+    rest take the K-ulp rule. fixed is the row's kernel in integers
+    (``tails``); Approximant makes it the row's one fixed-point rule
+    (``tails.direct_fixed``), at x itself for a pair, at the lift's u where
+    claim_interval is 0:inf and at u = x where it is 0:1.
     slope maps n to a proved bound on |dE/dx| over the row's domain, E = f -
     arctan, which lets the scan stop a golden-section search that cannot beat
     its best value; it is None where a row has none. monotone is a proved
@@ -106,13 +107,13 @@ FAMILIES: dict[str, FamilyInfo] = {
                    kernel=core.lagrange_p, claim=lambda n: 1 / 230, slope=lambda n: _LAGRANGE_SLOPE,
                    fixed=tails.lagrange_kernel),
         FamilyInfo("t5", "Theorem 5", "sup < 1/115", "[0,∞)", _APPROX, False,
-                   kernel=core.lagrange_p, claim=lambda n: 1 / 115, lifted=True, slope=lambda n: _LAGRANGE_SLOPE,
+                   kernel=core._lagrange, claim=lambda n: 1 / 115, lifted=True, slope=lambda n: _LAGRANGE_SLOPE,
                    fixed=tails.lagrange_kernel),
         FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
                    kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
                    slope=_cheb_slope, fixed=tails.cheb_kernel),
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
-                   kernel=series.cheb_arctan, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
+                   kernel=series._cheb, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
                    slope=_cheb_slope, fixed=tails.cheb_kernel),
         # cf's |E| rises on (0, 1] at the monotone rate. arctan(x)/x = F(z) = int dmu(s)/(1 +
         # zs), z = x^2, dmu = ds/(2sqrt(s)) on [0, 1], a Stieltjes function, and depth n of
@@ -129,7 +130,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
                    kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n, fixed=tails.cf_kernel, monotone=1),
         FamilyInfo("cf-lifted", "continued fraction, lifted", "4^-n", "[0,∞)", _APPROX, True, 1,
-                   kernel=series.cf_arctan, claim=lambda n: 4.0**-n, lifted=True, fixed=tails.cf_kernel,
+                   kernel=series._cf, claim=lambda n: 4.0**-n, lifted=True, fixed=tails.cf_kernel,
                    monotone=1),
         # the pointwise envelopes of s and t peak at 4^-n. s's |E| rises on (0, 1] at the
         # monotone rate: its rows sum the integrand of arctan u = int_0^g (1 + 2t + 2t^2)/(1 +
@@ -148,7 +149,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.blend_w, claim=lambda n: 20.0**-n, fixed=tails.w_kernel),
         FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
-                   kernel=series.blend_w, claim=lambda n: 2 * 20.0**-n, lifted=True, fixed=tails.w_kernel),
+                   kernel=series._blend, claim=lambda n: 2 * 20.0**-n, lifted=True, fixed=tails.w_kernel),
     )
 }
 

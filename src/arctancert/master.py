@@ -98,22 +98,28 @@ def a_n(n: int, x):
     return num / den
 
 
+@lru_cache(maxsize=None)
+def _signed_e(n: int, c) -> tuple:
+    # (-1)^(n-j)*e_j*2^j, j = 0..n, once per order and row c: exact ints for the mpf row and
+    # tails.master_kernel (an mpf of one would round before the product does), doubles for float
+    e = elementary_symmetric(n)
+    return tuple((float if c is FLOAT else int)((-1) ** (n - j) * e[j] << j) for j in range(n + 1))
+
+
 def _a_n(n: int, x, c):
     # a_n = num/den in the number row c that x was validated into, with x and
     # every L_j divided by s = sqrt(1+x^2), so no x in the float range
     # overflows: num = sin t, ell_0 = cos t and ell_{k+1} = ell_k + hypot(sin t,
     # ell_k) for t = arctan x. sin t is taken as x*cos t rather than as
-    # sincos's x/s: at float the pairs then miss arctan x less often.
-    e = elementary_symmetric(n)
-    ell = [1 / c.hypot(1, x)]
-    num = x * ell[0]
-    for _ in range(n):
-        ell.append(ell[-1] + c.hypot(num, ell[-1]))
-    sign = -1 if n % 2 else 1
-    terms = []
-    for j in range(n + 1):
-        terms.append(sign * (e[j] << j) * ell[j])
-        sign = -sign
+    # sincos's x/s: at float the pairs then miss arctan x less often. _signed_e's doubles
+    # are what int * float rounds each integer to, so every term and the fsum are unchanged.
+    coeffs = _signed_e(n, c)
+    ell = 1 / c.hypot(1, x)
+    num = x * ell
+    terms = [coeffs[0] * ell]
+    for a in coeffs[1:]:
+        ell += c.hypot(num, ell)
+        terms.append(a * ell)
     den = c.fsum(terms)
     assert den > 0, f"a_{n} denominator must be positive, got {den} at x={x}"
     return num, den

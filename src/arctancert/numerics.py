@@ -5,15 +5,16 @@ or on an ``mpmath.mpf`` at the active mpmath precision, answering in kind.
 The second mode is what the certification harness uses to measure tiny bound
 margins without double rounding getting in the way.
 
-The choice is made once per call, by the ``require_*`` validator the kernel
-calls on its argument: it returns the argument's row, ``FLOAT`` (the ``math``
-functions, double pi and sqrt2) or ``MPF`` (the mpmath functions, with pi and
-sqrt2 read at the active precision on each access), and the kernel takes
-every function and constant it needs from that row. Both rows share two
-overflow-free argument maps: ``reduce``, the half-angle reduction, and
-``sincos``, the sine and cosine of arctan x, in which the closed-form kernels
-are written so that no x from 0 to the top of the float range squares or
-overflows.
+Every kernel takes each function and constant it needs from its argument's
+row: ``FLOAT`` (the ``math`` functions, double pi and sqrt2) or ``MPF`` (the
+mpmath functions, with pi and sqrt2 read at the active precision on each
+access). A public kernel checks its arguments once, at the top, with a
+``require_*`` validator, which returns the row; a body that the lift or the
+blend reaches unchecked reads the row from the type (``row_of``). Both rows
+share two overflow-free argument maps: ``reduce``, the half-angle reduction,
+and ``sincos``, the sine and cosine of arctan x, in which the closed-form
+kernels are written so that no x from 0 to the top of the float range
+squares or overflows.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ class _MpfRow(_Row):
 FLOAT, MPF = _FloatRow(), _MpfRow()
 
 
+def row_of(x):
+    """The row x computes in: MPF for an mpf, FLOAT for anything else."""
+    return MPF if isinstance(x, _MPF) else FLOAT
+
+
 def require_finite(x, name="x"):
     """Raise ValueError unless x is finite, and return the row x computes in.
 
@@ -68,7 +74,7 @@ def require_finite(x, name="x"):
     int too large for a double is rejected here rather than overflowing in
     a kernel.
     """
-    row = MPF if isinstance(x, _MPF) else FLOAT
+    row = MPF if isinstance(x, _MPF) else FLOAT  # row_of, without a call
     try:
         finite = row.isfinite(x)
     except OverflowError:

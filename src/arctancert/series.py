@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .numerics import FLOAT, require_finite, require_int, require_unit
+from .numerics import FLOAT, require_finite, require_int, require_unit, row_of
 
 
 def cheb_coefficients(n: int, ratio=None) -> list:
@@ -68,9 +68,15 @@ def cheb_arctan(n: int, x, m=1):
     Odd in x; uniform error on [-1,1] at most 2r^(2n+3)/((2n+3)(1-r^2)),
     below (1+sqrt2)^-(2n+3) at m = 1.
     """
-    c = require_finite(x)
+    require_finite(x)
     if abs(x) > 1:
         raise ValueError(f"|x| must be <= 1, got {x!r}")
+    return _cheb(n, x, m)
+
+
+def _cheb(n: int, x, m=1):
+    # cheb_arctan's body, for x already in [-1, 1]
+    c = row_of(x)
     return _clenshaw_odd(_coefficients(n, m, c, c.prec), x)
 
 
@@ -84,9 +90,14 @@ def cf_arctan(n: int, x):
     """
     require_int(n, "depth n", 1)
     c = require_finite(x)
-    xx = x * x
-    if c is FLOAT and not n * n * xx <= sys.float_info.max:  # exact for an int x
+    if c is FLOAT and not n * n * (x * x) <= sys.float_info.max:  # exact for an int x
         raise ValueError(f"n^2*x^2 lies beyond the float range at n = {n}, x = {x!r}")
+    return _cf(n, x)
+
+
+def _cf(n: int, x):
+    # cf_arctan's body, for a finite x whose n^2*x^2 is finite
+    xx = x * x
     d = 2 * n + 1
     for k in range(n, 0, -1):
         d = (2 * k - 1) + k * k * xx / d
@@ -147,10 +158,16 @@ def blend_w(n: int, u):
     """
     require_int(n, "truncation index n", 0)
     require_unit(u, "u")
+    return _blend(n, u)
+
+
+def _blend(n: int, u):
+    # blend_w's body, for u already in [0, 1]: taylor1_t's and taylor1_s's rows, unchecked
     p = 4 * n + 4
     wu = u**p
     wv = (1 - u) ** p
-    return (wu * taylor1_t(n, u) + wv * taylor1_s(n, u)) / (wu + wv)
+    t = row_of(u).pi / 4 - _quartic_rows(n, (1 - u) / 2)
+    return (wu * t + wv * _quartic_rows(n, u / (u + 1))) / (wu + wv)
 
 
 @lru_cache(maxsize=None)

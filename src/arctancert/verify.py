@@ -873,8 +873,7 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
             # a margin whose lower double lies above the smallest upper double is not the smallest
             ceiling = min(_bounds(v, False)[1] for v in err.lo)
             min_gap = min(v for v in err.lo if _bounds(v, False)[0] <= ceiling)
-            tol = mp.mpf(10) ** (5 - cfg.report_digits)
-            satisfied = bool(min_gap >= -tol)
+            satisfied = bool(min_gap >= -mp.ldexp(1, 1 - err.k))  # two mpf terms
         # every value is read here, at the working precision, resolving at mpf where it must
         sup, gap = float(best_e), float(min_gap)
         settle_mpf, ends_mpf = (sum(not v.open for v in vs) for vs in (err.settled.values(), err.ends))
@@ -939,11 +938,12 @@ def certify_bound(
 
     min_gap is the smallest signed margin (oracle - f for a lower bound,
     f - oracle for an upper bound); the verdict tolerates violations up to
-    oracle noise, 10^-(report_digits-5). The scan settles each point whose
-    margin could be the smallest, and each whose |E| could be the largest
-    (the reported sup_error). Then min_gap is exact and every other margin
-    lies above it, so no other point can change the verdict. The grid is not
-    refined. A bounded grid from 0 samples x = 0, where every bound meets arctan.
+    the scan's own noise, two mpf terms 2*2^-k (k = 149 at 50 digits), so
+    report_digits enters no verdict. The scan settles each point whose margin
+    could be the smallest, and each whose |E| could be the largest (the
+    reported sup_error). Then min_gap is exact and every other margin lies
+    above it, so no other point can change the verdict. The grid is not
+    refined; a bounded grid from 0 samples x = 0, where every bound meets arctan.
     """
     kind = BoundKind(kind)
     if kind not in (BoundKind.LOWER, BoundKind.UPPER):

@@ -1,13 +1,16 @@
 import math
+import random
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from arctancert import tails
+from arctancert import core, master, series, tails
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
+from arctancert.numerics import row_of
 from arctancert.verify import BoundKind, OracleConfig, _mpf_term_bits, oracle_arctan
 
 # every registry family once, each side of a pair family separately
@@ -256,3 +259,123 @@ def test_fixed_rule_takes_the_lift_its_domain_implies(ident):
     ap = Approximant(ident, n=n)
     for x in (0.5, 3.0) if lift else (0.5,):
         assert ap.fixed_error(x, 169) == tails.direct_fixed(kernel, lift, n, x, 169), (ident, x)
+
+
+# --- every route gives its public composition, and every route checks its argument ---
+
+
+def _blend(n, u):
+    # series.blend_w as the composition it was written as, from the public s and t kernels
+    p = 4 * n + 4
+    wu, wv = u**p, (1 - u) ** p
+    return (wu * series.taylor1_t(n, u) + wv * series.taylor1_s(n, u)) / (wu + wv)
+
+
+# the public kernel each lifted row lifts, and w's test-local blend
+_PUBLIC = {
+    "t5": lambda n, u: core.lagrange_p(u),
+    "cheb-lifted": series.cheb_arctan,
+    "cf-lifted": series.cf_arctan,
+    "w-lifted": _blend,
+    "w": _blend,
+}
+
+
+def _composed(ap, x):
+    # Approximant(...)(x) rebuilt from public kernels: a lifted row is twice its kernel at
+    # the lift's u, w the blend above, any other row its registry kernel (and side)
+    info = FAMILIES[ap.family]
+    if info.lifted:
+        return 2 * _PUBLIC[ap.family](ap.n, row_of(x).reduce(x))
+    if ap.family == "w":
+        return _blend(ap.n, x)
+    v = info.kernel(x) if ap.n is None else info.kernel(ap.n, x)
+    return getattr(v, ap.side) if ap.side else v
+
+
+def _bits(v):
+    return v.hex() if isinstance(v, float) else v._mpf_
+
+
+@pytest.mark.parametrize("ident", sorted(FAMILIES))
+def test_every_route_gives_its_public_composition_bit_for_bit(ident):
+    info = FAMILIES[ident]
+    rng = random.Random(f"composition:{ident}")
+    if info.claim_interval == "0:1":
+        xs = [0.0, 5e-324, 1.0] + [rng.random() for _ in range(8)]
+    else:
+        xs = [0.0, 5e-324, 1.0, 1e150, 1.7e308] + [10 ** rng.uniform(-300, 300) for _ in range(8)]
+    for n in range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,):
+        for side in ("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,):
+            ap = Approximant(ident, n=n, side=side)
+            for x in xs:
+                assert _bits(ap(x)) == _bits(_composed(ap, x)), (ap.label, x)
+            with mp.workdps(50):
+                for x in map(mp.mpf, xs):
+                    assert _bits(ap(x)) == _bits(_composed(ap, x)), (ap.label, x)
+
+
+def _rejected(ident):
+    # the arguments a row's evaluator must refuse: NaN, the infinities and an int past the
+    # float range everywhere; -1.0 where its kernel's domain starts at 0; 1.5 on [0, 1].
+    # cheb's kernel is odd and takes [-1, 1], and cf's takes any x whose n^2*x^2 is finite
+    # (series.cheb_arctan, series.cf_arctan), so -1.0 is a value there, and 1.5 is for cf
+    bad = [math.nan, math.inf, -math.inf, 10**400]
+    if ident not in ("cheb", "cf"):
+        bad.append(-1.0)
+    if FAMILIES[ident].claim_interval == "0:1" and ident != "cf":
+        bad.append(1.5)
+    return bad
+
+
+@pytest.mark.parametrize("ap", INSTANCES, ids=lambda ap: ap.label)
+def test_every_route_raises_value_error_at_float_and_at_mpf(ap):
+    for x in _rejected(ap.family):
+        with pytest.raises(ValueError):
+            ap(x)
+        with mp.workdps(50):
+            with pytest.raises(ValueError):
+                ap(x if isinstance(x, int) else mp.mpf(x))
+
+
+# each public kernel at order 3 where it takes one, with the arguments it refuses
+_KERNELS = [
+    (core.shafer_fink_bounds, "0:inf"),
+    (core.theorem2_bounds, "0:inf"),
+    (core.theorem4_upper, "0:inf"),
+    (core.theorem5_approx, "0:inf"),
+    (core.LiftedApproximant(partial(series.cf_arctan, 3)), "0:inf"),
+    (partial(master.master_bounds, 3), "0:inf"),
+    (partial(master.a_n, 3), "0:inf"),
+    (core.lagrange_p, "0:1"),
+    (partial(series.taylor1_s, 3), "0:1"),
+    (partial(series.taylor1_t, 3), "0:1"),
+    (partial(series.blend_w, 3), "0:1"),
+    (partial(series.cheb_arctan, 3), "-1:1"),
+    (partial(series.cf_arctan, 3), "reals"),
+]
+
+
+@pytest.mark.parametrize("kernel, domain", _KERNELS, ids=lambda v: getattr(v, "__name__", None) or repr(v)[:40])
+def test_public_kernels_raise_value_error_at_float_and_at_mpf(kernel, domain):
+    bad = [math.nan, math.inf, -math.inf, 10**400]
+    bad += {"0:inf": [-1.0], "0:1": [-1.0, 1.5], "-1:1": [1.5, -1.5], "reals": []}[domain]
+    for x in bad:
+        with pytest.raises(ValueError):
+            kernel(x)
+        with mp.workdps(50):
+            with pytest.raises(ValueError):
+                kernel(x if isinstance(x, int) else mp.mpf(x))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [master.master_bounds, master.a_n, series.cheb_arctan, series.cf_arctan, series.taylor1_s, series.taylor1_t,
+     series.blend_w],
+    ids=lambda f: f.__name__,
+)
+def test_public_kernels_reject_a_non_integer_order(kernel):
+    kernel(2, 0.5)  # a valid order first, so that no cache entry for 2 lets 2.0 through
+    for n in (2.0, 2.5, "2"):
+        with pytest.raises(ValueError):
+            kernel(n, 0.5)

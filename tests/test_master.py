@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from arctancert.master import (
     master_params,
     pn_coefficients,
 )
-
+from arctancert.numerics import FLOAT, MPF
 from arctancert.verify import oracle_arctan
 
 from conftest import log_grid, nested_radical_seq
@@ -243,3 +244,36 @@ def test_denominator_identity_between_forms():
             via_pn = d * math.fsum(coeffs[k] / 2**k * ell[k] for k in range(n + 1))
             via_sym = math.fsum((-1) ** (n - j) * (e[j] << j) * ell[j] for j in range(n + 1))
             assert via_pn == pytest.approx(via_sym, rel=1e-12)
+
+
+def _per_call_a_n(n, x, c):
+    # master._a_n in its per-call form, the reference for the cached coefficients: the
+    # integers (-1)^(n-j)*e_j*2^j built on every call and multiplied into each L_j as ints
+    e = elementary_symmetric(n)
+    ell = [1 / c.hypot(1, x)]
+    num = x * ell[0]
+    for _ in range(n):
+        ell.append(ell[-1] + c.hypot(num, ell[-1]))
+    sign = -1 if n % 2 else 1
+    terms = []
+    for j in range(n + 1):
+        terms.append(sign * (e[j] << j) * ell[j])
+        sign = -sign
+    return num, c.fsum(terms)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_cached_coefficients_give_the_per_call_products_bit_for_bit(n):
+    params = master_params(n)
+    rng = random.Random(f"a_n:{n}")
+    xs = [0.0, 5e-324, 1.0, 1e150, 1.7e308] + [10 ** rng.uniform(-300, 300) for _ in range(40)]
+    for x in xs:
+        num, den = _per_call_a_n(n, x, FLOAT)
+        want = (num * (params.scale_low / den), num * (params.scale_high / den))
+        assert [v.hex() for v in master_bounds(n, x)] == [v.hex() for v in want], x
+    with mp.workdps(50):
+        for x in map(mp.mpf, xs[:12]):
+            num, den = _per_call_a_n(n, x, MPF)
+            scaled = params.denom_product * (num / den)
+            got = master_bounds(n, x)
+            assert (got.lower._mpf_, got.upper._mpf_) == ((params.k_low * scaled)._mpf_, (params.k_high * scaled)._mpf_)

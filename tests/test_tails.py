@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -287,3 +288,33 @@ def test_tail_row_outside_its_domain_is_settled_at_mpf_and_raises(cfg):
     assert _fixed_error(ap.fixed_error, 1.5, 128, 116) == (0, math.inf)
     with pytest.raises(ValueError):
         sup_error(ap, Interval(0.0, 2.0), 65, cfg=cfg)
+
+
+def _two_pass_w(n, u, e_u, w):
+    # s_kernel, t_kernel and w_kernel in their two-pass form, the reference for the shared
+    # pass: each row summed on its own with the same floors, so every integer is the same
+    def row_sum(g):
+        q = -((g * g) ** 2 >> (3 * w - 2))
+        a = b = c = 0
+        for ca, cb, cc in tails._quartic_coefficients(w)[n::-1]:
+            a, b, c = ca + ((q * a) >> w), cb + ((q * b) >> w), cc + ((q * c) >> w)
+        return (g * (a + ((g * (b + ((g * c) >> w))) >> w))) >> w
+
+    one = 1 << w
+    s, e_s = row_sum((u << w) // (u + one)), 4.1 + 3.34 * (1 + e_u)
+    t, e_t = tails._pi_fixed(w - 2) - row_sum((one - u) >> 1), 1.01 + 4.1 + 1.67 * (1 + e_u)
+    p = 4 * n + 4
+    lam = tails._blend_weight(p, u, w)
+    gap = (abs(t - s) + e_t + e_s) / one
+    return (s, e_s), (t, e_t), ((lam * t + (one - lam) * s) >> w, max(e_t, e_s) + (1.01 + p * e_u) * gap + 1)
+
+
+def test_one_pass_quartic_rows_give_the_two_pass_integers():
+    rng = random.Random("quartic")
+    for _ in range(2000):
+        n, w = rng.randrange(MAX_ORDER + 1), rng.choice((60, 149, 169, 300))
+        u = rng.choice((0, 1 << w, rng.randrange(1 << w), (1 << w) - rng.randrange(1 << 20)))
+        e_u = rng.choice((0.0, 1.0, 2.0, rng.random() * 10))
+        want = _two_pass_w(n, u, e_u, w)
+        got = tails.s_kernel(n, u, e_u, w), tails.t_kernel(n, u, e_u, w), tails.w_kernel(n, u, e_u, w)
+        assert got == want, (n, u, e_u, w)

@@ -388,6 +388,20 @@ def test_certify_flags_corrupted_bound(cfg):
     assert rep.min_gap < 0
 
 
+@pytest.mark.parametrize("n", [6, 8])
+def test_certify_refuses_a_side_lowered_below_arctan_by_1e_30(cfg, n):
+    # the verdict tolerates two mpf terms, 2*2^-149 at 50 digits, and no more: an upper side
+    # that crosses arctan by 1e-30 at every x > 0 is refused, as one 1e-44 below is, while
+    # the side itself passes
+    side = Approximant("master", n=n, side="upper")
+    iv = Interval.parse("0:inf")
+    assert certify_bound(side, "upper", iv, 65, cfg=cfg).satisfied
+    for shift in ("1e-30", "1e-44"):
+        lowered = lambda x, d=mp.mpf(shift): side(x) - d if x > 0 else side(x)
+        rep = certify_bound(lowered, "upper", iv, 65, cfg=cfg)
+        assert not rep.satisfied and rep.min_gap < 0, shift
+
+
 def test_certify_rejects_wrong_direction(cfg):
     # an upper-bound family certified as a lower bound must fail
     rep = certify_bound(
