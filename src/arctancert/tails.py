@@ -73,9 +73,9 @@ def _pi_fixed(bits: int) -> int:
 
 def _atan_w(x: float, w: int) -> int:
     # arctan x at scale 2^w within 1.01 units: verify._atan_fixed at wp = w + 40 errs by three
-    # table values' errors and 11 units more, under 602 + wp/2 units of 2^-wp at any wp
-    # (_centres), so by under 0.01 units of 2^-w for w below 2^34 once shifted down, and the
-    # shift floors one more
+    # centre values' errors, one fine value's and 11 units more, under 793 + 0.51*wp units of
+    # 2^-wp at any wp (verify._table), so by under 0.01 units of 2^-w for w below 2^34 once
+    # shifted down, and the shift floors one more
     return _atan_fixed(x, w + 40) >> 40
 
 

@@ -1,17 +1,19 @@
 """Extended-precision arctangent oracle and the sup-norm certification harness.
 
-The oracle never calls a library arctangent. It reduces its argument against
-a table of centres k/64: above 1 it takes y = 1/x and reflects through pi/2,
-then adds arctan(c) for the centre c nearest y to the Maclaurin series at
-z = (y - c)/(1 + y*c), where |z| <= 2^-7. The 65 values arctan(k/64) are
-chained from short series of the same kind once per working precision.
-Arguments up to 2^-6 sum the series relative to x. All of this runs in integer
-fixed point with guard bits beyond the working precision, and the result is
-rounded once, so it lies within one unit in the last place at working
-precision. pi is taken from the exact-rational Machin series and
-cross-checked, to 4 ulp, against 4*arctan(1) from the table once per working
-precision; the fixed-point tier's integer pi is mpmath's floor(pi*2^w), from
-the series behind mp.pi (tails._pi_fixed).
+The oracle never calls a library arctangent. It reduces its argument in two
+steps of one kind: above 1 it takes y = 1/x and reflects through pi/2; then,
+for the centre c = k/64 nearest y, arctan y = arctan(c) + arctan(z) with
+z = (y - c)/(1 + y*c), |z| <= 2^-7; then z is reduced the same way against
+the nearest fine point j/2^13, j = 0..64, which leaves the Maclaurin series an
+argument of at most 2^-14. Each table of 65 values is chained from short
+series of the same kind once per working precision, the fine one on first
+use. Arguments up to 2^-6 sum the series relative to x. All of this runs in
+integer fixed point with guard bits beyond the working precision, which is an
+argument, not the mpmath context, and the result is rounded once, so it lies
+within one unit in the last place at working precision. pi is taken from the
+exact-rational Machin series and cross-checked, to 4 ulp, against 4*arctan(1)
+from the centres once per working precision; the fixed-point tier's integer
+pi is mpmath's floor(pi*2^w), from the series behind mp.pi (tails._pi_fixed).
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested closed interval (a tan-mapped grid when it is
@@ -145,6 +147,7 @@ REFINE_TOL = 1e-12  # golden-section brackets stop below REFINE_TOL*max(1, x)
 _TOP = 3  # local maxima of |E| refined by golden-section search
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
+_FINE = 2**13  # and what is left against the fine points j/_FINE, j = 0.._CENTRES
 _ANCHOR_BITS = 20  # mantissa bits of the anchor that _atan_fixed reduces x against (z < 2^-19)
 _FLOAT_RANGE = (1e-150, 1e150)  # nonzero arguments over which both float rules are tested
 _MASTER_PREC = dps_to_prec(CONSTANT_DIGITS)  # bits of master's constants, 169 or more
@@ -189,12 +192,14 @@ def _shift(v: int, s: int) -> int:
 
 
 def _series(y2: int, wp: int) -> int:
-    # arctan(y)/y = sum (-1)^j y^(2j)/(2j+1), scaled by 2^wp, from y^2 scaled by 2^wp
-    s, p, j = 0, 1 << wp, 0
+    # arctan(y)/y = sum (-1)^j y^(2j)/(2j+1) scaled by 2^wp, from y^2 so scaled; two terms a pass
+    s, p, d = 0, 1 << wp, 1
     while p:
-        s += p // (2 * j + 1) if j % 2 == 0 else -(p // (2 * j + 1))
+        s += p // d
         p = (p * y2) >> wp
-        j += 1
+        s -= p // (d + 2)
+        p = (p * y2) >> wp
+        d += 4
     return s
 
 
@@ -204,44 +209,45 @@ def _atan_small(z: int, wp: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _centres(wp: int) -> tuple:
-    # T_k = arctan(k/N) scaled by 2^wp for k = 0..N, N = _CENTRES, built once per wp and
-    # chained through arctan((k+1)/N) - arctan(k/N) = arctan(N/(N^2 + k(k+1))) <= 1/N.
-    # Guard-bit budget: a link errs by under 3 + terms/32 units of 2^-wp (the quotient and
-    # the final product under one each; the series' error, under 1.5 units a term, scaled
-    # by z <= 2^-6), and the series takes under wp/12 + 2 terms, so T_k errs by under
-    # N*(3.07 + wp/384) units at any wp: under 2^9 up to wp of about 1,880 bits (565 digits),
-    # one bit more per doubling of wp beyond. Measured: under 65 units at wp = 150..4,800.
-    n = _CENTRES
+def _table(n: int, wp: int) -> tuple:
+    # T_k = arctan(k/n) scaled by 2^wp for k = 0..N, N = _CENTRES, built once per n and wp on
+    # first use, chained through arctan((k+1)/n) - arctan(k/n) = arctan(n/(n^2 + k(k+1))) <= 1/n.
+    # A link errs by under 3 + 2*terms/n units of 2^-wp (the quotient and the final product
+    # under one each; the series' error, under 1.5 units a term, scaled by its argument), and
+    # the series takes under wp/(2*log2 n) + 2 terms, so T_k errs by under k links at any wp.
+    # The centres (n = N) err by under N*(3.07 + wp/384): under 2^9 up to wp of about 1,880
+    # bits (565 digits), one bit more per doubling of wp beyond. The fine values (n = _FINE)
+    # err by under N*(3.001 + wp/106,496): under 2^8 up to wp of about 106,000.
     t = [0]
-    for k in range(n):
+    for k in range(_CENTRES):
         t.append(t[-1] + _atan_small((n << wp) // (n * n + k * (k + 1)), wp))
     return tuple(t)
 
 
 def _parts(x):
-    # (man, exp) with x = man*2^exp exactly, for a float, an int or an mpf
+    # (man, exp) with x = man*2^exp exactly, for a float, an int or an mpf, whatever mp.prec
     if isinstance(x, float):
         man, den = x.as_integer_ratio()  # exact, and cheaper than building an mpf
         return man, 1 - den.bit_length()
-    _, man, exp, _ = (x if isinstance(x, mp.mpf) else mp.mpf(x))._mpf_
-    return man, exp
+    if isinstance(x, mp.mpf):
+        return x._mpf_[1:3]
+    return operator.index(x), 0
 
 
-def _oracle_bits() -> int:
-    # the oracle's fixed-point bits at the active precision
-    return mp.prec + _GUARD_BITS + 16
+def _oracle_bits(prec: int) -> int:
+    # the oracle's fixed-point bits for a result of prec bits
+    return prec + _GUARD_BITS + 16
 
 
 def _atan_fixed(x, wp: int) -> int:
     # arctan of x >= 0 scaled by 2^wp, within 2^11 units of 2^-wp for wp up to 1,880.
     # x = m*2^e is split at its anchor x0 = m0*2^e <= x, m0 the top _ANCHOR_BITS bits of m:
     # arctan x = arctan x0 + arctan z with z = (x - x0)/(1 + x*x0), both terms >= 0. The
-    # anchor (_anchor) lies within 3*2^9 + 8 units. m - m0 < 2^-19*m puts x - x0 below
-    # 2^-19*x and z below 2^-19*x/(1 + x^2/2) < 2^-19, so _atan_small sums about wp/38
-    # terms. z is formed exactly from the two ratios and floored (one unit, which moves
-    # arctan z by at most one); the series adds its final floor, and its terms' floors,
-    # under 2 units each in under 60 terms, scaled by z, under 2^-12: 3*2^9 + 11 < 2^11 in all.
+    # anchor (_anchor) lies within 3*2^9 + 2^8 + 8 units. m - m0 < 2^-19*m puts x - x0 below
+    # 2^-19*x and z below 2^-19*x/(1 + x^2/2) < 2^-19, so _atan_small sums about wp/38 terms.
+    # z is formed exactly from the two ratios and floored (one unit, which moves arctan z by
+    # at most one); the series adds its final floor, and its terms' floors, under 2 units
+    # each in under 60 terms, scaled by z, under 2^-12: 3*2^9 + 2^8 + 11 < 2^11 in all.
     man, exp = _parts(x)
     if not man:
         return 0
@@ -261,7 +267,7 @@ def _atan_fixed(x, wp: int) -> int:
 def _anchor(man: int, exp: int, wp: int) -> int:
     # arctan x0 scaled by 2^wp for the anchor x0 = man*2^exp > 0, cached, since a search's
     # probes share anchors: for x0 <= 1/N, N = _CENTRES, the series at x0*2^wp, floored,
-    # within a few units; above, _atan_reduced, within 3*2^9 + 8.
+    # within a few units; above, _atan_reduced, within 3*2^9 + 2^8 + 8.
     if man * _CENTRES << max(0, exp) <= 1 << max(0, -exp):  # x0*N <= 1, exactly
         return _atan_small(_shift(man, exp + wp), wp)
     return _atan_reduced(man, exp, man << max(0, exp) > 1 << max(0, -exp), wp)
@@ -269,37 +275,46 @@ def _anchor(man: int, exp: int, wp: int) -> int:
 
 def _atan_reduced(man: int, exp: int, above: bool, wp: int) -> int:
     # arctan x scaled by 2^wp for x = man*2^exp > 1/N, N = _CENTRES, above telling x > 1.
-    # y = x, or y = 1/x reflected through pi/2 = 2*T_N, is reduced against the nearest
-    # centre c = k/N: arctan y = T_k + arctan(z) with z = (y - c)/(1 + y*c), and
-    # |y - c| <= 1/(2N) puts |z| <= 2^-7. At most three table values enter, each within
-    # 2^9 units (see _centres), and the series within 8, so the result lies within 2^11.
-    n, one = _CENTRES, 1 << wp
-    t = _centres(wp)
+    # y = x, or y = 1/x reflected through pi/2 = 2*T_N, is reduced twice by one step against
+    # the nearest point c = k/n of a table: arctan y = T_k + arctan z, z = (y - c)/(1 + y*c),
+    # |z| <= |y - c| <= 1/(2n). The centres (n = N) leave |z| <= 2^-7, the fine points j/2^13
+    # then |z| <= 2^-14, so the series sums about wp/28 terms. An exact point ends it, so
+    # x = 1, for pi, needs no fine table. At most three centre values enter, each within 2^9
+    # units (_table), and one fine value within 2^8; the floors of y, of both quotients and
+    # of the series add under 8, so the result lies within 3*2^9 + 2^8 + 8 < 2^11.
+    one = 1 << wp
     if above:
         y = (1 << (wp - exp)) // man if wp >= exp else 0
     else:
         y = _shift(man, exp + wp)
-    k = (y * n + (one >> 1)) >> wp
-    num = y * n - k * one
-    z = _atan_small((abs(num) << wp) // (n * one + y * k), wp)
-    r = t[k] + z if num >= 0 else t[k] - z
-    return 2 * t[n] - r if above else r
+    r, sign = 0, 1
+    for n in (_CENTRES, _FINE):
+        k = (y * n + (one >> 1)) >> wp
+        num = y * n - k * one
+        r += sign * _table(n, wp)[k]
+        if not num:
+            break
+        sign = sign if num > 0 else -sign
+        y = (abs(num) << wp) // (n * one + y * k)
+    else:
+        r += sign * _atan_small(y, wp)
+    return 2 * _table(_CENTRES, wp)[_CENTRES] - r if above else r
 
 
-def _atan_core(x):
-    # arctan of x >= 0 at the active precision, rounded once. x <= 1/N sums the Maclaurin
-    # series relative to x, so tiny x keeps full relative accuracy. Larger x is reduced
-    # (_atan_reduced): the results lie above 2^-7 within 2^9 + 8 units of 2^-wp, or,
-    # reflected, above pi/4 within 2^11, so wp keeps _GUARD_BITS beyond mp.prec relative
-    # to them.
+def _atan_core(x, prec: int):
+    # arctan of x >= 0 rounded once to prec bits; x's parts and both comparisons are exact,
+    # so nothing reads mp.prec. x <= 1/N sums the Maclaurin series relative to x, so tiny x
+    # keeps full relative accuracy. Larger x is reduced (_atan_reduced): the results lie above
+    # 2^-7 within 2^9 + 2^8 + 8 units of 2^-wp, or, reflected, above pi/4 within 2^11, so wp
+    # keeps over 23 bits beyond prec relative to them.
     man, exp = _parts(x)
     if not man:
         return mp.mpf(0)
-    wp = _oracle_bits()
-    if x * _CENTRES <= 1:
+    wp = _oracle_bits(prec)
+    if x <= 1 / _CENTRES:
         s = _series(_shift(man * man, 2 * exp + wp), wp)
-        return mp.make_mpf(from_man_exp(man * s, exp - wp, mp.prec, round_nearest))
-    return mp.make_mpf(from_man_exp(_atan_reduced(man, exp, x > 1, wp), -wp, mp.prec, round_nearest))
+        return mp.make_mpf(from_man_exp(man * s, exp - wp, prec, round_nearest))
+    return mp.make_mpf(from_man_exp(_atan_reduced(man, exp, x > 1, wp), -wp, prec, round_nearest))
 
 
 @lru_cache(maxsize=None)
@@ -308,7 +323,7 @@ def _pi_internal(working_digits: int):
     with mp.workdps(working_digits):
         terms = working_digits // 2 + 4  # ~2.5 digits per dominant-series row
         from_series = machin_pi(terms, dps=working_digits)
-        from_reduction = 4 * _atan_core(mp.mpf(1))  # 4*T_N
+        from_reduction = 4 * _atan_core(1, mp.prec)  # 4*T_N
         if abs(from_series - from_reduction) > mp.ldexp(4, 2 - mp.prec):  # 4 ulp of pi
             raise ArithmeticError("internal pi cross-check failed")
         return +from_series
@@ -316,8 +331,7 @@ def _pi_internal(working_digits: int):
 
 @lru_cache(maxsize=262144)
 def _oracle_cached(x, working_digits):
-    with mp.workdps(working_digits):
-        return _atan_core(x)
+    return _atan_core(x, dps_to_prec(working_digits))
 
 
 def oracle_arctan(x, cfg: Optional[OracleConfig] = None):

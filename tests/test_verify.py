@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import dps_to_prec
 
 from arctancert import verify
 from arctancert.core import lagrange_p, theorem5_approx, shafer_fink_bounds
@@ -88,10 +89,20 @@ def _ulps_off(got, x, working_digits):
         return abs(got - ref) / mp.ldexp(1, mp.frexp(ref)[1] - prec)
 
 
+def _fine_seams(centres):
+    # the second step's seams near each centre c: y = (c + d)/(1 - c*d), where the first step
+    # leaves z = d exactly, for d = j/2^14: the fine points j/2^13 (j even, up to the table's
+    # end 2^-7) and the midpoints between them, where the nearest fine point flips (j odd)
+    ds = [s * j / 2**14 for j in (1, 2, 3, 64, 65, 127, 128) for s in (-1, 1)]
+    return [y for c in centres for d in ds if (y := (c + d) / (1 - c * d)) > 0]
+
+
 # the reduction's seams, each with its float neighbours: the centres k/64 (2^-6, where the
 # relative series ends, and 1, where the reflection starts, among them), the midpoints
-# (k+1/2)/64 where the nearest centre flips, and the same seams of 1/x above 1 (2 among them)
+# (k+1/2)/64 where the nearest centre flips, the fine seams around every centre, and the
+# same seams of 1/x above 1 (2 among them)
 _SEAMS = [k / 64 for k in range(1, 65)] + [(2 * k + 1) / 128 for k in range(64)]
+_SEAMS += _fine_seams([k / 64 for k in range(65)])
 _EDGE_POINTS = [5e-324, 2.0**-1074 * 3, 1e-300, 1e154, 1.7e308] + [
     math.nextafter(v, toward) for v in _SEAMS + [1 / c for c in _SEAMS] for toward in (0.0, v, math.inf)
 ]
@@ -115,17 +126,23 @@ def test_oracle_within_one_ulp_everywhere(x, digits):
 
 def _anchored_points():
     # 0, the smallest subnormal, 1e-300, 1/64 and 1 with their neighbouring doubles, the top
-    # of the float range, and mantissas whose low 33 bits are all 0, all 1, or 2^32
+    # of the float range, mantissas whose low 33 bits are all 0, all 1, or 2^32, and, at the
+    # fine seams of a few centres and at their reciprocals, the two 20-bit anchors either
+    # side of the seam, each bare and with its low 33 bits all 1
     pts = [0.0, 5e-324, 1e-300, 1.7e308, 1 / 64, 1.0]
     pts += [math.nextafter(c, to) for c in (1 / 64, 1.0) for to in (0.0, math.inf)]
     for top in (0x80005, 0xFFFFF, 0xAAAAA):  # 20 bits, so each mantissa has 53
         for low in (0, 2**33 - 1, 2**32):
             pts += [math.ldexp(top << 33 | low, e) for e in (-1074, -600, -60, -52, -45, 0, 100, 970)]
+    for y in _fine_seams([k / 64 for k in (0, 1, 2, 32, 63, 64)]):
+        for seam in (y, 1 / y):
+            m, e = math.frexp(seam)
+            for top in (math.floor(m * 2**20), math.floor(m * 2**20) + 1):
+                pts += [math.ldexp(top << 33 | low, e - 53) for low in (0, 2**33 - 1)]
     return pts
 
 
-with mp.workdps(50):
-    _WP_50 = verify._oracle_bits()  # the fixed arctan's bits at the scan's default precision
+_WP_50 = verify._oracle_bits(dps_to_prec(50))  # the fixed arctan's bits at the scan's default precision
 
 
 def _check_atan_fixed(x, wp):
@@ -154,6 +171,42 @@ def test_fixed_arctan_lies_within_its_bound_at_edge_points(wp):
 )
 def test_fixed_arctan_lies_within_its_bound(x, wp):
     _check_atan_fixed(x, wp)
+
+
+def _link_units(n, wp):
+    # verify._table's bound on one link, in units of 2^-wp: 3 + 2*terms/n, where the series
+    # takes under wp/(2*log2 n) + 2 terms
+    return 3 + 2 * (wp / (2 * math.log2(n)) + 2) / n
+
+
+@pytest.mark.parametrize("wp", [150, _WP_50, 442, 1000])
+@pytest.mark.parametrize("n", [verify._CENTRES, verify._FINE])
+def test_table_entries_lie_within_their_bound(n, wp):
+    # T_k within k links of arctan(k/n), against mpmath.atan 80 bits deeper; so the centres
+    # lie within 2^9 units and the fine values within 2^8, as the reduction's budget takes
+    assert verify._CENTRES * _link_units(n, wp) < (2**9 if n == verify._CENTRES else 2**8)
+    table = verify._table(n, wp)
+    assert len(table) == verify._CENTRES + 1 and table[0] == 0
+    with mp.workprec(wp + 80):
+        for k, t in enumerate(table):
+            assert abs(t - mp.ldexp(mp.atan(mp.mpf(k) / n), wp)) <= k * _link_units(n, wp), (n, wp, k)
+
+
+def test_oracle_does_not_depend_on_the_ambient_precision():
+    # the oracle takes its precision from cfg alone: an int's parts are exact, both above
+    # 2^53 and past the float range, and so are those of an mpf with more bits than either
+    # ambient precision carries, one of them just above 1/64, where the relative series ends
+    with mp.workprec(1200):
+        wides = [mp.sqrt(2) / 3, mp.mpf(1) / 64 + mp.mpf(2) ** -1100]
+    cfg = OracleConfig(working_digits=50, report_digits=30)
+    for x in [2**60 + 1, 10**400, *wides]:
+        values = []
+        for ambient in (15, 300):
+            _oracle_cached.cache_clear()
+            with mp.workdps(ambient):
+                values.append(oracle_arctan(x, cfg))
+        assert values[0] == values[1], x
+        assert _ulps_off(values[0], x, cfg.working_digits) <= 1, x
 
 
 def test_pi_cross_check_rejects_machin_off_by_16_ulp(monkeypatch):
