@@ -3,7 +3,8 @@
 Subcommands: ``list`` (family metadata), ``eval`` (evaluate one family at a
 point against the oracle), ``certify`` (run a bound/sup-norm certification),
 ``table`` (CSV error table over families and orders), ``pi`` (Machin-series
-pi against the oracle's internal value).
+pi against the oracle's, 4*arctan 1 from its centre table: two routes that
+share no code).
 
 Exit codes: 0 all certifications satisfied (for ``eval``: every value
 finite), 1 at least one violated (for ``eval``: a value not finite), 2 usage
@@ -278,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", metavar="PATH")
     sp.set_defaults(func=cmd_table)
 
-    sp = sub.add_parser("pi", help="Machin-series pi against the oracle")
+    sp = sub.add_parser("pi", help="Machin-series pi against the oracle's independent 4*arctan(1)")
     sp.add_argument("--terms", type=int, default=12)
     sp.add_argument("--digits", type=int, default=30)
     sp.set_defaults(func=cmd_pi)

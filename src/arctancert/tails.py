@@ -22,7 +22,7 @@ integer recurrence (_cheb_ints), cf's backward recurrence, and the quartic
 rows' partial sums (s, t and their blend w; Cuyt et al., Handbook of Continued
 Fractions for Special Functions, ch. 11, for cf). pi, there and in master's
 coefficients, is mpmath's floor(pi*2^bits), from the series behind mp.pi
-(_pi_fixed).
+(mpmath.libmp.pi_fixed).
 
 The float bounds are first order in the unit roundoff U; every constant
 carries a few percent of slack for the second-order terms. Quantities that
@@ -46,6 +46,9 @@ import math
 from functools import lru_cache
 
 from mpmath import mp
+# pi_fixed(bits) is pi*2^bits within one unit: mpmath's floor(pi*2^bits), Chudnovsky's series
+# summed 10 or more bits deeper and shifted down, memoized there; mp.pi, which master_params
+# and the mpf kernels read, rounds the same series
 from mpmath.libmp import pi_fixed
 
 from .master import MAX_ORDER, _signed_e, denominator_product, master_params, pn_coefficients
@@ -62,13 +65,6 @@ with mp.workdps(30):  # the nearest doubles to 2/pi and 4/pi^2, each within U
 def _nearest(num: int, den: int) -> int:
     # num/den rounded to the nearest integer, den > 0
     return (2 * num + den) // (2 * den)
-
-
-def _pi_fixed(bits: int) -> int:
-    # pi*2^bits within one unit: mpmath's floor(pi*2^bits) (libmp.pi_fixed), Chudnovsky's
-    # series summed 10 or more bits deeper and shifted down, memoized there; mp.pi, which
-    # master_params and the mpf kernels read, rounds the same series
-    return pi_fixed(bits)
 
 
 def _atan_w(x: float, w: int) -> int:
@@ -111,7 +107,7 @@ def _master_coefficients(n: int, bits: int, count: int) -> tuple:
     d_n = denominator_product(n)
     ints = [int(a * d_n) for a in pn_coefficients(n)]  # D*A_k, exact
     deep = bits + 64
-    hp2 = (_pi_fixed(deep - 1) ** 2) >> deep  # (pi/2)^2
+    hp2 = (pi_fixed(deep - 1) ** 2) >> deep  # (pi/2)^2
     pw = 1 << deep
     for _ in range(n):
         pw = (pw * hp2) >> deep
@@ -330,10 +326,10 @@ def _master_constants(n: int, constant_side: bool, big: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _constants(w: int) -> tuple:
-    # pi, 4/pi and sqrt2 at scale 2^w: pi within 1.01 units (_pi_fixed); 4/pi = 2^(2w+2)/pi,
-    # within 4*1.01/pi^2 < 0.41 units before its floor and 1.41 after; sqrt2 by isqrt, floored,
-    # within one
-    pi = _pi_fixed(w)
+    # pi, 4/pi and sqrt2 at scale 2^w: pi within 1.01 units (mpmath's pi_fixed); 4/pi =
+    # 2^(2w+2)/pi, within 4*1.01/pi^2 < 0.41 units before its floor and 1.41 after; sqrt2 by
+    # isqrt, floored, within one
+    pi = pi_fixed(w)
     return pi, (4 << 2 * w) // pi, math.isqrt(2 << (2 * w))
 
 
@@ -405,7 +401,7 @@ def _s_t(n: int, u: int, e_u: float, w: int, s: bool = True, t: bool = True) -> 
     # over one coefficient lookup, each row with its own floors; a row not asked for takes
     # g = 0, whose sum 0 the pass skips. s's g = u/(1 + u), floored, lies within 1 + e_u units,
     # since dg/du <= 1; t's g = (1 - u)/2, floored, within (1 + e_u)/2, and pi/4 within 1.01
-    # (_pi_fixed). series._quartic_rows(n, g) at g*2^-w in [0, 1/2], scale 2^w, is g*(A +
+    # (mpmath's pi_fixed). series._quartic_rows(n, g) at g*2^-w in [0, 1/2], scale 2^w, is g*(A +
     # g*(B + g*C)) with A, B, C summing q^j times row j's three coefficients
     # (_quartic_coefficients), at most 1, 1 and 2/3, by Horner in q = -4g^4, floored once (1
     # unit). A step errs by its coefficient (1/2 unit), its floor (1), the previous error
@@ -424,7 +420,7 @@ def _s_t(n: int, u: int, e_u: float, w: int, s: bool = True, t: bool = True) -> 
         if h:
             d, e, f = ca + ((r * d) >> w), cb + ((r * e) >> w), cc + ((r * f) >> w)
     s_n = (g * (a + ((g * (b + ((g * c) >> w))) >> w))) >> w
-    t_n = _pi_fixed(w - 2) - ((h * (d + ((h * (e + ((h * f) >> w))) >> w))) >> w) if t else 0
+    t_n = pi_fixed(w - 2) - ((h * (d + ((h * (e + ((h * f) >> w))) >> w))) >> w) if t else 0
     return (s_n, 4.1 + 3.34 * (1 + e_u)), (t_n, 1.01 + 4.1 + 1.67 * (1 + e_u))
 
 

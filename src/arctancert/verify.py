@@ -10,10 +10,12 @@ series of the same kind once per working precision, the fine one on first
 use. Arguments up to 2^-6 sum the series relative to x. All of this runs in
 integer fixed point with guard bits beyond the working precision, which is an
 argument, not the mpmath context, and the result is rounded once, so it lies
-within one unit in the last place at working precision. pi is taken from the
-exact-rational Machin series and cross-checked, to 4 ulp, against 4*arctan(1)
-from the centres once per working precision; the fixed-point tier's integer
-pi is mpmath's floor(pi*2^w), from the series behind mp.pi (tails._pi_fixed).
+within one unit in the last place at working precision. pi is 4*arctan(1),
+the centre table's last value rounded once and scaled exactly, the constant
+every x > 1 reflects through; the Machin series (series.machin_pi), which the
+pi command compares with it, shares no code with it. The fixed-point tier's
+integer pi is mpmath's floor(pi*2^w), from the series behind mp.pi
+(libmp.pi_fixed).
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested closed interval (a tan-mapped grid when it is
@@ -137,7 +139,6 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_floor, 
 from .core import LiftedApproximant, lift_interval_map
 from .master import CONSTANT_DIGITS
 from .numerics import require_int
-from .series import machin_pi
 
 _THETA_EDGE = 1e-8  # exclusion buffer at both ends of the tan-mapped grid
 _INVPHI = (math.sqrt(5) - 1) / 2
@@ -165,8 +166,9 @@ class BoundKind(Enum):
 class OracleConfig:
     """Precision policy for the oracle.
 
-    working_digits is the arithmetic precision, report_digits the accuracy
-    actually promised to callers; the gap absorbs accumulated rounding.
+    working_digits is the arithmetic precision, within one ulp of which every
+    oracle value lies, pi too; report_digits, ten or more below, the accuracy
+    promised to callers, the gap absorbing their accumulated rounding.
     """
 
     working_digits: int = 50
@@ -317,27 +319,16 @@ def _atan_core(x, prec: int):
     return mp.make_mpf(from_man_exp(_atan_reduced(man, exp, x > 1, wp), -wp, prec, round_nearest))
 
 
-@lru_cache(maxsize=None)
-def _pi_internal(working_digits: int):
-    """Machin-series pi at the given precision, cross-checked against the centre table."""
-    with mp.workdps(working_digits):
-        terms = working_digits // 2 + 4  # ~2.5 digits per dominant-series row
-        from_series = machin_pi(terms, dps=working_digits)
-        from_reduction = 4 * _atan_core(1, mp.prec)  # 4*T_N
-        if abs(from_series - from_reduction) > mp.ldexp(4, 2 - mp.prec):  # 4 ulp of pi
-            raise ArithmeticError("internal pi cross-check failed")
-        return +from_series
-
-
 @lru_cache(maxsize=262144)
 def _oracle_cached(x, working_digits):
     return _atan_core(x, dps_to_prec(working_digits))
 
 
 def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
-    """Reference arctan(x), accurate to cfg.report_digits significant digits.
+    """Reference arctan(x) at cfg.working_digits, within one ulp there.
 
-    Accepts non-negative floats, ints or mpf values; +inf returns pi/2.
+    Accepts non-negative floats, ints or mpf values; +inf returns pi/2, arctan
+    1 doubled. cfg.report_digits only bounds the digits a caller is promised.
     """
     cfg = cfg or default_config()
     # comparisons only, so a float, an int past the float range and an mpf all pass
@@ -346,15 +337,18 @@ def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x!r}")
     if x == math.inf:
-        with mp.workdps(cfg.working_digits):
-            return _pi_internal(cfg.working_digits) / 2
+        return mp.ldexp(_oracle_cached(1, cfg.working_digits), 1)
     return _oracle_cached(x, cfg.working_digits)
 
 
 def oracle_pi(cfg: Optional[OracleConfig] = None):
-    """The oracle's internal pi at its working precision."""
+    """4*arctan(1) from the oracle, within one ulp at cfg.working_digits.
+
+    Its centre table shares no code with series.machin_pi; cfg.report_digits
+    only bounds the digits a caller is promised.
+    """
     cfg = cfg or default_config()
-    return _pi_internal(cfg.working_digits)
+    return mp.ldexp(_oracle_cached(1, cfg.working_digits), 2)
 
 
 @dataclass(frozen=True)
@@ -796,11 +790,11 @@ def _end_holds(err: _Errors, a: float, b: float, v) -> bool:
 def _golden_max(err: _Errors, a: float, b: float, best):
     # golden-section search for the maximum of |E| on [a, b], on one ordered list of tiers,
     # each a probe of err giving (sign*E, budget) and the budget's unit: float, fixed point
-    # where err has a fixed-point hook, mpf. Comparisons run on a tier while the two budgets
-    # settle them; at the first one they do not, both probes are redone on the next tier,
-    # and the search goes on there. The probe points depend only on a, b and _INVPHI, so
-    # every decision is the one an all-mpf search makes. The returned maximum is a _Lazy
-    # within its fixed-point enclosure.
+    # ((0, inf) at every probe where err has no fixed-point hook), mpf. Comparisons run on a
+    # tier while the two budgets settle them; at the first one they do not, both probes are
+    # redone on the next tier, and the search goes on there. The probe points depend only on
+    # a, b and _INVPHI, so every decision is the one an all-mpf search makes. The returned
+    # maximum is a _Lazy within its fixed-point enclosure.
     #
     # best is the largest |E| found so far. Given a bound S on |E'| (err.slope), the
     # search stops and returns None once it cannot beat best. After each probe, with the
@@ -813,8 +807,6 @@ def _golden_max(err: _Errors, a: float, b: float, best):
     # in hand in a handful of roundings, of doubles (or of mpf values on the mpf tier),
     # which the factor 1 + 2^-48 covers.
     tiers = [(err.rough, 1.0), (err.fixed, math.ldexp(1.0, -err.w)), (err.exact, 1.0)]
-    if err.fixed_hook is None:
-        del tiers[1]
     probe, unit = tiers.pop(0)
 
     def g(x):

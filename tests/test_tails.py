@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import bernfrac, mp
+from mpmath.libmp import pi_fixed
 
 from arctancert import tails
 from arctancert.core import lagrange_p, theorem4_upper
@@ -201,7 +202,7 @@ def test_integer_machin_pi_lies_within_its_bound(bits):
     # from 0 to 5,120 bits. The exact Machin fraction at bits/4 + 4 rows lies within
     # 4*324^-rows of pi, far below one unit of 2^-bits, so it stands for pi here
     exact = machin_pi_fraction(bits // 4 + 4) * 2**bits
-    assert abs(tails._pi_fixed(bits) - exact) <= Fraction(101, 100)
+    assert abs(pi_fixed(bits) - exact) <= Fraction(101, 100)
 
 
 # each fixed kernel of an argument u in [0, 1], with the function it computes there and
@@ -302,7 +303,7 @@ def _two_pass_w(n, u, e_u, w):
 
     one = 1 << w
     s, e_s = row_sum((u << w) // (u + one)), 4.1 + 3.34 * (1 + e_u)
-    t, e_t = tails._pi_fixed(w - 2) - row_sum((one - u) >> 1), 1.01 + 4.1 + 1.67 * (1 + e_u)
+    t, e_t = pi_fixed(w - 2) - row_sum((one - u) >> 1), 1.01 + 4.1 + 1.67 * (1 + e_u)
     p = 4 * n + 4
     lam = tails._blend_weight(p, u, w)
     gap = (abs(t - s) + e_t + e_s) / one

@@ -13,7 +13,7 @@ from arctancert import verify
 from arctancert.core import lagrange_p, theorem5_approx, shafer_fink_bounds
 from arctancert.families import FAMILIES, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
-from arctancert.series import cf_arctan
+from arctancert.series import cf_arctan, machin_pi
 from arctancert.verify import (
     BoundKind,
     Interval,
@@ -209,24 +209,27 @@ def test_oracle_does_not_depend_on_the_ambient_precision():
         assert _ulps_off(values[0], x, cfg.working_digits) <= 1, x
 
 
-def test_pi_cross_check_rejects_machin_off_by_16_ulp(monkeypatch):
-    machin_pi = verify.machin_pi
+def test_oracle_pi_is_its_arctan_1_scaled_and_machin_to_the_bit():
+    # pi and pi/2 are the oracle's arctan 1, the centre table's T_N rounded once, scaled
+    # exactly; the Machin series, which shares no code with the table, rounds to the same mpf
+    for wd in [*range(40, 151), 200, 300, 600]:
+        cfg = OracleConfig(working_digits=wd, report_digits=30)
+        quarter = oracle_arctan(1, cfg)
+        assert oracle_pi(cfg) == mp.ldexp(quarter, 2) == machin_pi(wd // 2 + 4, dps=wd), wd
+        assert oracle_arctan(math.inf, cfg) == mp.ldexp(quarter, 1), wd
 
-    def off(terms, dps):
-        with mp.workdps(dps):
-            return machin_pi(terms, dps=dps) + mp.ldexp(16, 2 - mp.prec)  # pi lies in [2, 4)
 
-    monkeypatch.setattr(verify, "machin_pi", off)
-    verify._pi_internal.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError):
-            oracle_pi(OracleConfig(working_digits=53, report_digits=30))
-    finally:
-        verify._pi_internal.cache_clear()
+def test_oracle_at_infinity_reads_the_cached_arctan_1():
+    cfg = OracleConfig(working_digits=48, report_digits=30)
+    oracle_arctan(1, cfg)
+    before = _oracle_cached.cache_info()
+    oracle_arctan(math.inf, cfg)
+    after = _oracle_cached.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (0, 1)
 
 
 def test_oracle_cold_and_warm_agree():
-    cfg = OracleConfig(working_digits=47, report_digits=30)  # a precision no other test uses
+    cfg = OracleConfig(working_digits=47, report_digits=30)  # no other test asks for x at 47 digits
     x = 0.7071067811865476
     before = _oracle_cached.cache_info()
     cold = oracle_arctan(x, cfg)
@@ -265,7 +268,8 @@ def test_oracle_pi_matches_library(cfg):
 
 
 def test_oracle_at_infinity_within_half_ulp_at_every_precision():
-    # machin_pi rounds its fraction once; rounding the numerator first put pi/2 1.1 ulp off at 66 digits
+    # pi/2 is the oracle's arctan 1 doubled: T_N, within 2^9 units of 2^-(prec + 40), that is
+    # 2^-31 ulp, rounded once, so it is the nearest mpf unless pi lies that close to a midpoint
     for digits in range(40, 151):
         assert _ulps_off(oracle_arctan(math.inf, OracleConfig(digits, 30)), math.inf, digits) <= 0.5, digits
 
@@ -273,8 +277,6 @@ def test_oracle_at_infinity_within_half_ulp_at_every_precision():
 def test_machin_consistent_with_oracle_arctangents():
     # the two-series value equals 16*arctan(1/5) - 4*arctan(1/239)
     c60 = OracleConfig(working_digits=60, report_digits=45)
-    from arctancert.series import machin_pi
-
     with mp.workdps(60):
         combo = 16 * oracle_arctan(mp.mpf(1) / 5, c60) - 4 * oracle_arctan(mp.mpf(1) / 239, c60)
         assert abs(machin_pi(40, dps=60) - combo) < mp.mpf(10) ** -40
@@ -496,8 +498,8 @@ def _without_budget(ap):
 
 
 def _without_fixed(ap):
-    # the same approximant with its float hook but no fixed-point one: a search goes
-    # from float straight to mpf, as it did before the fixed-point tier
+    # the same approximant with its float hook but no fixed-point one: a search's fixed
+    # tier takes no value, so it goes on from float to mpf with the same probes
     def f(x):
         return ap(x)
 
@@ -571,6 +573,27 @@ def _case(ident, n, kind, hi, digits):
     return Approximant(ident, n=n, side=side), kind, Interval(0.0, hi), 65, OracleConfig(digits, digits - 20)
 
 
+# the float-only run's (evals_mpf, search_mpf, refined, pruned) at each example below, for
+# sup_error and then certify_bound: without a fixed-point hook the search's fixed tier gives
+# (0, inf) at every probe and passes both on to mpf: the counts of a search that skips it
+FLOAT_ONLY_COUNTS = {
+    _case("sf", None, "lower", math.inf, 60): ((34, 33, 1, 0), (2, 0, 0, 0)),
+    _case("t2", None, "upper", math.inf, 50): ((34, 33, 1, 0), (2, 0, 0, 0)),
+    _case("master", 4, "lower", math.inf, 50): ((32, 31, 1, 0), (2, 0, 0, 0)),
+    _case("cheb", 3, "upper", 1.0, 60): ((113, 106, 3, 0), (1, 0, 0, 0)),
+    _case("cheb-lifted", 2, "lower", math.inf, 50): ((114, 111, 3, 0), (2, 0, 0, 0)),
+    _case("t4", None, "upper", math.inf, 50): ((33, 32, 1, 0), (2, 0, 0, 0)),
+    _case("lagrange", None, "lower", 1.0, 60): ((74, 66, 2, 0), (1, 0, 0, 0)),
+    _case("t5", None, "lower", math.inf, 50): ((71, 69, 2, 0), (1, 0, 0, 0)),
+    _case("cf", 5, "upper", 1.0, 60): ((15, 14, 1, 0), (1, 0, 0, 0)),
+    _case("cf-lifted", 3, "upper", math.inf, 50): ((48, 47, 1, 0), (1, 0, 0, 0)),
+    _case("s", 2, "upper", 1.0, 60): ((8, 7, 1, 0), (10, 0, 0, 0)),
+    _case("t", 1, "upper", 1.0, 50): ((145, 48, 1, 0), (97, 0, 0, 0)),
+    _case("w", 2, "lower", 1.0, 60): ((38, 37, 1, 0), (1, 0, 0, 0)),
+    _case("w-lifted", 1, "upper", math.inf, 50): ((43, 42, 1, 0), (1, 0, 0, 0)),
+}
+
+
 # every family, besides the random draws: each row's fixed-point rule is its kernel in
 # integers less the oracle's fixed arctan
 @example(case=_case("sf", None, "lower", math.inf, 60))
@@ -593,11 +616,13 @@ def test_settle_rules_match_all_mpf_on_random_rows(case):
     # every run here is without a bound on |E'|: a run without the fixed-point tier would
     # stop a search at another probe than one with it (test_pruning_changes_no_outcome)
     ap, kind, iv, grid, cfg = case
+    counts = []
     for certify in (
         lambda f: sup_error(f, iv, grid, cfg=cfg, claimed_bound=0.01),
         lambda f: certify_bound(f, kind, iv, grid, cfg=cfg),
     ):
         fast, float_only, slow = certify(_without_slope(ap)), certify(_without_fixed(ap)), certify(_without_budget(ap))
+        counts.append((float_only.evals_mpf, float_only.search_mpf, float_only.refined, float_only.pruned))
         assert _outcome(fast) == _outcome(float_only) == _outcome(slow)
         assert slow.evals_float == slow.search_fixed == float_only.search_fixed == 0
         assert slow.settle_fixed == float_only.settle_fixed == 0
@@ -611,6 +636,8 @@ def test_settle_rules_match_all_mpf_on_random_rows(case):
         assert settled[0] == settled[1] <= settled[2] == len(_sample_points(iv, grid))
         # each float-only search value at mpf is a probe or a final value of the fast search
         assert fast.search_mpf + fast.search_fixed + fast.refined >= float_only.search_mpf
+    if case in FLOAT_ONLY_COUNTS:
+        assert tuple(counts) == FLOAT_ONLY_COUNTS[case]
 
 
 @st.composite
