@@ -9,10 +9,9 @@ Everything is a pure function accepting a float or an mpmath value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .numerics import Scalar, require_finite, require_nonnegative, require_unit, row_of
+from .numerics import Scalar, no_delete, require_finite, require_nonnegative, require_unit, row_of, set_once
 
 
 class BoundPair(NamedTuple):
@@ -109,7 +108,6 @@ def lift_interval_map(t):
     return 2 * t / (1 - t * t)
 
 
-@dataclass(frozen=True)
 class LiftedApproximant:
     """An approximant on [0,1] lifted to R+ by one argument halving.
 
@@ -119,7 +117,20 @@ class LiftedApproximant:
     construction, so a registry row's inner is its kernel's unchecked body.
     """
 
-    inner: Callable
+    __slots__ = ("inner",)  # a slot, since every call reads it
+    __setattr__, __delattr__ = set_once, no_delete
+
+    def __init__(self, inner: Callable):
+        self.inner = inner
 
     def __call__(self, x):
         return 2 * self.inner(require_nonnegative(x).reduce(x))
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.inner == other.inner
+
+    def __hash__(self):
+        return hash(self.inner)
+
+    def __repr__(self):
+        return f"LiftedApproximant(inner={self.inner!r})"

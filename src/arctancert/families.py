@@ -8,13 +8,12 @@ mpf values like the underlying kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import KW_ONLY, dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import core, master, series, tails
-from .numerics import require_int
+from .numerics import no_delete, require_int, set_once
 from .verify import BoundKind, Interval
 
 _SQRT2 = math.sqrt(2)
@@ -23,9 +22,8 @@ _SQRT2 = math.sqrt(2)
 FLOAT_ULPS = 64
 
 
-@dataclass(frozen=True)
-class FamilyInfo:
-    """One registry row.
+class FamilyInfo(NamedTuple):
+    """One registry row, a read-only record (``_replace`` copies it with fields changed).
 
     kernel takes (n, x) when needs_n, else (x); a two-sided family's kernel
     returns a BoundPair. claim maps n to the claimed uniform error bound. A
@@ -57,7 +55,6 @@ class FamilyInfo:
     needs_n: bool
     n_min: int = 0
     claim_interval: str = "0:inf"  # where the claimed bound applies
-    _: KW_ONLY
     kernel: Optional[Callable] = None
     claim: Optional[Callable] = None
     lifted: bool = False
@@ -161,13 +158,14 @@ def family_info(ident: str) -> FamilyInfo:
         raise ValueError(f"unknown family {ident!r}; see the 'list' command") from None
 
 
-@dataclass(frozen=True)
 class Approximant:
     """Descriptor of one family instance, callable at either precision.
 
     Pair families (sf, t2, master) need a side. The evaluator (kernel, order
-    and lift) is bound once, at construction. Every approximant targets
-    arctan x; cheb's expansion of arctan(m*x) is series.cheb_arctan(n, x, m).
+    and lift) is bound once, at construction; master's computes its side
+    alone (master.master_side). Every approximant targets arctan x; cheb's
+    expansion of arctan(m*x) is series.cheb_arctan(n, x, m). Approximants
+    compare and hash by family, n and side, and every attribute is read-only.
 
     rough_error(x) is the float rule of the certification scan's float tier
     (see ``verify``): for sf, t2 and master their error series summed in float
@@ -180,31 +178,29 @@ class Approximant:
     MAX_ORDER; past it both hooks are None.
     """
 
-    family: str
-    n: Optional[int] = None
-    side: Optional[str] = None
-    _eval: Callable = field(init=False, repr=False, compare=False)
-    rough_error: Optional[Callable] = field(init=False, repr=False, compare=False)
-    fixed_error: Optional[Callable] = field(init=False, repr=False, compare=False)
+    __slots__ = ("family", "n", "side", "_eval", "_pick", "rough_error", "fixed_error")
+    __setattr__, __delattr__ = set_once, no_delete
 
-    def __post_init__(self):
-        info = family_info(self.family)
+    def __init__(self, family: str, n: Optional[int] = None, side: Optional[str] = None):
+        info = family_info(family)
         if info.needs_n:
-            require_int(self.n, f"n of family {self.family!r}", info.n_min)
-        elif self.n is not None:
-            raise ValueError(f"family {self.family!r} does not take n")
+            require_int(n, f"n of family {family!r}", info.n_min)
+        elif n is not None:
+            raise ValueError(f"family {family!r} does not take n")
         if info.kind is BoundKind.TWO_SIDED:
-            if self.side not in ("lower", "upper"):
-                raise ValueError(f"family {self.family!r} needs side 'lower' or 'upper'")
-        elif self.side is not None:
-            raise ValueError(f"family {self.family!r} does not take a side")
-        fn = info.kernel if self.n is None else partial(info.kernel, self.n)
+            if side not in ("lower", "upper"):
+                raise ValueError(f"family {family!r} needs side 'lower' or 'upper'")
+        elif side is not None:
+            raise ValueError(f"family {family!r} does not take a side")
+        self.family, self.n, self.side = family, n, side
+        fn = info.kernel if n is None else partial(info.kernel, n)
         if info.lifted:
             fn = core.LiftedApproximant(fn)
-        object.__setattr__(self, "_eval", fn)
-        rough, fixed = self._rules(info)
-        object.__setattr__(self, "rough_error", rough)
-        object.__setattr__(self, "fixed_error", fixed)
+        pick = side  # __call__ picks the side of sf's and t2's pairs
+        if info.kernel is master.master_bounds:  # master's evaluator forms its side alone
+            fn, pick = partial(master.master_side, n, side == "upper"), None
+        self._eval, self._pick = fn, pick
+        self.rough_error, self.fixed_error = self._rules(info)
 
     def _rules(self, info):
         # rough_error and fixed_error at this order, side and lift; None past MAX_ORDER
@@ -249,9 +245,18 @@ class Approximant:
     def __call__(self, x):
         # the side is picked here, not by a wrapper, so a raising kernel's
         # traceback carries no extra frame
-        if self.side is None:
+        if self._pick is None:
             return self._eval(x)
-        return getattr(self._eval(x), self.side)
+        return getattr(self._eval(x), self._pick)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.family, self.n, self.side) == (other.family, other.n, other.side)
+
+    def __hash__(self):
+        return hash((self.family, self.n, self.side))
+
+    def __repr__(self):
+        return f"Approximant(family={self.family!r}, n={self.n!r}, side={self.side!r})"
 
 
 def ulp_rule(f: Callable, x: float):

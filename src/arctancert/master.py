@@ -23,9 +23,9 @@ significant digits in k_high - k_low at every order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -147,13 +147,12 @@ def gn_eval(n: int, theta):
         return +acc
 
 
-@dataclass(frozen=True)
-class MasterParams:
+class MasterParams(NamedTuple):
     """Everything fixed by the order: D and the endpoint constants.
 
     k_low/k_high carry the working precision derived from n; scale_low and
     scale_high are k_low*D and k_high*D rounded once to double, for the float
-    evaluation path.
+    evaluation path. A read-only record; ``_replace`` and ``_asdict`` copy it.
     """
 
     n: int
@@ -206,8 +205,19 @@ def master_bounds(n: int, x) -> BoundPair:
     params = master_params(n)
     c = require_nonnegative(x)
     num, den = _a_n(n, x, c)
+    return BoundPair(_scale(params, False, num, den, c), _scale(params, True, num, den, c))
+
+
+def master_side(n: int, upper: bool, x):
+    """master_bounds(n, x).upper if upper, else .lower, from one a_n evaluation."""
+    params = master_params(n)
+    c = require_nonnegative(x)
+    return _scale(params, upper, *_a_n(n, x, c), c)
+
+
+def _scale(params: MasterParams, upper: bool, num, den, c):
+    # one side k*D*num/den of the pair, k = k_high if upper else k_low, in the number row c
     if c is FLOAT:
         # x last: x/den alone underflows at tiny x, where den is about D (1e82 at n = 16)
-        return BoundPair(num * (params.scale_low / den), num * (params.scale_high / den))
-    scaled = params.denom_product * (num / den)
-    return BoundPair(params.k_low * scaled, params.k_high * scaled)
+        return num * ((params.scale_high if upper else params.scale_low) / den)
+    return (params.k_high if upper else params.k_low) * (params.denom_product * (num / den))

@@ -106,3 +106,15 @@ def require_int(v, name, lo, hi=None):
     if not isinstance(v, int) or v < lo or (hi is not None and v > hi):
         limit = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {limit}, got {v!r}")
+
+
+def set_once(obj, name, value):
+    """__setattr__ of the slotted classes: __init__ sets each slot once, then it reads only."""
+    if hasattr(obj, name):
+        raise AttributeError(f"cannot assign to field {name!r}")
+    object.__setattr__(obj, name, value)
+
+
+def no_delete(obj, name):
+    """__delattr__ of the slotted classes, whose slots stay set."""
+    raise AttributeError(f"cannot delete field {name!r}")

@@ -128,17 +128,16 @@ import math
 import operator
 import os
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_floor, round_nearest, to_float
 
 from .core import LiftedApproximant, lift_interval_map
 from .master import CONSTANT_DIGITS
-from .numerics import require_int
+from .numerics import no_delete, require_int, set_once
 
 _THETA_EDGE = 1e-8  # exclusion buffer at both ends of the tan-mapped grid
 _INVPHI = (math.sqrt(5) - 1) / 2
@@ -162,21 +161,35 @@ class BoundKind(Enum):
     APPROXIMATION = "approximation"
 
 
-@dataclass(frozen=True)
 class OracleConfig:
     """Precision policy for the oracle.
 
     working_digits is the arithmetic precision, within one ulp of which every
     oracle value lies, pi too; report_digits, ten or more below, the accuracy
-    promised to callers, the gap absorbing their accumulated rounding.
+    promised to callers, the gap absorbing their accumulated rounding. Both
+    are read-only, and configs with equal ones compare equal and hash alike.
     """
 
-    working_digits: int = 50
-    report_digits: int = 30
+    __slots__ = ("working_digits", "report_digits", "prec")
+    __setattr__, __delattr__ = set_once, no_delete
 
-    def __post_init__(self):
-        require_int(self.report_digits, "report_digits", 30)
-        require_int(self.working_digits, "working_digits", max(40, self.report_digits + 10))
+    def __init__(self, working_digits: int = 50, report_digits: int = 30):
+        require_int(report_digits, "report_digits", 30)
+        require_int(working_digits, "working_digits", max(40, report_digits + 10))
+        self.working_digits, self.report_digits = working_digits, report_digits
+        self.prec = dps_to_prec(working_digits)  # the oracle's bits, converted once
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"OracleConfig(working_digits={self.working_digits!r}, report_digits={self.report_digits!r})"
+
+    def _key(self):
+        return self.working_digits, self.report_digits
 
 
 def default_config() -> OracleConfig:
@@ -319,9 +332,7 @@ def _atan_core(x, prec: int):
     return mp.make_mpf(from_man_exp(_atan_reduced(man, exp, x > 1, wp), -wp, prec, round_nearest))
 
 
-@lru_cache(maxsize=262144)
-def _oracle_cached(x, working_digits):
-    return _atan_core(x, dps_to_prec(working_digits))
+_oracle_cached = lru_cache(maxsize=262144)(_atan_core)  # keyed by x and OracleConfig.prec
 
 
 def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
@@ -337,8 +348,8 @@ def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
     if x < 0:
         raise ValueError(f"x must be non-negative, got {x!r}")
     if x == math.inf:
-        return mp.ldexp(_oracle_cached(1, cfg.working_digits), 1)
-    return _oracle_cached(x, cfg.working_digits)
+        return mp.ldexp(_oracle_cached(1, cfg.prec), 1)
+    return _oracle_cached(x, cfg.prec)
 
 
 def oracle_pi(cfg: Optional[OracleConfig] = None):
@@ -348,27 +359,30 @@ def oracle_pi(cfg: Optional[OracleConfig] = None):
     only bounds the digits a caller is promised.
     """
     cfg = cfg or default_config()
-    return mp.ldexp(_oracle_cached(1, cfg.working_digits), 2)
+    return mp.ldexp(_oracle_cached(1, cfg.prec), 2)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
     """The closed sampling domain [lo, hi], hi possibly +inf; a 0:inf grid starts near 1e-8."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, lo: float, hi: float):
         try:
-            nan = math.isnan(self.lo) or math.isnan(self.hi)
+            nan = math.isnan(lo) or math.isnan(hi)
         except OverflowError:  # an int past the float range
             raise ValueError("interval endpoints must lie in the float range or be inf") from None
         if nan:
             raise ValueError("interval endpoints must not be NaN")
-        if math.isinf(self.lo) or self.lo < 0:
-            raise ValueError(f"lo must be finite and >= 0, got {self.lo!r}")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got {self.lo!r}:{self.hi!r}")
+        if math.isinf(lo) or lo < 0:
+            raise ValueError(f"lo must be finite and >= 0, got {lo!r}")
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got {lo!r}:{hi!r}")
+        return super().__new__(cls, lo, hi)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace checks its fields too
+        return cls(*fields)
 
     @property
     def unbounded(self) -> bool:
@@ -399,9 +413,8 @@ def _fmt_endpoint(v: float) -> str:
     return repr(v)
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """Outcome of one certification run."""
+class ErrorReport(NamedTuple):
+    """Outcome of one certification run, a read-only record (``_asdict`` maps it by field)."""
 
     family: str
     interval: Interval

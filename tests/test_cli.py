@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import re
@@ -79,7 +78,7 @@ def test_eval_scaled_cheb(capsys):
 
 
 def test_eval_non_finite_value_exits_1(capsys, monkeypatch):
-    nan_kernel = dataclasses.replace(cli.FAMILIES["t4"], kernel=lambda x: math.nan)
+    nan_kernel = cli.FAMILIES["t4"]._replace(kernel=lambda x: math.nan)
     monkeypatch.setitem(cli.FAMILIES, "t4", nan_kernel)
     code, out, err = run(capsys, "eval", "--family", "t4", "--x", "2")
     assert code == 1

@@ -1,7 +1,26 @@
+import math
 import pathlib
 import re
+import subprocess
+import sys
+
+import pytest
 
 import arctancert
+from arctancert import (
+    Approximant,
+    BoundKind,
+    ErrorReport,
+    Interval,
+    LiftedApproximant,
+    OracleConfig,
+    lagrange_p,
+    master_params,
+)
+from arctancert.families import FAMILIES, FamilyInfo
+from arctancert.master import MasterParams
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def test_every_exported_name_resolves():
@@ -32,3 +51,47 @@ def test_names_cut_from_the_package_stay_in_their_modules():
     for module, names in homes.items():
         for name in names:
             assert hasattr(module, name) and name not in arctancert.__all__, name
+
+
+def test_a_fresh_import_loads_no_dataclasses_or_inspect():
+    # every command starts a fresh interpreter; the records need none of dataclasses' imports
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import arctancert.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "arctancert.cli" in loaded
+    assert sorted(loaded & {"dataclasses", "inspect", "ast", "dis", "tokenize"}) == []
+
+
+def _report(sup):
+    approx = BoundKind.APPROXIMATION
+    return ErrorReport("w", Interval(0.0, 1.0), sup, 0.5, 1e-3, approx, True, 1e-3 - sup, evals_float=65)
+
+
+# each public type: two builds of one value, and a build of another value
+_TYPES = {
+    "OracleConfig": (lambda: OracleConfig(60, 40), lambda: OracleConfig(60, 30)),
+    "Interval": (lambda: Interval(0.0, 1.0), lambda: Interval(0.0, math.inf)),
+    "ErrorReport": (lambda: _report(2e-4), lambda: _report(3e-4)),
+    "MasterParams": (lambda: MasterParams(*master_params(3)), lambda: MasterParams(*master_params(4))),
+    "FamilyInfo": (lambda: FamilyInfo(*FAMILIES["cf"]), lambda: FamilyInfo(*FAMILIES["cf-lifted"])),
+    "Approximant": (lambda: Approximant("master", n=3, side="upper"), lambda: Approximant("master", n=3, side="lower")),
+    "LiftedApproximant": (lambda: LiftedApproximant(lagrange_p), lambda: LiftedApproximant(abs)),
+}
+
+
+@pytest.mark.parametrize("name", list(_TYPES))
+def test_public_types_compare_by_value_hash_alike_and_are_read_only(name):
+    make, make_other = _TYPES[name]
+    a, b = make(), make()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a != make_other()
+    fields = getattr(type(a), "_fields", None) or type(a).__slots__
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(make_other(), field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == b
+    with pytest.raises(AttributeError):
+        a.no_such_field = 1

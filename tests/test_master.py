@@ -6,6 +6,7 @@ import pytest
 from mpmath import mp
 
 from arctancert.core import shafer_fink_bounds, theorem2_bounds
+from arctancert.families import Approximant
 from arctancert.master import (
     MAX_ORDER,
     a_n,
@@ -277,3 +278,19 @@ def test_cached_coefficients_give_the_per_call_products_bit_for_bit(n):
             scaled = params.denom_product * (num / den)
             got = master_bounds(n, x)
             assert (got.lower._mpf_, got.upper._mpf_) == ((params.k_low * scaled)._mpf_, (params.k_high * scaled)._mpf_)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_master_side_evaluator_matches_the_pair_bit_for_bit(n):
+    # Approximant("master", n, side) forms its side alone (master.master_side); it must equal
+    # the pair's field exactly, at float and at 50-digit mpf
+    rng = random.Random(f"master side {n}")
+    xs = [0.0, 5e-324, 1.0, 1e150, 1.7e308] + [10 ** rng.uniform(-300, 300) for _ in range(12)]
+    xs += [rng.uniform(0.0, 4.0) for _ in range(8)]
+    for side in ("lower", "upper"):
+        ap = Approximant("master", n=n, side=side)
+        for x in xs:
+            assert ap(x).hex() == getattr(master_bounds(n, x), side).hex(), (side, x)
+        with mp.workdps(50):
+            for x in map(mp.mpf, xs):
+                assert ap(x)._mpf_ == getattr(master_bounds(n, x), side)._mpf_, (side, x)

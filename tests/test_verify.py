@@ -1,5 +1,4 @@
 import bisect
-import dataclasses
 import math
 import random
 
@@ -48,6 +47,28 @@ def test_oracle_config_validation():
         OracleConfig("50", 30)
     with pytest.raises(ValueError):  # digits are whole
         OracleConfig(50.5, 30)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: OracleConfig(45, 29), "report_digits must be an integer >= 30, got 29"),
+        (lambda: OracleConfig(39, 30), "working_digits must be an integer >= 40, got 39"),
+        (lambda: OracleConfig(41, 35), "working_digits must be an integer >= 45, got 41"),
+        (lambda: OracleConfig("50", 30), "working_digits must be an integer >= 40, got '50'"),
+        (lambda: OracleConfig(50, None), "report_digits must be an integer >= 30, got None"),
+        (lambda: Interval(0.0, math.nan), "interval endpoints must not be NaN"),
+        (lambda: Interval(-1.0, 2.0), "lo must be finite and >= 0, got -1.0"),
+        (lambda: Interval(math.inf, math.inf), "lo must be finite and >= 0, got inf"),
+        (lambda: Interval(2.0, 1.0), "need lo < hi, got 2.0:1.0"),
+        (lambda: Interval(10**400, math.inf), "interval endpoints must lie in the float range or be inf"),
+        (lambda: Interval(0.0, 1.0)._replace(hi=0.0), "need lo < hi, got 0.0:0.0"),
+    ],
+)
+def test_config_and_interval_refusals_keep_their_messages(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message
 
 
 def test_default_config_env_override(monkeypatch):
@@ -909,7 +930,7 @@ def test_report_counts_cold_oracle_values(cfg):
         iv = Interval(0.0, hi)
         first, second = run(iv), run(iv)
         assert first.oracle_cold > 0 and second.oracle_cold == 0
-        assert dataclasses.replace(second, oracle_cold=first.oracle_cold) == first
+        assert second._replace(oracle_cold=first.oracle_cold) == first
 
 
 def test_tiny_error_row_settles_fewer_points_at_mpf(cfg):
