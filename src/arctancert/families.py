@@ -17,8 +17,9 @@ from .numerics import no_delete, require_int, set_once
 from .verify import BoundKind, Interval
 
 _SQRT2 = math.sqrt(2)
-# K: at float every kernel but t's lies within K/4 ulp of arctan x of its mpf
-# value, for x = 0 and in [1e-150, 1e150], orders up to MAX_ORDER (tests/test_families.py)
+# K: at float every kernel but t's lies within K/4 ulp of arctan x of its mpf value, for
+# x = 0 and in [1e-150, 1e150], orders up to MAX_ORDER (tests/test_families.py); the
+# scan's budget property covers every other double (tests/test_tails.py)
 FLOAT_ULPS = 64
 
 
@@ -266,8 +267,9 @@ def ulp_rule(f: Callable, x: float):
     on f's float value lying within K/4 ulp of arctan x of its mpf value, which
     tests/test_families.py checks at 0 and on [1e-150, 1e150] for every
     registry row but t, and on math.atan lying within one ulp of arctan x
-    (tests/test_tails.py). It is the float rule of t4, lagrange, t5, cheb,
-    cheb-lifted, cf, cf-lifted, s, w and w-lifted.
+    (tests/test_tails.py). Over every double, tests/test_tails.py checks the
+    budget the scan builds from it. It is the float rule of t4, lagrange, t5,
+    cheb, cheb-lifted, cf, cf-lifted, s, w and w-lifted.
     """
     atan = math.atan(x)
     return f(x) - atan, FLOAT_ULPS * math.ulp(atan)

@@ -60,15 +60,13 @@ bits below the mpf term 2^-k, where each row's budget is about that term, so
 one scale serves master's |E| near 1e-17 and cheb's near 1e-2.
 
 Both tiers have one guard each, _float_errors and _fixed_error, which decide
-when to trust a hook. They take no value outside 0 and [1e-150, 1e150], where
-every rule is tested for every order up to 16 and every side
-(tests/test_tails.py, tests/test_families.py), nor from a callable without the
-hook. The float guard takes a sorted list of points: the scan hands it the whole
-grid once, which it splits at 0, 1e-150 and 1e150 with bisect before it calls
-the hook on the points in range, and each golden-section probe is a list of one
-(_float_error). The hook itself stays per point, so a plain callable can carry
-one, and a kernel keeps its own argument checks. Each grid is built once per
-process for its endpoints and size and kept in a small bounded cache
+when to trust a hook. They take a value at every double, where every rule is
+tested for every order up to 16 and every side (tests/test_tails.py), and none
+from a callable without the hook. The float guard takes a list of points: the
+scan hands it the whole grid once, and each golden-section probe is a list of
+one (_float_error). The hook itself stays per point, so a plain callable can
+carry one, and a kernel keeps its own argument checks. Each grid is built once
+per process for its endpoints and size and kept in a small bounded cache
 (_sample_points). At 0 every float rule is exact. Where a hook raises
 ArithmeticError or ValueError, or e is not finite, the budget is infinite.
 Otherwise the float budget is B = b + 2^-k + ulp(e) and the fixed one
@@ -127,7 +125,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-from bisect import bisect_left, bisect_right
 from enum import Enum
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
@@ -149,7 +146,6 @@ _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working preci
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
 _FINE = 2**13  # and what is left against the fine points j/_FINE, j = 0.._CENTRES
 _ANCHOR_BITS = 20  # mantissa bits of the anchor that _atan_fixed reduces x against (z < 2^-19)
-_FLOAT_RANGE = (1e-150, 1e150)  # nonzero arguments over which both float rules are tested
 _MASTER_PREC = dps_to_prec(CONSTANT_DIGITS)  # bits of master's constants, 169 or more
 _UP = 1 + 2.0**-48  # rounds up a search's bound, formed in a few roundings (_golden_max)
 
@@ -482,27 +478,24 @@ def _mpf_term_bits() -> int:
 
 
 def _float_errors(hook: Optional[Callable], xs, k: int) -> list:
-    # the float tier's one guard (see the module docstring): for sorted non-negative
-    # doubles xs, (e, B) at each from the rough_error hook with the mpf term 2^-k, or None
-    # where it makes no float evaluation. xs is split once at 0 and at the ends of
-    # _FLOAT_RANGE, and the hook is called on the points in range alone
-    out = [None] * len(xs)
+    # the float tier's one guard (see the module docstring): for non-negative doubles xs,
+    # (e, B) at each from the rough_error hook with the mpf term 2^-k, or None where it
+    # makes no float evaluation. It takes every double: below 1e-150 e and E are a few
+    # times x at most, under 1e-149 and far below the mpf term 2^-k (k <= 149) that every
+    # B carries; above 1e150 the kernels run in the regime they are tested in at 1e150
     if hook is None:
-        return out
-    lo, hi = _FLOAT_RANGE
+        return [None] * len(xs)
     term = math.ldexp(1.0, -k)
-    gap, above = bisect_right(xs, 0.0), bisect_left(xs, lo)  # (0, 1e-150) lies in [gap, above)
-    for i in range(bisect_left(xs, 0.0), bisect_right(xs, hi)):
-        if gap <= i < above:
-            continue
+    out = []
+    for x in xs:
         try:
-            e, b = hook(xs[i])
+            e, b = hook(x)
             if math.isfinite(e):
-                out[i] = e, b + term + math.ulp(e)
+                out.append((e, b + term + math.ulp(e)))
                 continue
         except (ArithmeticError, ValueError):
             pass
-        out[i] = 0.0, math.inf
+        out.append((0.0, math.inf))
     return out
 
 
@@ -515,7 +508,7 @@ def _fixed_error(hook: Optional[Callable], x: float, w: int, k: int):
     # the fixed-point tier's one guard (see the module docstring): (m, B) from the
     # fixed_error hook at x and scale w with the mpf term 2^-k, both in units of 2^-w,
     # B an integer, or None where it makes no fixed evaluation
-    if hook is None or not (x == 0 or _FLOAT_RANGE[0] <= x <= _FLOAT_RANGE[1]):
+    if hook is None:
         return None
     try:
         m, b = hook(x, w)

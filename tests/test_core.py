@@ -267,7 +267,8 @@ def _theorem5_closed_form(x, c):
 @settings(max_examples=300, deadline=None)
 def test_theorem5_equals_its_closed_form_bit_for_bit(x):
     # 2*lagrange_p(r) scales (pi/16)*r by 2 exactly wherever nothing is subnormal, at
-    # float and at mpf; below 1e-150, where neither float guard takes a value, it may not
+    # float and at mpf. At float (pi/16)*r is subnormal for x under about 2e-307, where it
+    # has lost bits that pi/8*r keeps, so the draws stay at 0 and above 1e-150
     assume(x == 0 or x >= 1e-150)
     assert theorem5_approx(x) == _theorem5_closed_form(x, FLOAT)
     with mp.workdps(50):

@@ -44,15 +44,15 @@ ROWS = [
 
 
 def _points(unit):
-    # 0, and log-uniform over [1e-150, 1e150]; on unit domains 0 and 1, and log-uniform and
-    # uniform draws over [1e-150, 1]: where both guards take a value, whose refusal below
-    # it test_guards_take_no_value_below_the_tested_range checks
+    # 0, and log-uniform over the whole float domain [5e-324, 1.8e308]; on unit domains 0
+    # and 1, and log-uniform and uniform draws over [5e-324, 1]. Both guards take a value
+    # at every one of them
     if not unit:
-        return st.one_of(st.just(0.0), st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t))
+        return st.one_of(st.just(0.0), st.floats(min_value=-323.3, max_value=308.25).map(lambda t: 10.0**t))
     return st.one_of(
         st.sampled_from([0.0, 1.0]),
-        st.floats(min_value=-150.0, max_value=0.0).map(lambda t: 10.0**t),
-        st.floats(min_value=1e-150, max_value=1.0),
+        st.floats(min_value=-323.3, max_value=0.0).map(lambda t: 10.0**t),
+        st.floats(min_value=5e-324, max_value=1.0),
     )
 
 
@@ -67,7 +67,7 @@ def _check_budget(ap, x):
         with mp.workdps(digits):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
             got = _float_error(ap.rough_error, x, _mpf_term_bits())  # the budget the scan uses
-        if ap.rough_error is None or not (x == 0 or 1e-150 <= x <= 1e150):
+        if ap.rough_error is None:
             assert got is None
             continue
         e, b = got
@@ -94,13 +94,27 @@ def test_every_float_rule_holds_at_zero():
         _check_budget(ap, 0.0)
 
 
-@pytest.mark.parametrize("x", [5e-324, 1e-200])
-def test_guards_take_no_value_below_the_tested_range(x):
-    # _points draws no x in (0, 1e-150), where neither rule is tested: both guards refuse
-    # it on every row, and the scan settles it at mpf
+@pytest.mark.parametrize(
+    "x",
+    [
+        pytest.param(x, id=name)
+        for x, name in (
+            (5e-324, "5e-324"),
+            (1e-200, "1e-200"),
+            (2.2250738585072014e-308, "2.2250738585072014e-308"),
+            (1e200, "1e200"),
+            (1.7976931348623157e308, "1.7976931348623157e308"),
+        )
+    ],
+)
+def test_guards_take_a_value_across_the_whole_float_range(x):
+    # both budgets hold on every row at the smallest subnormal, at 1e-200 and at the
+    # smallest normal double, and on every row over R+ at 1e200 and at the largest double:
+    # the scan takes a value at each
     for ap in ROWS:
-        _check_budget(ap, x)
-        _check_fixed_budget(ap, x)
+        if x <= ap.claim_interval.hi:
+            _check_budget(ap, x)
+            _check_fixed_budget(ap, x)
 
 
 def _check_fixed_budget(ap, x):
@@ -114,9 +128,6 @@ def _check_fixed_budget(ap, x):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
             k, w = _mpf_term_bits(), mp.prec
             got = [(v, _fixed_error(ap.fixed_error, x, v, k)) for v in (64, w)]
-            if not (x == 0 or 1e-150 <= x <= 1e150):
-                assert [g for _, g in got] == [None, None]
-                continue
             for v, (m, b) in got:
                 assert abs(m - mp.ldexp(exact, v)) <= b, (ap.label, x, digits, v, m, float(exact), b)
         assert b <= 2.0 ** (w - 96) * abs(exact) + 2 ** (w - k + 1) + 2**10, (ap.label, x, digits, b)

@@ -512,6 +512,11 @@ def _outcome(rep):
     return rep.sup_error, rep.arg_max, rep.min_gap, rep.satisfied
 
 
+def _bound_case(ap, kind, iv):
+    # a certify_bound case, its id built from the fields, so that a repr renames no test
+    return pytest.param(ap, kind, iv, id=f"Approximant(family={ap.family!r}, n={ap.n!r}, side={ap.side!r})-{kind}-{iv}")
+
+
 def _without_budget(ap):
     # the same approximant as a plain callable, which carries neither hook, rough_error
     # nor fixed_error: every grid point and every search probe is evaluated at mpf
@@ -558,13 +563,12 @@ def test_sup_error_two_precision_scan_matches_all_mpf(cfg, ap, iv):
 @pytest.mark.parametrize(
     "ap, kind, iv",
     [
-        (Approximant("sf", side="lower"), "lower", Interval(0.0, 1e6)),
-        (Approximant("sf", side="upper"), "upper", Interval(0.0, 1e6)),
-        (Approximant("t4"), "upper", Interval(0.0, math.inf)),
-        (Approximant("master", n=3, side="lower"), "lower", Interval(0.0, 1000.0)),
-        (Approximant("s", n=2), "lower", Interval(0.0, 1.0)),
+        _bound_case(Approximant("sf", side="lower"), "lower", Interval(0.0, 1e6)),
+        _bound_case(Approximant("sf", side="upper"), "upper", Interval(0.0, 1e6)),
+        _bound_case(Approximant("t4"), "upper", Interval(0.0, math.inf)),
+        _bound_case(Approximant("master", n=3, side="lower"), "lower", Interval(0.0, 1000.0)),
+        _bound_case(Approximant("s", n=2), "lower", Interval(0.0, 1.0)),
     ],
-    ids=str,
 )
 def test_certify_bound_two_precision_scan_matches_all_mpf(cfg, ap, kind, iv):
     fast = certify_bound(ap, kind, iv, 257, cfg=cfg)
@@ -866,12 +870,11 @@ def test_smallest_margin_leaves_out_what_the_doubles_rule_out(cfg):
 @pytest.mark.parametrize(
     "ap, kind, iv",
     [
-        (Approximant("master", n=12, side="lower"), "lower", Interval(0.0, math.inf)),
-        (Approximant("master", n=6, side="upper"), "upper", Interval(0.0, math.inf)),
-        (Approximant("cf-lifted", n=3), "upper", Interval(0.0, math.inf)),
-        (Approximant("w", n=2), "lower", Interval(0.0, 1.0)),
+        _bound_case(Approximant("master", n=12, side="lower"), "lower", Interval(0.0, math.inf)),
+        _bound_case(Approximant("master", n=6, side="upper"), "upper", Interval(0.0, math.inf)),
+        _bound_case(Approximant("cf-lifted", n=3), "upper", Interval(0.0, math.inf)),
+        _bound_case(Approximant("w", n=2), "lower", Interval(0.0, 1.0)),
     ],
-    ids=str,
 )
 def test_settled_value_encloses_its_mpf_value(cfg, ap, kind, iv):
     # a settled point's enclosure holds the mpf value it stands for, down to master
@@ -969,47 +972,16 @@ def test_failed_float_values_are_settled_at_mpf(cfg):
     assert 0 < fast.evals_float
 
 
-def test_points_outside_the_budget_range_are_settled_at_mpf(cfg):
-    # in (0, 1e-150) the float budget is untested, so the scan evaluates there at mpf;
-    # certify_bound makes no golden-section probes, so each other point, 0 among
-    # them, is one float evaluation
+def test_points_near_zero_are_float_evaluations(cfg):
+    # below 1e-150 too the float tier takes a value: certify_bound makes no golden-section
+    # probes, so each grid point, 0 among them, is one float evaluation
     iv = Interval(0.0, 1e-148)
-    rep = certify_bound(Approximant("cf", n=2), "lower", iv, 129, cfg=cfg)
+    ap = Approximant("cf", n=2)
+    rep = certify_bound(ap, "lower", iv, 129, cfg=cfg)
     pts = _sample_points(iv, 129)
-    outside = sum(0 < x < 1e-150 for x in pts)
-    assert outside > 0
-    assert rep.evals_float == len(pts) - outside
-    assert rep.evals_mpf >= outside
-
-
-class _RangeStrict:
-    """cf_arctan(2, x) whose float rule fails loudly outside the range it is tested on.
-
-    AssertionError is no float failure the scan forgives, so only a guard that
-    checks the range before calling the hook lets the scan finish. The mpf
-    arguments it is called at are recorded.
-    """
-
-    def __init__(self):
-        self.mpf = []
-
-    def rough_error(self, x):
-        assert x == 0 or 1e-150 <= x <= 1e150, x
-        return ulp_rule(self, x)
-
-    def __call__(self, x):
-        if not isinstance(x, float):
-            self.mpf.append(float(x))
-        return cf_arctan(2, x)
-
-
-def test_the_scan_alone_keeps_a_hook_to_the_float_range(cfg):
-    iv = Interval(0.0, 1e-148)
-    f = _RangeStrict()
-    rep = sup_error(f, iv, 129, cfg=cfg)
-    below = {x for x in _sample_points(iv, 129) if 0 < x < 1e-150}
-    assert below and below <= set(f.mpf)
-    assert _outcome(rep) == _outcome(sup_error(_without_budget(f), iv, 129, cfg=cfg))
+    assert any(0 < x < 1e-150 for x in pts)
+    assert rep.evals_float == len(pts)
+    assert _outcome(rep) == _outcome(certify_bound(_without_budget(ap), "lower", iv, 129, cfg=cfg))
 
 
 def _hex(got):
@@ -1049,7 +1021,7 @@ def _drawn_b(x):
     return 64 * math.ulp(math.atan(x))
 
 
-# grids holding 0, the smallest subnormal, points under the tested range and points above it
+# grids holding 0, the smallest subnormal, points under 1e-150 and points above 1e150
 _GRID_POINTS = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-150, 1e150, 1.7e308]),
     st.floats(5e-324, 1e-150, exclude_max=True),
@@ -1072,8 +1044,8 @@ def _hooked_grids(draw):
 @given(case=_hooked_grids(), k=st.sampled_from([116, 149]))
 def test_list_guard_gives_what_the_guard_gives_point_by_point(case, k):
     # the grid goes through the guard at once, search probes one point at a time: bit for
-    # bit the same (e, B), the hook called at the same points, once each (0 and
-    # [1e-150, 1e150] alone, in order), and any other exception let through
+    # bit the same (e, B), the hook called at the same points, once each and in order,
+    # and any other exception let through
     xs, drawn = case
     acts = dict(zip(xs, drawn))
     whole, single = [], []
@@ -1086,17 +1058,14 @@ def test_list_guard_gives_what_the_guard_gives_point_by_point(case, k):
         each = [verify._float_error(one_hook, x, k) for x in xs]
     except _Odd as exc:
         each = exc.args
-    tested = [x for x in xs if x == 0 or 1e-150 <= x <= 1e150]
-    odd = [x for x in tested if acts[x] == "odd"]
+    odd = [x for x in xs if acts[x] == "odd"]
     if odd:
-        assert got == each == (odd[0],) and whole == single == tested[: tested.index(odd[0]) + 1]
+        assert got == each == (odd[0],) and whole == single == xs[: xs.index(odd[0]) + 1]
         return
     assert [_hex(g) for g in got] == [_hex(g) for g in each]
-    assert whole == single == tested
+    assert whole == single == xs
     for x, g in zip(xs, got):
-        if x not in tested:
-            assert g is None
-        elif acts[x] != "value":
+        if acts[x] != "value":
             assert g == (0.0, math.inf)
         else:  # B = b + 2^-k + ulp(e), summed in that order
             e = _drawn_e(x)
