@@ -218,10 +218,10 @@ def cmd_table(args) -> int:
     rows = []
     ok = True
     for ident, n in sorted(specs, key=lambda s: (s[0], -1 if s[1] is None else s[1])):
-        # without an explicit interval each family is measured where its claim holds
-        interval = shared or Interval.parse(family_info(ident).claim_interval)
-        # an UPPER row has no uniform claim; its verdict is the direction check
-        report = _check(*table_entry(ident, n), interval, args.grid, cfg)
+        approx, claim, kind = table_entry(ident, n)
+        # without an explicit interval each family is measured where its claim holds; an
+        # UPPER row has no uniform claim, and its verdict is the direction check
+        report = _check(approx, claim, kind, shared or approx.claim_interval, args.grid, cfg)
         ok = ok and report.satisfied
         rows.append(_csv_row(ident, n, report))
 

@@ -17,9 +17,8 @@ from .numerics import no_delete, require_int, set_once
 from .verify import BoundKind, Interval
 
 _SQRT2 = math.sqrt(2)
-# K: at float every kernel but t's lies within K/4 ulp of arctan x of its mpf value, for
-# x = 0 and in [1e-150, 1e150], orders up to MAX_ORDER (tests/test_families.py); the
-# scan's budget property covers every other double (tests/test_tails.py)
+# K: at float every kernel on the K-ulp rule lies within K/4 ulp of arctan x of its mpf
+# value, checked over every double, orders up to MAX_ORDER (tests/test_families.py)
 FLOAT_ULPS = 64
 
 
@@ -36,7 +35,9 @@ class FamilyInfo(NamedTuple):
     rest take the K-ulp rule. fixed is the row's kernel in integers
     (``tails``); Approximant makes it the row's one fixed-point rule
     (``tails.direct_fixed``), at x itself for a pair, at the lift's u where
-    claim_interval is 0:inf and at u = x where it is 0:1.
+    claim_interval is 0:inf and at u = x where it is 0:1. claim_interval is
+    the text of the interval the claims apply to; Approximant parses it once,
+    at construction.
     slope maps n to a proved bound on |dE/dx| over the row's domain, E = f -
     arctan, which lets the scan stop a golden-section search that cannot beat
     its best value; it is None where a row has none. monotone is a proved
@@ -75,6 +76,13 @@ def _cheb_slope(n: int) -> float:
     # with r, so S at the rational R = 0.4142136 > r, exact, and rounded up to a double bounds
     # it. cheb-lifted takes the same S in x: E(x) = 2E_cheb(u) with du/dx = (1 - u^2)^2/(2(1 +
     # u^2)) <= 1/2 at the lift's u = x/(1 + sqrt(1 + x^2)).
+    # From n = 426 the exact sum rounds to 0.0, so the bound is the least subnormal, taken
+    # without the sum, whose cost grows with n. S falls with n: writing S = 2r q^j A(j),
+    # A(j+1)/A(j) <= 1 + 2/(2j + 1) <= 3, so S(n+1)/S(n) <= 3q < 1. At n = 426, q < 0.17158 <
+    # 2^-2.543 gives q^427 < 2^-1085.8, and 2r < 0.83 with A(427) < 1033 gives S < 857.4 *
+    # 2^-1085.8 < 2^-1076, below 2^-1075, half the least subnormal.
+    if n >= 426:
+        return math.ulp(0.0)
     r = Fraction(4142136, 10**7)
     q, j = r * r, n + 1
     s = 2 * r * q**j * ((2 * j + 1) / (1 - q) + 2 * q / (1 - q) ** 2)
@@ -168,6 +176,13 @@ class Approximant:
     expansion of arctan(m*x) is series.cheb_arctan(n, x, m). Approximants
     compare and hash by family, n and side, and every attribute is read-only.
 
+    The registry row's facts at this order are bound at construction too:
+    label, the family with its order and side; claim, the registry's uniform
+    error bound, None without one; slope, its proved bound on |dE/dx| over the
+    row's domain, None without one; monotone, its proved direction of |E| over
+    claim_interval, 1 or -1 (see FamilyInfo), 0 for none; and claim_interval,
+    the Interval its claims (bound, monotone) apply to.
+
     rough_error(x) is the float rule of the certification scan's float tier
     (see ``verify``): for sf, t2 and master their error series summed in float
     (``tails.master_error``), None for t, and for every other row the
@@ -179,7 +194,8 @@ class Approximant:
     MAX_ORDER; past it both hooks are None.
     """
 
-    __slots__ = ("family", "n", "side", "_eval", "_pick", "rough_error", "fixed_error")
+    __slots__ = ("family", "n", "side", "label", "claim", "slope", "monotone", "claim_interval",
+                 "_eval", "_pick", "rough_error", "fixed_error")
     __setattr__, __delattr__ = set_once, no_delete
 
     def __init__(self, family: str, n: Optional[int] = None, side: Optional[str] = None):
@@ -194,6 +210,12 @@ class Approximant:
         elif side is not None:
             raise ValueError(f"family {family!r} does not take a side")
         self.family, self.n, self.side = family, n, side
+        body = family if n is None else f"{family}(n={n})"
+        self.label = f"{body}.{side}" if side else body
+        self.claim = None if info.claim is None else info.claim(n)
+        self.slope = None if info.slope is None else info.slope(n)
+        self.monotone = info.monotone
+        self.claim_interval = Interval.parse(info.claim_interval)
         fn = info.kernel if n is None else partial(info.kernel, n)
         if info.lifted:
             fn = core.LiftedApproximant(fn)
@@ -201,47 +223,19 @@ class Approximant:
         if info.kernel is master.master_bounds:  # master's evaluator forms its side alone
             fn, pick = partial(master.master_side, n, side == "upper"), None
         self._eval, self._pick = fn, pick
-        self.rough_error, self.fixed_error = self._rules(info)
-
-    def _rules(self, info):
         # rough_error and fixed_error at this order, side and lift; None past MAX_ORDER
-        if (self.n or 0) > master.MAX_ORDER:
-            return None, None
-        if info.kind is BoundKind.TWO_SIDED:
-            order = info.pair_order or self.n
-            args = order, self.side == master.constant_side(order)
-            return partial(tails.master_error, *args), partial(tails.direct_fixed, info.fixed, None, args)
-        # the kernel takes the lift's u on a row claimed over R+, and u = x on a [0, 1] row
-        fixed = partial(tails.direct_fixed, info.fixed, info.claim_interval == "0:inf", self.n)
-        # the K-ulp rule reads the evaluator itself, so a float value skips __call__
-        return partial(ulp_rule, self._eval) if info.float_rule else None, fixed
-
-    @property
-    def label(self) -> str:
-        body = self.family if self.n is None else f"{self.family}(n={self.n})"
-        return f"{body}.{self.side}" if self.side else body
-
-    @property
-    def claim(self) -> Optional[float]:
-        """The registry's uniform error bound at this order; None without one."""
-        claim = family_info(self.family).claim
-        return None if claim is None else claim(self.n)
-
-    @property
-    def slope(self) -> Optional[float]:
-        """The registry's proved bound on |dE/dx| over the row's domain; None without one."""
-        slope = family_info(self.family).slope
-        return None if slope is None else slope(self.n)
-
-    @property
-    def monotone(self) -> int:
-        """The registry's proved direction of |E| over claim_interval, 1 or -1 (see FamilyInfo); 0 for none."""
-        return family_info(self.family).monotone
-
-    @property
-    def claim_interval(self) -> Interval:
-        """The interval the registry's claims (bound, monotone) apply to."""
-        return Interval.parse(family_info(self.family).claim_interval)
+        if (n or 0) > master.MAX_ORDER:
+            self.rough_error = self.fixed_error = None
+        elif info.kind is BoundKind.TWO_SIDED:
+            order = info.pair_order or n
+            args = order, side == master.constant_side(order)
+            self.rough_error = partial(tails.master_error, *args)
+            self.fixed_error = partial(tails.direct_fixed, info.fixed, None, args)
+        else:
+            # the K-ulp rule reads the evaluator itself, so a float value skips __call__
+            self.rough_error = partial(ulp_rule, fn) if info.float_rule else None
+            # the kernel takes the lift's u on a row claimed over R+, and u = x on a [0, 1] row
+            self.fixed_error = partial(tails.direct_fixed, info.fixed, self.claim_interval.unbounded, n)
 
     def __call__(self, x):
         # the side is picked here, not by a wrapper, so a raising kernel's
@@ -265,8 +259,8 @@ def ulp_rule(f: Callable, x: float):
 
     e = f(x) - math.atan(x) and b = K*ulp(arctan x), K = FLOAT_ULPS. It rests
     on f's float value lying within K/4 ulp of arctan x of its mpf value, which
-    tests/test_families.py checks at 0 and on [1e-150, 1e150] for every
-    registry row but t, and on math.atan lying within one ulp of arctan x
+    tests/test_families.py checks over every double for each row on this
+    rule, and on math.atan lying within one ulp of arctan x
     (tests/test_tails.py). Over every double, tests/test_tails.py checks the
     budget the scan builds from it. It is the float rule of t4, lagrange, t5,
     cheb, cheb-lifted, cf, cf-lifted, s, w and w-lifted.

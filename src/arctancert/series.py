@@ -38,11 +38,13 @@ def cheb_coefficients(n: int, ratio=None) -> list:
     return out
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=256, typed=True)
 def _coefficients(n: int, m, row, prec: int) -> tuple:
     # keyed on the row and its precision, which the mpf row reads from
     # mp.prec; typed, so that n = 2.0 misses the entry for 2 and reaches the
-    # order check. m is checked here, once per key rather than once per call
+    # order check. m is checked here, once per key rather than once per call.
+    # Bounded, since m is the caller's: 256 entries hold every key that the
+    # table and float_eval (the same 9) or the whole test suite (188) make
     require_finite(m, "m")
     if not m > 0:
         raise ValueError(f"m must be > 0, got {m!r}")

@@ -64,7 +64,7 @@ when to trust a hook. They take a value at every double, where every rule is
 tested for every order up to 16 and every side (tests/test_tails.py), and none
 from a callable without the hook. The float guard takes a list of points: the
 scan hands it the whole grid once, and each golden-section probe is a list of
-one (_float_error). The hook itself stays per point, so a plain callable can
+one (_Errors.rough). The hook itself stays per point, so a plain callable can
 carry one, and a kernel keeps its own argument checks. Each grid is built once
 per process for its endpoints and size and kept in a small bounded cache
 (_sample_points). At 0 every float rule is exact. Where a hook raises
@@ -482,7 +482,8 @@ def _float_errors(hook: Optional[Callable], xs, k: int) -> list:
     # (e, B) at each from the rough_error hook with the mpf term 2^-k, or None where it
     # makes no float evaluation. It takes every double: below 1e-150 e and E are a few
     # times x at most, under 1e-149 and far below the mpf term 2^-k (k <= 149) that every
-    # B carries; above 1e150 the kernels run in the regime they are tested in at 1e150
+    # B carries, and the K-ulp rule's premise is tested over every double
+    # (tests/test_families.py)
     if hook is None:
         return [None] * len(xs)
     term = math.ldexp(1.0, -k)
@@ -497,11 +498,6 @@ def _float_errors(hook: Optional[Callable], xs, k: int) -> list:
             pass
         out.append((0.0, math.inf))
     return out
-
-
-def _float_error(hook: Optional[Callable], x: float, k: int):
-    # the guard at one point, a search probe: (e, B), or None
-    return _float_errors(hook, (x,), k)[0]
 
 
 def _fixed_error(hook: Optional[Callable], x: float, w: int, k: int):
@@ -648,7 +644,7 @@ class _Errors:
         self.hi = [math.inf if r is None else sign * r[0] + r[1] for r in rough]
 
     def rough(self, x: float):
-        got = _float_error(self.hook, x, self.k)
+        got = _float_errors(self.hook, (x,), self.k)[0]  # a search probe, a list of one
         if got is None:
             return 0.0, math.inf
         self.evals_float += 1

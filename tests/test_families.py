@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from arctancert import core, master, series, tails
+from arctancert import core, families, master, series, tails
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
 from arctancert.numerics import row_of
-from arctancert.verify import BoundKind, OracleConfig, _mpf_term_bits, oracle_arctan
+from arctancert.verify import BoundKind, Interval, OracleConfig, _mpf_term_bits, oracle_arctan
 
 # every registry family once, each side of a pair family separately
 INSTANCES = [
@@ -38,29 +39,41 @@ def test_ints_beyond_the_float_range_raise_value_error(ap):
         ap(10**400)
 
 
-# every registry family, order up to MAX_ORDER and side whose float value lies within
-# the K-ulp rule's K/4 ulp: all but t (see series.taylor1_t)
-BUDGETED = [
+# every registry row, order up to MAX_ORDER and side
+_ROWS = [
     Approximant(ident, n=n, side=side)
     for ident, info in FAMILIES.items()
     for n in (range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,))
     for side in (("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,))
-    if ident != "t"
 ]
+# the rows on the K-ulp rule, whose budgets rest on their float value lying within K/4 ulp
+# of arctan x of the mpf value: all but t (no float rule, see series.taylor1_t) and the
+# pairs sf, t2 and master (their error series in float, tails.master_error)
+BUDGETED = [ap for ap in _ROWS if getattr(ap.rough_error, "func", None) is ulp_rule]
+# the pairs' sides, whose budgets rest on no such premise (tests/test_tails.py checks them
+# over every double); their float values are held to K/4 ulp on [1e-150, 1e150] alone,
+# since near the bottom of the float range t2's lower side reaches 16.2 ulp (at 1e-310)
+PAIRS = [ap for ap in _ROWS if ap.side]
 
 
 def _domain_points(unit):
-    # 0, log-uniform over [1e-150, 1e150] (clipped to [0, 1] on unit domains), and linear.
-    # The K/4 premise is sampled there alone: near the bottom of the float range t2's
-    # sides, which take master's tail rule and not this premise, reach 16 ulp (16.2 at
-    # 1e-310). The scan's budget property, checked over every double, covers the rest
-    # (tests/test_tails.py)
-    top = 0.0 if unit else 150.0
+    # 0, the least subnormal, a subnormal, the least normal double and the domain's top;
+    # log-uniform over the whole float domain [5e-324, 1.8e308], or [5e-324, 1] on unit
+    # domains; and uniform draws
+    top = 1.0 if unit else 1.7976931348623157e308
     return st.one_of(
-        st.just(0.0),
-        st.floats(min_value=-150.0, max_value=top).map(lambda t: 10.0**t),
-        st.floats(min_value=1e-150, max_value=1.0 if unit else 1e3),
+        st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, top]),
+        st.floats(min_value=-323.3, max_value=0.0 if unit else 308.25).map(lambda t: 10.0**t),
+        st.floats(min_value=5e-324, max_value=1.0 if unit else 1e3),
     )
+
+
+# the pairs' range: 0, log-uniform over [1e-150, 1e150], and linear
+_PAIR_POINTS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-150.0, max_value=150.0).map(lambda t: 10.0**t),
+    st.floats(min_value=1e-150, max_value=1e3),
+)
 
 
 def _check_quarter_budget(ap, x):
@@ -72,16 +85,18 @@ def _check_quarter_budget(ap, x):
     assert gap <= FLOAT_ULPS / 4 * ulp, (ap.label, x)
 
 
-@pytest.mark.parametrize("ap", BUDGETED, ids=lambda ap: ap.label)
+@pytest.mark.parametrize("ap", BUDGETED + PAIRS, ids=lambda ap: ap.label)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_float_within_a_quarter_budget_of_mpf(ap, data):
-    _check_quarter_budget(ap, data.draw(_domain_points(FAMILIES[ap.family].claim_interval == "0:1")))
+    # over every double on the K-ulp rows; on [1e-150, 1e150] on the pairs (see PAIRS)
+    points = _domain_points(not ap.claim_interval.unbounded) if ap.side is None else _PAIR_POINTS
+    _check_quarter_budget(ap, data.draw(points))
 
 
 def test_float_within_a_quarter_budget_of_mpf_at_zero():
     # ulp(arctan 0) is the least subnormal, so every float value must be exact there
-    for ap in BUDGETED:
+    for ap in BUDGETED + PAIRS:
         _check_quarter_budget(ap, 0.0)
 
 
@@ -111,6 +126,10 @@ def test_only_these_rows_keep_a_float_tail():
     rules = {ap.family: getattr(ap.rough_error, "func", None) for ap in INSTANCES}
     assert {ident for ident, rule in rules.items() if rule is tails.master_error} == {"sf", "t2", "master"}
     assert {ident for ident, rule in rules.items() if rule is not ulp_rule} == {"sf", "t2", "master", "t"}
+    # so the K/4 premise test holds the 119 cases of the ten K-ulp rows over every double,
+    # and the 36 pair sides on their own range
+    assert len(BUDGETED) == 119 and {ap.family for ap in BUDGETED} == set(FAMILIES) - {"sf", "t2", "master", "t"}
+    assert len(PAIRS) == 36 and {ap.family for ap in PAIRS} == {"sf", "t2", "master"}
 
 
 def _valid_orders(info):
@@ -135,6 +154,45 @@ def test_claim_needs_a_valid_order(ident):
     for bad in (None, info.n_min - 1, 2.0):
         with pytest.raises(ValueError):
             Approximant(ident, n=bad, side=side)
+
+
+def test_row_facts_are_bound_at_construction(monkeypatch):
+    # label, claim, slope, monotone and claim_interval are read from the registry once,
+    # when the Approximant is built, and are read-only
+    built = [(Approximant("cheb", n=4), "cheb(n=4)", (1 + math.sqrt(2)) ** -11, families._cheb_slope(4), 0),
+             (Approximant("t", n=3), "t(n=3)", 4.0**-3, None, -1),
+             (Approximant("cf-lifted", n=2), "cf-lifted(n=2)", 4.0**-2, None, 1),
+             (Approximant("t2", side="upper"), "t2.upper", None, None, 0)]
+
+    def gone(ident):
+        raise AssertionError(f"family_info({ident!r}) called after construction")
+
+    monkeypatch.setattr(families, "family_info", gone)
+    monkeypatch.setattr(Interval, "parse", gone)
+    for ap, label, claim, slope, monotone in built:
+        assert (ap.label, ap.claim, ap.slope, ap.monotone) == (label, claim, slope, monotone)
+        assert ap.claim_interval == (Interval(0.0, 1.0) if ap.family in ("cheb", "t") else Interval(0.0, math.inf))
+        for name in ("label", "claim", "slope", "monotone", "claim_interval"):
+            with pytest.raises(AttributeError):
+                setattr(ap, name, None)
+    assert not any(isinstance(vars(Approximant).get(name), property)
+                   for name in ("label", "claim", "slope", "monotone", "claim_interval"))
+
+
+def _cheb_slope_sum(n):
+    # _cheb_slope's exact sum at every order, rounded up to a double
+    r = Fraction(4142136, 10**7)
+    q, j = r * r, n + 1
+    return math.nextafter(float(2 * r * q**j * ((2 * j + 1) / (1 - q) + 2 * q / (1 - q) ** 2)), math.inf)
+
+
+def test_cheb_slope_is_its_exact_sum_at_every_order():
+    # from n = 426 the sum rounds to 0.0 and the bound is the least subnormal, taken
+    # without the sum, so a high order binds its slope at no cost
+    assert all(families._cheb_slope(n) == _cheb_slope_sum(n) for n in range(601))
+    assert families._cheb_slope(425) == 1e-323 and families._cheb_slope(426) == 5e-324
+    ap = Approximant("cheb-lifted", n=10**4)
+    assert ap.slope == 5e-324 and ap.rough_error is None
 
 
 # the rows with a bound S on |E'|: cheb 0..16, cheb-lifted 1..16, lagrange and t5

@@ -10,6 +10,7 @@ from mpmath import mp
 from arctancert.families import Approximant
 from arctancert.series import (
     _clenshaw_odd,
+    _coefficients,
     _quartic_rows,
     blend_w,
     cf_arctan,
@@ -146,6 +147,15 @@ def test_cheb_scaled_domain():
     for x in (1.0001, -1.5):
         with pytest.raises(ValueError):
             cheb_arctan(3, x, 2.0)
+
+def test_scaled_coefficient_cache_stays_bounded():
+    # the cache is keyed by the caller's m, so a sweep of distinct scales fills it to its
+    # bound and no further, and every value is still the expansion of arctan(m*x)
+    bound = _coefficients.cache_info().maxsize
+    for i in range(1000):
+        m = 1.5 + i / 1000
+        assert abs(cheb_arctan(8, 0.5, m) - math.atan(0.5 * m)) <= _cheb_tail(8, m) + 1e-14
+    assert bound == 256 and _coefficients.cache_info().currsize == bound
 
 def test_cheb_lifted_spots(cfg):
     from arctancert.verify import oracle_arctan

@@ -26,7 +26,7 @@ from arctancert.verify import (
     Interval,
     OracleConfig,
     _fixed_error,
-    _float_error,
+    _float_errors,
     _mpf_term_bits,
     _sample_points,
     oracle_arctan,
@@ -66,7 +66,7 @@ def _check_budget(ap, x):
         cfg = OracleConfig(digits, digits - 10)
         with mp.workdps(digits):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
-            got = _float_error(ap.rough_error, x, _mpf_term_bits())  # the budget the scan uses
+            got = _float_errors(ap.rough_error, (x,), _mpf_term_bits())[0]  # the budget the scan uses
         if ap.rough_error is None:
             assert got is None
             continue
@@ -296,7 +296,7 @@ def test_tail_row_outside_its_domain_is_settled_at_mpf_and_raises(cfg):
     ap = Approximant("cheb", n=3)
     with pytest.raises(ValueError):
         ap.rough_error(1.5)
-    assert _float_error(ap.rough_error, 1.5, 116) == (0.0, math.inf)
+    assert _float_errors(ap.rough_error, (1.5,), 116) == [(0.0, math.inf)]
     assert _fixed_error(ap.fixed_error, 1.5, 128, 116) == (0, math.inf)
     with pytest.raises(ValueError):
         sup_error(ap, Interval(0.0, 2.0), 65, cfg=cfg)

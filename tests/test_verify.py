@@ -1055,7 +1055,7 @@ def test_list_guard_gives_what_the_guard_gives_point_by_point(case, k):
         got = exc.args
     one_hook, each = _drawn_hook(acts, single), []
     try:
-        each = [verify._float_error(one_hook, x, k) for x in xs]
+        each = [verify._float_errors(one_hook, (x,), k)[0] for x in xs]
     except _Odd as exc:
         each = exc.args
     odd = [x for x in xs if acts[x] == "odd"]
@@ -1070,7 +1070,7 @@ def test_list_guard_gives_what_the_guard_gives_point_by_point(case, k):
         else:  # B = b + 2^-k + ulp(e), summed in that order
             e = _drawn_e(x)
             assert _hex(g) == _hex((e, _drawn_b(x) + math.ldexp(1.0, -k) + math.ulp(e)))
-    assert verify._float_errors(None, xs, k) == [None] * len(xs) and verify._float_error(None, xs[0], k) is None
+    assert verify._float_errors(None, xs, k) == [None] * len(xs) and verify._float_errors(None, xs[:1], k) == [None]
 
 
 @pytest.mark.parametrize("ident", sorted(FAMILIES))
