@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .numerics import Scalar, no_delete, require_finite, require_nonnegative, require_unit, row_of, set_once
+from .numerics import Frozen, Scalar, require_finite, require_nonnegative, require_unit, row_of
 
 
 class BoundPair(NamedTuple):
@@ -108,7 +108,7 @@ def lift_interval_map(t):
     return 2 * t / (1 - t * t)
 
 
-class LiftedApproximant:
+class LiftedApproximant(Frozen):
     """An approximant on [0,1] lifted to R+ by one argument halving.
 
     value(x) = 2*inner(u) with u = x/(1+sqrt(1+x^2)), the library's one
@@ -118,19 +118,10 @@ class LiftedApproximant:
     """
 
     __slots__ = ("inner",)  # a slot, since every call reads it
-    __setattr__, __delattr__ = set_once, no_delete
+    _key_fields = ("inner",)
 
     def __init__(self, inner: Callable):
         self.inner = inner
 
     def __call__(self, x):
         return 2 * self.inner(require_nonnegative(x).reduce(x))
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self.inner == other.inner
-
-    def __hash__(self):
-        return hash(self.inner)
-
-    def __repr__(self):
-        return f"LiftedApproximant(inner={self.inner!r})"

@@ -8,12 +8,13 @@ mpf values like the underlying kernels.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from . import core, master, series, tails
-from .numerics import no_delete, require_int, set_once
+from .numerics import Frozen, require_int
 from .verify import BoundKind, Interval
 
 _SQRT2 = math.sqrt(2)
@@ -167,7 +168,7 @@ def family_info(ident: str) -> FamilyInfo:
         raise ValueError(f"unknown family {ident!r}; see the 'list' command") from None
 
 
-class Approximant:
+class Approximant(Frozen):
     """Descriptor of one family instance, callable at either precision.
 
     Pair families (sf, t2, master) need a side. The evaluator (kernel, order
@@ -196,12 +197,13 @@ class Approximant:
 
     __slots__ = ("family", "n", "side", "label", "claim", "slope", "monotone", "claim_interval",
                  "_eval", "_pick", "rough_error", "fixed_error")
-    __setattr__, __delattr__ = set_once, no_delete
+    _key_fields = ("family", "n", "side")
 
     def __init__(self, family: str, n: Optional[int] = None, side: Optional[str] = None):
         info = family_info(family)
         if info.needs_n:
-            require_int(n, f"n of family {family!r}", info.n_min)
+            # an order counts terms, so it fits an index; the claims' powers (4.0**-n) take no n past 1e308
+            require_int(n, f"n of family {family!r}", info.n_min, sys.maxsize)
         elif n is not None:
             raise ValueError(f"family {family!r} does not take n")
         if info.kind is BoundKind.TWO_SIDED:
@@ -243,15 +245,6 @@ class Approximant:
         if self._pick is None:
             return self._eval(x)
         return getattr(self._eval(x), self._pick)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and (self.family, self.n, self.side) == (other.family, other.n, other.side)
-
-    def __hash__(self):
-        return hash((self.family, self.n, self.side))
-
-    def __repr__(self):
-        return f"Approximant(family={self.family!r}, n={self.n!r}, side={self.side!r})"
 
 
 def ulp_rule(f: Callable, x: float):

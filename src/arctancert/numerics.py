@@ -15,11 +15,16 @@ share two overflow-free argument maps: ``reduce``, the half-angle reduction,
 and ``sincos``, the sine and cosine of arctan x, in which the closed-form
 kernels are written so that no x from 0 to the top of the float range
 squares or overflows.
+
+The read-only value types (OracleConfig, Approximant, LiftedApproximant)
+share one base, ``Frozen``: slots set once, and equality, hash and repr by a
+key of fields that each class names once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 from mpmath import mp
 
@@ -108,13 +113,33 @@ def require_int(v, name, lo, hi=None):
         raise ValueError(f"{name} must be an integer {limit}, got {v!r}")
 
 
-def set_once(obj, name, value):
-    """__setattr__ of the slotted classes: __init__ sets each slot once, then it reads only."""
-    if hasattr(obj, name):
-        raise AttributeError(f"cannot assign to field {name!r}")
-    object.__setattr__(obj, name, value)
+class Frozen:
+    """Read-only slots, compared, hashed and printed by the fields named in _key_fields.
 
+    __init__ sets each slot once; assigning or deleting one later raises
+    AttributeError. Equal means the same type and key; a one-field key hashes
+    as that field. The key is an operator.attrgetter, built once per class.
+    """
 
-def no_delete(obj, name):
-    """__delattr__ of the slotted classes, whose slots stay set."""
-    raise AttributeError(f"cannot delete field {name!r}")
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*cls._key_fields)
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._key_fields)
+        return f"{type(self).__name__}({fields})"

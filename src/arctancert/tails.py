@@ -49,11 +49,11 @@ from mpmath import mp
 # pi_fixed(bits) is pi*2^bits within one unit: mpmath's floor(pi*2^bits), Chudnovsky's series
 # summed 10 or more bits deeper and shifted down, memoized there; mp.pi, which master_params
 # and the mpf kernels read, rounds the same series
-from mpmath.libmp import pi_fixed
+from mpmath.libmp import pi_fixed, to_fixed
 
 from .master import MAX_ORDER, _signed_e, denominator_product, master_params, pn_coefficients
 from .numerics import MPF, require_nonnegative, require_unit
-from .verify import _atan_fixed, _shift
+from .verify import _atan_fixed
 
 U = 2.0**-53  # unit roundoff of a double
 _MASTER_TERMS = 30  # terms of master's S past t^(n+1); H takes n + 1 more
@@ -319,8 +319,8 @@ def _master_constants(n: int, constant_side: bool, big: int) -> tuple:
     # k*D at scale 2^big, k = g_n(pi/2) floored there or 1, and the integers (-1)^(n-j) e_j 2^j.
     # g_n(pi/2) is k_high for odd n, else k_low (master.constant_side).
     params = master_params(n)
-    _, man, exp, _ = (params.k_high if n % 2 else params.k_low)._mpf_
-    kd = (_shift(man, exp + big) if constant_side else 1 << big) * params.denom_product
+    k = params.k_high if n % 2 else params.k_low
+    kd = (to_fixed(k._mpf_, big) if constant_side else 1 << big) * params.denom_product
     return kd, _signed_e(n, MPF)
 
 

@@ -47,8 +47,9 @@ Every approximant also has a ``fixed_error(x, w)`` hook, in integers scaled
 by 2^w (``tails``), returning (m, err): m*2^-w lies within err units of 2^-w
 of E. It has one rule, the K-ulp rule's fixed counterpart: the row's kernel
 in integers less arctan x from the oracle's fixed-point arctan before its
-rounding (_atan_fixed, within 1.01 units at w). That arctan splits x at the
-anchor x0 <= x, x's top 20 mantissa bits, whose arctan the oracle's
+rounding (_atan_fixed, within 2^11 units of 2^-wp, taken at wp = w + 40 and
+shifted down by tails._atan_w to within 1.01 units at w). That arctan splits
+x at the anchor x0 <= x, x's top 20 mantissa bits, whose arctan the oracle's
 reduction gives once and a bounded cache keeps, and adds the short series
 at z = (x - x0)/(1 + x*x0) < 2^-19. The parts of err, each proved in a
 comment, are the steps' floors, the constants' and coefficients' rounding
@@ -134,7 +135,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_floor, 
 
 from .core import LiftedApproximant, lift_interval_map
 from .master import CONSTANT_DIGITS
-from .numerics import no_delete, require_int, set_once
+from .numerics import Frozen, require_int
 
 _THETA_EDGE = 1e-8  # exclusion buffer at both ends of the tan-mapped grid
 _INVPHI = (math.sqrt(5) - 1) / 2
@@ -157,7 +158,7 @@ class BoundKind(Enum):
     APPROXIMATION = "approximation"
 
 
-class OracleConfig:
+class OracleConfig(Frozen):
     """Precision policy for the oracle.
 
     working_digits is the arithmetic precision, within one ulp of which every
@@ -167,25 +168,13 @@ class OracleConfig:
     """
 
     __slots__ = ("working_digits", "report_digits", "prec")
-    __setattr__, __delattr__ = set_once, no_delete
+    _key_fields = ("working_digits", "report_digits")  # prec is derived from them
 
     def __init__(self, working_digits: int = 50, report_digits: int = 30):
         require_int(report_digits, "report_digits", 30)
         require_int(working_digits, "working_digits", max(40, report_digits + 10))
         self.working_digits, self.report_digits = working_digits, report_digits
         self.prec = dps_to_prec(working_digits)  # the oracle's bits, converted once
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"OracleConfig(working_digits={self.working_digits!r}, report_digits={self.report_digits!r})"
-
-    def _key(self):
-        return self.working_digits, self.report_digits
 
 
 def default_config() -> OracleConfig:

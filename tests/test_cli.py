@@ -216,6 +216,8 @@ def test_certify_usage_errors(capsys):
     assert run(capsys, "certify", "--family", "w", "--interval", "0:1")[0] == 2  # missing n
     # past the unbounded grid's top, about 1e8, rather than a verdict on points below lo
     assert run(capsys, "certify", "--family", "t5", "--interval", "1e12:inf", "--grid", "65")[0] == 2
+    # an order past any index, whose claim has no float, rather than an OverflowError
+    assert run(capsys, "certify", "--family", "cf", "--n", str(10**400), "--interval", "0:1", "--grid", "65")[0] == 2
 
 
 def test_table_master_orders(tmp_path, capsys):

@@ -1,5 +1,7 @@
+import copy
 import math
 import pathlib
+import pickle
 import re
 import subprocess
 import sys
@@ -18,7 +20,7 @@ from arctancert import (
     master_params,
 )
 from arctancert.families import FAMILIES, FamilyInfo
-from arctancert.master import MasterParams
+from arctancert.master import MAX_ORDER, MasterParams
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
@@ -95,3 +97,28 @@ def test_public_types_compare_by_value_hash_alike_and_are_read_only(name):
     assert a == b
     with pytest.raises(AttributeError):
         a.no_such_field = 1
+
+
+def test_reprs_print_the_constructor_arguments():
+    for ident, info in FAMILIES.items():
+        for n in range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,):
+            for side in ("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,):
+                assert repr(Approximant(ident, n=n, side=side)) == f"Approximant(family={ident!r}, n={n!r}, side={side!r})"
+    assert repr(OracleConfig()) == "OracleConfig(working_digits=50, report_digits=30)"
+    assert repr(OracleConfig(60, 40)) == "OracleConfig(working_digits=60, report_digits=40)"
+    assert repr(LiftedApproximant(abs)) == "LiftedApproximant(inner=<built-in function abs>)"
+    inner = Approximant("cf", n=3)
+    assert repr(LiftedApproximant(inner)) == "LiftedApproximant(inner=Approximant(family='cf', n=3, side=None))"
+    # a one-field key hashes as that field
+    assert hash(LiftedApproximant(inner)) == hash(inner)
+
+
+@pytest.mark.parametrize("name", list(_TYPES))
+def test_public_types_survive_copy_deepcopy_and_pickle(name):
+    a = _TYPES[name][0]()
+    trips = [copy.copy, copy.deepcopy]
+    if name != "FamilyInfo":  # a registry row's claim and slope are lambdas, which pickle refuses
+        trips.append(lambda v: pickle.loads(pickle.dumps(v)))
+    for trip in trips:
+        b = trip(a)
+        assert type(b) is type(a) and b == a and hash(b) == hash(a) and repr(b) == repr(a)

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import partial
 
@@ -154,6 +155,18 @@ def test_claim_needs_a_valid_order(ident):
     for bad in (None, info.n_min - 1, 2.0):
         with pytest.raises(ValueError):
             Approximant(ident, n=bad, side=side)
+
+
+@pytest.mark.parametrize("ident", sorted(ident for ident, info in FAMILIES.items() if info.needs_n))
+def test_an_order_past_any_index_raises_value_error(ident):
+    # the claims' float powers (4.0**-n, (1 + sqrt2)**-(2n + 3), ...) raise OverflowError at
+    # n = 10**400, so construction rejects every order past sys.maxsize before binding a claim.
+    # Nothing is evaluated at these orders
+    side = "lower" if FAMILIES[ident].kind is BoundKind.TWO_SIDED else None
+    for bad in (10**400, sys.maxsize + 1):
+        with pytest.raises(ValueError, match=f"n of family '{ident}'"):
+            Approximant(ident, n=bad, side=side)
+    assert Approximant(ident, n=sys.maxsize, side=side).n == sys.maxsize
 
 
 def test_row_facts_are_bound_at_construction(monkeypatch):
