@@ -63,16 +63,12 @@ def pn_coefficients(n: int) -> tuple:
     p_n(4^-j) = 0 for j = 1..n.
     """
     _check_order(n)
-    num = [Fraction(1)]
+    num = [1]  # the numerator prod (4^k x - 1) has integer coefficients
     for k in range(1, n + 1):
         w = 4**k
-        new = [Fraction(0)] * (len(num) + 1)
-        for i, c in enumerate(num):
-            new[i] -= c
-            new[i + 1] += w * c
-        num = new
+        num = [-num[0]] + [w * num[i - 1] - num[i] for i in range(1, len(num))] + [w * num[-1]]
     d = denominator_product(n)
-    return tuple(c / d for c in num)
+    return tuple(Fraction(c, d) for c in num)
 
 
 @lru_cache(maxsize=None)

@@ -10,12 +10,16 @@ series of the same kind once per working precision, the fine one on first
 use. Arguments up to 2^-6 sum the series relative to x. All of this runs in
 integer fixed point with guard bits beyond the working precision, which is an
 argument, not the mpmath context, and the result is rounded once, so it lies
-within one unit in the last place at working precision. pi is 4*arctan(1),
-the centre table's last value rounded once and scaled exactly, the constant
-every x > 1 reflects through; the Machin series (series.machin_pi), which the
-pi command compares with it, shares no code with it. The fixed-point tier's
-integer pi is mpmath's floor(pi*2^w), from the series behind mp.pi
-(libmp.pi_fixed).
+within one unit in the last place at working precision. Its values are cached
+by x and precision (_oracle_cached), 2*DEFAULT_GRID of them: one bounded grid
+at DEFAULT_GRID, 6,145 points, and its probes, so a pair's second side finds
+every value its first side computed over that grid, which a smaller LRU,
+traversed in grid order, would have evicted. An eviction can change a
+report's oracle_cold count, never a value. pi is 4*arctan(1), the centre
+table's last value rounded once and scaled exactly, the constant every x > 1
+reflects through; the Machin series (series.machin_pi), which the pi command
+compares with it, shares no code with it. The fixed-point tier's integer pi is
+mpmath's floor(pi*2^w), from the series behind mp.pi (libmp.pi_fixed).
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested closed interval (a tan-mapped grid when it is
@@ -126,6 +130,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 from enum import Enum
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
@@ -173,6 +178,8 @@ class OracleConfig(Frozen):
     def __init__(self, working_digits: int = 50, report_digits: int = 30):
         require_int(report_digits, "report_digits", 30)
         require_int(working_digits, "working_digits", max(40, report_digits + 10))
+        if working_digits > sys.maxsize:  # dps_to_prec goes through a float, which 10**400 overflows
+            raise ValueError(f"working_digits must be an integer <= sys.maxsize, got {working_digits!r}")
         self.working_digits, self.report_digits = working_digits, report_digits
         self.prec = dps_to_prec(working_digits)  # the oracle's bits, converted once
 
@@ -317,7 +324,7 @@ def _atan_core(x, prec: int):
     return mp.make_mpf(from_man_exp(_atan_reduced(man, exp, x > 1, wp), -wp, prec, round_nearest))
 
 
-_oracle_cached = lru_cache(maxsize=262144)(_atan_core)  # keyed by x and OracleConfig.prec
+_oracle_cached = lru_cache(maxsize=2 * DEFAULT_GRID)(_atan_core)  # keyed by x and OracleConfig.prec
 
 
 def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
@@ -325,6 +332,7 @@ def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
 
     Accepts non-negative floats, ints or mpf values; +inf returns pi/2, arctan
     1 doubled. cfg.report_digits only bounds the digits a caller is promised.
+    The last 2*DEFAULT_GRID values are cached, one default grid and its probes.
     """
     cfg = cfg or default_config()
     # comparisons only, so a float, an int past the float range and an mpf all pass

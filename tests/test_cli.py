@@ -210,7 +210,7 @@ def test_certify_wrong_direction_exits_1(capsys):
     assert "satisfied    false" in out
 
 
-def test_certify_usage_errors(capsys):
+def test_certify_usage_errors(capsys, monkeypatch):
     assert run(capsys, "certify", "--family", "sf", "--interval", "1:0")[0] == 2
     assert run(capsys, "certify", "--family", "sf", "--interval", "junk")[0] == 2
     assert run(capsys, "certify", "--family", "w", "--interval", "0:1")[0] == 2  # missing n
@@ -218,6 +218,9 @@ def test_certify_usage_errors(capsys):
     assert run(capsys, "certify", "--family", "t5", "--interval", "1e12:inf", "--grid", "65")[0] == 2
     # an order past any index, whose claim has no float, rather than an OverflowError
     assert run(capsys, "certify", "--family", "cf", "--n", str(10**400), "--interval", "0:1", "--grid", "65")[0] == 2
+    # so are working digits past sys.maxsize, which dps_to_prec's float would overflow
+    monkeypatch.setenv("ARCTAN_CERT_DIGITS", str(10**400))
+    assert run(capsys, "certify", "--family", "cf", "--n", "3", "--interval", "0:1", "--grid", "65")[0] == 2
 
 
 def test_table_master_orders(tmp_path, capsys):

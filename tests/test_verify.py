@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from arctancert.families import FAMILIES, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
 from arctancert.series import cf_arctan, machin_pi
 from arctancert.verify import (
+    DEFAULT_GRID,
     BoundKind,
     Interval,
     OracleConfig,
@@ -47,6 +49,9 @@ def test_oracle_config_validation():
         OracleConfig("50", 30)
     with pytest.raises(ValueError):  # digits are whole
         OracleConfig(50.5, 30)
+    with pytest.raises(ValueError):  # not dps_to_prec's OverflowError
+        OracleConfig(10**400)
+    assert OracleConfig(sys.maxsize).working_digits == sys.maxsize  # built, never evaluated
 
 
 @pytest.mark.parametrize(
@@ -57,6 +62,7 @@ def test_oracle_config_validation():
         (lambda: OracleConfig(41, 35), "working_digits must be an integer >= 45, got 41"),
         (lambda: OracleConfig("50", 30), "working_digits must be an integer >= 40, got '50'"),
         (lambda: OracleConfig(50, None), "report_digits must be an integer >= 30, got None"),
+        (lambda: OracleConfig(sys.maxsize + 1), "working_digits must be an integer <= sys.maxsize, got 9223372036854775808"),
         (lambda: Interval(0.0, math.nan), "interval endpoints must not be NaN"),
         (lambda: Interval(-1.0, 2.0), "lo must be finite and >= 0, got -1.0"),
         (lambda: Interval(math.inf, math.inf), "lo must be finite and >= 0, got inf"),
@@ -79,6 +85,9 @@ def test_default_config_env_override(monkeypatch):
     assert c.report_digits == 36 and c.working_digits == 56
     monkeypatch.setenv("ARCTAN_CERT_DIGITS", "10")  # clamped up
     assert default_config().report_digits == 30
+    monkeypatch.setenv("ARCTAN_CERT_DIGITS", str(10**400))  # past sys.maxsize
+    with pytest.raises(ValueError, match="^working_digits must be an integer <= sys.maxsize"):
+        default_config()
     monkeypatch.setenv("ARCTAN_CERT_DIGITS", "lots")
     with pytest.raises(ValueError, match="^ARCTAN_CERT_DIGITS must be an integer, got 'lots'$"):
         default_config()
@@ -387,6 +396,32 @@ def test_grid_cache_stays_bounded():
     for k in range(cache.cache_info().maxsize + 4):
         _sample_points(Interval(0.0, 1.0 + k / 8), 64)
     assert cache.cache_info().currsize <= cache.cache_info().maxsize
+
+
+def test_oracle_cache_holds_one_default_grid_and_no_more():
+    # the reuse the cache serves is a pair's second side scanning the grid the first one did,
+    # so it holds one bounded grid at the default size, with room for that grid's probes
+    maxsize = _oracle_cached.cache_info().maxsize
+    assert len(_sample_points(Interval(0.0, 1.0), DEFAULT_GRID)) <= maxsize <= 2 * DEFAULT_GRID
+
+
+def test_oracle_cache_stays_bounded():
+    cfg = OracleConfig(working_digits=40, report_digits=30)
+    maxsize = _oracle_cached.cache_info().maxsize
+    for k in range(1, maxsize + 5):
+        oracle_arctan(k * 5e-324, cfg)  # distinct subnormals, whose series ends at its first term
+    assert _oracle_cached.cache_info().currsize == maxsize
+
+
+def test_a_pair_second_side_finds_its_oracle_values_cached(cfg):
+    # sf's margins over [0, 1e-148] are settled at mpf on every grid point; the upper side
+    # scans the grid the lower one did and computes no oracle value again
+    iv = Interval(0.0, 1e-148)
+    _oracle_cached.cache_clear()
+    low = certify_bound(Approximant("sf", side="lower"), BoundKind.LOWER, iv, 65, cfg=cfg)
+    up = certify_bound(Approximant("sf", side="upper"), BoundKind.UPPER, iv, 65, cfg=cfg)
+    assert low.oracle_cold == low.evals_mpf == up.evals_mpf == len(_sample_points(iv, 65))
+    assert up.oracle_cold == 0
 
 
 def test_a_scan_on_a_new_grid_reports_what_a_warm_one_does(cfg):
