@@ -79,7 +79,7 @@ def lagrange_p(u):
     """Quadratic interpolant of arctan through (0, 0), (sqrt2-1, pi/8), (1, pi/4).
 
     Evaluated in the collected form (pi/16)*u*(4 + sqrt2*(1 - u)), which equals
-    the Lagrange form (tails.lagrange_kernel derives it).
+    the Lagrange form (fixedpoint.lagrange_kernel derives it).
     """
     require_unit(u, "u")
     return _lagrange(u)

@@ -8,12 +8,11 @@ mpf values like the underlying kernels.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
-from . import core, master, series, tails
+from . import core, fixedpoint, master, series, tails
 from .numerics import Frozen, require_int
 from .verify import BoundKind, Interval
 
@@ -34,8 +33,8 @@ class FamilyInfo(NamedTuple):
     float_rule is False on t alone, which has no float rule; sf, t2 and
     master sum their error series in float (``tails.master_error``), and the
     rest take the K-ulp rule. fixed is the row's kernel in integers
-    (``tails``); Approximant makes it the row's one fixed-point rule
-    (``tails.direct_fixed``), at x itself for a pair, at the lift's u where
+    (``fixedpoint``); Approximant makes it the row's one fixed-point rule
+    (``fixedpoint.direct_fixed``), at x itself for a pair, at the lift's u where
     claim_interval is 0:inf and at u = x where it is 0:1. claim_interval is
     the text of the interval the claims apply to; Approximant parses it once,
     at construction.
@@ -71,7 +70,7 @@ class FamilyInfo(NamedTuple):
 @lru_cache(maxsize=None)
 def _cheb_slope(n: int) -> float:
     # A bound on |E'| over [-1, 1] at order n. E = f_n - arctan = -sum_{k>n} c_k T_(2k+1) with
-    # |c_k| = 2r^(2k+1)/(2k+1), r = sqrt2 - 1 (tails._cheb_ints), and Markov's |T_m'| <= m^2 on
+    # |c_k| = 2r^(2k+1)/(2k+1), r = sqrt2 - 1 (fixedpoint._cheb_ints), and Markov's |T_m'| <= m^2 on
     # [-1, 1] (Mason & Handscomb, ch. 2) gives |E'| <= S(n) = sum_{k>n} 2(2k+1) r^(2k+1). With
     # q = r^2 and j = n + 1, sum_{k>=j} (2k+1) q^k = q^j ((2j+1)/(1-q) + 2q/(1-q)^2). S grows
     # with r, so S at the rational R = 0.4142136 > r, exact, and rounded up to a double bounds
@@ -103,25 +102,25 @@ FAMILIES: dict[str, FamilyInfo] = {
     info.ident: info
     for info in (
         FamilyInfo("sf", "Theorem 1", "3x/d < arctan x < πx/d, d = 1+2√(1+x²)", "[0,∞)", _TWO, False,
-                   kernel=core.shafer_fink_bounds, pair_order=1, fixed=tails.master_kernel),
+                   kernel=core.shafer_fink_bounds, pair_order=1, fixed=fixedpoint.master_kernel),
         FamilyInfo("t2", "Theorem 2", "π(3+8√2)f < arctan x < 45f", "[0,∞)", _TWO, False,
-                   kernel=core.theorem2_bounds, pair_order=2, fixed=tails.master_kernel),
+                   kernel=core.theorem2_bounds, pair_order=2, fixed=fixedpoint.master_kernel),
         FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", _UP, False,
-                   kernel=core.theorem4_upper, fixed=tails.t4_kernel),
+                   kernel=core.theorem4_upper, fixed=fixedpoint.t4_kernel),
         FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
-                   kernel=master.master_bounds, fixed=tails.master_kernel),
+                   kernel=master.master_bounds, fixed=fixedpoint.master_kernel),
         FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
                    kernel=core.lagrange_p, claim=lambda n: 1 / 230, slope=lambda n: _LAGRANGE_SLOPE,
-                   fixed=tails.lagrange_kernel),
+                   fixed=fixedpoint.lagrange_kernel),
         FamilyInfo("t5", "Theorem 5", "sup < 1/115", "[0,∞)", _APPROX, False,
                    kernel=core._lagrange, claim=lambda n: 1 / 115, lifted=True, slope=lambda n: _LAGRANGE_SLOPE,
-                   fixed=tails.lagrange_kernel),
+                   fixed=fixedpoint.lagrange_kernel),
         FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
                    kernel=series.cheb_arctan, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
-                   slope=_cheb_slope, fixed=tails.cheb_kernel),
+                   slope=_cheb_slope, fixed=fixedpoint.cheb_kernel),
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series._cheb, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
-                   slope=_cheb_slope, fixed=tails.cheb_kernel),
+                   slope=_cheb_slope, fixed=fixedpoint.cheb_kernel),
         # cf's |E| rises on (0, 1] at the monotone rate. arctan(x)/x = F(z) = int dmu(s)/(1 +
         # zs), z = x^2, dmu = ds/(2sqrt(s)) on [0, 1], a Stieltjes function, and depth n of
         # series.cf_arctan is its Pade approximant R = [m-1/m] (n = 2m - 1) or [m/m] (n = 2m)
@@ -135,9 +134,9 @@ FAMILIES: dict[str, FamilyInfo] = {
         # 1/x. cf-lifted's E(x) = 2E_cf(u) at the lift's u, so on [0, inf) its d log|E|/dx >=
         # d log u/dx = 1/(x sqrt(1 + x^2)) >= 1/(x(1 + x)).
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
-                   kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n, fixed=tails.cf_kernel, monotone=1),
+                   kernel=series.cf_arctan, claim=lambda n: 0.5 * 4.0**-n, fixed=fixedpoint.cf_kernel, monotone=1),
         FamilyInfo("cf-lifted", "continued fraction, lifted", "4^-n", "[0,∞)", _APPROX, True, 1,
-                   kernel=series._cf, claim=lambda n: 4.0**-n, lifted=True, fixed=tails.cf_kernel,
+                   kernel=series._cf, claim=lambda n: 4.0**-n, lifted=True, fixed=fixedpoint.cf_kernel,
                    monotone=1),
         # the pointwise envelopes of s and t peak at 4^-n. s's |E| rises on (0, 1] at the
         # monotone rate: its rows sum the integrand of arctan u = int_0^g (1 + 2t + 2t^2)/(1 +
@@ -147,16 +146,16 @@ FAMILIES: dict[str, FamilyInfo] = {
         # -E_s(v), v = (1 - u)/(1 + u), v' = -2/(1 + u)^2, so d log|E_t|/du <= v'/(v(1 + v)) =
         # -1/(1 - u) <= -1 on [0, 1).
         FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n, fixed=tails.s_kernel, monotone=1),
+                   kernel=series.taylor1_s, claim=lambda n: 4.0**-n, fixed=fixedpoint.s_kernel, monotone=1),
         # no float rule: t's float kernel is pi/4 less a row near pi/4, so near u = 0 it errs by
         # ulps of pi/4, far more than the K-ulp rule allows of arctan u; the fixed tier decides t
         FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
                    kernel=series.taylor1_t, claim=lambda n: 4.0**-n,
-                   float_rule=False, fixed=tails.t_kernel, monotone=-1),
+                   float_rule=False, fixed=fixedpoint.t_kernel, monotone=-1),
         FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series.blend_w, claim=lambda n: 20.0**-n, fixed=tails.w_kernel),
+                   kernel=series.blend_w, claim=lambda n: 20.0**-n, fixed=fixedpoint.w_kernel),
         FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
-                   kernel=series._blend, claim=lambda n: 2 * 20.0**-n, lifted=True, fixed=tails.w_kernel),
+                   kernel=series._blend, claim=lambda n: 2 * 20.0**-n, lifted=True, fixed=fixedpoint.w_kernel),
     )
 }
 
@@ -190,7 +189,7 @@ class Approximant(Frozen):
     K-ulp rule (ulp_rule). It returns the rule's own (e, b) or raises.
     fixed_error(x, w) is the fixed-point tier's rule, in integers scaled by
     2^w, returning (m, err) in units of 2^-w: for every row, its integer
-    kernel less the oracle's fixed arctan (``tails.direct_fixed``), at the
+    kernel less the oracle's fixed arctan (``fixedpoint.direct_fixed``), at the
     argument its domain implies. Every row has it up to
     MAX_ORDER; past it both hooks are None.
     """
@@ -203,7 +202,7 @@ class Approximant(Frozen):
         info = family_info(family)
         if info.needs_n:
             # an order counts terms, so it fits an index; the claims' powers (4.0**-n) take no n past 1e308
-            require_int(n, f"n of family {family!r}", info.n_min, sys.maxsize)
+            require_int(n, f"n of family {family!r}", info.n_min)
         elif n is not None:
             raise ValueError(f"family {family!r} does not take n")
         if info.kind is BoundKind.TWO_SIDED:
@@ -232,12 +231,13 @@ class Approximant(Frozen):
             order = info.pair_order or n
             args = order, side == master.constant_side(order)
             self.rough_error = partial(tails.master_error, *args)
-            self.fixed_error = partial(tails.direct_fixed, info.fixed, None, args)
+            constants = partial(tails.master_constants, *args)  # fixedpoint.master_kernel's, bound to this side
+            self.fixed_error = partial(fixedpoint.direct_fixed, info.fixed, None, constants)
         else:
             # the K-ulp rule reads the evaluator itself, so a float value skips __call__
             self.rough_error = partial(ulp_rule, fn) if info.float_rule else None
             # the kernel takes the lift's u on a row claimed over R+, and u = x on a [0, 1] row
-            self.fixed_error = partial(tails.direct_fixed, info.fixed, self.claim_interval.unbounded, n)
+            self.fixed_error = partial(fixedpoint.direct_fixed, info.fixed, self.claim_interval.unbounded, n)
 
     def __call__(self, x):
         # the side is picked here, not by a wrapper, so a raising kernel's

@@ -30,9 +30,9 @@ from typing import NamedTuple
 from mpmath import mp
 
 from .core import BoundPair
+from .fixedpoint import MAX_ORDER
 from .numerics import FLOAT, require_int, require_nonnegative
 
-MAX_ORDER = 16
 CONSTANT_DIGITS = 50  # the least precision of g_n and of the constants, at orders up to 7
 
 
@@ -97,7 +97,7 @@ def a_n(n: int, x):
 @lru_cache(maxsize=None)
 def _signed_e(n: int, c) -> tuple:
     # (-1)^(n-j)*e_j*2^j, j = 0..n, once per order and row c: exact ints for the mpf row and
-    # tails.master_kernel (an mpf of one would round before the product does), doubles for float
+    # fixedpoint.master_kernel (an mpf of one would round before the product does), doubles for float
     e = elementary_symmetric(n)
     return tuple((float if c is FLOAT else int)((-1) ** (n - j) * e[j] << j) for j in range(n + 1))
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from mpmath import mp
 
@@ -104,13 +105,15 @@ def require_unit(x, name="x"):
 
 
 def require_int(v, name, lo, hi=None):
-    """Raise ValueError unless v is an int in [lo, hi]; hi = None sets no upper limit.
+    """Raise ValueError unless v is an int in [lo, hi], and at most sys.maxsize.
 
     A bool passes as the int it equals, as in the lru_caches keyed on orders.
     """
     if not isinstance(v, int) or v < lo or (hi is not None and v > hi):
         limit = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name} must be an integer {limit}, got {v!r}")
+    if v > sys.maxsize:
+        raise ValueError(f"{name} must be an integer <= sys.maxsize, got {v!r}")
 
 
 class Frozen:

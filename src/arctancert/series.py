@@ -145,7 +145,7 @@ def taylor1_t(n: int, u):
     a lower bound for even n, an upper bound for odd n. At float, near u = 0
     the difference of two values near pi/4 errs by ulps of pi/4, not of
     arctan u, so t takes no float rule: the scan's fixed-point tier decides
-    each of its points (``tails.t_kernel``).
+    each of its points (``fixedpoint.t_kernel``).
     """
     require_int(n, "truncation index n", 0)
     c = require_unit(u, "u")

@@ -1,25 +1,15 @@
 """Extended-precision arctangent oracle and the sup-norm certification harness.
 
-The oracle never calls a library arctangent. It reduces its argument in two
-steps of one kind: above 1 it takes y = 1/x and reflects through pi/2; then,
-for the centre c = k/64 nearest y, arctan y = arctan(c) + arctan(z) with
-z = (y - c)/(1 + y*c), |z| <= 2^-7; then z is reduced the same way against
-the nearest fine point j/2^13, j = 0..64, which leaves the Maclaurin series an
-argument of at most 2^-14. Each table of 65 values is chained from short
-series of the same kind once per working precision, the fine one on first
-use. Arguments up to 2^-6 sum the series relative to x. All of this runs in
-integer fixed point with guard bits beyond the working precision, which is an
-argument, not the mpmath context, and the result is rounded once, so it lies
-within one unit in the last place at working precision. Its values are cached
-by x and precision (_oracle_cached), 2*DEFAULT_GRID of them: one bounded grid
-at DEFAULT_GRID, 6,145 points, and its probes, so a pair's second side finds
-every value its first side computed over that grid, which a smaller LRU,
-traversed in grid order, would have evicted. An eviction can change a
-report's oracle_cold count, never a value. pi is 4*arctan(1), the centre
-table's last value rounded once and scaled exactly, the constant every x > 1
-reflects through; the Machin series (series.machin_pi), which the pi command
-compares with it, shares no code with it. The fixed-point tier's integer pi is
-mpmath's floor(pi*2^w), from the series behind mp.pi (libmp.pi_fixed).
+The oracle is fixedpoint.atan_rounded, an integer arctan that calls no library
+one, rounded once to within one unit in the last place at working precision.
+Its values are cached by x and precision (_oracle_cached), 2*DEFAULT_GRID of
+them: one bounded grid at DEFAULT_GRID, 6,145 points, and its probes, so a
+pair's second side finds every value its first side computed over that grid,
+which a smaller LRU, traversed in grid order, would have evicted. An eviction
+can change a report's oracle_cold count, never a value. pi is 4*arctan(1), the
+centre table's last value rounded once and scaled exactly, the constant that
+every x > 1 reflects through; the Machin series (series.machin_pi), which the
+pi command compares with it, shares no code with it.
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested closed interval (a tan-mapped grid when it is
@@ -47,22 +37,13 @@ kernel lying within K/4 ulp of arctan x of the 50-digit value. t, whose float
 kernel errs by ulps of pi/4, has no float rule, and past order 16 no row has
 one: there the hook is None.
 
-Every approximant also has a ``fixed_error(x, w)`` hook, in integers scaled
-by 2^w (``tails``), returning (m, err): m*2^-w lies within err units of 2^-w
-of E. It has one rule, the K-ulp rule's fixed counterpart: the row's kernel
-in integers less arctan x from the oracle's fixed-point arctan before its
-rounding (_atan_fixed, within 2^11 units of 2^-wp, taken at wp = w + 40 and
-shifted down by tails._atan_w to within 1.01 units at w). That arctan splits
-x at the anchor x0 <= x, x's top 20 mantissa bits, whose arctan the oracle's
-reduction gives once and a bounded cache keeps, and adds the short series
-at z = (x - x0)/(1 + x*x0) < 2^-19. The parts of err, each proved in a
-comment, are the steps' floors, the constants' and coefficients' rounding
-(derived exactly or in integers with guard bits, and rounded once), and the
-effect of the argument's error: x is exact or floored by under a unit, and
-u of a lift lies within 2 units. Golden-section probes, settled grid points
-and each search's final value use this tier, at the one scale 2^-mp.prec, 20
-bits below the mpf term 2^-k, where each row's budget is about that term, so
-one scale serves master's |E| near 1e-17 and cheb's near 1e-2.
+Every approximant also has a ``fixed_error(x, w)`` hook, the row's one
+fixed-point rule (``fixedpoint``, where the rule and its bounds are stated),
+returning (m, err): m*2^-w lies within err units of 2^-w of E. Golden-section
+probes, settled grid points and each search's final value use this tier, at the
+one scale 2^-mp.prec, 20 bits below the mpf term 2^-k, where each row's budget
+is about that term, so one scale serves master's |E| near 1e-17 and cheb's near
+1e-2.
 
 Both tiers have one guard each, _float_errors and _fixed_error, which decide
 when to trust a hook. They take a value at every double, where every rule is
@@ -130,15 +111,15 @@ from __future__ import annotations
 import math
 import operator
 import os
-import sys
 from enum import Enum
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from mpmath import mp
-from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_floor, round_nearest, to_float
+from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_floor, to_float
 
 from .core import LiftedApproximant, lift_interval_map
+from .fixedpoint import atan_rounded
 from .master import CONSTANT_DIGITS
 from .numerics import Frozen, require_int
 
@@ -148,10 +129,6 @@ _INVPHI = (math.sqrt(5) - 1) / 2
 DEFAULT_GRID = 4097
 REFINE_TOL = 1e-12  # golden-section brackets stop below REFINE_TOL*max(1, x)
 _TOP = 3  # local maxima of |E| refined by golden-section search
-_GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
-_CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
-_FINE = 2**13  # and what is left against the fine points j/_FINE, j = 0.._CENTRES
-_ANCHOR_BITS = 20  # mantissa bits of the anchor that _atan_fixed reduces x against (z < 2^-19)
 _MASTER_PREC = dps_to_prec(CONSTANT_DIGITS)  # bits of master's constants, 169 or more
 _UP = 1 + 2.0**-48  # rounds up a search's bound, formed in a few roundings (_golden_max)
 
@@ -176,10 +153,9 @@ class OracleConfig(Frozen):
     _key_fields = ("working_digits", "report_digits")  # prec is derived from them
 
     def __init__(self, working_digits: int = 50, report_digits: int = 30):
+        require_int(working_digits, "working_digits", 40)  # first: past sys.maxsize the message names it
         require_int(report_digits, "report_digits", 30)
-        require_int(working_digits, "working_digits", max(40, report_digits + 10))
-        if working_digits > sys.maxsize:  # dps_to_prec goes through a float, which 10**400 overflows
-            raise ValueError(f"working_digits must be an integer <= sys.maxsize, got {working_digits!r}")
+        require_int(working_digits, "working_digits", report_digits + 10)
         self.working_digits, self.report_digits = working_digits, report_digits
         self.prec = dps_to_prec(working_digits)  # the oracle's bits, converted once
 
@@ -194,137 +170,7 @@ def default_config() -> OracleConfig:
     return OracleConfig(working_digits=report + 20, report_digits=report)
 
 
-def _shift(v: int, s: int) -> int:
-    return v << s if s >= 0 else v >> -s
-
-
-def _series(y2: int, wp: int) -> int:
-    # arctan(y)/y = sum (-1)^j y^(2j)/(2j+1) scaled by 2^wp, from y^2 so scaled; two terms a pass
-    s, p, d = 0, 1 << wp, 1
-    while p:
-        s += p // d
-        p = (p * y2) >> wp
-        s -= p // (d + 2)
-        p = (p * y2) >> wp
-        d += 4
-    return s
-
-
-def _atan_small(z: int, wp: int) -> int:
-    # arctan(z) scaled by 2^wp from z scaled by 2^wp, for 0 <= z <= 2^-6
-    return (z * _series((z * z) >> wp, wp)) >> wp
-
-
-@lru_cache(maxsize=None)
-def _table(n: int, wp: int) -> tuple:
-    # T_k = arctan(k/n) scaled by 2^wp for k = 0..N, N = _CENTRES, built once per n and wp on
-    # first use, chained through arctan((k+1)/n) - arctan(k/n) = arctan(n/(n^2 + k(k+1))) <= 1/n.
-    # A link errs by under 3 + 2*terms/n units of 2^-wp (the quotient and the final product
-    # under one each; the series' error, under 1.5 units a term, scaled by its argument), and
-    # the series takes under wp/(2*log2 n) + 2 terms, so T_k errs by under k links at any wp.
-    # The centres (n = N) err by under N*(3.07 + wp/384): under 2^9 up to wp of about 1,880
-    # bits (565 digits), one bit more per doubling of wp beyond. The fine values (n = _FINE)
-    # err by under N*(3.001 + wp/106,496): under 2^8 up to wp of about 106,000.
-    t = [0]
-    for k in range(_CENTRES):
-        t.append(t[-1] + _atan_small((n << wp) // (n * n + k * (k + 1)), wp))
-    return tuple(t)
-
-
-def _parts(x):
-    # (man, exp) with x = man*2^exp exactly, for a float, an int or an mpf, whatever mp.prec
-    if isinstance(x, float):
-        man, den = x.as_integer_ratio()  # exact, and cheaper than building an mpf
-        return man, 1 - den.bit_length()
-    if isinstance(x, mp.mpf):
-        return x._mpf_[1:3]
-    return operator.index(x), 0
-
-
-def _oracle_bits(prec: int) -> int:
-    # the oracle's fixed-point bits for a result of prec bits
-    return prec + _GUARD_BITS + 16
-
-
-def _atan_fixed(x, wp: int) -> int:
-    # arctan of x >= 0 scaled by 2^wp, within 2^11 units of 2^-wp for wp up to 1,880.
-    # x = m*2^e is split at its anchor x0 = m0*2^e <= x, m0 the top _ANCHOR_BITS bits of m:
-    # arctan x = arctan x0 + arctan z with z = (x - x0)/(1 + x*x0), both terms >= 0. The
-    # anchor (_anchor) lies within 3*2^9 + 2^8 + 8 units. m - m0 < 2^-19*m puts x - x0 below
-    # 2^-19*x and z below 2^-19*x/(1 + x^2/2) < 2^-19, so _atan_small sums about wp/38 terms.
-    # z is formed exactly from the two ratios and floored (one unit, which moves arctan z by
-    # at most one); the series adds its final floor, and its terms' floors, under 2 units
-    # each in under 60 terms, scaled by z, under 2^-12: 3*2^9 + 2^8 + 11 < 2^11 in all.
-    man, exp = _parts(x)
-    if not man:
-        return 0
-    cut = max(0, man.bit_length() - _ANCHOR_BITS)
-    m0 = man >> cut << cut
-    t = _anchor(m0 >> cut, exp + cut, wp)
-    if m0 == man:
-        return t
-    if exp >= 0:
-        z = ((man - m0) << (wp + exp)) // (1 + (man * m0 << 2 * exp))
-    else:
-        z = ((man - m0) << (wp - exp)) // ((1 << -2 * exp) + man * m0)
-    return t + _atan_small(z, wp)
-
-
-@lru_cache(maxsize=1 << 12)
-def _anchor(man: int, exp: int, wp: int) -> int:
-    # arctan x0 scaled by 2^wp for the anchor x0 = man*2^exp > 0, cached, since a search's
-    # probes share anchors: for x0 <= 1/N, N = _CENTRES, the series at x0*2^wp, floored,
-    # within a few units; above, _atan_reduced, within 3*2^9 + 2^8 + 8.
-    if man * _CENTRES << max(0, exp) <= 1 << max(0, -exp):  # x0*N <= 1, exactly
-        return _atan_small(_shift(man, exp + wp), wp)
-    return _atan_reduced(man, exp, man << max(0, exp) > 1 << max(0, -exp), wp)
-
-
-def _atan_reduced(man: int, exp: int, above: bool, wp: int) -> int:
-    # arctan x scaled by 2^wp for x = man*2^exp > 1/N, N = _CENTRES, above telling x > 1.
-    # y = x, or y = 1/x reflected through pi/2 = 2*T_N, is reduced twice by one step against
-    # the nearest point c = k/n of a table: arctan y = T_k + arctan z, z = (y - c)/(1 + y*c),
-    # |z| <= |y - c| <= 1/(2n). The centres (n = N) leave |z| <= 2^-7, the fine points j/2^13
-    # then |z| <= 2^-14, so the series sums about wp/28 terms. An exact point ends it, so
-    # x = 1, for pi, needs no fine table. At most three centre values enter, each within 2^9
-    # units (_table), and one fine value within 2^8; the floors of y, of both quotients and
-    # of the series add under 8, so the result lies within 3*2^9 + 2^8 + 8 < 2^11.
-    one = 1 << wp
-    if above:
-        y = (1 << (wp - exp)) // man if wp >= exp else 0
-    else:
-        y = _shift(man, exp + wp)
-    r, sign = 0, 1
-    for n in (_CENTRES, _FINE):
-        k = (y * n + (one >> 1)) >> wp
-        num = y * n - k * one
-        r += sign * _table(n, wp)[k]
-        if not num:
-            break
-        sign = sign if num > 0 else -sign
-        y = (abs(num) << wp) // (n * one + y * k)
-    else:
-        r += sign * _atan_small(y, wp)
-    return 2 * _table(_CENTRES, wp)[_CENTRES] - r if above else r
-
-
-def _atan_core(x, prec: int):
-    # arctan of x >= 0 rounded once to prec bits; x's parts and both comparisons are exact,
-    # so nothing reads mp.prec. x <= 1/N sums the Maclaurin series relative to x, so tiny x
-    # keeps full relative accuracy. Larger x is reduced (_atan_reduced): the results lie above
-    # 2^-7 within 2^9 + 2^8 + 8 units of 2^-wp, or, reflected, above pi/4 within 2^11, so wp
-    # keeps over 23 bits beyond prec relative to them.
-    man, exp = _parts(x)
-    if not man:
-        return mp.mpf(0)
-    wp = _oracle_bits(prec)
-    if x <= 1 / _CENTRES:
-        s = _series(_shift(man * man, 2 * exp + wp), wp)
-        return mp.make_mpf(from_man_exp(man * s, exp - wp, prec, round_nearest))
-    return mp.make_mpf(from_man_exp(_atan_reduced(man, exp, x > 1, wp), -wp, prec, round_nearest))
-
-
-_oracle_cached = lru_cache(maxsize=2 * DEFAULT_GRID)(_atan_core)  # keyed by x and OracleConfig.prec
+_oracle_cached = lru_cache(maxsize=2 * DEFAULT_GRID)(atan_rounded)  # keyed by x and OracleConfig.prec
 
 
 def oracle_arctan(x, cfg: Optional[OracleConfig] = None):

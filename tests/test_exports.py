@@ -1,3 +1,4 @@
+import ast
 import copy
 import math
 import pathlib
@@ -16,9 +17,13 @@ from arctancert import (
     Interval,
     LiftedApproximant,
     OracleConfig,
+    certify_bound,
     lagrange_p,
     master_params,
+    norm_transfer_check,
+    sup_error,
 )
+from arctancert import master, series
 from arctancert.families import FAMILIES, FamilyInfo
 from arctancert.master import MAX_ORDER, MasterParams
 
@@ -122,3 +127,57 @@ def test_public_types_survive_copy_deepcopy_and_pickle(name):
     for trip in trips:
         b = trip(a)
         assert type(b) is type(a) and b == a and hash(b) == hash(a) and repr(b) == repr(a)
+
+
+# the package's layers, lowest first; the package's __init__ re-exports from any of them
+_LAYERS = [["numerics"], ["fixedpoint"], ["core", "series"], ["master"], ["tails"], ["verify"], ["families"], ["cli"],
+           ["__init__"]]
+
+
+def test_modules_import_only_below_themselves():
+    # each module's relative imports (from .x import ..., from . import x) name lower layers alone,
+    # so the integer layer, fixedpoint, stands on numerics and nothing above it
+    rank = {name: i for i, layer in enumerate(_LAYERS) for name in layer}
+    paths = sorted((SRC / "arctancert").glob("*.py"))
+    imports = {}
+    for path in paths:
+        found = imports[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                found.update([node.module] if node.module else [alias.name for alias in node.names])
+    for name, found in imports.items():
+        assert all(rank[dep] < rank[name] for dep in found), (name, sorted(found))
+    assert sorted(imports) == sorted(rank) and imports["fixedpoint"] == {"numerics"}
+
+
+_CF, _UNIT = Approximant("cf", n=3), Interval(0.0, 1.0)
+
+# every public kernel and constructor that takes a count, called with the count v
+_COUNTS = {
+    "cheb_coefficients": lambda v: series.cheb_coefficients(v),
+    "cheb_arctan": lambda v: series.cheb_arctan(v, 0.5),
+    "cf_arctan": lambda v: series.cf_arctan(v, 0.5),
+    "taylor1_s": lambda v: series.taylor1_s(v, 0.5),
+    "taylor1_t": lambda v: series.taylor1_t(v, 0.5),
+    "blend_w": lambda v: series.blend_w(v, 0.5),
+    "machin_pi_fraction": lambda v: series.machin_pi_fraction(v),
+    "machin_pi-terms": lambda v: series.machin_pi(v),
+    "machin_pi-dps": lambda v: series.machin_pi(5, dps=v),
+    "master_params": lambda v: master.master_params(v),
+    "a_n": lambda v: master.a_n(v, 0.5),
+    "Approximant": lambda v: Approximant("cf", n=v),
+    "OracleConfig-working": lambda v: OracleConfig(v),
+    "OracleConfig-report": lambda v: OracleConfig(report_digits=v),
+    "sup_error-grid": lambda v: sup_error(_CF, _UNIT, v),
+    "certify_bound-grid": lambda v: certify_bound(_CF, "upper", _UNIT, v),
+    "norm_transfer_check-grid": lambda v: norm_transfer_check(lagrange_p, 0.5, v),
+}
+
+
+@pytest.mark.parametrize("name", list(_COUNTS))
+def test_counts_past_sys_maxsize_raise_value_error(name):
+    # a count past sys.maxsize fits no index or float: refused at once, not an OverflowError
+    # or a loop over range(v) that cannot finish
+    for v in (10**400, sys.maxsize + 1):
+        with pytest.raises(ValueError, match=r"must be an integer (<= sys\.maxsize|in \[)"):
+            _COUNTS[name](v)

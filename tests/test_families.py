@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from arctancert import core, families, master, series, tails
+from arctancert import core, families, fixedpoint, master, series, tails
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
 from arctancert.numerics import row_of
@@ -308,17 +308,17 @@ def test_side_is_checked_against_the_kind(kwargs):
 
 # each non-pair row's integer kernel, and whether its domain, 0:inf or 0:1, implies the lift
 FIXED_KERNELS = {
-    "t4": (tails.t4_kernel, True),
-    "lagrange": (tails.lagrange_kernel, False),
-    "t5": (tails.lagrange_kernel, True),
-    "cheb": (tails.cheb_kernel, False),
-    "cheb-lifted": (tails.cheb_kernel, True),
-    "cf": (tails.cf_kernel, False),
-    "cf-lifted": (tails.cf_kernel, True),
-    "s": (tails.s_kernel, False),
-    "t": (tails.t_kernel, False),
-    "w": (tails.w_kernel, False),
-    "w-lifted": (tails.w_kernel, True),
+    "t4": (fixedpoint.t4_kernel, True),
+    "lagrange": (fixedpoint.lagrange_kernel, False),
+    "t5": (fixedpoint.lagrange_kernel, True),
+    "cheb": (fixedpoint.cheb_kernel, False),
+    "cheb-lifted": (fixedpoint.cheb_kernel, True),
+    "cf": (fixedpoint.cf_kernel, False),
+    "cf-lifted": (fixedpoint.cf_kernel, True),
+    "s": (fixedpoint.s_kernel, False),
+    "t": (fixedpoint.t_kernel, False),
+    "w": (fixedpoint.w_kernel, False),
+    "w-lifted": (fixedpoint.w_kernel, True),
 }
 
 
@@ -333,7 +333,7 @@ def test_fixed_rule_takes_the_lift_its_domain_implies(ident):
     n = max(info.n_min, 3) if info.needs_n else None
     ap = Approximant(ident, n=n)
     for x in (0.5, 3.0) if lift else (0.5,):
-        assert ap.fixed_error(x, 169) == tails.direct_fixed(kernel, lift, n, x, 169), (ident, x)
+        assert ap.fixed_error(x, 169) == fixedpoint.direct_fixed(kernel, lift, n, x, 169), (ident, x)
 
 
 # --- every route gives its public composition, and every route checks its argument ---

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import bernfrac, mp
 from mpmath.libmp import pi_fixed
 
-from arctancert import tails
+from arctancert import fixedpoint, tails
 from arctancert.core import lagrange_p, theorem4_upper
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant
 from arctancert.master import MAX_ORDER
@@ -219,13 +219,13 @@ def test_integer_machin_pi_lies_within_its_bound(bits):
 # each fixed kernel of an argument u in [0, 1], with the function it computes there and
 # its lowest order; t4's is half of Theorem 4 at the x whose lift is u
 UNIT_KERNELS = {
-    "cheb": (tails.cheb_kernel, cheb_arctan, 0),
-    "cf": (tails.cf_kernel, cf_arctan, 1),
-    "s": (tails.s_kernel, taylor1_s, 0),
-    "t": (tails.t_kernel, taylor1_t, 0),
-    "w": (tails.w_kernel, blend_w, 0),
-    "t4": (tails.t4_kernel, lambda n, u: theorem4_upper(2 * u / (1 - u * u)) / 2, None),
-    "lagrange": (tails.lagrange_kernel, lambda n, u: lagrange_p(u), None),
+    "cheb": (fixedpoint.cheb_kernel, cheb_arctan, 0),
+    "cf": (fixedpoint.cf_kernel, cf_arctan, 1),
+    "s": (fixedpoint.s_kernel, taylor1_s, 0),
+    "t": (fixedpoint.t_kernel, taylor1_t, 0),
+    "w": (fixedpoint.w_kernel, blend_w, 0),
+    "t4": (fixedpoint.t4_kernel, lambda n, u: theorem4_upper(2 * u / (1 - u * u)) / 2, None),
+    "lagrange": (fixedpoint.lagrange_kernel, lambda n, u: lagrange_p(u), None),
 }
 
 
@@ -251,7 +251,7 @@ def test_unit_kernel_budget_covers_an_argument_off_by_e_u_units(name, e_u, data)
 def test_integer_cheb_coefficients_lie_within_their_bound(w):
     # cheb_kernel's coefficients from their integer recurrence: each c_k*2^w within
     # 1/2 + 2^-13 units of series.cheb_coefficients at 300 bits (r = sqrt2 - 1)
-    got = tails._cheb_ints(MAX_ORDER + 24, w)
+    got = fixedpoint._cheb_ints(MAX_ORDER + 24, w)
     with mp.workprec(300):
         ref = cheb_coefficients(MAX_ORDER + 23, mp.sqrt(2) - 1)
         assert len(got) == len(ref) == MAX_ORDER + 24
@@ -268,7 +268,7 @@ def test_blend_weight_lies_within_its_bound(n, u, w):
     # w's weight l = u^p/(u^p + v^p), p = 4n + 4, within 1.01 units of 2^-w at u*2^-w exact
     p, ui = 4 * n + 4, math.floor(u * 2**w)
     exact = Fraction(ui**p << w, ui**p + ((1 << w) - ui) ** p)
-    assert abs(tails._blend_weight(p, ui, w) - exact) <= Fraction(101, 100), (n, u, w)
+    assert abs(fixedpoint._blend_weight(p, ui, w) - exact) <= Fraction(101, 100), (n, u, w)
 
 
 def test_tangent_numbers_give_the_cotangent_coefficients():
@@ -308,7 +308,7 @@ def _two_pass_w(n, u, e_u, w):
     def row_sum(g):
         q = -((g * g) ** 2 >> (3 * w - 2))
         a = b = c = 0
-        for ca, cb, cc in tails._quartic_coefficients(w)[n::-1]:
+        for ca, cb, cc in fixedpoint._quartic_coefficients(w)[n::-1]:
             a, b, c = ca + ((q * a) >> w), cb + ((q * b) >> w), cc + ((q * c) >> w)
         return (g * (a + ((g * (b + ((g * c) >> w))) >> w))) >> w
 
@@ -316,7 +316,7 @@ def _two_pass_w(n, u, e_u, w):
     s, e_s = row_sum((u << w) // (u + one)), 4.1 + 3.34 * (1 + e_u)
     t, e_t = pi_fixed(w - 2) - row_sum((one - u) >> 1), 1.01 + 4.1 + 1.67 * (1 + e_u)
     p = 4 * n + 4
-    lam = tails._blend_weight(p, u, w)
+    lam = fixedpoint._blend_weight(p, u, w)
     gap = (abs(t - s) + e_t + e_s) / one
     return (s, e_s), (t, e_t), ((lam * t + (one - lam) * s) >> w, max(e_t, e_s) + (1.01 + p * e_u) * gap + 1)
 
@@ -328,5 +328,5 @@ def test_one_pass_quartic_rows_give_the_two_pass_integers():
         u = rng.choice((0, 1 << w, rng.randrange(1 << w), (1 << w) - rng.randrange(1 << 20)))
         e_u = rng.choice((0.0, 1.0, 2.0, rng.random() * 10))
         want = _two_pass_w(n, u, e_u, w)
-        got = tails.s_kernel(n, u, e_u, w), tails.t_kernel(n, u, e_u, w), tails.w_kernel(n, u, e_u, w)
+        got = fixedpoint.s_kernel(n, u, e_u, w), fixedpoint.t_kernel(n, u, e_u, w), fixedpoint.w_kernel(n, u, e_u, w)
         assert got == want, (n, u, e_u, w)

@@ -2,6 +2,7 @@ import bisect
 import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import dps_to_prec
 
-from arctancert import verify
+from arctancert import fixedpoint, verify
 from arctancert.core import lagrange_p, theorem5_approx, shafer_fink_bounds
 from arctancert.families import FAMILIES, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
@@ -172,20 +173,20 @@ def _anchored_points():
     return pts
 
 
-_WP_50 = verify._oracle_bits(dps_to_prec(50))  # the fixed arctan's bits at the scan's default precision
+_WP_50 = fixedpoint._oracle_bits(dps_to_prec(50))  # the fixed arctan's bits at the scan's default precision
 
 
 def _check_atan_fixed(x, wp):
-    # verify._atan_fixed within 2^11 units of 2^-wp of arctan x, against mpmath.atan 80
+    # fixedpoint.atan_fixed within 1.01 units of 2^-wp of arctan x, against mpmath.atan 80
     # bits deeper, with x's anchor cold and then cached
     with mp.workprec(wp + 80):
         ref = mp.ldexp(mp.atan(mp.mpf(x)), wp)
-    verify._anchor.cache_clear()
+    fixedpoint._anchor.cache_clear()
     for hits in (0, 1):
-        got = verify._atan_fixed(x, wp)
-        assert verify._anchor.cache_info().hits == (hits if x else 0)
+        got = fixedpoint.atan_fixed(x, wp)
+        assert fixedpoint._anchor.cache_info().hits == (hits if x else 0)
         with mp.workprec(wp + 80):
-            assert abs(got - ref) <= 2**11, (x, wp, float(got - ref))
+            assert abs(got - ref) <= 1.01, (x, wp, float(got - ref))
 
 
 @pytest.mark.parametrize("wp", [150, _WP_50, 400, 1000])
@@ -204,22 +205,29 @@ def test_fixed_arctan_lies_within_its_bound(x, wp):
 
 
 def _link_units(n, wp):
-    # verify._table's bound on one link, in units of 2^-wp: 3 + 2*terms/n, where the series
+    # fixedpoint._table's bound on one link, in units of 2^-wp: 3 + 2*terms/n, where the series
     # takes under wp/(2*log2 n) + 2 terms
     return 3 + 2 * (wp / (2 * math.log2(n)) + 2) / n
 
 
 @pytest.mark.parametrize("wp", [150, _WP_50, 442, 1000])
-@pytest.mark.parametrize("n", [verify._CENTRES, verify._FINE])
+@pytest.mark.parametrize("n", [fixedpoint._CENTRES, fixedpoint._FINE])
 def test_table_entries_lie_within_their_bound(n, wp):
     # T_k within k links of arctan(k/n), against mpmath.atan 80 bits deeper; so the centres
     # lie within 2^9 units and the fine values within 2^8, as the reduction's budget takes
-    assert verify._CENTRES * _link_units(n, wp) < (2**9 if n == verify._CENTRES else 2**8)
-    table = verify._table(n, wp)
-    assert len(table) == verify._CENTRES + 1 and table[0] == 0
+    assert fixedpoint._CENTRES * _link_units(n, wp) < (2**9 if n == fixedpoint._CENTRES else 2**8)
+    table = fixedpoint._table(n, wp)
+    assert len(table) == fixedpoint._CENTRES + 1 and table[0] == 0
     with mp.workprec(wp + 80):
         for k, t in enumerate(table):
             assert abs(t - mp.ldexp(mp.atan(mp.mpf(k) / n), wp)) <= k * _link_units(n, wp), (n, wp, k)
+
+
+def test_oracle_refuses_a_fraction_with_value_error(cfg):
+    # the argument checks are comparisons, which a Fraction passes; its parts are not exact
+    # integers the oracle takes, so it names the types it does take
+    with pytest.raises(ValueError, match=r"^x must be a float, an int or an mpf, got Fraction\(1, 3\)$"):
+        oracle_arctan(Fraction(1, 3), cfg)
 
 
 def test_oracle_does_not_depend_on_the_ambient_precision():
