@@ -44,9 +44,9 @@ class FamilyInfo(NamedTuple):
     direction of |E| in x over the claim interval, at every order, with a
     rate: +1 where |E| rises, d log|E|/dx >= 1/(c(1 + c)) with c = max(1, x),
     -1 where it falls as fast, 0 (the default) no claim. Where the scanned
-    interval lies within the claim interval, the scan skips the search at the
-    grid end |E| grows toward wherever the rate shows that the search cannot
-    beat that end's value (verify._end_holds).
+    interval lies within the claim interval, sup_error evaluates the grid end
+    |E| grows toward alone wherever the rate shows that the full scan would
+    report that end (verify._monotone_end).
     """
 
     ident: str

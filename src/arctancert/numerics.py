@@ -108,12 +108,17 @@ def require_int(v, name, lo, hi=None):
     """Raise ValueError unless v is an int in [lo, hi], and at most sys.maxsize.
 
     A bool passes as the int it equals, as in the lru_caches keyed on orders.
+    An int of more than 128 bits is named by its size, not its digits.
     """
     if not isinstance(v, int) or v < lo or (hi is not None and v > hi):
         limit = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name} must be an integer {limit}, got {v!r}")
-    if v > sys.maxsize:
-        raise ValueError(f"{name} must be an integer <= sys.maxsize, got {v!r}")
+    elif v > sys.maxsize:
+        limit = "<= sys.maxsize"
+    else:
+        return
+    # a huge int may have thousands of digits, and past 4,300 Python refuses to print it
+    shown = f"an integer of {v.bit_length()} bits" if isinstance(v, int) and v.bit_length() > 128 else repr(v)
+    raise ValueError(f"{name} must be an integer {limit}, got {shown}")
 
 
 class Frozen:

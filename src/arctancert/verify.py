@@ -89,11 +89,14 @@ beat the largest |E| found so far (_golden_max); it could change nothing, and
 the report counts it as pruned. A search whose bracket holds the largest |E|
 found so far, as one at an interval's end often does, is never stopped so.
 Where the approximant's |E| is proved monotone over an interval holding the
-scanned one (its ``monotone`` over its ``claim_interval``), the search at the
-grid end |E| grows toward is skipped when the flag shows that it cannot beat
-that end's value: its final point lies inside the bracket, where the proved
-rate of change puts |E| two mpf terms or more below the end's (_end_holds). It
-too counts as pruned.
+scanned one (its ``monotone`` over its ``claim_interval``), sup_error settles
+the grid end |E| grows toward and no other point (_monotone_end). The proved
+rate of change shows, where that end's |E| is large enough against the mpf
+term, that neighbouring grid points near the top differ by more than two mpf
+terms, so that the end is the full scan's only top local maximum, and that the
+search there cannot beat it. The report is then the full scan's, with no float
+evaluation: one search started and pruned, one point settled. Elsewhere the
+full scan runs. certify_bound always runs it.
 Every later comparison of settled or final values (the argmax, the order of
 the local maxima, the refined maxima against the grid's, the claim, the
 smallest margin and its tolerance) reads the enclosures, and resolves both
@@ -103,7 +106,9 @@ same double, and resolved to mpf otherwise; min_gap, the claim less the sup at
 mp.prec, maps the enclosure through that same rounded subtraction. Every
 decision and every reported value (sup error, argmax, margins) is therefore
 the one an all-mpf scan gives, and mpf is computed only where an enclosure
-cannot decide.
+cannot decide. A non-finite mpf E, at a settled point, a search probe or a
+final value, ends the scan with that point as arg_max, |E| there (nan or inf)
+as sup_error, and satisfied false (_NonFinite).
 """
 
 from __future__ import annotations
@@ -184,7 +189,11 @@ def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
     # comparisons only, so a float, an int past the float range and an mpf all pass
     if x != x:
         raise ValueError("x must not be NaN")
-    if x < 0:
+    try:
+        negative = x < 0
+    except TypeError:  # a str, None, a list: no number
+        raise ValueError(f"x must be a real number, got {type(x).__name__}") from None
+    if negative:
         raise ValueError(f"x must be non-negative, got {x!r}")
     if x == math.inf:
         return mp.ldexp(_oracle_cached(1, cfg.prec), 1)
@@ -229,15 +238,17 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
 
     @classmethod
     def parse(cls, text: str) -> "Interval":
-        """Parse 'lo:hi' with 'inf' allowed as hi."""
+        """Parse 'lo:hi' with 'inf' allowed as hi; a number past the float range is refused."""
         parts = text.split(":")
         if len(parts) != 2:
             raise ValueError(f"interval must look like 'lo:hi', got {text!r}")
         try:
-            lo = float(parts[0])
-            hi = math.inf if parts[1].strip().lower() == "inf" else float(parts[1])
+            lo, hi = (float(p) for p in parts)
         except ValueError as exc:
             raise ValueError(f"bad interval {text!r}: {exc}") from None
+        for name, p, v in zip(("lo", "hi"), parts, (lo, hi)):
+            if math.isinf(v) and p.strip().lower() != "inf":  # float() reads 1e400 as inf
+                raise ValueError(f"interval {name} lies past the float range; 'inf' is unbounded")
         return cls(lo, hi)
 
     def __str__(self) -> str:
@@ -457,15 +468,15 @@ class _Errors:
     """The error sign*E, E = f - arctan, of one approximant over a grid, on three tiers.
 
     sign is -1 for the margin of a lower bound, arctan - f, and 1 otherwise.
-    The grid goes through the float guard _float_errors at once, and each search
-    probe through rough(x), the same guard at one point: it returns (e, B), e
-    sign*E in float and B a bound on its distance from the mpf value, infinite
-    where the guard takes no float value. fixed(x) returns the same from
-    _fixed_error, in integer units of 2^-w, w = mp.prec, for search probes, and
-    exact(x) (sign*E, 0) at mpf for those that reach mpf. value(x) is sign*E as a
-    _Lazy within the enclosure that fixed(x) gives, for settled points and each
-    search's final value. The grid keeps float bounds lo[i] <= sign*E_i <= hi[i]
-    on every point, and settle() sets both to the settled value. Evaluations are
+    bound_grid() puts the grid through the float guard _float_errors at once, and
+    each search probe goes through rough(x), the same guard at one point: it
+    returns (e, B), e sign*E in float and B a bound on its distance from the mpf
+    value, infinite where the guard takes no float value. fixed(x) returns the
+    same from _fixed_error, in integer units of 2^-w, w = mp.prec, for search
+    probes, and exact(x) (sign*E, 0) at mpf for those that reach mpf. value(x) is
+    sign*E as a _Lazy within the enclosure that fixed(x) gives, for settled points
+    and each search's final value. bound_grid() keeps float bounds lo[i] <= sign*E_i
+    <= hi[i] on every point, and settle() sets both to the settled value. Evaluations are
     counted per precision and phase, and oracle misses from the scan's start.
     """
 
@@ -475,14 +486,16 @@ class _Errors:
         self.hook = getattr(f, "rough_error", None)
         self.fixed_hook = getattr(f, "fixed_error", None)
         self.slope = getattr(f, "slope", None)  # a bound on |E'| over f's domain, if f has one
-        self.evals_fixed = self.probes_mpf = 0
+        self.evals_float = self.evals_fixed = self.probes_mpf = 0
         self.settled, self.ends = {}, []  # the grid's settled values by index; the searches' final ones
         # read once: the scan runs at one precision, and the fixed tier at its one scale 2^-w
         self.k, self.w = _mpf_term_bits(), mp.prec
+
+    def bound_grid(self):
         # the whole grid through the guard at once; a point it takes no value at has the
         # bounds of rough()'s (0.0, inf)
-        rough = _float_errors(self.hook, self.pts, self.k)
-        self.evals_float = len(rough) - rough.count(None)
+        rough, sign = _float_errors(self.hook, self.pts, self.k), self.sign
+        self.evals_float += len(rough) - rough.count(None)
         self.lo = [-math.inf if r is None else sign * r[0] - r[1] for r in rough]
         self.hi = [math.inf if r is None else sign * r[0] + r[1] for r in rough]
 
@@ -557,9 +570,17 @@ class _Errors:
         return a_lo, a_hi, max(near, key=a_lo.__getitem__)
 
 
+class _NonFinite(Exception):
+    """Raised with (x, v): a non-finite mpf value v of sign*E at x, which ends the scan."""
+
+
 def _signed_error(f: Callable, sign: int, cfg: OracleConfig, x: float):
-    # sign*E at x, at mpf
-    return sign * (f(mp.mpf(x)) - oracle_arctan(x, cfg))
+    # sign*E at x, at mpf. Every comparison with a NaN is false, so that max, min and the
+    # claim would pass over one: a non-finite value ends the scan here instead
+    v = sign * (f(mp.mpf(x)) - oracle_arctan(x, cfg))
+    if not mp.isfinite(v):
+        raise _NonFinite(x, v)
+    return v
 
 
 def _abs_bounds(lo, hi):
@@ -617,19 +638,39 @@ def _refine_tol(a: float, b: float) -> float:
     return REFINE_TOL * max(1.0, a / 2 + b / 2)
 
 
-def _end_holds(err: _Errors, a: float, b: float, v) -> bool:
-    # True where a search on [a, b] at the grid end that |E| grows toward, whose settled |E|
-    # is v, cannot beat v. The approximant's |E| is proved monotone toward that end, with
-    # |d log|E|/dx| >= 1/(c(1 + c)), c = max(1, x) (families.FamilyInfo.monotone). The final
-    # point x lies delta = 0.3*min(b - a, tol) or more inside the bracket: its last bracket is
-    # [a, b] itself, or one golden step, _INVPHI, below a width over tol. So the exact |E(x)|
-    # <= |E(end)|*exp(-delta/(c(1 + c))) <= |E(end)|*(1 - rho), rho = delta/(2c(1 + c)), c =
-    # max(1, b); with each mpf value within 2^-k of the exact one, the final value lies at or
-    # below v wherever rho*v >= 2*2^-k. Below that, |E| may move by less than the mpf term
-    # over delta, and the search runs.
-    c = max(1.0, b)
+def _monotone_end(f: Callable, iv: Interval, err: _Errors):
+    # (x, |E|) at the grid end that f's proved monotone |E| grows toward, its value settled,
+    # where the rate shows that sup_error's full scan reports that end and nothing else; else
+    # None. Over f's claim interval, here holding iv, |d log|E|/dx| >= 1/(c(1 + c)), c = max(1,
+    # x) (families.FamilyInfo.monotone), so >= 1/(C(1 + C)) on the grid, C = max(1, its top).
+    # Of grid neighbours p < q, then, the exact |E| nearer the end exceeds the other by t/(1 +
+    # t) of itself or more, t = (q - p)/(C(1 + C)), as 1 - e^-t >= t/(1 + t). Let V be the end's
+    # mpf |E|, tau the least t/(1 + t) on the grid, and each mpf value within the mpf term 2^-k
+    # of the exact one.
+    # - Where (V/2 - 2^-k)*tau > 2*2^-k, each point whose mpf |E| reaches V/2, the full scan's
+    #   cut, lies strictly below its neighbour toward the end: the end is the grid's argmax and
+    #   its only top local maximum, and the full scan makes one search, on the end's cell [a, b].
+    # - That search's final point lies delta = 0.3*min(b - a, tol) or more inside [a, b], its
+    #   last bracket being [a, b] or one golden step, _INVPHI, below a width over tol. Its exact
+    #   |E| <= |E(end)|*exp(-delta/(C(1 + C))) <= |E(end)|*(1 - rho), rho = delta/(2C(1 + C)),
+    #   so where rho*V >= 2*2^-k its mpf value lies at or below V: the search changes nothing,
+    #   and counts as pruned.
+    # Both hold where V*min(rho, tau/2) >= (2 + tau)*2^-k, read at V's lower double and formed
+    # in a few roundings, which _UP covers. Below that, |E| may move by less than the mpf term
+    # between neighbours, and the full scan decides.
+    home, pts = getattr(f, "claim_interval", None), err.pts
+    end = {1: len(pts) - 1, -1: 0}.get(getattr(f, "monotone", 0))
+    if end is None or home is None or not (home.lo <= iv.lo and iv.hi <= home.hi):
+        return None
+    err.settled[end] = e = err.value(pts[end])
+    v = abs(e)
+    a, b = (pts[end - 1], pts[end]) if end else (pts[0], pts[1])
+    c = max(1.0, pts[-1])
     rho = 0.3 * min(b - a, _refine_tol(a, b)) / (2 * c * (1 + c))
-    return _bounds(v, False)[0] * rho >= _UP * 2 * math.ldexp(1.0, -err.k)
+    t = min(map(operator.sub, pts[1:], pts)) / (c * (1 + c))
+    tau = t / (1 + t)
+    holds = _bounds(v, False)[0] * min(rho, tau / 2) >= _UP * (2 + tau) * math.ldexp(1.0, -err.k)
+    return (pts[end], v) if holds else None
 
 
 def _golden_max(err: _Errors, a: float, b: float, best):
@@ -691,42 +732,56 @@ def _golden_max(err: _Errors, a: float, b: float, best):
 
 def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKind, claimed_bound=None) -> ErrorReport:
     # The one scan body. An APPROXIMATION settles under _maxima_pick and refines
-    # its largest local maxima; a bound direction settles its margins under
-    # _margin_pick and reads the smallest. Both report the largest |E| found.
+    # its largest local maxima, or reads the one grid end _monotone_end proves to be
+    # its outcome; a bound direction settles its margins under _margin_pick and
+    # reads the smallest. Both report the largest |E| found, and a non-finite mpf
+    # E, where one is computed, as an unsatisfied verdict at its point.
     # The family label is the approximant's own: its label, else its __name__.
     label = getattr(f, "label", None) or getattr(f, "__name__", None) or "approximant"
     cfg = cfg or default_config()
     approximation = kind is BoundKind.APPROXIMATION
+    refined = pruned = 0
     with mp.workdps(cfg.working_digits):
         err = _Errors(f, interval, grid_points, cfg, -1 if kind is BoundKind.LOWER else 1)
         pts = err.pts
-        lo, hi, best_i = err.settle(_maxima_pick if approximation else _margin_pick)
-        settle_evals = err.evals_fixed  # the fixed evaluations from here on are the searches'
-        best_x, best_e = pts[best_i], lo[best_i]
-        tops = _top_local_maxima(lo, hi, best_e / 2) if approximation else []
-        pruned = 0
-        # the grid end a proved monotone |E| grows toward, where its claim covers the interval
-        home = getattr(f, "claim_interval", None)
-        inside = home is not None and home.lo <= interval.lo and interval.hi <= home.hi
-        end = {1: len(pts) - 1, -1: 0}.get(getattr(f, "monotone", 0)) if inside else None
-        for i in tops:
-            a = pts[i - 1] if i > 0 else pts[i]
-            b = pts[i + 1] if i + 1 < len(pts) else pts[i]
-            got = None if i == end and _end_holds(err, a, b, lo[i]) else _golden_max(err, a, b, best_e)
-            if got is None:
-                pruned += 1
-            elif got[1] > best_e:
-                best_x, best_e = got
-        if approximation:
-            satisfied = claimed_bound is None or bool(best_e <= claimed_bound)
-            min_gap = math.nan if claimed_bound is None else claimed_bound - best_e
-        else:
-            # a margin whose lower double lies above the smallest upper double is not the smallest
-            ceiling = min(_bounds(v, False)[1] for v in err.lo)
-            min_gap = min(v for v in err.lo if _bounds(v, False)[0] <= ceiling)
-            satisfied = bool(min_gap >= -mp.ldexp(1, 1 - err.k))  # two mpf terms
-        # every value is read here, at the working precision, resolving at mpf where it must
-        sup, gap = float(best_e), float(min_gap)
+        try:
+            end = _monotone_end(f, interval, err) if approximation else None
+            settle_evals = err.evals_fixed  # the fixed evaluations from here on are the searches'
+            if end is not None:  # the end alone, whose one search is pruned
+                (best_x, best_e), refined, pruned = end, 1, 1
+            else:
+                err.bound_grid()
+                lo, hi, best_i = err.settle(_maxima_pick if approximation else _margin_pick)
+                settle_evals = err.evals_fixed
+                best_x, best_e = pts[best_i], lo[best_i]
+                tops = _top_local_maxima(lo, hi, best_e / 2) if approximation else []
+                refined = len(tops)
+                for i in tops:
+                    a = pts[i - 1] if i > 0 else pts[i]
+                    b = pts[i + 1] if i + 1 < len(pts) else pts[i]
+                    got = _golden_max(err, a, b, best_e)
+                    if got is None:
+                        pruned += 1
+                    elif got[1] > best_e:
+                        best_x, best_e = got
+            if approximation:
+                satisfied = claimed_bound is None or bool(best_e <= claimed_bound)
+                min_gap = math.nan if claimed_bound is None else claimed_bound - best_e
+            else:
+                # a margin whose lower double lies above the smallest upper double is not the smallest
+                ceiling = min(_bounds(v, False)[1] for v in err.lo)
+                min_gap = min(v for v in err.lo if _bounds(v, False)[0] <= ceiling)
+                satisfied = bool(min_gap >= -mp.ldexp(1, 1 - err.k))  # two mpf terms
+            # every value is read here, at the working precision, resolving at mpf where it must
+            sup, gap = float(best_e), float(min_gap)
+        except _NonFinite as bad:
+            # no bound holds there: sup_error is |E| there, nan or inf, and min_gap the claim
+            # less it, or nan for a bound direction, whose margins then have no minimum
+            (best_x, v), satisfied = bad.args, False
+            sup = float(abs(v))
+            gap = claimed_bound - sup if approximation and claimed_bound is not None else math.nan
+            if not refined:  # no search began: every fixed evaluation settled a point
+                settle_evals = err.evals_fixed
         settle_mpf, ends_mpf = (sum(not v.open for v in vs) for vs in (err.settled.values(), err.ends))
     return ErrorReport(
         label,
@@ -739,7 +794,7 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         min_gap=gap,
         evals_float=err.evals_float,
         evals_mpf=settle_mpf + ends_mpf + err.probes_mpf,
-        refined=len(tops),
+        refined=refined,
         pruned=pruned,
         search_mpf=ends_mpf + err.probes_mpf,
         search_fixed=err.evals_fixed - settle_evals,
@@ -764,11 +819,15 @@ def sup_error(
     REFINE_TOL*max(1, x), REFINE_TOL = 1e-12. A smaller one could only win if
     the error more than doubled inside one grid cell. Where f has a proved
     bound on |E'| (its slope attribute), a search stops once that bound shows
-    it cannot beat the largest error found so far; where f's |E| is proved
+    it cannot beat the largest error found so far. Where f's |E| is proved
     monotone over an interval holding this one (its monotone and
-    claim_interval attributes), the search at the grid end it grows toward is
-    skipped when the flag shows it cannot beat that end. When claimed_bound is
-    given, satisfied means the refined sup stayed at or under it. The report
+    claim_interval attributes), only the grid end it grows toward is
+    evaluated, wherever the proved rate shows that the full scan would report
+    that end and that its search there is pruned; the report is then the full
+    scan's, with one search started and pruned. When claimed_bound is
+    given, satisfied means the refined sup stayed at or under it; a non-finite
+    value of f at a point evaluated at mpf makes it false, with that value's
+    |E| (nan or inf) as sup_error at its point. The report
     counts the approximant's evaluations per precision, the searches started
     and of them those stopped early or skipped (pruned), the search probes and final
     values evaluated at mpf and in fixed point, the settled grid points
@@ -795,6 +854,8 @@ def certify_bound(
     reported sup_error). Then min_gap is exact and every other margin lies
     above it, so no other point can change the verdict. The grid is not
     refined; a bounded grid from 0 samples x = 0, where every bound meets arctan.
+    A non-finite value of f at a point evaluated at mpf leaves no smallest
+    margin: satisfied is false and min_gap nan, with |E| there as sup_error.
     """
     kind = BoundKind(kind)
     if kind not in (BoundKind.LOWER, BoundKind.UPPER):

@@ -175,12 +175,15 @@ def test_certify_reports_evaluations_per_precision(capsys):
 
 
 def test_certify_skips_the_end_search_of_a_monotone_row(capsys):
-    # cf's |E| rises on [0, 1], so its one local maximum, the grid point x = 1, is not
-    # searched: one search started, and skipped, with no fixed-point evaluation in search
+    # cf's |E| rises on [0, 1], so its one local maximum is the grid point x = 1, which alone
+    # is evaluated, once in fixed point: one search started, and skipped. On 0:1.2, past the
+    # interval its |E| is proved monotone on, the whole grid is scanned
     counts = _evals(capsys, "--family", "cf", "--n", "2", "--interval", "0:1")
     n_float, n_mpf, n_search, n_fixed, n_search_fixed, n_refined, n_pruned, n_cold = counts
-    assert (n_refined, n_pruned) == (1, 1)
-    assert n_mpf == n_search == n_search_fixed == 0 and n_fixed > 0
+    assert (n_refined, n_pruned, n_fixed) == (1, 1, 1)
+    assert n_float == n_mpf == n_search == n_search_fixed == 0
+    n_float, *_, n_pruned, _ = _evals(capsys, "--family", "cf", "--n", "2", "--interval", "0:1.2")
+    assert n_float > 0 and n_pruned == 0
 
 
 def test_certify_sf_upper_kind(capsys):
@@ -216,6 +219,8 @@ def test_certify_usage_errors(capsys, monkeypatch):
     assert run(capsys, "certify", "--family", "w", "--interval", "0:1")[0] == 2  # missing n
     # past the unbounded grid's top, about 1e8, rather than a verdict on points below lo
     assert run(capsys, "certify", "--family", "t5", "--interval", "1e12:inf", "--grid", "65")[0] == 2
+    # a written endpoint past the float range, rather than an unbounded interval
+    assert run(capsys, "certify", "--family", "t5", "--interval", "0:1e400", "--grid", "65")[0] == 2
     # an order past any index, whose claim has no float, rather than an OverflowError
     assert run(capsys, "certify", "--family", "cf", "--n", str(10**400), "--interval", "0:1", "--grid", "65")[0] == 2
     # so are working digits past sys.maxsize, which dps_to_prec's float would overflow
@@ -292,11 +297,12 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     # fixed point, searches started, grid points settled in fixed point alone, and
     # searches stopped or skipped because a proved bound on |E'|, or a proved monotone
     # |E|, shows they cannot beat the best value: 35 by the slope, and 16 at the grid end
-    # of cf n = 1..8 (x = 1) and cf-lifted n = 1..8 (near 1e8), which no longer make their
-    # 400 float and 510 fixed-point search evaluations. An all-mpf scan would make 9,574
-    # mpf evaluations; here the float and fixed-point tiers decide every point, so the
-    # table makes none. The counts are deterministic, so all seven totals are pinned: a
-    # count, not a timing
+    # of cf n = 1..8 (x = 1) and cf-lifted n = 1..8 (near 1e8). Those 16 rows evaluate
+    # their end alone, settled in fixed point, and make none of the 1,296 float
+    # evaluations of their grids (97 points on 0:1, 65 on 0:inf). An all-mpf scan would
+    # make 9,574 mpf evaluations; here the float and fixed-point tiers decide every point,
+    # so the table makes none. The counts are deterministic, so all seven totals are
+    # pinned: a count, not a timing
     reports = []
     for name in ("sup_error", "certify_bound"):
         real = getattr(cli, name)
@@ -311,7 +317,7 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     assert len(reports) == 58
     names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined", "settle_fixed", "pruned")
     totals = [sum(getattr(r, name) for r in reports) for name in names]
-    assert totals == [5703, 0, 0, 1603, 92, 119, 51]
+    assert totals == [4407, 0, 0, 1603, 92, 119, 51]
 
 
 def test_table_usage_errors(tmp_path, capsys):
@@ -341,6 +347,9 @@ def test_pi_command(capsys):
 
 def test_pi_usage_errors(capsys):
     assert run(capsys, "pi", "--terms", "0")[0] == 2
+    # a count of 401 digits is named by its size, not echoed
+    code, _, err = run(capsys, "pi", "--terms", str(10**400))
+    assert code == 2 and err == "error: terms must be an integer <= sys.maxsize, got an integer of 1329 bits\n"
     assert run(capsys, "pi", "--digits", "99")[0] == 2
 
 

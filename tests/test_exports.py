@@ -177,7 +177,10 @@ _COUNTS = {
 @pytest.mark.parametrize("name", list(_COUNTS))
 def test_counts_past_sys_maxsize_raise_value_error(name):
     # a count past sys.maxsize fits no index or float: refused at once, not an OverflowError
-    # or a loop over range(v) that cannot finish
-    for v in (10**400, sys.maxsize + 1):
-        with pytest.raises(ValueError, match=r"must be an integer (<= sys\.maxsize|in \[)"):
+    # or a loop over range(v) that cannot finish. The message names a huge count by its
+    # size: 10**5000 has more digits than Python prints
+    for v in (10**400, sys.maxsize + 1, 10**5000):
+        with pytest.raises(ValueError, match=r"must be an integer (<= sys\.maxsize|in \[)") as info:
             _COUNTS[name](v)
+        assert len(str(info.value)) < 120
+        assert str(info.value).endswith(" bits") == (v > 2**128)

@@ -298,6 +298,10 @@ def test_oracle_domain():
         with pytest.raises(ValueError):
             oracle_arctan(mp.mpf(bad))
     assert oracle_arctan(mp.mpf("inf")) == oracle_arctan(math.inf)
+    # no number at all: its comparison with 0 raises TypeError, which the oracle names
+    for bad in ("1", None, [1]):
+        with pytest.raises(ValueError, match=r"^x must be a real number, got "):
+            oracle_arctan(bad)
 
 
 def test_oracle_pi_matches_library(cfg):
@@ -343,6 +347,8 @@ def test_interval_parse_and_str():
 @pytest.mark.parametrize(
     "bad",
     ["5", "2:1", "abc:1", "-1:2", "1:1", "inf:2", "0:nan",
+     # a written number past the float range, which float() reads as inf: only 'inf' is unbounded
+     "0:1e400", "0:-1e400", "1e400:inf",
      # ints past the float range, passed to Interval directly
      pytest.param((0, 10**400), id="0:10**400"), pytest.param((10**400, math.inf), id="10**400:inf")],
 )
@@ -751,12 +757,17 @@ def _flagged_intervals(ident, rng):
     return [(iv, rng.randint(64, 300)) for iv in ivs]
 
 
+_COUNTS = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined", "pruned", "settle_fixed")
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("ident", sorted(ident for ident, info in FAMILIES.items() if info.monotone))
 def test_monotone_skip_changes_no_outcome(ident, seed):
-    # a search skipped at the end a proved monotone |E| grows toward would not have changed
-    # the report: both settle rules give what the same row without its flag gives, and on
-    # the whole claim interval, whose grid maximum lies at that end, the search is skipped
+    # sup_error on a row whose |E| is proved monotone, where it evaluates the grid end alone,
+    # reports what the full scan of the same row without its flag reports, with no float
+    # evaluation, one search started and pruned, and one point settled; where it declines,
+    # it is the full scan, count for count. On the whole claim interval, whose grid maximum
+    # lies at that end, it evaluates the end alone. certify_bound always scans the grid
     rng = random.Random(f"{ident}/{seed}")
     info = FAMILIES[ident]
     ap = Approximant(ident, n=rng.randint(info.n_min, 16))
@@ -764,11 +775,16 @@ def test_monotone_skip_changes_no_outcome(ident, seed):
     for j, (iv, grid) in enumerate(_flagged_intervals(ident, rng)):
         flagged, full = (sup_error(f, iv, grid, claimed_bound=ap.claim) for f in (ap, plain))
         assert _outcome(flagged) == _outcome(full), (ap.label, iv, grid)
-        assert flagged.refined == full.refined and flagged.pruned >= full.pruned
-        if j == 0:
-            assert flagged.pruned == full.pruned + 1 and flagged.search_fixed < full.search_fixed
+        if flagged.pruned > full.pruned or j == 0:  # the end alone
+            assert (flagged.evals_float, flagged.search_mpf, flagged.search_fixed) == (0, 0, 0)
+            assert (flagged.refined, flagged.pruned, flagged.settle_fixed + flagged.evals_mpf) == (1, 1, 1)
+            assert flagged.arg_max == _sample_points(iv, grid)[-1 if ap.monotone > 0 else 0]
+        else:
+            assert [getattr(flagged, name) for name in _COUNTS] == [getattr(full, name) for name in _COUNTS]
         kind = rng.choice(["lower", "upper"])
-        assert _outcome(certify_bound(ap, kind, iv, grid)) == _outcome(certify_bound(plain, kind, iv, grid))
+        bound = certify_bound(ap, kind, iv, grid)
+        assert _outcome(bound) == _outcome(certify_bound(plain, kind, iv, grid))
+        assert bound.evals_float == (0 if ap.rough_error is None else len(_sample_points(iv, grid)))
 
 
 @pytest.mark.parametrize(
@@ -777,8 +793,8 @@ def test_monotone_skip_changes_no_outcome(ident, seed):
         # cf's |E| is proved monotone on [0, 1] alone, so on 0:2 its end search runs
         (Approximant("cf", n=2), Interval(0.0, 2.0), 2.0),
         # |E| at the end lies near 2^-149 times 1/REFINE_TOL, so the search's final point may
-        # lie within the mpf term of it: the flag does not settle the search, which runs and
-        # here beats the grid value by less than 2*2^-149
+        # lie within the mpf term of it: the rate cannot show that the end is the outcome, the
+        # full scan runs, and its search here beats the grid value by less than 2*2^-149
         (Approximant("t", n=10), Interval(0.8574956976627317, 0.9994667260078469), 0.8574956976627317),
         (Approximant("t", n=16), Interval(0.6317247125396113, 0.7328950321941883), 0.6317247125396113),
     ],
@@ -794,7 +810,7 @@ def test_end_search_runs_where_the_flag_cannot_settle_it(ap, iv, end):
 
 @pytest.mark.parametrize("n", range(7))
 def test_t_skips_its_search_at_zero(n):
-    # t's |E| falls on [0, 1], so its grid maximum at x = 0 is not searched
+    # t's |E| falls on [0, 1], so its grid maximum at x = 0 alone is evaluated, and not searched
     ap = Approximant("t", n=n)
     flagged, full = (sup_error(f, Interval(0.0, 1.0), 65) for f in (ap, _without_slope(ap)))
     assert _outcome(flagged) == _outcome(full) and flagged.arg_max == 0.0
@@ -889,6 +905,7 @@ def test_settle_leaves_out_of_the_argmax_what_the_settled_doubles_rule_out(cfg):
     ap = Approximant("w", n=12)
     with mp.workdps(cfg.working_digits):
         err = verify._Errors(ap, Interval(0.0, 1.0), 65, cfg, 1)
+        err.bound_grid()
         a_lo, a_hi = _abs_bounds(err.lo, err.hi)
         near = [i for i, h in enumerate(a_hi) if h >= max(a_lo)]
         lo, hi, best = err.settle(_maxima_pick)
@@ -1015,6 +1032,26 @@ def test_failed_float_values_are_settled_at_mpf(cfg):
     assert 0 < fast.evals_float
 
 
+@pytest.mark.parametrize(
+    "value, certify, gap",
+    [
+        (math.nan, lambda f, iv, cfg: sup_error(f, iv, 65, cfg=cfg, claimed_bound=0.5), math.nan),
+        (math.nan, lambda f, iv, cfg: certify_bound(f, "upper", iv, 65, cfg=cfg), math.nan),
+        (math.inf, lambda f, iv, cfg: sup_error(f, iv, 65, cfg=cfg, claimed_bound=0.5), -math.inf),
+    ],
+    ids=["nan-sup_error", "nan-certify_bound", "inf-sup_error"],
+)
+def test_a_non_finite_value_is_an_unsatisfied_verdict(cfg, value, certify, gap):
+    # every comparison with a NaN is false, so max, min and the claim would pass over one;
+    # the first point evaluated at mpf where E is not finite, the first grid point above
+    # 0.5, ends the scan there with |E| as its sup, as inf does
+    iv = Interval(0.0, 1.0)
+    rep = certify(lambda x: value if x > 0.5 else x, iv, cfg)
+    assert not rep.satisfied
+    assert rep.arg_max == min(x for x in _sample_points(iv, 65) if x > 0.5)
+    assert repr((rep.sup_error, rep.min_gap)) == repr((abs(value), gap))
+
+
 def test_points_near_zero_are_float_evaluations(cfg):
     # below 1e-150 too the float tier takes a value: certify_bound makes no golden-section
     # probes, so each grid point, 0 among them, is one float evaluation
@@ -1130,6 +1167,7 @@ def test_a_grid_at_once_gives_each_rows_float_bounds_point_by_point(cfg, ident, 
     ap = Approximant(ident, n=n, side=side)
     with mp.workdps(cfg.working_digits):
         err = verify._Errors(ap, Interval.parse(info.claim_interval), 65, cfg, sign)
+        err.bound_grid()
         grid_evals = err.evals_float
         bounds = [(lo, hi) for lo, hi in zip(err.lo, err.hi)]
         for x, (lo, hi) in zip(err.pts, bounds):
