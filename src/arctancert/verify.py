@@ -641,8 +641,9 @@ def _refine_tol(a: float, b: float) -> float:
 def _monotone_end(f: Callable, iv: Interval, err: _Errors):
     # (x, |E|) at the grid end that f's proved monotone |E| grows toward, its value settled,
     # where the rate shows that sup_error's full scan reports that end and nothing else; else
-    # None. Over f's claim interval, here holding iv, |d log|E|/dx| >= 1/(c(1 + c)), c = max(1,
-    # x) (families.FamilyInfo.monotone), so >= 1/(C(1 + C)) on the grid, C = max(1, its top).
+    # None, with nothing settled, and the full scan settles what its pick names. Over f's
+    # claim interval, here holding iv, |d log|E|/dx| >= 1/(c(1 + c)), c = max(1, x)
+    # (families.FamilyInfo.monotone), so >= 1/(C(1 + C)) on the grid, C = max(1, its top).
     # Of grid neighbours p < q, then, the exact |E| nearer the end exceeds the other by t/(1 +
     # t) of itself or more, t = (q - p)/(C(1 + C)), as 1 - e^-t >= t/(1 + t). Let V be the end's
     # mpf |E|, tau the least t/(1 + t) on the grid, and each mpf value within the mpf term 2^-k
@@ -662,15 +663,17 @@ def _monotone_end(f: Callable, iv: Interval, err: _Errors):
     end = {1: len(pts) - 1, -1: 0}.get(getattr(f, "monotone", 0))
     if end is None or home is None or not (home.lo <= iv.lo and iv.hi <= home.hi):
         return None
-    err.settled[end] = e = err.value(pts[end])
+    e = err.value(pts[end])
     v = abs(e)
     a, b = (pts[end - 1], pts[end]) if end else (pts[0], pts[1])
     c = max(1.0, pts[-1])
     rho = 0.3 * min(b - a, _refine_tol(a, b)) / (2 * c * (1 + c))
     t = min(map(operator.sub, pts[1:], pts)) / (c * (1 + c))
     tau = t / (1 + t)
-    holds = _bounds(v, False)[0] * min(rho, tau / 2) >= _UP * (2 + tau) * math.ldexp(1.0, -err.k)
-    return (pts[end], v) if holds else None
+    if not _bounds(v, False)[0] * min(rho, tau / 2) >= _UP * (2 + tau) * math.ldexp(1.0, -err.k):
+        return None
+    err.settled[end] = e
+    return pts[end], v
 
 
 def _golden_max(err: _Errors, a: float, b: float, best):
@@ -741,18 +744,18 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
     cfg = cfg or default_config()
     approximation = kind is BoundKind.APPROXIMATION
     refined = pruned = 0
+    searched_from = None  # err.evals_fixed where the searches begin, if they do
     with mp.workdps(cfg.working_digits):
         err = _Errors(f, interval, grid_points, cfg, -1 if kind is BoundKind.LOWER else 1)
         pts = err.pts
         try:
             end = _monotone_end(f, interval, err) if approximation else None
-            settle_evals = err.evals_fixed  # the fixed evaluations from here on are the searches'
             if end is not None:  # the end alone, whose one search is pruned
                 (best_x, best_e), refined, pruned = end, 1, 1
             else:
                 err.bound_grid()
                 lo, hi, best_i = err.settle(_maxima_pick if approximation else _margin_pick)
-                settle_evals = err.evals_fixed
+                searched_from = err.evals_fixed
                 best_x, best_e = pts[best_i], lo[best_i]
                 tops = _top_local_maxima(lo, hi, best_e / 2) if approximation else []
                 refined = len(tops)
@@ -780,8 +783,6 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
             (best_x, v), satisfied = bad.args, False
             sup = float(abs(v))
             gap = claimed_bound - sup if approximation and claimed_bound is not None else math.nan
-            if not refined:  # no search began: every fixed evaluation settled a point
-                settle_evals = err.evals_fixed
         settle_mpf, ends_mpf = (sum(not v.open for v in vs) for vs in (err.settled.values(), err.ends))
     return ErrorReport(
         label,
@@ -797,7 +798,7 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
         refined=refined,
         pruned=pruned,
         search_mpf=ends_mpf + err.probes_mpf,
-        search_fixed=err.evals_fixed - settle_evals,
+        search_fixed=0 if searched_from is None else err.evals_fixed - searched_from,
         settle_fixed=len(err.settled) - settle_mpf,
         oracle_cold=_oracle_cached.cache_info().misses - err.misses,
     )

@@ -765,9 +765,10 @@ _COUNTS = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined", 
 def test_monotone_skip_changes_no_outcome(ident, seed):
     # sup_error on a row whose |E| is proved monotone, where it evaluates the grid end alone,
     # reports what the full scan of the same row without its flag reports, with no float
-    # evaluation, one search started and pruned, and one point settled; where it declines,
-    # it is the full scan, count for count. On the whole claim interval, whose grid maximum
-    # lies at that end, it evaluates the end alone. certify_bound always scans the grid
+    # evaluation, one search started and pruned, and one point settled; the full scan too
+    # starts one search, and runs it. Where it declines, it is the full scan, count for
+    # count. On the whole claim interval, whose grid maximum lies at that end, it evaluates
+    # the end alone. certify_bound always scans the grid
     rng = random.Random(f"{ident}/{seed}")
     info = FAMILIES[ident]
     ap = Approximant(ident, n=rng.randint(info.n_min, 16))
@@ -779,6 +780,7 @@ def test_monotone_skip_changes_no_outcome(ident, seed):
             assert (flagged.evals_float, flagged.search_mpf, flagged.search_fixed) == (0, 0, 0)
             assert (flagged.refined, flagged.pruned, flagged.settle_fixed + flagged.evals_mpf) == (1, 1, 1)
             assert flagged.arg_max == _sample_points(iv, grid)[-1 if ap.monotone > 0 else 0]
+            assert (full.refined, full.pruned) == (1, 0) and full.search_fixed > 0
         else:
             assert [getattr(flagged, name) for name in _COUNTS] == [getattr(full, name) for name in _COUNTS]
         kind = rng.choice(["lower", "upper"])
