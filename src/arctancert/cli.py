@@ -20,7 +20,7 @@ import sys
 from mpmath import mp
 
 from .families import Approximant, FAMILIES, family_info, list_rows, table_entry
-from .numerics import require_int
+from .numerics import LONG_TEXT, require_int, shown
 from .series import cheb_arctan, machin_pi
 from .verify import (
     BoundKind,
@@ -186,9 +186,9 @@ def _parse_family_specs(text: str) -> list:
             a = int(lo)
             b = int(hi) if sep2 else a
         except ValueError:
-            raise ValueError(f"bad order range {rng!r} in {item!r}") from None
+            raise ValueError(f"bad order range {shown(rng)} in {shown(item)}") from None
         if b < a:
-            raise ValueError(f"empty order range {rng!r}")
+            raise ValueError(f"empty order range {shown(rng)}")
         specs.extend((ident, n) for n in range(a, b + 1))
     if not specs:
         raise ValueError("no families given")
@@ -245,6 +245,17 @@ def cmd_pi(args) -> int:
     return 0
 
 
+def _int(text: str):
+    # argparse's type=int, except that a refused value too long to quote stays text: the
+    # command's require_int then names it by its length, with no usage lines
+    try:
+        return int(text)
+    except ValueError:
+        if len(text) > LONG_TEXT:
+            return text
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="arctancert",
@@ -257,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("eval", help="evaluate one family at a point")
     sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=_int)
     sp.add_argument("--x", type=float, required=True)
     sp.add_argument("--param", action="append", metavar="KEY=VALUE")
     sp.add_argument("--format", choices=("text", "csv"), default="text")
@@ -265,23 +276,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="certify a bound direction or sup-norm claim")
     sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
-    sp.add_argument("--n", type=int)
+    sp.add_argument("--n", type=_int)
     sp.add_argument("--interval", required=True, metavar="LO:HI")
     sp.add_argument("--kind", choices=("lower", "upper"))
-    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    sp.add_argument("--grid", type=_int, default=DEFAULT_GRID)
     sp.add_argument("--format", choices=("text", "csv"), default="text")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("table", help="emit a CSV error table")
     sp.add_argument("--families", required=True, metavar="FAM[:A..B][,...]")
     sp.add_argument("--interval", metavar="LO:HI", help="shared interval (default: each family's claim domain)")
-    sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    sp.add_argument("--grid", type=_int, default=DEFAULT_GRID)
     sp.add_argument("--output", metavar="PATH")
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("pi", help="Machin-series pi against the oracle's independent 4*arctan(1)")
-    sp.add_argument("--terms", type=int, default=12)
-    sp.add_argument("--digits", type=int, default=30)
+    sp.add_argument("--terms", type=_int, default=12)
+    sp.add_argument("--digits", type=_int, default=30)
     sp.set_defaults(func=cmd_pi)
 
     return p

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
-from . import core, fixedpoint, master, series, tails
+from . import core, fixedpoint, master, series
 from .numerics import Frozen, require_int
 from .verify import BoundKind, Interval
 
@@ -30,9 +30,8 @@ class FamilyInfo(NamedTuple):
     lifted family's kernel is a [0,1] kernel's unchecked body, lifted once to
     R+ by core.LiftedApproximant, which checks x. A two-sided family's
     pair_order is its order in the master family, where that order is fixed.
-    float_rule is False on t alone, which has no float rule; sf, t2 and
-    master sum their error series in float (``tails.master_error``), and the
-    rest take the K-ulp rule. fixed is the row's kernel in integers
+    float_rule is False on t alone, which has no float rule (see
+    Approximant for each row's rule). fixed is the row's kernel in integers
     (``fixedpoint``); Approximant makes it the row's one fixed-point rule
     (``fixedpoint.direct_fixed``), at x itself for a pair, at the lift's u where
     claim_interval is 0:inf and at u = x where it is 0:1. claim_interval is
@@ -185,7 +184,7 @@ class Approximant(Frozen):
 
     rough_error(x) is the float rule of the certification scan's float tier
     (see ``verify``): for sf, t2 and master their error series summed in float
-    (``tails.master_error``), None for t, and for every other row the
+    (``master.master_error``), None for t, and for every other row the
     K-ulp rule (ulp_rule). It returns the rule's own (e, b) or raises.
     fixed_error(x, w) is the fixed-point tier's rule, in integers scaled by
     2^w, returning (m, err) in units of 2^-w: for every row, its integer
@@ -230,8 +229,8 @@ class Approximant(Frozen):
         elif info.kind is BoundKind.TWO_SIDED:
             order = info.pair_order or n
             args = order, side == master.constant_side(order)
-            self.rough_error = partial(tails.master_error, *args)
-            constants = partial(tails.master_constants, *args)  # fixedpoint.master_kernel's, bound to this side
+            self.rough_error = partial(master.master_error, *args)
+            constants = partial(master.master_constants, *args)  # fixedpoint.master_kernel's, bound to this side
             self.fixed_error = partial(fixedpoint.direct_fixed, info.fixed, None, constants)
         else:
             # the K-ulp rule reads the evaluator itself, so a float value skips __call__

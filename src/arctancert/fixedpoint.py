@@ -268,7 +268,7 @@ def direct_fixed(kernel, lift, n, x: float, w: int):
 def master_kernel(constants, x: float, w: int):
     """master.master_bounds' side k*D*a_n(x) of one order-n pair, x >= 0 exact.
 
-    constants(big), tails.master_constants bound to the order and side, gives k*D at
+    constants(big), master.master_constants bound to the order and side, gives k*D at
     scale 2^big and the integers (-1)^(n-j) e_j 2^j; k is g_n(pi/2) on the constant
     side, else 1, its distance from g_n(pi/2) the mpf term's (verify._mpf_term_bits).
     """

@@ -74,17 +74,20 @@ def row_of(x):
 
 
 def require_finite(x, name="x"):
-    """Raise ValueError unless x is finite, and return the row x computes in.
+    """Raise ValueError unless x is a finite real number, and return the row x computes in.
 
     An mpf gets the mpf row; a float, an int or a Fraction the float row. An
     int too large for a double is rejected here rather than overflowing in
-    a kernel.
+    a kernel, and so is a str, None, a complex or a list, rather than raising
+    TypeError there.
     """
     row = MPF if isinstance(x, _MPF) else FLOAT  # row_of, without a call
     try:
         finite = row.isfinite(x)
     except OverflowError:
         raise ValueError(f"{name} lies beyond the float range; pass an mpf instead") from None
+    except TypeError:
+        raise ValueError(f"{name} must be a real number, got {type(x).__name__}") from None
     if not finite:
         raise ValueError(f"{name} must be finite, got {x!r}")
     return row
@@ -108,7 +111,7 @@ def require_int(v, name, lo, hi=None):
     """Raise ValueError unless v is an int in [lo, hi], and at most sys.maxsize.
 
     A bool passes as the int it equals, as in the lru_caches keyed on orders.
-    An int of more than 128 bits is named by its size, not its digits.
+    The message names v as ``shown`` does.
     """
     if not isinstance(v, int) or v < lo or (hi is not None and v > hi):
         limit = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
@@ -116,9 +119,20 @@ def require_int(v, name, lo, hi=None):
         limit = "<= sys.maxsize"
     else:
         return
-    # a huge int may have thousands of digits, and past 4,300 Python refuses to print it
-    shown = f"an integer of {v.bit_length()} bits" if isinstance(v, int) and v.bit_length() > 128 else repr(v)
-    raise ValueError(f"{name} must be an integer {limit}, got {shown}")
+    raise ValueError(f"{name} must be an integer {limit}, got {shown(v)}")
+
+
+LONG_TEXT = 64  # the most characters of a str that a message quotes
+
+
+def shown(v) -> str:
+    """v as a message quotes it: repr(v), an int of more than 128 bits by its size (past
+    4,300 digits Python refuses to print it), a str of more than LONG_TEXT by its length."""
+    if isinstance(v, int) and v.bit_length() > 128:
+        return f"an integer of {v.bit_length()} bits"
+    if isinstance(v, str) and len(v) > LONG_TEXT:
+        return f"a string of {len(v)} characters"
+    return repr(v)
 
 
 class Frozen:

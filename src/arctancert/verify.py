@@ -28,7 +28,7 @@ family's float rule; it takes arctan x from math.atan(x), tested to lie
 within one ulp of it, and returns (e, b): e approximates E = f(x) - arctan x,
 and b bounds the float computation's distance from E. ``families.Approximant``
 has two rules. The tail rule, for sf, t2 and master, sums master's error
-series in float (``tails.master_error``), so b is relative to E: the float
+series in float (``master.master_error``), so b is relative to E: the float
 sum's own error with the truncated rest of the series, and the effect of
 rounding arctan x to float. The K-ulp rule, for t4, lagrange, t5, cheb, cf,
 s, w and the lifted cheb, cf and w, takes e = f(x) - math.atan(x) with b =
@@ -126,7 +126,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, round_ceiling, round_floor, 
 from .core import LiftedApproximant, lift_interval_map
 from .fixedpoint import atan_rounded
 from .master import CONSTANT_DIGITS
-from .numerics import Frozen, require_int
+from .numerics import Frozen, require_int, shown
 
 _THETA_EDGE = 1e-8  # exclusion buffer at both ends of the tan-mapped grid
 _INVPHI = (math.sqrt(5) - 1) / 2
@@ -171,7 +171,7 @@ def default_config() -> OracleConfig:
     try:
         report = max(30, int(env)) if env else 30
     except ValueError:
-        raise ValueError(f"ARCTAN_CERT_DIGITS must be an integer, got {env!r}") from None
+        raise ValueError(f"ARCTAN_CERT_DIGITS must be an integer, got {shown(env)}") from None
     return OracleConfig(working_digits=report + 20, report_digits=report)
 
 
@@ -238,7 +238,7 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
 
     @classmethod
     def parse(cls, text: str) -> "Interval":
-        """Parse 'lo:hi' with 'inf' allowed as hi; a number past the float range is refused."""
+        """Parse 'lo:hi', hi inf in any spelling float() reads; a finite number past the float range is refused."""
         parts = text.split(":")
         if len(parts) != 2:
             raise ValueError(f"interval must look like 'lo:hi', got {text!r}")
@@ -247,7 +247,7 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
         except ValueError as exc:
             raise ValueError(f"bad interval {text!r}: {exc}") from None
         for name, p, v in zip(("lo", "hi"), parts, (lo, hi)):
-            if math.isinf(v) and p.strip().lower() != "inf":  # float() reads 1e400 as inf
+            if math.isinf(v) and "inf" not in p.lower():  # float() reads 1e400 as inf
                 raise ValueError(f"interval {name} lies past the float range; 'inf' is unbounded")
         return cls(lo, hi)
 

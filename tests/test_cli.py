@@ -353,6 +353,34 @@ def test_pi_usage_errors(capsys):
     assert run(capsys, "pi", "--digits", "99")[0] == 2
 
 
+_LONG = "1" + "0" * 5000  # an integer too long for int(), and for a message to quote
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("pi", "--terms", _LONG), ("pi", "--digits", _LONG), ("eval", "--family", "cf", "--n", _LONG, "--x", "0.5"),
+     ("certify", "--family", "cf", "--n", _LONG, "--interval", "0:1"),
+     ("certify", "--family", "cf", "--n", "3", "--interval", "0:1", "--grid", _LONG),
+     ("table", "--families", "cf:1..2", "--grid", _LONG), ("table", "--families", "cf:1.." + "9" * 5000),
+     ("ARCTAN_CERT_DIGITS", "1" * 5000)],
+    ids=["pi-terms", "pi-digits", "eval-n", "certify-n", "certify-grid", "table-grid", "table-families", "env-digits"],
+)
+def test_a_usage_error_names_a_huge_argument_by_its_length(capsys, monkeypatch, argv):
+    # refused, with a message that neither echoes the argument nor prints argparse's usage lines
+    if argv[0] == "ARCTAN_CERT_DIGITS":
+        monkeypatch.setenv(*argv)
+        argv = ("certify", "--family", "cf", "--n", "3", "--interval", "0:1", "--grid", "65")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and len(err.encode()) < 200
+    assert err.startswith("error: ") and err.endswith(" characters\n"), err
+
+
+def test_a_short_refused_int_keeps_argparse_message(capsys):
+    code, _, err = run(capsys, "certify", "--family", "cf", "--n", "lots", "--interval", "0:1")
+    assert code == 2 and err.startswith("usage: ")
+    assert err.endswith("arctancert certify: error: argument --n: invalid int value: 'lots'\n")
+
+
 def test_no_subcommand_is_usage_error(capsys):
     assert run(capsys)[0] == 2
 

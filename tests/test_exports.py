@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+from functools import partial
 
 import pytest
 
@@ -130,7 +131,7 @@ def test_public_types_survive_copy_deepcopy_and_pickle(name):
 
 
 # the package's layers, lowest first; the package's __init__ re-exports from any of them
-_LAYERS = [["numerics"], ["fixedpoint"], ["core", "series"], ["master"], ["tails"], ["verify"], ["families"], ["cli"],
+_LAYERS = [["numerics"], ["fixedpoint"], ["core", "series"], ["master"], ["verify"], ["families"], ["cli"],
            ["__init__"]]
 
 
@@ -148,6 +149,12 @@ def test_modules_import_only_below_themselves():
     for name, found in imports.items():
         assert all(rank[dep] < rank[name] for dep in found), (name, sorted(found))
     assert sorted(imports) == sorted(rank) and imports["fixedpoint"] == {"numerics"}
+
+
+def test_the_master_pairs_rules_have_no_module_of_their_own():
+    # master_error and master_constants live in master, beside the pair they serve
+    with pytest.raises(ModuleNotFoundError):
+        import arctancert.tails  # noqa: F401
 
 
 _CF, _UNIT = Approximant("cf", n=3), Interval(0.0, 1.0)
@@ -184,3 +191,35 @@ def test_counts_past_sys_maxsize_raise_value_error(name):
             _COUNTS[name](v)
         assert len(str(info.value)) < 120
         assert str(info.value).endswith(" bits") == (v > 2**128)
+
+
+# every public callable that takes a point x (or u, or t), called at the point v: the exported
+# functions, the lift, and one Approximant of every family
+_POINTS = {
+    name: partial(getattr(arctancert, name), *lead)
+    for name, lead in {
+        "a_n": (3,), "blend_w": (3,), "cf_arctan": (2,), "cheb_arctan": (3,), "lagrange_p": (),
+        "lift_interval_map": (), "master_bounds": (3,), "norm_transfer_check": (lagrange_p,),
+        "oracle_arctan": (), "shafer_fink_bounds": (), "taylor1_s": (3,), "taylor1_t": (3,),
+        "theorem2_bounds": (), "theorem4_upper": (), "theorem5_approx": (),
+    }.items()
+}
+_POINTS["LiftedApproximant"] = LiftedApproximant(lagrange_p)
+for _ident, _info in FAMILIES.items():
+    _side = "upper" if _info.kind is BoundKind.TWO_SIDED else None
+    _POINTS[f"Approximant-{_ident}"] = Approximant(_ident, n=max(_info.n_min, 2) if _info.needs_n else None, side=_side)
+
+
+@pytest.mark.parametrize("name", list(_POINTS))
+def test_a_point_that_is_no_real_number_raises_value_error(name):
+    # a str, None, a complex or a list is refused by the point's check (numerics.require_finite,
+    # or the oracle's own), not by a TypeError from the arithmetic behind it
+    for v in ("1", None, 1 + 0j, [0.5]):
+        with pytest.raises(ValueError, match=f"^[xut] must be a real number, got {type(v).__name__}$"):
+            _POINTS[name](v)
+
+
+def test_every_exported_function_of_a_point_is_checked_for_its_type():
+    takes_no_point = {"BoundKind", "BoundPair", "ErrorReport", "Interval", "OracleConfig", "certify_bound",
+                      "machin_pi", "master_params", "oracle_pi", "sup_error"}
+    assert set(arctancert.__all__) - takes_no_point == {name.partition("-")[0] for name in _POINTS}

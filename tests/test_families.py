@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from arctancert import core, families, fixedpoint, master, series, tails
+from arctancert import core, families, fixedpoint, master, series
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
 from arctancert.numerics import row_of
@@ -49,7 +49,7 @@ _ROWS = [
 ]
 # the rows on the K-ulp rule, whose budgets rest on their float value lying within K/4 ulp
 # of arctan x of the mpf value: all but t (no float rule, see series.taylor1_t) and the
-# pairs sf, t2 and master (their error series in float, tails.master_error)
+# pairs sf, t2 and master (their error series in float, master.master_error)
 BUDGETED = [ap for ap in _ROWS if getattr(ap.rough_error, "func", None) is ulp_rule]
 # the pairs' sides, whose budgets rest on no such premise (tests/test_tails.py checks them
 # over every double); their float values are held to K/4 ulp on [1e-150, 1e150] alone,
@@ -125,7 +125,7 @@ def test_only_these_rows_keep_a_float_tail():
     # need no tail: w's |E| lies under the mpf term 2^-149 over much of [0, 1], but the
     # scan compares such tiny enclosures only where a decision needs them
     rules = {ap.family: getattr(ap.rough_error, "func", None) for ap in INSTANCES}
-    assert {ident for ident, rule in rules.items() if rule is tails.master_error} == {"sf", "t2", "master"}
+    assert {ident for ident, rule in rules.items() if rule is master.master_error} == {"sf", "t2", "master"}
     assert {ident for ident, rule in rules.items() if rule is not ulp_rule} == {"sf", "t2", "master", "t"}
     # so the K/4 premise test holds the 119 cases of the ten K-ulp rows over every double,
     # and the 36 pair sides on their own range

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mpmath import bernfrac, mp
 from mpmath.libmp import pi_fixed
 
-from arctancert import fixedpoint, tails
+from arctancert import fixedpoint, master
 from arctancert.core import lagrange_p, theorem4_upper
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant
 from arctancert.master import MAX_ORDER
@@ -273,7 +273,7 @@ def test_blend_weight_lies_within_its_bound(n, u, w):
 
 def test_tangent_numbers_give_the_cotangent_coefficients():
     # b_m = 2^(2m)|B_2m|/(2m)! = T_m/((4^m - 1)(2m - 1)!), checked against bernfrac
-    t = tails._tangent_numbers(64)
+    t = master._tangent_numbers(64)
     for m in range(1, len(t)):
         num, den = bernfrac(2 * m)
         assert Fraction(t[m], (4**m - 1) * math.factorial(2 * m - 1)) == Fraction(4**m * abs(num), den * math.factorial(2 * m))
@@ -283,7 +283,7 @@ def test_tangent_numbers_give_the_cotangent_coefficients():
 def test_master_tail_coefficients_share_a_sign_and_shrink_by_a_third(n):
     # the ratio bounds the master budget's remainder terms rest on, on the coefficients
     # as summed (Horner order, highest degree first)
-    ps, _, _, hs, _, _ = tails._master_series(n)
+    ps, _, _, hs, _, _ = master._master_series(n)
     for coeffs in (ps[::-1], hs[::-1]):
         assert all(math.copysign(1.0, c) == (-1) ** n for c in coeffs)
         assert all(abs(b) <= abs(a) / 3 * (1 + 1e-12) for a, b in zip(coeffs[n + 1 :], coeffs[n + 2 :]))

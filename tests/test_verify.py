@@ -344,6 +344,17 @@ def test_interval_parse_and_str():
     assert str(Interval(0.0, math.inf)) == "0:inf"
 
 
+def test_interval_parse_reads_every_spelling_of_infinity():
+    # float() reads each as +inf, the unbounded end; only a written finite number past the
+    # float range is refused as such, and -inf as hi fails lo < hi
+    for text in ("0:inf", "0:+inf", "0:Infinity", "0:+INFINITY", "0: inf "):
+        assert Interval.parse(text) == Interval(0.0, math.inf)
+    with pytest.raises(ValueError, match="^need lo < hi, got 0.0:-inf$"):
+        Interval.parse("0:-inf")
+    with pytest.raises(ValueError, match="^interval hi lies past the float range"):
+        Interval.parse("0:1e400")
+
+
 @pytest.mark.parametrize(
     "bad",
     ["5", "2:1", "abc:1", "-1:2", "1:1", "inf:2", "0:nan",
