@@ -14,8 +14,10 @@ or I/O error.
 from __future__ import annotations
 
 import argparse
+import heapq
 import math
 import sys
+from itertools import repeat
 
 from mpmath import mp
 
@@ -80,14 +82,17 @@ def _parse_params(ident: str, items) -> dict:
     for item in items or ():
         key, sep, val = item.partition("=")
         if not sep:
-            raise ValueError(f"parameter must look like key=value, got {item!r}")
+            raise ValueError(f"parameter must look like key=value, got {shown(item)}")
         if key != "m":
-            raise ValueError(f"unknown parameter {key!r} (supported: m)")
+            raise ValueError(f"unknown parameter {shown(key)} (supported: m)")
         if ident != "cheb":
             raise ValueError("parameter m only applies to family 'cheb'")
         if key in out:
             raise ValueError(f"parameter {key!r} given more than once")
-        out["m"] = float(val)
+        try:
+            out["m"] = float(val)
+        except ValueError:
+            raise ValueError(f"parameter m must be a number, got {shown(val)}") from None
     return out
 
 
@@ -102,6 +107,8 @@ def cmd_eval(args) -> int:
     m = _parse_params(ident, args.param).get("m")
     cfg = default_config()
     x = args.x
+    if isinstance(x, str):  # refused by float() and too long to quote (_number)
+        raise ValueError(f"--x must be a number, got {shown(x)}")
 
     rows = []  # (side, value, target oracle)
     for side, _, approx in _side_approximants(ident, args.n):
@@ -166,8 +173,11 @@ def cmd_certify(args) -> int:
     return 0 if all(r.satisfied for r in reports) else 1
 
 
-def _parse_family_specs(text: str) -> list:
-    specs = []
+def _parse_family_specs(text: str):
+    # the (ident, n) rows of a --families value, each item checked here, in the table's order: by
+    # family, then order, duplicates kept. Each range, yielded lazily and never expanded whole, is
+    # sorted already, so merging the items' runs sorts them
+    runs = []
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -177,7 +187,7 @@ def _parse_family_specs(text: str) -> list:
         if not sep:
             if info.needs_n:
                 raise ValueError(f"family {ident!r} needs an order: use {ident}:a..b")
-            specs.append((ident, None))
+            runs.append([(ident, None)])
             continue
         if not info.needs_n:
             raise ValueError(f"family {ident!r} does not take an order range")
@@ -189,10 +199,10 @@ def _parse_family_specs(text: str) -> list:
             raise ValueError(f"bad order range {shown(rng)} in {shown(item)}") from None
         if b < a:
             raise ValueError(f"empty order range {shown(rng)}")
-        specs.extend((ident, n) for n in range(a, b + 1))
-    if not specs:
+        runs.append(zip(repeat(ident), range(a, b + 1)))
+    if not runs:
         raise ValueError("no families given")
-    return specs
+    return heapq.merge(*runs, key=lambda s: (s[0], -1 if s[1] is None else s[1]))
 
 
 def _csv_row(ident: str, n, r: ErrorReport) -> str:
@@ -217,7 +227,7 @@ def cmd_table(args) -> int:
 
     rows = []
     ok = True
-    for ident, n in sorted(specs, key=lambda s: (s[0], -1 if s[1] is None else s[1])):
+    for ident, n in specs:
         approx, claim, kind = table_entry(ident, n)
         # without an explicit interval each family is measured where its claim holds; an
         # UPPER row has no uniform claim, and its verdict is the direction check
@@ -245,15 +255,21 @@ def cmd_pi(args) -> int:
     return 0
 
 
-def _int(text: str):
-    # argparse's type=int, except that a refused value too long to quote stays text: the
-    # command's require_int then names it by its length, with no usage lines
-    try:
-        return int(text)
-    except ValueError:
-        if len(text) > LONG_TEXT:
-            return text
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+def _number(kind):
+    # argparse's type=int or type=float, except that a refused value too long to quote stays
+    # text: the command (require_int, for an int) then names it by its length, with no usage lines
+    def parse(text: str):
+        try:
+            return kind(text)
+        except ValueError:
+            if len(text) > LONG_TEXT:
+                return text
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+    return parse
+
+
+_int = _number(int)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -266,16 +282,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("list", help="list families, references, claimed bounds, domains")
     sp.set_defaults(func=cmd_list)
 
+    # family_info checks --family, and its list is in --help
+    family_help = "one of: " + ", ".join(sorted(FAMILIES))
     sp = sub.add_parser("eval", help="evaluate one family at a point")
-    sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    sp.add_argument("--family", required=True, help=family_help)
     sp.add_argument("--n", type=_int)
-    sp.add_argument("--x", type=float, required=True)
+    sp.add_argument("--x", type=_number(float), required=True)
     sp.add_argument("--param", action="append", metavar="KEY=VALUE")
     sp.add_argument("--format", choices=("text", "csv"), default="text")
     sp.set_defaults(func=cmd_eval)
 
     sp = sub.add_parser("certify", help="certify a bound direction or sup-norm claim")
-    sp.add_argument("--family", required=True, choices=sorted(FAMILIES))
+    sp.add_argument("--family", required=True, help=family_help)
     sp.add_argument("--n", type=_int)
     sp.add_argument("--interval", required=True, metavar="LO:HI")
     sp.add_argument("--kind", choices=("lower", "upper"))

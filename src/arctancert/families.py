@@ -13,7 +13,7 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from . import core, fixedpoint, master, series
-from .numerics import Frozen, require_int
+from .numerics import Frozen, require_int, shown
 from .verify import BoundKind, Interval
 
 _SQRT2 = math.sqrt(2)
@@ -66,7 +66,7 @@ class FamilyInfo(NamedTuple):
     monotone: int = 0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=master.MAX_ORDER + 1)  # the advertised orders 0..16; the table asks for 0..8
 def _cheb_slope(n: int) -> float:
     # A bound on |E'| over [-1, 1] at order n. E = f_n - arctan = -sum_{k>n} c_k T_(2k+1) with
     # |c_k| = 2r^(2k+1)/(2k+1), r = sqrt2 - 1 (fixedpoint._cheb_ints), and Markov's |T_m'| <= m^2 on
@@ -160,20 +160,22 @@ FAMILIES: dict[str, FamilyInfo] = {
 
 
 def family_info(ident: str) -> FamilyInfo:
+    """The registry row of ident; ValueError for any other value, a list or None too."""
     try:
         return FAMILIES[ident]
-    except KeyError:
-        raise ValueError(f"unknown family {ident!r}; see the 'list' command") from None
+    except (KeyError, TypeError):  # TypeError: an unhashable ident
+        raise ValueError(f"unknown family {shown(ident)}; see the 'list' command") from None
 
 
 class Approximant(Frozen):
     """Descriptor of one family instance, callable at either precision.
 
     Pair families (sf, t2, master) need a side. The evaluator (kernel, order
-    and lift) is bound once, at construction; master's computes its side
-    alone (master.master_side). Every approximant targets arctan x; cheb's
-    expansion of arctan(m*x) is series.cheb_arctan(n, x, m). Approximants
-    compare and hash by family, n and side, and every attribute is read-only.
+    and lift) is bound once, at construction; master's computes its side alone
+    (master._master_side) from master_params(n), which refuses an order past
+    MAX_ORDER there. Every approximant targets arctan x; cheb's expansion of
+    arctan(m*x) is series.cheb_arctan(n, x, m). Approximants compare and hash
+    by family, n and side, and every attribute is read-only.
 
     The registry row's facts at this order are bound at construction too:
     label, the family with its order and side; claim, the registry's uniform
@@ -221,7 +223,7 @@ class Approximant(Frozen):
             fn = core.LiftedApproximant(fn)
         pick = side  # __call__ picks the side of sf's and t2's pairs
         if info.kernel is master.master_bounds:  # master's evaluator forms its side alone
-            fn, pick = partial(master.master_side, n, side == "upper"), None
+            fn, pick = partial(master._master_side, master.master_params(n), side == "upper"), None
         self._eval, self._pick = fn, pick
         # rough_error and fixed_error at this order, side and lift; None past MAX_ORDER
         if (n or 0) > master.MAX_ORDER:

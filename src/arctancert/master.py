@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from mpmath import mp
@@ -57,47 +57,46 @@ def _check_order(n):
     require_int(n, "order n", 1, MAX_ORDER)
 
 
+def _order_cached(fn):
+    # fn cached by order behind the order check, so the cache never hashes a bad n
+    cached = lru_cache(maxsize=None)(fn)
+    return wraps(fn)(lambda n: _check_order(n) or cached(n))
+
+
 def _working_digits(n: int) -> int:
     # the precision g_n is evaluated at; see the module docstring
     return max(CONSTANT_DIGITS, 20 + 3 * n * n // 5)
 
 
-@lru_cache(maxsize=None)
 def denominator_product(n: int) -> int:
     """D = prod_{k=1..n} (4^k - 1)."""
     _check_order(n)
     return math.prod(4**k - 1 for k in range(1, n + 1))
 
 
-@lru_cache(maxsize=None)
+@_order_cached
 def pn_coefficients(n: int) -> tuple:
     """Exact coefficients (A_0, ..., A_n) of prod_{k=1..n} (4^k x - 1)/(4^k - 1).
 
     By construction p_n(1) = 1 (the coefficients sum to one) and
     p_n(4^-j) = 0 for j = 1..n.
     """
-    _check_order(n)
     d = denominator_product(n)
-    return tuple(Fraction(c, d) for c in _pn_numerator(n))
+    return tuple(Fraction(c, d) for c in _pn_numerator(n))  # D*A_k, lowest degree first
 
 
-@lru_cache(maxsize=None)
-def _pn_numerator(n: int) -> tuple:
-    # the integer coefficients D*A_k of the numerator prod (4^k x - 1), lowest degree first
+def _pn_numerator(n: int) -> list:
     num = [1]
-    for k in range(1, n + 1):
-        w = 4**k
+    for w in (4**k for k in range(1, n + 1)):
         num = [-num[0]] + [w * num[i - 1] - num[i] for i in range(1, len(num))] + [w * num[-1]]
-    return tuple(num)
+    return num
 
 
-@lru_cache(maxsize=None)
 def elementary_symmetric(n: int) -> tuple:
     """(e_0, ..., e_n) over the list (1, 4, ..., 4^(n-1)), via prod(1 + 4^k t)."""
     _check_order(n)
     e = [1]
-    for k in range(n):
-        w = 4**k
+    for w in (4**k for k in range(n)):
         e = [e[0]] + [e[j] + w * e[j - 1] for j in range(1, len(e))] + [w * e[-1]]
     return tuple(e)
 
@@ -150,7 +149,6 @@ def gn_eval(n: int, theta):
     n; theta is converted and range-checked at the caller's precision, so
     pi/2 rounded there is accepted.
     """
-    _check_order(n)
     coeffs = pn_coefficients(n)
     th = mp.mpf(theta)
     if not mp.isfinite(th) or not 0 < th <= mp.pi / 2 + mp.eps * 4:
@@ -184,14 +182,13 @@ def constant_side(n: int) -> str:
     return "upper" if n % 2 else "lower"
 
 
-@lru_cache(maxsize=None)
+@_order_cached
 def master_params(n: int) -> MasterParams:
     """Assemble and cache the order-n parameters.
 
     The parity rule (constant_side) is derived from the sign of p_n beyond its
     roots and asserted here rather than assumed.
     """
-    _check_order(n)
     with mp.workdps(_working_digits(n)):
         g_end = gn_eval(n, mp.pi / 2)
         one = mp.mpf(1)
@@ -224,11 +221,10 @@ def master_bounds(n: int, x) -> BoundPair:
     return BoundPair(_scale(params, False, num, den, c), _scale(params, True, num, den, c))
 
 
-def master_side(n: int, upper: bool, x):
-    """master_bounds(n, x).upper if upper, else .lower, from one a_n evaluation."""
-    params = master_params(n)
+def _master_side(params: MasterParams, upper: bool, x):
+    """master_bounds(params.n, x).upper if upper, else .lower, from one a_n evaluation."""
     c = require_nonnegative(x)
-    return _scale(params, upper, *_a_n(n, x, c), c)
+    return _scale(params, upper, *_a_n(params.n, x, c), c)
 
 
 def _scale(params: MasterParams, upper: bool, num, den, c):

@@ -10,7 +10,10 @@ row: ``FLOAT`` (the ``math`` functions, double pi and sqrt2) or ``MPF`` (the
 mpmath functions, with pi and sqrt2 read at the active precision on each
 access). A public kernel checks its arguments once, at the top, with a
 ``require_*`` validator, which returns the row; a body that the lift or the
-blend reaches unchecked reads the row from the type (``row_of``). Both rows
+blend reaches unchecked reads the row from the type (``row_of``). Check, then
+cache: no cache hashes an argument before its entry's check has run, and a
+cache stays only where the traffic (the table, the benchmark's workloads, the
+commands, the tests) reuses its values. Both rows
 share two overflow-free argument maps: ``reduce``, the half-angle reduction,
 and ``sincos``, the sine and cosine of arctan x, in which the closed-form
 kernels are written so that no x from 0 to the top of the float range
@@ -110,7 +113,7 @@ def require_unit(x, name="x"):
 def require_int(v, name, lo, hi=None):
     """Raise ValueError unless v is an int in [lo, hi], and at most sys.maxsize.
 
-    A bool passes as the int it equals, as in the lru_caches keyed on orders.
+    A bool passes as the int it equals, and shares its entry in a cache keyed on orders.
     The message names v as ``shown`` does.
     """
     if not isinstance(v, int) or v < lo or (hi is not None and v > hi):

@@ -38,16 +38,10 @@ def cheb_coefficients(n: int, ratio=None) -> list:
     return out
 
 
-@lru_cache(maxsize=256, typed=True)
+@lru_cache(maxsize=256)
 def _coefficients(n: int, m, row, prec: int) -> tuple:
-    # keyed on the row and its precision, which the mpf row reads from
-    # mp.prec; typed, so that n = 2.0 misses the entry for 2 and reaches the
-    # order check. m is checked here, once per key rather than once per call.
-    # Bounded, since m is the caller's: 256 entries hold every key that the
-    # table and float_eval (the same 9) or the whole test suite (188) make
-    require_finite(m, "m")
-    if not m > 0:
-        raise ValueError(f"m must be > 0, got {m!r}")
+    # keyed on the row and its precision (the mpf row reads mp.prec); n and m come checked or from
+    # a registry row. Bounded, since m is the caller's: the table and float_eval make the same 9 keys
     return tuple(cheb_coefficients(n, row.reduce(m)))
 
 
@@ -70,9 +64,18 @@ def cheb_arctan(n: int, x, m=1):
     Odd in x; uniform error on [-1,1] at most 2r^(2n+3)/((2n+3)(1-r^2)),
     below (1+sqrt2)^-(2n+3) at m = 1.
     """
-    require_finite(x)
+    require_int(n, "truncation index n", 0)
+    c = require_finite(x)
     if abs(x) > 1:
         raise ValueError(f"|x| must be <= 1, got {x!r}")
+    if m != 1 or type(m) is not int:  # the default scale needs no check
+        require_finite(m, "m")
+        if not m > 0:
+            raise ValueError(f"m must be > 0, got {m!r}")
+        if c is FLOAT:  # one cache key per scale, whatever its type: a float x answers a float
+            m = float(m)
+        elif isinstance(m, Fraction):  # the mpf row divides no Fraction
+            m = mp.mpf(m.numerator) / m.denominator
     return _cheb(n, x, m)
 
 
@@ -172,7 +175,6 @@ def _blend(n: int, u):
     return (wu * t + wv * _quartic_rows(n, u / (u + 1))) / (wu + wv)
 
 
-@lru_cache(maxsize=None)
 def machin_pi_fraction(terms: int) -> Fraction:
     """Exact rational truncation of the two-series Machin evaluation of pi.
 

@@ -175,6 +175,15 @@ def default_config() -> OracleConfig:
     return OracleConfig(working_digits=report + 20, report_digits=report)
 
 
+def _config(cfg) -> OracleConfig:
+    # cfg, checked once at an entry, or the default config for None
+    if cfg is None:
+        return default_config()
+    if not isinstance(cfg, OracleConfig):
+        raise ValueError(f"cfg must be an OracleConfig, got {type(cfg).__name__}")
+    return cfg
+
+
 _oracle_cached = lru_cache(maxsize=2 * DEFAULT_GRID)(atan_rounded)  # keyed by x and OracleConfig.prec
 
 
@@ -185,7 +194,7 @@ def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
     1 doubled. cfg.report_digits only bounds the digits a caller is promised.
     The last 2*DEFAULT_GRID values are cached, one default grid and its probes.
     """
-    cfg = cfg or default_config()
+    cfg = _config(cfg)
     # comparisons only, so a float, an int past the float range and an mpf all pass
     if x != x:
         raise ValueError("x must not be NaN")
@@ -206,7 +215,7 @@ def oracle_pi(cfg: Optional[OracleConfig] = None):
     Its centre table shares no code with series.machin_pi; cfg.report_digits
     only bounds the digits a caller is promised.
     """
-    cfg = cfg or default_config()
+    cfg = _config(cfg)
     return mp.ldexp(_oracle_cached(1, cfg.prec), 2)
 
 
@@ -220,6 +229,9 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
             nan = math.isnan(lo) or math.isnan(hi)
         except OverflowError:  # an int past the float range
             raise ValueError("interval endpoints must lie in the float range or be inf") from None
+        except TypeError:  # a str, None, a list
+            kinds = f"{type(lo).__name__}:{type(hi).__name__}"
+            raise ValueError(f"interval endpoints must be real numbers, got {kinds}") from None
         if nan:
             raise ValueError("interval endpoints must not be NaN")
         if math.isinf(lo) or lo < 0:
@@ -239,13 +251,15 @@ class Interval(NamedTuple("Interval", [("lo", float), ("hi", float)])):
     @classmethod
     def parse(cls, text: str) -> "Interval":
         """Parse 'lo:hi', hi inf in any spelling float() reads; a finite number past the float range is refused."""
+        if not isinstance(text, str):
+            raise ValueError(f"interval must be a str 'lo:hi', got {type(text).__name__}")
         parts = text.split(":")
         if len(parts) != 2:
-            raise ValueError(f"interval must look like 'lo:hi', got {text!r}")
+            raise ValueError(f"interval must look like 'lo:hi', got {shown(text)}")
         try:
             lo, hi = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"bad interval {text!r}: {exc}") from None
+        except ValueError:
+            raise ValueError(f"bad interval: lo and hi must be numbers, got {shown(text)}") from None
         for name, p, v in zip(("lo", "hi"), parts, (lo, hi)):
             if math.isinf(v) and "inf" not in p.lower():  # float() reads 1e400 as inf
                 raise ValueError(f"interval {name} lies past the float range; 'inf' is unbounded")
@@ -740,8 +754,10 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
     # reads the smallest. Both report the largest |E| found, and a non-finite mpf
     # E, where one is computed, as an unsatisfied verdict at its point.
     # The family label is the approximant's own: its label, else its __name__.
+    if not isinstance(interval, Interval):
+        raise ValueError(f"interval must be an Interval, got {type(interval).__name__}")
     label = getattr(f, "label", None) or getattr(f, "__name__", None) or "approximant"
-    cfg = cfg or default_config()
+    cfg = _config(cfg)
     approximation = kind is BoundKind.APPROXIMATION
     refined = pruned = 0
     searched_from = None  # err.evals_fixed where the searches begin, if they do
@@ -878,7 +894,7 @@ def norm_transfer_check(
     (sampling allowance) or both vanish to oracle noise.
     """
     outer_hi = lift_interval_map(t)
-    cfg = cfg or default_config()
+    cfg = _config(cfg)
     inner = sup_error(f, Interval(0.0, t), grid_points, cfg=cfg)
     lifted = LiftedApproximant(f)
     outer = sup_error(lifted, Interval(0.0, outer_hi), grid_points, cfg=cfg)

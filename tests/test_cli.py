@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import pytest
 
@@ -336,6 +337,26 @@ def test_table_usage_errors(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
+def test_an_order_range_is_never_expanded_whole():
+    # the rows of a 12-digit range come one at a time: taking the first allocates a few KB,
+    # where a list of the range would exhaust memory
+    tracemalloc.start()
+    try:
+        first = next(cli._parse_family_specs("sf,cf:1..999999999999,t4"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == ("cf", 1) and peak < 8_000, peak
+
+
+def test_family_specs_come_in_the_tables_row_order():
+    # by family, then by order, a family without one first; duplicates kept
+    text = "w:3..5,cf:2..4,sf,w:0..3, cf:3,t4,sf,cheb:2"
+    want = [("cf", 2), ("cf", 3), ("cf", 3), ("cf", 4), ("cheb", 2), ("sf", None), ("sf", None), ("t4", None),
+            ("w", 0), ("w", 1), ("w", 2), ("w", 3), ("w", 3), ("w", 4), ("w", 5)]
+    assert list(cli._parse_family_specs(text)) == want
+
+
 def test_pi_command(capsys):
     code, out, _ = run(capsys, "pi", "--terms", "10", "--digits", "20")
     assert code == 0
@@ -354,6 +375,7 @@ def test_pi_usage_errors(capsys):
 
 
 _LONG = "1" + "0" * 5000  # an integer too long for int(), and for a message to quote
+_XS = "x" * 5000  # a text that no option reads, too long to quote
 
 
 @pytest.mark.parametrize(
@@ -362,8 +384,13 @@ _LONG = "1" + "0" * 5000  # an integer too long for int(), and for a message to 
      ("certify", "--family", "cf", "--n", _LONG, "--interval", "0:1"),
      ("certify", "--family", "cf", "--n", "3", "--interval", "0:1", "--grid", _LONG),
      ("table", "--families", "cf:1..2", "--grid", _LONG), ("table", "--families", "cf:1.." + "9" * 5000),
-     ("ARCTAN_CERT_DIGITS", "1" * 5000)],
-    ids=["pi-terms", "pi-digits", "eval-n", "certify-n", "certify-grid", "table-grid", "table-families", "env-digits"],
+     ("ARCTAN_CERT_DIGITS", "1" * 5000),
+     ("certify", "--family", _XS, "--interval", "0:1"), ("certify", "--family", "cf", "--n", "3", "--interval", _XS),
+     ("certify", "--family", "cf", "--n", "3", "--interval", "0:" + _XS),
+     ("eval", "--family", "cf", "--n", "3", "--x", _XS),
+     ("eval", "--family", "cheb", "--n", "3", "--x", "0.5", "--param", "m=" + _XS)],
+    ids=["pi-terms", "pi-digits", "eval-n", "certify-n", "certify-grid", "table-grid", "table-families", "env-digits",
+         "certify-family", "certify-interval", "certify-interval-hi", "eval-x", "eval-param"],
 )
 def test_a_usage_error_names_a_huge_argument_by_its_length(capsys, monkeypatch, argv):
     # refused, with a message that neither echoes the argument nor prints argparse's usage lines
@@ -372,7 +399,9 @@ def test_a_usage_error_names_a_huge_argument_by_its_length(capsys, monkeypatch, 
         argv = ("certify", "--family", "cf", "--n", "3", "--interval", "0:1", "--grid", "65")
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and len(err.encode()) < 200
-    assert err.startswith("error: ") and err.endswith(" characters\n"), err
+    # an unknown family's message keeps its pointer to the 'list' command after the length
+    tail = "; see the 'list' command\n" if argv[1:3] == ("--family", _XS) else "\n"
+    assert err.startswith("error: ") and err.endswith(" characters" + tail), err
 
 
 def test_a_short_refused_int_keeps_argparse_message(capsys):

@@ -24,7 +24,7 @@ from arctancert import (
     norm_transfer_check,
     sup_error,
 )
-from arctancert import master, series
+from arctancert import families, master, series
 from arctancert.families import FAMILIES, FamilyInfo
 from arctancert.master import MAX_ORDER, MasterParams
 
@@ -223,3 +223,64 @@ def test_every_exported_function_of_a_point_is_checked_for_its_type():
     takes_no_point = {"BoundKind", "BoundPair", "ErrorReport", "Interval", "OracleConfig", "certify_bound",
                       "machin_pi", "master_params", "oracle_pi", "sup_error"}
     assert set(arctancert.__all__) - takes_no_point == {name.partition("-")[0] for name in _POINTS}
+
+
+_FAULTS = ("2", None, [2], 2.0)  # a str, None, a list and a float, where an int is due
+_NO_CONFIG = ("2", [2], 2.0, 50)  # None is the default config
+_NO_INTERVAL = ("0:1", None, [0.0, 1.0], (0.0, 1.0), 2.0)
+
+# every public entry's arguments that are no point (orders, terms, digits, grid points, family
+# names, sides, kinds, intervals, configs), each called with the faults that argument refuses;
+# the scan's own hooks (master.master_error, master.master_constants) take what an Approximant binds
+_ARGUMENTS = {
+    "Approximant-family": (lambda v: Approximant(v), _FAULTS),
+    "Approximant-n": (lambda v: Approximant("cf", n=v), _FAULTS),
+    "Approximant-side": (lambda v: Approximant("master", n=3, side=v), _FAULTS),
+    "family_info": (lambda v: families.family_info(v), _FAULTS),
+    "table_entry-family": (lambda v: families.table_entry(v, 2), _FAULTS),
+    "table_entry-n": (lambda v: families.table_entry("cf", v), _FAULTS),
+    "BoundKind": (lambda v: BoundKind(v), _FAULTS),
+    "Interval-lo": (lambda v: Interval(v, 1.0), ("0", None, [0])),
+    "Interval-hi": (lambda v: Interval(0.0, v), ("1", None, [1])),
+    "Interval.parse": (lambda v: Interval.parse(v), ("0-1", None, [0, 1], 2.0)),
+    "OracleConfig-working": (lambda v: OracleConfig(v), _FAULTS),
+    "OracleConfig-report": (lambda v: OracleConfig(report_digits=v), _FAULTS),
+    "oracle_arctan-cfg": (lambda v: arctancert.oracle_arctan(1.0, v), _NO_CONFIG),
+    "oracle_pi-cfg": (lambda v: arctancert.oracle_pi(v), _NO_CONFIG),
+    "sup_error-interval": (lambda v: sup_error(_CF, v, 65), _NO_INTERVAL),
+    "sup_error-grid": (lambda v: sup_error(_CF, _UNIT, v), _FAULTS),
+    "sup_error-cfg": (lambda v: sup_error(_CF, _UNIT, 65, cfg=v), _NO_CONFIG),
+    "certify_bound-kind": (lambda v: certify_bound(_CF, v, _UNIT, 65), _FAULTS),
+    "certify_bound-interval": (lambda v: certify_bound(_CF, "upper", v, 65), _NO_INTERVAL),
+    "certify_bound-grid": (lambda v: certify_bound(_CF, "upper", _UNIT, v), _FAULTS),
+    "certify_bound-cfg": (lambda v: certify_bound(_CF, "upper", _UNIT, 65, cfg=v), _NO_CONFIG),
+    "norm_transfer_check-grid": (lambda v: norm_transfer_check(lagrange_p, 0.5, v), _FAULTS),
+    "norm_transfer_check-cfg": (lambda v: norm_transfer_check(lagrange_p, 0.5, 65, cfg=v), _NO_CONFIG),
+    "a_n": (lambda v: master.a_n(v, 0.5), _FAULTS),
+    "master_bounds": (lambda v: master.master_bounds(v, 1.0), _FAULTS),
+    "master_params": (lambda v: master.master_params(v), _FAULTS),
+    "gn_eval": (lambda v: master.gn_eval(v, 1.0), _FAULTS),
+    "pn_coefficients": (lambda v: master.pn_coefficients(v), _FAULTS),
+    "elementary_symmetric": (lambda v: master.elementary_symmetric(v), _FAULTS),
+    "denominator_product": (lambda v: master.denominator_product(v), _FAULTS),
+    "cheb_coefficients": (lambda v: series.cheb_coefficients(v), _FAULTS),
+    "cheb_arctan-n": (lambda v: series.cheb_arctan(v, 0.5), _FAULTS),
+    "cheb_arctan-m": (lambda v: series.cheb_arctan(3, 0.5, v), ("2", None, [0.5])),
+    "cf_arctan": (lambda v: series.cf_arctan(v, 0.5), _FAULTS),
+    "taylor1_s": (lambda v: series.taylor1_s(v, 0.5), _FAULTS),
+    "taylor1_t": (lambda v: series.taylor1_t(v, 0.5), _FAULTS),
+    "blend_w": (lambda v: series.blend_w(v, 0.5), _FAULTS),
+    "machin_pi_fraction": (lambda v: series.machin_pi_fraction(v), _FAULTS),
+    "machin_pi-terms": (lambda v: series.machin_pi(v), _FAULTS),
+    "machin_pi-dps": (lambda v: series.machin_pi(5, dps=v), _FAULTS),
+}
+
+
+@pytest.mark.parametrize("name", list(_ARGUMENTS))
+def test_an_argument_of_the_wrong_type_raises_value_error(name):
+    # refused by the entry's own check, before any cache hashes the value: not a TypeError
+    # (unhashable type) or an AttributeError from the code behind the check
+    call, faults = _ARGUMENTS[name]
+    for v in faults:
+        with pytest.raises(ValueError):
+            call(v)

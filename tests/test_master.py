@@ -282,7 +282,7 @@ def test_cached_coefficients_give_the_per_call_products_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
 def test_master_side_evaluator_matches_the_pair_bit_for_bit(n):
-    # Approximant("master", n, side) forms its side alone (master.master_side); it must equal
+    # Approximant("master", n, side) forms its side alone (master._master_side); it must equal
     # the pair's field exactly, at float and at 50-digit mpf
     rng = random.Random(f"master side {n}")
     xs = [0.0, 5e-324, 1.0, 1e150, 1.7e308] + [10 ** rng.uniform(-300, 300) for _ in range(12)]

@@ -148,6 +148,17 @@ def test_cheb_scaled_domain():
         with pytest.raises(ValueError):
             cheb_arctan(3, x, 2.0)
 
+@pytest.mark.parametrize("first", ["fraction", "float"])
+def test_a_scale_of_any_type_answers_alike_whatever_came_first(first):
+    # a Fraction scale, which the mpf row cannot divide, and the float it equals share one cache
+    # key; each answers the same on a cold cache, whichever of them asks first
+    _coefficients.cache_clear()
+    scales = {"fraction": Fraction(1, 2), "float": 0.5}
+    order = [first] + [k for k in scales if k != first]
+    for x in (0.5, mp.mpf(0.5)):
+        got = [cheb_arctan(3, x, scales[k]) for k in order]
+        assert got[0] == got[1] and type(got[0]) is type(x)
+
 def test_scaled_coefficient_cache_stays_bounded():
     # the cache is keyed by the caller's m, so a sweep of distinct scales fills it to its
     # bound and no further, and every value is still the expansion of arctan(m*x)
