@@ -14,14 +14,13 @@ or I/O error.
 from __future__ import annotations
 
 import argparse
-import heapq
 import math
 import sys
-from itertools import repeat
 
 from mpmath import mp
 
 from .families import Approximant, FAMILIES, family_info, list_rows, table_entry
+from .master import MAX_ORDER
 from .numerics import LONG_TEXT, require_int, shown
 from .series import cheb_arctan, machin_pi
 from .verify import (
@@ -173,11 +172,11 @@ def cmd_certify(args) -> int:
     return 0 if all(r.satisfied for r in reports) else 1
 
 
-def _parse_family_specs(text: str):
+def _parse_family_specs(text: str) -> list:
     # the (ident, n) rows of a --families value, each item checked here, in the table's order: by
-    # family, then order, duplicates kept. Each range, yielded lazily and never expanded whole, is
-    # sorted already, so merging the items' runs sorts them
-    runs = []
+    # family, then order, duplicates kept. Each range's ends are checked against an Approximant's
+    # orders, n_min..MAX_ORDER, so a bad order is refused before any row runs
+    rows = []
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -187,7 +186,7 @@ def _parse_family_specs(text: str):
         if not sep:
             if info.needs_n:
                 raise ValueError(f"family {ident!r} needs an order: use {ident}:a..b")
-            runs.append([(ident, None)])
+            rows.append((ident, None))
             continue
         if not info.needs_n:
             raise ValueError(f"family {ident!r} does not take an order range")
@@ -199,10 +198,12 @@ def _parse_family_specs(text: str):
             raise ValueError(f"bad order range {shown(rng)} in {shown(item)}") from None
         if b < a:
             raise ValueError(f"empty order range {shown(rng)}")
-        runs.append(zip(repeat(ident), range(a, b + 1)))
-    if not runs:
+        for end in (a, b):
+            require_int(end, f"n of family {ident!r}", info.n_min, MAX_ORDER)
+        rows += ((ident, n) for n in range(a, b + 1))
+    if not rows:
         raise ValueError("no families given")
-    return heapq.merge(*runs, key=lambda s: (s[0], -1 if s[1] is None else s[1]))
+    return sorted(rows)  # a family's rows all have an order, or all None
 
 
 def _csv_row(ident: str, n, r: ErrorReport) -> str:

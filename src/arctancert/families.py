@@ -36,7 +36,8 @@ class FamilyInfo(NamedTuple):
     (``fixedpoint.direct_fixed``), at x itself for a pair, at the lift's u where
     claim_interval is 0:inf and at u = x where it is 0:1. claim_interval is
     the text of the interval the claims apply to; Approximant parses it once,
-    at construction.
+    at construction. A row that needs_n takes every order from n_min to
+    MAX_ORDER, master's range, and no other.
     slope maps n to a proved bound on |dE/dx| over the row's domain, E = f -
     arctan, which lets the scan stop a golden-section search that cannot beat
     its best value; it is None where a row has none. monotone is a proved
@@ -75,13 +76,6 @@ def _cheb_slope(n: int) -> float:
     # with r, so S at the rational R = 0.4142136 > r, exact, and rounded up to a double bounds
     # it. cheb-lifted takes the same S in x: E(x) = 2E_cheb(u) with du/dx = (1 - u^2)^2/(2(1 +
     # u^2)) <= 1/2 at the lift's u = x/(1 + sqrt(1 + x^2)).
-    # From n = 426 the exact sum rounds to 0.0, so the bound is the least subnormal, taken
-    # without the sum, whose cost grows with n. S falls with n: writing S = 2r q^j A(j),
-    # A(j+1)/A(j) <= 1 + 2/(2j + 1) <= 3, so S(n+1)/S(n) <= 3q < 1. At n = 426, q < 0.17158 <
-    # 2^-2.543 gives q^427 < 2^-1085.8, and 2r < 0.83 with A(427) < 1033 gives S < 857.4 *
-    # 2^-1085.8 < 2^-1076, below 2^-1075, half the least subnormal.
-    if n >= 426:
-        return math.ulp(0.0)
     r = Fraction(4142136, 10**7)
     q, j = r * r, n + 1
     s = 2 * r * q**j * ((2 * j + 1) / (1 - q) + 2 * q / (1 - q) ** 2)
@@ -172,10 +166,10 @@ class Approximant(Frozen):
 
     Pair families (sf, t2, master) need a side. The evaluator (kernel, order
     and lift) is bound once, at construction; master's computes its side alone
-    (master._master_side) from master_params(n), which refuses an order past
-    MAX_ORDER there. Every approximant targets arctan x; cheb's expansion of
-    arctan(m*x) is series.cheb_arctan(n, x, m). Approximants compare and hash
-    by family, n and side, and every attribute is read-only.
+    (master._master_side) from master_params(n). Every row refuses an order
+    outside n_min..MAX_ORDER first. Every approximant targets arctan x; cheb's
+    expansion of arctan(m*x) is series.cheb_arctan(n, x, m). Approximants
+    compare and hash by family, n and side, and every attribute is read-only.
 
     The registry row's facts at this order are bound at construction too:
     label, the family with its order and side; claim, the registry's uniform
@@ -186,13 +180,12 @@ class Approximant(Frozen):
 
     rough_error(x) is the float rule of the certification scan's float tier
     (see ``verify``): for sf, t2 and master their error series summed in float
-    (``master.master_error``), None for t, and for every other row the
+    (``master._master_error``), None for t, and for every other row the
     K-ulp rule (ulp_rule). It returns the rule's own (e, b) or raises.
     fixed_error(x, w) is the fixed-point tier's rule, in integers scaled by
     2^w, returning (m, err) in units of 2^-w: for every row, its integer
     kernel less the oracle's fixed arctan (``fixedpoint.direct_fixed``), at the
-    argument its domain implies. Every row has it up to
-    MAX_ORDER; past it both hooks are None.
+    argument its domain implies. Every row has it at every order it takes.
     """
 
     __slots__ = ("family", "n", "side", "label", "claim", "slope", "monotone", "claim_interval",
@@ -201,9 +194,8 @@ class Approximant(Frozen):
 
     def __init__(self, family: str, n: Optional[int] = None, side: Optional[str] = None):
         info = family_info(family)
-        if info.needs_n:
-            # an order counts terms, so it fits an index; the claims' powers (4.0**-n) take no n past 1e308
-            require_int(n, f"n of family {family!r}", info.n_min)
+        if info.needs_n:  # every row's order range is master's: n_min..MAX_ORDER
+            require_int(n, f"n of family {family!r}", info.n_min, master.MAX_ORDER)
         elif n is not None:
             raise ValueError(f"family {family!r} does not take n")
         if info.kind is BoundKind.TWO_SIDED:
@@ -225,14 +217,12 @@ class Approximant(Frozen):
         if info.kernel is master.master_bounds:  # master's evaluator forms its side alone
             fn, pick = partial(master._master_side, master.master_params(n), side == "upper"), None
         self._eval, self._pick = fn, pick
-        # rough_error and fixed_error at this order, side and lift; None past MAX_ORDER
-        if (n or 0) > master.MAX_ORDER:
-            self.rough_error = self.fixed_error = None
-        elif info.kind is BoundKind.TWO_SIDED:
+        # rough_error and fixed_error at this order, side and lift
+        if info.kind is BoundKind.TWO_SIDED:
             order = info.pair_order or n
             args = order, side == master.constant_side(order)
-            self.rough_error = partial(master.master_error, *args)
-            constants = partial(master.master_constants, *args)  # fixedpoint.master_kernel's, bound to this side
+            self.rough_error = partial(master._master_error, *args)
+            constants = partial(master._master_constants, *args)  # fixedpoint.master_kernel's, bound to this side
             self.fixed_error = partial(fixedpoint.direct_fixed, info.fixed, None, constants)
         else:
             # the K-ulp rule reads the evaluator itself, so a float value skips __call__

@@ -42,7 +42,7 @@ from mpmath.libmp import from_man_exp, pi_fixed, round_nearest
 
 from .numerics import require_nonnegative, require_unit
 
-MAX_ORDER = 16  # the highest order of the rows with an order, and of both tiers' rules
+MAX_ORDER = 16  # every row with an order takes n_min..MAX_ORDER, and both tiers' rules hold over it
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
 _FINE = 2**13  # and what is left against the fine points j/_FINE, j = 0.._CENTRES
@@ -268,7 +268,7 @@ def direct_fixed(kernel, lift, n, x: float, w: int):
 def master_kernel(constants, x: float, w: int):
     """master.master_bounds' side k*D*a_n(x) of one order-n pair, x >= 0 exact.
 
-    constants(big), master.master_constants bound to the order and side, gives k*D at
+    constants(big), master._master_constants bound to the order and side, gives k*D at
     scale 2^big and the integers (-1)^(n-j) e_j 2^j; k is g_n(pi/2) on the constant
     side, else 1, its distance from g_n(pi/2) the mpf term's (verify._mpf_term_bits).
     """

@@ -21,7 +21,7 @@ digits, 50 up to order 7 and 173 at order 16, which leaves at least 30
 significant digits in k_high - k_low at every order.
 
 The pairs' rules for the certification scan (``verify``) close the module:
-master_constants gives fixedpoint.master_kernel its constants, and master_error
+_master_constants gives fixedpoint.master_kernel its constants; _master_error
 sums E = f - arctan x in float as (e, b), b bounding the float sum's distance
 from E. D*a_n(x) = theta/g_n(theta), theta = arctan x, so with S = 1 -
 g_n(theta) = sum_{m>n} b_m p_n(4^-m) theta^(2m), b_m = 2^(2m)|B_2m|/(2m)! (the
@@ -310,7 +310,7 @@ def _tangent_numbers(top: int) -> tuple:
     return tuple(t)
 
 
-def master_error(n: int, on_constant: bool, x: float):
+def _master_error(n: int, on_constant: bool, x: float):
     """(e, b) for a side of the order-n pair, from theta = math.atan(x): the side whose
     constant is g_n(pi/2) if on_constant, else the side whose constant is 1."""
     # With t = (theta/(pi/2))^2, S(theta) = sum_{m>n} c_m t^m, and S(theta) - S(pi/2) =
@@ -354,7 +354,7 @@ def master_error(n: int, on_constant: bool, x: float):
 
 
 @lru_cache(maxsize=None)
-def master_constants(n: int, on_constant: bool, big: int) -> tuple:
+def _master_constants(n: int, on_constant: bool, big: int) -> tuple:
     # fixedpoint.master_kernel's constants(big) once bound to the order-n pair's side: k*D at
     # scale 2^big, k = g_n(pi/2) floored there on the constant side, else 1, and the integers
     # (-1)^(n-j) e_j 2^j

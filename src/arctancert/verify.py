@@ -28,14 +28,14 @@ family's float rule; it takes arctan x from math.atan(x), tested to lie
 within one ulp of it, and returns (e, b): e approximates E = f(x) - arctan x,
 and b bounds the float computation's distance from E. ``families.Approximant``
 has two rules. The tail rule, for sf, t2 and master, sums master's error
-series in float (``master.master_error``), so b is relative to E: the float
+series in float (``master._master_error``), so b is relative to E: the float
 sum's own error with the truncated rest of the series, and the effect of
 rounding arctan x to float. The K-ulp rule, for t4, lagrange, t5, cheb, cf,
 s, w and the lifted cheb, cf and w, takes e = f(x) - math.atan(x) with b =
 K*ulp(arctan x), K = 64 (``families.FLOAT_ULPS``); it rests on the float
 kernel lying within K/4 ulp of arctan x of the 50-digit value. t, whose float
-kernel errs by ulps of pi/4, has no float rule, and past order 16 no row has
-one: there the hook is None.
+kernel errs by ulps of pi/4, has no float rule: its hook is None. No row
+takes an order past 16, so t and a plain callable are the only ones without.
 
 Every approximant also has a ``fixed_error(x, w)`` hook, the row's one
 fixed-point rule (``fixedpoint``, where the rule and its bounds are stated),

@@ -107,6 +107,10 @@ def test_eval_usage_errors(capsys):
     # the kernel names a bad m before the oracle is asked for arctan(m*x)
     code, out, err = run(capsys, "eval", "--family", "cheb", "--n", "3", "--x", "0.5", "--param", "m=nan")
     assert (code, out, err) == (2, "", "error: m must be finite, got nan\n")
+    # every row's orders are master's, n_min..16: an order past them is refused before any kernel runs
+    for ident, n, lo in (("cf", "17", 1), ("cheb", "17", 0), ("cf", "1000000000", 1)):
+        code, out, err = run(capsys, "eval", "--family", ident, "--n", n, "--x", "0.5")
+        assert (code, out, err) == (2, "", f"error: n of family '{ident}' must be an integer in [{lo}, 16], got {n}\n")
 
 
 def test_eval_refuses_a_float_past_the_kernel_range(capsys):
@@ -224,6 +228,10 @@ def test_certify_usage_errors(capsys, monkeypatch):
     assert run(capsys, "certify", "--family", "t5", "--interval", "0:1e400", "--grid", "65")[0] == 2
     # an order past any index, whose claim has no float, rather than an OverflowError
     assert run(capsys, "certify", "--family", "cf", "--n", str(10**400), "--interval", "0:1", "--grid", "65")[0] == 2
+    # and an order past MAX_ORDER = 16, which every row refuses as master does, before any scan
+    for ident, n, lo in (("cf", "17", 1), ("cheb", "17", 0), ("cf", "1000000000", 1)):
+        code, out, err = run(capsys, "certify", "--family", ident, "--n", n, "--interval", "0:1", "--grid", "65")
+        assert (code, out, err) == (2, "", f"error: n of family '{ident}' must be an integer in [{lo}, 16], got {n}\n")
     # so are working digits past sys.maxsize, which dps_to_prec's float would overflow
     monkeypatch.setenv("ARCTAN_CERT_DIGITS", str(10**400))
     assert run(capsys, "certify", "--family", "cf", "--n", "3", "--interval", "0:1", "--grid", "65")[0] == 2
@@ -327,6 +335,10 @@ def test_table_usage_errors(tmp_path, capsys):
     assert run(capsys, "table", "--families", "sf:1..2", "--grid", "129")[0] == 2
     assert run(capsys, "table", "--families", "cf:a..b", "--grid", "129")[0] == 2
     assert run(capsys, "table", "--families", "cf:3..1", "--grid", "129")[0] == 2
+    # a range past MAX_ORDER is refused whole, before its first row runs
+    for spec, bad in (("cheb:0..17", "'cheb' must be an integer in [0, 16], got 17"),
+                      ("cf:1..999999999999", "'cf' must be an integer in [1, 16], got 999999999999")):
+        assert run(capsys, "table", "--families", spec, "--grid", "129") == (2, "", f"error: n of family {bad}\n")
     code, _, err = run(capsys, "table", "--families", "nosuch", "--grid", "129")
     assert code == 2 and "unknown family 'nosuch'; see the 'list' command" in err
     code, _, err = run(
@@ -337,16 +349,18 @@ def test_table_usage_errors(tmp_path, capsys):
     assert code == 2 and "error" in err
 
 
-def test_an_order_range_is_never_expanded_whole():
-    # the rows of a 12-digit range come one at a time: taking the first allocates a few KB,
-    # where a list of the range would exhaust memory
+def test_an_order_range_is_never_expanded_whole(capsys):
+    # a 12-digit range is refused by its ends, past MAX_ORDER, allocating a few KB where a list
+    # of the range would exhaust memory; the table command refuses it before any row runs
     tracemalloc.start()
     try:
-        first = next(cli._parse_family_specs("sf,cf:1..999999999999,t4"))
+        with pytest.raises(ValueError, match=r"^n of family 'cf' must be an integer in \[1, 16\], got 999999999999$"):
+            cli._parse_family_specs("sf,cf:1..999999999999,t4")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == ("cf", 1) and peak < 8_000, peak
+    assert peak < 8_000, peak
+    assert run(capsys, "table", "--families", "sf,cf:1..999999999999,t4", "--grid", "65")[:2] == (2, "")
 
 
 def test_family_specs_come_in_the_tables_row_order():
@@ -354,7 +368,7 @@ def test_family_specs_come_in_the_tables_row_order():
     text = "w:3..5,cf:2..4,sf,w:0..3, cf:3,t4,sf,cheb:2"
     want = [("cf", 2), ("cf", 3), ("cf", 3), ("cf", 4), ("cheb", 2), ("sf", None), ("sf", None), ("t4", None),
             ("w", 0), ("w", 1), ("w", 2), ("w", 3), ("w", 3), ("w", 4), ("w", 5)]
-    assert list(cli._parse_family_specs(text)) == want
+    assert cli._parse_family_specs(text) == want
 
 
 def test_pi_command(capsys):

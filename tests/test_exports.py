@@ -152,7 +152,7 @@ def test_modules_import_only_below_themselves():
 
 
 def test_the_master_pairs_rules_have_no_module_of_their_own():
-    # master_error and master_constants live in master, beside the pair they serve
+    # _master_error and _master_constants live in master, beside the pair they serve
     with pytest.raises(ModuleNotFoundError):
         import arctancert.tails  # noqa: F401
 
@@ -231,7 +231,7 @@ _NO_INTERVAL = ("0:1", None, [0.0, 1.0], (0.0, 1.0), 2.0)
 
 # every public entry's arguments that are no point (orders, terms, digits, grid points, family
 # names, sides, kinds, intervals, configs), each called with the faults that argument refuses;
-# the scan's own hooks (master.master_error, master.master_constants) take what an Approximant binds
+# the scan's own hooks (master._master_error, master._master_constants) take what an Approximant binds
 _ARGUMENTS = {
     "Approximant-family": (lambda v: Approximant(v), _FAULTS),
     "Approximant-n": (lambda v: Approximant("cf", n=v), _FAULTS),

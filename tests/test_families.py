@@ -49,7 +49,7 @@ _ROWS = [
 ]
 # the rows on the K-ulp rule, whose budgets rest on their float value lying within K/4 ulp
 # of arctan x of the mpf value: all but t (no float rule, see series.taylor1_t) and the
-# pairs sf, t2 and master (their error series in float, master.master_error)
+# pairs sf, t2 and master (their error series in float, master._master_error)
 BUDGETED = [ap for ap in _ROWS if getattr(ap.rough_error, "func", None) is ulp_rule]
 # the pairs' sides, whose budgets rest on no such premise (tests/test_tails.py checks them
 # over every double); their float values are held to K/4 ulp on [1e-150, 1e150] alone,
@@ -103,12 +103,13 @@ def test_float_within_a_quarter_budget_of_mpf_at_zero():
 
 def test_only_unbudgeted_rows_are_t_and_high_orders():
     # t has no float rule, so the fixed-point tier decides each of its points; an order
-    # past MAX_ORDER has no rule at all
+    # past MAX_ORDER is refused, so every row but t has both rules at every order it takes
     ap = Approximant("t", n=3)
     assert ap.rough_error is None and ap.fixed_error is not None
-    assert Approximant("cf", n=MAX_ORDER + 1).rough_error is None
-    assert Approximant("cf", n=MAX_ORDER + 1).fixed_error is None
-    assert Approximant("cheb", n=MAX_ORDER + 1).rough_error is None
+    assert all(ap.fixed_error is not None and (ap.rough_error is None) == (ap.family == "t") for ap in _ROWS)
+    for ident in ("cf", "cheb"):
+        with pytest.raises(ValueError, match=rf"^n of family '{ident}' must be an integer in \[\d, 16\], got 17$"):
+            Approximant(ident, n=MAX_ORDER + 1)
     # t_n is pi/4 minus a row close to pi/4: near u = 0 its float value errs by
     # ulps of pi/4, far more than FLOAT_ULPS ulps of arctan u, so t takes no K-ulp rule
     with mp.workdps(50):
@@ -125,7 +126,7 @@ def test_only_these_rows_keep_a_float_tail():
     # need no tail: w's |E| lies under the mpf term 2^-149 over much of [0, 1], but the
     # scan compares such tiny enclosures only where a decision needs them
     rules = {ap.family: getattr(ap.rough_error, "func", None) for ap in INSTANCES}
-    assert {ident for ident, rule in rules.items() if rule is master.master_error} == {"sf", "t2", "master"}
+    assert {ident for ident, rule in rules.items() if rule is master._master_error} == {"sf", "t2", "master"}
     assert {ident for ident, rule in rules.items() if rule is not ulp_rule} == {"sf", "t2", "master", "t"}
     # so the K/4 premise test holds the 119 cases of the ten K-ulp rows over every double,
     # and the 36 pair sides on their own range
@@ -160,17 +161,13 @@ def test_claim_needs_a_valid_order(ident):
 @pytest.mark.parametrize("ident", sorted(ident for ident, info in FAMILIES.items() if info.needs_n))
 def test_an_order_past_any_index_raises_value_error(ident):
     # the claims' float powers (4.0**-n, (1 + sqrt2)**-(2n + 3), ...) raise OverflowError at
-    # n = 10**400, so construction rejects every order past sys.maxsize before binding a claim.
-    # Nothing is evaluated at these orders
-    side = "lower" if FAMILIES[ident].kind is BoundKind.TWO_SIDED else None
-    for bad in (10**400, sys.maxsize + 1):
-        with pytest.raises(ValueError, match=f"n of family '{ident}'"):
+    # n = 10**400, so construction rejects every order past MAX_ORDER before binding a claim,
+    # every row as master does. Nothing is evaluated at these orders
+    info = FAMILIES[ident]
+    side = "lower" if info.kind is BoundKind.TWO_SIDED else None
+    for bad in (10**400, sys.maxsize + 1, sys.maxsize, MAX_ORDER + 1):
+        with pytest.raises(ValueError, match=rf"^n of family '{ident}' must be an integer in \[{info.n_min}, 16\]"):
             Approximant(ident, n=bad, side=side)
-    if ident == "master":  # master's evaluator binds master_params(n), which refuses n past MAX_ORDER
-        with pytest.raises(ValueError, match=r"order n must be an integer in \[1, 16\]"):
-            Approximant(ident, n=sys.maxsize, side=side)
-    else:
-        assert Approximant(ident, n=sys.maxsize, side=side).n == sys.maxsize
 
 
 def test_row_facts_are_bound_at_construction(monkeypatch):
@@ -204,12 +201,9 @@ def _cheb_slope_sum(n):
 
 
 def test_cheb_slope_is_its_exact_sum_at_every_order():
-    # from n = 426 the sum rounds to 0.0 and the bound is the least subnormal, taken
-    # without the sum, so a high order binds its slope at no cost
+    # from n = 426 the sum rounds to 0.0, and the bound up from it is the least subnormal
     assert all(families._cheb_slope(n) == _cheb_slope_sum(n) for n in range(601))
     assert families._cheb_slope(425) == 1e-323 and families._cheb_slope(426) == 5e-324
-    ap = Approximant("cheb-lifted", n=10**4)
-    assert ap.slope == 5e-324 and ap.rough_error is None
 
 
 # the rows with a bound S on |E'|: cheb 0..16, cheb-lifted 1..16, lagrange and t5
