@@ -12,7 +12,7 @@ mpmath context; atan_rounded rounds it once, within one unit in the last place.
 
 The scan's fixed-point tier has one rule for every row, direct_fixed: the row's
 kernel at scale 2^w, at x itself, at u = x on [0, 1] or at the lift's u, less
-atan_fixed, the oracle's arctan before its rounding, within 1.01 units of 2^-w.
+atan_fixed, the oracle's reduction floored to 2^-w, within 1.01 units of it.
 The kernels are master's nested radicals (sf and t2 too), t4 and lagrange in
 closed form (t5 is lagrange at the lift's u), cheb's Clenshaw sum, cf's backward
 recurrence (Cuyt et al., Handbook of Continued Fractions for Special Functions,
@@ -46,7 +46,6 @@ MAX_ORDER = 16  # every row with an order takes n_min..MAX_ORDER, and both tiers
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
 _CENTRES = 2**6  # the oracle reduces against the centres k/_CENTRES, k = 0.._CENTRES
 _FINE = 2**13  # and what is left against the fine points j/_FINE, j = 0.._CENTRES
-_ANCHOR_BITS = 20  # mantissa bits of the anchor that atan_fixed reduces x against (z < 2^-19)
 _MASTER_GUARD = 16  # bits master_kernel carries beyond w
 
 
@@ -110,51 +109,30 @@ def _oracle_bits(prec: int) -> int:
 
 
 def atan_fixed(x, w: int) -> int:
-    # arctan of x >= 0 scaled by 2^w, within 1.01 units, from a sum at wp = w + 40 bits.
-    # x = m*2^e is split at its anchor x0 = m0*2^e <= x, m0 the top _ANCHOR_BITS bits of m:
-    # arctan x = arctan x0 + arctan z with z = (x - x0)/(1 + x*x0), both terms >= 0. The
-    # anchor (_anchor) lies within three centre values' errors, one fine value's and 8 units.
-    # m - m0 < 2^-19*m puts x - x0 below 2^-19*x and z below 2^-19*x/(1 + x^2/2) < 2^-19, so
-    # _atan_small sums about wp/38 terms. z is formed exactly from the two ratios and floored
-    # (one unit, which moves arctan z by at most one); the series adds its final floor, and
-    # its terms' floors, under 2 units each, scaled by z, under wp/2^22 + 2^-12. The sum errs
-    # by under 793 + 0.51*wp units of 2^-wp at any wp (_table), so by under 0.01 units of 2^-w
-    # for w below 2^34 once shifted down, and the shift floors one more.
+    # arctan of x >= 0 scaled by 2^w, within 1.01 units: the oracle's reduction (_atan_reduced)
+    # at its working width wp = w + 40, floored where atan_rounded rounds. At any x > 0 and wp
+    # it errs by under 793 + 0.51*wp units of 2^-wp (its three centre values and one fine
+    # value, _table, and 8), so by under 0.01 units of 2^-w for w below 2^34 once shifted
+    # down, and the shift floors one more.
     man, exp = _parts(x)
     if not man:
         return 0
-    wp = w + 40
-    cut = max(0, man.bit_length() - _ANCHOR_BITS)
-    m0 = man >> cut << cut
-    t = _anchor(m0 >> cut, exp + cut, wp)
-    if m0 != man:
-        if exp >= 0:
-            z = ((man - m0) << (wp + exp)) // (1 + (man * m0 << 2 * exp))
-        else:
-            z = ((man - m0) << (wp - exp)) // ((1 << -2 * exp) + man * m0)
-        t += _atan_small(z, wp)
-    return t >> 40
-
-
-@lru_cache(maxsize=1 << 12)
-def _anchor(man: int, exp: int, wp: int) -> int:
-    # arctan x0 scaled by 2^wp for the anchor x0 = man*2^exp > 0, cached, since a search's
-    # probes share anchors: for x0 <= 1/N, N = _CENTRES, the series at x0*2^wp, floored,
-    # within a few units; above, _atan_reduced, within 3*2^9 + 2^8 + 8.
-    if man * _CENTRES << max(0, exp) <= 1 << max(0, -exp):  # x0*N <= 1, exactly
-        return _atan_small(_shift(man, exp + wp), wp)
-    return _atan_reduced(man, exp, man << max(0, exp) > 1 << max(0, -exp), wp)
+    wp = _oracle_bits(w)
+    return _atan_reduced(man, exp, x > 1, wp) >> (wp - w)
 
 
 def _atan_reduced(man: int, exp: int, above: bool, wp: int) -> int:
-    # arctan x scaled by 2^wp for x = man*2^exp > 1/N, N = _CENTRES, above telling x > 1.
-    # y = x, or y = 1/x reflected through pi/2 = 2*T_N, is reduced twice by one step against
-    # the nearest point c = k/n of a table: arctan y = T_k + arctan z, z = (y - c)/(1 + y*c),
+    # arctan x scaled by 2^wp for x = man*2^exp > 0, above telling x > 1. y = x, or y = 1/x
+    # reflected through pi/2 = 2*T_N, N = _CENTRES, is reduced twice by one step against the
+    # nearest point c = k/n of a table: arctan y = T_k + arctan z, z = (y - c)/(1 + y*c),
     # |z| <= |y - c| <= 1/(2n). The centres (n = N) leave |z| <= 2^-7, the fine points j/2^13
     # then |z| <= 2^-14, so the series sums about wp/28 terms. An exact point ends it, so
-    # x = 1, for pi, needs no fine table. At most three centre values enter, each within 2^9
-    # units (_table), and one fine value within 2^8; the floors of y, of both quotients and
-    # of the series add under 8, so the result lies within 3*2^9 + 2^8 + 8 < 2^11.
+    # x = 1, for pi, needs no fine table, and a y floored to 0 gives T_0 = 0. Small x needs no
+    # case of its own: below c = 1/(2n) a step picks k = 0, adds T_0 = 0 and leaves y as it
+    # was, its quotient exact, so at x <= 1/N the series too runs at |z| <= 2^-14. At most
+    # three centre values enter, each within 2^9 units (_table), and one fine value within
+    # 2^8; the floors of y, of both quotients and of the series add under 8, so the result
+    # lies within 3*2^9 + 2^8 + 8 < 2^11.
     one = 1 << wp
     if above:
         y = (1 << (wp - exp)) // man if wp >= exp else 0

@@ -155,13 +155,15 @@ def test_oracle_within_one_ulp_everywhere(x, digits):
     assert _ulps_off(oracle_arctan(x, cfg), x, digits) <= 1
 
 
-def _anchored_points():
-    # 0, the smallest subnormal, 1e-300, 1/64 and 1 with their neighbouring doubles, the top
-    # of the float range, mantissas whose low 33 bits are all 0, all 1, or 2^32, and, at the
-    # fine seams of a few centres and at their reciprocals, the two 20-bit anchors either
-    # side of the seam, each bare and with its low 33 bits all 1
-    pts = [0.0, 5e-324, 1e-300, 1.7e308, 1 / 64, 1.0]
-    pts += [math.nextafter(c, to) for c in (1 / 64, 1.0) for to in (0.0, math.inf)]
+def _fixed_points():
+    # 0, the smallest subnormal, 1e-300, the top of the float range, and, each with its
+    # neighbouring doubles, 1 and 2^-14, 2^-13, 1/128 and 1/64, where a step of the reduction
+    # meets point 0; mantissas whose low 33 bits are all 0, all 1, or 2^32; at the fine seams
+    # of a few centres and at their reciprocals, the doubles whose top 20 mantissa bits lie
+    # either side of the seam, each with its low 33 bits all 0 and all 1; and the reduction's
+    # seams (_EDGE_POINTS)
+    pts = [0.0, 5e-324, 1e-300, 1.7e308]
+    pts += [math.nextafter(c, to) for c in (1.0, 2.0**-14, 2.0**-13, 1 / 128, 1 / 64) for to in (0.0, c, math.inf)]
     for top in (0x80005, 0xFFFFF, 0xAAAAA):  # 20 bits, so each mantissa has 53
         for low in (0, 2**33 - 1, 2**32):
             pts += [math.ldexp(top << 33 | low, e) for e in (-1074, -600, -60, -52, -45, 0, 100, 970)]
@@ -170,38 +172,37 @@ def _anchored_points():
             m, e = math.frexp(seam)
             for top in (math.floor(m * 2**20), math.floor(m * 2**20) + 1):
                 pts += [math.ldexp(top << 33 | low, e - 53) for low in (0, 2**33 - 1)]
-    return pts
+    return pts + _EDGE_POINTS
 
 
-_WP_50 = fixedpoint._oracle_bits(dps_to_prec(50))  # the fixed arctan's bits at the scan's default precision
+# the scan calls atan_fixed at scale 2^169 at its default 50 digits, dps_to_prec(50);
+# _WP_50, 209 bits, is the oracle's working width for that scale, at which atan_fixed sums
+_WP_50 = fixedpoint._oracle_bits(dps_to_prec(50))
+_FIXED_SCALES = [150, dps_to_prec(50), _WP_50, 400, 1000]
 
 
-def _check_atan_fixed(x, wp):
-    # fixedpoint.atan_fixed within 1.01 units of 2^-wp of arctan x, against mpmath.atan 80
-    # bits deeper, with x's anchor cold and then cached
-    with mp.workprec(wp + 80):
-        ref = mp.ldexp(mp.atan(mp.mpf(x)), wp)
-    fixedpoint._anchor.cache_clear()
-    for hits in (0, 1):
-        got = fixedpoint.atan_fixed(x, wp)
-        assert fixedpoint._anchor.cache_info().hits == (hits if x else 0)
-        with mp.workprec(wp + 80):
-            assert abs(got - ref) <= 1.01, (x, wp, float(got - ref))
+def _check_atan_fixed(x, w):
+    # fixedpoint.atan_fixed within 1.01 units of 2^-w of arctan x, against mpmath.atan 80 bits
+    # deeper
+    got = fixedpoint.atan_fixed(x, w)
+    with mp.workprec(w + 80):
+        off = got - mp.ldexp(mp.atan(mp.mpf(x)), w)
+        assert abs(off) <= 1.01, (x, w, float(off))
 
 
-@pytest.mark.parametrize("wp", [150, _WP_50, 400, 1000])
-def test_fixed_arctan_lies_within_its_bound_at_edge_points(wp):
-    for x in _anchored_points():
-        _check_atan_fixed(x, wp)
+@pytest.mark.parametrize("w", _FIXED_SCALES)
+def test_fixed_arctan_lies_within_its_bound_at_edge_points(w):
+    for x in _fixed_points():
+        _check_atan_fixed(x, w)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     x=st.one_of(st.floats(0.0, 1.7976931348623157e308), st.floats(-324.0, 308.0).map(lambda t: 10.0**t)),
-    wp=st.sampled_from([150, _WP_50, 400, 1000]),
+    w=st.sampled_from(_FIXED_SCALES),
 )
-def test_fixed_arctan_lies_within_its_bound(x, wp):
-    _check_atan_fixed(x, wp)
+def test_fixed_arctan_lies_within_its_bound(x, w):
+    _check_atan_fixed(x, w)
 
 
 def _link_units(n, wp):
