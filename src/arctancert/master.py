@@ -136,7 +136,8 @@ def _a_n(n: int, x, c):
         ell += c.hypot(num, ell)
         terms.append(a * ell)
     den = c.fsum(terms)
-    assert den > 0, f"a_{n} denominator must be positive, got {den} at x={x}"
+    if not den > 0:
+        raise ValueError(f"a_{n} denominator must be positive, got {den} at x={x}")
     return num, den
 
 
@@ -187,15 +188,18 @@ def master_params(n: int) -> MasterParams:
     """Assemble and cache the order-n parameters.
 
     The parity rule (constant_side) is derived from the sign of p_n beyond its
-    roots and asserted here rather than assumed.
+    roots and checked here rather than assumed, as is the gap k_high - k_low <
+    4^-n; either failing raises ValueError, under python -O too.
     """
     with mp.workdps(_working_digits(n)):
         g_end = gn_eval(n, mp.pi / 2)
         one = mp.mpf(1)
         upper = constant_side(n) == "upper"
-        assert g_end > one if upper else g_end < one, f"expected g_{n}(pi/2) {'>' if upper else '<'} 1, got {g_end}"
+        if not (g_end > one if upper else g_end < one):
+            raise ValueError(f"expected g_{n}(pi/2) {'>' if upper else '<'} 1, got {g_end}")
         k_low, k_high = (one, g_end) if upper else (g_end, one)
-        assert k_high - k_low < mp.mpf(4) ** -n
+        if not k_high - k_low < mp.mpf(4) ** -n:
+            raise ValueError(f"expected k_high - k_low < 4^-{n}, got {k_high - k_low}")
         d = denominator_product(n)
         return MasterParams(
             n=n,

@@ -46,25 +46,25 @@ is about that term, so one scale serves master's |E| near 1e-17 and cheb's near
 1e-2.
 
 Both tiers have one guard each, _float_errors and _fixed_error, which decide
-when to trust a hook. They take a value at every double, where every rule is
-tested for every order up to 16 and every side (tests/test_tails.py), and none
-from a callable without the hook. The float guard takes a list of points: the
-scan hands it the whole grid once, and each golden-section probe is a list of
-one (_Errors.rough). The hook itself stays per point, so a plain callable can
-carry one, and a kernel keeps its own argument checks. Each grid is built once
-per process for its endpoints and size and kept in a small bounded cache
-(_sample_points). At 0 every float rule is exact. Where a hook raises
-ArithmeticError or ValueError, or e is not finite, the budget is infinite.
-Otherwise the float budget is B = b + 2^-k + ulp(e) and the fixed one
-B = 1.01*err + 2^-k, rounded up to whole units: ulp(e) covers the rounding of
-e, 1.01 the float arithmetic of err, and the mpf term 2^-k the mpf kernel's,
-the oracle's and master's constants' own error, so that B bounds the distance
-from the mpf value E (_mpf_term_bits: k = min(prec, 169) - 20, 149 at 50
-digits). A point the float tier decides costs no oracle evaluation, and one it
-takes no value at, as every point of t, has infinite float bounds, so that
-every pick settles it; a settled point that the fixed guard takes no value at,
-or gives an infinite budget, is evaluated at mpf, where a real failure raises
-again.
+when to trust a hook, and both give every point a value and a budget: the
+budget is infinite, with the value 0, where there is no value, because the
+callable lacks the hook, the hook raises ArithmeticError or ValueError, or e is
+not finite. Evaluations are counted only where the callable has the hook. Every
+rule takes a value at every double, where it is tested for every order up to 16
+and every side (tests/test_tails.py). The float guard takes a list of points:
+the scan hands it the whole grid once, and each golden-section probe is a list
+of one (_Errors.rough). The hook itself stays per point, so a plain callable
+can carry one, and a kernel keeps its own argument checks. Each grid is built
+once per process for its endpoints and size and kept in a small bounded cache
+(_sample_points). At 0 every float rule is exact. The float budget is
+B = b + 2^-k + ulp(e) and the fixed one B = 1.01*err + 2^-k, rounded up to
+whole units: ulp(e) covers the rounding of e, 1.01 the float arithmetic of err,
+and the mpf term 2^-k the mpf kernel's, the oracle's and master's constants'
+own error, so that B bounds the distance from the mpf value E (_mpf_term_bits:
+k = min(prec, 169) - 20, 149 at 50 digits). A point the float tier decides
+costs no oracle evaluation, and one with an infinite float budget, as every
+point of t, is settled by every pick; a settled point with an infinite fixed
+budget is evaluated at mpf, where a real failure raises again.
 
 Both certifications run one scan body with two settle rules. One pick on the
 float bounds settles every point a decision could rest on: for sup_error a
@@ -347,13 +347,13 @@ def _mpf_term_bits() -> int:
 
 def _float_errors(hook: Optional[Callable], xs, k: int) -> list:
     # the float tier's one guard (see the module docstring): for non-negative doubles xs,
-    # (e, B) at each from the rough_error hook with the mpf term 2^-k, or None where it
-    # makes no float evaluation. It takes every double: below 1e-150 e and E are a few
-    # times x at most, under 1e-149 and far below the mpf term 2^-k (k <= 149) that every
-    # B carries, and the K-ulp rule's premise is tested over every double
-    # (tests/test_families.py)
+    # (e, B) at each from the rough_error hook with the mpf term 2^-k, and (0.0, inf)
+    # where it takes no value, a missing hook included. It takes every double: below
+    # 1e-150 e and E are a few times x at most, under 1e-149 and far below the mpf term
+    # 2^-k (k <= 149) that every B carries, and the K-ulp rule's premise is tested over
+    # every double (tests/test_families.py)
     if hook is None:
-        return [None] * len(xs)
+        return [(0.0, math.inf)] * len(xs)
     term = math.ldexp(1.0, -k)
     out = []
     for x in xs:
@@ -371,9 +371,9 @@ def _float_errors(hook: Optional[Callable], xs, k: int) -> list:
 def _fixed_error(hook: Optional[Callable], x: float, w: int, k: int):
     # the fixed-point tier's one guard (see the module docstring): (m, B) from the
     # fixed_error hook at x and scale w with the mpf term 2^-k, both in units of 2^-w,
-    # B an integer, or None where it makes no fixed evaluation
+    # B an integer, and (0, inf) where it takes no value, a missing hook included
     if hook is None:
-        return None
+        return 0, math.inf
     try:
         m, b = hook(x, w)
         return m, math.ceil(b * 1.01) + (1 << max(0, w - k))
@@ -506,27 +506,20 @@ class _Errors:
         self.k, self.w = _mpf_term_bits(), mp.prec
 
     def bound_grid(self):
-        # the whole grid through the guard at once; a point it takes no value at has the
-        # bounds of rough()'s (0.0, inf)
+        # the whole grid through the guard at once; a point it takes no value at is unbounded
         rough, sign = _float_errors(self.hook, self.pts, self.k), self.sign
-        self.evals_float += len(rough) - rough.count(None)
-        self.lo = [-math.inf if r is None else sign * r[0] - r[1] for r in rough]
-        self.hi = [math.inf if r is None else sign * r[0] + r[1] for r in rough]
+        self.evals_float += len(rough) if self.hook is not None else 0
+        self.lo = [sign * e - b for e, b in rough]
+        self.hi = [sign * e + b for e, b in rough]
 
     def rough(self, x: float):
-        got = _float_errors(self.hook, (x,), self.k)[0]  # a search probe, a list of one
-        if got is None:
-            return 0.0, math.inf
-        self.evals_float += 1
-        e, b = got
+        e, b = _float_errors(self.hook, (x,), self.k)[0]  # a search probe, a list of one
+        self.evals_float += self.hook is not None
         return self.sign * e, b
 
     def fixed(self, x: float):
-        got = _fixed_error(self.fixed_hook, x, self.w, self.k)
-        if got is None:
-            return 0, math.inf
-        self.evals_fixed += 1
-        m, b = got
+        m, b = _fixed_error(self.fixed_hook, x, self.w, self.k)
+        self.evals_fixed += self.fixed_hook is not None
         return self.sign * m, b
 
     def exact(self, x: float):

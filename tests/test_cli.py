@@ -5,8 +5,9 @@ import tracemalloc
 
 import pytest
 
-from arctancert import cli
+from arctancert import cli, verify
 from arctancert.cli import CSV_HEADER, main
+from arctancert.verify import BoundKind
 
 
 def run(capsys, *argv):
@@ -327,6 +328,42 @@ def test_standard_table_evaluation_totals_at_grid_65(monkeypatch, capsys):
     names = ("evals_float", "evals_mpf", "search_mpf", "search_fixed", "refined", "settle_fixed", "pruned")
     totals = [sum(getattr(r, name) for r in reports) for name in names]
     assert totals == [4407, 0, 0, 1603, 92, 119, 51]
+
+
+def _report_text(r) -> str:
+    # every ErrorReport field, in order, as text that Python 3.10-3.12 all print alike:
+    # a float by float.hex, the interval by str, the kind by its value, the label, a
+    # count, satisfied and a missing claim by str
+    def text(v):
+        if isinstance(v, float):
+            return v.hex()
+        if isinstance(v, BoundKind):
+            return v.value
+        return str(v)
+
+    return ",".join(map(text, r)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "grid, digest",
+    [
+        (65, "013025a528e4a9c6cb7f8ab6caed1ca5b24e6a71a616d866db616143b3a028b5"),
+        (4097, "f3145c0c6f71e238137e312f417e86a6800703b00a4b0f501ed708e04bcfb3a0"),
+    ],
+)
+def test_standard_table_reports_unchanged(monkeypatch, grid, digest):
+    # every field of the 58 rows' reports, counts included, built as cmd_table builds them.
+    # oracle_cold counts the oracle's cache misses, so the cache starts empty, as in a new
+    # process
+    monkeypatch.delenv("ARCTAN_CERT_DIGITS", raising=False)
+    cfg = cli.default_config()
+    verify._oracle_cached.cache_clear()
+    text = ""
+    for ident, n in cli._parse_family_specs(STANDARD_TABLE):
+        approx, claim, kind = cli.table_entry(ident, n)
+        text += _report_text(cli._check(approx, claim, kind, approx.claim_interval, grid, cfg))
+    assert text.count("\n") == 58
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_table_usage_errors(tmp_path, capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from arctancert import master
 from arctancert.core import shafer_fink_bounds, theorem2_bounds
 from arctancert.families import Approximant
 from arctancert.master import (
@@ -172,6 +173,29 @@ def test_master_params_parity_and_gap(n):
         assert gap < mp.mpf(4) ** -n
         ref_gap = abs(_gn_end_reference(n) - 1)
         assert abs(gap - ref_gap) < ref_gap * mp.mpf(10) ** -20
+
+
+# master's own checks raise ValueError, which python -O keeps, where an assert would vanish
+def test_a_negative_denominator_raises_value_error(monkeypatch):
+    negated = {c: tuple(-a for a in master._signed_e(3, c)) for c in (FLOAT, MPF)}
+    monkeypatch.setattr(master, "_signed_e", lambda n, c: negated[c])
+    for c, x in ((FLOAT, 0.5), (MPF, mp.mpf(0.5))):
+        with pytest.raises(ValueError, match="a_3 denominator must be positive"):
+            master._a_n(3, x, c)
+
+
+@pytest.mark.parametrize(
+    "n, g_end, message",
+    [
+        (3, lambda n: mp.mpf(1), r"expected g_3\(pi/2\) > 1"),  # odd n: the constant must exceed 1
+        (4, lambda n: 1 - 2 * mp.mpf(4) ** -n, r"expected k_high - k_low < 4\^-4"),  # below 1, too far
+    ],
+    ids=["parity", "gap"],
+)
+def test_master_params_checks_raise_value_error(monkeypatch, n, g_end, message):
+    monkeypatch.setattr(master, "gn_eval", lambda n, theta: g_end(n))
+    with pytest.raises(ValueError, match=message):
+        master_params.__wrapped__(n)  # the uncached body
 
 
 def test_master_params_known_constants():

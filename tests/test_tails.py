@@ -68,7 +68,7 @@ def _check_budget(ap, x):
             exact = ap(mp.mpf(x)) - oracle_arctan(x, cfg)
             got = _float_errors(ap.rough_error, (x,), _mpf_term_bits())[0]  # the budget the scan uses
         if ap.rough_error is None:
-            assert got is None
+            assert got == (0.0, math.inf)
             continue
         e, b = got
         with mp.workdps(digits):

@@ -994,6 +994,55 @@ def test_callable_without_budget_is_evaluated_wholly_at_mpf(cfg):
     assert rep.evals_float == 0 and rep.evals_mpf == len(_sample_points(iv, 129))
 
 
+class _Raising:
+    """An approximant as a callable whose rough_error and fixed_error raise at every point."""
+
+    def __init__(self, ap):
+        self.ap, self.calls = ap, 0
+
+    def __call__(self, x):
+        return self.ap(x)
+
+    def rough_error(self, x):
+        self.calls += 1
+        raise ValueError("no float value")
+
+    def fixed_error(self, x, w):
+        raise ValueError("no fixed value")
+
+
+@pytest.mark.parametrize(
+    "ap, iv",
+    [
+        (Approximant("cheb", n=4), Interval(0.0, 1.0)),
+        (Approximant("sf", side="lower"), Interval(0.0, math.inf)),
+        (Approximant("t", n=2), Interval(0.0, 1.0)),
+    ],
+    ids=lambda v: str(v) if isinstance(v, Interval) else v.label,
+)
+def test_a_missing_hook_answers_as_a_raising_one(cfg, ap, iv):
+    # each guard gives (0, inf) for a hook that is missing and for one that raises, so the
+    # scan decides both alike, at mpf; only a hook it calls counts as an evaluation, so
+    # the raising copy's float and search fixed-point counts differ, and the oracle cache
+    # holds the first scan's values for the second
+    scans = [
+        lambda f: sup_error(f, iv, 65, cfg=cfg, claimed_bound=ap.claim),
+        lambda f: certify_bound(f, "lower", iv, 65, cfg=cfg),
+        lambda f: certify_bound(f, "upper", iv, 65, cfg=cfg),
+    ]
+    for scan in scans:
+        raising = _Raising(ap)
+        plain, got = scan(_without_budget(ap)), scan(raising)
+        assert plain.evals_float == 0 and got.evals_float == raising.calls > 0
+        # sup_error, arg_max, min_gap, satisfied and the other counts; repr, so a nan min_gap equals itself
+        rest = dict(family="", evals_float=0, search_fixed=0, oracle_cold=0)
+        assert repr(got._replace(**rest)) == repr(plain._replace(**rest))
+    for hook in (None, raising.rough_error):
+        assert verify._float_errors(hook, (0.5,), 149) == [(0.0, math.inf)]
+    for hook in (None, raising.fixed_error):
+        assert verify._fixed_error(hook, 0.5, 169, 149) == (0, math.inf)
+
+
 def test_report_counts_cold_oracle_values(cfg):
     # a second identical run finds every oracle value in the cache, and reports the rest
     # alike; bare callables, since a registry row reads its values from fixed point
@@ -1164,7 +1213,8 @@ def test_list_guard_gives_what_the_guard_gives_point_by_point(case, k):
         else:  # B = b + 2^-k + ulp(e), summed in that order
             e = _drawn_e(x)
             assert _hex(g) == _hex((e, _drawn_b(x) + math.ldexp(1.0, -k) + math.ulp(e)))
-    assert verify._float_errors(None, xs, k) == [None] * len(xs) and verify._float_errors(None, xs[:1], k) == [None]
+    none = [(0.0, math.inf)]  # a missing hook answers as a raising one does
+    assert verify._float_errors(None, xs, k) == none * len(xs) and verify._float_errors(None, xs[:1], k) == none
 
 
 @pytest.mark.parametrize("ident", sorted(FAMILIES))
