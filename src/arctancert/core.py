@@ -115,12 +115,15 @@ class LiftedApproximant(Frozen):
     lifting operator: valid on [0,1] becomes valid on R+, bound direction
     kept; nest it to halve more than once. It checks x; u lies in [0, 1) by
     construction, so a registry row's inner is its kernel's unchecked body.
+    An inner that is not callable is refused with ValueError.
     """
 
     __slots__ = ("inner",)  # a slot, since every call reads it
     _key_fields = ("inner",)
 
     def __init__(self, inner: Callable):
+        if not callable(inner):
+            raise ValueError(f"inner must be a callable approximant, got {type(inner).__name__}")
         self.inner = inner
 
     def __call__(self, x):

@@ -349,42 +349,33 @@ def _quartic_coefficients(w: int) -> tuple:
     return tuple((nearest(one, 4 * j + 1), nearest(one, 2 * j + 1), nearest(2 * one, 4 * j + 3)) for j in rows)
 
 
-def _s_t(n: int, u: int, e_u: float, w: int, s: bool = True, t: bool = True) -> tuple:
-    # s_kernel's and t_kernel's (m, err) at u, whose rows w_kernel blends, summed in one pass
-    # over one coefficient lookup, each row with its own floors; a row not asked for takes
-    # g = 0, whose sum 0 the pass skips. s's g = u/(1 + u), floored, lies within 1 + e_u units,
-    # since dg/du <= 1; t's g = (1 - u)/2, floored, within (1 + e_u)/2, and pi/4 within 1.01
-    # (mpmath's pi_fixed). series._quartic_rows(n, g) at g*2^-w in [0, 1/2], scale 2^w, is g*(A +
-    # g*(B + g*C)) with A, B, C summing q^j times row j's three coefficients
-    # (_quartic_coefficients), at most 1, 1 and 2/3, by Horner in q = -4g^4, floored once (1
-    # unit). A step errs by its coefficient (1/2 unit), its floor (1), the previous error
-    # times |q| <= 1/4, and q's unit times the previous sum, under 4/3 of the next
-    # coefficient, at most 0.45: so each of A, B, C within 1.95*4/3 < 2.6 units. The three
-    # products with g <= 1/2 and their floors leave B + g*C within 4.9 units, A + g*(...)
-    # within 6.05 and the sum within 4.03. Across g, |ds_n/dg| <= sum_j 4^j g^(4j)*(1 + 2g +
-    # 2g^2) <= 2.5*sum_j 4^-j < 3.34, which bounds the effect of g's error.
-    one, sh = 1 << w, 3 * w - 2
-    g, h = (u << w) // (u + one) if s else 0, (one - u) >> 1 if t else 0
-    q, r = -((g * g) ** 2 >> sh), -((h * h) ** 2 >> sh)
-    a = b = c = d = e = f = 0
+def _rows(n: int, g: int, w: int) -> int:
+    # series._quartic_rows(n, g) at g*2^-w in [0, 1/2], scale 2^w, is g*(A + g*(B + g*C)) with A, B,
+    # C summing q^j times row j's three coefficients (_quartic_coefficients), at most 1, 1 and 2/3,
+    # by Horner in q = -4g^4, floored once (1 unit). A step errs by its coefficient (1/2 unit), its
+    # floor (1), the previous error times |q| <= 1/4, and q's unit times the previous sum, under 4/3
+    # of the next coefficient, at most 0.45: so each of A, B, C within 1.95*4/3 < 2.6 units. The
+    # three products with g <= 1/2 and their floors leave B + g*C within 4.9 units, A + g*(...)
+    # within 6.05 and the sum within 4.03. Across g, |ds_n/dg| <= sum_j 4^j g^(4j)*(1 + 2g + 2g^2)
+    # <= 2.5*sum_j 4^-j < 3.34, which bounds the effect of an error in g.
+    q = -((g * g) ** 2 >> (3 * w - 2))
+    a = b = c = 0
     for ca, cb, cc in _quartic_coefficients(w)[n::-1]:
-        if g:
-            a, b, c = ca + ((q * a) >> w), cb + ((q * b) >> w), cc + ((q * c) >> w)
-        if h:
-            d, e, f = ca + ((r * d) >> w), cb + ((r * e) >> w), cc + ((r * f) >> w)
-    s_n = (g * (a + ((g * (b + ((g * c) >> w))) >> w))) >> w
-    t_n = pi_fixed(w - 2) - ((h * (d + ((h * (e + ((h * f) >> w))) >> w))) >> w) if t else 0
-    return (s_n, 4.1 + 3.34 * (1 + e_u)), (t_n, 1.01 + 4.1 + 1.67 * (1 + e_u))
+        a, b, c = ca + ((q * a) >> w), cb + ((q * b) >> w), cc + ((q * c) >> w)
+    return (g * (a + ((g * (b + ((g * c) >> w))) >> w))) >> w
 
 
 def s_kernel(n: int, u: int, e_u: float, w: int):
     """series.taylor1_s at u*2^-w in [0, 1], given within e_u units."""
-    return _s_t(n, u, e_u, w, True, False)[0]
+    # g = u/(1 + u), floored, lies within 1 + e_u units, as dg/du <= 1; _rows bounds the rest
+    return _rows(n, (u << w) // (u + (1 << w)), w), 4.1 + 3.34 * (1 + e_u)
 
 
 def t_kernel(n: int, u: int, e_u: float, w: int):
     """series.taylor1_t: pi/4 minus the partial sum at g = (1 - u)/2."""
-    return _s_t(n, u, e_u, w, False, True)[1]
+    # g = (1 - u)/2, floored, lies within (1 + e_u)/2 units, and pi/4 within 1.01 (mpmath's
+    # pi_fixed); _rows bounds the rest
+    return pi_fixed(w - 2) - _rows(n, ((1 << w) - u) >> 1, w), 1.01 + 4.1 + 1.67 * (1 + e_u)
 
 
 def _blend_weight(p: int, u: int, w: int) -> int:
@@ -412,7 +403,7 @@ def w_kernel(n: int, u: int, e_u: float, w: int):
     # with u/v = e^s. That moves w_n by as many units times |t_n - s_n|; the blend of the
     # two values adds the larger of their errors, and its floor one unit.
     p, one = 4 * n + 4, 1 << w
-    (s, e_s), (t, e_t) = _s_t(n, u, e_u, w)
+    (s, e_s), (t, e_t) = s_kernel(n, u, e_u, w), t_kernel(n, u, e_u, w)
     lam = _blend_weight(p, u, w)
     gap = (abs(t - s) + e_t + e_s) / one
     return (lam * t + (one - lam) * s) >> w, max(e_t, e_s) + (1.01 + p * e_u) * gap + 1

@@ -584,7 +584,10 @@ class _NonFinite(Exception):
 def _signed_error(f: Callable, sign: int, cfg: OracleConfig, x: float):
     # sign*E at x, at mpf. Every comparison with a NaN is false, so that max, min and the
     # claim would pass over one: a non-finite value ends the scan here instead
-    v = sign * (f(mp.mpf(x)) - oracle_arctan(x, cfg))
+    y = f(mp.mpf(x))
+    if not isinstance(y, (int, float, mp.mpf)):
+        raise ValueError(f"f must return a real number, got {type(y).__name__} at x = {x!r}")
+    v = sign * (y - oracle_arctan(x, cfg))
     if not mp.isfinite(v):
         raise _NonFinite(x, v)
     return v
@@ -747,6 +750,8 @@ def _scan(f: Callable, interval: Interval, grid_points: int, cfg, kind: BoundKin
     # reads the smallest. Both report the largest |E| found, and a non-finite mpf
     # E, where one is computed, as an unsatisfied verdict at its point.
     # The family label is the approximant's own: its label, else its __name__.
+    if not callable(f):
+        raise ValueError(f"f must be a callable approximant, got {type(f).__name__}")
     if not isinstance(interval, Interval):
         raise ValueError(f"interval must be an Interval, got {type(interval).__name__}")
     label = getattr(f, "label", None) or getattr(f, "__name__", None) or "approximant"
@@ -842,7 +847,13 @@ def sup_error(
     and of them those stopped early or skipped (pruned), the search probes and final
     values evaluated at mpf and in fixed point, the settled grid points
     evaluated in fixed point alone, and the oracle values computed cold.
+    ValueError refuses an f that is not callable, a value of f at mpf that is not
+    an int, a float or an mpf (naming its x), and a claimed_bound that is not
+    None, an int, a float or an mpf, or is nan.
     """
+    real = isinstance(claimed_bound, (int, float, mp.mpf)) and not mp.isnan(claimed_bound)
+    if claimed_bound is not None and not real:
+        raise ValueError(f"claimed_bound must be None or a real number, got {shown(claimed_bound)}")
     return _scan(f, interval, grid_points, cfg, BoundKind.APPROXIMATION, claimed_bound)
 
 
@@ -866,6 +877,8 @@ def certify_bound(
     refined; a bounded grid from 0 samples x = 0, where every bound meets arctan.
     A non-finite value of f at a point evaluated at mpf leaves no smallest
     margin: satisfied is false and min_gap nan, with |E| there as sup_error.
+    ValueError refuses an f that is not callable, and a value of f at mpf that
+    is not an int, a float or an mpf, naming its x.
     """
     kind = BoundKind(kind)
     if kind not in (BoundKind.LOWER, BoundKind.UPPER):

@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from functools import partial
 
 import pytest
@@ -225,13 +226,14 @@ def test_every_exported_function_of_a_point_is_checked_for_its_type():
     assert set(arctancert.__all__) - takes_no_point == {name.partition("-")[0] for name in _POINTS}
 
 
-_FAULTS = ("2", None, [2], 2.0)  # a str, None, a list and a float, where an int is due
+_FAULTS = ("2", None, [2], 2.0)  # a str, None, a list and a float, where an int or a callable is due
 _NO_CONFIG = ("2", [2], 2.0, 50)  # None is the default config
 _NO_INTERVAL = ("0:1", None, [0.0, 1.0], (0.0, 1.0), 2.0)
 
-# every public entry's arguments that are no point (orders, terms, digits, grid points, family
-# names, sides, kinds, intervals, configs), each called with the faults that argument refuses;
-# the scan's own hooks (master._master_error, master._master_constants) take what an Approximant binds
+# every public entry's arguments that are no point (approximants, orders, terms, digits, grid
+# points, family names, sides, kinds, intervals, configs, claimed bounds), each called with the
+# faults that argument refuses; the scan's own hooks (master._master_error,
+# master._master_constants) take what an Approximant binds
 _ARGUMENTS = {
     "Approximant-family": (lambda v: Approximant(v), _FAULTS),
     "Approximant-n": (lambda v: Approximant("cf", n=v), _FAULTS),
@@ -247,15 +249,21 @@ _ARGUMENTS = {
     "OracleConfig-report": (lambda v: OracleConfig(report_digits=v), _FAULTS),
     "oracle_arctan-cfg": (lambda v: arctancert.oracle_arctan(1.0, v), _NO_CONFIG),
     "oracle_pi-cfg": (lambda v: arctancert.oracle_pi(v), _NO_CONFIG),
+    "sup_error-f": (lambda v: sup_error(v, _UNIT, 65), _FAULTS),
     "sup_error-interval": (lambda v: sup_error(_CF, v, 65), _NO_INTERVAL),
     "sup_error-grid": (lambda v: sup_error(_CF, _UNIT, v), _FAULTS),
     "sup_error-cfg": (lambda v: sup_error(_CF, _UNIT, 65, cfg=v), _NO_CONFIG),
+    "sup_error-claimed_bound": (lambda v: sup_error(_CF, _UNIT, 65, claimed_bound=v),
+                                ("0.01", [0.01], 1j, Fraction(1, 100), math.nan)),
+    "certify_bound-f": (lambda v: certify_bound(v, "upper", _UNIT, 65), _FAULTS),
     "certify_bound-kind": (lambda v: certify_bound(_CF, v, _UNIT, 65), _FAULTS),
     "certify_bound-interval": (lambda v: certify_bound(_CF, "upper", v, 65), _NO_INTERVAL),
     "certify_bound-grid": (lambda v: certify_bound(_CF, "upper", _UNIT, v), _FAULTS),
     "certify_bound-cfg": (lambda v: certify_bound(_CF, "upper", _UNIT, 65, cfg=v), _NO_CONFIG),
+    "norm_transfer_check-f": (lambda v: norm_transfer_check(v, 0.5, 65), _FAULTS),
     "norm_transfer_check-grid": (lambda v: norm_transfer_check(lagrange_p, 0.5, v), _FAULTS),
     "norm_transfer_check-cfg": (lambda v: norm_transfer_check(lagrange_p, 0.5, 65, cfg=v), _NO_CONFIG),
+    "LiftedApproximant-inner": (lambda v: LiftedApproximant(v), _FAULTS),
     "a_n": (lambda v: master.a_n(v, 0.5), _FAULTS),
     "master_bounds": (lambda v: master.master_bounds(v, 1.0), _FAULTS),
     "master_params": (lambda v: master.master_params(v), _FAULTS),

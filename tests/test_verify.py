@@ -1115,6 +1115,19 @@ def test_a_non_finite_value_is_an_unsatisfied_verdict(cfg, value, certify, gap):
     assert repr((rep.sup_error, rep.min_gap)) == repr((abs(value), gap))
 
 
+@pytest.mark.parametrize("value", ["0.5", None, 1j, Fraction(1, 2), mp.mpc(0.5, 0.5)], ids=repr)
+def test_a_value_that_is_no_real_number_raises_value_error_naming_its_point(cfg, value):
+    # the scan refuses a value of f that is not an int, a float or an mpf, naming its point, a
+    # grid point above 0.5, rather than raising a TypeError from the subtraction or an
+    # AttributeError from rounding an mpc
+    iv = Interval(0.0, 1.0)
+    f = lambda x: value if x > 0.5 else x  # noqa: E731
+    for scan in (lambda: sup_error(f, iv, 65, cfg=cfg), lambda: certify_bound(f, "lower", iv, 65, cfg=cfg)):
+        with pytest.raises(ValueError, match=f"^f must return a real number, got {type(value).__name__} at x = ") as info:
+            scan()
+        assert float(str(info.value).rpartition(" = ")[2]) in [x for x in _sample_points(iv, 65) if x > 0.5]
+
+
 def test_points_near_zero_are_float_evaluations(cfg):
     # below 1e-150 too the float tier takes a value: certify_bound makes no golden-section
     # probes, so each grid point, 0 among them, is one float evaluation
