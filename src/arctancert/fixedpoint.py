@@ -17,10 +17,10 @@ The kernels are master's nested radicals (sf and t2 too), t4 and lagrange in
 closed form (t5 is lagrange at the lift's u), cheb's Clenshaw sum, cf's backward
 recurrence (Cuyt et al., Handbook of Continued Fractions for Special Functions,
 ch. 11), and the quartic rows' partial sums (s, t and their blend w). pi, here
-and in master's coefficients, is pi_fixed(bits), pi*2^bits within one unit:
-mpmath's floor(pi*2^bits), Chudnovsky's series summed 10 or more bits deeper and
-shifted down, memoized there; mp.pi, which master_params and the mpf kernels
-read, rounds the same series. In err each floor adds under one unit, each
+and in master's constants and coefficients, is pi_fixed(bits), pi*2^bits within
+one unit: mpmath's floor(pi*2^bits), Chudnovsky's series summed 10 or more bits
+deeper and shifted down, memoized there; mp.pi, which the mpf kernels read,
+rounds the same series. In err each floor adds under one unit, each
 coefficient, derived exactly or with guard bits and rounded once, under 1/2 and
 a little, and each constant its proved units; the sums are arranged (Clenshaw in
 2T_2(x), cf's recurrence, which shrinks an error by 4 a step, Horner in q below

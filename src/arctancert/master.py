@@ -11,12 +11,16 @@ at extended precision, and the assembled two-sided bound
 with {k_low, k_high} = {1, g_n(pi/2)} and k_high - k_low < 4^-n.
 
 Two independent evaluation routes are kept on purpose: the e_j/L_j alternating
-sum behind a_n, and the A_k-weighted cotangent sum behind g_n. Their exact
-coefficient identity D*A_j/2^j == (-1)^(n-j)*2^j*e_j is asserted in the tests,
-which guards the easy-to-botch sign structure.
+sum behind a_n, and the A_k-weighted cotangent sum behind g_n, which gn_eval
+takes through mpmath's tan at any theta. Their exact coefficient identity
+D*A_j/2^j == (-1)^(n-j)*2^j*e_j is asserted in the tests, which guards the
+easy-to-botch sign structure. At theta = pi/2 the cotangents are the half-angle
+radicals themselves, so master_params sums its constant g_n(pi/2) in floored
+integers (_gn_end), with a proved error, and rounds it once to nearest; the
+tests check it against gn_eval's route summed at 400 digits.
 
 g_n(pi/2) - 1 has about n^2/3 leading zeros, which the cotangent sum cancels,
-so g_n is evaluated at a precision derived from n: max(50, 20 + 3n^2/5)
+so the constants carry a precision derived from n: max(50, 20 + 3n^2/5)
 digits, 50 up to order 7 and 173 at order 16, which leaves at least 30
 significant digits in k_high - k_low at every order.
 
@@ -39,7 +43,8 @@ from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import pi_fixed, to_fixed  # pi_fixed: pi*2^bits within one unit (fixedpoint)
+# pi_fixed: pi*2^bits within one unit (fixedpoint)
+from mpmath.libmp import dps_to_prec, from_man_exp, pi_fixed, round_nearest, to_fixed
 
 from .core import BoundPair
 from .fixedpoint import MAX_ORDER, nearest
@@ -146,9 +151,11 @@ def gn_eval(n: int, theta):
 
     Monotone on (0, pi/2] with g_n -> 1 as theta -> 0; increasing for odd n,
     decreasing for even n. Its value at pi/2 is the non-unit constant of the
-    order-n sandwich. The sum is taken at the working precision derived from
-    n; theta is converted and range-checked at the caller's precision, so
-    pi/2 rounded there is accepted.
+    order-n sandwich, which master_params takes from integers instead, correctly
+    rounded; this route, through mpmath's tan, serves any theta. The sum is taken
+    at the working precision derived from n, with no bound on its error; theta is
+    converted and range-checked at the caller's precision, so pi/2 rounded there
+    is accepted.
     """
     coeffs = pn_coefficients(n)
     th = mp.mpf(theta)
@@ -160,6 +167,35 @@ def gn_eval(n: int, theta):
             y = th / 2**k
             acc += mp.mpf(c.numerator) / c.denominator * (y / mp.tan(y))
         return +acc
+
+
+def _gn_end(n: int, guard: int = 16):
+    # g_n(pi/2) rounded to nearest at _working_digits(n), from floored integers at scale 2^W,
+    # W = prec + guard. At theta = pi/2 the cotangent sum's arguments are y_k = pi/2^(k+1), and
+    # c_k = cot y_k follows from c_0 = cot(pi/2) = 0 by the half-angle step c_(k+1) = c_k +
+    # sqrt(1 + c_k^2), _a_n's radicals at t = pi/2; so g_n(pi/2) = (pi/2)*sum_k A_k 2^-k c_k,
+    # whose k = 0 term is 0. In units of 2^-W:
+    # - C_1 = 2^W exactly. A root loses at most its argument's error (c/sqrt(1 + c^2) < 1) and
+    #   floors one unit more, so C_k lies in (c_k 2^W - 2^(k-1), c_k 2^W]: each step can double.
+    # - s = sum_k (D*A_k) C_k 2^(n-k), exact from the integers D*A_k, over D*2^n is 2^W*sum_k
+    #   A_k 2^-k c_k = 2^W*(2/pi)g_n(pi/2) <= 2^W*2/3 (g_n(pi/2) <= g_1(pi/2) = pi/3) within
+    #   sum_k |A_k|/2 = |p_n(-1)|/2 = prod (4^k + 1)/(2(4^k - 1)) < 0.985 units.
+    # - pi_fixed(W), within one unit, moves the product (pi/2)*s/(D*2^n) by under 1/3, s's
+    #   error moves it by under (pi/2)*0.985 < 1.548, and the two errors' product by under
+    #   2^-W: under 1.89 in all. The quotient's floor v adds under one, so g_n(pi/2)*2^W lies
+    #   in (v - 1.89, v + 2.89).
+    # Rounding is monotone, so where v - 2 and v + 3 round alike, so does g_n(pi/2). Where they
+    # do not, the sum is redone with the guard doubled (Ziv): g_n(pi/2) is pi times a nonzero
+    # algebraic number, no tie, so some guard settles it.
+    prec = dps_to_prec(_working_digits(n))
+    big = prec + guard
+    c = s = 0
+    for k, a in enumerate(_pn_numerator(n)[1:], 1):  # a: D*A_k
+        c += math.isqrt((1 << 2 * big) + c * c)
+        s += (a * c) << (n - k)
+    v = (pi_fixed(big) * s) // (denominator_product(n) << (n + big + 1))
+    lo, hi = (from_man_exp(v + e, -big, prec, round_nearest) for e in (-2, 3))
+    return mp.make_mpf(lo) if lo == hi else _gn_end(n, 2 * guard)
 
 
 class MasterParams(NamedTuple):
@@ -187,12 +223,15 @@ def constant_side(n: int) -> str:
 def master_params(n: int) -> MasterParams:
     """Assemble and cache the order-n parameters.
 
-    The parity rule (constant_side) is derived from the sign of p_n beyond its
-    roots and checked here rather than assumed, as is the gap k_high - k_low <
-    4^-n; either failing raises ValueError, under python -O too.
+    The non-unit constant g_n(pi/2) is summed in integers with a proved error
+    and rounded to nearest at the working precision derived from n; no mpmath
+    tan or pi is computed. The parity rule (constant_side) is derived from the
+    sign of p_n beyond its roots and checked here rather than assumed, as is
+    the gap k_high - k_low < 4^-n; either failing raises ValueError, under
+    python -O too.
     """
     with mp.workdps(_working_digits(n)):
-        g_end = gn_eval(n, mp.pi / 2)
+        g_end = _gn_end(n)
         one = mp.mpf(1)
         upper = constant_side(n) == "upper"
         if not (g_end > one if upper else g_end < one):

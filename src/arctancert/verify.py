@@ -337,11 +337,11 @@ def _mpf_term_bits() -> int:
     # k with the mpf term 2^-k: the distance of the mpf error E from the exact one. At
     # p = mp.prec bits, the mpf kernels err by under 2^18 units of 2^-p in max(1, arctan x)
     # < 2 at p >= 136 (40 digits), 2^(19 - p); the oracle by one ulp of arctan x < 2,
-    # 2^(1 - p); master's constants g_n(pi/2) by a few units of 2^-q relative, q =
-    # _MASTER_PREC, which moves k*D*a_n, near arctan x < 2, by under 2^(4 - q). The sum is
-    # under 2^(20 - min(p, q)): 2^-116 at 40 digits, 2^-149 at 50 and 70. Tested at 40, 50
-    # and 70 digits against E computed 30 digits higher (tests/test_tails.py), which
-    # leaves out master's constants, and with both tiers' budgets.
+    # 2^(1 - p); master's constants g_n(pi/2), rounded to nearest at q = _MASTER_PREC bits
+    # or more, by under 2^-q relative, which moves k*D*a_n, near arctan x < 2, by under 2^(1 - q).
+    # The sum is under 2^(20 - min(p, q)): 2^-116 at 40 digits, 2^-149 at 50 and 70.
+    # Tested at 40, 50 and 70 digits against E computed 30 digits higher
+    # (tests/test_tails.py), which leaves out master's constants, and with both tiers' budgets.
     return min(mp.prec, _MASTER_PREC) - 20
 
 

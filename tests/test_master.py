@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from mpmath import mp
@@ -150,8 +151,9 @@ def test_endpoint_gap_shrinks_like_4_to_minus_n(n):
         assert abs(g - 1) < mp.mpf(4) ** -n
 
 
+@lru_cache(maxsize=None)
 def _gn_end_reference(n):
-    # g_n(pi/2) summed at 400 digits, independent of master's precision rule
+    # g_n(pi/2) summed at 400 digits through mpmath's tan, independent of master's integers
     with mp.workdps(400):
         th = mp.pi / 2
         return +mp.fsum(
@@ -175,6 +177,39 @@ def test_master_params_parity_and_gap(n):
         assert abs(gap - ref_gap) < ref_gap * mp.mpf(10) ** -20
 
 
+def _rounded_reference(n):
+    # the 400-digit reference rounded to nearest at the constant's working precision
+    with mp.workdps(master._working_digits(n)):
+        return +_gn_end_reference(n)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_master_constant_is_the_reference_rounded_to_nearest(n):
+    params = master_params(n)
+    assert (params.k_high if n % 2 else params.k_low) == _rounded_reference(n)
+
+
+def test_a_guard_too_narrow_to_decide_widens_and_still_rounds_to_nearest(monkeypatch):
+    # at one guard bit the enclosure's 5 units span more than an ulp, so its ends round
+    # apart and the sum is redone with the guard doubled until they agree
+    guards, inner = [], master._gn_end
+    monkeypatch.setattr(master, "_gn_end", lambda n, guard: guards.append(guard) or inner(n, guard))
+    for n in (2, 5, 16):
+        guards.clear()
+        assert master._gn_end(n, 1) == _rounded_reference(n)
+        assert guards[:2] == [1, 2]
+
+
+def test_master_params_computes_no_tan(monkeypatch):
+    # the constants come from integers: mpmath's tan, gn_eval's route, is never called
+    def refuse(*args):
+        raise AssertionError("master_params called mp.tan")
+
+    monkeypatch.setattr(mp, "tan", refuse)
+    for n in range(1, MAX_ORDER + 1):
+        master_params.__wrapped__(n)  # the uncached body
+
+
 # master's own checks raise ValueError, which python -O keeps, where an assert would vanish
 def test_a_negative_denominator_raises_value_error(monkeypatch):
     negated = {c: tuple(-a for a in master._signed_e(3, c)) for c in (FLOAT, MPF)}
@@ -193,7 +228,7 @@ def test_a_negative_denominator_raises_value_error(monkeypatch):
     ids=["parity", "gap"],
 )
 def test_master_params_checks_raise_value_error(monkeypatch, n, g_end, message):
-    monkeypatch.setattr(master, "gn_eval", lambda n, theta: g_end(n))
+    monkeypatch.setattr(master, "_gn_end", lambda n: g_end(n))
     with pytest.raises(ValueError, match=message):
         master_params.__wrapped__(n)  # the uncached body
 
