@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .numerics import Frozen, Scalar, require_finite, require_nonnegative, require_unit, row_of
+from .numerics import FLOAT, TOP, Frozen, Scalar, require_finite, require_nonnegative, require_unit, row_of
 
 
 class BoundPair(NamedTuple):
@@ -113,8 +113,9 @@ class LiftedApproximant(Frozen):
 
     value(x) = 2*inner(u) with u = x/(1+sqrt(1+x^2)), the library's one
     lifting operator: valid on [0,1] becomes valid on R+, bound direction
-    kept; nest it to halve more than once. It checks x; u lies in [0, 1) by
-    construction, so a registry row's inner is its kernel's unchecked body.
+    kept; nest it to halve more than once. It checks x once, a float from 0
+    to the largest double by one comparison; u lies in [0, 1) by construction,
+    so a registry row's inner is its kernel's unchecked body.
     An inner that is not callable is refused with ValueError.
     """
 
@@ -127,4 +128,5 @@ class LiftedApproximant(Frozen):
         self.inner = inner
 
     def __call__(self, x):
-        return 2 * self.inner(require_nonnegative(x).reduce(x))
+        c = FLOAT if type(x) is float and 0 <= x <= TOP else require_nonnegative(x)
+        return 2 * self.inner(c.reduce(x))

@@ -48,7 +48,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, pi_fixed, round_nearest, to_
 
 from .core import BoundPair
 from .fixedpoint import MAX_ORDER, nearest
-from .numerics import FLOAT, MPF, require_int, require_nonnegative
+from .numerics import FLOAT, MPF, require_int, require_nonnegative, row_of
 
 CONSTANT_DIGITS = 50  # the least precision of g_n and of the constants, at orders up to 7
 U = 2.0**-53  # unit roundoff of a double
@@ -180,10 +180,11 @@ def _gn_end(n: int, guard: int = 16):
     # - s = sum_k (D*A_k) C_k 2^(n-k), exact from the integers D*A_k, over D*2^n is 2^W*sum_k
     #   A_k 2^-k c_k = 2^W*(2/pi)g_n(pi/2) <= 2^W*2/3 (g_n(pi/2) <= g_1(pi/2) = pi/3) within
     #   sum_k |A_k|/2 = |p_n(-1)|/2 = prod (4^k + 1)/(2(4^k - 1)) < 0.985 units.
-    # - pi_fixed(W), within one unit, moves the product (pi/2)*s/(D*2^n) by under 1/3, s's
-    #   error moves it by under (pi/2)*0.985 < 1.548, and the two errors' product by under
-    #   2^-W: under 1.89 in all. The quotient's floor v adds under one, so g_n(pi/2)*2^W lies
-    #   in (v - 1.89, v + 2.89).
+    # - pi*2^W is pi_fixed(W), or pi_fixed at MAX_ORDER's W, k >= 1 bits wider, which mpmath
+    #   computes once for every order, rounded to nearest: within 2^-k + 1/2, one unit in all.
+    #   It moves the product (pi/2)*s/(D*2^n) by under 1/3, s's error moves it by under
+    #   (pi/2)*0.985 < 1.548, and the two errors' product by under 2^-W: under 1.89 in all.
+    #   The quotient's floor v adds under one, so g_n(pi/2)*2^W lies in (v - 1.89, v + 2.89).
     # Rounding is monotone, so where v - 2 and v + 3 round alike, so does g_n(pi/2). Where they
     # do not, the sum is redone with the guard doubled (Ziv): g_n(pi/2) is pi times a nonzero
     # algebraic number, no tie, so some guard settles it.
@@ -193,7 +194,8 @@ def _gn_end(n: int, guard: int = 16):
     for k, a in enumerate(_pn_numerator(n)[1:], 1):  # a: D*A_k
         c += math.isqrt((1 << 2 * big) + c * c)
         s += (a * c) << (n - k)
-    v = (pi_fixed(big) * s) // (denominator_product(n) << (n + big + 1))
+    wide = max(big, dps_to_prec(_working_digits(MAX_ORDER)) + guard)  # one pi for every order
+    v = (nearest(pi_fixed(wide), 1 << (wide - big)) * s) // (denominator_product(n) << (n + big + 1))
     lo, hi = (from_man_exp(v + e, -big, prec, round_nearest) for e in (-2, 3))
     return mp.make_mpf(lo) if lo == hi else _gn_end(n, 2 * guard)
 
@@ -265,9 +267,10 @@ def master_bounds(n: int, x) -> BoundPair:
 
 
 def _master_side(params: MasterParams, upper: bool, x):
-    """master_bounds(params.n, x).upper if upper, else .lower, from one a_n evaluation."""
-    c = require_nonnegative(x)
-    return _scale(params, upper, *_a_n(params.n, x, c), c)
+    """master_bounds(params.n, x).upper if upper, else .lower, from one a_n evaluation, unchecked."""
+    c = row_of(x)
+    num, den = _a_n(params.n, x, c)  # a starred call would cost about 0.1 us more
+    return _scale(params, upper, num, den, c)
 
 
 def _scale(params: MasterParams, upper: bool, num, den, c):

@@ -9,8 +9,9 @@ Every kernel takes each function and constant it needs from its argument's
 row: ``FLOAT`` (the ``math`` functions, double pi and sqrt2) or ``MPF`` (the
 mpmath functions, with pi and sqrt2 read at the active precision on each
 access). A public kernel checks its arguments once, at the top, with a
-``require_*`` validator, which returns the row; a body that the lift or the
-blend reaches unchecked reads the row from the type (``row_of``). Check, then
+``require_*`` validator, which returns the row; a body, which a registry row
+(``families.Approximant``) or the lift reaches after one comparison for a float
+in its domain, reads the row from the type (``row_of``). Check, then
 cache: no cache hashes an argument before its entry's check has run, and a
 cache stays only where the traffic (the table, the benchmark's workloads, the
 commands, the tests) reuses its values. Both rows
@@ -34,6 +35,7 @@ from mpmath import mp
 
 Scalar = float | mp.mpf
 _MPF = mp.mpf
+TOP = sys.float_info.max  # the largest double, the top of the float domain [0, TOP]
 
 
 class _Row:

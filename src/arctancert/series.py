@@ -10,13 +10,12 @@ these kernels.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import mp
 
-from .numerics import FLOAT, require_finite, require_int, require_unit, row_of
+from .numerics import FLOAT, TOP, require_finite, require_int, require_unit, row_of
 
 
 def cheb_coefficients(n: int, ratio=None) -> list:
@@ -65,9 +64,7 @@ def cheb_arctan(n: int, x, m=1):
     below (1+sqrt2)^-(2n+3) at m = 1.
     """
     require_int(n, "truncation index n", 0)
-    c = require_finite(x)
-    if abs(x) > 1:
-        raise ValueError(f"|x| must be <= 1, got {x!r}")
+    c = _check_cheb(n, x)
     if m != 1 or type(m) is not int:  # the default scale needs no check
         require_finite(m, "m")
         if not m > 0:
@@ -77,6 +74,13 @@ def cheb_arctan(n: int, x, m=1):
         elif isinstance(m, Fraction):  # the mpf row divides no Fraction
             m = mp.mpf(m.numerator) / m.denominator
     return _cheb(n, x, m)
+
+
+def _check_cheb(n: int, x):  # cheb_arctan's check of x, at any order n, returning its row
+    c = require_finite(x)
+    if abs(x) > 1:
+        raise ValueError(f"|x| must be <= 1, got {x!r}")
+    return c
 
 
 def _cheb(n: int, x, m=1):
@@ -94,10 +98,13 @@ def cf_arctan(n: int, x):
     while n^2*x^2 is, and past that x must be an mpf.
     """
     require_int(n, "depth n", 1)
-    c = require_finite(x)
-    if c is FLOAT and not n * n * (x * x) <= sys.float_info.max:  # exact for an int x
-        raise ValueError(f"n^2*x^2 lies beyond the float range at n = {n}, x = {x!r}")
+    _check_cf(n, x)
     return _cf(n, x)
+
+
+def _check_cf(n: int, x):  # cf_arctan's check of x at depth n
+    if require_finite(x) is FLOAT and not n * n * (x * x) <= TOP:  # exact for an int x
+        raise ValueError(f"n^2*x^2 lies beyond the float range at n = {n}, x = {x!r}")
 
 
 def _cf(n: int, x):
@@ -136,6 +143,10 @@ def taylor1_s(n: int, u):
     """
     require_int(n, "truncation index n", 0)
     require_unit(u, "u")
+    return _s(n, u)
+
+
+def _s(n: int, u):  # taylor1_s's body, for u already in [0, 1]
     return _quartic_rows(n, u / (u + 1))
 
 
@@ -151,8 +162,12 @@ def taylor1_t(n: int, u):
     each of its points (``fixedpoint.t_kernel``).
     """
     require_int(n, "truncation index n", 0)
-    c = require_unit(u, "u")
-    return c.pi / 4 - _quartic_rows(n, (1 - u) / 2)
+    require_unit(u, "u")
+    return _t(n, u)
+
+
+def _t(n: int, u):  # taylor1_t's body, for u already in [0, 1]
+    return row_of(u).pi / 4 - _quartic_rows(n, (1 - u) / 2)
 
 
 def blend_w(n: int, u):
@@ -167,12 +182,11 @@ def blend_w(n: int, u):
 
 
 def _blend(n: int, u):
-    # blend_w's body, for u already in [0, 1]: taylor1_t's and taylor1_s's rows, unchecked
+    # blend_w's body, for u already in [0, 1]: taylor1_t's and taylor1_s's bodies
     p = 4 * n + 4
     wu = u**p
     wv = (1 - u) ** p
-    t = row_of(u).pi / 4 - _quartic_rows(n, (1 - u) / 2)
-    return (wu * t + wv * _quartic_rows(n, u / (u + 1))) / (wu + wv)
+    return (wu * _t(n, u) + wv * _s(n, u)) / (wu + wv)
 
 
 def machin_pi_fraction(terms: int) -> Fraction:

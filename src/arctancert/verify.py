@@ -49,7 +49,7 @@ Both tiers have one guard each, _float_errors and _fixed_error, which decide
 when to trust a hook, and both give every point a value and a budget: the
 budget is infinite, with the value 0, where there is no value, because the
 callable lacks the hook, the hook raises ArithmeticError or ValueError, or e is
-not finite. Evaluations are counted only where the callable has the hook. Every
+not finite. Evaluations are counted only where the hook gives a value. Every
 rule takes a value at every double, where it is tested for every order up to 16
 and every side (tests/test_tails.py). The float guard takes a list of points:
 the scan hands it the whole grid once, and each golden-section probe is a list
@@ -508,18 +508,18 @@ class _Errors:
     def bound_grid(self):
         # the whole grid through the guard at once; a point it takes no value at is unbounded
         rough, sign = _float_errors(self.hook, self.pts, self.k), self.sign
-        self.evals_float += len(rough) if self.hook is not None else 0
         self.lo = [sign * e - b for e, b in rough]
         self.hi = [sign * e + b for e, b in rough]
+        self.evals_float += len(rough) - self.hi.count(math.inf)  # the points the hook gave a value at
 
     def rough(self, x: float):
         e, b = _float_errors(self.hook, (x,), self.k)[0]  # a search probe, a list of one
-        self.evals_float += self.hook is not None
+        self.evals_float += b != math.inf
         return self.sign * e, b
 
     def fixed(self, x: float):
         m, b = _fixed_error(self.fixed_hook, x, self.w, self.k)
-        self.evals_fixed += self.fixed_hook is not None
+        self.evals_fixed += b != math.inf
         return self.sign * m, b
 
     def exact(self, x: float):

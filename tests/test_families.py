@@ -12,7 +12,7 @@ from mpmath import mp
 from arctancert import core, families, fixedpoint, master, series
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
-from arctancert.numerics import row_of
+from arctancert.numerics import require_nonnegative
 from arctancert.verify import BoundKind, Interval, OracleConfig, _mpf_term_bits, oracle_arctan
 
 # every registry family once, each side of a pair family separately
@@ -338,54 +338,77 @@ def test_fixed_rule_takes_the_lift_its_domain_implies(ident):
 
 
 def _blend(n, u):
-    # series.blend_w as the composition it was written as, from the public s and t kernels
+    # series.blend_w as the composition it was written as, from the public s and t kernels,
+    # which check u first
+    t, s = series.taylor1_t(n, u), series.taylor1_s(n, u)
     p = 4 * n + 4
     wu, wv = u**p, (1 - u) ** p
-    return (wu * series.taylor1_t(n, u) + wv * series.taylor1_s(n, u)) / (wu + wv)
+    return (wu * t + wv * s) / (wu + wv)
 
 
-# the public kernel each lifted row lifts, and w's test-local blend
+# each row's public kernel, taking (n, x), and w's test-local blend; a lifted row's is the
+# kernel it lifts. The registry's kernels are mostly unchecked bodies, and this reference
+# reads none of them
 _PUBLIC = {
+    "sf": lambda n, x: core.shafer_fink_bounds(x),
+    "t2": lambda n, x: core.theorem2_bounds(x),
+    "t4": lambda n, x: core.theorem4_upper(x),
+    "master": master.master_bounds,
+    "lagrange": lambda n, u: core.lagrange_p(u),
     "t5": lambda n, u: core.lagrange_p(u),
+    "cheb": series.cheb_arctan,
     "cheb-lifted": series.cheb_arctan,
+    "cf": series.cf_arctan,
     "cf-lifted": series.cf_arctan,
-    "w-lifted": _blend,
+    "s": series.taylor1_s,
+    "t": series.taylor1_t,
     "w": _blend,
+    "w-lifted": _blend,
 }
 
 
 def _composed(ap, x):
     # Approximant(...)(x) rebuilt from public kernels: a lifted row is twice its kernel at
-    # the lift's u, w the blend above, any other row its registry kernel (and side)
-    info = FAMILIES[ap.family]
-    if info.lifted:
-        return 2 * _PUBLIC[ap.family](ap.n, row_of(x).reduce(x))
-    if ap.family == "w":
-        return _blend(ap.n, x)
-    v = info.kernel(x) if ap.n is None else info.kernel(ap.n, x)
+    # the lift's u, once x is checked as core.theorem5_approx checks it; any other row its
+    # kernel (and side)
+    kernel = _PUBLIC[ap.family]
+    if FAMILIES[ap.family].lifted:
+        return 2 * kernel(ap.n, require_nonnegative(x).reduce(x))
+    v = kernel(ap.n, x)
     return getattr(v, ap.side) if ap.side else v
 
 
+def _mpf(x):
+    # x as an mpf at the working precision; mpmath takes no Fraction
+    return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
+
+
 def _bits(v):
-    return v.hex() if isinstance(v, float) else v._mpf_
+    # exact: a Fraction is compared as itself
+    return v.hex() if isinstance(v, float) else v._mpf_ if isinstance(v, mp.mpf) else (type(v), v)
 
 
 @pytest.mark.parametrize("ident", sorted(FAMILIES))
 def test_every_route_gives_its_public_composition_bit_for_bit(ident):
+    # floats, -0.0, an int, a bool and a Fraction at float, and each as an mpf at 40, 50 and 70
+    # digits; on the rows over [0, inf) also 10**300, an int inside the float range, which the
+    # float domain test sends on to the row's check
     info = FAMILIES[ident]
     rng = random.Random(f"composition:{ident}")
+    xs = [0.0, -0.0, 5e-324, 1.0, 1, True, Fraction(1, 3)]
     if info.claim_interval == "0:1":
-        xs = [0.0, 5e-324, 1.0] + [rng.random() for _ in range(8)]
+        xs += [rng.random() for _ in range(8)]
     else:
-        xs = [0.0, 5e-324, 1.0, 1e150, 1.7e308] + [10 ** rng.uniform(-300, 300) for _ in range(8)]
+        xs += [1e150, 1.7e308, 10**300] + [10 ** rng.uniform(-300, 300) for _ in range(8)]
     for n in range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,):
         for side in ("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,):
             ap = Approximant(ident, n=n, side=side)
             for x in xs:
                 assert _bits(ap(x)) == _bits(_composed(ap, x)), (ap.label, x)
-            with mp.workdps(50):
-                for x in map(mp.mpf, xs):
-                    assert _bits(ap(x)) == _bits(_composed(ap, x)), (ap.label, x)
+            for dps in (40, 50, 70):
+                with mp.workdps(dps):
+                    for x in map(_mpf, xs):
+                        assert _bits(ap(x)) == _bits(_composed(ap, x)), (ap.label, dps, x)
 
 
 def _rejected(ident):
@@ -409,6 +432,42 @@ def test_every_route_raises_value_error_at_float_and_at_mpf(ap):
         with mp.workdps(50):
             with pytest.raises(ValueError):
                 ap(x if isinstance(x, int) else mp.mpf(x))
+
+
+def _message(f, x):
+    with pytest.raises(ValueError) as info:
+        f(x)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("ident", sorted(FAMILIES))
+def test_every_refusal_gives_the_public_kernels_message(ident):
+    # at every order and side, each argument the row refuses: those of _rejected, -1.5 on
+    # cheb and 1e200 on cf (where n^2*x^2 overflows), a str, None, a complex and a list, and
+    # each refused float as an mpf, mpf NaN and infinities included, but cf's 1e200, which
+    # an mpf may be
+    info = FAMILIES[ident]
+    floats = _rejected(ident) + {"cheb": [-1.5], "cf": [1e200]}.get(ident, [])
+    for n in range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,):
+        for side in ("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,):
+            ap = Approximant(ident, n=n, side=side)
+            for x in floats + ["0.5", None, 0.5j, [0.5]]:
+                assert _message(ap, x) == _message(partial(_composed, ap), x), (ap.label, x)
+            with mp.workdps(50):
+                for x in (mp.mpf(x) for x in floats if isinstance(x, float) and x != 1e200):
+                    assert _message(ap, x) == _message(partial(_composed, ap), x), (ap.label, x)
+
+
+def test_the_k_ulp_rule_reads_the_evaluator_bit_for_bit():
+    # rough_error(x) on every K-ulp row is (ap(x) - math.atan(x), K*ulp(math.atan(x)))
+    rng = random.Random("k-ulp")
+    for ap in BUDGETED:
+        unit = not ap.claim_interval.unbounded
+        xs = [0.0, 5e-324, 0.5, 1.0 if unit else 1.7976931348623157e308]
+        for x in xs + [rng.random() if unit else 10 ** rng.uniform(-300, 300) for _ in range(8)]:
+            e, b = ap.rough_error(x)
+            atan = math.atan(x)
+            assert e.hex() == (ap(x) - atan).hex() and b == FLOAT_ULPS * math.ulp(atan), (ap.label, x)
 
 
 # each public kernel at order 3 where it takes one, with the arguments it refuses. Each id

@@ -189,6 +189,21 @@ def test_master_constant_is_the_reference_rounded_to_nearest(n):
     assert (params.k_high if n % 2 else params.k_low) == _rounded_reference(n)
 
 
+def test_every_order_reads_one_pi_within_one_unit(monkeypatch):
+    # _gn_end asks pi_fixed for one width at every order, MAX_ORDER's, so mpmath computes pi
+    # once; rounded to each order's scale 2^W it lies within one unit of pi*2^W
+    widths, pi_fixed = [], master.pi_fixed
+    monkeypatch.setattr(master, "pi_fixed", lambda w: widths.append(w) or pi_fixed(w))
+    tops = [master.dps_to_prec(master._working_digits(n)) + 16 for n in range(1, MAX_ORDER + 1)]
+    for n in range(1, MAX_ORDER + 1):
+        master._gn_end(n)
+    assert set(widths) == {max(tops)}
+    with mp.workdps(250):
+        for big in tops:
+            pi = master.nearest(pi_fixed(max(tops)), 1 << (max(tops) - big))
+            assert abs(pi - mp.ldexp(mp.pi, big)) < 1, big
+
+
 def test_a_guard_too_narrow_to_decide_widens_and_still_rounds_to_nearest(monkeypatch):
     # at one guard bit the enclosure's 5 units span more than an ulp, so its ends round
     # apart and the sum is redone with the guard doubled until they agree

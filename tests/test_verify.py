@@ -818,7 +818,9 @@ def test_end_search_runs_where_the_flag_cannot_settle_it(ap, iv, end):
     flagged, full = (sup_error(f, iv, 65, claimed_bound=ap.claim) for f in (ap, _without_slope(ap)))
     assert _outcome(flagged) == _outcome(full)
     assert flagged.pruned == full.pruned == 0 and flagged.refined == 1
-    assert flagged.search_fixed == full.search_fixed > 0
+    # the search evaluates; cf's fixed rule takes [0, 1] alone, so past 1 its probes reach mpf
+    assert flagged.search_fixed == full.search_fixed and flagged.search_fixed + flagged.search_mpf > 0
+    assert (flagged.search_fixed > 0) == (iv.hi <= 1)
     assert abs(flagged.arg_max - end) <= (iv.hi - iv.lo) / 64  # in the end's grid cell
 
 
@@ -998,7 +1000,7 @@ class _Raising:
     """An approximant as a callable whose rough_error and fixed_error raise at every point."""
 
     def __init__(self, ap):
-        self.ap, self.calls = ap, 0
+        self.ap, self.calls, self.fixed_calls = ap, 0, 0
 
     def __call__(self, x):
         return self.ap(x)
@@ -1008,6 +1010,7 @@ class _Raising:
         raise ValueError("no float value")
 
     def fixed_error(self, x, w):
+        self.fixed_calls += 1
         raise ValueError("no fixed value")
 
 
@@ -1022,9 +1025,9 @@ class _Raising:
 )
 def test_a_missing_hook_answers_as_a_raising_one(cfg, ap, iv):
     # each guard gives (0, inf) for a hook that is missing and for one that raises, so the
-    # scan decides both alike, at mpf; only a hook it calls counts as an evaluation, so
-    # the raising copy's float and search fixed-point counts differ, and the oracle cache
-    # holds the first scan's values for the second
+    # scan decides both alike, at mpf; only a hook call that gives a value counts as an
+    # evaluation, so the two reports differ in the oracle cache alone, which holds the
+    # first scan's values for the second
     scans = [
         lambda f: sup_error(f, iv, 65, cfg=cfg, claimed_bound=ap.claim),
         lambda f: certify_bound(f, "lower", iv, 65, cfg=cfg),
@@ -1033,9 +1036,10 @@ def test_a_missing_hook_answers_as_a_raising_one(cfg, ap, iv):
     for scan in scans:
         raising = _Raising(ap)
         plain, got = scan(_without_budget(ap)), scan(raising)
-        assert plain.evals_float == 0 and got.evals_float == raising.calls > 0
-        # sup_error, arg_max, min_gap, satisfied and the other counts; repr, so a nan min_gap equals itself
-        rest = dict(family="", evals_float=0, search_fixed=0, oracle_cold=0)
+        assert raising.calls > 0 and raising.fixed_calls > 0
+        assert got.evals_float == got.search_fixed == plain.evals_float == plain.search_fixed == 0
+        # sup_error, arg_max, min_gap, satisfied and every count; repr, so a nan min_gap equals itself
+        rest = dict(family="", oracle_cold=0)
         assert repr(got._replace(**rest)) == repr(plain._replace(**rest))
     for hook in (None, raising.rough_error):
         assert verify._float_errors(hook, (0.5,), 149) == [(0.0, math.inf)]
