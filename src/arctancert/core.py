@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .numerics import FLOAT, TOP, Frozen, Scalar, require_finite, require_nonnegative, require_unit, row_of
+from .numerics import FLOAT, TOP, Frozen, Scalar, require_finite, require_nonnegative, require_unit
 
 
 class BoundPair(NamedTuple):
@@ -35,7 +35,7 @@ def shafer_fink_bounds(x) -> BoundPair:
     With numerator and denominator divided by sqrt(1+x^2), both sides are
     evaluated as 3*sin t/(2 + cos t) and pi*sin t/(2 + cos t), t = arctan x.
     """
-    c = require_nonnegative(x)
+    c = FLOAT if type(x) is float and 0.0 <= x <= TOP else require_nonnegative(x)
     sin, cos = c.sincos(x)
     den = 2 + cos
     return BoundPair(3 * sin / den, c.pi * sin / den)
@@ -52,7 +52,7 @@ def theorem2_bounds(x) -> BoundPair:
     enclosure is nominal at float, and at mpf once the margin (about 1/x) lies
     below working precision (see BoundPair).
     """
-    c = require_nonnegative(x)
+    c = FLOAT if type(x) is float and 0.0 <= x <= TOP else require_nonnegative(x)
     sin, cos = c.sincos(x)
     f = sin / (7 * cos + 6 + 16 * c.hypot(sin, 1 + cos))
     return BoundPair(c.pi * (3 + 8 * c.sqrt2) * f, 45 * f)
@@ -69,7 +69,7 @@ def theorem4_upper(x):
     sqrt(2 + 2*sin t)), t = arctan x; at sin t = 1 the root is exactly 2 in
     float, where sqrt2*sqrt(2) rounds above it.
     """
-    c = require_nonnegative(x)
+    c = FLOAT if type(x) is float and 0.0 <= x <= TOP else require_nonnegative(x)
     pi = c.pi
     sin, cos = c.sincos(x)
     return pi * sin / (4 / pi * cos + c.sqrt(2 + 2 * sin))
@@ -79,15 +79,10 @@ def lagrange_p(u):
     """Quadratic interpolant of arctan through (0, 0), (sqrt2-1, pi/8), (1, pi/4).
 
     Evaluated in the collected form (pi/16)*u*(4 + sqrt2*(1 - u)), which equals
-    the Lagrange form (fixedpoint.lagrange_kernel derives it).
+    the Lagrange form (fixedpoint.lagrange_kernel derives it). It is the body of
+    the lagrange and t5 rows: a float in [0, 1] passes after one comparison.
     """
-    require_unit(u, "u")
-    return _lagrange(u)
-
-
-def _lagrange(u):
-    # lagrange_p's body, for u already in [0, 1]
-    c = row_of(u)
+    c = FLOAT if type(u) is float and 0.0 <= u <= 1.0 else require_unit(u, "u")
     return c.pi / 16 * u * (4 + c.sqrt2 * (1 - u))
 
 
@@ -97,7 +92,7 @@ def theorem5_approx(x):
     Equals 2*lagrange_p(x/(1+sqrt(1+x^2))): the reduced argument lies in [0, 1),
     nothing squares, and the value tends to pi/2 as x -> inf.
     """
-    return 2 * _lagrange(require_nonnegative(x).reduce(x))
+    return 2 * lagrange_p(require_nonnegative(x).reduce(x))
 
 
 def lift_interval_map(t):
@@ -114,8 +109,8 @@ class LiftedApproximant(Frozen):
     value(x) = 2*inner(u) with u = x/(1+sqrt(1+x^2)), the library's one
     lifting operator: valid on [0,1] becomes valid on R+, bound direction
     kept; nest it to halve more than once. It checks x once, a float from 0
-    to the largest double by one comparison; u lies in [0, 1) by construction,
-    so a registry row's inner is its kernel's unchecked body.
+    to the largest double by one comparison; a registry row's inner is its
+    kernel's body, which re-tests u, in [0, 1) by construction, by one more.
     An inner that is not callable is refused with ValueError.
     """
 
@@ -128,5 +123,5 @@ class LiftedApproximant(Frozen):
         self.inner = inner
 
     def __call__(self, x):
-        c = FLOAT if type(x) is float and 0 <= x <= TOP else require_nonnegative(x)
+        c = FLOAT if type(x) is float and 0.0 <= x <= TOP else require_nonnegative(x)
         return 2 * self.inner(c.reduce(x))

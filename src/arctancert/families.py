@@ -13,16 +13,13 @@ from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from . import core, fixedpoint, master, series
-from .numerics import TOP, Frozen, require_int, require_nonnegative, require_unit, shown
+from .numerics import Frozen, require_int, shown
 from .verify import BoundKind, Interval
 
 _SQRT2 = math.sqrt(2)
 # K: at float every kernel on the K-ulp rule lies within K/4 ulp of arctan x of its mpf
 # value, checked over every double, orders up to MAX_ORDER (tests/test_families.py)
 FLOAT_ULPS = 64
-# FamilyInfo domains: [0, largest double] and [0, 1], with the checks of their public kernels
-_HALF_LINE = (0.0, TOP, lambda n, x: require_nonnegative(x))
-_UNIT = (0.0, 1.0, lambda n, x: require_unit(x, "u"))
 
 
 class FamilyInfo(NamedTuple):
@@ -30,13 +27,11 @@ class FamilyInfo(NamedTuple):
 
     kernel takes (n, x) when needs_n, else (x); a two-sided family's kernel
     returns a BoundPair, and master's takes master_params(n) and a side for n.
-    Where domain is (lo, hi, check), kernel is the unchecked body: a float in
-    [lo, hi] reaches it as it stands, any other x after check(n, x), the public
-    kernel's check, which raises its ValueError (cf's [-1, 1] is where its
-    check passes at every order); sf's, t2's and t4's kernels are their public,
-    checked ones. claim maps n to the claimed uniform error bound.
-    A lifted family's kernel is a [0,1] kernel's unchecked body, lifted once to
-    R+ by core.LiftedApproximant, which checks x. A two-sided family's
+    kernel is the body of the row's public kernel, which checks its own x (see
+    ``numerics``); sf's, t2's, t4's and lagrange's are the public kernels.
+    claim maps n to the claimed uniform error bound.
+    A lifted family's kernel is a [0,1] kernel's body, lifted once to R+ by
+    core.LiftedApproximant, which checks x. A two-sided family's
     pair_order is its order in the master family, where that order is fixed.
     float_rule is False on t alone, which has no float rule (see
     Approximant for each row's rule). fixed is the row's kernel in integers
@@ -66,7 +61,6 @@ class FamilyInfo(NamedTuple):
     n_min: int = 0
     claim_interval: str = "0:inf"  # where the claimed bound applies
     kernel: Optional[Callable] = None
-    domain: Optional[tuple] = None
     claim: Optional[Callable] = None
     lifted: bool = False
     pair_order: Optional[int] = None
@@ -110,16 +104,15 @@ FAMILIES: dict[str, FamilyInfo] = {
         FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", _UP, False,
                    kernel=core.theorem4_upper, fixed=fixedpoint.t4_kernel),
         FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
-                   kernel=master._master_side, domain=_HALF_LINE, fixed=fixedpoint.master_kernel),
+                   kernel=master._master_side, fixed=fixedpoint.master_kernel),
         FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
-                   kernel=core._lagrange, domain=_UNIT, claim=lambda n: 1 / 230, slope=lambda n: _LAGRANGE_SLOPE,
+                   kernel=core.lagrange_p, claim=lambda n: 1 / 230, slope=lambda n: _LAGRANGE_SLOPE,
                    fixed=fixedpoint.lagrange_kernel),
         FamilyInfo("t5", "Theorem 5", "sup < 1/115", "[0,∞)", _APPROX, False,
-                   kernel=core._lagrange, claim=lambda n: 1 / 115, lifted=True, slope=lambda n: _LAGRANGE_SLOPE,
+                   kernel=core.lagrange_p, claim=lambda n: 1 / 115, lifted=True, slope=lambda n: _LAGRANGE_SLOPE,
                    fixed=fixedpoint.lagrange_kernel),
         FamilyInfo("cheb", "Chebyshev series", "(1+√2)^-(2n+3) on [0,1]", "[-1,1]", _APPROX, True, 0, "0:1",
-                   kernel=series._cheb, domain=(-1.0, 1.0, series._check_cheb),
-                   claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
+                   kernel=series._cheb, claim=lambda n: (1 + _SQRT2) ** -(2 * n + 3),
                    slope=_cheb_slope, fixed=fixedpoint.cheb_kernel),
         FamilyInfo("cheb-lifted", "Theorem 6", "(3+2√2)^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series._cheb, claim=lambda n: (3 + 2 * _SQRT2) ** -n, lifted=True,
@@ -137,7 +130,7 @@ FAMILIES: dict[str, FamilyInfo] = {
         # 1/x. cf-lifted's E(x) = 2E_cf(u) at the lift's u, so on [0, inf) its d log|E|/dx >=
         # d log u/dx = 1/(x sqrt(1 + x^2)) >= 1/(x(1 + x)).
         FamilyInfo("cf", "continued fraction", "1/(2·4^n) on [0,1]", "[0,1]", _APPROX, True, 1, "0:1",
-                   kernel=series._cf, domain=(-1.0, 1.0, series._check_cf), claim=lambda n: 0.5 * 4.0**-n,
+                   kernel=series._cf, claim=lambda n: 0.5 * 4.0**-n,
                    fixed=fixedpoint.cf_kernel, monotone=1),
         FamilyInfo("cf-lifted", "continued fraction, lifted", "4^-n", "[0,∞)", _APPROX, True, 1,
                    kernel=series._cf, claim=lambda n: 4.0**-n, lifted=True, fixed=fixedpoint.cf_kernel,
@@ -150,14 +143,14 @@ FAMILIES: dict[str, FamilyInfo] = {
         # -E_s(v), v = (1 - u)/(1 + u), v' = -2/(1 + u)^2, so d log|E_t|/du <= v'/(v(1 + v)) =
         # -1/(1 - u) <= -1 on [0, 1).
         FamilyInfo("s", "series at x=1", "(√2·u/(u+1))^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series._s, domain=_UNIT, claim=lambda n: 4.0**-n, fixed=fixedpoint.s_kernel, monotone=1),
+                   kernel=series._s, claim=lambda n: 4.0**-n, fixed=fixedpoint.s_kernel, monotone=1),
         # no float rule: t's float kernel is pi/4 less a row near pi/4, so near u = 0 it errs by
         # ulps of pi/4, far more than the K-ulp rule allows of arctan u; the fixed tier decides t
         FamilyInfo("t", "series at x=1, reflected", "((1−u)/√2)^(4n) pointwise", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series._t, domain=_UNIT, claim=lambda n: 4.0**-n,
+                   kernel=series._t, claim=lambda n: 4.0**-n,
                    float_rule=False, fixed=fixedpoint.t_kernel, monotone=-1),
         FamilyInfo("w", "blended series at x=1", "20^-n", "[0,1]", _APPROX, True, 0, "0:1",
-                   kernel=series._blend, domain=_UNIT, claim=lambda n: 20.0**-n, fixed=fixedpoint.w_kernel),
+                   kernel=series._blend, claim=lambda n: 20.0**-n, fixed=fixedpoint.w_kernel),
         FamilyInfo("w-lifted", "blended series, lifted", "2·20^-n", "[0,∞)", _APPROX, True, 0,
                    kernel=series._blend, claim=lambda n: 2 * 20.0**-n, lifted=True, fixed=fixedpoint.w_kernel),
     )
@@ -175,14 +168,13 @@ def family_info(ident: str) -> FamilyInfo:
 class Approximant(Frozen):
     """Descriptor of one family instance, callable at either precision.
 
-    Pair families (sf, t2, master) need a side. The evaluator (kernel, order,
-    domain and lift) is bound once, at construction: a float in the row's
-    domain reaches its body after one comparison, and an mpf, an int or a
-    Fraction after the row's check, to the same body; master's computes its
-    side alone (master._master_side). Every row refuses an order outside
-    n_min..MAX_ORDER first. Every approximant targets arctan x; cheb's
-    expansion of arctan(m*x) is series.cheb_arctan(n, x, m). Approximants
-    compare and hash by family, n and side, and every attribute is read-only.
+    Pair families (sf, t2, master) need a side. The evaluator is the row's
+    body with its order and lift (and master's parameters and side, which
+    master._master_side computes alone) bound once, at construction; the body
+    checks x itself. Every row refuses an order outside n_min..MAX_ORDER
+    first. Every approximant targets arctan x; cheb's expansion of arctan(m*x)
+    is series.cheb_arctan(n, x, m). Approximants compare and hash by family,
+    n and side, and every attribute is read-only.
 
     The registry row's facts at this order are bound at construction too:
     label, the family with its order and side; claim, the registry's uniform
@@ -229,8 +221,6 @@ class Approximant(Frozen):
             fn, pick = partial(master._master_side, master.master_params(n), side == "upper"), None
         if info.lifted:  # the lift's __call__, bound: a call skips the instance's slot lookup
             fn = core.LiftedApproximant(fn).__call__
-        elif info.domain:
-            fn = _checked(fn, n, *info.domain)
         self._eval, self._pick = fn, pick
         # rough_error and fixed_error at this order, side and lift
         if info.kind is BoundKind.TWO_SIDED:
@@ -252,17 +242,8 @@ class Approximant(Frozen):
             return self._eval(x)
         return getattr(self._eval(x), self._pick)
 
-    def __reduce__(self):  # copied and pickled by its key, since its evaluator is a closure
+    def __reduce__(self):  # copied and pickled by its key, not by its bound evaluator
         return Approximant, self._key(self)
-
-
-def _checked(body: Callable, n: Optional[int], lo: float, hi: float, check: Callable) -> Callable:
-    def evaluate(x):  # body behind its row's domain (FamilyInfo.domain) at order n
-        if type(x) is not float or not lo <= x <= hi:
-            check(n, x)
-        return body(x)
-
-    return evaluate
 
 
 def ulp_rule(f: Callable, x: float):
@@ -275,7 +256,7 @@ def ulp_rule(f: Callable, x: float):
     (tests/test_tails.py). Over every double, tests/test_tails.py checks the
     budget the scan builds from it. It is the float rule of t4, lagrange, t5,
     cheb, cheb-lifted, cf, cf-lifted, s, w and w-lifted, whose f is the row's
-    evaluator: its body after one comparison, for a float in its domain.
+    evaluator: its body, which passes a float in its domain after one comparison.
     """
     atan = math.atan(x)
     return f(x) - atan, FLOAT_ULPS * math.ulp(atan)

@@ -48,7 +48,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, pi_fixed, round_nearest, to_
 
 from .core import BoundPair
 from .fixedpoint import MAX_ORDER, nearest
-from .numerics import FLOAT, MPF, require_int, require_nonnegative, row_of
+from .numerics import FLOAT, MPF, TOP, require_finite, require_int, require_nonnegative
 
 CONSTANT_DIGITS = 50  # the least precision of g_n and of the constants, at orders up to 7
 U = 2.0**-53  # unit roundoff of a double
@@ -153,13 +153,14 @@ def gn_eval(n: int, theta):
     decreasing for even n. Its value at pi/2 is the non-unit constant of the
     order-n sandwich, which master_params takes from integers instead, correctly
     rounded; this route, through mpmath's tan, serves any theta. The sum is taken
-    at the working precision derived from n, with no bound on its error; theta is
-    converted and range-checked at the caller's precision, so pi/2 rounded there
-    is accepted.
+    at the working precision derived from n, with no bound on its error; theta, a
+    real number (a Fraction is taken exactly), is converted and range-checked at
+    the caller's precision, so pi/2 rounded there is accepted.
     """
     coeffs = pn_coefficients(n)
-    th = mp.mpf(theta)
-    if not mp.isfinite(th) or not 0 < th <= mp.pi / 2 + mp.eps * 4:
+    require_finite(theta, "theta")
+    th = mp.mpf(theta.numerator) / theta.denominator if isinstance(theta, Fraction) else mp.mpf(theta)
+    if not 0 < th <= mp.pi / 2 + mp.eps * 4:
         raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
     with mp.workdps(_working_digits(n)):
         acc = mp.mpf(0)
@@ -267,8 +268,8 @@ def master_bounds(n: int, x) -> BoundPair:
 
 
 def _master_side(params: MasterParams, upper: bool, x):
-    """master_bounds(params.n, x).upper if upper, else .lower, from one a_n evaluation, unchecked."""
-    c = row_of(x)
+    """master_bounds(params.n, x).upper if upper, else .lower, from one a_n evaluation: master's body."""
+    c = FLOAT if type(x) is float and 0.0 <= x <= TOP else require_nonnegative(x)
     num, den = _a_n(params.n, x, c)  # a starred call would cost about 0.1 us more
     return _scale(params, upper, num, den, c)
 

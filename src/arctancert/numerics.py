@@ -8,17 +8,19 @@ margins without double rounding getting in the way.
 Every kernel takes each function and constant it needs from its argument's
 row: ``FLOAT`` (the ``math`` functions, double pi and sqrt2) or ``MPF`` (the
 mpmath functions, with pi and sqrt2 read at the active precision on each
-access). A public kernel checks its arguments once, at the top, with a
-``require_*`` validator, which returns the row; a body, which a registry row
-(``families.Approximant``) or the lift reaches after one comparison for a float
-in its domain, reads the row from the type (``row_of``). Check, then
-cache: no cache hashes an argument before its entry's check has run, and a
-cache stays only where the traffic (the table, the benchmark's workloads, the
-commands, the tests) reuses its values. Both rows
-share two overflow-free argument maps: ``reduce``, the half-angle reduction,
-and ``sincos``, the sine and cosine of arctan x, in which the closed-form
-kernels are written so that no x from 0 to the top of the float range
-squares or overflows.
+access). Each kernel's body checks its own argument and takes the row from
+the check, ``c = FLOAT if type(x) is float and lo <= x <= hi else
+require_*(x)``: a float in its domain passes after one chained comparison,
+and any other x meets a ``require_*`` validator, which raises ValueError or
+returns the row. A public kernel checks only its order (and cheb's scale)
+before its body; a registry row (``families.Approximant``) binds the body
+with its order. Check, then cache: no cache hashes an argument before its
+entry's check has run, and a cache stays only where the traffic (the table,
+the benchmark's workloads, the commands, the tests) reuses its values. Both
+rows share two overflow-free argument maps: ``reduce``, the half-angle
+reduction, and ``sincos``, the sine and cosine of arctan x, in which the
+closed-form kernels are written so that no x from 0 to the top of the float
+range squares or overflows.
 
 The read-only value types (OracleConfig, Approximant, LiftedApproximant)
 share one base, ``Frozen``: slots set once, and equality, hash and repr by a
@@ -73,11 +75,6 @@ class _MpfRow(_Row):
 FLOAT, MPF = _FloatRow(), _MpfRow()
 
 
-def row_of(x):
-    """The row x computes in: MPF for an mpf, FLOAT for anything else."""
-    return MPF if isinstance(x, _MPF) else FLOAT
-
-
 def require_finite(x, name="x"):
     """Raise ValueError unless x is a finite real number, and return the row x computes in.
 
@@ -86,7 +83,7 @@ def require_finite(x, name="x"):
     a kernel, and so is a str, None, a complex or a list, rather than raising
     TypeError there.
     """
-    row = MPF if isinstance(x, _MPF) else FLOAT  # row_of, without a call
+    row = MPF if isinstance(x, _MPF) else FLOAT
     try:
         finite = row.isfinite(x)
     except OverflowError:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from mpmath import mp
 
-from .numerics import FLOAT, TOP, require_finite, require_int, require_unit, row_of
+from .numerics import FLOAT, TOP, require_finite, require_int, require_unit
 
 
 def cheb_coefficients(n: int, ratio=None) -> list:
@@ -64,19 +64,21 @@ def cheb_arctan(n: int, x, m=1):
     below (1+sqrt2)^-(2n+3) at m = 1.
     """
     require_int(n, "truncation index n", 0)
-    c = _check_cheb(n, x)
     if m != 1 or type(m) is not int:  # the default scale needs no check
+        c = _check_cheb(x)  # x before the scale, whose type follows x's row
         require_finite(m, "m")
         if not m > 0:
             raise ValueError(f"m must be > 0, got {m!r}")
         if c is FLOAT:  # one cache key per scale, whatever its type: a float x answers a float
             m = float(m)
+            if m > TOP:  # an mpf past the float range, which float() takes to inf
+                raise ValueError("m lies beyond the float range; pass an mpf instead")
         elif isinstance(m, Fraction):  # the mpf row divides no Fraction
             m = mp.mpf(m.numerator) / m.denominator
     return _cheb(n, x, m)
 
 
-def _check_cheb(n: int, x):  # cheb_arctan's check of x, at any order n, returning its row
+def _check_cheb(x):  # cheb_arctan's check of x, returning its row
     c = require_finite(x)
     if abs(x) > 1:
         raise ValueError(f"|x| must be <= 1, got {x!r}")
@@ -84,8 +86,8 @@ def _check_cheb(n: int, x):  # cheb_arctan's check of x, at any order n, returni
 
 
 def _cheb(n: int, x, m=1):
-    # cheb_arctan's body, for x already in [-1, 1]
-    c = row_of(x)
+    # cheb_arctan's body: a float in [-1, 1] passes after one comparison, any other x meets its check
+    c = FLOAT if type(x) is float and -1.0 <= x <= 1.0 else _check_cheb(x)
     return _clenshaw_odd(_coefficients(n, m, c, c.prec), x)
 
 
@@ -98,17 +100,14 @@ def cf_arctan(n: int, x):
     while n^2*x^2 is, and past that x must be an mpf.
     """
     require_int(n, "depth n", 1)
-    _check_cf(n, x)
     return _cf(n, x)
 
 
-def _check_cf(n: int, x):  # cf_arctan's check of x at depth n
-    if require_finite(x) is FLOAT and not n * n * (x * x) <= TOP:  # exact for an int x
-        raise ValueError(f"n^2*x^2 lies beyond the float range at n = {n}, x = {x!r}")
-
-
 def _cf(n: int, x):
-    # cf_arctan's body, for a finite x whose n^2*x^2 is finite
+    # cf_arctan's body: a float in [-1, 1] passes after one comparison, any other x meets its check
+    if type(x) is not float or not -1.0 <= x <= 1.0:
+        if require_finite(x) is FLOAT and not n * n * (x * x) <= TOP:  # exact for an int x
+            raise ValueError(f"n^2*x^2 lies beyond the float range at n = {n}, x = {x!r}")
     xx = x * x
     d = 2 * n + 1
     for k in range(n, 0, -1):
@@ -142,11 +141,12 @@ def taylor1_s(n: int, u):
     it is the depth-n series for arctan(1/t), t >= 1.
     """
     require_int(n, "truncation index n", 0)
-    require_unit(u, "u")
     return _s(n, u)
 
 
-def _s(n: int, u):  # taylor1_s's body, for u already in [0, 1]
+def _s(n: int, u):  # taylor1_s's body, which checks u in one comparison at a float in [0, 1]
+    if type(u) is not float or not 0.0 <= u <= 1.0:
+        require_unit(u, "u")
     return _quartic_rows(n, u / (u + 1))
 
 
@@ -162,12 +162,12 @@ def taylor1_t(n: int, u):
     each of its points (``fixedpoint.t_kernel``).
     """
     require_int(n, "truncation index n", 0)
-    require_unit(u, "u")
     return _t(n, u)
 
 
-def _t(n: int, u):  # taylor1_t's body, for u already in [0, 1]
-    return row_of(u).pi / 4 - _quartic_rows(n, (1 - u) / 2)
+def _t(n: int, u):  # taylor1_t's body, which checks u in one comparison at a float in [0, 1]
+    c = FLOAT if type(u) is float and 0.0 <= u <= 1.0 else require_unit(u, "u")
+    return c.pi / 4 - _quartic_rows(n, (1 - u) / 2)
 
 
 def blend_w(n: int, u):
@@ -177,16 +177,16 @@ def blend_w(n: int, u):
     shares; uniform error on [0,1] at most 20^-n.
     """
     require_int(n, "truncation index n", 0)
-    require_unit(u, "u")
     return _blend(n, u)
 
 
 def _blend(n: int, u):
-    # blend_w's body, for u already in [0, 1]: taylor1_t's and taylor1_s's bodies
+    # blend_w's body: taylor1_t's and taylor1_s's bodies, which check u, then the weights
+    t, s = _t(n, u), _s(n, u)
     p = 4 * n + 4
     wu = u**p
     wv = (1 - u) ** p
-    return (wu * _t(n, u) + wv * _s(n, u)) / (wu + wv)
+    return (wu * t + wv * s) / (wu + wv)
 
 
 def machin_pi_fraction(terms: int) -> Fraction:

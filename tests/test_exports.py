@@ -268,6 +268,7 @@ _ARGUMENTS = {
     "master_bounds": (lambda v: master.master_bounds(v, 1.0), _FAULTS),
     "master_params": (lambda v: master.master_params(v), _FAULTS),
     "gn_eval": (lambda v: master.gn_eval(v, 1.0), _FAULTS),
+    "gn_eval-theta": (lambda v: master.gn_eval(3, v), ("2", None, 1j, [1.0], 2.0)),
     "pn_coefficients": (lambda v: master.pn_coefficients(v), _FAULTS),
     "elementary_symmetric": (lambda v: master.elementary_symmetric(v), _FAULTS),
     "denominator_product": (lambda v: master.denominator_product(v), _FAULTS),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -517,3 +518,64 @@ def test_public_kernels_reject_a_non_integer_order(kernel):
     for n in (2.0, 2.5, "2"):
         with pytest.raises(ValueError):
             kernel(n, 0.5)
+
+
+# --- every value pinned: one sha256 over the float values, one over the 50-digit ones ---
+
+# every row and public kernel takes _PIN_UNIT; those over [0, inf) take _PIN_HALF_LINE too
+_PIN_UNIT = (0.0, 5e-324, 1e-300, 2.0**-30, 0.1, 0.375, 0.5, 1 / math.sqrt(2), 1 - 2.0**-53, 1.0)
+_PIN_HALF_LINE = (1.5, 2.0, 3.0, 1e8, 1e150, 1e300, sys.float_info.max)
+# taken before each registry row came to share its public kernel's body, and unchanged by it
+_FLOAT_VALUES_SHA256 = "a061cc42e3e200e8c0bada63196a850986cd46a765730fe7f75eb69c45140bbd"
+_MPF50_VALUES_SHA256 = "4d49e4dd93661d60f40bbba002f3631d43fa3aff6ec2e55e72f17b8a10cbdfa1"
+
+
+def _pinned():
+    # (name, f, half_line): every registry row at every order and side, then every public kernel
+    for ident, info in FAMILIES.items():
+        for n in range(info.n_min, MAX_ORDER + 1) if info.needs_n else (None,):
+            for side in ("lower", "upper") if info.kind is BoundKind.TWO_SIDED else (None,):
+                ap = Approximant(ident, n=n, side=side)
+                yield ap.label, ap, info.claim_interval == "0:inf"
+    for n in range(MAX_ORDER + 1):
+        yield f"cheb_arctan({n})", partial(series.cheb_arctan, n), False
+        yield f"cheb_arctan({n}, m=2)", lambda x, n=n: series.cheb_arctan(n, x, 2), False
+        for f in (series.taylor1_s, series.taylor1_t, series.blend_w):
+            yield f"{f.__name__}({n})", partial(f, n), False
+        if n:
+            yield f"cf_arctan({n})", partial(series.cf_arctan, n), False
+            yield f"master_bounds({n})", partial(master.master_bounds, n), True
+    yield "lagrange_p", core.lagrange_p, False
+    for f in (core.theorem4_upper, core.theorem5_approx, core.shafer_fink_bounds, core.theorem2_bounds):
+        yield f.__name__, f, True
+
+
+def _value_text(v):
+    # exact and independent of mpmath's backend: a float by its hex, an mpf by its sign,
+    # mantissa, exponent and bit count, a pair by both sides
+    if isinstance(v, tuple):
+        return " ".join(map(_value_text, v))
+    if isinstance(v, mp.mpf):
+        sign, man, exp, bc = v._mpf_
+        return f"({sign}, {int(man)}, {exp}, {bc})"
+    assert type(v) is float, type(v)
+    return v.hex()
+
+
+def _values_sha256(convert):
+    h = hashlib.sha256()
+    for name, f, half_line in _pinned():
+        for x in _PIN_UNIT + (_PIN_HALF_LINE if half_line else ()):
+            h.update(f"{name} {x!r} {_value_text(f(convert(x)))}\n".encode())
+    return h.hexdigest()
+
+
+def test_float_values_hold_their_pinned_hash():
+    # a change of one ulp to any value of any row or public kernel changes the hash; the
+    # bit-for-bit composition test above cannot see a change to a body that both share
+    assert _values_sha256(float) == _FLOAT_VALUES_SHA256
+
+
+def test_50_digit_values_hold_their_pinned_hash():
+    with mp.workdps(50):
+        assert _values_sha256(mp.mpf) == _MPF50_VALUES_SHA256

@@ -127,6 +127,13 @@ def test_gn_domain(bad):
         gn_eval(2, bad)
 
 
+def test_gn_takes_a_fraction_exactly():
+    # numerator over denominator at the caller's precision; what is no real number is refused
+    # with ValueError (tests/test_exports.py)
+    with mp.workdps(50):
+        assert gn_eval(3, Fraction(1, 3)) == gn_eval(3, mp.mpf(1) / 3)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gn_sampled_monotonicity(n):
     # monotone on a 1024-point grid of (0, pi/2]; increasing for odd n,

@@ -148,6 +148,15 @@ def test_cheb_scaled_domain():
         with pytest.raises(ValueError):
             cheb_arctan(3, x, 2.0)
 
+def test_a_scale_past_the_float_range_is_refused_at_a_float_x_and_taken_at_an_mpf():
+    # float(m) is inf for an mpf m past the float range, so a float x refuses it as it refuses
+    # an int or a Fraction there; an mpf x keeps it, where r rounds to 1
+    for m in (mp.mpf("1e400"), 10**400, Fraction(10**400, 3)):
+        with pytest.raises(ValueError, match="^m lies beyond the float range; pass an mpf instead$"):
+            cheb_arctan(4, 0.5, m)
+    with mp.workdps(50):
+        assert abs(cheb_arctan(4, mp.mpf(0.5), mp.mpf("1e400")) - mp.mpf(473) / 315) < mp.mpf(10) ** -48
+
 @pytest.mark.parametrize("first", ["fraction", "float"])
 def test_a_scale_of_any_type_answers_alike_whatever_came_first(first):
     # a Fraction scale, which the mpf row cannot divide, and the float it equals share one cache
