@@ -4,11 +4,11 @@ Each function is a short run of floored integer steps at a scale 2^w (2^wp for
 the oracle's arctan), its bound in units of that scale proved once in a comment
 (Brent & Zimmermann, Modern Computer Arithmetic, ch. 1 and 4).
 
-The oracle's arctan calls no library arctangent. It reduces x, or 1/x above 1,
-against two tables of 65 values, the centres k/64 and then the fine points
-j/2^13 (_atan_reduced, _table), and sums the Maclaurin series at the rest, under
-2^-14, with guard bits beyond the working precision, an argument rather than the
-mpmath context; atan_rounded rounds it once, within one unit in the last place.
+The oracle's arctan calls no library arctangent. It holds x, or 1/x above 1, as
+a ratio of integers and reduces it exactly, by Gaussian integer products, against
+the centres k/64 and then the fine points j/2^13 (_atan_reduced, _table); one
+quotient, under 2^-14, feeds the Maclaurin series at guard bits beyond the working
+precision, an argument, not the mpmath context. atan_rounded rounds once, to 1 ulp.
 
 The scan's fixed-point tier has one rule for every row, direct_fixed: the row's
 kernel at scale 2^w, at x itself, at u = x on [0, 1] or at the lift's u, less
@@ -40,7 +40,7 @@ from functools import lru_cache
 from mpmath import mp
 from mpmath.libmp import from_man_exp, pi_fixed, round_nearest
 
-from .numerics import require_nonnegative, require_unit
+from .numerics import require_nonnegative, require_unit, shown
 
 MAX_ORDER = 16  # every row with an order takes n_min..MAX_ORDER, and both tiers' rules hold over it
 _GUARD_BITS = 24  # fixed-point bits the oracle carries beyond the working precision
@@ -52,10 +52,6 @@ _MASTER_GUARD = 16  # bits master_kernel carries beyond w
 def nearest(num: int, den: int) -> int:
     # num/den rounded to the nearest integer, den > 0
     return (2 * num + den) // (2 * den)
-
-
-def _shift(v: int, s: int) -> int:
-    return v << s if s >= 0 else v >> -s
 
 
 def _series(y2: int, wp: int) -> int:
@@ -71,7 +67,7 @@ def _series(y2: int, wp: int) -> int:
 
 
 def _atan_small(z: int, wp: int) -> int:
-    # arctan(z) scaled by 2^wp from z scaled by 2^wp, for 0 <= z <= 2^-6
+    # arctan(z) scaled by 2^wp from z scaled by 2^wp, for |z| <= 2^-6
     return (z * _series((z * z) >> wp, wp)) >> wp
 
 
@@ -100,7 +96,7 @@ def _parts(x):
         return x._mpf_[1:3]
     if isinstance(x, int):
         return int(x), 0
-    raise ValueError(f"x must be a float, an int or an mpf, got {x!r}")
+    raise ValueError(f"x must be a float, an int or an mpf, got {shown(x)}")
 
 
 def _oracle_bits(prec: int) -> int:
@@ -112,58 +108,52 @@ def atan_fixed(x, w: int) -> int:
     # arctan of x >= 0 scaled by 2^w, within 1.01 units: the oracle's reduction (_atan_reduced)
     # at its working width wp = w + 40, floored where atan_rounded rounds. At any x > 0 and wp
     # it errs by under 793 + 0.51*wp units of 2^-wp (its three centre values and one fine
-    # value, _table, and 8), so by under 0.01 units of 2^-w for w below 2^34 once shifted
-    # down, and the shift floors one more.
+    # value, _table, and its one quotient and the series, 5), so by under 0.01 units of 2^-w
+    # for w below 2^34 once shifted down, and the shift floors one more.
     man, exp = _parts(x)
-    if not man:
-        return 0
     wp = _oracle_bits(w)
     return _atan_reduced(man, exp, x > 1, wp) >> (wp - w)
 
 
 def _atan_reduced(man: int, exp: int, above: bool, wp: int) -> int:
-    # arctan x scaled by 2^wp for x = man*2^exp > 0, above telling x > 1. y = x, or y = 1/x
-    # reflected through pi/2 = 2*T_N, N = _CENTRES, is reduced twice by one step against the
-    # nearest point c = k/n of a table: arctan y = T_k + arctan z, z = (y - c)/(1 + y*c),
-    # |z| <= |y - c| <= 1/(2n). The centres (n = N) leave |z| <= 2^-7, the fine points j/2^13
-    # then |z| <= 2^-14, so the series sums about wp/28 terms. An exact point ends it, so
-    # x = 1, for pi, needs no fine table, and a y floored to 0 gives T_0 = 0. Small x needs no
-    # case of its own: below c = 1/(2n) a step picks k = 0, adds T_0 = 0 and leaves y as it
-    # was, its quotient exact, so at x <= 1/N the series too runs at |z| <= 2^-14. At most
-    # three centre values enter, each within 2^9 units (_table), and one fine value within
-    # 2^8; the floors of y, of both quotients and of the series add under 8, so the result
-    # lies within 3*2^9 + 2^8 + 8 < 2^11.
-    one = 1 << wp
-    if above:
-        y = (1 << (wp - exp)) // man if wp >= exp else 0
-    else:
-        y = _shift(man, exp + wp)
-    r, sign = 0, 1
+    # arctan x scaled by 2^wp for x = man*2^exp >= 0, above telling x > 1. y = x, or 1/x
+    # reflected through pi/2 = 2*T_N, N = _CENTRES, is held exactly as im/re. A step against the
+    # points k/n of a table, the centres (n = N), then the fine points j/2^13, takes k nearest
+    # n*im/re and multiplies re + i*im by n - ik: that subtracts arctan(k/n) exactly, adds T_k,
+    # or -T_(-k), and leaves |im/re| = |y - c|/(1 + y*c) <= 1/(2n), c = k/n, k*y >= 0. im = 0
+    # ends it with no series (x = 0, and x = 1, for pi, build no fine table); else one floored
+    # quotient z of im/re, within 2^-14, feeds the series, about wp/28 terms. Three centre values
+    # enter at most, each within 2^9 units (_table), one fine value within 2^8, and z's floor,
+    # the series' floors scaled by |z| and its product's floor under 5: 3*2^9 + 2^8 + 5 < 2^11.
+    bits = exp + man.bit_length()  # 2^(bits - 1) <= x < 2^bits
+    if bits > wp:  # arctan(1/x) under one unit, read off: no integer much wider than wp and man
+        return 2 * _table(_CENTRES, wp)[_CENTRES]
+    if bits <= -wp:  # arctan x under one unit, likewise
+        return 0
+    num, den = man << max(exp, 0), 1 << max(-exp, 0)
+    re, im = (num, den) if above else (den, num)
+    r = 0
     for n in (_CENTRES, _FINE):
-        k = (y * n + (one >> 1)) >> wp
-        num = y * n - k * one
-        r += sign * _table(n, wp)[k]
-        if not num:
+        k = nearest(n * im, re)
+        r += _table(n, wp)[k] if k >= 0 else -_table(n, wp)[-k]
+        re, im = n * re + k * im, n * im - k * re
+        if not im:
             break
-        sign = sign if num > 0 else -sign
-        y = (abs(num) << wp) // (n * one + y * k)
     else:
-        r += sign * _atan_small(y, wp)
+        r += _atan_small((im << wp) // re, wp)
     return 2 * _table(_CENTRES, wp)[_CENTRES] - r if above else r
 
 
 def atan_rounded(x, prec: int):
     # arctan of x >= 0 rounded once to prec bits; x's parts and both comparisons are exact,
-    # so nothing reads mp.prec. x <= 1/N sums the Maclaurin series relative to x, so tiny x
-    # keeps full relative accuracy. Larger x is reduced (_atan_reduced): the results lie above
-    # 2^-7 within 2^9 + 2^8 + 8 units of 2^-wp, or, reflected, above pi/4 within 2^11, so wp
-    # keeps over 23 bits beyond prec relative to them.
+    # so nothing reads mp.prec. x <= 2^-13 = 1/_FINE sums the Maclaurin series relative to x,
+    # at x^2 <= 2^-26, so tiny x keeps full relative accuracy. Larger x is reduced
+    # (_atan_reduced): the results lie above arctan 2^-13 > 2^-13.01 within 2^11 units of
+    # 2^-wp, so wp keeps over 15 bits beyond prec relative to them.
     man, exp = _parts(x)
-    if not man:
-        return mp.mpf(0)
     wp = _oracle_bits(prec)
-    if x <= 1 / _CENTRES:
-        s = _series(_shift(man * man, 2 * exp + wp), wp)
+    if x <= 1 / _FINE:
+        s = _series((man * man << wp) >> -2 * exp, wp)  # x < 1, so exp <= 0
         return mp.make_mpf(from_man_exp(man * s, exp - wp, prec, round_nearest))
     return mp.make_mpf(from_man_exp(_atan_reduced(man, exp, x > 1, wp), -wp, prec, round_nearest))
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from fractions import Fraction
 
 from mpmath import mp
 
@@ -128,10 +129,10 @@ LONG_TEXT = 64  # the most characters of a str that a message quotes
 
 
 def shown(v) -> str:
-    """v as a message quotes it: repr(v), an int of more than 128 bits by its size (past
-    4,300 digits Python refuses to print it), a str of more than LONG_TEXT by its length."""
-    if isinstance(v, int) and v.bit_length() > 128:
-        return f"an integer of {v.bit_length()} bits"
+    """v as a message quotes it: repr(v), an int or a Fraction with a term past 128 bits by its
+    size (past 4,300 digits Python refuses to print it), a str past LONG_TEXT by its length."""
+    if isinstance(v, int | Fraction) and (bits := max(abs(v.numerator), v.denominator).bit_length()) > 128:
+        return f"an integer of {bits} bits" if isinstance(v, int) else f"a Fraction with a term of {bits} bits"
     if isinstance(v, str) and len(v) > LONG_TEXT:
         return f"a string of {len(v)} characters"
     return repr(v)

@@ -1,15 +1,18 @@
 """Extended-precision arctangent oracle and the sup-norm certification harness.
 
 The oracle is fixedpoint.atan_rounded, an integer arctan that calls no library
-one, rounded once to within one unit in the last place at working precision.
-Its values are cached by x and precision (_oracle_cached), 2*DEFAULT_GRID of
-them: one bounded grid at DEFAULT_GRID, 6,145 points, and its probes, so a
-pair's second side finds every value its first side computed over that grid,
-which a smaller LRU, traversed in grid order, would have evicted. An eviction
-can change a report's oracle_cold count, never a value. pi is 4*arctan(1), the
-centre table's last value rounded once and scaled exactly, the constant that
-every x > 1 reflects through; the Machin series (series.machin_pi), which the
-pi command compares with it, shares no code with it.
+one: x's parts reduce exactly against two tables, one quotient feeds a short
+series, and the sum rounds once, within one unit in the last place at working
+precision. A non-negative finite float with an OracleConfig reaches the cache
+after one comparison, any other argument after its checks. Values are cached by
+x and precision (_oracle_cached), 2*DEFAULT_GRID of them: one bounded grid at
+DEFAULT_GRID, 6,145 points, and its probes, so a pair's second side finds every
+value its first side computed over that grid, which a smaller LRU, traversed in
+grid order, would have evicted. An eviction can change a report's oracle_cold
+count, never a value. pi is 4*arctan(1), the centre table's last value rounded
+once and scaled exactly, the constant that every x > 1 reflects through; the
+Machin series (series.machin_pi), which the pi command compares with it, shares
+no code with it.
 
 Certification is sampling-based evidence, not interval-arithmetic proof: a
 grid is laid over the requested closed interval (a tan-mapped grid when it is
@@ -192,9 +195,13 @@ def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
 
     Accepts non-negative floats, ints or mpf values; +inf returns pi/2, arctan
     1 doubled. cfg.report_digits only bounds the digits a caller is promised.
-    The last 2*DEFAULT_GRID values are cached, one default grid and its probes.
+    The last 2*DEFAULT_GRID values are cached, one default grid and its probes;
+    a non-negative finite float with an OracleConfig reaches them after one
+    comparison, any other argument after its checks.
     """
-    cfg = _config(cfg)
+    cfg = cfg if type(cfg) is OracleConfig else _config(cfg)
+    if type(x) is float and 0.0 <= x < math.inf:
+        return _oracle_cached(x, cfg.prec)
     # comparisons only, so a float, an int past the float range and an mpf all pass
     if x != x:
         raise ValueError("x must not be NaN")
@@ -203,7 +210,7 @@ def oracle_arctan(x, cfg: Optional[OracleConfig] = None):
     except TypeError:  # a str, None, a list: no number
         raise ValueError(f"x must be a real number, got {type(x).__name__}") from None
     if negative:
-        raise ValueError(f"x must be non-negative, got {x!r}")
+        raise ValueError(f"x must be non-negative, got {shown(x)}")
     if x == math.inf:
         return mp.ldexp(_oracle_cached(1, cfg.prec), 1)
     return _oracle_cached(x, cfg.prec)

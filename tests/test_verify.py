@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import math
 import random
 import sys
@@ -128,10 +129,10 @@ def _fine_seams(centres):
     return [y for c in centres for d in ds if (y := (c + d) / (1 - c * d)) > 0]
 
 
-# the reduction's seams, each with its float neighbours: the centres k/64 (2^-6, where the
-# relative series ends, and 1, where the reflection starts, among them), the midpoints
-# (k+1/2)/64 where the nearest centre flips, the fine seams around every centre, and the
-# same seams of 1/x above 1 (2 among them)
+# the reduction's seams, each with its float neighbours: the centres k/64 (1, where the
+# reflection starts, among them), the midpoints (k+1/2)/64 where the nearest centre flips, the
+# fine seams around every centre (2^-13, where the relative series ends, among those of 0),
+# and the same seams of 1/x above 1 (2 and 2^13 among them)
 _SEAMS = [k / 64 for k in range(1, 65)] + [(2 * k + 1) / 128 for k in range(64)]
 _SEAMS += _fine_seams([k / 64 for k in range(65)])
 _EDGE_POINTS = [5e-324, 2.0**-1074 * 3, 1e-300, 1e154, 1.7e308] + [
@@ -157,11 +158,11 @@ def test_oracle_within_one_ulp_everywhere(x, digits):
 
 def _fixed_points():
     # 0, the smallest subnormal, 1e-300, the top of the float range, and, each with its
-    # neighbouring doubles, 1 and 2^-14, 2^-13, 1/128 and 1/64, where a step of the reduction
-    # meets point 0; mantissas whose low 33 bits are all 0, all 1, or 2^32; at the fine seams
-    # of a few centres and at their reciprocals, the doubles whose top 20 mantissa bits lie
-    # either side of the seam, each with its low 33 bits all 0 and all 1; and the reduction's
-    # seams (_EDGE_POINTS)
+    # neighbouring doubles, 1 and 2^-14, 2^-13 (where the relative series ends), 1/128 and
+    # 1/64, where a step of the reduction meets point 0; mantissas whose low 33 bits are all 0,
+    # all 1, or 2^32; at the fine seams of a few centres and at their reciprocals, the doubles
+    # whose top 20 mantissa bits lie either side of the seam, each with its low 33 bits all 0
+    # and all 1; and the reduction's seams (_EDGE_POINTS)
     pts = [0.0, 5e-324, 1e-300, 1.7e308]
     pts += [math.nextafter(c, to) for c in (1.0, 2.0**-14, 2.0**-13, 1 / 128, 1 / 64) for to in (0.0, c, math.inf)]
     for top in (0x80005, 0xFFFFF, 0xAAAAA):  # 20 bits, so each mantissa has 53
@@ -224,6 +225,37 @@ def test_table_entries_lie_within_their_bound(n, wp):
             assert abs(t - mp.ldexp(mp.atan(mp.mpf(k) / n), wp)) <= k * _link_units(n, wp), (n, wp, k)
 
 
+# --- every oracle value pinned: one sha256 over the rounded and the floored arctan ---
+
+# taken before the reduction came to multiply x's parts by n - ik, and unchanged by it
+_ORACLE_VALUES_SHA256 = "257dd1a422cd43ce4a8ef5794190b7c6c37e25ef973bf68853b48e745ec778f6"
+
+
+def _oracle_values_sha256():
+    # oracle_arctan at 40, 50, 120 and 200 digits and atan_fixed at four scales, at 2,000
+    # seeded points, uniform on [0, 2] and log-uniform over the doubles, and at the reduction's
+    # seams (_fixed_points(), which holds _EDGE_POINTS and 2^-13 with its neighbours); an mpf
+    # by its sign, mantissa, exponent and bit count, exact whatever mpmath's backend
+    rng = random.Random(51)
+    points = [rng.uniform(0, 2) for _ in range(1000)] + [2.0 ** rng.uniform(-1074, 1023) for _ in range(1000)]
+    points += _fixed_points()
+    h = hashlib.sha256()
+    for digits in (40, 50, 120, 200):
+        cfg = OracleConfig(working_digits=digits, report_digits=30)
+        for x in points:
+            sign, man, exp, bc = oracle_arctan(x, cfg)._mpf_
+            h.update(f"{digits} {x!r} ({sign}, {int(man)}, {exp}, {bc})\n".encode())
+    for w in (64, dps_to_prec(50), 402, 1000):
+        h.update(f"{w} {[fixedpoint.atan_fixed(x, w) for x in points]}\n".encode())
+    return h.hexdigest()
+
+
+def test_oracle_values_hold_their_pinned_hash():
+    # the tests above bound each value in ulps or units, so a reduction that moves a rounded
+    # or floored value by one unit passes them; this hash changes with any bit of any value
+    assert _oracle_values_sha256() == _ORACLE_VALUES_SHA256
+
+
 def test_oracle_refuses_a_fraction_with_value_error(cfg):
     # the argument checks are comparisons, which a Fraction passes; its parts are not exact
     # integers the oracle takes, so it names the types it does take
@@ -231,12 +263,29 @@ def test_oracle_refuses_a_fraction_with_value_error(cfg):
         oracle_arctan(Fraction(1, 3), cfg)
 
 
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (-(10**5000), "x must be non-negative, got an integer of 16610 bits"),
+        (-(10**400), "x must be non-negative, got an integer of 1329 bits"),
+        (Fraction(10**5000, 3), "x must be a float, an int or an mpf, got a Fraction with a term of 16610 bits"),
+    ],
+    ids=["-10**5000", "-10**400", "Fraction(10**5000, 3)"],  # no str of the first or last
+)
+def test_oracle_refusals_name_x_by_its_size(x, message, cfg):
+    # an int past 4,300 digits has no repr, and one of 401 digits would fill the message
+    with pytest.raises(ValueError) as info:
+        oracle_arctan(x, cfg)
+    assert str(info.value) == message and len(message) < 200
+
+
 def test_oracle_does_not_depend_on_the_ambient_precision():
     # the oracle takes its precision from cfg alone: an int's parts are exact, both above
     # 2^53 and past the float range, and so are those of an mpf with more bits than either
-    # ambient precision carries, one of them just above 1/64, where the relative series ends
+    # ambient precision carries, one of them just above 2^-13, where the relative series ends,
+    # and one just above the centre 1/64
     with mp.workprec(1200):
-        wides = [mp.sqrt(2) / 3, mp.mpf(1) / 64 + mp.mpf(2) ** -1100]
+        wides = [mp.sqrt(2) / 3, mp.mpf(2) ** -13 + mp.mpf(2) ** -1100, mp.mpf(1) / 64 + mp.mpf(2) ** -1100]
     cfg = OracleConfig(working_digits=50, report_digits=30)
     for x in [2**60 + 1, 10**400, *wides]:
         values = []
@@ -246,6 +295,32 @@ def test_oracle_does_not_depend_on_the_ambient_precision():
                 values.append(oracle_arctan(x, cfg))
         assert values[0] == values[1], x
         assert _ulps_off(values[0], x, cfg.working_digits) <= 1, x
+
+
+# mpf x = 3*2^e at exponents far past the float range, either way: the reduction reads its
+# result off there (pi/2 from the centre table above, 0 below 2^-wp) and the relative series
+# shifts its square away, so neither builds an integer as wide as 2^|e|
+_EXTREME = [mp.mpf(3) * mp.mpf(2) ** e for e in (5000, -5000, 10**6, -(10**6), 10**9, -(10**9))]
+
+
+@pytest.mark.parametrize("x", _EXTREME, ids=lambda x: f"3*2^{int(mp.log(x / 3, 2))}")
+def test_oracle_and_fixed_arctan_at_extreme_exponents(x, cfg):
+    assert _ulps_off(oracle_arctan(x, cfg), x, cfg.working_digits) <= 1
+    _check_atan_fixed(x, dps_to_prec(50))
+
+
+def test_oracle_pi_builds_the_centre_tables_alone():
+    # x = 1 ends the reduction at its first step, so pi at two precisions, cold, builds the
+    # centre table at each working width and no fine table
+    fixedpoint._table.cache_clear()
+    _oracle_cached.cache_clear()
+    cfgs = [OracleConfig(working_digits=d, report_digits=30) for d in (50, 100)]
+    for c in cfgs:
+        oracle_pi(c)
+    assert fixedpoint._table.cache_info().misses == 2
+    for c in cfgs:
+        fixedpoint._table(fixedpoint._CENTRES, fixedpoint._oracle_bits(c.prec))
+    assert fixedpoint._table.cache_info().misses == 2  # both found: the two it built
 
 
 def test_oracle_pi_is_its_arctan_1_scaled_and_machin_to_the_bit():
