@@ -89,10 +89,10 @@ def lagrange_p(u):
 def theorem5_approx(x):
     """The lifted interpolant; within 1/115 of arctan on all of R+.
 
-    Equals 2*lagrange_p(x/(1+sqrt(1+x^2))): the reduced argument lies in [0, 1),
-    nothing squares, and the value tends to pi/2 as x -> inf.
+    Equals 2*lagrange_p(x/(1+sqrt(1+x^2))) through LiftedApproximant: the reduced
+    argument lies in [0, 1), nothing squares, and the value tends to pi/2 as x -> inf.
     """
-    return 2 * lagrange_p(require_nonnegative(x).reduce(x))
+    return _THEOREM5(x)
 
 
 def lift_interval_map(t):
@@ -111,7 +111,8 @@ class LiftedApproximant(Frozen):
     kept; nest it to halve more than once. It checks x once, a float from 0
     to the largest double by one comparison; a registry row's inner is its
     kernel's body, which re-tests u, in [0, 1) by construction, by one more.
-    An inner that is not callable is refused with ValueError.
+    An inner that is not callable is refused with ValueError, and so is a
+    value of inner that is not an int, a float or an mpf.
     """
 
     __slots__ = ("inner",)  # a slot, since every call reads it
@@ -124,4 +125,10 @@ class LiftedApproximant(Frozen):
 
     def __call__(self, x):
         c = FLOAT if type(x) is float and 0.0 <= x <= TOP else require_nonnegative(x)
-        return 2 * self.inner(c.reduce(x))
+        v = self.inner(c.reduce(x))
+        if type(v) is not float and not isinstance(v, int | Scalar):
+            raise ValueError(f"inner must return a real number, got {type(v).__name__} at x = {x!r}")
+        return 2 * v
+
+
+_THEOREM5 = LiftedApproximant(lagrange_p)

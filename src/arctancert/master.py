@@ -1,23 +1,20 @@
 """The general order-n bound pair (Theorem 3), whose orders 1 and 2 are sf and t2.
 
-Exact ingredients first: p_n(x) = prod_{k=1..n} (4^k x - 1)/(4^k - 1) expanded
-in rational arithmetic, the elementary symmetric numbers of (1, 4, ..., 4^(n-1)),
-and their product D = prod(4^k - 1). The runtime pieces follow: the raw
-approximant a_n built from nested radicals, the endpoint function g_n evaluated
-at extended precision, and the assembled two-sided bound
+Exact ingredients first: D = prod(4^k - 1) and the integers D*A_k, the
+coefficients of D*p_n(x) = prod_{k=1..n} (4^k x - 1). D*A_j = (-1)^(n-j)*4^j*e_j,
+e_j the elementary symmetric numbers of (1, 4, ..., 4^(n-1)), so a_n's alternating
+sum takes its (-1)^(n-j)*e_j*2^j as D*A_j/2^j. The runtime pieces follow: the raw
+approximant a_n built from nested radicals, the endpoint constant g_n(pi/2), and
+the assembled two-sided bound
 
     k_low * D * a_n(x)  <  arctan x  <  k_high * D * a_n(x)
 
 with {k_low, k_high} = {1, g_n(pi/2)} and k_high - k_low < 4^-n.
 
-Two independent evaluation routes are kept on purpose: the e_j/L_j alternating
-sum behind a_n, and the A_k-weighted cotangent sum behind g_n, which gn_eval
-takes through mpmath's tan at any theta. Their exact coefficient identity
-D*A_j/2^j == (-1)^(n-j)*2^j*e_j is asserted in the tests, which guards the
-easy-to-botch sign structure. At theta = pi/2 the cotangents are the half-angle
-radicals themselves, so master_params sums its constant g_n(pi/2) in floored
-integers (_gn_end), with a proved error, and rounds it once to nearest; the
-tests check it against gn_eval's route summed at 400 digits.
+g_n(theta) = sum_k A_k*(theta/2^k)*cot(theta/2^k). At theta = pi/2 the cotangents
+are the half-angle radicals themselves, so master_params sums g_n(pi/2) in floored
+integers (_gn_end), with a proved error, and rounds it once to nearest. The tests
+check the constants and the e_j by independent routes, g_n's through mpmath's tan.
 
 g_n(pi/2) - 1 has about n^2/3 leading zeros, which the cotangent sum cancels,
 so the constants carry a precision derived from n: max(50, 20 + 3n^2/5)
@@ -38,7 +35,6 @@ under 2^-1000, which the mpf term that the scan's guard adds absorbs.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import NamedTuple
 
@@ -48,7 +44,7 @@ from mpmath.libmp import dps_to_prec, from_man_exp, pi_fixed, round_nearest, to_
 
 from .core import BoundPair
 from .fixedpoint import MAX_ORDER, nearest
-from .numerics import FLOAT, MPF, TOP, require_finite, require_int, require_nonnegative
+from .numerics import FLOAT, MPF, TOP, require_int, require_nonnegative
 
 CONSTANT_DIGITS = 50  # the least precision of g_n and of the constants, at orders up to 7
 U = 2.0**-53  # unit roundoff of a double
@@ -79,39 +75,20 @@ def denominator_product(n: int) -> int:
     return math.prod(4**k - 1 for k in range(1, n + 1))
 
 
-@_order_cached
-def pn_coefficients(n: int) -> tuple:
-    """Exact coefficients (A_0, ..., A_n) of prod_{k=1..n} (4^k x - 1)/(4^k - 1).
-
-    By construction p_n(1) = 1 (the coefficients sum to one) and
-    p_n(4^-j) = 0 for j = 1..n.
-    """
-    d = denominator_product(n)
-    return tuple(Fraction(c, d) for c in _pn_numerator(n))  # D*A_k, lowest degree first
-
-
 def _pn_numerator(n: int) -> list:
+    # D*A_k, k = 0..n, lowest degree first: the coefficients of prod_{k=1..n} (4^k x - 1)
     num = [1]
     for w in (4**k for k in range(1, n + 1)):
         num = [-num[0]] + [w * num[i - 1] - num[i] for i in range(1, len(num))] + [w * num[-1]]
     return num
 
 
-def elementary_symmetric(n: int) -> tuple:
-    """(e_0, ..., e_n) over the list (1, 4, ..., 4^(n-1)), via prod(1 + 4^k t)."""
-    _check_order(n)
-    e = [1]
-    for w in (4**k for k in range(n)):
-        e = [e[0]] + [e[j] + w * e[j - 1] for j in range(1, len(e))] + [w * e[-1]]
-    return tuple(e)
-
-
 def a_n(n: int, x):
     """x over the alternating nested-radical sum: the raw order-n approximant.
 
     a_n(x) = x / sum_j (-1)^(n-j) * L_j(x) * 2^j * e_j, with a_n(0) = 0 and
-    a_n(x)*D/x -> 1 as x -> 0. The plain-constant sandwich rescales this by
-    D (see master_bounds).
+    a_n(x)*D/x -> 1 as x -> 0; each (-1)^(n-j)*2^j*e_j is D*A_j/2^j, A_j p_n's
+    coefficients. The plain-constant sandwich rescales this by D (see master_bounds).
     """
     _check_order(n)
     num, den = _a_n(n, x, require_nonnegative(x))
@@ -120,10 +97,10 @@ def a_n(n: int, x):
 
 @lru_cache(maxsize=None)
 def _signed_e(n: int, c) -> tuple:
-    # (-1)^(n-j)*e_j*2^j, j = 0..n, once per order and row c: exact ints for the mpf row and
-    # fixedpoint.master_kernel (an mpf of one would round before the product does), doubles for float
-    e = elementary_symmetric(n)
-    return tuple((float if c is FLOAT else int)((-1) ** (n - j) * e[j] << j) for j in range(n + 1))
+    # (-1)^(n-j)*e_j*2^j = D*A_j/2^j, j = 0..n, once per order and row c, exact since 4^j divides
+    # D*A_j: ints for the mpf row and fixedpoint.master_kernel (an mpf of one would round before
+    # the product does), doubles for float
+    return tuple((float if c is FLOAT else int)(a >> j) for j, a in enumerate(_pn_numerator(n)))
 
 
 def _a_n(n: int, x, c):
@@ -144,30 +121,6 @@ def _a_n(n: int, x, c):
     if not den > 0:
         raise ValueError(f"a_{n} denominator must be positive, got {den} at x={x}")
     return num, den
-
-
-def gn_eval(n: int, theta):
-    """g_n(theta) = sum_k A_k * f(theta/2^k) with f(y) = y*cot(y).
-
-    Monotone on (0, pi/2] with g_n -> 1 as theta -> 0; increasing for odd n,
-    decreasing for even n. Its value at pi/2 is the non-unit constant of the
-    order-n sandwich, which master_params takes from integers instead, correctly
-    rounded; this route, through mpmath's tan, serves any theta. The sum is taken
-    at the working precision derived from n, with no bound on its error; theta, a
-    real number (a Fraction is taken exactly), is converted and range-checked at
-    the caller's precision, so pi/2 rounded there is accepted.
-    """
-    coeffs = pn_coefficients(n)
-    require_finite(theta, "theta")
-    th = mp.mpf(theta.numerator) / theta.denominator if isinstance(theta, Fraction) else mp.mpf(theta)
-    if not 0 < th <= mp.pi / 2 + mp.eps * 4:
-        raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
-    with mp.workdps(_working_digits(n)):
-        acc = mp.mpf(0)
-        for k, c in enumerate(coeffs):
-            y = th / 2**k
-            acc += mp.mpf(c.numerator) / c.denominator * (y / mp.tan(y))
-        return +acc
 
 
 def _gn_end(n: int, guard: int = 16):

@@ -16,7 +16,7 @@ from arctancert.core import (
     theorem5_approx,
 )
 from arctancert.families import Approximant
-from arctancert.master import a_n, gn_eval, master_bounds
+from arctancert.master import a_n, master_bounds
 from arctancert.series import cf_arctan, machin_pi, taylor1_s, taylor1_t
 from arctancert.numerics import FLOAT, MPF
 from arctancert.verify import (
@@ -29,6 +29,8 @@ from arctancert.verify import (
     oracle_pi,
     sup_error,
 )
+
+from master_reference import gn_eval
 
 GRID = 4097
 SQRT2 = math.sqrt(2)

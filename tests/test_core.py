@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,11 +15,12 @@ from arctancert.core import (
     theorem4_upper,
     theorem5_approx,
 )
-from arctancert.master import MAX_ORDER, a_n, elementary_symmetric, master_bounds
+from arctancert.master import MAX_ORDER, a_n, master_bounds
 from arctancert.numerics import FLOAT, MPF
 from arctancert.verify import oracle_arctan
 
 from conftest import log_grid, nested_radical_seq
+from master_reference import elementary_symmetric
 
 # frozen via extended-precision evaluation of the closed forms
 SF_LOWER_1 = 0.7836116248912243
@@ -255,6 +257,33 @@ def test_sin_cos_forms_agree_with_the_paper_forms():
 def test_theorem5_matches_lifted_interpolant():
     for x in (0.0, 0.5, 2.0, 100.0, 1e150):
         assert theorem5_approx(x) == LiftedApproximant(lagrange_p)(x)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [(-1, "x must be non-negative, got -1"), (math.nan, "x must be finite, got nan"),
+     ("a", "x must be a real number, got str")],
+    ids=["-1", "nan", "str"],
+)
+def test_theorem5_refuses_x_in_the_words_of_its_check(x, message):
+    for f in (theorem5_approx, LiftedApproximant(lagrange_p)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            f(x)
+
+
+@pytest.mark.parametrize("value", ["x", [1], (0.5,), None, 1j, Fraction(1, 2), mp.mpc(0.5, 0.5)], ids=repr)
+def test_a_lifted_value_that_is_no_real_number_raises_value_error(value):
+    # 2*value would double a str or a list and pass it on; the scan takes what verify's
+    # _signed_error takes, an int, a float or an mpf
+    for x, shown in ((0.5, "0.5"), (mp.mpf(2), r"mpf\('2\.0'\)")):
+        with pytest.raises(ValueError, match=rf"^inner must return a real number, got \w+ at x = {shown}$"):
+            LiftedApproximant(lambda u: value)(x)
+
+
+def test_a_lifted_int_float_or_mpf_value_is_doubled():
+    for value in (1, True, 0.25, mp.mpf("0.25")):
+        got = LiftedApproximant(lambda u: value)(0.5)
+        assert got == 2 * value and type(got) is type(2 * value)
 
 
 def _theorem5_closed_form(x, c):

@@ -53,7 +53,7 @@ def test_names_cut_from_the_package_stay_in_their_modules():
 
     homes = {
         families: ["family_info", "list_rows"],
-        master: ["MasterParams", "denominator_product", "elementary_symmetric", "gn_eval", "pn_coefficients"],
+        master: ["MasterParams", "denominator_product"],
         series: ["cheb_coefficients", "machin_pi_fraction"],
         verify: ["default_config"],
     }
@@ -267,10 +267,6 @@ _ARGUMENTS = {
     "a_n": (lambda v: master.a_n(v, 0.5), _FAULTS),
     "master_bounds": (lambda v: master.master_bounds(v, 1.0), _FAULTS),
     "master_params": (lambda v: master.master_params(v), _FAULTS),
-    "gn_eval": (lambda v: master.gn_eval(v, 1.0), _FAULTS),
-    "gn_eval-theta": (lambda v: master.gn_eval(3, v), ("2", None, 1j, [1.0], 2.0)),
-    "pn_coefficients": (lambda v: master.pn_coefficients(v), _FAULTS),
-    "elementary_symmetric": (lambda v: master.elementary_symmetric(v), _FAULTS),
     "denominator_product": (lambda v: master.denominator_product(v), _FAULTS),
     "cheb_coefficients": (lambda v: series.cheb_coefficients(v), _FAULTS),
     "cheb_arctan-n": (lambda v: series.cheb_arctan(v, 0.5), _FAULTS),

@@ -1,7 +1,9 @@
 import math
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 from mpmath import mp
@@ -9,20 +11,12 @@ from mpmath import mp
 from arctancert import master
 from arctancert.core import shafer_fink_bounds, theorem2_bounds
 from arctancert.families import Approximant
-from arctancert.master import (
-    MAX_ORDER,
-    a_n,
-    denominator_product,
-    elementary_symmetric,
-    gn_eval,
-    master_bounds,
-    master_params,
-    pn_coefficients,
-)
+from arctancert.master import MAX_ORDER, a_n, denominator_product, master_bounds, master_params
 from arctancert.numerics import FLOAT, MPF
 from arctancert.verify import oracle_arctan
 
 from conftest import log_grid, nested_radical_seq
+from master_reference import elementary_symmetric, gn_eval, gn_end, pn_coefficients
 
 A1_AT_1 = 0.2612038749637414
 A2_AT_1 = 0.017453439731452079
@@ -50,13 +44,6 @@ def test_pn_exact_roots_and_normalization(n):
         assert _poly(coeffs, Fraction(1, 4**j)) == 0
 
 
-def test_pn_domain():
-    with pytest.raises(ValueError):
-        pn_coefficients(0)
-    with pytest.raises(ValueError):
-        pn_coefficients(33)
-
-
 def test_elementary_symmetric_small():
     assert elementary_symmetric(1) == (1, 1)
     assert elementary_symmetric(2) == (1, 5, 4)
@@ -79,6 +66,26 @@ def test_coefficient_identity_between_routes(n):
     d = denominator_product(n)
     for j in range(n + 1):
         assert d * coeffs[j] / 2**j == Fraction((-1) ** (n - j) * 2**j * e[j])
+
+
+@pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
+def test_master_integers_match_the_references(n):
+    # master takes the D*A_k from one product and its (-1)^(n-j)*e_j*2^j from them, D*A_j/2^j;
+    # the references build p_n in Fractions and e_j from prod (1 + 4^k t)
+    d = denominator_product(n)
+    assert master._pn_numerator(n) == [d * a for a in pn_coefficients(n)]
+    want = [(-1) ** (n - j) * e << j for j, e in enumerate(elementary_symmetric(n))]
+    ints, floats = master._signed_e(n, MPF), master._signed_e(n, FLOAT)
+    assert all(type(v) is int for v in ints) and list(ints) == want
+    assert all(type(v) is float for v in floats) and [v.hex() for v in floats] == [float(w).hex() for w in want]
+
+
+def test_the_references_import_nothing_from_arctancert():
+    # an independent reference shares no code with what it checks
+    tests = pathlib.Path(__file__).resolve().parent
+    code = f"import sys; sys.path.insert(0, {str(tests)!r}); import master_reference; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert [m for m in proc.stdout.split() if m.split(".")[0] == "arctancert"] == []
 
 
 def test_a_n_values():
@@ -117,21 +124,9 @@ def test_gn_endpoint_values():
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gn_tends_to_one_at_zero(n):
-    g = gn_eval(n, 1e-6)
-    assert abs(g - 1) < mp.mpf(10) ** -10
-
-
-@pytest.mark.parametrize("bad", [0.0, -0.5, 2.0, math.nan])
-def test_gn_domain(bad):
-    with pytest.raises(ValueError):
-        gn_eval(2, bad)
-
-
-def test_gn_takes_a_fraction_exactly():
-    # numerator over denominator at the caller's precision; what is no real number is refused
-    # with ValueError (tests/test_exports.py)
     with mp.workdps(50):
-        assert gn_eval(3, Fraction(1, 3)) == gn_eval(3, mp.mpf(1) / 3)
+        g = gn_eval(n, 1e-6)
+        assert abs(g - 1) < mp.mpf(10) ** -10
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -158,17 +153,6 @@ def test_endpoint_gap_shrinks_like_4_to_minus_n(n):
         assert abs(g - 1) < mp.mpf(4) ** -n
 
 
-@lru_cache(maxsize=None)
-def _gn_end_reference(n):
-    # g_n(pi/2) summed at 400 digits through mpmath's tan, independent of master's integers
-    with mp.workdps(400):
-        th = mp.pi / 2
-        return +mp.fsum(
-            mp.mpf(c.numerator) / c.denominator * (th / 2**k) / mp.tan(th / 2**k)
-            for k, c in enumerate(pn_coefficients(n))
-        )
-
-
 @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
 def test_master_params_parity_and_gap(n):
     params = master_params(n)
@@ -180,14 +164,14 @@ def test_master_params_parity_and_gap(n):
             assert params.k_high == 1 and params.k_low < 1
         gap = params.k_high - params.k_low
         assert gap < mp.mpf(4) ** -n
-        ref_gap = abs(_gn_end_reference(n) - 1)
+        ref_gap = abs(gn_end(n) - 1)
         assert abs(gap - ref_gap) < ref_gap * mp.mpf(10) ** -20
 
 
 def _rounded_reference(n):
     # the 400-digit reference rounded to nearest at the constant's working precision
     with mp.workdps(master._working_digits(n)):
-        return +_gn_end_reference(n)
+        return +gn_end(n)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_ORDER + 1))
@@ -223,7 +207,7 @@ def test_a_guard_too_narrow_to_decide_widens_and_still_rounds_to_nearest(monkeyp
 
 
 def test_master_params_computes_no_tan(monkeypatch):
-    # the constants come from integers: mpmath's tan, gn_eval's route, is never called
+    # the constants come from integers: mpmath's tan, the reference's route, is never called
     def refuse(*args):
         raise AssertionError("master_params called mp.tan")
 
