@@ -35,9 +35,9 @@ class FamilyInfo(NamedTuple):
     pair_order is its order in the master family, where that order is fixed.
     float_rule is False on t alone, which has no float rule (see
     Approximant for each row's rule). fixed is the row's kernel in integers
-    (``fixedpoint``); Approximant makes it the row's one fixed-point rule
-    (``fixedpoint.direct_fixed``), at x itself for a pair, at the lift's u where
-    claim_interval is 0:inf and at u = x where it is 0:1. claim_interval is
+    (``fixedpoint``), which Approximant makes its fixed-point rule
+    (``fixedpoint.direct_fixed``), at the lift's u where claim_interval is 0:inf
+    and at u = x where it is 0:1; a pair row carries none. claim_interval is
     the text of the interval the claims apply to; Approximant parses it once,
     at construction. A row that needs_n takes every order from n_min to
     MAX_ORDER, master's range, and no other.
@@ -98,13 +98,13 @@ FAMILIES: dict[str, FamilyInfo] = {
     info.ident: info
     for info in (
         FamilyInfo("sf", "Theorem 1", "3x/d < arctan x < πx/d, d = 1+2√(1+x²)", "[0,∞)", _TWO, False,
-                   kernel=core.shafer_fink_bounds, pair_order=1, fixed=fixedpoint.master_kernel),
+                   kernel=core.shafer_fink_bounds, pair_order=1),
         FamilyInfo("t2", "Theorem 2", "π(3+8√2)f < arctan x < 45f", "[0,∞)", _TWO, False,
-                   kernel=core.theorem2_bounds, pair_order=2, fixed=fixedpoint.master_kernel),
+                   kernel=core.theorem2_bounds, pair_order=2),
         FamilyInfo("t4", "Theorem 4", "arctan x < πx/(4/π+√2√(1+x²+x√(1+x²)))", "[0,∞)", _UP, False,
                    kernel=core.theorem4_upper, fixed=fixedpoint.t4_kernel),
         FamilyInfo("master", "Theorem 3", "K_high−K_low < 4^-n", "[0,∞)", _TWO, True, 1,
-                   kernel=master._master_side, fixed=fixedpoint.master_kernel),
+                   kernel=master._master_side),
         FamilyInfo("lagrange", "Lagrange interpolant", "sup < 1/230 on (0,1)", "[0,1]", _APPROX, False, 0, "0:1",
                    kernel=core.lagrange_p, claim=lambda n: 1 / 230, slope=lambda n: _LAGRANGE_SLOPE,
                    fixed=fixedpoint.lagrange_kernel),
@@ -183,14 +183,15 @@ class Approximant(Frozen):
     claim_interval, 1 or -1 (see FamilyInfo), 0 for none; and claim_interval,
     the Interval its claims (bound, monotone) apply to.
 
-    rough_error(x) is the float rule of the certification scan's float tier
-    (see ``verify``): for sf, t2 and master their error series summed in float
-    (``master._master_error``), None for t, and for every other row the
-    K-ulp rule (ulp_rule). It returns the rule's own (e, b) or raises.
-    fixed_error(x, w) is the fixed-point tier's rule, in integers scaled by
-    2^w, returning (m, err) in units of 2^-w: for every row, its integer
-    kernel less the oracle's fixed arctan (``fixedpoint.direct_fixed``), at the
-    argument its domain implies. Every row has it at every order it takes.
+    rough_error(x) and fixed_error(x, w) are the scan's float and fixed-point
+    rules (see ``verify``): (e, b) from the float tier, or a raise, and (m,
+    err) in units of 2^-w, an integer kernel at scale 2^w less the oracle's
+    fixed arctan, which every row has at every order it takes. sf, t2 and
+    master bind both from master, their error series summed in float
+    (``master._master_error``) and their side in integers with master's
+    constants (``fixedpoint.master_kernel``); a pair row carries no fixed.
+    t has no float rule; every other row has the K-ulp rule (ulp_rule) and
+    its kernel at the argument its domain implies (``fixedpoint.direct_fixed``).
     """
 
     __slots__ = ("family", "n", "side", "label", "claim", "slope", "monotone", "claim_interval",
@@ -200,7 +201,7 @@ class Approximant(Frozen):
     def __init__(self, family: str, n: Optional[int] = None, side: Optional[str] = None):
         info = family_info(family)
         if info.needs_n:  # every row's order range is master's: n_min..MAX_ORDER
-            require_int(n, f"n of family {family!r}", info.n_min, master.MAX_ORDER)
+            n = require_int(n, f"n of family {family!r}", info.n_min, master.MAX_ORDER)  # a bool as its int
         elif n is not None:
             raise ValueError(f"family {family!r} does not take n")
         if info.kind is BoundKind.TWO_SIDED:
@@ -227,8 +228,7 @@ class Approximant(Frozen):
             order = info.pair_order or n
             args = order, side == master.constant_side(order)
             self.rough_error = partial(master._master_error, *args)
-            constants = partial(master._master_constants, *args)  # fixedpoint.master_kernel's, bound to this side
-            self.fixed_error = partial(fixedpoint.direct_fixed, info.fixed, None, constants)
+            self.fixed_error = partial(fixedpoint.master_kernel, partial(master._master_constants, *args))
         else:
             # the K-ulp rule reads the evaluator itself, so a float value skips __call__
             self.rough_error = partial(ulp_rule, fn) if info.float_rule else None

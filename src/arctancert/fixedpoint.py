@@ -10,9 +10,10 @@ the centres k/64 and then the fine points j/2^13 (_atan_reduced, _table); one
 quotient, under 2^-14, feeds the Maclaurin series at guard bits beyond the working
 precision, an argument, not the mpmath context. atan_rounded rounds once, to 1 ulp.
 
-The scan's fixed-point tier has one rule for every row, direct_fixed: the row's
-kernel at scale 2^w, at x itself, at u = x on [0, 1] or at the lift's u, less
-atan_fixed, the oracle's reduction floored to 2^-w, within 1.01 units of it.
+The scan's fixed-point tier has two rules, each a row's kernel at scale 2^w less
+atan_fixed, the oracle's reduction floored to 2^-w, within 1.01 units of it:
+master_kernel, a side of master's pairs at x itself, and direct_fixed, every
+other row's kernel at u = x on [0, 1] or at the lift's u.
 The kernels are master's nested radicals (sf and t2 too), t4 and lagrange in
 closed form (t5 is lagrange at the lift's u), cheb's Clenshaw sum, cf's backward
 recurrence (Cuyt et al., Handbook of Continued Fractions for Special Functions,
@@ -213,32 +214,28 @@ def _lift_u(x: float, w: int):
     return min((p << (2 * w)) // d, 1 << w), 2
 
 
-def direct_fixed(kernel, lift, n, x: float, w: int):
+def direct_fixed(kernel, lift: bool, n, x: float, w: int):
     """(m, err) for E = f(x) - arctan x: the kernel in integers less arctan x from atan_fixed.
 
-    The one fixed-point rule of every registry row, the counterpart of families.ulp_rule.
-    kernel(n, u, e_u, w) returns f's inner kernel at u*2^-w, given within e_u units, scaled
-    by 2^w with its error in units; u is x on [0, 1] (lift False), or the lift's u (lift
-    True), and f is twice the kernel there. With lift None the kernel takes x itself, exact:
-    kernel(n, x, w), n being master_kernel's constants. families.Approximant picks lift from
-    the row's domain.
+    The fixed-point rule of every row but the pairs' (master_kernel), like families.ulp_rule.
+    kernel(n, u, e_u, w) gives f's inner kernel at u*2^-w, given within e_u units, scaled by
+    2^w with its error in units: u is the lift's u if lift, where f is twice the kernel, else
+    x in [0, 1], so cf past 1, which its float and mpf kernels take, keeps the mpf tier
+    (tests/test_verify.py, test_end_search_runs_where_the_flag_cannot_settle_it[cf(n=2)-0:2-2.0]).
     """
-    if lift is None:
-        f, err = kernel(n, x, w)
-    elif lift:
-        f, err = kernel(n, *_lift_u(x, w), w)
+    f, err = kernel(n, *(_lift_u if lift else _unit_u)(x, w), w)
+    if lift:
         f, err = 2 * f, 2 * err
-    else:
-        f, err = kernel(n, *_unit_u(x, w), w)
     return f - atan_fixed(x, w), err + 1.01
 
 
 def master_kernel(constants, x: float, w: int):
-    """master.master_bounds' side k*D*a_n(x) of one order-n pair, x >= 0 exact.
+    """(m, err) for E = k*D*a_n(x) - arctan x, x >= 0 exact: a side of master.master_bounds.
 
-    constants(big), master._master_constants bound to the order and side, gives k*D at
-    scale 2^big and the integers (-1)^(n-j) e_j 2^j; k is g_n(pi/2) on the constant
-    side, else 1, its distance from g_n(pi/2) the mpf term's (verify._mpf_term_bits).
+    The pairs' fixed-point rule, the counterpart of master._master_error. constants(big),
+    master._master_constants bound to the order and side, gives k*D at scale 2^big and the
+    integers (-1)^(n-j) e_j 2^j; k is g_n(pi/2) on the constant side, else 1, its distance
+    from g_n(pi/2) the mpf term's (verify._mpf_term_bits).
     """
     # With t = arctan x and x = p/q exact, R = sqrt(p^2 + q^2), cos t = q/R and sin t = p/R;
     # D*a_n = D*sin t/den, den = sum_j (-1)^(n-j) e_j 2^j l_j, l_0 = cos t, l_(j+1) = l_j +
@@ -253,7 +250,7 @@ def master_kernel(constants, x: float, w: int):
     #   it for odd n): under 10.2 units relative for every n, so G need not grow with n.
     # - V = k*D*sin t/den = k*t/g_n(t) < (pi/2)(5/4) < 2, so den moves V by under 20.4
     #   units, k's floor (k >= 15/16) by 2.2, and sin t's 1.001 by k*D*1.001/den < 2.2.
-    # Under 25 units of 2^-W is under 0.001 of 2^-w, and the quotient's floor there adds one.
+    # Under 25 units of 2^-W is under 0.001 of 2^-w, its floor there adds one, atan_fixed 1.01.
     require_nonnegative(x)
     big = w + _MASTER_GUARD
     kd, terms = constants(big)
@@ -264,7 +261,7 @@ def master_kernel(constants, x: float, w: int):
     for c in terms[1:]:
         ell += math.isqrt(ss + ell * ell)
         den += c * ell
-    return (kd * sin) // (den << _MASTER_GUARD), 1.01
+    return (kd * sin) // (den << _MASTER_GUARD) - atan_fixed(x, w), 1.01 + 1.01
 
 
 @lru_cache(maxsize=None)

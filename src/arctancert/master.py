@@ -21,15 +21,15 @@ so the constants carry a precision derived from n: max(50, 20 + 3n^2/5)
 digits, 50 up to order 7 and 173 at order 16, which leaves at least 30
 significant digits in k_high - k_low at every order.
 
-The pairs' rules for the certification scan (``verify``) close the module:
-_master_constants gives fixedpoint.master_kernel its constants; _master_error
-sums E = f - arctan x in float as (e, b), b bounding the float sum's distance
-from E. D*a_n(x) = theta/g_n(theta), theta = arctan x, so with S = 1 -
-g_n(theta) = sum_{m>n} b_m p_n(4^-m) theta^(2m), b_m = 2^(2m)|B_2m|/(2m)! (the
-coefficients of y*cot y, DLMF 4.19), the unit side has E = theta*S/(1 - S) and
-the constant side theta*(S(theta) - S(pi/2))/(1 - S(theta)). b is first order
-in the unit roundoff U, with a few percent of slack; what underflows errs by
-under 2^-1000, which the mpf term that the scan's guard adds absorbs.
+The pairs' two scan rules (``verify``) close the module: _master_constants
+gives the fixed-point one, fixedpoint.master_kernel, its constants; the float
+one, _master_error, sums E = f - arctan x in float as (e, b), b bounding the
+float sum's distance from E. D*a_n(x) = theta/g_n(theta), theta = arctan x, so
+with S = 1 - g_n(theta) = sum_{m>n} b_m p_n(4^-m) theta^(2m), b_m the
+coefficients 2^(2m)|B_2m|/(2m)! of y*cot y (DLMF 4.19), the unit side has E =
+theta*S/(1 - S) and the constant side theta*(S(theta) - S(pi/2))/(1 - S(theta)).
+b is first order in the unit roundoff U, with a few percent of slack; what
+underflows errs by under 2^-1000, which the scan guard's mpf term absorbs.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ with mp.workdps(30):  # the nearest doubles to 2/pi and 4/pi^2, each within U
     _TWO_OVER_PI, _FOUR_OVER_PI2 = float(2 / mp.pi), float(4 / mp.pi**2)
 
 
-def _check_order(n):
-    require_int(n, "order n", 1, MAX_ORDER)
+def _check_order(n) -> int:
+    return require_int(n, "order n", 1, MAX_ORDER)
 
 
 def _order_cached(fn):
-    # fn cached by order behind the order check, so the cache never hashes a bad n
+    # fn cached behind the order check on the int it returns: no bad n is hashed, nor a bool
     cached = lru_cache(maxsize=None)(fn)
-    return wraps(fn)(lambda n: _check_order(n) or cached(n))
+    return wraps(fn)(lambda n: cached(_check_order(n)))
 
 
 def _working_digits(n: int) -> int:

@@ -111,9 +111,9 @@ def require_unit(x, name="x"):
 
 
 def require_int(v, name, lo, hi=None):
-    """Raise ValueError unless v is an int in [lo, hi], and at most sys.maxsize.
+    """Raise ValueError unless v is an int in [lo, hi], and at most sys.maxsize; return int(v).
 
-    A bool passes as the int it equals, and shares its entry in a cache keyed on orders.
+    A bool passes, and is returned as the int it equals, which a cache keyed on orders stores.
     The message names v as ``shown`` does.
     """
     if not isinstance(v, int) or v < lo or (hi is not None and v > hi):
@@ -121,7 +121,7 @@ def require_int(v, name, lo, hi=None):
     elif v > sys.maxsize:
         limit = "<= sys.maxsize"
     else:
-        return
+        return int(v)
     raise ValueError(f"{name} must be an integer {limit}, got {shown(v)}")
 
 

@@ -14,7 +14,7 @@ from arctancert import core, families, fixedpoint, master, series
 from arctancert.families import FAMILIES, FLOAT_ULPS, Approximant, ulp_rule
 from arctancert.master import MAX_ORDER
 from arctancert.numerics import require_nonnegative
-from arctancert.verify import BoundKind, Interval, OracleConfig, _mpf_term_bits, oracle_arctan
+from arctancert.verify import BoundKind, Interval, OracleConfig, _mpf_term_bits, oracle_arctan, sup_error
 
 # every registry family once, each side of a pair family separately
 INSTANCES = [
@@ -283,6 +283,15 @@ def test_monotone_rows_move_at_their_rate(case):
         assert small * grow <= big + tau * (1 + grow), (ap.label, x, y)
 
 
+def test_an_order_given_as_a_bool_is_stored_as_the_int_it_equals():
+    # require_int passes True as 1, and the approximant and master's cache keep the int
+    ap = Approximant("cheb", n=True)
+    assert ap.label == "cheb(n=1)"
+    assert repr(ap) == "Approximant(family='cheb', n=1, side=None)"
+    assert sup_error(ap, Interval(0.0, 1.0), 65).family == "cheb(n=1)"
+    assert master.master_params(True) is master.master_params(1)
+
+
 def test_unknown_family_raises_value_error():
     with pytest.raises(ValueError, match="unknown family 'nosuch'"):
         Approximant("nosuch")
@@ -323,6 +332,9 @@ FIXED_KERNELS = {
 
 def test_every_non_pair_row_has_a_fixed_kernel_case():
     assert set(FIXED_KERNELS) == {ident for ident, info in FAMILIES.items() if info.kind is not BoundKind.TWO_SIDED}
+    # a pair row carries no fixed: each of its 36 sides takes master's own rule, bound with its constants
+    assert all(info.fixed is None for info in FAMILIES.values() if info.kind is BoundKind.TWO_SIDED)
+    assert all(ap.fixed_error.func is fixedpoint.master_kernel for ap in PAIRS)
 
 
 @pytest.mark.parametrize("ident", list(FIXED_KERNELS))
@@ -579,3 +591,29 @@ def test_float_values_hold_their_pinned_hash():
 def test_50_digit_values_hold_their_pinned_hash():
     with mp.workdps(50):
         assert _values_sha256(mp.mpf) == _MPF50_VALUES_SHA256
+
+
+# both scan rules of every pair side, sf, t2 and master n = 1..16: rough_error at the pinned
+# points and 500 seeded log-uniform ones, fixed_error at the pinned points at two widths
+_PAIR_RULES_SHA256 = "21a16561214a42431c5c4c876adcd65050f0112353845bf57b0a43e834974ecb"
+
+
+def _pair_rules_sha256():
+    rng = random.Random("pair rules")
+    pinned = _PIN_UNIT + _PIN_HALF_LINE
+    xs = pinned + tuple(10 ** rng.uniform(-300, 300) for _ in range(500))
+    h = hashlib.sha256()
+    for ap in PAIRS:
+        for x in xs:
+            e, b = ap.rough_error(x)
+            h.update(f"{ap.label} {x!r} {e.hex()} {b.hex()}\n".encode())
+        for w in (169, 402):
+            for x in pinned:
+                m, err = ap.fixed_error(x, w)
+                h.update(f"{ap.label} {w} {x!r} {m} {err.hex()}\n".encode())
+    return h.hexdigest()
+
+
+def test_pair_rules_hold_their_pinned_hash():
+    # one unit of any side's fixed m, or one ulp of its rough e or b, changes the hash
+    assert _pair_rules_sha256() == _PAIR_RULES_SHA256
